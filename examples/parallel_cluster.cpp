@@ -8,8 +8,7 @@
 //
 // Process mode (ranks are real processes over shm rings or TCP; this
 // binary detects the ffw_launch bootstrap environment):
-//     ./build/tools/ffw_launch -n 4 -- \
-//         ./build/examples/parallel_cluster 2 2
+//     ./build/tools/ffw_launch -n 4 -- ./build/examples/parallel_cluster 2 2
 #include <cstdio>
 #include <cstdlib>
 #include <memory>

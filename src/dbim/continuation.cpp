@@ -94,6 +94,22 @@ StageStop continuation_stop_reason(const std::vector<double>& residuals,
   return StageStop::kDegenerate;
 }
 
+DbimResult continuation_run_band(DbimStepper& stepper,
+                                 const FrequencyBand& band) {
+  // The plateau test runs after each completed step (the update
+  // included), so every driver cuts the band at the identical state.
+  std::vector<double> residuals;
+  while (!stepper.done()) {
+    stepper.step();
+    residuals.push_back(stepper.last_residual());
+    if (continuation_plateau(residuals, band.plateau_window,
+                             band.plateau_rtol)) {
+      break;
+    }
+  }
+  return stepper.result();
+}
+
 namespace {
 
 /// Fingerprint array guarding stage checkpoints against a resume under
@@ -217,22 +233,13 @@ ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
 
     DbimStepper stepper(scene.engine(), scene.transceivers(),
                         scene.measurements(), opts, config.forward, guess);
-    std::vector<double> residuals;
-    while (!stepper.done()) {
-      stepper.step();
-      residuals.push_back(stepper.last_residual());
-      if (continuation_plateau(residuals, band.plateau_window,
-                               band.plateau_rtol)) {
-        break;
-      }
-    }
+    DbimResult res = continuation_run_band(stepper, band);
 
     StageReport rep;
     rep.band = s;
     rep.nx = nx;
     rep.k0 = grid.k0();
     rep.iterations = stepper.iteration();
-    DbimResult res = stepper.result();
     rep.stop = continuation_stop_reason(res.history.relative_residual, band);
     rep.rmse = image_rmse(res.contrast, scene.true_contrast());
     rep.history = std::move(res.history);

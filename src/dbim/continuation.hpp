@@ -15,12 +15,11 @@
 // physically, independent experiments at each operating frequency, each
 // with its own noise realization (per-band seeds via mix_seed).
 //
-// Unlike the fixed-iteration multifrequency stub this module replaces
-// as the primary interface, each band stops on its own criterion —
-// residual tolerance, residual *plateau* (no meaningful progress over a
-// trailing window; the natural criterion for "this band has given all
-// it can at its resolution"), or an iteration cap — and the stage index
-// is checkpointed so a crash mid-ladder resumes bit-identically
+// Each band stops on its own criterion — residual tolerance, residual
+// *plateau* (no meaningful progress over a trailing window; the natural
+// criterion for "this band has given all it can at its resolution"), or
+// an iteration cap (with the other two off, a band is a plain
+// fixed-iteration stage) — and the stage index is checkpointed so a crash mid-ladder resumes bit-identically
 // (tests/multifrequency_test.cpp). The band dimension is also a
 // parallel axis: dbim/continuation_parallel.hpp runs the same ladder
 // over band groups of a VCluster.
@@ -148,9 +147,9 @@ bool continuation_plateau(const std::vector<double>& residuals, int window,
 /// result. Equal resolution: the raw contrast verbatim — bit-exact, no
 /// (divide by k2, multiply by k2) round trip. Coarser to finer:
 /// delta_eps = contrast / k2_prev, bilinear upsample, scale by k2_next.
-/// Shared by the legacy ladder, the serial continuation driver, the
-/// band-parallel driver and the service's band jobs, so every path
-/// derives identical warm starts.
+/// Shared by the serial continuation driver, the band-parallel driver
+/// and the service's band jobs, so every path derives identical warm
+/// starts.
 cvec continuation_warm_start(ccspan contrast_prev, int prev_nx, int nx,
                              double k2_prev, double k2_next);
 
@@ -159,6 +158,14 @@ cvec continuation_warm_start(ccspan contrast_prev, int prev_nx, int nx,
 /// serial and band-parallel drivers always agree.
 StageStop continuation_stop_reason(const std::vector<double>& residuals,
                                    const FrequencyBand& band);
+
+/// Runs one band's DBIM: steps `stepper` (built with the band's
+/// max_iterations and residual_tol) until it is done or the band's
+/// residual plateaus, and returns its result. The one band loop of the
+/// serial driver, the band-parallel driver (single- and multi-rank band
+/// groups alike) and hence every ladder path.
+DbimResult continuation_run_band(DbimStepper& stepper,
+                                 const FrequencyBand& band);
 
 /// Stage-level checkpoint round trip (shared by the serial and
 /// band-parallel drivers): atomically records that `completed_stages`

@@ -118,9 +118,9 @@ ContinuationResult continuation_reconstruct_parallel(
     std::vector<std::pair<int, std::vector<double>>> local_reports;
     cvec local_final;  // final-band image when this rank is its leader
 
-    // Result of the last band THIS group ran (replicated on all window
-    // ranks by the windowed driver): same-group warm starts need no
-    // message at all.
+    // Result of the last band THIS group ran (the stepper hands it to
+    // every window rank): same-group warm starts need no message at
+    // all.
     cvec last_contrast;
     int last_band = -1;
 
@@ -215,55 +215,42 @@ ContinuationResult continuation_reconstruct_parallel(
         }
       }
 
-      // ---- The band's DBIM over this group's window.
-      DbimResult res;
-      if (wranks.size() == 1) {
-        // Single-rank band group: run the serial stage verbatim — same
-        // engine construction, stepper and plateau loop as
-        // continuation_reconstruct — so a band-parallel ladder over
-        // 1-rank groups is bit-identical to the serial ladder. This
-        // also sidesteps the partitioned engine's far-field-level
-        // requirement on very coarse rungs.
-        MlfmaEngine engine = tables != nullptr
-                                 ? MlfmaEngine(tables)
-                                 : MlfmaEngine(*tree, config.mlfma);
-        DbimOptions opts = copt.dbim;
-        opts.max_iterations = band.max_iterations;
-        opts.residual_tol = band.residual_tol;
-        if (config.table_cache != nullptr) {
-          opts.table_cache = config.table_cache;
-          opts.incident_panel = trx_tables->incident();
-        }
-        DbimStepper stepper(engine, *trx, measured, opts, config.forward,
-                            guess);
-        std::vector<double> residuals;
-        while (!stepper.done()) {
-          stepper.step();
-          residuals.push_back(stepper.last_residual());
-          if (continuation_plateau(residuals, band.plateau_window,
-                                   band.plateau_rtol)) {
-            break;
-          }
-        }
-        res = stepper.result();
-      } else {
-        const PartitionedMlfma pm =
-            tables != nullptr ? PartitionedMlfma(tables, grp.tree_ranks)
-                              : PartitionedMlfma(*tree, config.mlfma,
-                                                 grp.tree_ranks);
-        WindowedDbimConfig wcfg;
-        wcfg.rank_base = grp.base;
-        wcfg.illum_groups = grp.illum_groups;
-        wcfg.tree_ranks = grp.tree_ranks;
-        wcfg.dbim = copt.dbim;
-        wcfg.dbim.max_iterations = band.max_iterations;
-        wcfg.dbim.residual_tol = band.residual_tol;
-        wcfg.forward = config.forward;
-        wcfg.plateau_window = band.plateau_window;
-        wcfg.plateau_rtol = band.plateau_rtol;
-        res = dbim_reconstruct_windowed(comm, pm, *tree, *trx, measured,
-                                        wcfg, guess);
+      // ---- The band's DBIM over this group's window: the serial band
+      // loop over a stepper. A single-rank group runs the serial stage
+      // verbatim — same engine, workspace and stepper as
+      // continuation_reconstruct — so a band-parallel ladder over 1-rank
+      // groups is bit-identical to the serial ladder (this also
+      // sidesteps the partitioned engine's far-field-level requirement
+      // on very coarse rungs). A multi-rank group runs the same stepper
+      // over its illum_groups x tree_ranks window.
+      DbimOptions opts = copt.dbim;
+      opts.max_iterations = band.max_iterations;
+      opts.residual_tol = band.residual_tol;
+      if (config.table_cache != nullptr) {
+        opts.table_cache = config.table_cache;
+        opts.incident_panel = trx_tables->incident();
       }
+      std::unique_ptr<MlfmaEngine> engine;
+      std::unique_ptr<PartitionedMlfma> pm;
+      std::unique_ptr<DbimStepper> stepper;
+      if (wranks.size() == 1) {
+        engine = tables != nullptr
+                     ? std::make_unique<MlfmaEngine>(tables)
+                     : std::make_unique<MlfmaEngine>(*tree, config.mlfma);
+        stepper = std::make_unique<DbimStepper>(*engine, *trx, measured, opts,
+                                                config.forward, guess);
+      } else {
+        pm = tables != nullptr
+                 ? std::make_unique<PartitionedMlfma>(tables, grp.tree_ranks)
+                 : std::make_unique<PartitionedMlfma>(*tree, config.mlfma,
+                                                      grp.tree_ranks);
+        stepper = std::make_unique<DbimStepper>(
+            make_partitioned_workspace(comm, grp.base, grp.illum_groups, *pm,
+                                       *tree, *trx, measured, opts,
+                                       config.forward),
+            opts, config.forward, guess);
+      }
+      DbimResult res = continuation_run_band(*stepper, band);
 
       // ---- Hand-offs (leader only). Checkpoint BEFORE the warm-start
       // send: the next band cannot complete — and overwrite the file —

@@ -4,9 +4,10 @@
 // parallel axis next to the paper's illuminations x sub-trees.
 //
 // Execution model: bands are assigned to groups round-robin. Within a
-// group, each band runs the windowed 2-D DBIM driver
-// (dbim_reconstruct_windowed) over the group's illum_groups x
-// tree_ranks grid. The parts of a band that do NOT depend on earlier
+// group, each band runs the serial band loop (continuation_run_band) —
+// a DbimStepper over a partitioned pass workspace spanning the group's
+// illum_groups x tree_ranks window (make_partitioned_workspace), or
+// over the serial workspace for a 1-rank group. The parts of a band that do NOT depend on earlier
 // bands — operator-table builds, transceiver setup, measurement
 // synthesis (independent experiments per frequency, cf. Gaggioli-Bruno
 // arXiv:2202.09421) — start immediately and overlap other groups'
@@ -41,7 +42,7 @@ inline constexpr int kTagFreqFinal = -8200;
 struct BandParallelOptions {
   /// Ladder-level options (per-stage seeds, checkpoint/resume,
   /// stop_after_stage is unsupported here). mixed_precision must be
-  /// false: the windowed driver runs the fp64 partitioned engine.
+  /// false: multi-rank bands run the fp64 partitioned engine.
   ContinuationOptions continuation;
   /// Band groups: 0 = auto (largest divisor of the pool <= band count).
   int freq_groups = 0;

@@ -269,24 +269,59 @@ double DbimWorkspace::step_pass_all(ccspan direction) {
   return denom;
 }
 
-DbimStepper::DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
-                         const CMatrix& measured, const DbimOptions& opts,
-                         const BicgstabOptions& fw_opts,
-                         ccspan initial_contrast)
-    : opts_(opts),
-      fw_opts_(fw_opts),
-      ws_(engine, trx, measured, fw_opts),
-      n_(ws_.num_pixels()) {
+void DbimPasses::scatter(ccspan natural, cspan local) const {
+  FFW_CHECK(natural.size() == local.size());
+  copy(natural, local);
+}
+
+bool DbimPasses::gather(std::span<const ccspan> in, std::span<cvec* const> out,
+                        bool /*everywhere*/) {
+  FFW_CHECK(in.size() == out.size());
+  for (std::size_t i = 0; i < in.size(); ++i)
+    out[i]->assign(in[i].begin(), in[i].end());
+  return true;
+}
+
+std::size_t DbimWorkspace::residual_size() const {
+  return measured_->rows() * measured_->cols();
+}
+
+void DbimWorkspace::fill_counts(DbimHistory& h) {
+  // Both engines may have contributed solves (kAuto switches mid-run);
+  // the history totals span whatever mix actually executed.
+  const ForwardStats& ms = solver_.stats();
+  h.forward_solves = ms.solves;
+  h.operator_applications = ms.operator_applications;
+  h.bicgstab_iterations = ms.bicgs_iterations;
+  h.precond_setup_seconds = ms.precond_setup_seconds;
+  if (cbs_) {
+    const ForwardStats& cs = cbs_->stats();
+    h.forward_solves += cs.solves;
+    h.operator_applications += cs.operator_applications;
+    h.bicgstab_iterations += cs.bicgs_iterations;
+  }
+  h.cbs_escalated = escalated_;
+}
+
+namespace {
+
+/// The serial workspace with the solver-level DbimOptions applied.
+std::unique_ptr<DbimPasses> local_workspace(MlfmaEngine& engine,
+                                            const Transceivers& trx,
+                                            const CMatrix& measured,
+                                            const DbimOptions& opts,
+                                            const BicgstabOptions& fw_opts) {
+  auto ws = std::make_unique<DbimWorkspace>(engine, trx, measured, fw_opts);
   if (opts.mixed_engine != nullptr) {
-    ws_.solver().set_mixed_engine(opts.mixed_engine);
+    ws->solver().set_mixed_engine(opts.mixed_engine);
   }
   if (opts.near_precondition) {
-    ws_.solver().set_near_preconditioner(
+    ws->solver().set_near_preconditioner(
         true, opts.mixed_engine != nullptr ? Precision::kMixed
                                            : Precision::kDouble);
   }
   if (opts.recycle_depth > 0) {
-    ws_.set_recycling(static_cast<std::size_t>(opts.recycle_depth),
+    ws->set_recycling(static_cast<std::size_t>(opts.recycle_depth),
                       opts.recycle_ridge);
   }
   if (opts.backend != BackendKind::kMlfma) {
@@ -297,61 +332,69 @@ DbimStepper::DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
       ctab = opts.table_cache->cbs_tables(engine.tree().grid(),
                                           opts.cbs.precision);
     }
-    ws_.set_backend(opts.backend, opts.cbs, opts.auto_contrast_threshold,
+    ws->set_backend(opts.backend, opts.cbs, opts.auto_contrast_threshold,
                     opts.auto_escalation_rate, std::move(ctab));
   }
   if (!opts.incident_panel.empty()) {
-    ws_.set_incident_panel(opts.incident_panel);
+    ws->set_incident_panel(opts.incident_panel);
   }
-  const int t_count = ws_.num_illuminations();
+  return ws;
+}
 
-  DbimResult& out = out_;
-  out.contrast.assign(n_, cplx{});
-  if (!initial_contrast.empty()) {
-    FFW_CHECK(initial_contrast.size() == n_);
-    copy(initial_contrast, out.contrast);
-  }
+}  // namespace
 
+DbimStepper::DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
+                         const CMatrix& measured, const DbimOptions& opts,
+                         const BicgstabOptions& fw_opts,
+                         ccspan initial_contrast)
+    : DbimStepper(local_workspace(engine, trx, measured, opts, fw_opts), opts,
+                  fw_opts, initial_contrast) {}
+
+DbimStepper::DbimStepper(std::unique_ptr<DbimPasses> passes,
+                         const DbimOptions& opts,
+                         const BicgstabOptions& fw_opts,
+                         ccspan initial_contrast)
+    : opts_(opts),
+      fw_opts_(fw_opts),
+      ws_(std::move(passes)),
+      red_(ws_->reducer()),
+      n_(ws_->num_pixels()) {
+  out_.contrast.assign(n_, cplx{});
+  if (!initial_contrast.empty()) ws_->scatter(initial_contrast, out_.contrast);
   grad_.assign(n_, cplx{});
   grad_prev_.assign(n_, cplx{});
   direction_.assign(n_, cplx{});
-  residuals_.assign(measured.rows() * static_cast<std::size_t>(t_count),
-                    cplx{});
-  cvec& grad_prev = grad_prev_;
-  cvec& direction = direction_;
-  double& grad_prev_norm2 = grad_prev_norm2_;
-  const std::size_t n = n_;
+  residuals_.assign(ws_->residual_size(), cplx{});
   int start_iter = 0;
   if (opts.resume) {
+    const DbimCheckpoint& resume = *opts.resume;
     // Refuse to resume across a precision-policy change: the checkpoint
     // records whether the run used a mixed-precision engine, and picking
     // up its trajectory under a different policy silently alters the
     // convergence history the checkpoint's residuals describe.
     FFW_CHECK_MSG(
-        opts.resume->mixed_precision == (opts.mixed_engine != nullptr),
+        resume.mixed_precision == (opts.mixed_engine != nullptr),
         "DBIM resume: checkpoint precision policy (mixed vs fp64) does not "
         "match DbimOptions::mixed_engine");
     // Same contract for the forward-backend policy: a checkpoint from a
     // CBS or kAuto run resumed under a different routing would hand the
     // remaining solves to a different engine than the residual history
     // describes — fail loudly instead.
-    FFW_CHECK_MSG(opts.resume->backend == opts.backend,
+    FFW_CHECK_MSG(resume.backend == opts.backend,
                   "DBIM resume: checkpoint backend policy does not match "
                   "DbimOptions::backend");
-    FFW_CHECK(opts.resume->contrast.size() == n);
-    out.contrast = opts.resume->contrast;
-    grad_prev = opts.resume->gradient_prev;
-    direction = opts.resume->direction;
-    if (grad_prev.size() == n) {
-      grad_prev_norm2 = std::pow(nrm2(grad_prev), 2);
-    } else {
-      grad_prev.assign(n, cplx{});
+    ws_->scatter(resume.contrast, out_.contrast);
+    // The CG memory is optional (a zero-iteration checkpoint has none).
+    if (resume.gradient_prev.size() == resume.contrast.size()) {
+      ws_->scatter(resume.gradient_prev, grad_prev_);
+      grad_prev_norm2_ = std::pow(nrm2(resume.gradient_prev), 2);
     }
-    if (direction.size() != n) direction.assign(n, cplx{});
-    start_iter = opts.resume->iteration;
-    out.history.relative_residual.assign(
-        opts.resume->residual_history.begin(),
-        opts.resume->residual_history.end());
+    if (resume.direction.size() == resume.contrast.size()) {
+      ws_->scatter(resume.direction, direction_);
+    }
+    start_iter = resume.iteration;
+    out_.history.relative_residual.assign(resume.residual_history.begin(),
+                                          resume.residual_history.end());
   }
   iter_ = start_iter;
   done_ = iter_ >= opts_.max_iterations;
@@ -367,7 +410,7 @@ double DbimStepper::last_residual() const {
 bool DbimStepper::step() {
   if (done_) return false;
   const DbimOptions& opts = opts_;
-  DbimWorkspace& ws = ws_;
+  DbimPasses& ws = *ws_;
   DbimResult& out = out_;
   cvec& grad = grad_;
   cvec& grad_prev = grad_prev_;
@@ -393,7 +436,9 @@ bool DbimStepper::step() {
   ws.set_background(out.contrast, opts.warm_start_fields);
 
   // Pass 1+2: residuals and gradient, each as one blocked solve over
-  // the whole illumination set (shared-operator multi-RHS structure).
+  // the illumination set (shared-operator multi-RHS structure). The
+  // gradient pass combines across illumination groups (paper Fig. 4,
+  // sync 1).
   std::fill(grad.begin(), grad.end(), cplx{});
   double cost;
   {
@@ -406,7 +451,7 @@ bool DbimStepper::step() {
   }
   const double relres = std::sqrt(cost / ws.measurement_norm2());
   out.history.relative_residual.push_back(relres);
-  if (opts.progress) opts.progress(iter, relres);
+  if (opts.progress && ws.leader()) opts.progress(iter, relres);
   if (opts.residual_tol > 0.0 && relres < opts.residual_tol) {
     done_ = true;
     return false;
@@ -418,8 +463,10 @@ bool DbimStepper::step() {
     axpy(cplx{opts.tikhonov}, ccspan{out.contrast}, grad);
   }
 
-  // Conjugate direction (Polak-Ribiere+ with automatic restart).
-  const double gnorm2 = std::pow(nrm2(grad), 2);
+  // Conjugate direction (Polak-Ribiere+ with automatic restart). Every
+  // scalar is reduced over the ranks sharing the pixels, so all ranks
+  // take the identical step.
+  const double gnorm2 = red_.sum_double(std::pow(nrm2(grad), 2));
   if (gnorm2 == 0.0) {
     done_ = true;
     return false;
@@ -429,7 +476,7 @@ bool DbimStepper::step() {
     cplx num{};
     for (std::size_t i = 0; i < n; ++i)
       num += std::conj(grad[i]) * (grad[i] - grad_prev[i]);
-    beta = std::max(0.0, num.real() / grad_prev_norm2_);
+    beta = std::max(0.0, red_.sum_cplx(num).real() / grad_prev_norm2_);
   }
   if (beta == 0.0) {
     for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
@@ -439,14 +486,15 @@ bool DbimStepper::step() {
   }
 
   // Pass 3: quadratic-fit step length (paper eq. 5 generalised to CG
-  // directions), one blocked solve for all illuminations.
+  // directions), one blocked solve for the illumination set (Fig. 4,
+  // sync 2).
   double denom;
   {
     FFW_TRACE_SPAN("dbim.step_pass", iter);
     denom = ws.step_pass_all(direction);
   }
   if (opts.tikhonov > 0.0) {
-    denom += opts.tikhonov * std::pow(nrm2(direction), 2);
+    denom += opts.tikhonov * red_.sum_double(std::pow(nrm2(direction), 2));
   }
   if (denom == 0.0) {
     done_ = true;
@@ -455,7 +503,7 @@ bool DbimStepper::step() {
   double num = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     num -= (std::conj(grad[i]) * direction[i]).real();
-  const double alpha = num / denom;
+  const double alpha = red_.sum_double(num) / denom;
   axpy(cplx{alpha}, direction, out.contrast);
 
   copy(grad, grad_prev);
@@ -463,37 +511,32 @@ bool DbimStepper::step() {
   ++iter_;
 
   if (opts.checkpoint) {
+    // Natural-order state, assembled on the leader (collective).
     DbimCheckpoint state;
-    state.iteration = iter_;
-    state.mixed_precision = opts.mixed_engine != nullptr;
-    state.backend = opts.backend;
-    state.contrast = out.contrast;
-    state.gradient_prev = grad_prev;
-    state.direction = direction;
-    state.residual_history.assign(out.history.relative_residual.begin(),
-                                  out.history.relative_residual.end());
-    opts.checkpoint(state);
+    const ccspan in[] = {out.contrast, grad_prev, direction};
+    cvec* const dst[] = {&state.contrast, &state.gradient_prev,
+                         &state.direction};
+    if (ws.gather(in, dst, /*everywhere=*/false)) {
+      state.iteration = iter_;
+      state.mixed_precision = opts.mixed_engine != nullptr;
+      state.backend = opts.backend;
+      state.residual_history.assign(out.history.relative_residual.begin(),
+                                    out.history.relative_residual.end());
+      opts.checkpoint(state);
+    }
   }
   if (iter_ >= opts.max_iterations) done_ = true;
   return !done_;
 }
 
 DbimResult DbimStepper::result() {
-  // Both engines may have contributed solves (kAuto switches mid-run);
-  // the history totals span whatever mix actually executed.
-  const ForwardStats& ms = ws_.solver().stats();
-  out_.history.forward_solves = ms.solves;
-  out_.history.operator_applications = ms.operator_applications;
-  out_.history.bicgstab_iterations = ms.bicgs_iterations;
-  out_.history.precond_setup_seconds = ms.precond_setup_seconds;
-  if (ws_.cbs() != nullptr) {
-    const ForwardStats& cs = ws_.cbs()->stats();
-    out_.history.forward_solves += cs.solves;
-    out_.history.operator_applications += cs.operator_applications;
-    out_.history.bicgstab_iterations += cs.bicgs_iterations;
-  }
+  ws_->fill_counts(out_.history);
   out_.history.backend = opts_.backend;
-  out_.history.cbs_escalated = ws_.cbs_escalated();
+  cvec natural;
+  const ccspan in[] = {out_.contrast};
+  cvec* const dst[] = {&natural};
+  ws_->gather(in, dst, /*everywhere=*/true);
+  out_.contrast = std::move(natural);
   return std::move(out_);
 }
 

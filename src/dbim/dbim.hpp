@@ -10,17 +10,22 @@
 //      alpha* = -Re<grad, d> / sum_t ||F_t d||^2  (paper eq. 5 when
 //      d = -grad).
 //
-// The per-pass, per-illumination members of DbimWorkspace are shared by
-// the serial driver below and the vcluster 2-D-parallel driver
-// (dbim/parallel_driver.hpp), which distributes illuminations across
-// ranks and allreduces (cost, gradient, step denominator) exactly where
-// the paper synchronises (Fig. 4, "twice per iteration").
+// DbimStepper is the only nonlinear-CG loop. It drives the three passes
+// through the DbimPasses interface: DbimWorkspace runs them with every
+// pixel and illumination on this process; the partitioned workspace of
+// the vcluster 2-D-parallel driver (dbim/parallel_driver.hpp) runs them
+// on one rank of the illumination x sub-tree grid and allreduces (cost,
+// gradient, step denominator) exactly where the paper synchronises
+// (Fig. 4, "twice per iteration").
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "dbim/frechet.hpp"
+#include "forward/bicgstab.hpp"
 #include "forward/cbs.hpp"
 #include "forward/recycle.hpp"
 #include "io/checkpoint.hpp"
@@ -142,16 +147,77 @@ struct DbimResult {
   DbimHistory history;
 };
 
-/// Per-illumination work shared by serial and distributed drivers.
-class DbimWorkspace {
+/// The three blocked passes of one DBIM iteration over some share of the
+/// pixels and illuminations, as DbimStepper consumes them. Every vector
+/// the stepper hands in (contrast, gradient, direction) holds this
+/// workspace's pixels in its own "pass order"; scatter / gather convert
+/// from and to natural order. The passes return quantities summed over
+/// *all* illuminations and pixels of the reconstruction: a distributed
+/// implementation does its own cross-rank reductions inside them.
+class DbimPasses {
+ public:
+  DbimPasses() = default;
+  DbimPasses(const DbimPasses&) = delete;
+  DbimPasses& operator=(const DbimPasses&) = delete;
+  virtual ~DbimPasses() = default;
+
+  /// Length of the pass-order pixel vectors.
+  virtual std::size_t num_pixels() const = 0;
+  /// Length of the residual buffer residual_pass_all fills.
+  virtual std::size_t residual_size() const = 0;
+  /// Norm^2 of all measurements (for the relative residual).
+  virtual double measurement_norm2() const = 0;
+  /// Eisenstat-Walker hook: inner Krylov tolerance of subsequent block
+  /// solves (0 = the solver's base tolerance, which is always a floor).
+  virtual void set_forcing_tolerance(double tol) = 0;
+  /// Install the current background contrast (pass order).
+  /// `keep_fields` retains the previous background fields as warm
+  /// starts for the next residual pass.
+  virtual void set_background(ccspan contrast, bool keep_fields) = 0;
+  /// Residual pass: fills `residuals`, returns sum_t ||b_t||^2.
+  virtual double residual_pass_all(cspan residuals) = 0;
+  /// Gradient pass: grad_accum += sum_t F_t^H b_t.
+  virtual void gradient_pass_all(ccspan residuals, cspan grad_accum) = 0;
+  /// Step pass: returns sum_t ||F_t d||^2.
+  virtual double step_pass_all(ccspan direction) = 0;
+
+  /// Reduces the stepper's NLCG scalars (norms, inner products of
+  /// pass-order vectors) over the ranks that share the pixels; the
+  /// identity when this workspace holds them all.
+  virtual DotReducer reducer() { return {}; }
+  /// True on the one rank that reports progress and checkpoints.
+  virtual bool leader() const { return true; }
+  /// Natural-order vector -> pass order.
+  virtual void scatter(ccspan natural, cspan local) const;
+  /// Natural-order copies of pass-order vectors (*out[i] <- in[i]).
+  /// Collective; returns true where the copies were made: on every rank
+  /// with `everywhere`, otherwise on the leader only.
+  virtual bool gather(std::span<const ccspan> in, std::span<cvec* const> out,
+                      bool everywhere);
+  /// Writes the run's solve totals (forward solves, operator
+  /// applications, Krylov iterations, ...) into `h`. Collective.
+  virtual void fill_counts(DbimHistory& h) = 0;
+};
+
+/// Pass workspace with every pixel and illumination on this process.
+/// Each blocked pass is one block solve over the whole transmitter set,
+/// sharing every MLFMA table stream across its columns; residuals are
+/// R x T, column-major.
+class DbimWorkspace final : public DbimPasses {
  public:
   DbimWorkspace(MlfmaEngine& engine, const Transceivers& trx,
                 const CMatrix& measured, const BicgstabOptions& fw_opts);
 
-  /// Install the current background contrast (natural order).
-  /// `keep_fields` retains the previous background fields as warm
-  /// starts for the next residual pass.
-  void set_background(ccspan contrast, bool keep_fields = true);
+  std::size_t num_pixels() const override { return npix_; }
+  std::size_t residual_size() const override;
+  double measurement_norm2() const override { return meas_norm2_; }
+  void set_forcing_tolerance(double tol) override { forcing_tol_ = tol; }
+  /// Pass order is natural order.
+  void set_background(ccspan contrast, bool keep_fields = true) override;
+  double residual_pass_all(cspan residuals) override;
+  void gradient_pass_all(ccspan residuals, cspan grad_accum) override;
+  double step_pass_all(ccspan direction) override;
+  void fill_counts(DbimHistory& h) override;
 
   /// Residual pass for illumination t: solves for the background field
   /// (kept for later passes), returns the residual b_t = phi_sca - phi_mea
@@ -164,23 +230,6 @@ class DbimWorkspace {
   /// Step pass: returns ||F_t d||^2.
   double step_pass(int t, ccspan direction);
 
-  /// Blocked residual pass over *all* illuminations: one block forward
-  /// solve shares every MLFMA table stream across the transmitter set.
-  /// Fills `residuals` (R x T, column-major) and returns the total
-  /// squared cost.
-  double residual_pass_all(cspan residuals);
-
-  /// Blocked gradient pass: grad += sum_t F_t^H b_t with a single block
-  /// adjoint solve.
-  void gradient_pass_all(ccspan residuals, cspan grad_accum);
-
-  /// Blocked step pass: returns sum_t ||F_t d||^2 with a single block
-  /// forward solve.
-  double step_pass_all(ccspan direction);
-
-  /// Norm^2 of all measurements (for relative residual).
-  double measurement_norm2() const { return meas_norm2_; }
-
   /// Background total field of illumination t from the latest residual
   /// pass (natural order; valid until the next set_background).
   ccspan background_field(int t) const {
@@ -190,12 +239,6 @@ class DbimWorkspace {
   ForwardSolver& solver() { return solver_; }
   const Transceivers& transceivers() const { return *trx_; }
   int num_illuminations() const;
-  std::size_t num_pixels() const { return npix_; }
-
-  /// Eisenstat-Walker hook: inner Krylov tolerance for subsequent block
-  /// solves (0 = use the solver's base tolerance). The base tolerance
-  /// always acts as a floor.
-  void set_forcing_tolerance(double tol) { forcing_tol_ = tol; }
 
   /// Installs a precomputed incident panel (DbimOptions::incident_panel
   /// contract); empty span reverts to per-call evaluation.
@@ -258,20 +301,25 @@ class DbimWorkspace {
   KrylovRecycler rec_step_{RecycleOptions{0, 1e-12}};
 };
 
-/// Resumable single-iteration DBIM driver: the outer loop of
-/// dbim_reconstruct exposed one nonlinear-CG iteration at a time, so a
-/// scheduler can interleave many reconstructions over one rank pool
-/// (service/service.hpp) with per-step accounting and cancellation
-/// between steps. Run to completion, the trajectory is bit-identical to
-/// dbim_reconstruct with the same arguments (asserted in
-/// tests/service_test.cpp) — dbim_reconstruct is itself implemented as
-/// `while (stepper.step()) {}`.
+/// Resumable single-iteration DBIM driver — the one nonlinear-CG outer
+/// loop of every reconstruction path (forcing, Tikhonov, Polak-Ribiere,
+/// step length, progress and checkpoint hooks), exposed one iteration at
+/// a time so a scheduler can interleave many reconstructions over one
+/// rank pool (service/service.hpp) with per-step accounting and
+/// cancellation between steps. dbim_reconstruct is
+/// `while (stepper.step()) {}` over a DbimWorkspace; the 2-D parallel
+/// driver runs the same loop on every rank over a partitioned workspace.
 class DbimStepper {
  public:
+  /// Serial stepper over a DbimWorkspace configured from `opts`.
   DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
               const CMatrix& measured, const DbimOptions& opts = {},
               const BicgstabOptions& fw_opts = {},
               ccspan initial_contrast = {});
+  /// Stepper over any pass workspace, already configured for `opts`.
+  /// `initial_contrast` and `opts.resume` are in natural order.
+  DbimStepper(std::unique_ptr<DbimPasses> passes, const DbimOptions& opts,
+              const BicgstabOptions& fw_opts, ccspan initial_contrast = {});
 
   /// Runs one DBIM iteration (three blocked passes + CG update +
   /// checkpoint hook). Returns true while further steps remain; false
@@ -284,19 +332,18 @@ class DbimStepper {
   int iteration() const { return iter_; }
   /// Latest relative residual (NaN before the first step).
   double last_residual() const;
-  ccspan contrast() const { return out_.contrast; }
 
-  /// Finalises the history totals and hands out the result; call once,
-  /// after stepping is finished (or abandoned mid-run — the result then
-  /// reflects the last completed iteration).
+  /// Finalises the history totals and hands out the result (contrast in
+  /// natural order, on every rank of a partitioned workspace); call
+  /// once, after stepping is finished (or abandoned mid-run — the
+  /// result then reflects the last completed iteration).
   DbimResult result();
-
-  DbimWorkspace& workspace() { return ws_; }
 
  private:
   DbimOptions opts_;
   BicgstabOptions fw_opts_;
-  DbimWorkspace ws_;
+  std::unique_ptr<DbimPasses> ws_;
+  DotReducer red_;
   DbimResult out_;
   std::size_t n_;
   cvec grad_, grad_prev_, direction_, residuals_;

@@ -1,9 +1,6 @@
 #include "dbim/parallel_driver.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <memory>
 
 #include "forward/precond.hpp"
 #include "forward/recycle.hpp"
@@ -14,213 +11,415 @@ namespace ffw {
 
 namespace {
 
-/// Rank-local state and sub-operations for one rank of the 2-D grid.
-/// Shared by the cluster-wide driver (dbim_reconstruct_parallel) and
-/// the windowed driver (dbim_reconstruct_windowed), whose 2-D grid
-/// occupies only a window of the cluster's ranks.
-struct RankCtx {
-  Comm* comm;
-  const PartitionedMlfma* pm;
-  const Transceivers* trx;
-  const CMatrix* measured;
-  BicgstabOptions fw_opts;
+/// Reserved tag of the natural-order gathers (checkpoint and result).
+constexpr int kTagGather = -4000;
 
-  int group = 0;       // illumination group index
-  int tree_rank = 0;   // rank within the tree group
-  int rank_base = 0;   // first global rank of this tree group
-  std::vector<int> tree_group;    // global ranks sharing this MLFMA
-  std::vector<int> column_group;  // same tree_rank across illum groups
-  std::vector<int> all_ranks;
+/// The DbimPasses of one rank of the 2-D grid: the rank's slice of the
+/// contrast (its sub-tree's pixels, cluster order) for the illuminations
+/// of its group.
+class PartitionedWorkspace final : public DbimPasses {
+ public:
+  PartitionedWorkspace(Comm& comm, int rank_base, int illum_groups,
+                       const PartitionedMlfma& pm, const QuadTree& tree,
+                       const Transceivers& trx, const CMatrix& measured,
+                       const DbimOptions& opts, const BicgstabOptions& fw_opts)
+      : comm_(&comm), pm_(&pm), tree_(&tree), trx_(&trx),
+        measured_(&measured), fw_opts_(fw_opts),
+        near_precondition_(opts.near_precondition),
+        incident_panel_(opts.incident_panel), window_base_(rank_base),
+        tree_ranks_(pm.nranks()) {
+    FFW_CHECK_MSG(opts.backend == BackendKind::kMlfma,
+                  "parallel DBIM runs on the partitioned MLFMA engine only; "
+                  "CBS/auto backend routing is a serial-driver feature");
+    FFW_CHECK_MSG(opts.mixed_engine == nullptr,
+                  "parallel DBIM runs the fp64 partitioned engine only; "
+                  "DbimOptions::mixed_engine is a serial-driver feature");
+    if (near_precondition_) {
+      FFW_CHECK_MSG(pm.nearfield().precision() == Precision::kDouble,
+                    "parallel DBIM near-field preconditioner needs fp64 "
+                    "near-field tables");
+    }
+    const int tr = tree_ranks_;
+    const int window = illum_groups * tr;
+    const int wrank = comm.rank() - rank_base;
+    FFW_CHECK_MSG(illum_groups >= 1 && wrank >= 0 && wrank < window &&
+                      rank_base + window <= comm.size(),
+                  "parallel DBIM: calling rank outside its window");
+    wrank_ = wrank;
+    group_ = wrank / tr;
+    tree_rank_ = wrank % tr;
+    tree_base_ = rank_base + group_ * tr;
+    for (int r = 0; r < tr; ++r) tree_group_.push_back(tree_base_ + r);
+    for (int g = 0; g < illum_groups; ++g)
+      column_group_.push_back(rank_base + g * tr + tree_rank_);
+    for (int r = 0; r < window; ++r) window_ranks_.push_back(rank_base + r);
 
-  std::size_t nloc = 0;                  // local pixel count
-  std::vector<std::uint32_t> nat_idx;    // natural pixel index per local q
-  cvec o_loc;                            // background contrast slice
-  // Iteration-reduction state (ISSUE 6): the Eisenstat-Walker tolerance
-  // of the current iteration, the rank-local near-field block-Jacobi
-  // (communication-free: it only inverts leaf self blocks this rank
-  // owns), and the Krylov recycling histories of the gradient and
-  // step-length solves.
-  double forcing_tol = 0.0;
-  std::unique_ptr<NearFieldBlockJacobi> precond;
-  KrylovRecycler rec_grad, rec_step;
-  // Background fields of all local transmitters as ONE block vector in
-  // the leaf-interleaved layout (panel = pixels_per_leaf, one column per
-  // local illumination), so the residual pass is a single block solve.
-  cvec phi_b;
-  std::vector<int> local_t;              // transmitters of this group
-  BlockLayout lo;                        // local block layout (nrhs = |local_t|)
+    nloc_ = pm.local_pixels(tree_rank_);
+    nat_idx_ = natural_indices(tree_rank_);
+    npix_ = tree.grid().num_pixels();
+    const int t_count = trx.num_transmitters();
+    for (int t = group_; t < t_count; t += illum_groups) local_t_.push_back(t);
+    const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
+    lo_ = BlockLayout{npl, local_t_.size(), nloc_ / npl};
+    o_loc_.assign(nloc_, cplx{});
+    phi_b_.assign(lo_.size(), cplx{});
+    reset_phi_to_incident();
+    if (opts.recycle_depth > 0) {
+      const RecycleOptions ro{static_cast<std::size_t>(opts.recycle_depth),
+                              opts.recycle_ridge};
+      rec_grad_ = KrylovRecycler(ro);
+      rec_step_ = KrylovRecycler(ro);
+    }
+    meas_norm2_ = 0.0;
+    for (std::size_t t = 0; t < measured.cols(); ++t) {
+      const double nn = nrm2(measured.col(t));
+      meas_norm2_ += nn * nn;
+    }
+  }
 
-  DotReducer tree_reduce() {
+  std::size_t num_pixels() const override { return nloc_; }
+  std::size_t residual_size() const override {
+    return measured_->rows() * local_t_.size();
+  }
+  double measurement_norm2() const override { return meas_norm2_; }
+  void set_forcing_tolerance(double tol) override { forcing_tol_ = tol; }
+
+  void set_background(ccspan contrast, bool keep_fields) override {
+    copy(contrast, o_loc_);
+    // Rank-local block-Jacobi for the new background: it only inverts
+    // leaf self blocks this rank owns, so the factorisation is
+    // communication-free.
+    if (near_precondition_) {
+      precond_ = std::make_unique<NearFieldBlockJacobi>(
+          pm_->nearfield().type(4), ccspan{o_loc_}, Precision::kDouble);
+    }
+    // Serial warm-start policy: without warm starts every residual pass
+    // restarts from the incident fields and the recycle histories reset
+    // with them, so each iterate is a pure function of the checkpointed
+    // outer-loop state (the crash-recovery tests rely on this).
+    if (!keep_fields) {
+      reset_phi_to_incident();
+      rec_grad_.clear();
+      rec_step_.clear();
+    }
+  }
+
+  /// Residual pass over the group's illuminations as one block solve.
+  /// Every tree rank holds the group's residuals (replicated), so the
+  /// window sum counts each illumination tree_ranks times.
+  double residual_pass_all(cspan residuals) override {
+    double cost = 0.0;
+    if (!local_t_.empty()) {
+      const std::size_t nr = measured_->rows();
+      cvec rhs(lo_.size()), inc(nloc_);
+      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+        incident_field(local_t_[i], inc);
+        block_col_set(lo_, rhs, i, inc);
+      }
+      FFW_CHECK_MSG(solve_block(rhs, phi_b_, /*adjoint=*/false),
+                    "parallel DBIM forward solve diverged");
+      cvec v(lo_.size());
+      block_diag_mul(lo_, o_loc_, phi_b_, v);
+      gr_full_block(v, residuals);
+      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+        cspan residual{residuals.data() + i * nr, nr};
+        sub(residual, measured_->col(static_cast<std::size_t>(local_t_[i])),
+            residual);
+        const double rn = nrm2(ccspan{residual.data(), nr});
+        cost += rn * rn;
+      }
+    }
+    return window_sum(cost) / tree_ranks_;
+  }
+
+  /// grad += sum_t F_t^H b_t: one block adjoint solve over the group's
+  /// illuminations, then the combine across illumination groups.
+  void gradient_pass_all(ccspan residuals, cspan grad) override {
+    if (!local_t_.empty()) {
+      const std::size_t nr = measured_->rows();
+      cvec g1(lo_.size()), w2(lo_.size()), w3(lo_.size(), cplx{}),
+          w4(lo_.size()), g(nloc_);
+      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+        trx_->apply_gr_herm_subset(ccspan{residuals.data() + i * nr, nr},
+                                   nat_idx_, g);
+        block_col_set(lo_, g1, i, g);
+      }
+      block_diag_mul_conj(lo_, o_loc_, g1, w2);
+      // Krylov recycling: seed from the least-squares combination of the
+      // retained (rhs, solution) pairs — collective over the tree group,
+      // one batched reduction.
+      rec_grad_.seed(w2, w3, lo_, reducer());
+      FFW_CHECK_MSG(solve_block(w2, w3, /*adjoint=*/true),
+                    "parallel DBIM gradient-pass block solve diverged");
+      rec_grad_.store(w2, w3, lo_);
+      pm_->apply_herm_block(*comm_, w3, w4, lo_.nrhs, tree_base_);
+      for (std::size_t c = 0; c < lo_.npanels; ++c) {
+        cplx* gq = grad.data() + c * lo_.panel;
+        for (std::size_t r = 0; r < lo_.nrhs; ++r) {
+          const cplx* phi = phi_b_.data() + lo_.at(c, r);
+          const cplx* g1p = g1.data() + lo_.at(c, r);
+          const cplx* w4p = w4.data() + lo_.at(c, r);
+          for (std::size_t i = 0; i < lo_.panel; ++i)
+            gq[i] += std::conj(phi[i]) * (g1p[i] + w4p[i]);
+        }
+      }
+    }
+    comm_->group_allreduce_sum(grad, column_group_);
+  }
+
+  /// sum_t ||F_t d||^2 with one block forward solve per group.
+  double step_pass_all(ccspan d) override {
+    double denom = 0.0;
+    if (!local_t_.empty()) {
+      const std::size_t nr = measured_->rows();
+      cvec u1(lo_.size()), u2(lo_.size()), w(lo_.size(), cplx{});
+      block_diag_mul(lo_, d, phi_b_, u1);
+      pm_->apply_block(*comm_, u1, u2, lo_.nrhs, tree_base_);
+      rec_step_.seed(u2, w, lo_, reducer());
+      FFW_CHECK_MSG(solve_block(u2, w, /*adjoint=*/false),
+                    "parallel DBIM step-pass block solve diverged");
+      rec_step_.store(u2, w, lo_);
+      for (std::size_t c = 0; c < lo_.npanels; ++c) {
+        const cplx* op = o_loc_.data() + c * lo_.panel;
+        for (std::size_t r = 0; r < lo_.nrhs; ++r) {
+          const cplx* wp = w.data() + lo_.at(c, r);
+          cplx* up = u1.data() + lo_.at(c, r);
+          for (std::size_t i = 0; i < lo_.panel; ++i) up[i] += op[i] * wp[i];
+        }
+      }
+      cvec sc(nr * lo_.nrhs);
+      gr_full_block(u1, sc);
+      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+        const double fn = nrm2(ccspan{sc.data() + i * nr, nr});
+        denom += fn * fn;
+      }
+    }
+    return window_sum(denom) / tree_ranks_;
+  }
+
+  DotReducer reducer() override {
     return DotReducer{
         [this](cplx v) {
           double buf[2] = {v.real(), v.imag()};
-          comm->group_allreduce_sum(rspan{buf, 2}, tree_group);
+          comm_->group_allreduce_sum(rspan{buf, 2}, tree_group_);
           return cplx{buf[0], buf[1]};
         },
         [this](double v) {
-          return comm->group_allreduce_sum(v, tree_group);
+          return comm_->group_allreduce_sum(v, tree_group_);
         },
-        [this](cspan v) { comm->group_allreduce_sum(v, tree_group); },
-        [this](rspan v) { comm->group_allreduce_sum(v, tree_group); }};
+        [this](cspan v) { comm_->group_allreduce_sum(v, tree_group_); },
+        [this](rspan v) { comm_->group_allreduce_sum(v, tree_group_); }};
+  }
+
+  bool leader() const override { return wrank_ == 0; }
+
+  void scatter(ccspan natural, cspan local) const override {
+    FFW_CHECK(natural.size() == npix_ && local.size() == nloc_);
+    for (std::size_t q = 0; q < nloc_; ++q) local[q] = natural[nat_idx_[q]];
+  }
+
+  /// The pixel vectors are replicated across illumination groups, so
+  /// group 0's tree ranks ship their slices (one message each, all
+  /// vectors packed) to the window leader, which scatters them into
+  /// natural order; `everywhere` then broadcasts over the window.
+  bool gather(std::span<const ccspan> in, std::span<cvec* const> out,
+              bool everywhere) override {
+    FFW_CHECK(in.size() == out.size());
+    const std::size_t nv = in.size();
+    if (group_ == 0) {
+      cvec pack(nv * nloc_);
+      for (std::size_t k = 0; k < nv; ++k)
+        std::copy(in[k].begin(), in[k].end(),
+                  pack.begin() + static_cast<std::ptrdiff_t>(k * nloc_));
+      if (!leader()) {
+        comm_->send(window_base_, kTagGather, ccspan{pack});
+      } else {
+        for (cvec* o : out) o->assign(npix_, cplx{});
+        for (int r = 0; r < tree_ranks_; ++r) {
+          const cvec part =
+              r == 0 ? std::move(pack)
+                     : comm_->recv<cplx>(window_base_ + r, kTagGather);
+          const std::vector<std::uint32_t> nat = natural_indices(r);
+          FFW_CHECK(part.size() == nv * nat.size());
+          for (std::size_t k = 0; k < nv; ++k)
+            for (std::size_t q = 0; q < nat.size(); ++q)
+              (*out[k])[nat[q]] = part[k * nat.size() + q];
+        }
+      }
+    }
+    if (!everywhere) return leader();
+    for (cvec* o : out) {
+      o->resize(npix_);
+      comm_->group_bcast(cspan{*o}, window_ranks_);
+    }
+    return true;
+  }
+
+  /// Each tree rank of a group takes part in every block solve of the
+  /// group, so summing one tree rank's counts over the illumination
+  /// groups (the column group) gives the run's totals.
+  void fill_counts(DbimHistory& h) override {
+    double c[3] = {static_cast<double>(solves_),
+                   static_cast<double>(applications_),
+                   static_cast<double>(iterations_)};
+    comm_->group_allreduce_sum(rspan{c, 3}, column_group_);
+    h.forward_solves = static_cast<std::uint64_t>(c[0]);
+    h.operator_applications = static_cast<std::uint64_t>(c[1]);
+    h.bicgstab_iterations = static_cast<std::uint64_t>(c[2]);
+  }
+
+ private:
+  /// Natural pixel index of every local pixel of tree rank r.
+  std::vector<std::uint32_t> natural_indices(int r) const {
+    const std::size_t q0 =
+        pm_->leaf_begin(r) * static_cast<std::size_t>(tree_->pixels_per_leaf());
+    const std::size_t n = pm_->local_pixels(r);
+    return std::vector<std::uint32_t>(tree_->perm().begin() + q0,
+                                      tree_->perm().begin() + q0 + n);
+  }
+
+  /// Window-wide sum. A whole-cluster window uses the cluster
+  /// allreduce; a sub-window only group collectives over its own ranks,
+  /// never the global barrier/allreduce (which would deadlock against
+  /// the other band groups running their own windows concurrently).
+  double window_sum(double v) {
+    return static_cast<int>(window_ranks_.size()) == comm_->size()
+               ? comm_->allreduce_sum(v)
+               : comm_->group_allreduce_sum(v, window_ranks_);
+  }
+
+  /// Incident field of transmitter t on the local pixels: from the
+  /// installed panel (DbimOptions::incident_panel) or evaluated.
+  void incident_field(int t, cspan inc) const {
+    if (incident_panel_.empty()) {
+      trx_->incident_field_subset(t, nat_idx_, inc);
+      return;
+    }
+    const cplx* col =
+        incident_panel_.data() + static_cast<std::size_t>(t) * npix_;
+    for (std::size_t q = 0; q < nloc_; ++q) inc[q] = col[nat_idx_[q]];
+  }
+
+  /// (Re)load the incident fields of the local illuminations into the
+  /// phi_b block.
+  void reset_phi_to_incident() {
+    cvec inc(nloc_);
+    for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+      incident_field(local_t_[i], inc);
+      block_col_set(lo_, phi_b_, i, inc);
+    }
   }
 
   /// Y = [I - G0 O] X on local block slices (collective over the tree
   /// group; one halo message per peer per level for all columns).
   void forward_op_block(ccspan x, cspan y) {
-    cvec ox(lo.size());
-    block_diag_mul(lo, o_loc, x, ox);
-    pm->apply_block(*comm, ox, y, lo.nrhs, rank_base);
+    cvec ox(lo_.size());
+    block_diag_mul(lo_, o_loc_, x, ox);
+    pm_->apply_block(*comm_, ox, y, lo_.nrhs, tree_base_);
     for (std::size_t i = 0; i < y.size(); ++i) y[i] = x[i] - y[i];
   }
 
   /// Y = [I - G0 O]^H X.
   void adjoint_op_block(ccspan x, cspan y) {
-    pm->apply_herm_block(*comm, x, y, lo.nrhs, rank_base);
-    for (std::size_t c = 0; c < lo.npanels; ++c) {
-      const cplx* op = o_loc.data() + c * lo.panel;
-      for (std::size_t r = 0; r < lo.nrhs; ++r) {
-        const cplx* xp = x.data() + lo.at(c, r);
-        cplx* yp = y.data() + lo.at(c, r);
-        for (std::size_t i = 0; i < lo.panel; ++i)
+    pm_->apply_herm_block(*comm_, x, y, lo_.nrhs, tree_base_);
+    for (std::size_t c = 0; c < lo_.npanels; ++c) {
+      const cplx* op = o_loc_.data() + c * lo_.panel;
+      for (std::size_t r = 0; r < lo_.nrhs; ++r) {
+        const cplx* xp = x.data() + lo_.at(c, r);
+        cplx* yp = y.data() + lo_.at(c, r);
+        for (std::size_t i = 0; i < lo_.panel; ++i)
           yp[i] = xp[i] - std::conj(op[i]) * yp[i];
       }
     }
   }
 
-  /// Per-iteration Krylov options: the base tolerance loosened to the
-  /// Eisenstat-Walker forcing tolerance when one is active.
-  BicgstabOptions krylov_opts() const {
-    BicgstabOptions o = fw_opts;
-    if (forcing_tol > 0.0) o.tol = std::max(forcing_tol, o.tol);
-    return o;
-  }
-
-  BlockBicgstabResult solve_forward_block(ccspan rhs, cspan x) {
-    return block_bicgstab(
-        [this](ccspan in, cspan out) { forward_op_block(in, out); }, rhs, x,
-        lo, krylov_opts(), tree_reduce(),
-        PrecondContext{precond.get(), lo, /*herm=*/false});
-  }
-
-  BlockBicgstabResult solve_adjoint_block(ccspan rhs, cspan x) {
-    return block_bicgstab(
-        [this](ccspan in, cspan out) { adjoint_op_block(in, out); }, rhs, x,
-        lo, krylov_opts(), tree_reduce(),
-        PrecondContext{precond.get(), lo, /*herm=*/true});
+  /// Block solve of [I - G0 O] (or its adjoint) at the base tolerance,
+  /// loosened to the Eisenstat-Walker forcing tolerance when one is
+  /// set; counts the solve into the history totals.
+  bool solve_block(ccspan rhs, cspan x, bool adjoint) {
+    BicgstabOptions o = fw_opts_;
+    if (forcing_tol_ > 0.0) o.tol = std::max(forcing_tol_, o.tol);
+    const BlockBicgstabResult res = block_bicgstab(
+        [this, adjoint](ccspan in, cspan out) {
+          if (adjoint) {
+            adjoint_op_block(in, out);
+          } else {
+            forward_op_block(in, out);
+          }
+        },
+        rhs, x, lo_, o, reducer(),
+        PrecondContext{precond_.get(), lo_, adjoint});
+    solves_ += lo_.nrhs;
+    applications_ += static_cast<std::uint64_t>(res.block_matvecs) * lo_.nrhs;
+    iterations_ += res.total_iterations();
+    return res.converged;
   }
 
   /// G_R projections of all block columns at once: cols[t] = G_R v_t,
   /// replicated within the tree group after ONE batched allreduce
   /// (instead of one per transmitter).
   void gr_full_block(ccspan v_block, cspan cols) {
-    const std::size_t nr = static_cast<std::size_t>(trx->num_receivers());
-    FFW_CHECK(cols.size() == nr * lo.nrhs);
+    const std::size_t nr = measured_->rows();
+    FFW_CHECK(cols.size() == nr * lo_.nrhs);
     std::fill(cols.begin(), cols.end(), cplx{});
-    cvec v(nloc);
-    for (std::size_t t = 0; t < lo.nrhs; ++t) {
-      block_col_get(lo, v_block, t, v);
-      trx->apply_gr_subset(v, nat_idx, cspan{cols.data() + t * nr, nr});
+    cvec v(nloc_);
+    for (std::size_t t = 0; t < lo_.nrhs; ++t) {
+      block_col_get(lo_, v_block, t, v);
+      trx_->apply_gr_subset(v, nat_idx_, cspan{cols.data() + t * nr, nr});
     }
-    comm->group_allreduce_sum(cols, tree_group);
+    comm_->group_allreduce_sum(cols, tree_group_);
   }
 
-  /// (Re)load the incident fields of the local illuminations into the
-  /// phi_b block: the initial state, and — with warm_start_fields off —
-  /// the start of every residual pass, so each iterate is a pure
-  /// function of the outer-loop state (which is what the checkpoint
-  /// stores; the crash-recovery e2e test relies on this).
-  void reset_phi_to_incident() {
-    cvec inc(nloc);
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      trx->incident_field_subset(local_t[i], nat_idx, inc);
-      block_col_set(lo, phi_b, i, inc);
-    }
-  }
+  Comm* comm_;
+  const PartitionedMlfma* pm_;
+  const QuadTree* tree_;
+  const Transceivers* trx_;
+  const CMatrix* measured_;
+  BicgstabOptions fw_opts_;
+  bool near_precondition_;
+  ccspan incident_panel_;  // borrowed; empty = evaluate per call
+  int window_base_;        // first global rank of the window
+  int tree_ranks_;
 
-  /// Residual pass over all local illuminations as one block solve:
-  /// returns sum_t ||b_t||^2 and fills `residuals` (R x |local_t|).
-  double residual_pass_all(cspan residuals) {
-    const std::size_t nr = static_cast<std::size_t>(trx->num_receivers());
-    cvec rhs(lo.size()), inc(nloc);
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      trx->incident_field_subset(local_t[i], nat_idx, inc);
-      block_col_set(lo, rhs, i, inc);
-    }
-    const BlockBicgstabResult res = solve_forward_block(rhs, phi_b);
-    FFW_CHECK_MSG(res.converged, "parallel DBIM forward solve diverged");
-    cvec v(lo.size());
-    block_diag_mul(lo, o_loc, phi_b, v);
-    gr_full_block(v, residuals);
-    double cost = 0.0;
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      cspan residual{residuals.data() + i * nr, nr};
-      sub(residual, measured->col(static_cast<std::size_t>(local_t[i])),
-          residual);
-      const double rn = nrm2(ccspan{residual.data(), nr});
-      cost += rn * rn;
-    }
-    return cost;
-  }
+  int wrank_ = 0;      // rank within the window
+  int group_ = 0;      // illumination group index
+  int tree_rank_ = 0;  // rank within the tree group
+  int tree_base_ = 0;  // first global rank of this tree group
+  std::vector<int> tree_group_;    // global ranks sharing this MLFMA
+  std::vector<int> column_group_;  // same tree_rank across illum groups
+  std::vector<int> window_ranks_;
 
-  /// grad_loc += sum_t F_t^H b_t with one block adjoint solve.
-  void gradient_pass_all(ccspan residuals, cspan grad_loc) {
-    const std::size_t nr = static_cast<std::size_t>(trx->num_receivers());
-    cvec g1(lo.size()), w2(lo.size()), w3(lo.size(), cplx{}), w4(lo.size());
-    cvec g(nloc);
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      trx->apply_gr_herm_subset(ccspan{residuals.data() + i * nr, nr},
-                                nat_idx, g);
-      block_col_set(lo, g1, i, g);
-    }
-    block_diag_mul_conj(lo, o_loc, g1, w2);
-    // Krylov recycling: seed from the least-squares combination of the
-    // retained (rhs, solution) pairs — collective over the tree group,
-    // one batched reduction.
-    rec_grad.seed(w2, w3, lo, tree_reduce());
-    FFW_CHECK(solve_adjoint_block(w2, w3).converged);
-    rec_grad.store(w2, w3, lo);
-    pm->apply_herm_block(*comm, w3, w4, lo.nrhs, rank_base);
-    for (std::size_t c = 0; c < lo.npanels; ++c) {
-      cplx* gq = grad_loc.data() + c * lo.panel;
-      for (std::size_t r = 0; r < lo.nrhs; ++r) {
-        const cplx* phi = phi_b.data() + lo.at(c, r);
-        const cplx* g1p = g1.data() + lo.at(c, r);
-        const cplx* w4p = w4.data() + lo.at(c, r);
-        for (std::size_t i = 0; i < lo.panel; ++i)
-          gq[i] += std::conj(phi[i]) * (g1p[i] + w4p[i]);
-      }
-    }
-  }
-
-  /// sum_t ||F_t d||^2 with one block forward solve.
-  double step_pass_all(ccspan d_loc) {
-    const std::size_t nr = static_cast<std::size_t>(trx->num_receivers());
-    cvec u1(lo.size()), u2(lo.size()), w(lo.size(), cplx{});
-    block_diag_mul(lo, d_loc, phi_b, u1);
-    pm->apply_block(*comm, u1, u2, lo.nrhs, rank_base);
-    rec_step.seed(u2, w, lo, tree_reduce());
-    FFW_CHECK(solve_forward_block(u2, w).converged);
-    rec_step.store(u2, w, lo);
-    for (std::size_t c = 0; c < lo.npanels; ++c) {
-      const cplx* op = o_loc.data() + c * lo.panel;
-      for (std::size_t r = 0; r < lo.nrhs; ++r) {
-        const cplx* wp = w.data() + lo.at(c, r);
-        cplx* up = u1.data() + lo.at(c, r);
-        for (std::size_t i = 0; i < lo.panel; ++i) up[i] += op[i] * wp[i];
-      }
-    }
-    cvec sc(nr * lo.nrhs);
-    gr_full_block(u1, sc);
-    double denom = 0.0;
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      const double fn = nrm2(ccspan{sc.data() + i * nr, nr});
-      denom += fn * fn;
-    }
-    return denom;
-  }
+  std::size_t npix_ = 0;                // global pixel count
+  std::size_t nloc_ = 0;                // local pixel count
+  std::vector<std::uint32_t> nat_idx_;  // natural pixel index per local q
+  std::vector<int> local_t_;            // transmitters of this group
+  BlockLayout lo_;                      // local block layout
+  double meas_norm2_ = 0.0;
+  cvec o_loc_;  // background contrast slice
+  // Background fields of all local transmitters as ONE block vector in
+  // the leaf-interleaved layout (panel = pixels_per_leaf, one column per
+  // local illumination), so the residual pass is a single block solve.
+  cvec phi_b_;
+  // Iteration-reduction state: the Eisenstat-Walker tolerance of the
+  // current iteration, the rank-local near-field block-Jacobi and the
+  // Krylov recycling histories of the gradient and step-length solves.
+  double forcing_tol_ = 0.0;
+  std::unique_ptr<NearFieldBlockJacobi> precond_;
+  KrylovRecycler rec_grad_{RecycleOptions{0, 1e-12}};
+  KrylovRecycler rec_step_{RecycleOptions{0, 1e-12}};
+  // Solve totals of this rank (DbimHistory counts).
+  std::uint64_t solves_ = 0, applications_ = 0, iterations_ = 0;
 };
 
 }  // namespace
+
+std::unique_ptr<DbimPasses> make_partitioned_workspace(
+    Comm& comm, int rank_base, int illum_groups, const PartitionedMlfma& pm,
+    const QuadTree& tree, const Transceivers& trx, const CMatrix& measured,
+    const DbimOptions& opts, const BicgstabOptions& fw_opts) {
+  return std::make_unique<PartitionedWorkspace>(
+      comm, rank_base, illum_groups, pm, tree, trx, measured, opts, fw_opts);
+}
 
 DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                                      const Transceivers& trx,
@@ -228,540 +427,67 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                                      const ParallelDbimConfig& config) {
   const int ig = config.illum_groups, tr = config.tree_ranks;
   FFW_CHECK(vc.size() == ig * tr);
+  OperatorTableCache* cache = config.dbim.table_cache;
   const PartitionedMlfma pm =
-      config.table_cache != nullptr
-          ? PartitionedMlfma(
-                config.table_cache->mlfma_tables(
-                    tree.grid(), tree.leaf_pixel_side(), config.mlfma),
-                tr)
+      cache != nullptr
+          ? PartitionedMlfma(cache->mlfma_tables(tree.grid(),
+                                                 tree.leaf_pixel_side(),
+                                                 config.mlfma),
+                             tr)
           : PartitionedMlfma(tree, config.mlfma, tr);
-  const std::size_t npix = tree.grid().num_pixels();
-  const int t_count = trx.num_transmitters();
 
-  double meas_norm2 = 0.0;
-  for (std::size_t t = 0; t < measured.cols(); ++t) {
-    const double nn = nrm2(measured.col(t));
-    meas_norm2 += nn * nn;
+  // The stepper's checkpoint hook fires on global rank 0 with the
+  // natural-order state; the file is what a restart resumes from.
+  DbimOptions opts = config.dbim;
+  if (!config.checkpoint_path.empty()) {
+    opts.checkpoint = [&config](const DbimCheckpoint& state) {
+      FFW_CHECK_MSG(state.save(config.checkpoint_path),
+                    "parallel DBIM: checkpoint save failed");
+      if (config.dbim.checkpoint) config.dbim.checkpoint(state);
+    };
   }
-
-  // Shared result buffers (group 0 / rank 0 write disjoint parts).
-  cvec out_cluster(npix, cplx{});
-  std::vector<double> history;
-  std::atomic<std::uint64_t> total_matvecs{0};
-
   // Crash-recovery state: set between (re)runs by the supervisor loop
   // below, read-only while rank threads are live.
-  DbimCheckpoint resume_state;
-  bool have_resume = false;
+  DbimCheckpoint saved;
+  const auto load_saved = [&] {
+    return !config.checkpoint_path.empty() &&
+           saved.load(config.checkpoint_path);
+  };
+  if (config.resume_from_checkpoint && load_saved()) opts.resume = &saved;
 
+  DbimResult out;
   const auto rank_program = [&](Comm& comm) {
-    RankCtx ctx;
-    ctx.comm = &comm;
-    ctx.pm = &pm;
-    ctx.trx = &trx;
-    ctx.measured = &measured;
-    ctx.fw_opts = config.forward;
-    ctx.group = comm.rank() / tr;
-    ctx.tree_rank = comm.rank() % tr;
-    ctx.rank_base = ctx.group * tr;
-    for (int r = 0; r < tr; ++r) ctx.tree_group.push_back(ctx.rank_base + r);
-    for (int g = 0; g < ig; ++g)
-      ctx.column_group.push_back(g * tr + ctx.tree_rank);
-    for (int r = 0; r < vc.size(); ++r) ctx.all_ranks.push_back(r);
-
-    ctx.nloc = pm.local_pixels(ctx.tree_rank);
-    const std::size_t q0 =
-        pm.leaf_begin(ctx.tree_rank) *
-        static_cast<std::size_t>(tree.pixels_per_leaf());
-    ctx.nat_idx.resize(ctx.nloc);
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      ctx.nat_idx[q] = tree.perm()[q0 + q];
-
-    for (int t = ctx.group; t < t_count; t += ig) ctx.local_t.push_back(t);
-    ctx.o_loc.assign(ctx.nloc, cplx{});
-    const std::size_t np =
-        static_cast<std::size_t>(tree.pixels_per_leaf());
-    ctx.lo = BlockLayout{np, ctx.local_t.size(), ctx.nloc / np};
-    ctx.phi_b.assign(ctx.lo.size(), cplx{});
-    ctx.reset_phi_to_incident();
-    if (config.dbim.recycle_depth > 0) {
-      const RecycleOptions ro{
-          static_cast<std::size_t>(config.dbim.recycle_depth),
-          config.dbim.recycle_ridge};
-      ctx.rec_grad = KrylovRecycler(ro);
-      ctx.rec_step = KrylovRecycler(ro);
+    DbimStepper stepper(make_partitioned_workspace(comm, 0, ig, pm, tree, trx,
+                                                   measured, opts,
+                                                   config.forward),
+                        opts, config.forward);
+    while (stepper.step()) {
     }
-    if (config.dbim.near_precondition) {
-      FFW_CHECK_MSG(pm.nearfield().precision() == Precision::kDouble,
-                    "parallel DBIM near-field preconditioner needs fp64 "
-                    "near-field tables");
-    }
-    FFW_CHECK_MSG(config.dbim.backend == BackendKind::kMlfma,
-                  "parallel DBIM runs on the partitioned MLFMA engine only; "
-                  "CBS/auto backend routing is a serial-driver feature");
-
-    cvec grad(ctx.nloc), grad_prev(ctx.nloc), direction(ctx.nloc),
-        residuals(measured.rows() * ctx.local_t.size());
-    double grad_prev_norm2 = 0.0;
-    // Lagged Eisenstat-Walker state: the outer residual of the previous
-    // completed iteration (< 0 = none yet). On resume it is recovered
-    // from the checkpointed residual history — binary doubles, so the
-    // recovered forcing tolerances are bit-identical to the fault-free
-    // run's.
-    double prev_relres = -1.0;
-    int start_iter = 0;
-    if (have_resume) {
-      // The checkpoint stores full natural-order arrays, so every rank
-      // (the contrast and CG memory are replicated across illumination
-      // groups) restores its cluster-order slice through nat_idx.
-      FFW_CHECK_MSG(!resume_state.mixed_precision,
-                    "parallel DBIM resume: checkpoint precision policy "
-                    "(mixed) does not match this fp64 driver");
-      FFW_CHECK_MSG(resume_state.backend == BackendKind::kMlfma,
-                    "parallel DBIM resume: checkpoint backend policy is not "
-                    "MLFMA; this driver cannot continue a CBS/auto run");
-      FFW_CHECK(resume_state.contrast.size() == npix &&
-                resume_state.gradient_prev.size() == npix &&
-                resume_state.direction.size() == npix);
-      for (std::size_t q = 0; q < ctx.nloc; ++q) {
-        ctx.o_loc[q] = resume_state.contrast[ctx.nat_idx[q]];
-        grad_prev[q] = resume_state.gradient_prev[ctx.nat_idx[q]];
-        direction[q] = resume_state.direction[ctx.nat_idx[q]];
-      }
-      grad_prev_norm2 = std::pow(nrm2(resume_state.gradient_prev), 2);
-      start_iter = resume_state.iteration;
-      if (!resume_state.residual_history.empty())
-        prev_relres = resume_state.residual_history.back();
-    }
-    DotReducer red = ctx.tree_reduce();
-
-    for (int iter = start_iter; iter < config.dbim.max_iterations; ++iter) {
-      // Rebuild the rank-local block-Jacobi for the current background
-      // contrast: rank-local leaf self blocks only, so the factorisation
-      // is communication-free.
-      if (config.dbim.near_precondition) {
-        ctx.precond = std::make_unique<NearFieldBlockJacobi>(
-            pm.nearfield().type(4), ccspan{ctx.o_loc}, Precision::kDouble);
-      }
-      if (config.dbim.adaptive_forcing) {
-        const double base = config.forward.tol;
-        const double cap = std::max(base, config.dbim.forcing_cap);
-        ctx.forcing_tol =
-            prev_relres >= 0.0
-                ? std::clamp(config.dbim.forcing_c * prev_relres, base, cap)
-                : cap;
-      }
-      // Pass 1 + 2: residual and gradient, each as one block solve over
-      // the whole local illumination set.
-      std::fill(grad.begin(), grad.end(), cplx{});
-      double cost_loc = 0.0;
-      if (!ctx.local_t.empty()) {
-        // Mirror the serial driver's warm-start policy: with
-        // warm_start_fields off the block solve restarts from the
-        // incident fields instead of the previous background fields, and
-        // the recycle histories reset with them (keeps every iterate a
-        // pure function of the checkpointed outer-loop state).
-        if (!config.dbim.warm_start_fields) {
-          ctx.reset_phi_to_incident();
-          ctx.rec_grad.clear();
-          ctx.rec_step.clear();
-        }
-        cost_loc = ctx.residual_pass_all(residuals);
-        ctx.gradient_pass_all(residuals, grad);
-      }
-      // Cost: each illumination's cost is replicated tr times.
-      double buf[1] = {cost_loc};
-      comm.allreduce_sum(rspan{buf, 1});
-      const double cost = buf[0] / tr;
-      // Gradient combine across illumination groups (paper Fig. 4 sync 1).
-      comm.group_allreduce_sum(cspan{grad}, ctx.column_group);
-      if (config.dbim.tikhonov > 0.0) {
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          grad[q] += config.dbim.tikhonov * ctx.o_loc[q];
-      }
-
-      const double relres = std::sqrt(cost / meas_norm2);
-      prev_relres = relres;
-      if (comm.rank() == 0) history.push_back(relres);
-      if (config.dbim.progress && comm.rank() == 0)
-        config.dbim.progress(iter, relres);
-      if (config.dbim.residual_tol > 0.0 && relres < config.dbim.residual_tol)
-        break;
-
-      // Conjugate direction (identical scalars on every rank).
-      double gn_loc = 0.0;
-      for (const auto& v : grad) gn_loc += std::norm(v);
-      const double gnorm2 = red.sum_double(gn_loc);
-      if (gnorm2 == 0.0) break;
-      double beta = 0.0;
-      if (config.dbim.conjugate_gradient && iter > 0 &&
-          grad_prev_norm2 > 0.0) {
-        cplx num_loc{};
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          num_loc += std::conj(grad[q]) * (grad[q] - grad_prev[q]);
-        beta = std::max(0.0, red.sum_cplx(num_loc).real() / grad_prev_norm2);
-      }
-      if (beta == 0.0) {
-        for (std::size_t q = 0; q < ctx.nloc; ++q) direction[q] = -grad[q];
-      } else {
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          direction[q] = -grad[q] + beta * direction[q];
-      }
-
-      // Pass 3: step length (paper Fig. 4 sync 2), one block solve.
-      double denom_loc =
-          ctx.local_t.empty() ? 0.0 : ctx.step_pass_all(direction);
-      double dbuf[1] = {denom_loc};
-      comm.allreduce_sum(rspan{dbuf, 1});
-      double denom = dbuf[0] / tr;
-      if (config.dbim.tikhonov > 0.0) {
-        double dn_loc = 0.0;
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          dn_loc += std::norm(direction[q]);
-        denom += config.dbim.tikhonov * red.sum_double(dn_loc);
-      }
-      if (denom == 0.0) break;
-      cplx num_loc{};
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        num_loc += std::conj(grad[q]) * direction[q];
-      const double alpha = -red.sum_cplx(num_loc).real() / denom;
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        ctx.o_loc[q] += alpha * direction[q];
-
-      copy(grad, grad_prev);
-      grad_prev_norm2 = gnorm2;
-
-      // Atomic checkpoint of the completed iteration: group-0 tree ranks
-      // ship their cluster-order slices to global rank 0, which scatters
-      // them into natural order (via the tree permutation, per sender)
-      // and saves the same DbimCheckpoint format the serial driver
-      // emits. Every rank restores from it on a supervisor restart.
-      if (!config.checkpoint_path.empty() && ctx.group == 0 &&
-          (iter + 1) % std::max(1, config.checkpoint_every) == 0) {
-        constexpr int kTagCkpt = -4000;  // reserved: checkpoint gather
-        const std::size_t npl =
-            static_cast<std::size_t>(tree.pixels_per_leaf());
-        if (comm.rank() != 0) {
-          cvec pack(3 * ctx.nloc);
-          std::copy(ctx.o_loc.begin(), ctx.o_loc.end(), pack.begin());
-          std::copy(grad_prev.begin(), grad_prev.end(),
-                    pack.begin() + static_cast<std::ptrdiff_t>(ctx.nloc));
-          std::copy(direction.begin(), direction.end(),
-                    pack.begin() + static_cast<std::ptrdiff_t>(2 * ctx.nloc));
-          comm.send(0, kTagCkpt, ccspan{pack});
-        } else {
-          DbimCheckpoint state;
-          state.iteration = iter + 1;
-          state.mixed_precision = false;
-          state.contrast.assign(npix, cplx{});
-          state.gradient_prev.assign(npix, cplx{});
-          state.direction.assign(npix, cplx{});
-          const auto scatter = [&](int r, ccspan o, ccspan g, ccspan d) {
-            const std::size_t q0r = pm.leaf_begin(r) * npl;
-            for (std::size_t q = 0; q < o.size(); ++q) {
-              const std::uint32_t nat = tree.perm()[q0r + q];
-              state.contrast[nat] = o[q];
-              state.gradient_prev[nat] = g[q];
-              state.direction[nat] = d[q];
-            }
-          };
-          scatter(0, ctx.o_loc, grad_prev, direction);
-          for (int r = 1; r < tr; ++r) {
-            const cvec pack = comm.recv<cplx>(r, kTagCkpt);
-            const std::size_t nl = pm.local_pixels(r);
-            FFW_CHECK(pack.size() == 3 * nl);
-            scatter(r, ccspan{pack.data(), nl}, ccspan{pack.data() + nl, nl},
-                    ccspan{pack.data() + 2 * nl, nl});
-          }
-          state.residual_history.assign(history.begin(), history.end());
-          FFW_CHECK_MSG(state.save(config.checkpoint_path),
-                        "parallel DBIM: checkpoint save failed");
-        }
-      }
-    }
-
-    if (ctx.group == 0) {
-      std::copy(ctx.o_loc.begin(), ctx.o_loc.end(),
-                out_cluster.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        pm.leaf_begin(ctx.tree_rank) *
-                        static_cast<std::size_t>(tree.pixels_per_leaf())));
-    }
-    // Real-process ranks share no out_cluster: group-0 slices travel to
-    // global rank 0 by message instead, so the process hosting rank 0
-    // assembles the full image (the only process whose DbimResult
-    // carries it).
-    if (!vc.hosts_all()) {
-      constexpr int kTagResult = -4100;  // reserved: result gather
-      const std::size_t npl =
-          static_cast<std::size_t>(tree.pixels_per_leaf());
-      if (comm.rank() == 0) {
-        for (int r = 1; r < tr; ++r) {
-          const cvec slice = comm.recv<cplx>(r, kTagResult);
-          FFW_CHECK(slice.size() == pm.local_pixels(r));
-          std::copy(slice.begin(), slice.end(),
-                    out_cluster.begin() +
-                        static_cast<std::ptrdiff_t>(pm.leaf_begin(r) * npl));
-        }
-      } else if (ctx.group == 0) {
-        comm.send(0, kTagResult, ccspan{ctx.o_loc});
-      }
-    }
+    DbimResult res = stepper.result();
+    // Every rank holds the full image; this process reports its lowest
+    // hosted rank's copy.
+    if (!vc.hosts_all() || comm.rank() == 0) out = std::move(res);
   };
 
   // Supervisor: a failed run (e.g. an injected RankFailure) is caught
   // here; the cluster is recovered and the ranks rerun from the last
-  // atomically-saved checkpoint (or from scratch when the crash landed
-  // before the first save). Consumed crash triggers do not re-fire
-  // (VCluster keeps the cumulative send counters across recover()).
-  if (config.resume_from_checkpoint && !config.checkpoint_path.empty() &&
-      resume_state.load(config.checkpoint_path)) {
-    have_resume = true;
-    history.assign(resume_state.residual_history.begin(),
-                   resume_state.residual_history.end());
-  }
-  int restarts = 0;
-  for (;;) {
+  // atomically-saved checkpoint (or from where this call started when
+  // the crash landed before the first save). Consumed crash triggers do
+  // not re-fire (VCluster keeps the cumulative send counters across
+  // recover()).
+  for (int restarts = 0;; ++restarts) {
     try {
       vc.run(rank_program);
-      break;
+      return out;
     } catch (const CommFailure&) {
       // Process mode cannot restart locally — the failure means a peer
       // *process* is gone, and only the process-tree supervisor
       // (ffw_launch) can bring a whole consistent world back.
       if (!vc.hosts_all() || restarts >= config.max_restarts) throw;
-      ++restarts;
       vc.recover();
-      have_resume = !config.checkpoint_path.empty() &&
-                    resume_state.load(config.checkpoint_path);
-      history.clear();
-      if (have_resume) {
-        history.assign(resume_state.residual_history.begin(),
-                       resume_state.residual_history.end());
-      }
-      std::fill(out_cluster.begin(), out_cluster.end(), cplx{});
+      opts.resume = load_saved() ? &saved : config.dbim.resume;
     }
   }
-
-  DbimResult out;
-  out.contrast.assign(npix, cplx{});
-  tree.to_natural_order(out_cluster, out.contrast);
-  out.history.relative_residual = std::move(history);
-  out.history.forward_solves = static_cast<std::uint64_t>(
-      3 * t_count * config.dbim.max_iterations);
-  out.history.operator_applications = total_matvecs.load();
-  return out;
-}
-
-DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
-                                     const QuadTree& tree,
-                                     const Transceivers& trx,
-                                     const CMatrix& measured,
-                                     const WindowedDbimConfig& config,
-                                     ccspan initial_contrast) {
-  const int ig = config.illum_groups, tr = config.tree_ranks;
-  FFW_CHECK(ig >= 1 && tr >= 1 && pm.nranks() == tr);
-  const int window = ig * tr;
-  const int wrank = comm.rank() - config.rank_base;
-  FFW_CHECK_MSG(wrank >= 0 && wrank < window,
-                "windowed DBIM: calling rank outside its window");
-  FFW_CHECK(config.rank_base + window <= comm.size());
-  FFW_CHECK_MSG(config.dbim.backend == BackendKind::kMlfma,
-                "windowed DBIM runs on the partitioned MLFMA engine only");
-  FFW_CHECK_MSG(config.dbim.mixed_engine == nullptr &&
-                    config.dbim.resume == nullptr && !config.dbim.checkpoint,
-                "windowed DBIM: per-scene DBIM pointers are unsupported "
-                "(stage-level checkpointing is the ladder's job)");
-  if (config.dbim.near_precondition) {
-    FFW_CHECK_MSG(pm.nearfield().precision() == Precision::kDouble,
-                  "windowed DBIM near-field preconditioner needs fp64 "
-                  "near-field tables");
-  }
-  const std::size_t npix = tree.grid().num_pixels();
-  const int t_count = trx.num_transmitters();
-
-  double meas_norm2 = 0.0;
-  for (std::size_t t = 0; t < measured.cols(); ++t) {
-    const double nn = nrm2(measured.col(t));
-    meas_norm2 += nn * nn;
-  }
-
-  RankCtx ctx;
-  ctx.comm = &comm;
-  ctx.pm = &pm;
-  ctx.trx = &trx;
-  ctx.measured = &measured;
-  ctx.fw_opts = config.forward;
-  ctx.group = wrank / tr;
-  ctx.tree_rank = wrank % tr;
-  ctx.rank_base = config.rank_base + ctx.group * tr;
-  for (int r = 0; r < tr; ++r) ctx.tree_group.push_back(ctx.rank_base + r);
-  for (int g = 0; g < ig; ++g)
-    ctx.column_group.push_back(config.rank_base + g * tr + ctx.tree_rank);
-  // Window ranks, NOT the whole cluster: every collective below runs on
-  // group primitives over explicit rank lists, never on the global
-  // barrier/allreduce (which would deadlock against the other band
-  // groups running their own windows concurrently).
-  std::vector<int> window_ranks;
-  for (int r = 0; r < window; ++r)
-    window_ranks.push_back(config.rank_base + r);
-
-  ctx.nloc = pm.local_pixels(ctx.tree_rank);
-  const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
-  const std::size_t q0 = pm.leaf_begin(ctx.tree_rank) * npl;
-  ctx.nat_idx.resize(ctx.nloc);
-  for (std::size_t q = 0; q < ctx.nloc; ++q)
-    ctx.nat_idx[q] = tree.perm()[q0 + q];
-
-  for (int t = ctx.group; t < t_count; t += ig) ctx.local_t.push_back(t);
-  ctx.o_loc.assign(ctx.nloc, cplx{});
-  if (!initial_contrast.empty()) {
-    FFW_CHECK(initial_contrast.size() == npix);
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      ctx.o_loc[q] = initial_contrast[ctx.nat_idx[q]];
-  }
-  ctx.lo = BlockLayout{npl, ctx.local_t.size(), ctx.nloc / npl};
-  ctx.phi_b.assign(ctx.lo.size(), cplx{});
-  ctx.reset_phi_to_incident();
-  if (config.dbim.recycle_depth > 0) {
-    const RecycleOptions ro{
-        static_cast<std::size_t>(config.dbim.recycle_depth),
-        config.dbim.recycle_ridge};
-    ctx.rec_grad = KrylovRecycler(ro);
-    ctx.rec_step = KrylovRecycler(ro);
-  }
-
-  cvec grad(ctx.nloc), grad_prev(ctx.nloc), direction(ctx.nloc),
-      residuals(measured.rows() * ctx.local_t.size());
-  std::vector<double> history;
-  double grad_prev_norm2 = 0.0;
-  double prev_relres = -1.0;
-  DotReducer red = ctx.tree_reduce();
-
-  for (int iter = 0; iter < config.dbim.max_iterations; ++iter) {
-    if (config.dbim.near_precondition) {
-      ctx.precond = std::make_unique<NearFieldBlockJacobi>(
-          pm.nearfield().type(4), ccspan{ctx.o_loc}, Precision::kDouble);
-    }
-    if (config.dbim.adaptive_forcing) {
-      const double base = config.forward.tol;
-      const double cap = std::max(base, config.dbim.forcing_cap);
-      ctx.forcing_tol =
-          prev_relres >= 0.0
-              ? std::clamp(config.dbim.forcing_c * prev_relres, base, cap)
-              : cap;
-    }
-    std::fill(grad.begin(), grad.end(), cplx{});
-    double cost_loc = 0.0;
-    if (!ctx.local_t.empty()) {
-      if (!config.dbim.warm_start_fields) {
-        ctx.reset_phi_to_incident();
-        ctx.rec_grad.clear();
-        ctx.rec_step.clear();
-      }
-      cost_loc = ctx.residual_pass_all(residuals);
-      ctx.gradient_pass_all(residuals, grad);
-    }
-    // Cost: each illumination's cost is replicated tr times; reduced
-    // over the window ranks only.
-    double buf[1] = {cost_loc};
-    comm.group_allreduce_sum(rspan{buf, 1}, window_ranks);
-    const double cost = buf[0] / tr;
-    comm.group_allreduce_sum(cspan{grad}, ctx.column_group);
-    if (config.dbim.tikhonov > 0.0) {
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        grad[q] += config.dbim.tikhonov * ctx.o_loc[q];
-    }
-
-    const double relres = std::sqrt(cost / meas_norm2);
-    prev_relres = relres;
-    history.push_back(relres);
-    if (config.dbim.progress && wrank == 0) config.dbim.progress(iter, relres);
-    if (config.dbim.residual_tol > 0.0 && relres < config.dbim.residual_tol)
-      break;
-
-    double gn_loc = 0.0;
-    for (const auto& v : grad) gn_loc += std::norm(v);
-    const double gnorm2 = red.sum_double(gn_loc);
-    if (gnorm2 == 0.0) break;
-    double beta = 0.0;
-    if (config.dbim.conjugate_gradient && iter > 0 && grad_prev_norm2 > 0.0) {
-      cplx num_loc{};
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        num_loc += std::conj(grad[q]) * (grad[q] - grad_prev[q]);
-      beta = std::max(0.0, red.sum_cplx(num_loc).real() / grad_prev_norm2);
-    }
-    if (beta == 0.0) {
-      for (std::size_t q = 0; q < ctx.nloc; ++q) direction[q] = -grad[q];
-    } else {
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        direction[q] = -grad[q] + beta * direction[q];
-    }
-
-    double denom_loc = ctx.local_t.empty() ? 0.0 : ctx.step_pass_all(direction);
-    double dbuf[1] = {denom_loc};
-    comm.group_allreduce_sum(rspan{dbuf, 1}, window_ranks);
-    double denom = dbuf[0] / tr;
-    if (config.dbim.tikhonov > 0.0) {
-      double dn_loc = 0.0;
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        dn_loc += std::norm(direction[q]);
-      denom += config.dbim.tikhonov * red.sum_double(dn_loc);
-    }
-    if (denom == 0.0) break;
-    cplx num_loc{};
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      num_loc += std::conj(grad[q]) * direction[q];
-    const double alpha = -red.sum_cplx(num_loc).real() / denom;
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      ctx.o_loc[q] += alpha * direction[q];
-
-    copy(grad, grad_prev);
-    grad_prev_norm2 = gnorm2;
-
-    // Per-band plateau stop, after the update so the serial stepper
-    // (update inside step(), plateau checked by the caller between
-    // steps) and this driver cut the band at the identical state. The
-    // decision is a pure function of the replicated history — every
-    // window rank reaches the same verdict with no extra message.
-    if (config.plateau_window > 0 &&
-        history.size() > static_cast<std::size_t>(config.plateau_window)) {
-      const double then =
-          history[history.size() - 1 -
-                  static_cast<std::size_t>(config.plateau_window)];
-      if (history.back() > (1.0 - config.plateau_rtol) * then) break;
-    }
-  }
-
-  // Assemble the full natural-order image on every window rank: the
-  // group-0 tree ranks hold the authoritative slices (the contrast is
-  // replicated across illumination groups); gather them to the window
-  // leader by message — works identically for thread and process ranks
-  // — then broadcast over the window.
-  constexpr int kTagWindowResult = -4150;  // reserved: windowed gather
-  cvec out_cluster(npix, cplx{});
-  if (wrank == 0) {
-    std::copy(ctx.o_loc.begin(), ctx.o_loc.end(), out_cluster.begin());
-    for (int r = 1; r < tr; ++r) {
-      const cvec slice =
-          comm.recv<cplx>(config.rank_base + r, kTagWindowResult);
-      FFW_CHECK(slice.size() == pm.local_pixels(r));
-      std::copy(slice.begin(), slice.end(),
-                out_cluster.begin() +
-                    static_cast<std::ptrdiff_t>(pm.leaf_begin(r) * npl));
-    }
-  } else if (ctx.group == 0) {
-    comm.send(config.rank_base, kTagWindowResult, ccspan{ctx.o_loc});
-  }
-  comm.group_bcast(cspan{out_cluster}, window_ranks);
-
-  DbimResult out;
-  out.contrast.assign(npix, cplx{});
-  tree.to_natural_order(out_cluster, out.contrast);
-  out.history.relative_residual = std::move(history);
-  out.history.forward_solves = static_cast<std::uint64_t>(
-      3 * t_count * static_cast<int>(out.history.relative_residual.size()));
-  return out;
 }
 
 }  // namespace ffw

@@ -6,11 +6,19 @@
 // illumination groups happens exactly twice per DBIM iteration — the
 // gradient combine and the step-length combine — matching Fig. 4.
 //
+// The outer loop is the serial one: every rank runs a DbimStepper over
+// a partitioned pass workspace (make_partitioned_workspace), whose
+// passes do the cross-rank cost, gradient and denominator reductions
+// and whose DotReducer reduces the stepper's NLCG scalars over the
+// tree group.
+//
 // This runs on the virtual cluster (threads as ranks, see DESIGN.md
 // Sec. 2): the algorithm, message pattern and traffic volumes are those
 // of the MPI implementation; only wall-clock speedup cannot manifest on
 // a single machine (the performance model covers that).
 #pragma once
+
+#include <memory>
 
 #include "dbim/dbim.hpp"
 #include "mlfma/partitioned.hpp"
@@ -20,24 +28,21 @@ namespace ffw {
 struct ParallelDbimConfig {
   int illum_groups = 1;  // parallelisation dimension 1 (illuminations)
   int tree_ranks = 1;    // parallelisation dimension 2 (MLFMA sub-trees)
+  /// Outer-loop options, honoured as in the serial driver (progress
+  /// fires on global rank 0; checkpoint / resume use the natural-order
+  /// DbimCheckpoint format), with these partitioned-path rules:
+  /// backend must be kMlfma and mixed_engine null (refused loudly);
+  /// table_cache, when set, shares the cached MLFMA tables for
+  /// (tree.grid(), tree.leaf_pixel_side(), mlfma) instead of building a
+  /// private set.
   DbimOptions dbim;
   BicgstabOptions forward;
   MlfmaParams mlfma;
 
-  /// Shared operator-table cache (borrowed, may be null): the
-  /// PartitionedMlfma then shares the cached MLFMA tables for
-  /// (tree.grid(), tree.leaf_pixel_side(), mlfma) instead of building a
-  /// private set — repeated parallel reconstructions over one
-  /// configuration (the service's common case) pay the tables once.
-  OperatorTableCache* table_cache = nullptr;
-
-  /// When non-empty, global rank 0 gathers the outer-loop state
-  /// (contrast, CG memory, residual history — natural pixel order, same
-  /// DbimCheckpoint format the serial driver emits) from the group-0
-  /// tree ranks and saves it here, atomically, every `checkpoint_every`
-  /// completed iterations. Required for crash recovery.
+  /// When non-empty, global rank 0 saves the outer-loop state (the
+  /// stepper's DbimOptions::checkpoint state) here, atomically, after
+  /// every completed iteration. Required for crash recovery.
   std::string checkpoint_path;
-  int checkpoint_every = 1;
   /// Supervisor restarts: when a rank fails mid-run (e.g. an injected
   /// RankFailure, see vcluster/fault.hpp), the driver calls
   /// VCluster::recover(), reloads the last checkpoint and reruns the
@@ -55,49 +60,33 @@ struct ParallelDbimConfig {
 };
 
 /// Collective reconstruction over `vc` (vc.size() must equal
-/// illum_groups * tree_ranks). Returns the same result as the serial
-/// dbim_reconstruct (validated in tests/parallel_dbim_test.cpp). With
-/// checkpoint_path + max_restarts set, the run survives rank crashes:
-/// each restart resumes from the last atomically-saved iteration (or
-/// from scratch when none completed yet).
+/// illum_groups * tree_ranks): the crash supervisor around "partitioned
+/// workspace on every rank + DbimStepper". Returns the same result as
+/// the serial dbim_reconstruct (validated in
+/// tests/parallel_dbim_test.cpp), with the full natural-order image on
+/// every process. With checkpoint_path + max_restarts set, the run
+/// survives rank crashes: each restart resumes from the last
+/// atomically-saved iteration (or from where it started when none
+/// completed yet).
 DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                                      const Transceivers& trx,
                                      const CMatrix& measured,
                                      const ParallelDbimConfig& config);
 
-/// A 2-D DBIM grid occupying only a *window* of the cluster's ranks:
-/// ranks [rank_base, rank_base + illum_groups * tree_ranks) form the
-/// illumination x sub-tree grid while the rest of the cluster runs
-/// something else — other frequency bands of a continuation ladder
-/// (dbim/continuation_parallel.hpp), concurrently. Every collective is
-/// a group primitive over explicit window rank lists; the global
-/// barrier/allreduce are never touched, so disjoint windows cannot
-/// interfere (or deadlock) with each other.
-struct WindowedDbimConfig {
-  int rank_base = 0;     // first global rank of the window
-  int illum_groups = 1;
-  int tree_ranks = 1;    // must equal the PartitionedMlfma's nranks
-  DbimOptions dbim;
-  BicgstabOptions forward;
-  /// Per-band plateau stop (dbim/continuation.hpp semantics): end the
-  /// run once the relative residual improved by less than plateau_rtol
-  /// over the last plateau_window iterations. 0 disables.
-  int plateau_window = 0;
-  double plateau_rtol = 0.0;
-};
-
-/// Collective over the window's ranks only — every rank of the window
-/// must call it with the same arguments (and a PartitionedMlfma built
-/// over tree_ranks sub-trees of the same tree). `initial_contrast`
-/// (natural order, may be empty) seeds the outer loop — the warm-start
-/// hand-off of the frequency ladder. Returns the full natural-order
-/// image on every window rank. Stage-level checkpointing is the
-/// caller's job; this driver has no supervisor of its own.
-DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
-                                     const QuadTree& tree,
-                                     const Transceivers& trx,
-                                     const CMatrix& measured,
-                                     const WindowedDbimConfig& config,
-                                     ccspan initial_contrast = {});
+/// Pass workspace of the calling rank of an illum_groups x pm.nranks()
+/// grid that occupies the *window* of ranks [rank_base, rank_base +
+/// illum_groups * pm.nranks()) of `comm` — the whole cluster, or one
+/// band group of a continuation ladder (dbim/continuation_parallel.hpp)
+/// while the rest of the cluster runs other bands. A sub-window reduces
+/// with group collectives over its own ranks only, so disjoint windows
+/// cannot interfere (or deadlock). Every window rank must build one
+/// with the same arguments and drive it with a DbimStepper. `pm`,
+/// `tree`, `trx` and `measured` are borrowed. MLFMA only: refuses
+/// (FFW_CHECK) a CBS/kAuto backend and a mixed engine; honours
+/// near_precondition, recycling and incident_panel.
+std::unique_ptr<DbimPasses> make_partitioned_workspace(
+    Comm& comm, int rank_base, int illum_groups, const PartitionedMlfma& pm,
+    const QuadTree& tree, const Transceivers& trx, const CMatrix& measured,
+    const DbimOptions& opts, const BicgstabOptions& fw_opts);
 
 }  // namespace ffw

@@ -1,7 +1,6 @@
 #include "mlfma/partitioned.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "linalg/gemm.hpp"
@@ -168,62 +167,66 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
 
   // --- Upward pass on the owned sub-trees (communication-free), posting
   // each level's spectra to peers as soon as that level is complete.
-  std::optional<obs::SpanScope> upward_span;
-  upward_span.emplace("dist.upward", obs::kNoArg, obs::Counter::kComputeNs);
-  {  // leaf multipole expansion for owned leaves
-    const std::size_t q0 = static_cast<std::size_t>(plan_.level(0).samples);
-    if constexpr (std::is_same_v<T, float>) {
-      // fp64-accumulation boundary (matches MlfmaEngine): the quadrature
-      // sums are chunk-promoted into fp64 (gemm_expand_mixed) and round
-      // once into the fp32 panel.
-      gemm_expand_mixed(q0, (le - lb) * nrhs, np, ops_.expansion_data<float>(),
-                        q0, x_local, np, s_own[0].data(), q0);
-    } else {
-      gemm_raw_t<T, T>(q0, (le - lb) * nrhs, np, C{T(1)},
-                       ops_.expansion_data<T>(), q0, x_local, np, C{},
-                       s_own[0].data(), q0);
+  {
+    const obs::SpanScope upward_span("dist.upward", obs::kNoArg,
+                                     obs::Counter::kComputeNs);
+    {  // leaf multipole expansion for owned leaves
+      const std::size_t q0 = static_cast<std::size_t>(plan_.level(0).samples);
+      if constexpr (std::is_same_v<T, float>) {
+        // fp64-accumulation boundary (matches MlfmaEngine): the quadrature
+        // sums are chunk-promoted into fp64 (gemm_expand_mixed) and round
+        // once into the fp32 panel.
+        gemm_expand_mixed(q0, (le - lb) * nrhs, np,
+                          ops_.expansion_data<float>(), q0, x_local, np,
+                          s_own[0].data(), q0);
+      } else {
+        gemm_raw_t<T, T>(q0, (le - lb) * nrhs, np, C{T(1)},
+                         ops_.expansion_data<T>(), q0, x_local, np, C{},
+                         s_own[0].data(), q0);
+      }
+      send_level_halo(0);
     }
-    send_level_halo(0);
-  }
-  for (int l = 0; l + 1 < nlev; ++l) {
-    const LevelOperators& lops = ops_.level(l);
-    const std::size_t qc = static_cast<std::size_t>(lops.samples);
-    const std::size_t qp = static_cast<std::size_t>(plan_.level(l + 1).samples);
-    const std::size_t pb = rs.levels[static_cast<std::size_t>(l) + 1].owned_begin,
-                      pe = rs.levels[static_cast<std::size_t>(l) + 1].owned_end;
-    // Ranks divide every level's cluster count, so a parent's children
-    // slots are 4*(p - pb) + j in the child level's owned panel.
-    FFW_DCHECK(rs.levels[static_cast<std::size_t>(l)].owned_begin == 4 * pb);
-    CV tmp(qp * nrhs);
-    for (std::size_t p = pb; p < pe; ++p) {
-      C* sp = s_own[static_cast<std::size_t>(l) + 1].data() +
-              (p - pb) * qp * nrhs;
-      for (int j = 0; j < 4; ++j) {
-        const C* sc = s_own[static_cast<std::size_t>(l)].data() +
-                      (4 * (p - pb) + static_cast<std::size_t>(j)) * qc * nrhs;
-        lops.interp.apply_batch(sc, qc, tmp.data(), qp, nrhs);
-        // Explicit real arithmetic (cf. MlfmaEngine): same values on
-        // finite inputs, but the shift MAC vectorizes.
-        const auto& sh = lops.up<T>()[static_cast<std::size_t>(j)];
-        const T* shp = reinterpret_cast<const T*>(sh.data());
-        for (std::size_t r = 0; r < nrhs; ++r) {
-          T* spr = reinterpret_cast<T*>(sp + r * qp);
-          const T* tr = reinterpret_cast<const T*>(tmp.data() + r * qp);
+    for (int l = 0; l + 1 < nlev; ++l) {
+      const LevelOperators& lops = ops_.level(l);
+      const std::size_t qc = static_cast<std::size_t>(lops.samples);
+      const std::size_t qp =
+          static_cast<std::size_t>(plan_.level(l + 1).samples);
+      const auto& parent = rs.levels[static_cast<std::size_t>(l) + 1];
+      const std::size_t pb = parent.owned_begin, pe = parent.owned_end;
+      // Ranks divide every level's cluster count, so a parent's children
+      // slots are 4*(p - pb) + j in the child level's owned panel.
+      FFW_DCHECK(rs.levels[static_cast<std::size_t>(l)].owned_begin == 4 * pb);
+      CV tmp(qp * nrhs);
+      for (std::size_t p = pb; p < pe; ++p) {
+        C* sp = s_own[static_cast<std::size_t>(l) + 1].data() +
+                (p - pb) * qp * nrhs;
+        for (int j = 0; j < 4; ++j) {
+          const C* sc =
+              s_own[static_cast<std::size_t>(l)].data() +
+              (4 * (p - pb) + static_cast<std::size_t>(j)) * qc * nrhs;
+          lops.interp.apply_batch(sc, qc, tmp.data(), qp, nrhs);
+          // Explicit real arithmetic (cf. MlfmaEngine): same values on
+          // finite inputs, but the shift MAC vectorizes.
+          const auto& sh = lops.up<T>()[static_cast<std::size_t>(j)];
+          const T* shp = reinterpret_cast<const T*>(sh.data());
+          for (std::size_t r = 0; r < nrhs; ++r) {
+            T* spr = reinterpret_cast<T*>(sp + r * qp);
+            const T* tr = reinterpret_cast<const T*>(tmp.data() + r * qp);
 #ifdef _OPENMP
 #pragma omp simd
 #endif
-          for (std::size_t q = 0; q < qp; ++q) {
-            const T ar = shp[2 * q], ai = shp[2 * q + 1];
-            const T br = tr[2 * q], bi = tr[2 * q + 1];
-            spr[2 * q] += ar * br - ai * bi;
-            spr[2 * q + 1] += ar * bi + ai * br;
+            for (std::size_t q = 0; q < qp; ++q) {
+              const T ar = shp[2 * q], ai = shp[2 * q + 1];
+              const T br = tr[2 * q], bi = tr[2 * q + 1];
+              spr[2 * q] += ar * br - ai * bi;
+              spr[2 * q + 1] += ar * bi + ai * br;
+            }
           }
         }
       }
+      send_level_halo(l + 1);
     }
-    send_level_halo(l + 1);
   }
-  upward_span.reset();
 
   // --- Dependency-resolved workers. y_local accumulates the near field
   // and, at the end, the disaggregated far field (all beta = 1 against a

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dbim/multifrequency.hpp"
+#include "dbim/continuation.hpp"
 #include "forward/dense_ref.hpp"
 #include "forward/forward.hpp"
 #include "linalg/kernels.hpp"
@@ -102,8 +102,8 @@ TEST(MultiFrequency, SingleStageEqualsPlainDbim) {
   const cvec truth =
       gaussian_blob(grid, Vec2{0.3, 0.0}, 0.5, cplx{0.01, 0.0});
 
-  const MultiFrequencyResult mf =
-      multifrequency_reconstruct(cfg, truth, {{0, 8}});
+  const ContinuationResult mf =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{0, 8}}});
 
   Scenario scene(cfg, truth);
   DbimOptions opts;
@@ -124,17 +124,18 @@ TEST(MultiFrequency, CoarseStageSeedsFineStage) {
   Grid grid(cfg.nx);
   const cvec truth = annulus(grid, 1.0, 1.8, cplx{0.02, 0.0});
 
-  const MultiFrequencyResult mf =
-      multifrequency_reconstruct(cfg, truth, {{1, 6}, {0, 6}});
-  ASSERT_EQ(mf.stage_residuals.size(), 2u);
+  const ContinuationResult mf =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{1, 6}, {0, 6}}});
+  ASSERT_EQ(mf.stages.size(), 2u);
   ASSERT_EQ(mf.permittivity.size(), grid.num_pixels());
 
   // The fine stage starts from the upsampled coarse image, so its
   // *initial* residual must already be far below 1 (a zero start).
-  ASSERT_FALSE(mf.stage_residuals[1].empty());
-  EXPECT_LT(mf.stage_residuals[1].front(), 0.75);
+  const std::vector<double>& fine = mf.stages[1].history.relative_residual;
+  ASSERT_FALSE(fine.empty());
+  EXPECT_LT(fine.front(), 0.75);
   // And it must end better than it started.
-  EXPECT_LT(mf.stage_residuals[1].back(), mf.stage_residuals[1].front());
+  EXPECT_LT(fine.back(), fine.front());
 }
 
 TEST(MultiFrequency, BeatsSingleFrequencyAtEqualFineIterations) {
@@ -147,8 +148,8 @@ TEST(MultiFrequency, BeatsSingleFrequencyAtEqualFineIterations) {
   Grid grid(cfg.nx);
   const cvec truth = disks(grid, {{Vec2{0.0, 0.0}, 1.4, cplx{0.08, 0.0}}});
 
-  const MultiFrequencyResult mf =
-      multifrequency_reconstruct(cfg, truth, {{1, 10}, {0, 8}});
+  const ContinuationResult mf =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{1, 10}, {0, 8}}});
 
   Scenario scene(cfg, truth);
   DbimOptions opts;

@@ -354,7 +354,9 @@ TEST(RecoveryTest, FailurePoisonsBlockedPeers) {
       const int v[1] = {42};
       c.send(2, 8, std::span<const int>(v, 1));
     }
-    if (c.rank() == 2) EXPECT_EQ(c.recv<int>(0, 8).at(0), 42);
+    if (c.rank() == 2) {
+      EXPECT_EQ(c.recv<int>(0, 8).at(0), 42);
+    }
   });
 }
 

@@ -1,8 +1,9 @@
-// Frequency as the third parallel axis (ROADMAP item 3): the
-// multifrequency option-threading and noise-seed regressions, the
+// Frequency as the third parallel axis (ROADMAP item 3): the ladder's
+// option-threading, noise-seed and hand-off regressions, the
 // continuation driver (per-band stopping, checkpoint/resume), and the
 // band-parallel ladder (dbim/continuation_parallel.hpp) against the
-// serial one.
+// serial one. A band with residual_tol = 0 and plateau_window = 0 is a
+// fixed-iteration stage.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include "common/rng.hpp"
 #include "dbim/continuation.hpp"
 #include "dbim/continuation_parallel.hpp"
-#include "dbim/multifrequency.hpp"
 #include "obs/obs.hpp"
 #include "perfmodel/freq_model.hpp"
 #include "phantom/phantom.hpp"
@@ -39,17 +39,17 @@ TEST(MultiFrequencyOptionsBug, BackendRoutingReachesEveryStage) {
   const cvec truth =
       gaussian_blob(grid, Vec2{0.2, 0.1}, 0.5, cplx{0.01, 0.0});
 
-  MultiFrequencyOptions opts;
+  ContinuationOptions opts;
   opts.dbim.backend = BackendKind::kAuto;  // starts every solve on CBS
   const std::uint64_t cbs0 = counter(obs::Counter::kCbsIterations);
-  const MultiFrequencyResult mf =
-      multifrequency_reconstruct(cfg, truth, {{1, 2}, {0, 2}}, opts);
+  const ContinuationResult mf = continuation_reconstruct(
+      cfg, truth, FrequencyLadder{{{1, 2}, {0, 2}}}, opts);
   const std::uint64_t cbs1 = counter(obs::Counter::kCbsIterations);
   obs::set_enabled(false);
 
-  ASSERT_EQ(mf.stage_history.size(), 2u);
-  for (const DbimHistory& h : mf.stage_history) {
-    EXPECT_EQ(h.backend, BackendKind::kAuto);
+  ASSERT_EQ(mf.stages.size(), 2u);
+  for (const StageReport& st : mf.stages) {
+    EXPECT_EQ(st.history.backend, BackendKind::kAuto);
   }
   // The routing actually ran: CBS iterations were spent inside the
   // ladder's stages (zero pre-fix, when stages rebuilt default options).
@@ -66,15 +66,15 @@ TEST(MultiFrequencyOptionsBug, MixedPrecisionRunsInsideTheLadder) {
   const cvec truth =
       gaussian_blob(grid, Vec2{-0.2, 0.2}, 0.5, cplx{0.01, 0.0});
 
-  MultiFrequencyOptions opts;
+  ContinuationOptions opts;
   opts.mixed_precision = true;
   const std::uint64_t rr0 = counter(obs::Counter::kRefinementRounds);
-  const MultiFrequencyResult mf =
-      multifrequency_reconstruct(cfg, truth, {{1, 2}, {0, 2}}, opts);
+  const ContinuationResult mf = continuation_reconstruct(
+      cfg, truth, FrequencyLadder{{{1, 2}, {0, 2}}}, opts);
   const std::uint64_t rr1 = counter(obs::Counter::kRefinementRounds);
   obs::set_enabled(false);
 
-  ASSERT_EQ(mf.stage_residuals.size(), 2u);
+  ASSERT_EQ(mf.stages.size(), 2u);
   // Iterative-refinement rounds prove the fp32 engine carried the
   // Krylov sweeps inside the stages.
   EXPECT_GT(rr1, rr0);
@@ -97,28 +97,32 @@ TEST(MultiFrequencyNoiseBug, PerStageSeedsDecorrelateStages) {
 
   // Reference: one 5-iteration run. Its history[4] is the residual of
   // the 4-times-updated contrast against the seed-42 measurements.
-  MultiFrequencyOptions legacy;
+  ContinuationOptions legacy;
   legacy.per_stage_noise_seeds = false;
-  const MultiFrequencyResult one =
-      multifrequency_reconstruct(cfg, truth, {{0, 5}}, legacy);
-  ASSERT_EQ(one.stage_residuals[0].size(), 5u);
-  const double ref = one.stage_residuals[0][4];
+  const ContinuationResult one =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{0, 5}}}, legacy);
+  const std::vector<double>& one_res = one.stages[0].history.relative_residual;
+  ASSERT_EQ(one_res.size(), 5u);
+  const double ref = one_res[4];
 
   // Legacy seeds: an equal-nx two-stage split sees the *same* data in
   // both stages (the bug), so stage 1's initial residual reproduces the
   // one-run trajectory.
-  const MultiFrequencyResult corr =
-      multifrequency_reconstruct(cfg, truth, {{0, 4}, {0, 4}}, legacy);
-  ASSERT_FALSE(corr.stage_residuals[1].empty());
-  EXPECT_NEAR(corr.stage_residuals[1][0], ref, 2e-3 * ref);
+  const FrequencyLadder split{{{0, 4}, {0, 4}}};
+  const ContinuationResult corr =
+      continuation_reconstruct(cfg, truth, split, legacy);
+  const std::vector<double>& corr1 = corr.stages[1].history.relative_residual;
+  ASSERT_FALSE(corr1.empty());
+  EXPECT_NEAR(corr1[0], ref, 2e-3 * ref);
 
   // Per-stage seeds (the fix, default): stage 1 measures a fresh noise
   // realization, so the image fitted to stage 0's realization starts
   // visibly off the correlated trajectory. Fails pre-fix.
-  const MultiFrequencyResult decorr =
-      multifrequency_reconstruct(cfg, truth, {{0, 4}, {0, 4}});
-  ASSERT_FALSE(decorr.stage_residuals[1].empty());
-  EXPECT_GT(std::abs(decorr.stage_residuals[1][0] - ref), 1e-2 * ref);
+  const ContinuationResult decorr = continuation_reconstruct(cfg, truth, split);
+  const std::vector<double>& decorr1 =
+      decorr.stages[1].history.relative_residual;
+  ASSERT_FALSE(decorr1.empty());
+  EXPECT_GT(std::abs(decorr1[0] - ref), 1e-2 * ref);
 }
 
 TEST(MultiFrequencyNoiseBug, MixSeedSeparatesAndIsDeterministic) {
@@ -142,12 +146,12 @@ TEST(MultiFrequencyWarmStartBug, EqualResolutionHandOffIsBitExact) {
   const cvec truth =
       gaussian_blob(grid, Vec2{0.3, 0.0}, 0.5, cplx{0.01, 0.0});
 
-  const MultiFrequencyResult a =
-      multifrequency_reconstruct(cfg, truth, {{0, 4}});
+  const ContinuationResult a =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{0, 4}}});
   // A trailing zero-iteration stage must hand the image through
   // untouched: same permittivity to the bit.
-  const MultiFrequencyResult b =
-      multifrequency_reconstruct(cfg, truth, {{0, 4}, {0, 0}});
+  const ContinuationResult b =
+      continuation_reconstruct(cfg, truth, FrequencyLadder{{{0, 4}, {0, 0}}});
   ASSERT_EQ(a.permittivity.size(), b.permittivity.size());
   EXPECT_EQ(0, std::memcmp(a.permittivity.data(), b.permittivity.data(),
                            a.permittivity.size() * sizeof(cplx)));

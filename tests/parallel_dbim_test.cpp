@@ -198,5 +198,153 @@ TEST(ParallelDbim, ExhaustedRestartBudgetPropagatesTheFailure) {
                RankFailure);
 }
 
+// Regression: the parallel driver used to report forward_solves as
+// 3 * T * max_iterations (wrong whenever residual_tol stops the run
+// early) and zero operator applications and Krylov iterations.
+TEST(ParallelDbim, HistoryCountsMatchSerialWhenStoppedEarly) {
+  SceneFixture f;
+  DbimOptions opts;
+  opts.max_iterations = 6;
+  const DbimResult probe = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  ASSERT_EQ(probe.history.relative_residual.size(), 6u);
+  // Stop between the third and the fourth residual.
+  const auto& h = probe.history.relative_residual;
+  opts.residual_tol = 0.5 * (h[2] + h[3]);
+  const DbimResult serial = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  ASSERT_EQ(serial.history.relative_residual.size(), 4u);
+
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim = opts;
+  VCluster vc(4);
+  const DbimResult par = dbim_reconstruct_parallel(
+      vc, f.scene->tree(), f.scene->transceivers(), f.scene->measurements(),
+      pcfg);
+  ASSERT_EQ(par.history.relative_residual.size(), 4u);
+  EXPECT_EQ(par.history.forward_solves, serial.history.forward_solves);
+  EXPECT_GT(par.history.operator_applications, 0u);
+  EXPECT_GT(par.history.bicgstab_iterations, 0u);
+}
+
+// Regression: the parallel driver silently ignored the stepper's
+// DbimOptions hooks. Progress fires once per iteration and the
+// checkpoint hook receives the natural-order state of every completed
+// iteration, once, from global rank 0.
+TEST(ParallelDbim, ProgressAndCheckpointHooksFire) {
+  SceneFixture f;
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = 3;
+  std::vector<int> progress;
+  std::vector<DbimCheckpoint> saved;
+  pcfg.dbim.progress = [&progress](int it, double) { progress.push_back(it); };
+  pcfg.dbim.checkpoint = [&saved](const DbimCheckpoint& s) {
+    saved.push_back(s);
+  };
+  VCluster vc(4);
+  const DbimResult par = dbim_reconstruct_parallel(
+      vc, f.scene->tree(), f.scene->transceivers(), f.scene->measurements(),
+      pcfg);
+  EXPECT_EQ(progress, (std::vector<int>{0, 1, 2}));
+  ASSERT_EQ(saved.size(), 3u);
+  EXPECT_EQ(saved.back().iteration, 3);
+  EXPECT_EQ(saved.back().residual_history, par.history.relative_residual);
+  EXPECT_EQ(saved.back().contrast, par.contrast);
+}
+
+// Regression: DbimOptions::resume used to be ignored by the parallel
+// driver (every run restarted at iteration 0).
+TEST(ParallelDbim, ResumeFromDbimOptionsMatchesStraightRun) {
+  SceneFixture f;
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = 6;
+  // Without warm starts every iterate is a pure function of the
+  // checkpointed state (see the crash-recovery test above).
+  pcfg.dbim.warm_start_fields = false;
+  VCluster vc_ref(4);
+  const DbimResult ref = dbim_reconstruct_parallel(
+      vc_ref, f.scene->tree(), f.scene->transceivers(),
+      f.scene->measurements(), pcfg);
+
+  DbimCheckpoint saved;
+  ParallelDbimConfig first = pcfg;
+  first.dbim.max_iterations = 3;
+  first.dbim.checkpoint = [&saved](const DbimCheckpoint& s) { saved = s; };
+  VCluster vc_first(4);
+  dbim_reconstruct_parallel(vc_first, f.scene->tree(),
+                            f.scene->transceivers(), f.scene->measurements(),
+                            first);
+  ASSERT_EQ(saved.iteration, 3);
+
+  ParallelDbimConfig second = pcfg;
+  second.dbim.resume = &saved;
+  VCluster vc_second(4);
+  const DbimResult resumed = dbim_reconstruct_parallel(
+      vc_second, f.scene->tree(), f.scene->transceivers(),
+      f.scene->measurements(), second);
+  ASSERT_EQ(resumed.history.relative_residual.size(),
+            ref.history.relative_residual.size());
+  for (std::size_t i = 0; i < ref.history.relative_residual.size(); ++i) {
+    EXPECT_NEAR(resumed.history.relative_residual[i],
+                ref.history.relative_residual[i],
+                1e-10 * ref.history.relative_residual[i])
+        << "iteration " << i;
+  }
+  EXPECT_LE(image_rmse(resumed.contrast, ref.contrast), 1e-10);
+}
+
+// DbimOptions::incident_panel is read by the partitioned passes, not
+// ignored: a panel of doubled incident fields changes the trajectory.
+TEST(ParallelDbim, IncidentPanelIsHonoured) {
+  SceneFixture f;
+  const Transceivers& trx = f.scene->transceivers();
+  cvec panel;
+  for (int t = 0; t < trx.num_transmitters(); ++t) {
+    for (const cplx& v : trx.incident_field(t)) panel.push_back(2.0 * v);
+  }
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = 1;
+  VCluster vc_plain(4);
+  const DbimResult plain = dbim_reconstruct_parallel(
+      vc_plain, f.scene->tree(), trx, f.scene->measurements(), pcfg);
+  pcfg.dbim.incident_panel = panel;
+  VCluster vc_panel(4);
+  const DbimResult scaled = dbim_reconstruct_parallel(
+      vc_panel, f.scene->tree(), trx, f.scene->measurements(), pcfg);
+  // Doubled fields scale the first step's Frechet operator by two, so
+  // the image after it departs by O(1).
+  EXPECT_GT(image_rmse(scaled.contrast, plain.contrast), 0.1);
+}
+
+TEST(ParallelDbimDeath, MixedEngineIsRefusedLoudly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SceneFixture f;
+  MlfmaParams mixed_params;
+  mixed_params.precision = Precision::kMixed;
+  MlfmaEngine mixed(f.scene->tree(), mixed_params);
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.dbim.max_iterations = 1;
+  pcfg.dbim.mixed_engine = &mixed;
+  EXPECT_DEATH(
+      {
+        VCluster vc(2);
+        dbim_reconstruct_parallel(vc, f.scene->tree(),
+                                  f.scene->transceivers(),
+                                  f.scene->measurements(), pcfg);
+      },
+      "mixed_engine");
+}
+
 }  // namespace
 }  // namespace ffw

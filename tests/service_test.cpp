@@ -12,7 +12,6 @@
 
 #include "dbim/continuation.hpp"
 #include "dbim/dbim.hpp"
-#include "dbim/multifrequency.hpp"
 #include "phantom/phantom.hpp"
 #include "phantom/resample.hpp"
 #include "phantom/setup.hpp"
@@ -272,28 +271,26 @@ TEST(Service, MultiFrequencyStagesShareCachedTables) {
   cfg.num_receivers = 20;
   const cvec truth =
       gaussian_blob(Grid(cfg.nx), Vec2{0.3, 0.0}, 0.5, cplx{0.01, 0.0});
-  const std::vector<FrequencyStage> stages = {{1, 2}, {0, 2}};
+  const FrequencyLadder stages{{{1, 2}, {0, 2}}};
 
-  const MultiFrequencyResult plain =
-      multifrequency_reconstruct(cfg, truth, stages);
+  const ContinuationResult plain = continuation_reconstruct(cfg, truth, stages);
 
   OperatorTableCache cache;
   cfg.table_cache = &cache;
-  const MultiFrequencyResult cached =
-      multifrequency_reconstruct(cfg, truth, stages);
+  const ContinuationResult cached =
+      continuation_reconstruct(cfg, truth, stages);
   // Cache routing may not change a single bit of the image.
   ASSERT_EQ(plain.permittivity.size(), cached.permittivity.size());
   EXPECT_EQ(std::memcmp(plain.permittivity.data(), cached.permittivity.data(),
                         plain.permittivity.size() * sizeof(cplx)),
             0);
-  ASSERT_EQ(cached.stage_seconds.size(), stages.size());
-  ASSERT_EQ(cached.stage_setup_seconds.size(), stages.size());
+  ASSERT_EQ(cached.stages.size(), stages.bands.size());
 
   // A second ladder over the same cache rebuilds nothing.
   const auto misses_after_first = cache.stats().misses;
   EXPECT_GT(misses_after_first, 0u);
-  const MultiFrequencyResult again =
-      multifrequency_reconstruct(cfg, truth, stages);
+  const ContinuationResult again =
+      continuation_reconstruct(cfg, truth, stages);
   EXPECT_EQ(cache.stats().misses, misses_after_first);
   EXPECT_GT(cache.stats().hits, 0u);
   EXPECT_EQ(std::memcmp(plain.permittivity.data(), again.permittivity.data(),
