@@ -133,8 +133,10 @@ struct DbimHistory {
   /// reconstruction — the cost metric the iteration-reduction layer
   /// (preconditioning + forcing + recycling) targets.
   std::uint64_t bicgstab_iterations = 0;
-  /// Wall time spent LU-factoring the near-field block preconditioner
-  /// (zero when near_precondition is off).
+  /// Wall time spent building (factoring and inverting) the near-field
+  /// block preconditioner, summed over iterations; on the partitioned
+  /// path each iteration counts its slowest window rank. Zero when
+  /// near_precondition is off.
   double precond_setup_seconds = 0.0;
   /// Backend policy the run was configured with, and whether a kAuto run
   /// escalated from CBS to MLFMA along the way.

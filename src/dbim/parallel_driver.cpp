@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/timer.hpp"
 #include "forward/precond.hpp"
 #include "forward/recycle.hpp"
 #include "linalg/kernels.hpp"
@@ -90,8 +91,10 @@ class PartitionedWorkspace final : public DbimPasses {
     // leaf self blocks this rank owns, so the factorisation is
     // communication-free.
     if (near_precondition_) {
+      const Timer timer;
       precond_ = std::make_unique<NearFieldBlockJacobi>(
           pm_->nearfield().type(4), ccspan{o_loc_}, Precision::kDouble);
+      precond_setup_s_.push_back(timer.seconds());
     }
     // Serial warm-start policy: without warm starts every residual pass
     // restarts from the incident fields and the recycle histories reset
@@ -266,6 +269,23 @@ class PartitionedWorkspace final : public DbimPasses {
     h.forward_solves = static_cast<std::uint64_t>(c[0]);
     h.operator_applications = static_cast<std::uint64_t>(c[1]);
     h.bicgstab_iterations = static_cast<std::uint64_t>(c[2]);
+    // Every window rank builds its preconditioner at each background
+    // update and the iteration waits for the slowest build: all-gather
+    // the build times over the window, sum the per-build maxima.
+    h.precond_setup_seconds = 0.0;
+    if (!near_precondition_) return;
+    const std::size_t nb = precond_setup_s_.size();
+    const std::size_t nw = window_ranks_.size();
+    rvec all(nw * nb, 0.0);
+    std::copy(precond_setup_s_.begin(), precond_setup_s_.end(),
+              all.begin() + wrank_ * static_cast<std::ptrdiff_t>(nb));
+    comm_->group_allreduce_sum(rspan{all}, window_ranks_);
+    for (std::size_t i = 0; i < nb; ++i) {
+      double slowest = 0.0;
+      for (std::size_t w = 0; w < nw; ++w)
+        slowest = std::max(slowest, all[w * nb + i]);
+      h.precond_setup_seconds += slowest;
+    }
   }
 
  private:
@@ -316,21 +336,13 @@ class PartitionedWorkspace final : public DbimPasses {
     cvec ox(lo_.size());
     block_diag_mul(lo_, o_loc_, x, ox);
     pm_->apply_block(*comm_, ox, y, lo_.nrhs, tree_base_);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = x[i] - y[i];
+    block_identity_minus(lo_, x, y);
   }
 
   /// Y = [I - G0 O]^H X.
   void adjoint_op_block(ccspan x, cspan y) {
     pm_->apply_herm_block(*comm_, x, y, lo_.nrhs, tree_base_);
-    for (std::size_t c = 0; c < lo_.npanels; ++c) {
-      const cplx* op = o_loc_.data() + c * lo_.panel;
-      for (std::size_t r = 0; r < lo_.nrhs; ++r) {
-        const cplx* xp = x.data() + lo_.at(c, r);
-        cplx* yp = y.data() + lo_.at(c, r);
-        for (std::size_t i = 0; i < lo_.panel; ++i)
-          yp[i] = xp[i] - std::conj(op[i]) * yp[i];
-      }
-    }
+    block_identity_minus_conj_diag(lo_, o_loc_, x, y);
   }
 
   /// Block solve of [I - G0 O] (or its adjoint) at the base tolerance,
@@ -407,8 +419,10 @@ class PartitionedWorkspace final : public DbimPasses {
   std::unique_ptr<NearFieldBlockJacobi> precond_;
   KrylovRecycler rec_grad_{RecycleOptions{0, 1e-12}};
   KrylovRecycler rec_step_{RecycleOptions{0, 1e-12}};
-  // Solve totals of this rank (DbimHistory counts).
+  // Solve totals of this rank (DbimHistory counts) and the wall time of
+  // each preconditioner build.
   std::uint64_t solves_ = 0, applications_ = 0, iterations_ = 0;
+  std::vector<double> precond_setup_s_;
 };
 
 }  // namespace

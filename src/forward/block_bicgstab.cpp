@@ -1,19 +1,156 @@
 #include "forward/block_bicgstab.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
+#include "linalg/kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
 
 namespace {
 
-/// Applies `fn(base_offset, len)` to every contiguous chunk of column r.
-template <typename F>
-void for_col(const BlockLayout& lo, std::size_t r, F&& fn) {
-  for (std::size_t c = 0; c < lo.npanels; ++c) fn(lo.at(c, r), lo.panel);
+// Panel kernels of the recurrences: n complex entries as 2n interleaved
+// doubles, explicit real arithmetic, so each loop vectorises. The
+// reductions run in a fixed order for a given build.
+
+/// ||x||^2.
+inline double nrm2_panel(std::size_t n, const cplx* x) {
+  const double* xs = reinterpret_cast<const double*>(x);
+  double acc = 0.0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : acc)
+#endif
+  for (std::size_t i = 0; i < 2 * n; ++i) acc += xs[i] * xs[i];
+  return acc;
 }
+
+/// acc += <x, y> = sum conj(x) y, as {re, im}.
+inline void dot_panel(std::size_t n, const cplx* x, const cplx* y,
+                      double* acc) {
+  const double* xs = reinterpret_cast<const double*>(x);
+  const double* ys = reinterpret_cast<const double*>(y);
+  double re = 0.0, im = 0.0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : re, im)
+#endif
+  for (std::size_t i = 0; i < 2 * n; i += 2) {
+    re += xs[i] * ys[i] + xs[i + 1] * ys[i + 1];
+    im += xs[i] * ys[i + 1] - xs[i + 1] * ys[i];
+  }
+  acc[0] += re;
+  acc[1] += im;
+}
+
+/// s = r - a v; returns ||s||^2.
+inline double s_update_panel(std::size_t n, cplx a, const cplx* r,
+                             const cplx* v, cplx* s) {
+  const double ar = a.real(), ai = a.imag();
+  const double* rs = reinterpret_cast<const double*>(r);
+  const double* vs = reinterpret_cast<const double*>(v);
+  double* ss = reinterpret_cast<double*>(s);
+  double acc = 0.0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : acc)
+#endif
+  for (std::size_t i = 0; i < 2 * n; i += 2) {
+    const double sr = rs[i] - (ar * vs[i] - ai * vs[i + 1]);
+    const double si = rs[i + 1] - (ar * vs[i + 1] + ai * vs[i]);
+    ss[i] = sr;
+    ss[i + 1] = si;
+    acc += sr * sr + si * si;
+  }
+  return acc;
+}
+
+/// x += a ph + w sh; r = s - w t; acc += {||r||^2, <rhat, r>}.
+inline void xr_update_panel(std::size_t n, cplx a, cplx w, const cplx* ph,
+                            const cplx* sh, const cplx* s, const cplx* t,
+                            const cplx* rhat, cplx* x, cplx* r,
+                            double* acc) {
+  const double ar = a.real(), ai = a.imag(), wr = w.real(), wi = w.imag();
+  const double* phs = reinterpret_cast<const double*>(ph);
+  const double* shs = reinterpret_cast<const double*>(sh);
+  const double* ss = reinterpret_cast<const double*>(s);
+  const double* ts = reinterpret_cast<const double*>(t);
+  const double* hs = reinterpret_cast<const double*>(rhat);
+  double* xs = reinterpret_cast<double*>(x);
+  double* rs = reinterpret_cast<double*>(r);
+  double nn = 0.0, dr = 0.0, di = 0.0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : nn, dr, di)
+#endif
+  for (std::size_t i = 0; i < 2 * n; i += 2) {
+    xs[i] += (ar * phs[i] - ai * phs[i + 1]) + (wr * shs[i] - wi * shs[i + 1]);
+    xs[i + 1] +=
+        (ar * phs[i + 1] + ai * phs[i]) + (wr * shs[i + 1] + wi * shs[i]);
+    const double rr = ss[i] - (wr * ts[i] - wi * ts[i + 1]);
+    const double ri = ss[i + 1] - (wr * ts[i + 1] + wi * ts[i]);
+    rs[i] = rr;
+    rs[i + 1] = ri;
+    nn += rr * rr + ri * ri;
+    dr += hs[i] * rr + hs[i + 1] * ri;
+    di += hs[i] * ri - hs[i + 1] * rr;
+  }
+  acc[0] += nn;
+  acc[1] += dr;
+  acc[2] += di;
+}
+
+/// p = r + beta (p - w v).
+inline void p_update_panel(std::size_t n, cplx beta, cplx w, const cplx* r,
+                           const cplx* v, cplx* p) {
+  const double br = beta.real(), bi = beta.imag(), wr = w.real(),
+               wi = w.imag();
+  const double* rs = reinterpret_cast<const double*>(r);
+  const double* vs = reinterpret_cast<const double*>(v);
+  double* ps = reinterpret_cast<double*>(p);
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+  for (std::size_t i = 0; i < 2 * n; i += 2) {
+    const double qr = ps[i] - (wr * vs[i] - wi * vs[i + 1]);
+    const double qi = ps[i + 1] - (wr * vs[i + 1] + wi * vs[i]);
+    ps[i] = rs[i] + (br * qr - bi * qi);
+    ps[i + 1] = rs[i + 1] + (br * qi + bi * qr);
+  }
+}
+
+/// One chunk-parallel pass over the leaf panels of the listed columns.
+/// `fn(offset, jj, acc)` handles column cols[jj]'s lo.panel entries at
+/// element `offset` and adds its `width` partial sums into acc. The
+/// partials of each chunk are added in chunk order into
+/// out[jj * width + w], so every sum is independent of the thread count.
+class Sweeper {
+ public:
+  explicit Sweeper(const BlockLayout& lo) : lo_(lo), chunks_(lo) {}
+
+  template <typename F>
+  void operator()(std::span<const std::size_t> cols, std::size_t width,
+                  double* out, F&& fn) {
+    FFW_TRACE_SPAN("krylov.vector");
+    const std::size_t w = cols.size() * width;
+    part_.assign(chunks_.count * w, 0.0);
+    chunks_.run([&](std::size_t k, std::size_t c0, std::size_t c1) {
+      double* acc = part_.data() + k * w;
+      for (std::size_t c = c0; c < c1; ++c)
+        for (std::size_t jj = 0; jj < cols.size(); ++jj)
+          fn(lo_.at(c, cols[jj]), jj, acc + jj * width);
+    });
+    for (std::size_t q = 0; q < w; ++q) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < chunks_.count; ++k) sum += part_[k * w + q];
+      out[q] = sum;
+    }
+  }
+
+ private:
+  BlockLayout lo_;
+  BlockChunks chunks_;
+  rvec part_;
+};
 
 }  // namespace
 
@@ -24,6 +161,7 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
                                    const PrecondContext& pc) {
   const std::size_t nrhs = lo.nrhs;
   const std::size_t total = lo.size();
+  const std::size_t np = lo.panel;
   FFW_CHECK(b.size() == total && x.size() == total && nrhs >= 1);
   FFW_CHECK(!pc || (pc.lo.panel == lo.panel && pc.lo.nrhs == lo.nrhs &&
                     pc.lo.npanels == lo.npanels));
@@ -43,44 +181,52 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     shat_store.assign(total, cplx{});
   }
   std::vector<char> active(nrhs, 1);
-  std::vector<double> bnorm(nrhs), scal_d(nrhs);
-  cvec rho(nrhs), alpha(nrhs), omega(nrhs), scal_c(2 * nrhs);
+  std::vector<double> bnorm(nrhs), scal_d(nrhs), sums(3 * nrhs);
+  cvec rho(nrhs), alpha(nrhs), omega(nrhs), beta(nrhs), scal_c(2 * nrhs);
+  std::vector<std::size_t> all(nrhs), cols;
+  for (std::size_t j = 0; j < nrhs; ++j) all[j] = j;
+  const auto refresh_cols = [&] {
+    cols.clear();
+    for (std::size_t j = 0; j < nrhs; ++j)
+      if (active[j]) cols.push_back(j);
+    return !cols.empty();
+  };
+  Sweeper sweep(lo);
 
   // ||b_r|| for every column in one reduction.
-  for (std::size_t j = 0; j < nrhs; ++j)
-    scal_d[j] = block_col_nrm2_sq(lo, b, j);
+  sweep(all, 1, scal_d.data(), [&](std::size_t o, std::size_t, double* acc) {
+    acc[0] += nrm2_panel(np, b.data() + o);
+  });
   reduce.sum_double_vec(rspan{scal_d});
   for (std::size_t j = 0; j < nrhs; ++j) {
     bnorm[j] = std::sqrt(scal_d[j]);
     if (bnorm[j] == 0.0) {
-      for_col(lo, j, [&](std::size_t o, std::size_t n) {
-        std::fill(x.begin() + static_cast<std::ptrdiff_t>(o),
-                  x.begin() + static_cast<std::ptrdiff_t>(o + n), cplx{});
-      });
+      for (std::size_t c = 0; c < lo.npanels; ++c)
+        std::fill_n(x.begin() + static_cast<std::ptrdiff_t>(lo.at(c, j)), np,
+                    cplx{});
       res.rhs[j].converged = true;
       active[j] = 0;
     }
   }
 
-  auto any_active = [&] {
-    for (std::size_t j = 0; j < nrhs; ++j)
-      if (active[j]) return true;
-    return false;
-  };
-
-  // r = b - A x (one blocked matvec covers every column).
+  // r = b - A x (one blocked matvec covers every column); rhat = p = r.
   a(x, tmp);
   ++res.block_matvecs;
   for (std::size_t j = 0; j < nrhs; ++j)
     if (active[j]) ++res.rhs[j].matvecs;
-  for (std::size_t i = 0; i < total; ++i) r[i] = b[i] - tmp[i];
-  std::copy(r.begin(), r.end(), rhat.begin());
-  std::copy(r.begin(), r.end(), p.begin());
+  sweep(all, 1, scal_d.data(), [&](std::size_t o, std::size_t, double* acc) {
+    for (std::size_t i = o; i < o + np; ++i) {
+      r[i] = b[i] - tmp[i];
+      rhat[i] = r[i];
+      p[i] = r[i];
+    }
+    acc[0] += nrm2_panel(np, r.data() + o);
+  });
 
-  // rho_r = <rhat_r, r_r> and ||r_r|| batched.
+  // rho_r = <rhat_r, r_r> = ||r_r||^2 and ||r_r|| batched.
   for (std::size_t j = 0; j < nrhs; ++j) {
-    rho[j] = active[j] ? block_col_dot(lo, rhat, r, j) : cplx{};
-    scal_d[j] = active[j] ? block_col_nrm2_sq(lo, r, j) : 0.0;
+    if (!active[j]) scal_d[j] = 0.0;
+    rho[j] = cplx{scal_d[j]};
   }
   reduce.sum_cplx_vec(cspan{rho});
   reduce.sum_double_vec(rspan{scal_d});
@@ -94,7 +240,7 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     }
   }
 
-  for (int it = 0; it < opts.max_iterations && any_active(); ++it) {
+  for (int it = 0; it < opts.max_iterations && refresh_cols(); ++it) {
     res.iterations = it + 1;
     obs::add(obs::Counter::kBicgstabIterations, 1);
     ccspan phat{p};
@@ -106,40 +252,48 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     ++res.block_matvecs;
 
     // alpha_r = rho_r / <rhat_r, v_r>, batched.
-    for (std::size_t j = 0; j < nrhs; ++j)
-      scal_c[j] = active[j] ? block_col_dot(lo, rhat, v, j) : cplx{};
+    sweep(cols, 2, sums.data(), [&](std::size_t o, std::size_t, double* acc) {
+      dot_panel(np, rhat.data() + o, v.data() + o, acc);
+    });
+    std::fill(scal_c.begin(), scal_c.begin() + nrhs, cplx{});
+    for (std::size_t jj = 0; jj < cols.size(); ++jj)
+      scal_c[cols[jj]] = cplx{sums[2 * jj], sums[2 * jj + 1]};
     reduce.sum_cplx_vec(cspan{scal_c.data(), nrhs});
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      if (!active[j]) continue;
+    for (const std::size_t j : cols) {
       ++res.rhs[j].matvecs;
       FFW_CHECK_MSG(std::abs(scal_c[j]) > 0.0,
                     "block BiCGStab breakdown: <rhat, v> = 0");
       alpha[j] = rho[j] / scal_c[j];
-      const cplx al = alpha[j];
-      for_col(lo, j, [&](std::size_t o, std::size_t n) {
-        for (std::size_t i = o; i < o + n; ++i) s[i] = r[i] - al * v[i];
-      });
       ++res.rhs[j].iterations;
     }
 
-    // Early exit on the half-step residual s, per column.
-    for (std::size_t j = 0; j < nrhs; ++j)
-      scal_d[j] = active[j] ? block_col_nrm2_sq(lo, s, j) : 0.0;
+    // s = r - alpha v, and the half-step residual norms for the early
+    // exit, in one pass.
+    sweep(cols, 1, sums.data(), [&](std::size_t o, std::size_t jj,
+                                    double* acc) {
+      acc[0] += s_update_panel(np, alpha[cols[jj]], r.data() + o,
+                               v.data() + o, s.data() + o);
+    });
+    std::fill(scal_d.begin(), scal_d.end(), 0.0);
+    for (std::size_t jj = 0; jj < cols.size(); ++jj)
+      scal_d[cols[jj]] = sums[jj];
     reduce.sum_double_vec(rspan{scal_d});
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      if (!active[j]) continue;
+    std::vector<std::size_t> done;
+    for (const std::size_t j : cols) {
       const double snorm = std::sqrt(scal_d[j]);
       if (snorm / bnorm[j] < opts.tol) {
-        const cplx al = alpha[j];
-        for_col(lo, j, [&](std::size_t o, std::size_t n) {
-          for (std::size_t i = o; i < o + n; ++i) x[i] += al * phat[i];
-        });
         res.rhs[j].relres = snorm / bnorm[j];
         res.rhs[j].converged = true;
         active[j] = 0;
+        done.push_back(j);
       }
     }
-    if (!any_active()) break;
+    if (!done.empty()) {  // x += alpha phat for the half-step exits
+      sweep(done, 0, nullptr, [&](std::size_t o, std::size_t jj, double*) {
+        axpy(alpha[done[jj]], phat.subspan(o, np), x.subspan(o, np));
+      });
+    }
+    if (!refresh_cols()) break;
 
     ccspan shat{s};
     if (pc) {
@@ -150,56 +304,63 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     ++res.block_matvecs;
 
     // omega_r = <t_r, s_r> / <t_r, t_r>, both dots in one reduction.
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      scal_c[2 * j] = active[j] ? block_col_dot(lo, t, t, j) : cplx{};
-      scal_c[2 * j + 1] = active[j] ? block_col_dot(lo, t, s, j) : cplx{};
+    sweep(cols, 3, sums.data(), [&](std::size_t o, std::size_t, double* acc) {
+      acc[0] += nrm2_panel(np, t.data() + o);
+      dot_panel(np, t.data() + o, s.data() + o, acc + 1);
+    });
+    std::fill(scal_c.begin(), scal_c.end(), cplx{});
+    for (std::size_t jj = 0; jj < cols.size(); ++jj) {
+      scal_c[2 * cols[jj]] = cplx{sums[3 * jj]};
+      scal_c[2 * cols[jj] + 1] = cplx{sums[3 * jj + 1], sums[3 * jj + 2]};
     }
     reduce.sum_cplx_vec(cspan{scal_c.data(), 2 * nrhs});
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      if (!active[j]) continue;
+    for (const std::size_t j : cols) {
       ++res.rhs[j].matvecs;
       FFW_CHECK_MSG(std::abs(scal_c[2 * j]) > 0.0,
                     "block BiCGStab breakdown: ||t|| = 0");
       omega[j] = scal_c[2 * j + 1] / scal_c[2 * j];
-      const cplx al = alpha[j], om = omega[j];
-      for_col(lo, j, [&](std::size_t o, std::size_t n) {
-        for (std::size_t i = o; i < o + n; ++i) {
-          x[i] += al * phat[i] + om * shat[i];
-          r[i] = s[i] - om * t[i];
-        }
-      });
     }
 
-    // Full-step residual norms, batched.
-    for (std::size_t j = 0; j < nrhs; ++j)
-      scal_d[j] = active[j] ? block_col_nrm2_sq(lo, r, j) : 0.0;
+    // x += alpha phat + omega shat, r = s - omega t, with the full-step
+    // residual norms and the next rho = <rhat, r> in the same pass.
+    sweep(cols, 3, sums.data(), [&](std::size_t o, std::size_t jj,
+                                    double* acc) {
+      const std::size_t j = cols[jj];
+      xr_update_panel(np, alpha[j], omega[j], phat.data() + o,
+                      shat.data() + o, s.data() + o, t.data() + o,
+                      rhat.data() + o, x.data() + o, r.data() + o, acc);
+    });
+    std::fill(scal_d.begin(), scal_d.end(), 0.0);
+    std::fill(scal_c.begin(), scal_c.begin() + nrhs, cplx{});
+    for (std::size_t jj = 0; jj < cols.size(); ++jj) {
+      scal_d[cols[jj]] = sums[3 * jj];
+      scal_c[cols[jj]] = cplx{sums[3 * jj + 1], sums[3 * jj + 2]};
+    }
     reduce.sum_double_vec(rspan{scal_d});
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      if (!active[j]) continue;
+    for (const std::size_t j : cols) {
       res.rhs[j].relres = std::sqrt(scal_d[j]) / bnorm[j];
       if (res.rhs[j].relres < opts.tol) {
         res.rhs[j].converged = true;
         active[j] = 0;
+        scal_c[j] = cplx{};
       }
     }
 
     // rho update + new search direction, batched.
-    for (std::size_t j = 0; j < nrhs; ++j)
-      scal_c[j] = active[j] ? block_col_dot(lo, rhat, r, j) : cplx{};
     reduce.sum_cplx_vec(cspan{scal_c.data(), nrhs});
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      if (!active[j]) continue;
+    if (!refresh_cols()) continue;
+    for (const std::size_t j : cols) {
       const cplx rho_next = scal_c[j];
       FFW_CHECK_MSG(std::abs(rho_next) > 0.0,
                     "block BiCGStab breakdown: rho = 0");
-      const cplx beta = (rho_next / rho[j]) * (alpha[j] / omega[j]);
+      beta[j] = (rho_next / rho[j]) * (alpha[j] / omega[j]);
       rho[j] = rho_next;
-      const cplx om = omega[j];
-      for_col(lo, j, [&](std::size_t o, std::size_t n) {
-        for (std::size_t i = o; i < o + n; ++i)
-          p[i] = r[i] + beta * (p[i] - om * v[i]);
-      });
     }
+    sweep(cols, 0, nullptr, [&](std::size_t o, std::size_t jj, double*) {
+      const std::size_t j = cols[jj];
+      p_update_panel(np, beta[j], omega[j], r.data() + o, v.data() + o,
+                     p.data() + o);
+    });
   }
 
   res.converged = true;

@@ -108,7 +108,7 @@ void ForwardSolver::op_forward_block(ccspan x, cspan y,
     block_diag_mul(lo, minv_clu_, x, xm);
     block_diag_mul(lo, contrast_clu_, ccspan{xm}, work);
     engine_->apply_block(work, y, lo.nrhs);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = xm[i] - y[i];
+    block_identity_minus(lo, xm, y);
     return;
   }
   op_forward_block_on(*engine_, x, y, lo);
@@ -120,7 +120,7 @@ void ForwardSolver::op_forward_block_on(MlfmaEngine& eng, ccspan x, cspan y,
   cspan work{block_work_.data(), lo.size()};
   block_diag_mul(lo, contrast_clu_, x, work);
   eng.apply_block(work, y, lo.nrhs);
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = x[i] - y[i];
+  block_identity_minus(lo, x, y);
 }
 
 void ForwardSolver::set_mixed_engine(MlfmaEngine* mixed) {
@@ -199,15 +199,7 @@ void ForwardSolver::op_adjoint_block(ccspan x, cspan y,
 void ForwardSolver::op_adjoint_block_on(MlfmaEngine& eng, ccspan x, cspan y,
                                         const BlockLayout& lo) {
   eng.apply_herm_block(x, y, lo.nrhs);
-  for (std::size_t c = 0; c < lo.npanels; ++c) {
-    const cplx* dp = contrast_clu_.data() + c * lo.panel;
-    for (std::size_t r = 0; r < lo.nrhs; ++r) {
-      const cplx* xp = x.data() + lo.at(c, r);
-      cplx* yp = y.data() + lo.at(c, r);
-      for (std::size_t i = 0; i < lo.panel; ++i)
-        yp[i] = xp[i] - std::conj(dp[i]) * yp[i];
-    }
-  }
+  block_identity_minus_conj_diag(lo, contrast_clu_, x, y);
 }
 
 void ForwardSolver::record_block_stats(const BlockBicgstabResult& res,

@@ -32,10 +32,10 @@ class ForwardSolver : public ForwardBackend {
   bool jacobi_preconditioner() const { return use_jacobi_; }
 
   /// Near-field block-Jacobi right preconditioning (forward/precond.hpp):
-  /// the per-leaf self blocks I - A_self diag(O_c) are LU-factored on
+  /// the per-leaf self blocks I - A_self diag(O_c) are inverted on
   /// every set_contrast and applied inside every solve — forward,
   /// adjoint, blocked, and the mixed-precision refined solves. `storage`
-  /// = Precision::kMixed keeps the factors in fp32 (pairs with a mixed
+  /// = Precision::kMixed keeps the inverses in fp32 (pairs with a mixed
   /// inner engine; final accuracy is unaffected — the preconditioner
   /// only steers the Krylov space). Mutually exclusive with the diagonal
   /// Jacobi preconditioner.

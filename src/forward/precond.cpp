@@ -2,63 +2,14 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <utility>
 
 #include "common/check.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace ffw {
-
-namespace {
-
-/// In-place solve of one packed LU block (column-major, unit-lower L
-/// with the multipliers below the diagonal, pivot row per step). The
-/// scalar T is the factor storage precision; the right-hand side is
-/// narrowed in / widened out by the caller.
-template <typename T>
-void lu_solve_packed(const std::complex<T>* lu, const std::uint32_t* piv,
-                     std::size_t n, std::complex<T>* x) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t p = piv[k];
-    if (p != k) std::swap(x[k], x[p]);
-  }
-  for (std::size_t k = 0; k < n; ++k) {  // L y = P b (unit lower)
-    const std::complex<T> xk = x[k];
-    const std::complex<T>* col = lu + k * n;
-    for (std::size_t r = k + 1; r < n; ++r) x[r] -= col[r] * xk;
-  }
-  for (std::size_t k = n; k-- > 0;) {  // U x = y
-    std::complex<T> acc = x[k];
-    for (std::size_t c = k + 1; c < n; ++c) acc -= lu[c * n + k] * x[c];
-    x[k] = acc / lu[k * n + k];
-  }
-}
-
-/// In-place solve with the Hermitian transpose of one packed block:
-/// A = P^T L U  =>  A^H = U^H L^H P (mirrors LuFactors::solve_herm).
-template <typename T>
-void lu_solve_herm_packed(const std::complex<T>* lu, const std::uint32_t* piv,
-                          std::size_t n, std::complex<T>* x) {
-  for (std::size_t k = 0; k < n; ++k) {  // U^H y = b (lower triangular)
-    std::complex<T> acc = x[k];
-    const std::complex<T>* col = lu + k * n;
-    for (std::size_t c = 0; c < k; ++c) acc -= std::conj(col[c]) * x[c];
-    x[k] = acc / std::conj(col[k]);
-  }
-  for (std::size_t k = n; k-- > 0;) {  // L^H z = y (unit upper)
-    std::complex<T> acc = x[k];
-    for (std::size_t r = k + 1; r < n; ++r)
-      acc -= std::conj(lu[k * n + r]) * x[r];
-    x[k] = acc;
-  }
-  for (std::size_t k = n; k-- > 0;) {  // x = P^T z
-    const std::uint32_t p = piv[k];
-    if (p != k) std::swap(x[k], x[p]);
-  }
-}
-
-}  // namespace
 
 NearFieldBlockJacobi::NearFieldBlockJacobi(const CMatrix& self_block,
                                            ccspan contrast_clu,
@@ -71,73 +22,73 @@ NearFieldBlockJacobi::NearFieldBlockJacobi(const CMatrix& self_block,
   FFW_CHECK_MSG(contrast_clu.size() % np_ == 0,
                 "contrast slice must cover whole leaf panels");
   nblocks_ = contrast_clu.size() / np_;
-  piv_.resize(nblocks_ * np_);
+  const std::size_t nn = np_ * np_;
   if (storage_ == Precision::kMixed) {
-    lu32_.resize(nblocks_ * np_ * np_);
+    inv32_.resize(nblocks_ * nn);
   } else {
-    lu64_.resize(nblocks_ * np_ * np_);
+    inv64_.resize(nblocks_ * nn);
   }
 
-  CMatrix m(np_, np_);
-  for (std::size_t c = 0; c < nblocks_; ++c) {
+  // Leaves are independent: each builds, factors and inverts its own
+  // block, so the result does not depend on the thread count.
+  parallel_for(0, nblocks_, [&](std::size_t c) {
     // M_c = I - A_self * diag(O_c): column j is e_j - O_c[j] * A_self[:,j].
     const cplx* o = contrast_clu.data() + c * np_;
+    CMatrix m(np_, np_);
     for (std::size_t j = 0; j < np_; ++j) {
       const cplx oj = o[j];
       for (std::size_t i = 0; i < np_; ++i)
         m(i, j) = (i == j ? cplx{1.0} : cplx{}) - self_block(i, j) * oj;
     }
-    const LuFactors f(m);  // factor in fp64, always
-    const CMatrix& lu = f.factors();
-    const auto& piv = f.pivots();
-    for (std::size_t k = 0; k < np_; ++k)
-      piv_[c * np_ + k] = static_cast<std::uint32_t>(piv[k]);
+    const CMatrix inv = LuFactors(std::move(m)).inverse();  // fp64, always
     if (storage_ == Precision::kMixed) {
-      cplx32* dst = lu32_.data() + c * np_ * np_;
-      for (std::size_t i = 0; i < np_ * np_; ++i) dst[i] = narrow(lu.data()[i]);
+      std::transform(inv.data(), inv.data() + nn, inv32_.data() + c * nn,
+                     [](cplx v) { return narrow(v); });
     } else {
-      std::copy(lu.data(), lu.data() + np_ * np_, lu64_.data() + c * np_ * np_);
+      std::copy(inv.data(), inv.data() + nn, inv64_.data() + c * nn);
     }
-  }
+  });
 }
 
-template <typename T, bool Herm>
-void NearFieldBlockJacobi::solve_all(ccspan x, cspan z,
-                                     const BlockLayout& lo) const {
+template <typename T>
+void NearFieldBlockJacobi::apply_leaves(const std::complex<T>* inv, ccspan x,
+                                        cspan z, const BlockLayout& lo,
+                                        bool herm) const {
   FFW_CHECK(lo.panel == np_ && lo.npanels == nblocks_);
   FFW_CHECK(x.size() == lo.size() && z.size() == lo.size());
-  const std::complex<T>* lu_base;
-  if constexpr (std::is_same_v<T, float>) {
-    lu_base = lu32_.data();
-  } else {
-    lu_base = lu64_.data();
-  }
-  std::vector<std::complex<T>> w(np_);
-  for (std::size_t c = 0; c < nblocks_; ++c) {
-    const std::complex<T>* lu = lu_base + c * np_ * np_;
-    const std::uint32_t* piv = piv_.data() + c * np_;
-    for (std::size_t r = 0; r < lo.nrhs; ++r) {
-      const cplx* xs = x.data() + lo.at(c, r);
-      cplx* zs = z.data() + lo.at(c, r);
-      for (std::size_t i = 0; i < np_; ++i) w[i] = to_scalar<T>(xs[i]);
-      if constexpr (Herm) {
-        lu_solve_herm_packed(lu, piv, np_, w.data());
-      } else {
-        lu_solve_packed(lu, piv, np_, w.data());
-      }
-      for (std::size_t i = 0; i < np_; ++i)
-        zs[i] = cplx{w[i].real(), w[i].imag()};
+  const std::size_t nrhs = lo.nrhs;
+  parallel_for(0, nblocks_, [&](std::size_t c) {
+    // Leaf c's columns are one contiguous np x nrhs panel (ld = np).
+    const cplx* xs = x.data() + lo.at(c, 0);
+    const std::complex<T>* xb;
+    if constexpr (std::is_same_v<T, float>) {
+      static thread_local cvec32 narrowed;
+      narrowed.resize(np_ * nrhs);
+      std::transform(xs, xs + np_ * nrhs, narrowed.begin(),
+                     [](cplx v) { return narrow(v); });
+      xb = narrowed.data();
+    } else {
+      xb = xs;
     }
-  }
+    const std::complex<T>* a = inv + c * np_ * np_;
+    cplx* zs = z.data() + lo.at(c, 0);
+    if (herm) {
+      gemm_herm_raw_t<T, double>(np_, nrhs, np_, cplx{1.0}, a, np_, xb, np_,
+                                 cplx{}, zs, np_);
+    } else {
+      gemm_raw_t<T, double>(np_, nrhs, np_, cplx{1.0}, a, np_, xb, np_,
+                            cplx{}, zs, np_);
+    }
+  });
 }
 
 void NearFieldBlockJacobi::apply(ccspan x, cspan z,
                                  const BlockLayout& lo) const {
   FFW_TRACE_SPAN("precond.apply", obs::kNoArg, obs::Counter::kPrecondApplyNs);
   if (storage_ == Precision::kMixed) {
-    solve_all<float, false>(x, z, lo);
+    apply_leaves(inv32_.data(), x, z, lo, /*herm=*/false);
   } else {
-    solve_all<double, false>(x, z, lo);
+    apply_leaves(inv64_.data(), x, z, lo, /*herm=*/false);
   }
 }
 
@@ -145,15 +96,14 @@ void NearFieldBlockJacobi::apply_herm(ccspan x, cspan z,
                                       const BlockLayout& lo) const {
   FFW_TRACE_SPAN("precond.apply", obs::kNoArg, obs::Counter::kPrecondApplyNs);
   if (storage_ == Precision::kMixed) {
-    solve_all<float, true>(x, z, lo);
+    apply_leaves(inv32_.data(), x, z, lo, /*herm=*/true);
   } else {
-    solve_all<double, true>(x, z, lo);
+    apply_leaves(inv64_.data(), x, z, lo, /*herm=*/true);
   }
 }
 
 std::size_t NearFieldBlockJacobi::bytes() const {
-  return lu64_.size() * sizeof(cplx) + lu32_.size() * sizeof(cplx32) +
-         piv_.size() * sizeof(std::uint32_t);
+  return inv64_.size() * sizeof(cplx) + inv32_.size() * sizeof(cplx32);
 }
 
 }  // namespace ffw

@@ -1,5 +1,5 @@
-// Preconditioning of the forward volume-integral system (ISSUE 6
-// tentpole; DESIGN.md Sec. 13).
+// Preconditioning of the forward volume-integral system (DESIGN.md
+// Sec. 13).
 //
 // The per-iteration cost of DBIM is Krylov iterations x MLFMA applies,
 // and the near-field pass dominates each apply. bench_ablation_precond
@@ -8,10 +8,12 @@
 // cheapest preconditioner that actually moves the spectrum is the next
 // structure up: the per-leaf *self block* I - G0_self diag(O_c), i.e.
 // the intra-leaf multiple scattering that the near-field tables already
-// encode. Inverting it exactly (dense LU per leaf, 64x64 at the default
-// leaf size) removes the strongest off-identity coupling from the
-// preconditioned operator at ~2/9 of the near-field pass's cost per
-// application.
+// encode. Inverting it exactly removes the strongest off-identity
+// coupling from the preconditioned operator. Each leaf's explicit
+// inverse is built once per contrast update (leaves in parallel), and
+// an application is one np x np by np x nrhs GEMM per leaf over the
+// leaf's contiguous panel — the dense per-leaf product that Table III
+// argues runs at GEMM throughput.
 //
 // `Preconditioner` is the right-preconditioning interface used by
 // bicgstab/block_bicgstab: the solvers keep *true* residuals and apply
@@ -66,16 +68,15 @@ struct PrecondContext {
 /// Block-Jacobi over the leaf self blocks: M = diag_c(I - A_self O_c)
 /// with A_self the shared np x np near-field self matrix
 /// (NearFieldOperators::type(4)) and O_c the contrast diagonal of leaf
-/// panel c. Factored once per contrast update with the dense LU of
-/// linalg/lu; under Precision::kMixed the factors are stored (and the
-/// triangular solves run) in fp32 — half the streamed bytes, and exactly
-/// the precision regime of the mixed inner Krylov sweeps they
-/// precondition.
+/// panel c. M_c^{-1} is formed explicitly (linalg/lu, fp64) and applied
+/// as a GEMM (M^{-H} as an A^H B product). Under Precision::kMixed the
+/// inverses are rounded once to fp32 — half the streamed bytes — and the
+/// products accumulate in fp64.
 class NearFieldBlockJacobi final : public Preconditioner {
  public:
   /// `contrast_clu` is the cluster-ordered contrast covering the leaves
   /// to precondition (length = npanels * np, a rank-local slice in the
-  /// partitioned drivers); one LU is factored per np-sized panel.
+  /// partitioned drivers); one inverse is built per np-sized panel.
   NearFieldBlockJacobi(const CMatrix& self_block, ccspan contrast_clu,
                        Precision storage = Precision::kDouble);
 
@@ -88,17 +89,17 @@ class NearFieldBlockJacobi final : public Preconditioner {
   std::size_t block_dim() const { return np_; }
 
  private:
-  template <typename T, bool Herm>
-  void solve_all(ccspan x, cspan z, const BlockLayout& lo) const;
+  template <typename T>
+  void apply_leaves(const std::complex<T>* inv, ccspan x, cspan z,
+                    const BlockLayout& lo, bool herm) const;
 
   std::size_t np_ = 0;       // block dimension (pixels per leaf)
   std::size_t nblocks_ = 0;  // leaf panels covered
   Precision storage_ = Precision::kDouble;
-  // Packed LU factors, np x np column-major per block, and pivot rows
-  // (np per block). Only the vector matching `storage_` is populated.
-  cvec lu64_;
-  cvec32 lu32_;
-  std::vector<std::uint32_t> piv_;
+  // M_c^{-1}, np x np column-major per block. Only the vector matching
+  // `storage_` is populated.
+  cvec inv64_;
+  cvec32 inv32_;
 };
 
 }  // namespace ffw

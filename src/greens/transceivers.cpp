@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "greens/greens.hpp"
+#include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace ffw {
@@ -45,6 +46,7 @@ cplx Transceivers::gr_entry(int r, std::size_t pixel) const {
 }
 
 cvec Transceivers::incident_field(int t) const {
+  FFW_TRACE_SPAN("trx.incident", t);
   FFW_CHECK(t >= 0 && t < num_transmitters());
   const std::size_t n = grid_->num_pixels();
   const int nx = grid_->nx();
@@ -61,6 +63,7 @@ cvec Transceivers::incident_field(int t) const {
 void Transceivers::apply_gr_subset(ccspan x_sub,
                                    std::span<const std::uint32_t> pixels,
                                    cspan y_accum) const {
+  FFW_TRACE_SPAN("trx.project");
   FFW_CHECK(x_sub.size() == pixels.size() && y_accum.size() == rx_.size());
   for (std::size_t r = 0; r < rx_.size(); ++r) {
     cplx acc{};
@@ -73,6 +76,7 @@ void Transceivers::apply_gr_subset(ccspan x_sub,
 void Transceivers::apply_gr_herm_subset(ccspan u,
                                         std::span<const std::uint32_t> pixels,
                                         cspan y_sub) const {
+  FFW_TRACE_SPAN("trx.project");
   FFW_CHECK(u.size() == rx_.size() && y_sub.size() == pixels.size());
   for (std::size_t i = 0; i < pixels.size(); ++i) {
     cplx acc{};
@@ -85,6 +89,7 @@ void Transceivers::apply_gr_herm_subset(ccspan u,
 void Transceivers::incident_field_subset(int t,
                                          std::span<const std::uint32_t> pixels,
                                          cspan out) const {
+  FFW_TRACE_SPAN("trx.incident", t);
   FFW_CHECK(t >= 0 && t < num_transmitters() && out.size() == pixels.size());
   const int nx = grid_->nx();
   const Vec2 src = tx_[static_cast<std::size_t>(t)];
@@ -96,6 +101,7 @@ void Transceivers::incident_field_subset(int t,
 }
 
 void Transceivers::apply_gr(ccspan x, cspan y) const {
+  FFW_TRACE_SPAN("trx.project");
   const std::size_t n = grid_->num_pixels();
   FFW_CHECK(x.size() == n && y.size() == rx_.size());
   if (gr_) {
@@ -111,6 +117,7 @@ void Transceivers::apply_gr(ccspan x, cspan y) const {
 }
 
 void Transceivers::apply_gr_herm(ccspan x, cspan y) const {
+  FFW_TRACE_SPAN("trx.project");
   const std::size_t n = grid_->num_pixels();
   FFW_CHECK(x.size() == rx_.size() && y.size() == n);
   if (gr_) {

@@ -16,11 +16,13 @@
 // special case, so the block BiCGStab below works on either layout.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace ffw {
 
@@ -36,6 +38,41 @@ struct BlockLayout {
   /// Offset of (panel c, column r).
   std::size_t at(std::size_t c, std::size_t r) const {
     return (c * nrhs + r) * panel;
+  }
+};
+
+/// Fixed grouping of a layout's panels into chunks, the work unit of the
+/// chunk-parallel block kernels: consecutive whole panels (all columns)
+/// holding at least kMinElems elements together. The grouping depends on
+/// the layout alone, so per-chunk partial sums added in chunk order give
+/// the same bits at every thread count; a block smaller than the minimum
+/// is a single chunk and runs on the calling thread, with no OpenMP fork.
+struct BlockChunks {
+  static constexpr std::size_t kMinElems = 16384;
+
+  std::size_t npanels = 0;  // panels of the layout
+  std::size_t per = 1;      // panels per chunk (the last may hold fewer)
+  std::size_t count = 0;    // number of chunks
+
+  explicit BlockChunks(const BlockLayout& lo)
+      : npanels(lo.npanels),
+        per(std::max<std::size_t>(
+            1, (kMinElems + lo.panel * lo.nrhs - 1) /
+                   std::max<std::size_t>(1, lo.panel * lo.nrhs))),
+        count((npanels + per - 1) / per) {}
+
+  /// Calls fn(k, first_panel, end_panel) for every chunk k, chunks in
+  /// parallel when there is more than one.
+  template <typename F>
+  void run(F&& fn) const {
+    const auto body = [&](std::size_t k) {
+      fn(k, k * per, std::min(npanels, (k + 1) * per));
+    };
+    if (count <= 1) {
+      body(0);
+    } else {
+      parallel_for(0, count, body);
+    }
   }
 };
 
@@ -57,6 +94,15 @@ void block_diag_mul(const BlockLayout& lo, ccspan d, ccspan x, cspan y);
 
 /// y_{r} = conj(d) .* x_{r} for every column.
 void block_diag_mul_conj(const BlockLayout& lo, ccspan d, ccspan x, cspan y);
+
+/// y = x - y over the whole block (chunk-parallel): the closing step of
+/// an [I - G0 O] apply once y holds G0 O x.
+void block_identity_minus(const BlockLayout& lo, ccspan x, cspan y);
+
+/// y_{r} = x_{r} - conj(d) .* y_{r} for every column (chunk-parallel):
+/// the closing step of an [I - G0 O]^H apply once y holds G0^H x.
+void block_identity_minus_conj_diag(const BlockLayout& lo, ccspan d,
+                                    ccspan x, cspan y);
 
 /// Pack `nrhs` natural-order columns (column-major, column stride
 /// perm.size()) into a block vector in cluster order:

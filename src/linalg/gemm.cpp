@@ -218,23 +218,93 @@ void gemm_expand_mixed(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void gemm_herm_raw(std::size_t m, std::size_t n, std::size_t k, cplx alpha,
-                   const cplx* a, std::size_t lda, const cplx* b,
-                   std::size_t ldb, cplx beta, cplx* c, std::size_t ldc) {
-  // A is stored (k x m); column i of the logical A^H is the conjugated
-  // i-th column of A read contiguously, so the dot-product form is
-  // already stride-1 friendly.
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx* bj = b + j * ldb;
-    cplx* cj = c + j * ldc;
-    for (std::size_t i = 0; i < m; ++i) {
-      const cplx* ai = a + i * lda;
-      cplx acc{};
-      for (std::size_t p = 0; p < k; ++p) acc += std::conj(ai[p]) * bj[p];
-      cj[i] = (beta == cplx{0.0} ? cplx{} : beta * cj[i]) + alpha * acc;
+namespace {
+
+// Four conjugated dot products out[t] = sum_p conj(a_p) * bt_p over
+// k-long interleaved re/im columns, accumulated as TD. The reduction
+// order is fixed by the loop (and the compiler's vector width), so a
+// given build returns the same bits on every call.
+template <typename TS, typename TD>
+inline void herm_dots4(std::size_t k, const TS* a, const TS* b0,
+                       const TS* b1, const TS* b2, const TS* b3,
+                       std::complex<TD>* out) {
+  TD r0 = 0, i0 = 0, r1 = 0, i1 = 0, r2 = 0, i2 = 0, r3 = 0, i3 = 0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : r0, i0, r1, i1, r2, i2, r3, i3)
+#endif
+  for (std::size_t p = 0; p < 2 * k; p += 2) {
+    const TD ar = static_cast<TD>(a[p]), ai = static_cast<TD>(a[p + 1]);
+    const TD b0r = static_cast<TD>(b0[p]), b0i = static_cast<TD>(b0[p + 1]);
+    const TD b1r = static_cast<TD>(b1[p]), b1i = static_cast<TD>(b1[p + 1]);
+    const TD b2r = static_cast<TD>(b2[p]), b2i = static_cast<TD>(b2[p + 1]);
+    const TD b3r = static_cast<TD>(b3[p]), b3i = static_cast<TD>(b3[p + 1]);
+    r0 += ar * b0r + ai * b0i;
+    i0 += ar * b0i - ai * b0r;
+    r1 += ar * b1r + ai * b1i;
+    i1 += ar * b1i - ai * b1r;
+    r2 += ar * b2r + ai * b2i;
+    i2 += ar * b2i - ai * b2r;
+    r3 += ar * b3r + ai * b3i;
+    i3 += ar * b3i - ai * b3r;
+  }
+  out[0] = {r0, i0};
+  out[1] = {r1, i1};
+  out[2] = {r2, i2};
+  out[3] = {r3, i3};
+}
+
+template <typename TS, typename TD>
+inline std::complex<TD> herm_dot(std::size_t k, const TS* a, const TS* b) {
+  TD re = 0, im = 0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : re, im)
+#endif
+  for (std::size_t p = 0; p < 2 * k; p += 2) {
+    const TD ar = static_cast<TD>(a[p]), ai = static_cast<TD>(a[p + 1]);
+    const TD br = static_cast<TD>(b[p]), bi = static_cast<TD>(b[p + 1]);
+    re += ar * br + ai * bi;
+    im += ar * bi - ai * br;
+  }
+  return {re, im};
+}
+
+}  // namespace
+
+template <typename TS, typename TD>
+void gemm_herm_raw_t(std::size_t m, std::size_t n, std::size_t k,
+                     std::complex<TD> alpha, const std::complex<TS>* a,
+                     std::size_t lda, const std::complex<TS>* b,
+                     std::size_t ldb, std::complex<TD> beta,
+                     std::complex<TD>* c, std::size_t ldc) {
+  using CD = std::complex<TD>;
+  const auto col = [](const std::complex<TS>* base, std::size_t ld,
+                      std::size_t j) {
+    return reinterpret_cast<const TS*>(base + j * ld);
+  };
+  const auto store = [&](CD& cij, CD acc) {
+    cij = (beta == CD{} ? CD{} : beta * cij) + alpha * acc;
+  };
+  // A column i stays in L1 while it meets every B column.
+  for (std::size_t i = 0; i < m; ++i) {
+    const TS* ai = col(a, lda, i);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      CD acc[4];
+      herm_dots4<TS, TD>(k, ai, col(b, ldb, j), col(b, ldb, j + 1),
+                         col(b, ldb, j + 2), col(b, ldb, j + 3), acc);
+      for (std::size_t t = 0; t < 4; ++t) store(c[(j + t) * ldc + i], acc[t]);
     }
+    for (; j < n; ++j)
+      store(c[j * ldc + i], herm_dot<TS, TD>(k, ai, col(b, ldb, j)));
   }
 }
+
+template void gemm_herm_raw_t<double, double>(
+    std::size_t, std::size_t, std::size_t, cplx, const cplx*, std::size_t,
+    const cplx*, std::size_t, cplx, cplx*, std::size_t);
+template void gemm_herm_raw_t<float, double>(
+    std::size_t, std::size_t, std::size_t, cplx, const cplx32*, std::size_t,
+    const cplx32*, std::size_t, cplx, cplx*, std::size_t);
 
 void gemm(cplx alpha, const CMatrix& a, const CMatrix& b, cplx beta,
           CMatrix& c) {
@@ -248,8 +318,9 @@ void gemm_herm_a(cplx alpha, const CMatrix& a, const CMatrix& b, cplx beta,
                  CMatrix& c) {
   FFW_CHECK(a.rows() == b.rows());
   FFW_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  gemm_herm_raw(a.cols(), b.cols(), a.rows(), alpha, a.data(), a.rows(),
-                b.data(), b.rows(), beta, c.data(), c.rows());
+  gemm_herm_raw_t<double, double>(a.cols(), b.cols(), a.rows(), alpha,
+                                  a.data(), a.rows(), b.data(), b.rows(),
+                                  beta, c.data(), c.rows());
 }
 
 }  // namespace ffw

@@ -80,10 +80,23 @@ void gemm_expand_mixed(std::size_t m, std::size_t n, std::size_t k,
                        const cplx32* a, std::size_t lda, const cplx32* b,
                        std::size_t ldb, cplx32* c, std::size_t ldc);
 
-/// Same but with A conjugate-transposed: C = alpha * A^H * B + beta * C,
-/// where A is stored (k x m) column-major.
-void gemm_herm_raw(std::size_t m, std::size_t n, std::size_t k, cplx alpha,
-                   const cplx* a, std::size_t lda, const cplx* b,
-                   std::size_t ldb, cplx beta, cplx* c, std::size_t ldc);
+/// C(m x n) = alpha * A^H * B + beta * C, where A is stored (k x m)
+/// column-major. Dot-product form: each C entry reduces one contiguous A
+/// column against one contiguous B column, four B columns per A column
+/// at a time, on the interleaved re/im components. Storage and
+/// accumulation scalars as in gemm_raw_t.
+template <typename TS, typename TD>
+void gemm_herm_raw_t(std::size_t m, std::size_t n, std::size_t k,
+                     std::complex<TD> alpha, const std::complex<TS>* a,
+                     std::size_t lda, const std::complex<TS>* b,
+                     std::size_t ldb, std::complex<TD> beta,
+                     std::complex<TD>* c, std::size_t ldc);
+
+extern template void gemm_herm_raw_t<double, double>(
+    std::size_t, std::size_t, std::size_t, cplx, const cplx*, std::size_t,
+    const cplx*, std::size_t, cplx, cplx*, std::size_t);
+extern template void gemm_herm_raw_t<float, double>(
+    std::size_t, std::size_t, std::size_t, cplx, const cplx32*, std::size_t,
+    const cplx32*, std::size_t, cplx, cplx*, std::size_t);
 
 }  // namespace ffw

@@ -29,16 +29,36 @@ double nrm2_impl(std::span<const std::complex<T>> x) {
   return std::sqrt(s);
 }
 
+// axpy and scal run on the interleaved re/im components (explicit real
+// arithmetic), which vectorises where a std::complex product does not.
 template <typename T>
 void axpy_impl(std::complex<T> a, std::span<const std::complex<T>> x,
                std::span<std::complex<T>> y) {
   FFW_DCHECK(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
+  const T ar = a.real(), ai = a.imag();
+  const T* xs = reinterpret_cast<const T*>(x.data());
+  T* ys = reinterpret_cast<T*>(y.data());
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+  for (std::size_t i = 0; i < 2 * x.size(); i += 2) {
+    ys[i] += ar * xs[i] - ai * xs[i + 1];
+    ys[i + 1] += ar * xs[i + 1] + ai * xs[i];
+  }
 }
 
 template <typename T>
 void scal_impl(std::complex<T> a, std::span<std::complex<T>> x) {
-  for (std::complex<T>& v : x) v *= a;
+  const T ar = a.real(), ai = a.imag();
+  T* xs = reinterpret_cast<T*>(x.data());
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+  for (std::size_t i = 0; i < 2 * x.size(); i += 2) {
+    const T xr = xs[i], xi = xs[i + 1];
+    xs[i] = ar * xr - ai * xi;
+    xs[i + 1] = ar * xi + ai * xr;
+  }
 }
 
 template <typename T>

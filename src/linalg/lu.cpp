@@ -2,17 +2,22 @@
 
 #include <cmath>
 
+#include "linalg/kernels.hpp"
+
 namespace ffw {
 
 LuFactors::LuFactors(CMatrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
   FFW_CHECK_MSG(lu_.rows() == lu_.cols(), "LU requires a square matrix");
   const std::size_t n = lu_.rows();
+  // Right-looking kji form: every inner loop runs down a contiguous
+  // column of the column-major storage.
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot: largest |value| in column k at or below the diagonal.
+    cplx* colk = lu_.data() + k * n;
     std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(colk[k]);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, k));
+      const double v = std::abs(colk[r]);
       if (v > best) {
         best = v;
         piv = r;
@@ -23,20 +28,18 @@ LuFactors::LuFactors(CMatrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
     if (piv != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
     }
-    const cplx dk = lu_(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const cplx m = lu_(r, k) / dk;
-      lu_(r, k) = m;
-      if (m == cplx{0.0}) continue;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= m * lu_(k, c);
+    const cspan lk{colk + k + 1, n - k - 1};  // multipliers l_rk, r > k
+    scal(1.0 / colk[k], lk);
+    for (std::size_t c = k + 1; c < n; ++c) {
+      cplx* colc = lu_.data() + c * n;
+      if (colc[k] == cplx{0.0}) continue;
+      axpy(-colc[k], lk, cspan{colc + k + 1, n - k - 1});
     }
   }
 }
 
-cvec LuFactors::solve(ccspan b) const {
+void LuFactors::solve_in_place(cplx* x) const {
   const std::size_t n = dim();
-  FFW_CHECK(b.size() == n);
-  cvec x(b.begin(), b.end());
   // Apply all row interchanges first: the stored L lives in the *final*
   // row ordering (factorisation swaps whole rows, multipliers included),
   // so P b must be formed completely before forward substitution.
@@ -44,13 +47,31 @@ cvec LuFactors::solve(ccspan b) const {
     if (perm_[k] != k) std::swap(x[k], x[perm_[k]]);
   }
   for (std::size_t k = 0; k < n; ++k) {  // L y = P b (unit lower)
-    for (std::size_t r = k + 1; r < n; ++r) x[r] -= lu_(r, k) * x[k];
+    if (x[k] == cplx{0.0}) continue;
+    axpy(-x[k], ccspan{lu_.data() + k * n + k + 1, n - k - 1},
+         cspan{x + k + 1, n - k - 1});
   }
-  for (std::size_t k = n; k-- > 0;) {  // back substitution
-    for (std::size_t c = k + 1; c < n; ++c) x[k] -= lu_(k, c) * x[c];
+  for (std::size_t k = n; k-- > 0;) {  // U x = y, column by column
     x[k] /= lu_(k, k);
+    axpy(-x[k], ccspan{lu_.data() + k * n, k}, cspan{x, k});
   }
+}
+
+cvec LuFactors::solve(ccspan b) const {
+  FFW_CHECK(b.size() == dim());
+  cvec x(b.begin(), b.end());
+  solve_in_place(x.data());
   return x;
+}
+
+CMatrix LuFactors::inverse() const {
+  const std::size_t n = dim();
+  CMatrix inv(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    inv(j, j) = 1.0;
+    solve_in_place(inv.data() + j * n);
+  }
+  return inv;
 }
 
 cvec LuFactors::solve_herm(ccspan b) const {

@@ -1,7 +1,8 @@
 // Dense LU factorisation with partial pivoting. This is the O(N^3)
 // direct solver the paper contrasts against (Sec. I); we use it as the
-// exact reference for small problems in tests and as the dense forward
-// solver in `forward/dense_ref`.
+// exact reference for small problems in tests, as the dense forward
+// solver in `forward/dense_ref`, and to invert the per-leaf blocks of the
+// near-field block-Jacobi preconditioner (`forward/precond`).
 #pragma once
 
 #include <vector>
@@ -12,8 +13,9 @@ namespace ffw {
 
 class LuFactors {
  public:
-  /// Factor A = P * L * U in place (A is copied). Aborts on exactly
-  /// singular pivots; `nearly_singular()` reports pivot conditioning.
+  /// Factor A = P * L * U in place (A is copied), column by column
+  /// (right-looking, partial pivoting on the largest |a_rk|). Aborts on
+  /// exactly singular pivots; `pivot_ratio()` reports conditioning.
   explicit LuFactors(CMatrix a);
 
   /// Solve A x = b. b.size() == n.
@@ -22,19 +24,20 @@ class LuFactors {
   /// Solve A^H x = b (uses U^H L^H P^T without refactoring).
   cvec solve_herm(ccspan b) const;
 
+  /// A^{-1}, one column-oriented solve per identity column. Lets a
+  /// consumer that applies the same small system to many right-hand
+  /// sides (forward/precond.hpp, one inverse per leaf) do it as a GEMM.
+  CMatrix inverse() const;
+
   /// Ratio of smallest to largest |pivot| — a cheap conditioning probe.
   double pivot_ratio() const;
 
   std::size_t dim() const { return lu_.rows(); }
 
-  /// Packed factors (column-major; unit-lower L multipliers below the
-  /// diagonal, U on and above) and the pivot row chosen at each step —
-  /// exposed so batched consumers (forward/precond.hpp packs one LU per
-  /// leaf) can copy the factorisation into their own storage layout.
-  const CMatrix& factors() const { return lu_; }
-  const std::vector<std::size_t>& pivots() const { return perm_; }
-
  private:
+  /// x <- A^{-1} x in place (x has dim() entries).
+  void solve_in_place(cplx* x) const;
+
   CMatrix lu_;
   std::vector<std::size_t> perm_;  // row permutation: pivot row at step k
 };

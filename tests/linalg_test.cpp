@@ -72,6 +72,86 @@ TEST(Gemm, HermitianVariantMatchesNaive) {
       EXPECT_NEAR(std::abs(c(i, j) - ref(i, j)), 0.0, 1e-12);
 }
 
+class HermGemmShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+// The vectorised A^H B kernel against a naive reference, at fp64 and at
+// fp32 storage (fp64 accumulation), on sizes that are not multiples of
+// the SIMD width or of its four-column tile.
+TEST_P(HermGemmShapes, MatchesNaiveAtBothStoragePrecisions) {
+  const auto [mi, ni, ki] = GetParam();
+  const auto m = static_cast<std::size_t>(mi), n = static_cast<std::size_t>(ni),
+             k = static_cast<std::size_t>(ki);
+  Rng rng(static_cast<std::uint64_t>(mi * 1000 + ni * 100 + ki));
+  const CMatrix a = random_matrix(k, m, rng);
+  const CMatrix b = random_matrix(k, n, rng);
+  const CMatrix c0 = random_matrix(m, n, rng);
+  const cplx alpha{0.7, -1.1}, beta{-0.3, 0.5};
+
+  // Reference over the operands as stored.
+  const auto reference = [&](const CMatrix& as, const CMatrix& bs) {
+    CMatrix ref = c0;
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) {
+        cplx acc{};
+        for (std::size_t p = 0; p < k; ++p)
+          acc += std::conj(as(p, i)) * bs(p, j);
+        ref(i, j) = beta * c0(i, j) + alpha * acc;
+      }
+    return ref;
+  };
+  const auto max_err = [&](const CMatrix& c, const CMatrix& ref) {
+    double err = 0.0;
+    for (std::size_t i = 0; i < c.size(); ++i)
+      err = std::max(err, std::abs(c.data()[i] - ref.data()[i]));
+    return err;
+  };
+
+  CMatrix c64 = c0;
+  gemm_herm_raw_t<double, double>(m, n, k, alpha, a.data(), k, b.data(), k,
+                                  beta, c64.data(), m);
+  EXPECT_LT(max_err(c64, reference(a, b)), 1e-12 * static_cast<double>(k));
+
+  // fp32 storage: the reference reads the widened fp32 operands back
+  // from memory.
+  const auto to32 = [](const CMatrix& x) {
+    cvec32 out(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = narrow(x.data()[i]);
+    return out;
+  };
+  const auto to64 = [](const cvec32& x, std::size_t rows, std::size_t cols) {
+    CMatrix out(rows, cols);
+    for (std::size_t i = 0; i < x.size(); ++i) out.data()[i] = widen(x[i]);
+    return out;
+  };
+  const cvec32 a32 = to32(a), b32 = to32(b);
+  CMatrix c32 = c0;
+  gemm_herm_raw_t<float, double>(m, n, k, alpha, a32.data(), k, b32.data(), k,
+                                 beta, c32.data(), m);
+  EXPECT_LT(max_err(c32, reference(to64(a32, k, m), to64(b32, k, n))),
+            1e-12 * static_cast<double>(k));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OddShapes, HermGemmShapes,
+    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{5, 3, 7},
+                      std::tuple{13, 9, 61}, std::tuple{37, 5, 65},
+                      std::tuple{3, 11, 129}));
+
+TEST(Lu, InverseTimesMatrixIsIdentity) {
+  Rng rng(4);
+  const std::size_t n = 37;
+  const CMatrix a = random_matrix(n, n, rng);
+  const CMatrix inv = LuFactors(a).inverse();
+  CMatrix prod(n, n);
+  gemm(cplx{1.0}, inv, a, cplx{}, prod);
+  double err = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i)
+      err = std::max(err, std::abs(prod(i, j) - (i == j ? 1.0 : 0.0)));
+  EXPECT_LT(err, 1e-12);
+}
+
 TEST(Lu, SolveRandomSystem) {
   Rng rng(5);
   const std::size_t n = 40;

@@ -231,6 +231,30 @@ TEST(ParallelDbim, HistoryCountsMatchSerialWhenStoppedEarly) {
   EXPECT_GT(par.history.bicgstab_iterations, 0u);
 }
 
+// Regression: the partitioned workspace rebuilt the near-field
+// preconditioner at every background update but never reported the
+// time, so DbimHistory::precond_setup_seconds read 0 on this path.
+TEST(ParallelDbim, ReportsPreconditionerSetupTime) {
+  SceneFixture f;
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = 2;
+  pcfg.dbim.near_precondition = true;
+  VCluster vc(4);
+  const DbimResult par = dbim_reconstruct_parallel(
+      vc, f.scene->tree(), f.scene->transceivers(), f.scene->measurements(),
+      pcfg);
+  EXPECT_GT(par.history.precond_setup_seconds, 0.0);
+
+  pcfg.dbim.near_precondition = false;
+  VCluster vc_plain(4);
+  const DbimResult plain = dbim_reconstruct_parallel(
+      vc_plain, f.scene->tree(), f.scene->transceivers(),
+      f.scene->measurements(), pcfg);
+  EXPECT_EQ(plain.history.precond_setup_seconds, 0.0);
+}
+
 // Regression: the parallel driver silently ignored the stepper's
 // DbimOptions hooks. Progress fires once per iteration and the
 // checkpoint hook receives the natural-order state of every completed

@@ -11,12 +11,14 @@
 
 #include "common/rng.hpp"
 #include "dbim/parallel_driver.hpp"
+#include "forward/block_bicgstab.hpp"
 #include "forward/forward.hpp"
 #include "forward/precond.hpp"
 #include "forward/recycle.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 #include "vcluster/fault.hpp"
 
@@ -108,8 +110,94 @@ TEST(NearFieldBlockJacobi, MixedStorageSolvesToFp32Accuracy) {
   p64.apply(x, z64, lo);
   p32.apply(x, z32, lo);
   const double d = rel_l2_diff(z32, z64);
-  EXPECT_LT(d, 1e-4);   // fp32 triangular solves
+  EXPECT_LT(d, 1e-4);   // fp32 inverses
   EXPECT_GT(d, 1e-12);  // and they really are fp32, not fp64 copies
+}
+
+/// Block vectors compare bit for bit.
+bool same_bits(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// The preconditioner and the block solver work leaf-parallel and
+// chunk-parallel; neither may let the thread count into the result.
+TEST(NearFieldBlockJacobi, ThreadCountDoesNotChangeAnyBit) {
+  LeafFixture f;
+  const CMatrix& self = f.engine.nearfield().type(4);
+  NearFieldBlockJacobi p(self, f.o_clu);
+  // Enough columns that the block splits into several fixed chunks.
+  const BlockLayout lo{f.np, 64, f.nleaf};
+  ASSERT_GT(BlockChunks(lo).count, 1u);
+  Rng rng(76);
+  cvec x(lo.size()), b(lo.size());
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(b);
+
+  // A fixed block operator: the preconditioned leaf systems plus a weak
+  // coupling to the next leaf, applied in one serial loop.
+  const auto op = [&](ccspan in, cspan out) {
+    cvec col(f.np), mcol(f.np);
+    for (std::size_t c = 0; c < f.nleaf; ++c) {
+      const CMatrix m =
+          leaf_system(self, ccspan{f.o_clu.data() + c * f.np, f.np});
+      const std::size_t next = (c + 1) % f.nleaf;
+      for (std::size_t r = 0; r < lo.nrhs; ++r) {
+        std::copy_n(in.data() + lo.at(c, r), f.np, col.begin());
+        matvec(m, col, mcol);
+        const cplx* xn = in.data() + lo.at(next, r);
+        cplx* y = out.data() + lo.at(c, r);
+        for (std::size_t i = 0; i < f.np; ++i) y[i] = mcol[i] + 0.05 * xn[i];
+      }
+    }
+  };
+  BicgstabOptions opts;
+  opts.tol = 1e-10;
+
+  struct Run {
+    cvec z, zh, sol;
+    BlockBicgstabResult res;
+  };
+  const auto run = [&](int threads) {
+    set_num_threads(threads);
+    Run out{cvec(lo.size()), cvec(lo.size()), cvec(lo.size(), cplx{}), {}};
+    p.apply(x, out.z, lo);
+    p.apply_herm(x, out.zh, lo);
+    out.res = block_bicgstab(op, b, out.sol, lo, opts, {},
+                             PrecondContext{&p, lo, false});
+    set_num_threads(0);
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  EXPECT_TRUE(same_bits(one.z, four.z));
+  EXPECT_TRUE(same_bits(one.zh, four.zh));
+  ASSERT_TRUE(one.res.converged);
+  EXPECT_EQ(one.res.iterations, four.res.iterations);
+  EXPECT_EQ(one.res.total_iterations(), four.res.total_iterations());
+  EXPECT_TRUE(same_bits(one.sol, four.sol));
+}
+
+// <M^{-1} x, y> = <x, M^{-H} y>: apply_herm is the adjoint of apply, at
+// fp64 storage to rounding and at fp32 storage to the fp32 rounding of
+// the operands.
+TEST(NearFieldBlockJacobi, ApplyHermIsTheAdjointOfApply) {
+  LeafFixture f;
+  const CMatrix& self = f.engine.nearfield().type(4);
+  const BlockLayout lo{f.np, 3, f.nleaf};
+  Rng rng(77);
+  cvec x(lo.size()), y(lo.size()), mx(lo.size()), mhy(lo.size());
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(y);
+  for (const auto& [storage, tol] :
+       {std::pair{Precision::kDouble, 1e-12}, std::pair{Precision::kMixed, 1e-5}}) {
+    const NearFieldBlockJacobi p(self, f.o_clu, storage);
+    p.apply(x, mx, lo);
+    p.apply_herm(y, mhy, lo);
+    const cplx lhs = cdot(mx, y), rhs = cdot(x, mhy);
+    EXPECT_LT(std::abs(lhs - rhs), tol * std::abs(lhs))
+        << (storage == Precision::kMixed ? "fp32" : "fp64");
+  }
 }
 
 // The preconditioner must not move the answer: with a tight tolerance
