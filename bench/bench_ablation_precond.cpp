@@ -37,7 +37,7 @@ SolveCost cost_for(MlfmaEngine& engine, ccspan contrast, Mode mode) {
   const Grid& grid = engine.tree().grid();
   Transceivers trx(grid, ring_positions(1, grid.domain()),
                    ring_positions(4, grid.domain()));
-  const cvec inc = trx.incident_field(0);
+  const ccspan inc = trx.incident_field(0);
   cvec phi(grid.num_pixels(), cplx{});
   const BicgstabResult r = fs.solve(inc, phi);
   SolveCost out;

@@ -40,13 +40,8 @@ struct SolveTiming {
 cvec incident_panel(const Grid& grid) {
   Transceivers trx(grid, ring_positions(kNrhs, grid.domain()),
                    ring_positions(4, grid.domain()));
-  cvec rhs(grid.num_pixels() * kNrhs);
-  for (std::size_t t = 0; t < kNrhs; ++t) {
-    const cvec inc = trx.incident_field(t);
-    std::copy(inc.begin(), inc.end(),
-              rhs.begin() + static_cast<std::ptrdiff_t>(t * inc.size()));
-  }
-  return rhs;
+  const ccspan panel = trx.incident_panel();
+  return cvec(panel.begin(), panel.end());
 }
 
 template <typename Solve>

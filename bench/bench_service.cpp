@@ -90,7 +90,6 @@ DbimResult run_one(OperatorTableCache& cache, const JobSpec& spec) {
   const auto tt =
       cache.transceiver_tables(grid, spec.transmitters, spec.receivers);
   DbimOptions opts = spec.dbim;
-  opts.incident_panel = tt->incident();
   opts.table_cache = &cache;
   return dbim_reconstruct(engine, tt->trx, spec.measured, opts, spec.forward,
                           spec.initial_contrast);

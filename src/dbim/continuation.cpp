@@ -168,14 +168,13 @@ ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
   const Grid final_grid(config.nx);
   FFW_CHECK(true_permittivity.size() == final_grid.num_pixels());
   // Per-scene pointers cannot mean anything across a multi-grid ladder
-  // — the driver wires per-band engines, panels and checkpoints itself.
+  // — the driver wires per-band engines and checkpoints itself.
   FFW_CHECK_MSG(options.dbim.mixed_engine == nullptr,
                 "continuation: set ContinuationOptions::mixed_precision "
                 "instead of DbimOptions::mixed_engine");
   FFW_CHECK_MSG(options.dbim.resume == nullptr && !options.dbim.checkpoint,
                 "continuation: per-band DBIM resume/checkpoint hooks are "
                 "owned by the ladder (use checkpoint_path)");
-  FFW_CHECK(options.dbim.incident_panel.empty());
 
   ContinuationResult out;
   const int nbands = static_cast<int>(ladder.bands.size());
@@ -219,7 +218,6 @@ ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
     opts.max_iterations = band.max_iterations;
     opts.residual_tol = band.residual_tol;
     if (config.table_cache != nullptr) opts.table_cache = config.table_cache;
-    opts.incident_panel = scene.incident_panel();
     std::unique_ptr<MlfmaEngine> mixed;
     if (options.mixed_precision) {
       MlfmaParams mp = stage_config.mlfma;

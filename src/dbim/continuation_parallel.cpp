@@ -69,7 +69,6 @@ ContinuationResult continuation_reconstruct_parallel(
                     copt.dbim.resume == nullptr && !copt.dbim.checkpoint,
                 "band-parallel continuation: per-scene DBIM pointers are "
                 "owned by the ladder");
-  FFW_CHECK(copt.dbim.incident_panel.empty());
 
   const int nbands = static_cast<int>(ladder.bands.size());
   const FreqPartition part = make_freq_partition(
@@ -226,10 +225,7 @@ ContinuationResult continuation_reconstruct_parallel(
       DbimOptions opts = copt.dbim;
       opts.max_iterations = band.max_iterations;
       opts.residual_tol = band.residual_tol;
-      if (config.table_cache != nullptr) {
-        opts.table_cache = config.table_cache;
-        opts.incident_panel = trx_tables->incident();
-      }
+      if (config.table_cache != nullptr) opts.table_cache = config.table_cache;
       std::unique_ptr<MlfmaEngine> engine;
       std::unique_ptr<PartitionedMlfma> pm;
       std::unique_ptr<DbimStepper> stepper;

@@ -92,21 +92,10 @@ void DbimWorkspace::set_recycling(std::size_t depth, double ridge) {
   rec_step_ = KrylovRecycler(RecycleOptions{depth, ridge});
 }
 
-ccspan DbimWorkspace::incident_column(int t, cvec& storage) const {
-  if (!incident_panel_.empty()) {
-    FFW_DCHECK(incident_panel_.size() >=
-               (static_cast<std::size_t>(t) + 1) * npix_);
-    return incident_panel_.subspan(static_cast<std::size_t>(t) * npix_, npix_);
-  }
-  storage = trx_->incident_field(t);
-  return storage;
-}
-
 double DbimWorkspace::residual_pass(int t, cspan residual) {
   FFW_CHECK(residual.size() == measured_->rows());
   const std::size_t tc = static_cast<std::size_t>(t);
-  cvec inc_storage;
-  const ccspan inc = incident_column(t, inc_storage);
+  const ccspan inc = trx_->incident_field(t);
   cspan phi = phi_b_.col(tc);
   if (!phi_b_valid_[tc]) {
     copy(inc, phi);  // first iteration: incident field as initial guess
@@ -179,29 +168,30 @@ double DbimWorkspace::residual_pass_all(cspan residuals) {
   const std::size_t tc = measured_->cols();
   const std::size_t nr = measured_->rows();
   FFW_CHECK(residuals.size() == nr * tc);
-  // RHS panel: all incident fields; warm-start guesses live directly in
-  // the phi_b_ columns, which the block solve updates in place.
-  cvec rhs(npix_ * tc);
-  cvec inc_storage;
+  // RHS panel: the owned incident panel; warm-start guesses live
+  // directly in the phi_b_ columns, which the block solve updates in
+  // place.
   for (std::size_t t = 0; t < tc; ++t) {
-    const ccspan inc = incident_column(static_cast<int>(t), inc_storage);
-    std::copy(inc.begin(), inc.end(), rhs.begin() +
-              static_cast<std::ptrdiff_t>(t * npix_));
     if (!phi_b_valid_[t]) {
-      copy(inc, phi_b_.col(t));  // first iteration: incident field guess
+      // first iteration: incident field guess
+      copy(trx_->incident_field(static_cast<int>(t)), phi_b_.col(t));
       phi_b_valid_[t] = true;
     }
   }
-  FFW_CHECK_MSG(block_solve(rhs, cspan{phi_b_.data(), npix_ * tc}, tc,
+  FFW_CHECK_MSG(block_solve(trx_->incident_panel(),
+                            cspan{phi_b_.data(), npix_ * tc}, tc,
                             /*adjoint=*/false),
                 "DBIM residual-pass block solve diverged");
+  // phi_sca = G_R (O_b .* phi_b) for every column in one projection.
+  cvec ophi(npix_ * tc);
+  for (std::size_t t = 0; t < tc; ++t) {
+    diag_mul(solver_.contrast_natural(), ccspan{phi_b_.col(t).data(), npix_},
+             cspan{ophi.data() + t * npix_, npix_});
+  }
+  trx_->apply_gr(ophi, residuals, tc);
   double cost = 0.0;
-  cvec ophi(npix_);
   for (std::size_t t = 0; t < tc; ++t) {
     cspan residual{residuals.data() + t * nr, nr};
-    diag_mul(solver_.contrast_natural(),
-             ccspan{phi_b_.col(t).data(), npix_}, ophi);
-    trx_->apply_gr(ophi, residual);
     sub(residual, measured_->col(t), residual);
     const double rn = nrm2(ccspan{residual.data(), nr});
     cost += rn * rn;
@@ -217,9 +207,8 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
   // [I - G0 O]^H for all t, then the G0^H products as one blocked apply.
   cvec g1(npix_ * tc), w2(npix_ * tc), w3(npix_ * tc, cplx{}),
       w4(npix_ * tc);
+  trx_->apply_gr_herm(residuals, g1, tc);
   for (std::size_t t = 0; t < tc; ++t) {
-    trx_->apply_gr_herm(ccspan{residuals.data() + t * nr, nr},
-                        cspan{g1.data() + t * npix_, npix_});
     diag_mul_conj(solver_.contrast_natural(),
                   ccspan{g1.data() + t * npix_, npix_},
                   cspan{w2.data() + t * npix_, npix_});
@@ -245,7 +234,7 @@ double DbimWorkspace::step_pass_all(ccspan direction) {
   const std::size_t tc = measured_->cols();
   FFW_CHECK(direction.size() == npix_);
   // Blocked Frechet apply: u_t = d .* phi_b,t, one blocked G0 apply, one
-  // block forward solve, then the receiver projections per column.
+  // block forward solve, then one panel receiver projection.
   cvec u1(npix_ * tc), u2(npix_ * tc), w(npix_ * tc, cplx{});
   for (std::size_t t = 0; t < tc; ++t) {
     diag_mul(direction, ccspan{phi_b_.col(t).data(), npix_},
@@ -257,13 +246,17 @@ double DbimWorkspace::step_pass_all(ccspan direction) {
   FFW_CHECK_MSG(block_solve(u2, w, tc, /*adjoint=*/false),
                 "DBIM step-pass block solve diverged");
   rec_step_.store(u2, w, lon);
-  double denom = 0.0;
   for (std::size_t t = 0; t < tc; ++t) {
     diag_mul_acc(solver_.contrast_natural(),
                  ccspan{w.data() + t * npix_, npix_},
                  cspan{u1.data() + t * npix_, npix_});
-    trx_->apply_gr(ccspan{u1.data() + t * npix_, npix_}, scratch_r_);
-    const double fn = nrm2(scratch_r_);
+  }
+  const std::size_t nr = measured_->rows();
+  cvec sc(nr * tc);
+  trx_->apply_gr(u1, sc, tc);
+  double denom = 0.0;
+  for (std::size_t t = 0; t < tc; ++t) {
+    const double fn = nrm2(ccspan{sc.data() + t * nr, nr});
     denom += fn * fn;
   }
   return denom;
@@ -334,9 +327,6 @@ std::unique_ptr<DbimPasses> local_workspace(MlfmaEngine& engine,
     }
     ws->set_backend(opts.backend, opts.cbs, opts.auto_contrast_threshold,
                     opts.auto_escalation_rate, std::move(ctab));
-  }
-  if (!opts.incident_panel.empty()) {
-    ws->set_incident_panel(opts.incident_panel);
   }
   return ws;
 }

@@ -110,13 +110,6 @@ struct DbimOptions {
   /// CBS configuration used by kCbs / kAuto (tolerance comes from the
   /// forward BicgstabOptions + forcing, like every other solve).
   CbsOptions cbs;
-  /// Precomputed incident-field panel (n x T, column t at offset t * n;
-  /// borrowed). When set, the residual passes read their per-transmitter
-  /// incident fields here instead of re-evaluating T Hankel passes every
-  /// DBIM iteration — the service wires the shared TransceiverTables
-  /// panel through this. Values must equal trx.incident_field(t) bit for
-  /// bit (they do when both come from the same Transceivers geometry).
-  ccspan incident_panel = {};
   /// Shared operator-table cache (borrowed; service/table_cache.hpp).
   /// When set, a kCbs / kAuto run obtains its CBS kernel spectrum and
   /// FFT plans from the cache instead of building privately.
@@ -242,10 +235,6 @@ class DbimWorkspace final : public DbimPasses {
   const Transceivers& transceivers() const { return *trx_; }
   int num_illuminations() const;
 
-  /// Installs a precomputed incident panel (DbimOptions::incident_panel
-  /// contract); empty span reverts to per-call evaluation.
-  void set_incident_panel(ccspan panel) { incident_panel_ = panel; }
-
   /// Enables Krylov recycling of the gradient and step-length block
   /// solves (depth 0 disables). Snapshots are cleared whenever
   /// set_background drops the warm-started fields.
@@ -270,10 +259,6 @@ class DbimWorkspace final : public DbimPasses {
   /// engine is registered on the solver; returns convergence.
   bool block_solve(ccspan rhs, cspan x, std::size_t nrhs, bool adjoint);
 
-  /// Incident field of transmitter t: a view into the installed panel,
-  /// or freshly evaluated into `storage`.
-  ccspan incident_column(int t, cvec& storage) const;
-
   const Transceivers* trx_;
   const CMatrix* measured_;
   ForwardSolver solver_;
@@ -295,7 +280,6 @@ class DbimWorkspace final : public DbimPasses {
   std::vector<bool> phi_b_valid_;
   cvec scratch_r_;
   double forcing_tol_ = 0.0;
-  ccspan incident_panel_ = {};  // borrowed; empty = evaluate per call
   // Recycled (rhs, solution) snapshots of the gradient / step-length
   // block solves across DBIM iterations (residual passes warm-start from
   // phi_b_ instead). Disabled at depth 0.

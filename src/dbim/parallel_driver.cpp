@@ -26,8 +26,7 @@ class PartitionedWorkspace final : public DbimPasses {
                        const DbimOptions& opts, const BicgstabOptions& fw_opts)
       : comm_(&comm), pm_(&pm), tree_(&tree), trx_(&trx),
         measured_(&measured), fw_opts_(fw_opts),
-        near_precondition_(opts.near_precondition),
-        incident_panel_(opts.incident_panel), window_base_(rank_base),
+        near_precondition_(opts.near_precondition), window_base_(rank_base),
         tree_ranks_(pm.nranks()) {
     FFW_CHECK_MSG(opts.backend == BackendKind::kMlfma,
                   "parallel DBIM runs on the partitioned MLFMA engine only; "
@@ -114,11 +113,8 @@ class PartitionedWorkspace final : public DbimPasses {
     double cost = 0.0;
     if (!local_t_.empty()) {
       const std::size_t nr = measured_->rows();
-      cvec rhs(lo_.size()), inc(nloc_);
-      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
-        incident_field(local_t_[i], inc);
-        block_col_set(lo_, rhs, i, inc);
-      }
+      cvec rhs(lo_.size());
+      load_incident(rhs);
       FFW_CHECK_MSG(solve_block(rhs, phi_b_, /*adjoint=*/false),
                     "parallel DBIM forward solve diverged");
       cvec v(lo_.size());
@@ -139,14 +135,9 @@ class PartitionedWorkspace final : public DbimPasses {
   /// illuminations, then the combine across illumination groups.
   void gradient_pass_all(ccspan residuals, cspan grad) override {
     if (!local_t_.empty()) {
-      const std::size_t nr = measured_->rows();
       cvec g1(lo_.size()), w2(lo_.size()), w3(lo_.size(), cplx{}),
-          w4(lo_.size()), g(nloc_);
-      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
-        trx_->apply_gr_herm_subset(ccspan{residuals.data() + i * nr, nr},
-                                   nat_idx_, g);
-        block_col_set(lo_, g1, i, g);
-      }
+          w4(lo_.size());
+      gr_project_herm(trx_->gr(), nat_idx_, lo_, residuals, g1);
       block_diag_mul_conj(lo_, o_loc_, g1, w2);
       // Krylov recycling: seed from the least-squares combination of the
       // retained (rhs, solution) pairs — collective over the tree group,
@@ -308,27 +299,24 @@ class PartitionedWorkspace final : public DbimPasses {
                : comm_->group_allreduce_sum(v, window_ranks_);
   }
 
-  /// Incident field of transmitter t on the local pixels: from the
-  /// installed panel (DbimOptions::incident_panel) or evaluated.
-  void incident_field(int t, cspan inc) const {
-    if (incident_panel_.empty()) {
-      trx_->incident_field_subset(t, nat_idx_, inc);
-      return;
+  /// Incident fields of the local illuminations as one block vector,
+  /// gathered from the transceivers' owned panel.
+  void load_incident(cspan blk) const {
+    const ccspan panel = trx_->incident_panel();
+    for (std::size_t c = 0; c < lo_.npanels; ++c) {
+      for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+        const cplx* col =
+            panel.data() + static_cast<std::size_t>(local_t_[i]) * npix_;
+        cplx* out = blk.data() + lo_.at(c, i);
+        for (std::size_t j = 0; j < lo_.panel; ++j)
+          out[j] = col[nat_idx_[c * lo_.panel + j]];
+      }
     }
-    const cplx* col =
-        incident_panel_.data() + static_cast<std::size_t>(t) * npix_;
-    for (std::size_t q = 0; q < nloc_; ++q) inc[q] = col[nat_idx_[q]];
   }
 
   /// (Re)load the incident fields of the local illuminations into the
   /// phi_b block.
-  void reset_phi_to_incident() {
-    cvec inc(nloc_);
-    for (std::size_t i = 0; i < lo_.nrhs; ++i) {
-      incident_field(local_t_[i], inc);
-      block_col_set(lo_, phi_b_, i, inc);
-    }
-  }
+  void reset_phi_to_incident() { load_incident(phi_b_); }
 
   /// Y = [I - G0 O] X on local block slices (collective over the tree
   /// group; one halo message per peer per level for all columns).
@@ -368,17 +356,11 @@ class PartitionedWorkspace final : public DbimPasses {
   }
 
   /// G_R projections of all block columns at once: cols[t] = G_R v_t,
-  /// replicated within the tree group after ONE batched allreduce
-  /// (instead of one per transmitter).
+  /// one panel projection over the local pixels (read in place from the
+  /// shared G_R), replicated within the tree group after ONE batched
+  /// allreduce.
   void gr_full_block(ccspan v_block, cspan cols) {
-    const std::size_t nr = measured_->rows();
-    FFW_CHECK(cols.size() == nr * lo_.nrhs);
-    std::fill(cols.begin(), cols.end(), cplx{});
-    cvec v(nloc_);
-    for (std::size_t t = 0; t < lo_.nrhs; ++t) {
-      block_col_get(lo_, v_block, t, v);
-      trx_->apply_gr_subset(v, nat_idx_, cspan{cols.data() + t * nr, nr});
-    }
+    gr_project(trx_->gr(), nat_idx_, lo_, v_block, cols);
     comm_->group_allreduce_sum(cols, tree_group_);
   }
 
@@ -389,8 +371,7 @@ class PartitionedWorkspace final : public DbimPasses {
   const CMatrix* measured_;
   BicgstabOptions fw_opts_;
   bool near_precondition_;
-  ccspan incident_panel_;  // borrowed; empty = evaluate per call
-  int window_base_;        // first global rank of the window
+  int window_base_;  // first global rank of the window
   int tree_ranks_;
 
   int wrank_ = 0;      // rank within the window

@@ -83,7 +83,8 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
 /// with the same arguments and drive it with a DbimStepper. `pm`,
 /// `tree`, `trx` and `measured` are borrowed. MLFMA only: refuses
 /// (FFW_CHECK) a CBS/kAuto backend and a mixed engine; honours
-/// near_precondition, recycling and incident_panel.
+/// near_precondition and recycling. Receiver projections read trx's
+/// G_R and incident panel in place, at the rank's pixels.
 std::unique_ptr<DbimPasses> make_partitioned_workspace(
     Comm& comm, int rank_base, int illum_groups, const PartitionedMlfma& pm,
     const QuadTree& tree, const Transceivers& trx, const CMatrix& measured,

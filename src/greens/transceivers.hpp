@@ -8,15 +8,19 @@
 // where sf is the Richmond source-disk factor (the receiver sees the
 // *radiated* field of each contrast pixel, integrated over the pixel).
 //
-// G_R is materialised as a dense R x N matrix when it fits the
-// configurable budget (it is reused ~3T times per DBIM iteration),
-// otherwise applied matrix-free.
+// The constructor materialises both operators once: the dense R x N
+// receiver matrix G_R and the N x T incident-field panel (every column
+// of G_T). Every receiver projection is then a panel GEMM over all the
+// columns a pass holds, G_R X forward and G_R^H U adjoint; no projection
+// evaluates a Hankel function. The two panels together may hold at most
+// kMaxPanelEntries complex entries (256 MB); a larger geometry is refused
+// at construction, naming R, T and N.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "grid/grid.hpp"
+#include "linalg/block.hpp"
 #include "linalg/cmatrix.hpp"
 
 namespace ffw {
@@ -28,13 +32,31 @@ std::vector<Vec2> ring_positions(int count, double radius,
                                  double angle_begin = 0.0,
                                  double angle_end = 2.0 * pi);
 
+/// Receiver projection of a pixel panel: Y (R x lo.nrhs, column-major)
+/// = G X, where G is R x N column-major and X is a block vector in
+/// layout `lo` whose row q is pixel `pixels[q]` (pixel q when `pixels`
+/// is empty, which needs lo.rows() == N). Runs one GEMM per run of
+/// consecutive pixels inside fixed row chunks (sized from the shape
+/// alone) and sums the per-chunk partials in chunk order, so the result
+/// does not depend on the thread count. Serves the natural-order panel
+/// (npanels == 1) and a rank's leaf-blocked slice (its cluster-order
+/// pixels, runs of one leaf row) alike, reading the one shared G.
+void gr_project(const CMatrix& g, std::span<const std::uint32_t> pixels,
+                const BlockLayout& lo, ccspan x, cspan y);
+
+/// Adjoint projection: X = G^H U (U: R x lo.nrhs column-major; X a block
+/// vector in layout `lo`, rows as in gr_project), one GEMM per run, no
+/// reduction.
+void gr_project_herm(const CMatrix& g, std::span<const std::uint32_t> pixels,
+                     const BlockLayout& lo, ccspan u, cspan x);
+
 class Transceivers {
  public:
-  /// `materialize_budget` — max number of complex entries the dense G_R
-  /// cache may occupy (default 16M entries = 256 MB).
+  /// Cap on (R + T) * N, the entries of the two materialised panels.
+  static constexpr std::size_t kMaxPanelEntries = std::size_t{16} << 20;
+
   Transceivers(const Grid& grid, std::vector<Vec2> transmitters,
-               std::vector<Vec2> receivers,
-               std::size_t materialize_budget = std::size_t{16} << 20);
+               std::vector<Vec2> receivers);
 
   int num_transmitters() const { return static_cast<int>(tx_.size()); }
   int num_receivers() const { return static_cast<int>(rx_.size()); }
@@ -42,38 +64,30 @@ class Transceivers {
   const std::vector<Vec2>& receivers() const { return rx_; }
 
   /// Incident field of transmitter t on all pixels (natural order),
-  /// unit source amplitude.
-  cvec incident_field(int t) const;
+  /// unit source amplitude: a view into the owned panel.
+  ccspan incident_field(int t) const;
 
-  /// y = G_R x (x: pixel vector, natural order; y: length R).
-  void apply_gr(ccspan x, cspan y) const;
+  /// All incident fields: N x T, column t at offset t * N.
+  ccspan incident_panel() const { return incident_; }
 
-  /// y = G_R^H x (x: length R; y: pixel vector, natural order).
-  void apply_gr_herm(ccspan x, cspan y) const;
+  /// The dense receiver matrix G_R (R x N, natural pixel order).
+  const CMatrix& gr() const { return gr_; }
 
-  bool gr_materialized() const { return gr_.has_value(); }
+  /// Y = G_R X: X holds nrhs natural-order pixel columns (N x nrhs,
+  /// column-major), Y is R x nrhs.
+  void apply_gr(ccspan x, cspan y, std::size_t nrhs = 1) const;
 
-  /// Partial G_R products over a pixel subset (used by the distributed
-  /// DBIM driver, where each tree rank owns a slice of the image):
-  /// y += sum_i G_R[:, pixels[i]] * x_sub[i]. Caller zero-fills and
-  /// allreduces y over the tree group.
-  void apply_gr_subset(ccspan x_sub, std::span<const std::uint32_t> pixels,
-                       cspan y_accum) const;
+  /// X = G_R^H U: U is R x nrhs, X is N x nrhs (natural order).
+  void apply_gr_herm(ccspan u, cspan x, std::size_t nrhs = 1) const;
 
-  /// y_sub[i] = (G_R^H u)[pixels[i]].
-  void apply_gr_herm_subset(ccspan u, std::span<const std::uint32_t> pixels,
-                            cspan y_sub) const;
-
-  /// Incident field of transmitter t restricted to a pixel subset.
-  void incident_field_subset(int t, std::span<const std::uint32_t> pixels,
-                             cspan out) const;
+  /// Bytes of the owned panels (G_R and the incident fields).
+  std::size_t bytes() const;
 
  private:
-  cplx gr_entry(int r, std::size_t pixel) const;
-
   const Grid* grid_;
   std::vector<Vec2> tx_, rx_;
-  std::optional<CMatrix> gr_;  // R x N cache
+  CMatrix gr_;    // R x N
+  cvec incident_;  // N x T
 };
 
 }  // namespace ffw

@@ -133,11 +133,6 @@ void narrow(ccspan x, cspan32 y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = narrow(x[i]);
 }
 
-void widen(ccspan32 x, cspan y) {
-  FFW_DCHECK(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = widen(x[i]);
-}
-
 double rel_max_diff(ccspan x, ccspan y) {
   FFW_CHECK(x.size() == y.size());
   double dmax = 0.0, ymax = 0.0;

@@ -50,12 +50,9 @@ void diag_mul_acc(ccspan32 d, ccspan32 x, cspan32 y);
 /// Pointwise y_i = conj(d_i) * x_i (adjoint of a diagonal operator).
 void diag_mul_conj(ccspan d, ccspan x, cspan y);
 
-/// Precision conversion: y_i = (cplx32) x_i and y_i = (cplx) x_i. The
-/// narrowing pass is the mixed engine's once-per-apply entry cost; the
-/// widening pass returns fp32 spectra (e.g. upward_only's top panel) to
-/// fp64 consumers.
+/// Precision conversion y_i = (cplx32) x_i: the mixed engine's
+/// once-per-apply entry cost.
 void narrow(ccspan x, cspan32 y);
-void widen(ccspan32 x, cspan y);
 
 /// max_i |x_i - y_i| / max_i |y_i| — relative max-norm difference.
 double rel_max_diff(ccspan x, ccspan y);

@@ -104,8 +104,6 @@ void MlfmaEngine::shrink_workspace() {
   herm_scratch_.shrink_to_fit();
   x32_.clear();
   x32_.shrink_to_fit();
-  upward_widened_.clear();
-  upward_widened_.shrink_to_fit();
   block_capacity_ = 1;
   ensure_block_capacity(1);
 }
@@ -120,7 +118,6 @@ std::size_t MlfmaEngine::bytes() const {
   for (const auto& v : thread_scratch32_) s += v.size() * sizeof(cplx32);
   s += herm_scratch_.size() * sizeof(cplx);
   s += x32_.size() * sizeof(cplx32);
-  s += upward_widened_.size() * sizeof(cplx);
   return s;
 }
 
@@ -394,31 +391,6 @@ void MlfmaEngine::apply_block(ccspan x, cspan y, std::size_t nrhs) {
   }
   times_.applications += static_cast<std::uint64_t>(nrhs);
   obs::add(obs::Counter::kMlfmaApplications, static_cast<std::uint64_t>(nrhs));
-}
-
-ccspan MlfmaEngine::upward_only(ccspan x) {
-  const std::size_t n = tree_->grid().num_pixels();
-  FFW_CHECK(x.size() == n);
-  FFW_CHECK_MSG(tree_->num_levels() > 0,
-                "upward_only needs at least one far-field level");
-  ensure_block_capacity(1);
-  ensure_thread_scratch();
-  const int top = tree_->num_levels() - 1;
-  const std::size_t top_len =
-      static_cast<std::size_t>(plan_.level(top).samples) *
-      tree_->level(top).num_clusters;
-  if (precision() == Precision::kMixed) {
-    if (x32_.size() < n) x32_.resize(n);
-    narrow(x, cspan32{x32_.data(), n});
-    upward_pass_t<float>(x32_.data(), 1);
-    // Consumers (fast receiver operator) are fp64; widen the top panel.
-    if (upward_widened_.size() < top_len) upward_widened_.resize(top_len);
-    widen(ccspan32{s32_.back().data(), top_len},
-          cspan{upward_widened_.data(), top_len});
-    return ccspan{upward_widened_.data(), top_len};
-  }
-  upward_pass_t<double>(x.data(), 1);
-  return ccspan{s_.back().data(), top_len};
 }
 
 void MlfmaEngine::apply_herm(ccspan x, cspan y) { apply_herm_block(x, y, 1); }

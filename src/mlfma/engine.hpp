@@ -82,13 +82,6 @@ class MlfmaEngine {
   /// Y_r = G0^H * X_r for all columns (conjugation symmetry).
   void apply_herm_block(ccspan x, cspan y, std::size_t nrhs);
 
-  /// Runs only the upward pass (expansion + aggregation) for `x` and
-  /// returns the top-level outgoing spectra panel (Q_top x 16,
-  /// column-major, Morton order). Used by the fast receiver operator
-  /// (greens/fast_receivers.hpp) to evaluate exterior fields in
-  /// O(N + R sqrt(N)) instead of O(R N).
-  ccspan upward_only(ccspan x);
-
   const QuadTree& tree() const { return *tree_; }
   const MlfmaPlan& plan() const { return plan_; }
   const MlfmaOperators& operators() const { return ops_; }
@@ -167,10 +160,8 @@ class MlfmaEngine {
   std::vector<cvec32> thread_scratch32_;
   // Conjugated-input scratch for apply_herm / apply_herm_block.
   cvec herm_scratch_;
-  // Narrowed input block (kMixed) and widened top-level panel returned by
-  // upward_only under kMixed.
+  // Narrowed input block (kMixed).
   cvec32 x32_;
-  cvec upward_widened_;
 
   PhaseTimes times_;
 };

@@ -97,7 +97,7 @@ CalibratedRates calibrate(int nx, int applies) {
       fs.set_contrast(contrast_from_permittivity(
           grid, annulus(grid, 0.16 * d, 0.31 * d, cplx{0.04, 0.0})));
       Transceivers trx(grid, ring_positions(1, d), ring_positions(4, d));
-      const cvec inc = trx.incident_field(0);
+      const ccspan inc = trx.incident_field(0);
       cvec phi(grid.num_pixels(), cplx{});
       const BicgstabResult r = fs.solve(inc, phi);
       iters.push_back(std::max(1.0, static_cast<double>(r.iterations)));

@@ -8,24 +8,26 @@ CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
                                 ccspan contrast, double noise_std,
                                 std::uint64_t noise_seed) {
   const std::size_t n = contrast.size();
-  const int t_count = trx.num_transmitters();
+  const std::size_t t_count = static_cast<std::size_t>(trx.num_transmitters());
   const int r_count = trx.num_receivers();
   solver.set_contrast(contrast);
-  CMatrix measured(static_cast<std::size_t>(r_count),
-                   static_cast<std::size_t>(t_count));
-  cvec phi(n), ophi(n);
-  Rng rng(noise_seed);
-  for (int t = 0; t < t_count; ++t) {
-    const cvec inc = trx.incident_field(t);
+  // O .* phi_t for every transmitter, then one panel projection.
+  cvec ophi(n * t_count), phi(n);
+  for (std::size_t t = 0; t < t_count; ++t) {
+    const ccspan inc = trx.incident_field(static_cast<int>(t));
     copy(inc, phi);  // incident field as the initial guess
     const BicgstabResult res = solver.solve(inc, phi);
     FFW_CHECK_MSG(res.converged, "measurement synthesis forward solve failed");
-    diag_mul(contrast, phi, ophi);
-    trx.apply_gr(ophi, measured.col(static_cast<std::size_t>(t)));
-    if (noise_std > 0.0) {
-      // Additive complex Gaussian noise scaled to the per-illumination
-      // RMS signal level.
-      auto col = measured.col(static_cast<std::size_t>(t));
+    diag_mul(contrast, phi, cspan{ophi.data() + t * n, n});
+  }
+  CMatrix measured(static_cast<std::size_t>(r_count), t_count);
+  trx.apply_gr(ophi, cspan{measured.data(), measured.size()}, t_count);
+  if (noise_std > 0.0) {
+    // Additive complex Gaussian noise scaled to the per-illumination
+    // RMS signal level.
+    Rng rng(noise_seed);
+    for (std::size_t t = 0; t < t_count; ++t) {
+      auto col = measured.col(t);
       const double rms =
           nrm2(col) / std::sqrt(static_cast<double>(r_count));
       for (auto& v : col) {

@@ -35,8 +35,7 @@ struct ScenarioConfig {
   std::uint64_t noise_seed = 42;
   /// Shared operator-table cache (borrowed, may be null). When set, the
   /// scenario obtains its MLFMA tables and transceiver operators from
-  /// the cache — scenes sharing a configuration share one artifact —
-  /// and exposes the cached incident panel for DbimOptions.
+  /// the cache — scenes sharing a configuration share one artifact.
   OperatorTableCache* table_cache = nullptr;
 };
 
@@ -56,12 +55,6 @@ class Scenario {
   const std::shared_ptr<const OperatorTables>& tables() const {
     return tables_;
   }
-  /// Precomputed incident panel from the cached transceiver artifact
-  /// (empty without a cache) — wire into DbimOptions::incident_panel.
-  ccspan incident_panel() const {
-    return trx_tables_ ? trx_tables_->incident() : ccspan{};
-  }
-
   /// True contrast O = k0^2 * delta_eps (natural order).
   ccspan true_contrast() const { return true_contrast_; }
 

@@ -160,7 +160,6 @@ void ReconstructionService::build_runtime(Job& job) {
   DbimOptions opts = job.spec.dbim;
   if (band != nullptr && band->max_iterations > 0)
     opts.max_iterations = band->max_iterations;
-  opts.incident_panel = job.trx_tables->incident();
   opts.table_cache = &cache_;
   Job* jp = &job;
   // Observer wrappers record per-job progress under the service lock,

@@ -59,27 +59,7 @@ std::size_t TableKeyHash::operator()(const TableKey& k) const {
 
 TransceiverTables::TransceiverTables(const Grid& g, std::vector<Vec2> tx,
                                      std::vector<Vec2> rx)
-    : grid(g), trx(grid, std::move(tx), std::move(rx)) {
-  Timer timer;
-  const std::size_t n = grid.num_pixels();
-  const int nt = trx.num_transmitters();
-  incident_panel.resize(n * static_cast<std::size_t>(nt));
-  for (int t = 0; t < nt; ++t) {
-    const cvec col = trx.incident_field(t);
-    std::copy(col.begin(), col.end(),
-              incident_panel.begin() + static_cast<std::size_t>(t) * n);
-  }
-  build_seconds = timer.seconds();
-}
-
-std::size_t TransceiverTables::bytes() const {
-  std::size_t s = incident_panel.size() * sizeof(cplx);
-  if (trx.gr_materialized()) {
-    s += static_cast<std::size_t>(trx.num_receivers()) * grid.num_pixels() *
-         sizeof(cplx);
-  }
-  return s;
-}
+    : grid(g), trx(grid, std::move(tx), std::move(rx)) {}
 
 OperatorTableCache::OperatorTableCache(std::size_t budget_bytes)
     : budget_(budget_bytes) {}
@@ -204,8 +184,9 @@ std::shared_ptr<const TransceiverTables> OperatorTableCache::transceiver_tables(
   key.pixel_h = grid.h();
   key.geometry_hash = hash_positions(tx, rx);
   auto ptr = acquire(key, [&]() -> Built {
+    const Timer timer;
     auto tables = std::make_shared<const TransceiverTables>(grid, tx, rx);
-    return {tables, tables->bytes(), tables->build_seconds};
+    return {tables, tables->bytes(), timer.seconds()};
   });
   return std::static_pointer_cast<const TransceiverTables>(ptr);
 }

@@ -3,9 +3,9 @@
 // independent setup cost before its first iteration — MLFMA translation/
 // interpolation/shift tables and near-field blocks (mlfma/tables.hpp),
 // the CBS kernel spectrum and FFT plans (forward/cbs.hpp), and the
-// transceiver operators with the per-transmitter incident panel. All of
-// that state is a pure function of (grid, discretisation parameters,
-// precision, transceiver geometry), so concurrent reconstructions of
+// transceiver operators (G_R and the incident panel). All of that state
+// is a pure function of (grid, discretisation parameters, precision,
+// transceiver geometry), so concurrent reconstructions of
 // *different measurement data* over the same configuration can share
 // one immutable artifact instead of rebuilding it per job.
 //
@@ -44,11 +44,10 @@
 
 namespace ffw {
 
-/// Read-only transceiver artifact: the Transceivers operator (with its
-/// materialised dense G_R when it fits the budget) plus the full
-/// incident-field panel — column t of the n x T panel is
-/// incident_field(t), precomputed once so every DBIM iteration of every
-/// sharing job skips the T Hankel-evaluation passes.
+/// Read-only transceiver artifact: the Transceivers operator with its
+/// materialised G_R and incident-field panel (greens/transceivers.hpp),
+/// built once so every DBIM iteration of every sharing job projects
+/// through the same panels.
 struct TransceiverTables {
   TransceiverTables(const Grid& g, std::vector<Vec2> tx, std::vector<Vec2> rx);
   TransceiverTables(const TransceiverTables&) = delete;
@@ -56,11 +55,8 @@ struct TransceiverTables {
 
   Grid grid;
   Transceivers trx;
-  cvec incident_panel;  // n * T, column t at offset t * n
-  double build_seconds = 0.0;
 
-  ccspan incident() const { return incident_panel; }
-  std::size_t bytes() const;
+  std::size_t bytes() const { return trx.bytes(); }
 };
 
 /// Cache key: every field that the cached artifacts are a function of.
@@ -108,7 +104,7 @@ class OperatorTableCache {
   std::shared_ptr<const CbsTables> cbs_tables(
       const Grid& grid, Precision precision = Precision::kDouble);
 
-  /// Transceiver operators + incident panel for (grid, tx, rx).
+  /// Transceiver operators (G_R + incident panel) for (grid, tx, rx).
   std::shared_ptr<const TransceiverTables> transceiver_tables(
       const Grid& grid, const std::vector<Vec2>& tx,
       const std::vector<Vec2>& rx);

@@ -34,7 +34,7 @@ cvec scattered_field(FrechetFixture& s, ccspan contrast, int t) {
   opts.tol = 1e-11;
   ForwardSolver fs(s.engine, opts);
   fs.set_contrast(contrast);
-  const cvec inc = s.trx.incident_field(t);
+  const ccspan inc = s.trx.incident_field(t);
   cvec phi(s.grid.num_pixels(), cplx{});
   copy(inc, phi);
   FFW_CHECK(fs.solve(inc, phi).converged);
@@ -56,7 +56,7 @@ TEST(Frechet, MatchesCentralFiniteDifference) {
   opts.tol = 1e-11;
   ForwardSolver fs(s.engine, opts);
   fs.set_contrast(s.contrast);
-  const cvec inc = s.trx.incident_field(0);
+  const ccspan inc = s.trx.incident_field(0);
   cvec phi_b(n, cplx{});
   copy(inc, phi_b);
   ASSERT_TRUE(fs.solve(inc, phi_b).converged);
@@ -94,7 +94,7 @@ TEST(Frechet, AdjointInnerProductIdentity) {
   opts.tol = 1e-11;
   ForwardSolver fs(s.engine, opts);
   fs.set_contrast(s.contrast);
-  const cvec inc = s.trx.incident_field(1);
+  const ccspan inc = s.trx.incident_field(1);
   cvec phi_b(n, cplx{});
   copy(inc, phi_b);
   ASSERT_TRUE(fs.solve(inc, phi_b).converged);
@@ -119,7 +119,7 @@ TEST(Frechet, ReducesToBornAtZeroBackground) {
 
   ForwardSolver fs(s.engine);
   fs.set_contrast(cvec(n, cplx{}));
-  const cvec inc = s.trx.incident_field(2);
+  const ccspan inc = s.trx.incident_field(2);
   cvec phi_b(inc.begin(), inc.end());  // free space: phi_b == phi_inc
 
   FrechetOperator f(fs, s.trx, phi_b);

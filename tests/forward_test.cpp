@@ -122,7 +122,7 @@ TEST(Forward, SolutionSatisfiesSystem) {
 
   Transceivers trx(grid, ring_positions(4, grid.domain()),
                    ring_positions(8, grid.domain()));
-  const cvec inc = trx.incident_field(0);
+  const ccspan inc = trx.incident_field(0);
   cvec phi(grid.num_pixels(), cplx{});
   ASSERT_TRUE(fs.solve(inc, phi).converged);
 

@@ -325,31 +325,6 @@ TEST(ParallelDbim, ResumeFromDbimOptionsMatchesStraightRun) {
   EXPECT_LE(image_rmse(resumed.contrast, ref.contrast), 1e-10);
 }
 
-// DbimOptions::incident_panel is read by the partitioned passes, not
-// ignored: a panel of doubled incident fields changes the trajectory.
-TEST(ParallelDbim, IncidentPanelIsHonoured) {
-  SceneFixture f;
-  const Transceivers& trx = f.scene->transceivers();
-  cvec panel;
-  for (int t = 0; t < trx.num_transmitters(); ++t) {
-    for (const cplx& v : trx.incident_field(t)) panel.push_back(2.0 * v);
-  }
-  ParallelDbimConfig pcfg;
-  pcfg.illum_groups = 2;
-  pcfg.tree_ranks = 2;
-  pcfg.dbim.max_iterations = 1;
-  VCluster vc_plain(4);
-  const DbimResult plain = dbim_reconstruct_parallel(
-      vc_plain, f.scene->tree(), trx, f.scene->measurements(), pcfg);
-  pcfg.dbim.incident_panel = panel;
-  VCluster vc_panel(4);
-  const DbimResult scaled = dbim_reconstruct_parallel(
-      vc_panel, f.scene->tree(), trx, f.scene->measurements(), pcfg);
-  // Doubled fields scale the first step's Frechet operator by two, so
-  // the image after it departs by O(1).
-  EXPECT_GT(image_rmse(scaled.contrast, plain.contrast), 0.1);
-}
-
 TEST(ParallelDbimDeath, MixedEngineIsRefusedLoudly) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   SceneFixture f;

@@ -49,7 +49,7 @@ JobSpec make_job(const std::string& name, const Scenario& scene,
 }
 
 /// What the service does per job, minus the scheduler: same cache
-/// artifacts, same incident panel, same options. The gold trajectory.
+/// artifacts, same options. The gold trajectory.
 DbimResult serial_reference(OperatorTableCache& cache, const JobSpec& spec) {
   const Grid grid(spec.nx);
   const auto tables =
@@ -60,7 +60,6 @@ DbimResult serial_reference(OperatorTableCache& cache, const JobSpec& spec) {
   DbimOptions opts = spec.dbim;
   opts.progress = nullptr;  // observers never feed back into the math
   opts.checkpoint = nullptr;
-  opts.incident_panel = tt->incident();
   opts.table_cache = &cache;
   return dbim_reconstruct(engine, tt->trx, spec.measured, opts, spec.forward,
                           spec.initial_contrast);

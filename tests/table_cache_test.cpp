@@ -10,6 +10,7 @@
 
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
+#include "greens/greens.hpp"
 #include "obs/obs.hpp"
 #include "service/table_cache.hpp"
 
@@ -98,22 +99,31 @@ TEST(TableCache, EvictionRespectsBudgetAndInUseArtifacts) {
   EXPECT_EQ(a2->grid.nx(), 16);
 }
 
-TEST(TableCache, TransceiverPanelMatchesPerCallEvaluation) {
+TEST(TableCache, TransceiverPanelMatchesPointEvaluation) {
   OperatorTableCache cache;
   Grid grid(32);
   const double radius = grid.domain();
   const auto tx = ring_positions(4, radius);
   const auto rx = ring_positions(8, radius);
   const auto tt = cache.transceiver_tables(grid, tx, rx);
-  ASSERT_EQ(tt->incident().size(), grid.num_pixels() * 4);
+  const std::size_t n = grid.num_pixels();
+  ASSERT_EQ(tt->trx.incident_panel().size(), n * 4);
   for (int t = 0; t < 4; ++t) {
-    const cvec direct = tt->trx.incident_field(t);
-    const ccspan col = tt->incident().subspan(
-        static_cast<std::size_t>(t) * grid.num_pixels(), grid.num_pixels());
-    for (std::size_t i = 0; i < grid.num_pixels(); ++i) {
-      ASSERT_EQ(direct[i], col[i]);  // bit-identical, not approximately
+    // incident_field(t) is a view into the owned panel, not a copy.
+    const ccspan col = tt->trx.incident_field(t);
+    EXPECT_EQ(col.data(),
+              tt->trx.incident_panel().data() + static_cast<std::size_t>(t) * n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const Vec2 rp = grid.pixel_center(static_cast<int>(p) % grid.nx(),
+                                        static_cast<int>(p) / grid.nx());
+      const cplx direct =
+          g0_point(grid.k0(), norm(rp - tx[static_cast<std::size_t>(t)]));
+      ASSERT_EQ(direct, col[p]);  // bit-identical, not approximately
     }
   }
+  // The cache's LRU budget counts both panels the artifact owns.
+  EXPECT_EQ(tt->bytes(), (8 + 4) * n * sizeof(cplx));
+  EXPECT_EQ(cache.stats().bytes, tt->bytes());
   // Same geometry hits; different geometry misses.
   const auto again = cache.transceiver_tables(grid, tx, rx);
   EXPECT_EQ(tt.get(), again.get());
