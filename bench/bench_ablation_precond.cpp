@@ -2,9 +2,9 @@
 // system (paper Sec. VIII: "We also plan to apply resonance-free
 // integral formulations and preconditioning of the system").
 //
-// Sweeps the object contrast and reports BiCGStab iteration counts for
-// three preconditioners on real solves: none, diagonal Jacobi, and the
-// per-leaf near-field self-block Jacobi (forward/precond.hpp).
+// Sweeps the object contrast and reports BiCGStab iteration counts on
+// real solves, without preconditioning and with the per-leaf near-field
+// self-block Jacobi (forward/precond.hpp).
 //
 // Writes BENCH_ablation_precond.json (see FFW_BENCH_JSON_DIR).
 #include <string>
@@ -19,7 +19,7 @@ using namespace ffw;
 
 namespace {
 
-enum class Mode { kPlain, kJacobi, kBlock };
+enum class Mode { kPlain, kBlock };
 
 struct SolveCost {
   int iterations = -1;        // -1 = diverged
@@ -31,7 +31,6 @@ SolveCost cost_for(MlfmaEngine& engine, ccspan contrast, Mode mode) {
   opts.tol = 1e-6;
   opts.max_iterations = 400;
   ForwardSolver fs(engine, opts);
-  if (mode == Mode::kJacobi) fs.set_jacobi_preconditioner(true);
   if (mode == Mode::kBlock) fs.set_near_preconditioner(true);
   fs.set_contrast(contrast);
   const Grid& grid = engine.tree().grid();
@@ -39,9 +38,9 @@ SolveCost cost_for(MlfmaEngine& engine, ccspan contrast, Mode mode) {
                    ring_positions(4, grid.domain()));
   const ccspan inc = trx.incident_field(0);
   cvec phi(grid.num_pixels(), cplx{});
-  const BicgstabResult r = fs.solve(inc, phi);
+  const BlockBicgstabResult r = fs.solve_block(inc, phi, 1);
   SolveCost out;
-  out.iterations = r.converged ? r.iterations : -1;
+  out.iterations = r.converged ? r.rhs[0].iterations : -1;
   out.setup_seconds = fs.stats().precond_setup_seconds;
   return out;
 }
@@ -64,9 +63,9 @@ int main() {
   json.field("nx", 64);
   json.field("tol", 1e-6);
 
-  Table t({"permittivity contrast", "plain BiCGS iters", "Jacobi iters",
-           "self-block iters", "plain (lossy)", "self-block (lossy)"});
-  std::vector<double> c_col, plain_col, jacobi_col, block_col;
+  Table t({"permittivity contrast", "plain BiCGS iters", "self-block iters",
+           "plain (lossy)", "self-block (lossy)"});
+  std::vector<double> c_col, plain_col, block_col;
   double setup_s = 0.0;
   json.begin_array("sweep");
   for (double eps : {0.05, 0.15, 0.3, 0.5}) {
@@ -75,7 +74,6 @@ int main() {
     const cvec lossy = contrast_from_permittivity(
         grid, disks(grid, {{Vec2{0, 0}, 2.0, cplx{eps, -0.3 * eps}}}));
     const SolveCost p0 = cost_for(engine, lossless, Mode::kPlain);
-    const SolveCost p1 = cost_for(engine, lossless, Mode::kJacobi);
     const SolveCost pb = cost_for(engine, lossless, Mode::kBlock);
     const SolveCost l0 = cost_for(engine, lossy, Mode::kPlain);
     const SolveCost lb = cost_for(engine, lossy, Mode::kBlock);
@@ -84,16 +82,13 @@ int main() {
       return v.iterations < 0 ? std::string("diverged")
                               : std::to_string(v.iterations);
     };
-    t.add_row({fmt_fixed(eps, 2), show(p0), show(p1), show(pb), show(l0),
-               show(lb)});
+    t.add_row({fmt_fixed(eps, 2), show(p0), show(pb), show(l0), show(lb)});
     c_col.push_back(eps);
     plain_col.push_back(p0.iterations);
-    jacobi_col.push_back(p1.iterations);
     block_col.push_back(pb.iterations);
     json.begin_object();
     json.field("contrast", eps);
     json.field("plain_iters", p0.iterations);
-    json.field("jacobi_iters", p1.iterations);
     json.field("block_iters", pb.iterations);
     json.field("plain_lossy_iters", l0.iterations);
     json.field("block_lossy_iters", lb.iterations);
@@ -105,11 +100,10 @@ int main() {
   json.close();
   std::printf("%s\n", t.to_string().c_str());
   std::printf(
-      "reading: the Jacobi column is an honest null result — for this\n"
-      "volume formulation the system diagonal 1 - G0_nn O_n is nearly\n"
-      "*constant* over the object, so diagonal scaling barely changes\n"
-      "the spectrum and its iteration counts match plain BiCGStab. The\n"
-      "useful preconditioner for this operator is the next structure up:\n"
+      "reading: for this volume formulation the system diagonal\n"
+      "1 - G0_nn O_n is nearly *constant* over the object, so diagonal\n"
+      "scaling was an honest null result (EXPERIMENTS.md). The useful\n"
+      "preconditioner for this operator is the next structure up:\n"
       "the per-leaf *self block* I - A_self diag(O_c) (the intra-leaf\n"
       "multiple scattering the near-field tables already encode), LU-\n"
       "factored once per contrast update. Its per-solve cut is modest —\n"
@@ -120,7 +114,6 @@ int main() {
       "DBIM iteration.\n");
   write_csv("ablation_precond.csv", {{"contrast", c_col},
                                      {"plain_iters", plain_col},
-                                     {"jacobi_iters", jacobi_col},
                                      {"block_iters", block_col}});
   std::printf("elapsed: %.1f s\n", total.seconds());
   return 0;

@@ -159,7 +159,7 @@ static void BM_ForwardSolve(benchmark::State& state) {
   rng.fill_cnormal(rhs);
   for (auto _ : state) {
     std::fill(phi.begin(), phi.end(), cplx{});
-    const auto res = fs.solve(rhs, phi);
+    const BlockBicgstabResult res = fs.solve_block(rhs, phi, 1);
     benchmark::DoNotOptimize(res.iterations);
   }
 }

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   }
 
   cvec field(n, cplx{});
-  const BicgstabResult result = solver.solve(incident, field);
+  const BlockBicgstabResult block = solver.solve_block(incident, field, 1);
+  const BicgstabResult& result = block.rhs[0];
   std::printf("cylinder: radius %.1f lambda, permittivity contrast %.3f\n",
               radius, contrast);
   std::printf("BiCGStab: %d iterations, relative residual %.2e, %d MLFMA "

@@ -24,11 +24,6 @@ DbimWorkspace::DbimWorkspace(MlfmaEngine& engine, const Transceivers& trx,
   }
   phi_b_ = CMatrix(npix_, measured.cols());
   phi_b_valid_.assign(measured.cols(), false);
-  scratch_r_.assign(measured.rows(), cplx{});
-}
-
-int DbimWorkspace::num_illuminations() const {
-  return trx_->num_transmitters();
 }
 
 void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
@@ -90,46 +85,6 @@ void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
 void DbimWorkspace::set_recycling(std::size_t depth, double ridge) {
   rec_grad_ = KrylovRecycler(RecycleOptions{depth, ridge});
   rec_step_ = KrylovRecycler(RecycleOptions{depth, ridge});
-}
-
-double DbimWorkspace::residual_pass(int t, cspan residual) {
-  FFW_CHECK(residual.size() == measured_->rows());
-  const std::size_t tc = static_cast<std::size_t>(t);
-  const ccspan inc = trx_->incident_field(t);
-  cspan phi = phi_b_.col(tc);
-  if (!phi_b_valid_[tc]) {
-    copy(inc, phi);  // first iteration: incident field as initial guess
-    phi_b_valid_[tc] = true;
-  }
-  const BicgstabResult res = solver_.solve(inc, phi);
-  FFW_CHECK_MSG(res.converged, "DBIM residual-pass forward solve diverged");
-  // phi_sca = G_R (O_b .* phi); residual = phi_sca - phi_mea.
-  cvec ophi(npix_);
-  diag_mul(solver_.contrast_natural(), ccspan{phi.data(), npix_}, ophi);
-  trx_->apply_gr(ophi, residual);
-  sub(residual, measured_->col(tc), residual);
-  const double rn = nrm2(ccspan{residual.data(), residual.size()});
-  return rn * rn;
-}
-
-void DbimWorkspace::gradient_pass(int t, ccspan residual, cspan grad_accum) {
-  FFW_CHECK(grad_accum.size() == npix_);
-  FrechetOperator f(solver_, *trx_,
-                    ccspan{phi_b_.col(static_cast<std::size_t>(t)).data(),
-                           npix_});
-  cvec g(npix_);
-  f.apply_adjoint(residual, g);
-  axpy(cplx{1.0}, g, grad_accum);
-}
-
-double DbimWorkspace::step_pass(int t, ccspan direction) {
-  FFW_CHECK(direction.size() == npix_);
-  FrechetOperator f(solver_, *trx_,
-                    ccspan{phi_b_.col(static_cast<std::size_t>(t)).data(),
-                           npix_});
-  f.apply(direction, scratch_r_);
-  const double fn = nrm2(scratch_r_);
-  return fn * fn;
 }
 
 bool DbimWorkspace::block_solve(ccspan rhs, cspan x, std::size_t nrhs,
@@ -230,9 +185,9 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
   }
 }
 
-double DbimWorkspace::step_pass_all(ccspan direction) {
+void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
   const std::size_t tc = measured_->cols();
-  FFW_CHECK(direction.size() == npix_);
+  FFW_CHECK(direction.size() == npix_ && out.size() == residual_size());
   // Blocked Frechet apply: u_t = d .* phi_b,t, one blocked G0 apply, one
   // block forward solve, then one panel receiver projection.
   cvec u1(npix_ * tc), u2(npix_ * tc), w(npix_ * tc, cplx{});
@@ -244,16 +199,21 @@ double DbimWorkspace::step_pass_all(ccspan direction) {
   const BlockLayout lon{npix_, tc, 1};
   rec_step_.seed(u2, w, lon);
   FFW_CHECK_MSG(block_solve(u2, w, tc, /*adjoint=*/false),
-                "DBIM step-pass block solve diverged");
+                "DBIM Frechet-pass block solve diverged");
   rec_step_.store(u2, w, lon);
   for (std::size_t t = 0; t < tc; ++t) {
     diag_mul_acc(solver_.contrast_natural(),
                  ccspan{w.data() + t * npix_, npix_},
                  cspan{u1.data() + t * npix_, npix_});
   }
+  trx_->apply_gr(u1, out, tc);
+}
+
+double DbimWorkspace::step_pass_all(ccspan direction) {
+  const std::size_t tc = measured_->cols();
   const std::size_t nr = measured_->rows();
   cvec sc(nr * tc);
-  trx_->apply_gr(u1, sc, tc);
+  frechet_pass_all(direction, sc);
   double denom = 0.0;
   for (std::size_t t = 0; t < tc; ++t) {
     const double fn = nrm2(ccspan{sc.data() + t * nr, nr});
@@ -456,7 +416,7 @@ bool DbimStepper::step() {
   // Conjugate direction (Polak-Ribiere+ with automatic restart). Every
   // scalar is reduced over the ranks sharing the pixels, so all ranks
   // take the identical step.
-  const double gnorm2 = red_.sum_double(std::pow(nrm2(grad), 2));
+  const double gnorm2 = red_.sum(std::pow(nrm2(grad), 2));
   if (gnorm2 == 0.0) {
     done_ = true;
     return false;
@@ -466,7 +426,7 @@ bool DbimStepper::step() {
     cplx num{};
     for (std::size_t i = 0; i < n; ++i)
       num += std::conj(grad[i]) * (grad[i] - grad_prev[i]);
-    beta = std::max(0.0, red_.sum_cplx(num).real() / grad_prev_norm2_);
+    beta = std::max(0.0, red_.sum(num).real() / grad_prev_norm2_);
   }
   if (beta == 0.0) {
     for (std::size_t i = 0; i < n; ++i) direction[i] = -grad[i];
@@ -484,7 +444,7 @@ bool DbimStepper::step() {
     denom = ws.step_pass_all(direction);
   }
   if (opts.tikhonov > 0.0) {
-    denom += opts.tikhonov * red_.sum_double(std::pow(nrm2(direction), 2));
+    denom += opts.tikhonov * red_.sum(std::pow(nrm2(direction), 2));
   }
   if (denom == 0.0) {
     done_ = true;
@@ -493,7 +453,7 @@ bool DbimStepper::step() {
   double num = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     num -= (std::conj(grad[i]) * direction[i]).real();
-  const double alpha = red_.sum_double(num) / denom;
+  const double alpha = red_.sum(num) / denom;
   axpy(cplx{alpha}, direction, out.contrast);
 
   copy(grad, grad_prev);

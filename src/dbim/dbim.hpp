@@ -10,6 +10,25 @@
 //      alpha* = -Re<grad, d> / sum_t ||F_t d||^2  (paper eq. 5 when
 //      d = -grad).
 //
+// The Frechet operator F_t (paper Sec. VI-C) behind passes 2 and 3: at
+// background contrast O_b with background field
+// phi_b,t = [I - G0 O_b]^{-1} phi_inc,t, the derivative of the
+// scattered field at the receivers w.r.t. the contrast is
+//
+//   F_t v  = G_R ( v .* phi_b,t  +  O_b .* w ),
+//   w      = [I - G0 O_b]^{-1} G0 (v .* phi_b,t),
+//
+// i.e. one *forward* solve per application; the Hermitian transpose is
+//
+//   F_t^H u = conj(phi_b,t) .* ( g + G0^H [I - G0 O_b]^{-H} (conj(O_b) .* g) ),
+//   g       = G_R^H u,
+//
+// one *adjoint* forward solve per application. (Note: eq. (6) in the
+// paper drops the G0 factor inside the braces — a typo; the form above
+// follows from the variational derivation and is validated against
+// finite differences in tests/dbim_frechet_test.cpp.) The passes apply
+// F_t / F_t^H for every transmitter t at once, as block solves.
+//
 // DbimStepper is the only nonlinear-CG loop. It drives the three passes
 // through the DbimPasses interface: DbimWorkspace runs them with every
 // pixel and illumination on this process; the partitioned workspace of
@@ -24,10 +43,10 @@
 #include <span>
 #include <vector>
 
-#include "dbim/frechet.hpp"
-#include "forward/bicgstab.hpp"
 #include "forward/cbs.hpp"
+#include "forward/forward.hpp"
 #include "forward/recycle.hpp"
+#include "greens/transceivers.hpp"
 #include "io/checkpoint.hpp"
 #include "linalg/cmatrix.hpp"
 
@@ -214,26 +233,14 @@ class DbimWorkspace final : public DbimPasses {
   double step_pass_all(ccspan direction) override;
   void fill_counts(DbimHistory& h) override;
 
-  /// Residual pass for illumination t: solves for the background field
-  /// (kept for later passes), returns the residual b_t = phi_sca - phi_mea
-  /// in `residual` and the squared cost contribution.
-  double residual_pass(int t, cspan residual);
-
-  /// Gradient pass: grad += F_t^H b_t.
-  void gradient_pass(int t, ccspan residual, cspan grad_accum);
-
-  /// Step pass: returns ||F_t d||^2.
-  double step_pass(int t, ccspan direction);
-
-  /// Background total field of illumination t from the latest residual
-  /// pass (natural order; valid until the next set_background).
-  ccspan background_field(int t) const {
-    return ccspan{phi_b_.col(static_cast<std::size_t>(t)).data(), npix_};
-  }
+  /// Frechet pass: out (R x T, column-major) = F_t d for every
+  /// transmitter t at the background of the latest residual_pass_all —
+  /// one blocked G0 apply, one block forward solve and one panel
+  /// projection. step_pass_all is its summed squared norm.
+  void frechet_pass_all(ccspan direction, cspan out);
 
   ForwardSolver& solver() { return solver_; }
   const Transceivers& transceivers() const { return *trx_; }
-  int num_illuminations() const;
 
   /// Enables Krylov recycling of the gradient and step-length block
   /// solves (depth 0 disables). Snapshots are cleared whenever
@@ -278,7 +285,6 @@ class DbimWorkspace final : public DbimPasses {
   // across DBIM iterations.
   CMatrix phi_b_;
   std::vector<bool> phi_b_valid_;
-  cvec scratch_r_;
   double forcing_tol_ = 0.0;
   // Recycled (rhs, solution) snapshots of the gradient / step-length
   // block solves across DBIM iterations (residual passes warm-start from

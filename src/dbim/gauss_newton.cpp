@@ -13,48 +13,36 @@ DbimResult gauss_newton_reconstruct(MlfmaEngine& engine,
                                     const BicgstabOptions& fw_opts) {
   DbimWorkspace ws(engine, trx, measured, fw_opts);
   const std::size_t n = ws.num_pixels();
-  const int t_count = ws.num_illuminations();
 
   DbimResult out;
   out.contrast.assign(n, cplx{});
 
-  // Residuals per illumination (kept for the whole outer iteration).
-  std::vector<cvec> b(static_cast<std::size_t>(t_count),
-                      cvec(measured.rows()));
+  // Residuals b_t as one R x T panel (kept for the whole outer
+  // iteration), and the F p panel of the normal operator.
+  cvec b(ws.residual_size()), fp(ws.residual_size());
 
-  // J^H J d as a matrix-free operator over the current linearisation
-  // point (the workspace holds phi_b per illumination after the
-  // residual pass).
+  // (J^H J + lambda I) d as a matrix-free operator over the current
+  // linearisation point (the workspace holds phi_b,t after the residual
+  // pass): one Frechet pass and one gradient pass, T solves each.
   auto apply_normal = [&](ccspan d, cspan outv) {
     std::fill(outv.begin(), outv.end(), cplx{});
-    cvec fd(measured.rows()), g(n);
-    for (int t = 0; t < t_count; ++t) {
-      FrechetOperator f(ws.solver(), trx, ws.background_field(t));
-      f.apply(d, fd);
-      f.apply_adjoint(fd, g);
-      axpy(cplx{1.0}, g, outv);
-    }
+    ws.frechet_pass_all(d, fp);
+    ws.gradient_pass_all(fp, outv);
     if (opts.tikhonov > 0.0) axpy(cplx{opts.tikhonov}, d, outv);
   };
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     ws.set_background(out.contrast);
-    double cost = 0.0;
-    for (int t = 0; t < t_count; ++t) {
-      cost += ws.residual_pass(t, b[static_cast<std::size_t>(t)]);
-    }
+    const double cost = ws.residual_pass_all(b);
     const double relres = std::sqrt(cost / ws.measurement_norm2());
     out.history.relative_residual.push_back(relres);
     if (opts.progress) opts.progress(iter, relres);
     if (opts.residual_tol > 0.0 && relres < opts.residual_tol) break;
 
     // rhs = -J^H b (the Gauss-Newton gradient direction).
-    cvec rhs(n, cplx{}), g(n);
-    for (int t = 0; t < t_count; ++t) {
-      FrechetOperator f(ws.solver(), trx, ws.background_field(t));
-      f.apply_adjoint(b[static_cast<std::size_t>(t)], g);
-      axpy(cplx{-1.0}, g, rhs);
-    }
+    cvec rhs(n, cplx{});
+    ws.gradient_pass_all(b, rhs);
+    for (cplx& v : rhs) v = -v;
 
     // CGNR on (J^H J + lambda I) d = rhs.
     cvec d(n, cplx{}), r(rhs.begin(), rhs.end()), p(rhs.begin(), rhs.end()),
@@ -76,8 +64,7 @@ DbimResult gauss_newton_reconstruct(MlfmaEngine& engine,
     axpy(cplx{1.0}, d, out.contrast);
   }
 
-  out.history.forward_solves = ws.solver().stats().solves;
-  out.history.operator_applications = ws.solver().stats().operator_applications;
+  ws.fill_counts(out.history);
   return out;
 }
 

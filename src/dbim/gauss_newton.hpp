@@ -11,7 +11,9 @@
 // CGNR iteration costs one F and one F^H application *per illumination*
 // — i.e. two inner forward solves per illumination, versus the NLCG
 // driver's fixed three per outer iteration. The Gauss-Newton direction
-// is better, but far more expensive per step.
+// is better, but far more expensive per step. It runs on the same
+// blocked passes as NLCG (DbimWorkspace): every F / F^H application
+// covers all illuminations in one block solve.
 #pragma once
 
 #include "dbim/dbim.hpp"

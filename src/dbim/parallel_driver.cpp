@@ -193,14 +193,6 @@ class PartitionedWorkspace final : public DbimPasses {
 
   DotReducer reducer() override {
     return DotReducer{
-        [this](cplx v) {
-          double buf[2] = {v.real(), v.imag()};
-          comm_->group_allreduce_sum(rspan{buf, 2}, tree_group_);
-          return cplx{buf[0], buf[1]};
-        },
-        [this](double v) {
-          return comm_->group_allreduce_sum(v, tree_group_);
-        },
         [this](cspan v) { comm_->group_allreduce_sum(v, tree_group_); },
         [this](rspan v) { comm_->group_allreduce_sum(v, tree_group_); }};
   }

@@ -54,10 +54,6 @@ struct ForwardStats {
     return solves ? static_cast<double>(operator_applications) / solves : 0.0;
   }
   void clear() { *this = ForwardStats{}; }
-
-  // Deprecated aliases (pre-multi-backend names; MLFMA-specific).
-  std::uint64_t mlfma_applications() const { return operator_applications; }
-  double mlfma_per_solve() const { return operator_per_solve(); }
 };
 
 class ForwardBackend {

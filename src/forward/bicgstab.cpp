@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "linalg/kernels.hpp"
-#include "obs/obs.hpp"
 
 namespace ffw {
 
@@ -14,20 +13,15 @@ double nrm2_sq(ccspan x) {
   for (const cplx& v : x) s += std::norm(v);
   return s;
 }
+}  // namespace
 
-BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
-                             const BicgstabOptions& opts,
-                             const DotReducer& reduce,
-                             const PrecondContext& pc) {
+BicgstabResult bicgstab(const LinearOp& a, ccspan b, cspan x,
+                        const BicgstabOptions& opts) {
   const std::size_t n = b.size();
   FFW_CHECK(x.size() == n);
-  FFW_CHECK(!pc || pc.lo.size() == n);
   BicgstabResult res;
 
-  auto dot = [&](ccspan u, ccspan v) { return reduce.sum_cplx(cdot(u, v)); };
-  auto norm = [&](ccspan u) {
-    return std::sqrt(reduce.sum_double(nrm2_sq(u)));
-  };
+  auto norm = [](ccspan u) { return std::sqrt(nrm2_sq(u)); };
 
   const double bnorm = norm(b);
   if (bnorm == 0.0) {
@@ -37,21 +31,13 @@ BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
   }
 
   cvec r(n), rhat(n), p(n), v(n, cplx{}), s(n), t(n), tmp(n);
-  // Flexible right preconditioning: phat = M^{-1} p and shat = M^{-1} s
-  // replace p/s only inside the operator application and the x update;
-  // with no preconditioner the spans alias p/s and nothing changes.
-  cvec phat_store, shat_store;
-  if (pc) {
-    phat_store.assign(n, cplx{});
-    shat_store.assign(n, cplx{});
-  }
   a(x, tmp);
   ++res.matvecs;
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - tmp[i];
   copy(r, rhat);
   copy(r, p);
 
-  cplx rho = dot(rhat, r);
+  cplx rho = cdot(rhat, r);
   double rnorm = norm(r);
   if (rnorm / bnorm < opts.tol) {
     res.converged = true;
@@ -60,14 +46,9 @@ BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
   }
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    ccspan phat{p};
-    if (pc) {
-      pc(p, phat_store);
-      phat = phat_store;
-    }
-    a(phat, v);
+    a(p, v);
     ++res.matvecs;
-    const cplx rhat_v = dot(rhat, v);
+    const cplx rhat_v = cdot(rhat, v);
     FFW_CHECK_MSG(std::abs(rhat_v) > 0.0, "BiCGStab breakdown: <rhat, v> = 0");
     const cplx alpha = rho / rhat_v;
     for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
@@ -75,24 +56,19 @@ BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
     ++res.iterations;
     const double snorm = norm(s);
     if (snorm / bnorm < opts.tol) {
-      axpy(alpha, phat, x);
+      axpy(alpha, p, x);
       res.relres = snorm / bnorm;
       res.converged = true;
       return res;
     }
 
-    ccspan shat{s};
-    if (pc) {
-      pc(s, shat_store);
-      shat = shat_store;
-    }
-    a(shat, t);
+    a(s, t);
     ++res.matvecs;
-    const cplx tt = dot(t, t);
+    const cplx tt = cdot(t, t);
     FFW_CHECK_MSG(std::abs(tt) > 0.0, "BiCGStab breakdown: ||t|| = 0");
-    const cplx omega = dot(t, s) / tt;
+    const cplx omega = cdot(t, s) / tt;
     for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * phat[i] + omega * shat[i];
+      x[i] += alpha * p[i] + omega * s[i];
       r[i] = s[i] - omega * t[i];
     }
 
@@ -103,7 +79,7 @@ BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
       return res;
     }
 
-    const cplx rho_next = dot(rhat, r);
+    const cplx rho_next = cdot(rhat, r);
     FFW_CHECK_MSG(std::abs(rho_next) > 0.0, "BiCGStab breakdown: rho = 0");
     const cplx beta = (rho_next / rho) * (alpha / omega);
     rho = rho_next;
@@ -111,17 +87,6 @@ BicgstabResult bicgstab_impl(const LinearOp& a, ccspan b, cspan x,
       p[i] = r[i] + beta * (p[i] - omega * v[i]);
   }
   return res;  // not converged
-}
-
-}  // namespace
-
-BicgstabResult bicgstab(const LinearOp& a, ccspan b, cspan x,
-                        const BicgstabOptions& opts, const DotReducer& reduce,
-                        const PrecondContext& pc) {
-  const BicgstabResult res = bicgstab_impl(a, b, x, opts, reduce, pc);
-  obs::add(obs::Counter::kBicgstabTotalIters,
-           static_cast<std::uint64_t>(res.iterations));
-  return res;
 }
 
 }  // namespace ffw

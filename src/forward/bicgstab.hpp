@@ -2,17 +2,21 @@
 // "We use the biconjugate gradient stabilized method (BiCGS) for the
 // forward solver ... The dominant operation in BiCGS is a matrix-vector
 // multiplication that occurs twice per iteration").
+//
+// Every production solve runs the block recurrence
+// (forward/block_bicgstab.hpp), nrhs = 1 included. The single-vector
+// `bicgstab` below is the independent reference the block solver's
+// tests compare against, iteration for iteration; the option, result
+// and reducer types here are shared by both.
 #pragma once
 
 #include <functional>
 
 #include "common/types.hpp"
-#include "forward/precond.hpp"
 
 namespace ffw {
 
-/// y = A x; y is pre-zeroed by the caller contract? No: the callback must
-/// fully overwrite y.
+/// y = A x; the callback must fully overwrite y.
 using LinearOp = std::function<void(ccspan x, cspan y)>;
 
 struct BicgstabOptions {
@@ -29,27 +33,28 @@ struct BicgstabResult {
 };
 
 /// Reduction hooks for a distributed solve: each rank holds a slice of
-/// the vectors; the solver's inner products reduce local partials with
-/// these callbacks (identity by default, i.e. serial). The vector forms
-/// reduce many partials in one collective — the block solver batches all
+/// the vectors and the solver's inner products reduce local partials in
+/// place with these callbacks (identity by default, i.e. serial). Many
+/// partials reduce in one collective — the block solver batches all
 /// per-RHS dots of an iteration into a single message per sync point.
 struct DotReducer {
-  std::function<cplx(cplx)> sum_cplx = [](cplx v) { return v; };
-  std::function<double(double)> sum_double = [](double v) { return v; };
   std::function<void(cspan)> sum_cplx_vec = [](cspan) {};
   std::function<void(rspan)> sum_double_vec = [](rspan) {};
+
+  /// One scalar through the vector form.
+  cplx sum(cplx v) const {
+    sum_cplx_vec(cspan{&v, 1});
+    return v;
+  }
+  double sum(double v) const {
+    sum_double_vec(rspan{&v, 1});
+    return v;
+  }
 };
 
-/// Solves A x = b. `x` holds the initial guess on entry and the solution
-/// on exit. With a non-default `reduce`, b/x are rank-local slices and
-/// the solve is collective over the reducing group. With a non-empty
-/// `pc` the solve is *flexibly right-preconditioned*: residuals stay
-/// true residuals of A (convergence tests unchanged) and M^{-1} is
-/// applied to the search directions only, so the default identity
-/// leaves the iteration bit-identical to the unpreconditioned solver.
+/// Reference serial solve of A x = b (test oracle for block_bicgstab).
+/// `x` holds the initial guess on entry and the solution on exit.
 BicgstabResult bicgstab(const LinearOp& a, ccspan b, cspan x,
-                        const BicgstabOptions& opts = {},
-                        const DotReducer& reduce = {},
-                        const PrecondContext& pc = {});
+                        const BicgstabOptions& opts = {});
 
 }  // namespace ffw

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "forward/bicgstab.hpp"
+#include "forward/precond.hpp"
 #include "linalg/block.hpp"
 
 namespace ffw {
@@ -42,10 +43,11 @@ struct BlockBicgstabResult {
 /// `lo`, lo.size() elements each). `x` carries initial guesses in and
 /// solutions out. With a non-default `reduce`, b/x are rank-local slices
 /// and the solve is collective over the reducing group. A non-empty `pc`
-/// applies flexible right preconditioning exactly as in `bicgstab`:
-/// residuals stay true residuals, the identity default is bit-identical,
-/// and column masking is unaffected (M^{-1} is block-diagonal over the
-/// layout, so frozen columns stay frozen).
+/// applies flexible right preconditioning: M^{-1} acts on the search
+/// directions only, so residuals stay true residuals of A, the identity
+/// default is bit-identical to the unpreconditioned solver, and column
+/// masking is unaffected (M^{-1} is block-diagonal over the layout, so
+/// frozen columns stay frozen).
 BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
                                    const BlockLayout& lo,
                                    const BicgstabOptions& opts = {},

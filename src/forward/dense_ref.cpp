@@ -21,7 +21,7 @@ DenseForwardSolver::DenseForwardSolver(const Grid& grid, ccspan contrast)
 
 cvec DenseForwardSolver::solve(ccspan rhs) const { return lu_->solve(rhs); }
 
-cvec DenseForwardSolver::solve_adjoint(ccspan rhs) const {
+cvec DenseForwardSolver::solve_herm(ccspan rhs) const {
   return lu_->solve_herm(rhs);
 }
 

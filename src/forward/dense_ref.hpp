@@ -1,7 +1,7 @@
 // Dense (LU-based) reference forward solver — the O(N^3) direct approach
 // the paper's Sec. I calls prohibitive at scale. Used to validate the
 // MLFMA+BiCGStab path on small problems and as the exact oracle for
-// Frechet-derivative tests.
+// adjoint solves.
 #pragma once
 
 #include <memory>
@@ -20,7 +20,7 @@ class DenseForwardSolver {
   cvec solve(ccspan rhs) const;
 
   /// psi = [I - G0 O]^{-H} rhs.
-  cvec solve_adjoint(ccspan rhs) const;
+  cvec solve_herm(ccspan rhs) const;
 
   const Grid& grid() const { return *grid_; }
 

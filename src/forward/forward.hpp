@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "forward/backend.hpp"
-#include "forward/bicgstab.hpp"
 #include "forward/block_bicgstab.hpp"
 #include "forward/precond.hpp"
 #include "forward/refined.hpp"
@@ -23,43 +22,22 @@ class ForwardSolver : public ForwardBackend {
   /// across illuminations and across the three solves per iteration.
   ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts = {});
 
-  /// Jacobi (diagonal) right preconditioning: solve A M^{-1} y = b with
-  /// M = diag(A) = 1 - G0_nn * O_n, then x = M^{-1} y. The paper lists
-  /// preconditioning against (near-)resonant systems as future work
-  /// (Sec. VIII); the diagonal grows away from 1 exactly when the
-  /// contrast is strong, which is when BiCGStab needs the help.
-  void set_jacobi_preconditioner(bool enable);
-  bool jacobi_preconditioner() const { return use_jacobi_; }
-
   /// Near-field block-Jacobi right preconditioning (forward/precond.hpp):
   /// the per-leaf self blocks I - A_self diag(O_c) are inverted on
   /// every set_contrast and applied inside every solve — forward,
-  /// adjoint, blocked, and the mixed-precision refined solves. `storage`
-  /// = Precision::kMixed keeps the inverses in fp32 (pairs with a mixed
+  /// adjoint, and the mixed-precision refined solves. `storage` =
+  /// Precision::kMixed keeps the inverses in fp32 (pairs with a mixed
   /// inner engine; final accuracy is unaffected — the preconditioner
-  /// only steers the Krylov space). Mutually exclusive with the diagonal
-  /// Jacobi preconditioner.
+  /// only steers the Krylov space).
   void set_near_preconditioner(bool enable,
                                Precision storage = Precision::kDouble);
   const NearFieldBlockJacobi* near_preconditioner() const {
     return near_precond_.get();
   }
 
-  /// Adjusts the BiCGStab relative tolerance of subsequent plain solves
-  /// (the DBIM driver's Eisenstat-Walker forcing hooks in here).
-  void set_tolerance(double tol) { opts_.tol = tol; }
-
   /// Set the contrast vector O (natural order, length N).
   void set_contrast(ccspan contrast) override;
   ccspan contrast_natural() const override { return contrast_nat_; }
-
-  /// Solve [I - G0 O] phi = rhs. `phi` carries the initial guess in and
-  /// the solution out (natural order).
-  BicgstabResult solve(ccspan rhs, cspan phi);
-
-  /// Solve the Hermitian-transposed system [I - G0 O]^H psi = rhs
-  /// (needed by the adjoint Frechet operator).
-  BicgstabResult solve_adjoint(ccspan rhs, cspan psi);
 
   /// Multi-RHS solve: [I - G0 O] phi_r = rhs_r for all nrhs columns in
   /// one block BiCGStab (one blocked MLFMA apply per Krylov iteration
@@ -83,9 +61,8 @@ class ForwardSolver : public ForwardBackend {
   /// mixed engine, outer residuals/masking in fp64 on the primary
   /// engine, automatic pure-fp64 fallback on stall (forward/refined.hpp).
   /// Reaches fp64-level tolerances (default 1e-8) at mixed-engine speed.
-  /// The diagonal Jacobi setting is ignored; the near-field block
-  /// preconditioner (if enabled) right-preconditions the inner sweeps
-  /// and the fallback.
+  /// The near-field block preconditioner (if enabled) right-preconditions
+  /// the inner sweeps and the fallback.
   RefinedResult solve_block_refined(ccspan rhs, cspan phi, std::size_t nrhs,
                                     const RefinedOptions& opts = {});
 
@@ -97,18 +74,9 @@ class ForwardSolver : public ForwardBackend {
                                             std::size_t nrhs,
                                             const RefinedOptions& opts = {});
 
-  /// y = [I - G0 O] x without solving (for residual checks / tests).
-  void apply_system(ccspan x, cspan y);
-
-  /// y = G0 * (O .* x) — the scattered-field operator on pixels.
-  void apply_g0_contrast(ccspan x, cspan y);
-
-  /// Y_r = G0 * X_r over natural-order column-major panels (raw kernel,
-  /// no contrast; the blocked Frechet passes need it).
-  void apply_g0_block(ccspan x, cspan y, std::size_t nrhs);
-
-  /// Y_r = G0^H * X_r over natural-order column-major panels.
-  void apply_g0_herm_block(ccspan x, cspan y, std::size_t nrhs);
+  /// Y_r = [I - G0 O] X_r over natural-order column-major panels,
+  /// without solving (for residual checks / tests).
+  void apply_system(ccspan x, cspan y, std::size_t nrhs);
 
   // --- ForwardBackend interface (forward/backend.hpp) --------------------
   // The panel entry points route to the refined mixed-precision block
@@ -122,12 +90,8 @@ class ForwardSolver : public ForwardBackend {
                    double tol) override;
   bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                            double tol) override;
-  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override {
-    apply_g0_block(x, y, nrhs);
-  }
-  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override {
-    apply_g0_herm_block(x, y, nrhs);
-  }
+  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
+  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
 
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
@@ -137,38 +101,35 @@ class ForwardSolver : public ForwardBackend {
   const BicgstabOptions& options() const { return opts_; }
 
  private:
-  void op_forward(ccspan x, cspan y);  // cluster order
-  void op_adjoint(ccspan x, cspan y);  // cluster order
-  // Blocked variants over the leaf-interleaved block layout.
-  void op_forward_block(ccspan x, cspan y, const BlockLayout& lo);
-  void op_adjoint_block(ccspan x, cspan y, const BlockLayout& lo);
-  // Unpreconditioned blocked forward operator on an explicit engine (the
-  // refined solve runs it against both the fp64 and the mixed engine).
-  void op_forward_block_on(MlfmaEngine& eng, ccspan x, cspan y,
-                           const BlockLayout& lo);
-  void op_adjoint_block_on(MlfmaEngine& eng, ccspan x, cspan y,
-                           const BlockLayout& lo);
+  // Unpreconditioned blocked [I - G0 O] (or its adjoint) over the
+  // leaf-interleaved block layout on an explicit engine (the refined
+  // solve runs it against both the fp64 and the mixed engine).
+  void op_block_on(MlfmaEngine& eng, ccspan x, cspan y, const BlockLayout& lo,
+                   bool adjoint);
   BlockLayout block_layout(std::size_t nrhs) const;
+  /// Y = op(X) on natural-order panels through the block layout.
+  template <typename Op>
+  void natural_panel_op(ccspan x, cspan y, std::size_t nrhs, Op&& op);
+  // `tol` overrides the configured tolerance for this call (0 keeps it).
+  BlockBicgstabResult block_solve(ccspan rhs, cspan x, std::size_t nrhs,
+                                  double tol, bool adjoint);
+  RefinedResult refined_solve(ccspan rhs, cspan x, std::size_t nrhs,
+                              const RefinedOptions& opts, bool adjoint);
   bool panel_solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
                         bool adjoint);
-  void record_block_stats(const BlockBicgstabResult& res,
-                          std::uint64_t applications_before);
   /// Handle for the Krylov solvers: the active near-field block
   /// preconditioner over `nrhs` columns, or empty (identity) when
   /// disabled.
   PrecondContext precond_ctx(std::size_t nrhs, bool herm) const;
+  void refresh_preconditioner();
 
   MlfmaEngine* engine_;
   MlfmaEngine* mixed_ = nullptr;  // optional fp32 accelerator (not owned)
   BicgstabOptions opts_;
-  void refresh_preconditioner();
 
   cvec contrast_nat_;   // natural order
   cvec contrast_clu_;   // cluster order
-  cvec work_;           // cluster-order scratch
   cvec block_work_;     // block-layout scratch (grown to N * nrhs)
-  bool use_jacobi_ = false;
-  cvec minv_clu_;       // 1 / diag(A), cluster order (empty if disabled)
   bool use_near_ = false;
   Precision near_storage_ = Precision::kDouble;
   std::unique_ptr<NearFieldBlockJacobi> near_precond_;

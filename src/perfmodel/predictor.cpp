@@ -41,7 +41,7 @@ CalibratedRates calibrate(int nx, int applies) {
     Scenario scene(cfg, annulus(grid, 1.0, 2.0, cplx{0.04, 0.0}));
     DbimWorkspace ws(scene.engine(), scene.transceivers(),
                      scene.measurements(), cfg.forward);
-    cvec grad(grid.num_pixels()), residual(scene.measurements().rows());
+    cvec grad(grid.num_pixels()), residuals(ws.residual_size());
     // Calibrate around a mid-reconstruction background (a perturbed copy
     // of the truth): a zero background makes the system the identity and
     // every solve trivial, which is not the regime the paper reports
@@ -51,10 +51,8 @@ CalibratedRates calibrate(int nx, int applies) {
     for (int iter = 0; iter < 4; ++iter) {
       ws.set_background(o);
       std::fill(grad.begin(), grad.end(), cplx{});
-      for (int t = 0; t < cfg.num_transmitters; ++t) {
-        ws.residual_pass(t, residual);
-        ws.gradient_pass(t, residual, grad);
-      }
+      ws.residual_pass_all(residuals);
+      ws.gradient_pass_all(residuals, grad);
       // crude gradient step, enough to vary the background
       double gmax = 0.0;
       for (const auto& v : grad) gmax = std::max(gmax, std::abs(v));
@@ -99,8 +97,8 @@ CalibratedRates calibrate(int nx, int applies) {
       Transceivers trx(grid, ring_positions(1, d), ring_positions(4, d));
       const ccspan inc = trx.incident_field(0);
       cvec phi(grid.num_pixels(), cplx{});
-      const BicgstabResult r = fs.solve(inc, phi);
-      iters.push_back(std::max(1.0, static_cast<double>(r.iterations)));
+      const BlockBicgstabResult r = fs.solve_block(inc, phi, 1);
+      iters.push_back(std::max(1.0, static_cast<double>(r.rhs[0].iterations)));
     }
     rates.bicgs_domain_exponent =
         std::log(iters.back() / iters.front()) / std::log(128.0 / 32.0);

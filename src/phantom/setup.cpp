@@ -16,8 +16,8 @@ CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
   for (std::size_t t = 0; t < t_count; ++t) {
     const ccspan inc = trx.incident_field(static_cast<int>(t));
     copy(inc, phi);  // incident field as the initial guess
-    const BicgstabResult res = solver.solve(inc, phi);
-    FFW_CHECK_MSG(res.converged, "measurement synthesis forward solve failed");
+    FFW_CHECK_MSG(solver.solve_block(inc, phi, 1).converged,
+                  "measurement synthesis forward solve failed");
     diag_mul(contrast, phi, cspan{ophi.data() + t * n, n});
   }
   CMatrix measured(static_cast<std::size_t>(r_count), t_count);

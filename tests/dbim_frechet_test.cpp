@@ -1,12 +1,12 @@
-// Frechet operator validation: directional finite differences of the
-// exact nonlinear forward map, and the adjoint inner-product identity.
-// This is the part where the paper's eq. (6) typo would bite — the tests
-// pin the correct variational form.
+// Frechet operator validation on the blocked DBIM passes: directional
+// finite differences of the exact nonlinear forward map, the adjoint
+// inner-product identity, and the Born limit. This is the part where the
+// paper's eq. (6) typo would bite — the tests pin the correct
+// variational form (dbim/dbim.hpp).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dbim/frechet.hpp"
-#include "greens/transceivers.hpp"
+#include "dbim/dbim.hpp"
 #include "linalg/kernels.hpp"
 #include "phantom/phantom.hpp"
 
@@ -19,6 +19,9 @@ struct FrechetFixture {
   MlfmaEngine engine{tree};
   Transceivers trx{grid, ring_positions(3, grid.domain()),
                    ring_positions(12, grid.domain())};
+  // Zero measurements: the residual pass then returns phi_sca itself.
+  CMatrix measured{static_cast<std::size_t>(trx.num_receivers()),
+                   static_cast<std::size_t>(trx.num_transmitters())};
   cvec contrast;
 
   FrechetFixture() {
@@ -26,22 +29,21 @@ struct FrechetFixture {
         gaussian_blob(grid, Vec2{0.2, 0.1}, 0.7, cplx{0.03, 0.0});
     contrast = contrast_from_permittivity(grid, de);
   }
+
+  /// Workspace whose every block solve runs to 1e-11.
+  std::unique_ptr<DbimWorkspace> workspace() {
+    BicgstabOptions opts;
+    opts.tol = 1e-11;
+    return std::make_unique<DbimWorkspace>(engine, trx, measured, opts);
+  }
 };
 
-/// phi_sca(O) for one illumination at high accuracy.
-cvec scattered_field(FrechetFixture& s, ccspan contrast, int t) {
-  BicgstabOptions opts;
-  opts.tol = 1e-11;
-  ForwardSolver fs(s.engine, opts);
-  fs.set_contrast(contrast);
-  const ccspan inc = s.trx.incident_field(t);
-  cvec phi(s.grid.num_pixels(), cplx{});
-  copy(inc, phi);
-  FFW_CHECK(fs.solve(inc, phi).converged);
-  cvec ophi(phi.size());
-  diag_mul(contrast, phi, ophi);
-  cvec out(static_cast<std::size_t>(s.trx.num_receivers()));
-  s.trx.apply_gr(ophi, out);
+/// phi_sca(O) at every receiver for every transmitter (R x T), solved
+/// afresh from the incident field; leaves `ws` linearised at O.
+cvec scattered_fields(DbimWorkspace& ws, ccspan contrast) {
+  ws.set_background(contrast, /*keep_fields=*/false);
+  cvec out(ws.residual_size());
+  ws.residual_pass_all(out);
   return out;
 }
 
@@ -52,18 +54,10 @@ TEST(Frechet, MatchesCentralFiniteDifference) {
   cvec v(n);
   rng.fill_cnormal(v);
 
-  BicgstabOptions opts;
-  opts.tol = 1e-11;
-  ForwardSolver fs(s.engine, opts);
-  fs.set_contrast(s.contrast);
-  const ccspan inc = s.trx.incident_field(0);
-  cvec phi_b(n, cplx{});
-  copy(inc, phi_b);
-  ASSERT_TRUE(fs.solve(inc, phi_b).converged);
-
-  FrechetOperator f(fs, s.trx, phi_b);
-  cvec fv(static_cast<std::size_t>(s.trx.num_receivers()));
-  f.apply(v, fv);
+  const auto ws = s.workspace();
+  scattered_fields(*ws, s.contrast);
+  cvec fv(ws->residual_size());
+  ws->frechet_pass_all(v, fv);
 
   // Central difference along v with a real step.
   const double h = 1e-4;
@@ -72,8 +66,8 @@ TEST(Frechet, MatchesCentralFiniteDifference) {
     op[i] = s.contrast[i] + h * v[i];
     om[i] = s.contrast[i] - h * v[i];
   }
-  const cvec sp = scattered_field(s, op, 0);
-  const cvec sm = scattered_field(s, om, 0);
+  const cvec sp = scattered_fields(*ws, op);
+  const cvec sm = scattered_fields(*ws, om);
   cvec fd(sp.size());
   for (std::size_t i = 0; i < fd.size(); ++i)
     fd[i] = (sp[i] - sm[i]) / (2.0 * h);
@@ -84,51 +78,42 @@ TEST(Frechet, MatchesCentralFiniteDifference) {
 TEST(Frechet, AdjointInnerProductIdentity) {
   FrechetFixture s;
   const std::size_t n = s.grid.num_pixels();
-  const std::size_t r = static_cast<std::size_t>(s.trx.num_receivers());
+  const auto ws = s.workspace();
   Rng rng(43);
-  cvec v(n), u(r);
+  cvec v(n), u(ws->residual_size());
   rng.fill_cnormal(v);
   rng.fill_cnormal(u);
 
-  BicgstabOptions opts;
-  opts.tol = 1e-11;
-  ForwardSolver fs(s.engine, opts);
-  fs.set_contrast(s.contrast);
-  const ccspan inc = s.trx.incident_field(1);
-  cvec phi_b(n, cplx{});
-  copy(inc, phi_b);
-  ASSERT_TRUE(fs.solve(inc, phi_b).converged);
-
-  FrechetOperator f(fs, s.trx, phi_b);
-  cvec fv(r), fhu(n);
-  f.apply(v, fv);
-  f.apply_adjoint(u, fhu);
+  scattered_fields(*ws, s.contrast);
+  cvec fv(ws->residual_size()), fhu(n, cplx{});
+  ws->frechet_pass_all(v, fv);
+  ws->gradient_pass_all(u, fhu);  // sum_t F_t^H u_t
   const cplx lhs = cdot(u, fv);   // <u, F v>
   const cplx rhs = cdot(fhu, v);  // <F^H u, v>
   EXPECT_NEAR(std::abs(lhs - rhs), 0.0, 1e-8 * std::abs(lhs));
 }
 
 // At zero background the Frechet operator reduces to the Born operator
-// G_R diag(phi_inc).
+// G_R diag(phi_inc,t) for every transmitter.
 TEST(Frechet, ReducesToBornAtZeroBackground) {
   FrechetFixture s;
   const std::size_t n = s.grid.num_pixels();
+  const std::size_t tc = static_cast<std::size_t>(s.trx.num_transmitters());
   Rng rng(44);
   cvec v(n);
   rng.fill_cnormal(v);
 
-  ForwardSolver fs(s.engine);
-  fs.set_contrast(cvec(n, cplx{}));
-  const ccspan inc = s.trx.incident_field(2);
-  cvec phi_b(inc.begin(), inc.end());  // free space: phi_b == phi_inc
+  const auto ws = s.workspace();
+  scattered_fields(*ws, cvec(n, cplx{}));  // free space: phi_b == phi_inc
+  cvec fv(ws->residual_size());
+  ws->frechet_pass_all(v, fv);
 
-  FrechetOperator f(fs, s.trx, phi_b);
-  cvec fv(static_cast<std::size_t>(s.trx.num_receivers()));
-  f.apply(v, fv);
-
-  cvec vphi(n), born(fv.size());
-  diag_mul(v, ccspan{phi_b.data(), n}, vphi);
-  s.trx.apply_gr(vphi, born);
+  cvec vphi(n * tc), born(fv.size());
+  for (std::size_t t = 0; t < tc; ++t) {
+    diag_mul(v, s.trx.incident_field(static_cast<int>(t)),
+             cspan{vphi.data() + t * n, n});
+  }
+  s.trx.apply_gr(vphi, born, tc);
   EXPECT_LT(rel_l2_diff(fv, born), 1e-8);
 }
 

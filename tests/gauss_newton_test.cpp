@@ -35,6 +35,8 @@ TEST(GaussNewton, ConvergesOnSmallProblem) {
   EXPECT_LT(res.history.relative_residual.back(),
             0.1 * res.history.relative_residual.front());
   EXPECT_LT(image_rmse(res.contrast, f.scene->true_contrast()), 0.6);
+  // The history carries the Krylov totals, as for every DBIM driver.
+  EXPECT_GT(res.history.bicgstab_iterations, 0u);
 }
 
 TEST(GaussNewton, FewerOuterIterationsThanNlcg) {

@@ -226,15 +226,16 @@ TEST(PrecondForward, MatchesUnpreconditionedSolvesOnCylinder) {
   rng.fill_cnormal(rhs);
 
   cvec phi_a(n, cplx{}), phi_b(n, cplx{});
-  const auto ra = plain.solve(rhs, phi_a);
-  const auto rb = pre.solve(rhs, phi_b);
+  const auto ra = plain.solve_block(rhs, phi_a, 1);
+  const auto rb = pre.solve_block(rhs, phi_b, 1);
   ASSERT_TRUE(ra.converged && rb.converged);
   EXPECT_LT(rel_l2_diff(phi_b, phi_a), 1e-10);
-  EXPECT_LT(rb.iterations, ra.iterations) << "preconditioner saved nothing";
+  EXPECT_LT(rb.rhs[0].iterations, ra.rhs[0].iterations)
+      << "preconditioner saved nothing";
 
   cvec psi_a(n, cplx{}), psi_b(n, cplx{});
-  ASSERT_TRUE(plain.solve_adjoint(rhs, psi_a).converged);
-  ASSERT_TRUE(pre.solve_adjoint(rhs, psi_b).converged);
+  ASSERT_TRUE(plain.solve_adjoint_block(rhs, psi_a, 1).converged);
+  ASSERT_TRUE(pre.solve_adjoint_block(rhs, psi_b, 1).converged);
   EXPECT_LT(rel_l2_diff(psi_b, psi_a), 1e-10);
 
   const std::size_t nrhs = 3;
