@@ -4,6 +4,8 @@
 // MLFMA apply and one forward solve.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
@@ -11,6 +13,7 @@
 #include "greens/nearfield.hpp"
 #include "linalg/gemm.hpp"
 #include "mlfma/engine.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/phantom.hpp"
 
 using namespace ffw;
@@ -86,20 +89,45 @@ static void BM_TranslationDiag(benchmark::State& state) {
 }
 BENCHMARK(BM_TranslationDiag);
 
+// The engine's near pass: one gemm_sum_t per leaf over its neighbour
+// products, on nrhs columns, at 1 thread or at all (threads = 0).
 static void BM_NearFieldPass(benchmark::State& state) {
-  Fixture& f = fixture128();
-  NearFieldOperators near(f.tree);
-  const std::size_t n = f.grid.num_pixels();
+  Fixture f(static_cast<int>(state.range(0)));
+  const std::size_t nrhs = static_cast<std::size_t>(state.range(1));
+  const NearFieldOperators& near = f.engine.nearfield();
+  const std::size_t np = static_cast<std::size_t>(f.tree.pixels_per_leaf());
+  const auto& begin = f.tree.near_begin();
+  const auto& entries = f.tree.near();
   Rng rng(5);
-  cvec x(n), y(n, cplx{});
+  cvec x(f.grid.num_pixels() * nrhs), y(x.size(), cplx{});
   rng.fill_cnormal(x);
+  set_num_threads(static_cast<int>(state.range(2)));
   for (auto _ : state) {
-    std::fill(y.begin(), y.end(), cplx{});
-    near.apply(f.tree, x, y);
+    parallel_for_dynamic(0, f.tree.num_leaves(), [&](std::size_t c) {
+      std::array<GemmTerm<double>, NearFieldOperators::kNumTypes> terms;
+      std::size_t count = 0;
+      for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e)
+        terms[count++] = {near.type_data<double>(entries[e].near_type),
+                          x.data() + entries[e].src * np * nrhs};
+      gemm_sum_t<double>(np, nrhs, np, terms.data(), count, np, np,
+                         y.data() + c * np * nrhs, np);
+    });
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
+  set_num_threads(0);
+  const double flops = 8.0 * static_cast<double>(entries.size() * np * np *
+                                                 nrhs);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_NearFieldPass);
+BENCHMARK(BM_NearFieldPass)
+    ->ArgNames({"nx", "nrhs", "threads"})
+    ->Args({128, 16, 1})
+    ->Args({128, 16, 0})
+    ->Args({64, 4, 1})
+    ->Args({64, 4, 0})
+    ->UseRealTime();
 
 // The 1-D FFT through the shared plan cache (what fft()/ifft() do now)
 // against a fresh plan per call (what they used to do: twiddle tables or

@@ -37,9 +37,10 @@ std::complex<T> unit_phase(double ang) {
 // interleaved re/im layout defeats the autovectorizer's cost model (it
 // settles for 16-byte vectors plus scalar shuffles); spelling out the
 // full-width lanes and the re/im swizzle roughly doubles the butterfly
-// throughput. 64-byte lanes on AVX-512 hardware, 32-byte otherwise (on
-// non-x86 the compiler lowers the fixed-width vectors to whatever the
-// target offers). Scalar tails keep every width correct; the
+// throughput. 64-byte lanes on AVX-512 hardware, 32-byte under AVX,
+// 16-byte otherwise (wider vectors than the build's registers change the
+// ABI of these helpers and are split into pairs). Scalar tails keep
+// every width correct; the
 // aligned(sizeof(T)) attribute makes each access legal at
 // complex-element alignment. The only runtime shuffle is the in-lane
 // re/im swap -- twiddles come pre-expanded from the plan tables.
@@ -47,8 +48,10 @@ std::complex<T> unit_phase(double ang) {
 #define FFW_FFT_SIMD 1
 #if defined(__AVX512F__)
 #define FFW_FFT_VEC_BYTES 64
-#else
+#elif defined(__AVX__)
 #define FFW_FFT_VEC_BYTES 32
+#else
+#define FFW_FFT_VEC_BYTES 16
 #endif
 
 template <typename T>
@@ -65,12 +68,16 @@ struct Simd<double> {
   static V swap_pairs(V v) {
 #if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
     return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-#elif defined(__clang__)
+#elif defined(__clang__) && FFW_FFT_VEC_BYTES == 32
     return __builtin_shufflevector(v, v, 1, 0, 3, 2);
+#elif defined(__clang__)
+    return __builtin_shufflevector(v, v, 1, 0);
 #elif FFW_FFT_VEC_BYTES == 64
     return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
-#else
+#elif FFW_FFT_VEC_BYTES == 32
     return __builtin_shuffle(v, M{1, 0, 3, 2});
+#else
+    return __builtin_shuffle(v, M{1, 0});
 #endif
   }
   static V broadcast(double a) { return a - V{}; }
@@ -95,13 +102,17 @@ struct Simd<float> {
 #if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
     return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10,
                                    13, 12, 15, 14);
-#elif defined(__clang__)
+#elif defined(__clang__) && FFW_FFT_VEC_BYTES == 32
     return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
+#elif defined(__clang__)
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
 #elif FFW_FFT_VEC_BYTES == 64
     return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12,
                                   15, 14});
-#else
+#elif FFW_FFT_VEC_BYTES == 32
     return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
+#else
+    return __builtin_shuffle(v, M{1, 0, 3, 2});
 #endif
   }
   static V broadcast(float a) { return a - V{}; }

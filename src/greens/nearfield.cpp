@@ -1,7 +1,6 @@
 #include "greens/nearfield.hpp"
 
 #include "greens/greens.hpp"
-#include "linalg/gemm.hpp"
 
 namespace ffw {
 
@@ -43,24 +42,6 @@ std::size_t NearFieldOperators::bytes() const {
   for (const auto& m : mats_) s += m.bytes();
   for (const auto& m : mats32_) s += m.size() * sizeof(cplx32);
   return s;
-}
-
-void NearFieldOperators::apply(const QuadTree& tree, ccspan x, cspan y) const {
-  const std::size_t np = static_cast<std::size_t>(tree.pixels_per_leaf());
-  const auto& begin = tree.near_begin();
-  const auto& entries = tree.near();
-  const std::size_t nleaf = tree.num_leaves();
-  FFW_CHECK(precision_ == Precision::kDouble);
-  FFW_CHECK(x.size() == nleaf * np && y.size() == nleaf * np);
-  for (std::size_t c = 0; c < nleaf; ++c) {
-    cplx* yd = y.data() + c * np;
-    for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
-      const NearEntry& ne = entries[e];
-      const CMatrix& m = type(ne.near_type);
-      const cplx* xs = x.data() + static_cast<std::size_t>(ne.src) * np;
-      gemm_raw(np, 1, np, cplx{1.0}, m.data(), np, xs, np, cplx{1.0}, yd, np);
-    }
-  }
 }
 
 }  // namespace ffw

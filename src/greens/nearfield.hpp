@@ -42,12 +42,6 @@ class NearFieldOperators {
   /// Total operator storage (bytes) — part of the memory census.
   std::size_t bytes() const;
 
-  /// y += G0_near * x over the whole grid, both in cluster order.
-  /// Exercised standalone in tests; the MLFMA engine calls the batched
-  /// per-cluster form directly for overlap with communication.
-  /// fp64-only (requires Precision::kDouble tables).
-  void apply(const QuadTree& tree, ccspan x, cspan y) const;
-
  private:
   Precision precision_ = Precision::kDouble;
   std::array<CMatrix, kNumTypes> mats_;

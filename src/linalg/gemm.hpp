@@ -5,10 +5,8 @@
 // The raw kernel is templated over a *storage* scalar TS (what A and B
 // stream from memory) and an *accumulation/destination* scalar TD (what
 // C holds and what the inner products accumulate in), so one micro-kernel
-// serves the three precision modes of the engine:
+// serves both precision modes of the engine:
 //   TS = TD = double  — the all-fp64 reference path;
-//   TS = TD = float   — fp32 spectra panels inside the mixed pipeline
-//                       (twice the SIMD lanes, half the streamed bytes);
 //   TS = float, TD = double — the mixed pipeline's leaf boundaries:
 //                       fp32 tables/panels accumulated into the fp64
 //                       solver vector (DESIGN.md Sec. 10).
@@ -40,34 +38,9 @@ void gemm_raw_t(std::size_t m, std::size_t n, std::size_t k,
 extern template void gemm_raw_t<double, double>(
     std::size_t, std::size_t, std::size_t, cplx, const cplx*, std::size_t,
     const cplx*, std::size_t, cplx, cplx*, std::size_t);
-extern template void gemm_raw_t<float, float>(
-    std::size_t, std::size_t, std::size_t, cplx32, const cplx32*, std::size_t,
-    const cplx32*, std::size_t, cplx32, cplx32*, std::size_t);
 extern template void gemm_raw_t<float, double>(
     std::size_t, std::size_t, std::size_t, cplx, const cplx32*, std::size_t,
     const cplx32*, std::size_t, cplx, cplx*, std::size_t);
-
-/// All-fp64 path (the historical entry point).
-inline void gemm_raw(std::size_t m, std::size_t n, std::size_t k, cplx alpha,
-                     const cplx* a, std::size_t lda, const cplx* b,
-                     std::size_t ldb, cplx beta, cplx* c, std::size_t ldc) {
-  gemm_raw_t<double, double>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-/// All-fp32 path (interior of the mixed MLFMA pipeline).
-inline void gemm_raw(std::size_t m, std::size_t n, std::size_t k,
-                     cplx32 alpha, const cplx32* a, std::size_t lda,
-                     const cplx32* b, std::size_t ldb, cplx32 beta, cplx32* c,
-                     std::size_t ldc) {
-  gemm_raw_t<float, float>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-/// Mixed path: fp32 operands, fp64 accumulation and destination.
-inline void gemm_raw(std::size_t m, std::size_t n, std::size_t k, cplx alpha,
-                     const cplx32* a, std::size_t lda, const cplx32* b,
-                     std::size_t ldb, cplx beta, cplx* c, std::size_t ldc) {
-  gemm_raw_t<float, double>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
 
 /// Mixed leaf-expansion kernel: C32(m x n) = A32(m x k) * B32(k x n).
 /// The rank-1 MACs run in fp32 over short k-chunks and are promoted
@@ -79,6 +52,38 @@ inline void gemm_raw(std::size_t m, std::size_t n, std::size_t k, cplx alpha,
 void gemm_expand_mixed(std::size_t m, std::size_t n, std::size_t k,
                        const cplx32* a, std::size_t lda, const cplx32* b,
                        std::size_t ldb, cplx32* c, std::size_t ldc);
+
+/// One (A_e, B_e) pair of a gemm_sum_t list.
+template <typename TS>
+struct GemmTerm {
+  const std::complex<TS>* a;
+  const std::complex<TS>* b;
+};
+
+/// C(m x n) += sum_{e < count} A_e(m x k) * B_e(k x n): the near-field
+/// leaf product, one call per destination leaf over its <= 9 neighbour
+/// terms. A_e has leading dimension lda, B_e ldb; C is fp64. A register
+/// tile of rows x 4 columns (column tails at width 2 and 1) accumulates
+/// over every term and every k before C is written once (for k > 64,
+/// once per k block of 32). Per element the order is fixed — k blocks,
+/// then terms in list order, then k ascending — so the bits do not
+/// depend on the thread count or the column position. For
+/// TS = float each term's product accumulates in fp32 registers and is
+/// widened into fp64 accumulators after the term (every MAC fp32, the
+/// sum across terms fp64; DESIGN.md Sec. 10).
+template <typename TS>
+void gemm_sum_t(std::size_t m, std::size_t n, std::size_t k,
+                const GemmTerm<TS>* terms, std::size_t count, std::size_t lda,
+                std::size_t ldb, cplx* c, std::size_t ldc);
+
+extern template void gemm_sum_t<double>(std::size_t, std::size_t,
+                                        std::size_t, const GemmTerm<double>*,
+                                        std::size_t, std::size_t, std::size_t,
+                                        cplx*, std::size_t);
+extern template void gemm_sum_t<float>(std::size_t, std::size_t, std::size_t,
+                                       const GemmTerm<float>*, std::size_t,
+                                       std::size_t, std::size_t, cplx*,
+                                       std::size_t);
 
 /// C(m x n) = alpha * A^H * B + beta * C, where A is stored (k x m)
 /// column-major. Dot-product form: each C entry reduces one contiguous A

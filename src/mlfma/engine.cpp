@@ -1,6 +1,7 @@
 #include "mlfma/engine.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
@@ -325,35 +326,19 @@ void MlfmaEngine::near_pass_t(const std::complex<T>* x, cspan y,
   const std::size_t np = static_cast<std::size_t>(tree_->pixels_per_leaf());
   const auto& begin = tree_->near_begin();
   const auto& entries = tree_->near();
+  // One register-tiled sum per leaf over its <= 9 neighbour products;
+  // for T = float every MAC is fp32 and the sum across them fp64.
   parallel_for_dynamic(0, tree_->num_leaves(), [&](std::size_t c) {
-    cplx* yd = y.data() + c * np * nrhs;
-    if constexpr (std::is_same_v<T, float>) {
-      // The near pass runs entirely in fp32: each 64x64 block product
-      // lands in a per-thread fp32 staging panel and widens into the
-      // fp64 output per entry, so every MAC is single-precision but the
-      // cross-source summation stays fp64 (the widen is ~1/np of the
-      // MACs).
-      auto& ws = scratch<float>()[static_cast<std::size_t>(thread_rank())];
-      if (ws.size() < np * nrhs) ws.resize(np * nrhs);
-      cplx32* acc = ws.data();
-      for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
-        const NearEntry& ne = entries[e];
-        const cplx32* xs = x + static_cast<std::size_t>(ne.src) * np * nrhs;
-        gemm_raw_t<float, float>(np, nrhs, np, cplx32{1.0f},
-                                 near_.type_data<float>(ne.near_type), np, xs,
-                                 np, cplx32{}, acc, np);
-        for (std::size_t i = 0; i < np * nrhs; ++i) yd[i] += widen(acc[i]);
-      }
-    } else {
-      for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
-        const NearEntry& ne = entries[e];
-        const std::complex<T>* xs =
-            x + static_cast<std::size_t>(ne.src) * np * nrhs;
-        gemm_raw_t<T, double>(np, nrhs, np, cplx{1.0},
-                              near_.type_data<T>(ne.near_type), np, xs, np,
-                              cplx{1.0}, yd, np);
-      }
+    FFW_CHECK(begin[c + 1] - begin[c] <= NearFieldOperators::kNumTypes);
+    std::array<GemmTerm<T>, NearFieldOperators::kNumTypes> terms;
+    std::size_t count = 0;
+    for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
+      const NearEntry& ne = entries[e];
+      terms[count++] = {near_.type_data<T>(ne.near_type),
+                        x + static_cast<std::size_t>(ne.src) * np * nrhs};
     }
+    gemm_sum_t<T>(np, nrhs, np, terms.data(), count, np, np,
+                  y.data() + c * np * nrhs, np);
   });
 }
 

@@ -1,6 +1,7 @@
 #include "mlfma/partitioned.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "linalg/gemm.hpp"
@@ -232,7 +233,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // and, at the end, the disaggregated far field (all beta = 1 against a
   // zero fill, so phases can run in completion order). y_local stays
   // fp64 on both paths; T = float crosses into it only through
-  // gemm_raw_t<float, double> (the fp64-accumulation boundary).
+  // gemm_raw_t<float, double> and gemm_sum_t<float> (the
+  // fp64-accumulation boundaries).
   std::fill(y_local.begin(), y_local.end(), cplx{});
   CV x_gh(rs.near.num_ghosts * np * nrhs);
 
@@ -265,28 +267,19 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   auto run_near = [&](const std::vector<HaloWork>& work,
                       const C* src_panel) {
     obs::SpanScope span("dist.near", obs::kNoArg, obs::Counter::kComputeNs);
-    if constexpr (std::is_same_v<T, float>) {
-      // Entirely-fp32 near field: each 64x64 block product runs in
-      // single precision into a rank-local staging panel and widens
-      // into the fp64 output once (the widen is ~1/np of the MACs).
-      static thread_local cvec32 tmp;
-      if (tmp.size() < np * nrhs) tmp.resize(np * nrhs);
-      for (const HaloWork& w : work) {
-        gemm_raw_t<float, float>(np, nrhs, np, cplx32{1.0f},
-                                 near_.type_data<float>(w.type), np,
-                                 src_panel + w.src_slot * np * nrhs, np,
-                                 cplx32{}, tmp.data(), np);
-        cplx* yd = y_local.data() + w.dst_slot * np * nrhs;
-        for (std::size_t i = 0; i < np * nrhs; ++i) yd[i] += widen(tmp[i]);
+    // The schedule lists work in destination order: one register-tiled
+    // sum per run of equal dst_slot.
+    std::array<GemmTerm<T>, NearFieldOperators::kNumTypes> terms;
+    for (std::size_t w = 0; w < work.size();) {
+      const std::uint32_t dst = work[w].dst_slot;
+      std::size_t count = 0;
+      for (; w < work.size() && work[w].dst_slot == dst; ++w) {
+        FFW_CHECK(count < terms.size());
+        terms[count++] = {near_.type_data<T>(work[w].type),
+                          src_panel + work[w].src_slot * np * nrhs};
       }
-    } else {
-      for (const HaloWork& w : work) {
-        gemm_raw_t<T, double>(np, nrhs, np, cplx{1.0},
-                              near_.type_data<T>(w.type), np,
-                              src_panel + w.src_slot * np * nrhs, np,
-                              cplx{1.0},
-                              y_local.data() + w.dst_slot * np * nrhs, np);
-      }
+      gemm_sum_t<T>(np, nrhs, np, terms.data(), count, np, np,
+                    y_local.data() + dst * np * nrhs, np);
     }
   };
   // Halo payloads land contiguously in the ghost panels — no scatter.

@@ -4,13 +4,22 @@
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 
 namespace ffw {
 
 CalibratedRates calibrate(int nx, int applies) {
   CalibratedRates rates;
-  {  // Per-phase rates from real engine timings.
+  {  // Per-phase rates from real engine timings, on one thread:
+     // MachineParams::cpu_node_factor scales a single calibration core.
+    struct OneThread {
+      int prev = num_threads();
+      OneThread() { set_num_threads(1); }
+      OneThread(const OneThread&) = delete;
+      OneThread& operator=(const OneThread&) = delete;
+      ~OneThread() { set_num_threads(prev); }
+    } one_thread;
     Grid grid(nx);
     QuadTree tree(grid);
     MlfmaEngine engine(tree);
