@@ -5,17 +5,18 @@
 //
 // Execution model: bands are assigned to groups round-robin. Within a
 // group, each band runs the serial band loop (continuation_run_band) —
-// a DbimStepper over a partitioned pass workspace spanning the group's
-// illum_groups x tree_ranks window (make_partitioned_workspace), or
-// over the serial workspace for a 1-rank group. The parts of a band that do NOT depend on earlier
-// bands — operator-table builds, transceiver setup, measurement
-// synthesis (independent experiments per frequency, cf. Gaggioli-Bruno
-// arXiv:2202.09421) — start immediately and overlap other groups'
-// reconstructions; only the DBIM itself waits for the previous band's
-// warm start, which travels leader-to-leader as a point-to-point
-// message. All traffic is group collectives and point-to-point sends in
-// a reserved tag namespace; the cluster-global barrier/allreduce are
-// never used, so concurrent windows cannot interfere.
+// a DbimStepper over each rank's share of the group's illum_groups x
+// tree_ranks window (make_partitioned_workspace), or over the
+// whole-problem workspace for a 1-rank group. The parts of a band that
+// do NOT depend on earlier bands — operator-table builds, transceiver
+// setup, measurement synthesis (independent experiments per frequency,
+// cf. Gaggioli-Bruno arXiv:2202.09421) — start immediately and overlap
+// other groups' reconstructions; only the DBIM itself waits for the
+// previous band's warm start, which travels leader-to-leader as a
+// point-to-point message. All traffic is group collectives and
+// point-to-point sends in a reserved tag namespace; the cluster-global
+// barrier/allreduce are never used, so concurrent windows cannot
+// interfere.
 //
 // Determinism: measurement synthesis and the warm-start arithmetic are
 // the exact code paths of the serial driver, so the serial and

@@ -10,20 +10,45 @@
 
 namespace ffw {
 
+namespace {
+
+/// Reserved tag of the natural-order gathers (checkpoint and result).
+constexpr int kTagGather = -4000;
+
+}  // namespace
+
 DbimWorkspace::DbimWorkspace(MlfmaEngine& engine, const Transceivers& trx,
                              const CMatrix& measured,
                              const BicgstabOptions& fw_opts)
-    : trx_(&trx), measured_(&measured), solver_(engine, fw_opts),
-      active_(&solver_), npix_(engine.tree().grid().num_pixels()) {
+    : DbimWorkspace(std::make_unique<ForwardSolver>(engine, fw_opts), trx,
+                    measured, fw_opts) {}
+
+DbimWorkspace::DbimWorkspace(std::unique_ptr<ForwardBackend> mlfma,
+                             const Transceivers& trx, const CMatrix& measured,
+                             const BicgstabOptions& fw_opts, DbimShare share)
+    : trx_(&trx), measured_(&measured), base_tol_(fw_opts.tol),
+      share_(std::move(share)), mlfma_(std::move(mlfma)),
+      active_(mlfma_.get()) {
   FFW_CHECK(measured.rows() == static_cast<std::size_t>(trx.num_receivers()));
   FFW_CHECK(measured.cols() == static_cast<std::size_t>(trx.num_transmitters()));
-  meas_norm2_ = 0.0;
+  if (share_.transmitters.empty()) {
+    // The default share: every pixel and transmitter in natural order,
+    // on rank 0 alone in every group.
+    for (int t = 0; t < trx.num_transmitters(); ++t)
+      share_.transmitters.push_back(t);
+    share_.layout = BlockLayout{trx.grid().num_pixels(), measured.cols(), 1};
+    share_.tree_group = share_.column_group = share_.window = {0};
+  }
+  lo_ = share_.layout;
+  FFW_CHECK(lo_.nrhs == share_.transmitters.size());
+  if (!share_.order.empty())
+    pixels_ = share_.order.subspan(share_.first, lo_.rows());
   for (std::size_t t = 0; t < measured.cols(); ++t) {
     const double nn = nrm2(measured.col(t));
     meas_norm2_ += nn * nn;
   }
-  phi_b_ = CMatrix(npix_, measured.cols());
-  phi_b_valid_.assign(measured.cols(), false);
+  phi_b_.assign(lo_.size(), cplx{});
+  load_incident(phi_b_);
 }
 
 void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
@@ -36,21 +61,21 @@ void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
   escalated_ = false;
   if (policy == BackendKind::kMlfma) {
     cbs_.reset();
-    active_ = &solver_;
+    active_ = mlfma_.get();
     return;
   }
   if (tables) {
-    FFW_CHECK(tables->grid.nx() == solver_.tree().grid().nx());
+    FFW_CHECK(tables->grid.nx() == trx_->grid().nx());
     cbs_ = std::make_unique<CbsEngine>(std::move(tables), cbs_opts);
   } else {
-    cbs_ = std::make_unique<CbsEngine>(solver_.tree().grid(), cbs_opts);
+    cbs_ = std::make_unique<CbsEngine>(trx_->grid(), cbs_opts);
   }
   active_ = policy == BackendKind::kCbs ? static_cast<ForwardBackend*>(cbs_.get())
-                                        : &solver_;
+                                        : mlfma_.get();
 }
 
 void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
-  solver_.set_contrast(contrast);
+  mlfma_->set_contrast(contrast);
   if (cbs_) {
     cbs_->set_contrast(contrast);
     if (policy_ == BackendKind::kCbs) {
@@ -62,24 +87,24 @@ void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
       // series has struggled on this reconstruction, trust MLFMA.
       double omax = 0.0;
       for (const cplx& o : contrast) omax = std::max(omax, std::abs(o));
-      const double k0 = solver_.tree().grid().k0();
+      const double k0 = trx_->grid().k0();
       const bool weak = omax / (k0 * k0) < auto_threshold_;
       active_ = (weak && !escalated_)
                     ? static_cast<ForwardBackend*>(cbs_.get())
-                    : &solver_;
+                    : mlfma_.get();
     }
   }
+  // Otherwise the background fields stay as warm starts for the next
+  // residual pass. Without warm starts every residual pass restarts from
+  // the incident fields, and the recycle snapshots reset with them: a
+  // run that restarts its fields (e.g. crash recovery) re-derives its
+  // Krylov seeds from scratch, so each iterate is a pure function of the
+  // checkpointed outer-loop state.
   if (!keep_fields) {
-    std::fill(phi_b_valid_.begin(), phi_b_valid_.end(), false);
-    // Recycle snapshots follow the same reset policy as the warm-started
-    // fields: a run that restarts its fields (e.g. crash recovery)
-    // re-derives its Krylov seeds from scratch, keeping the recovered
-    // trajectory identical to the fault-free one.
+    load_incident(phi_b_);
     rec_grad_.clear();
     rec_step_.clear();
   }
-  // Otherwise background fields stay as warm starts for the next
-  // residual pass.
 }
 
 void DbimWorkspace::set_recycling(std::size_t depth, double ridge) {
@@ -87,14 +112,14 @@ void DbimWorkspace::set_recycling(std::size_t depth, double ridge) {
   rec_step_ = KrylovRecycler(RecycleOptions{depth, ridge});
 }
 
-bool DbimWorkspace::block_solve(ccspan rhs, cspan x, std::size_t nrhs,
-                                bool adjoint) {
+bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
   // Eisenstat-Walker forcing: a positive forcing tolerance (always >=
   // the solver's base tolerance, the driver clamps) loosens the target
   // of every Krylov solve of this DBIM iteration. The ForwardBackend
   // panel API threads the per-call tolerance through either engine.
-  const double base = solver_.options().tol;
-  const double tol = forcing_tol_ > 0.0 ? std::max(forcing_tol_, base) : base;
+  const double tol =
+      forcing_tol_ > 0.0 ? std::max(forcing_tol_, base_tol_) : base_tol_;
+  const std::size_t nrhs = lo_.nrhs;
   if (active_ == cbs_.get() && cbs_) {
     const bool ok = adjoint ? cbs_->solve_adjoint_panel(rhs, x, nrhs, tol)
                             : cbs_->solve_panel(rhs, x, nrhs, tol);
@@ -104,7 +129,7 @@ bool DbimWorkspace::block_solve(ccspan rhs, cspan x, std::size_t nrhs,
         // Converged, but the series is slowing down: escalate *before*
         // the watchdog has to abort a solve mid-reconstruction.
         escalated_ = true;
-        active_ = &solver_;
+        active_ = mlfma_.get();
       }
       return true;
     }
@@ -113,166 +138,271 @@ bool DbimWorkspace::block_solve(ccspan rhs, cspan x, std::size_t nrhs,
     // to MLFMA and redo this panel there (the partial CBS iterate left
     // in x is a serviceable warm start).
     escalated_ = true;
-    active_ = &solver_;
+    active_ = mlfma_.get();
   }
-  return adjoint ? solver_.solve_adjoint_panel(rhs, x, nrhs, tol)
-                 : solver_.solve_panel(rhs, x, nrhs, tol);
+  return adjoint ? mlfma_->solve_adjoint_panel(rhs, x, nrhs, tol)
+                 : mlfma_->solve_panel(rhs, x, nrhs, tol);
+}
+
+void DbimWorkspace::load_incident(cspan blk) const {
+  const ccspan panel = trx_->incident_panel();
+  const std::size_t n = trx_->grid().num_pixels();
+  for (std::size_t c = 0; c < lo_.npanels; ++c) {
+    for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+      const cplx* col =
+          panel.data() + static_cast<std::size_t>(share_.transmitters[i]) * n;
+      cplx* out = blk.data() + lo_.at(c, i);
+      for (std::size_t j = 0; j < lo_.panel; ++j)
+        out[j] = col[pixel(c * lo_.panel + j)];
+    }
+  }
+}
+
+int DbimWorkspace::rank() const {
+  return share_.comm != nullptr ? share_.comm->rank() : 0;
+}
+
+void DbimWorkspace::group_sum(cspan v, const std::vector<int>& group) {
+  if (share_.comm != nullptr) share_.comm->group_allreduce_sum(v, group);
+}
+
+void DbimWorkspace::group_sum(rspan v, const std::vector<int>& group) {
+  if (share_.comm != nullptr) share_.comm->group_allreduce_sum(v, group);
+}
+
+void DbimWorkspace::project(ccspan v, cspan cols) {
+  gr_project(trx_->gr(), pixels_, lo_, v, cols);
+  group_sum(cols, share_.tree_group);
+}
+
+double DbimWorkspace::illumination_sum(double v) {
+  // A whole-cluster window uses the cluster allreduce; a sub-window only
+  // group collectives over its own ranks, never the global allreduce
+  // (which would deadlock against the other band groups running their
+  // own windows concurrently). Every tree rank holds its group's
+  // per-illumination sums in full, so the window sum counts each of them
+  // once per tree rank.
+  Comm* comm = share_.comm;
+  if (comm == nullptr) return v;
+  const double total = static_cast<int>(share_.window.size()) == comm->size()
+                           ? comm->allreduce_sum(v)
+                           : comm->group_allreduce_sum(v, share_.window);
+  return total / static_cast<double>(share_.tree_group.size());
 }
 
 double DbimWorkspace::residual_pass_all(cspan residuals) {
-  const std::size_t tc = measured_->cols();
   const std::size_t nr = measured_->rows();
-  FFW_CHECK(residuals.size() == nr * tc);
-  // RHS panel: the owned incident panel; warm-start guesses live
-  // directly in the phi_b_ columns, which the block solve updates in
-  // place.
-  for (std::size_t t = 0; t < tc; ++t) {
-    if (!phi_b_valid_[t]) {
-      // first iteration: incident field guess
-      copy(trx_->incident_field(static_cast<int>(t)), phi_b_.col(t));
-      phi_b_valid_[t] = true;
-    }
-  }
-  FFW_CHECK_MSG(block_solve(trx_->incident_panel(),
-                            cspan{phi_b_.data(), npix_ * tc}, tc,
-                            /*adjoint=*/false),
+  FFW_CHECK(residuals.size() == residual_size());
+  // The background fields solve in place: their warm-start guesses live
+  // in phi_b_, which the block solve updates.
+  cvec rhs(lo_.size());
+  load_incident(rhs);
+  FFW_CHECK_MSG(block_solve(rhs, phi_b_, /*adjoint=*/false),
                 "DBIM residual-pass block solve diverged");
   // phi_sca = G_R (O_b .* phi_b) for every column in one projection.
-  cvec ophi(npix_ * tc);
-  for (std::size_t t = 0; t < tc; ++t) {
-    diag_mul(solver_.contrast_natural(), ccspan{phi_b_.col(t).data(), npix_},
-             cspan{ophi.data() + t * npix_, npix_});
-  }
-  trx_->apply_gr(ophi, residuals, tc);
+  cvec ophi(lo_.size());
+  block_diag_mul(lo_, mlfma_->contrast(), phi_b_, ophi);
+  project(ophi, residuals);
   double cost = 0.0;
-  for (std::size_t t = 0; t < tc; ++t) {
-    cspan residual{residuals.data() + t * nr, nr};
-    sub(residual, measured_->col(t), residual);
+  for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+    cspan residual{residuals.data() + i * nr, nr};
+    sub(residual,
+        measured_->col(static_cast<std::size_t>(share_.transmitters[i])),
+        residual);
     const double rn = nrm2(ccspan{residual.data(), nr});
     cost += rn * rn;
   }
-  return cost;
+  return illumination_sum(cost);
 }
 
 void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
-  const std::size_t tc = measured_->cols();
-  const std::size_t nr = measured_->rows();
-  FFW_CHECK(residuals.size() == nr * tc && grad_accum.size() == npix_);
+  FFW_CHECK(residuals.size() == residual_size() &&
+            grad_accum.size() == num_pixels());
   // Blocked adjoint Frechet: g_t = G_R^H b_t, one block adjoint solve of
   // [I - G0 O]^H for all t, then the G0^H products as one blocked apply.
-  cvec g1(npix_ * tc), w2(npix_ * tc), w3(npix_ * tc, cplx{}),
-      w4(npix_ * tc);
-  trx_->apply_gr_herm(residuals, g1, tc);
-  for (std::size_t t = 0; t < tc; ++t) {
-    diag_mul_conj(solver_.contrast_natural(),
-                  ccspan{g1.data() + t * npix_, npix_},
-                  cspan{w2.data() + t * npix_, npix_});
-  }
-  // Column-major natural-order panels are the npanels == 1 block layout;
-  // the recycler seeds each transmitter's column independently.
-  const BlockLayout lon{npix_, tc, 1};
-  rec_grad_.seed(w2, w3, lon);
-  FFW_CHECK_MSG(block_solve(w2, w3, tc, /*adjoint=*/true),
+  cvec g1(lo_.size()), w2(lo_.size()), w3(lo_.size(), cplx{}),
+      w4(lo_.size());
+  gr_project_herm(trx_->gr(), pixels_, lo_, residuals, g1);
+  block_diag_mul_conj(lo_, mlfma_->contrast(), g1, w2);
+  // Krylov recycling: seed from the least-squares combination of the
+  // retained (rhs, solution) pairs, one batched tree-group reduction.
+  rec_grad_.seed(w2, w3, lo_, reducer());
+  FFW_CHECK_MSG(block_solve(w2, w3, /*adjoint=*/true),
                 "DBIM gradient-pass block solve diverged");
-  rec_grad_.store(w2, w3, lon);
-  active_->apply_g0_herm_panel(w3, w4, tc);
-  for (std::size_t t = 0; t < tc; ++t) {
-    const cplx* phi = phi_b_.col(t).data();
-    const cplx* g1t = g1.data() + t * npix_;
-    const cplx* w4t = w4.data() + t * npix_;
-    for (std::size_t i = 0; i < npix_; ++i)
-      grad_accum[i] += std::conj(phi[i]) * (g1t[i] + w4t[i]);
+  rec_grad_.store(w2, w3, lo_);
+  active_->apply_g0_herm_panel(w3, w4, lo_.nrhs);
+  for (std::size_t c = 0; c < lo_.npanels; ++c) {
+    cplx* gq = grad_accum.data() + c * lo_.panel;
+    for (std::size_t r = 0; r < lo_.nrhs; ++r) {
+      const cplx* phi = phi_b_.data() + lo_.at(c, r);
+      const cplx* g1p = g1.data() + lo_.at(c, r);
+      const cplx* w4p = w4.data() + lo_.at(c, r);
+      for (std::size_t i = 0; i < lo_.panel; ++i)
+        gq[i] += std::conj(phi[i]) * (g1p[i] + w4p[i]);
+    }
   }
+  // Combine across illumination groups (paper Fig. 4, sync 1).
+  group_sum(grad_accum, share_.column_group);
 }
 
 void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
-  const std::size_t tc = measured_->cols();
-  FFW_CHECK(direction.size() == npix_ && out.size() == residual_size());
+  FFW_CHECK(direction.size() == num_pixels() && out.size() == residual_size());
   // Blocked Frechet apply: u_t = d .* phi_b,t, one blocked G0 apply, one
   // block forward solve, then one panel receiver projection.
-  cvec u1(npix_ * tc), u2(npix_ * tc), w(npix_ * tc, cplx{});
-  for (std::size_t t = 0; t < tc; ++t) {
-    diag_mul(direction, ccspan{phi_b_.col(t).data(), npix_},
-             cspan{u1.data() + t * npix_, npix_});
-  }
-  active_->apply_g0_panel(u1, u2, tc);
-  const BlockLayout lon{npix_, tc, 1};
-  rec_step_.seed(u2, w, lon);
-  FFW_CHECK_MSG(block_solve(u2, w, tc, /*adjoint=*/false),
+  cvec u1(lo_.size()), u2(lo_.size()), w(lo_.size(), cplx{});
+  block_diag_mul(lo_, direction, phi_b_, u1);
+  active_->apply_g0_panel(u1, u2, lo_.nrhs);
+  rec_step_.seed(u2, w, lo_, reducer());
+  FFW_CHECK_MSG(block_solve(u2, w, /*adjoint=*/false),
                 "DBIM Frechet-pass block solve diverged");
-  rec_step_.store(u2, w, lon);
-  for (std::size_t t = 0; t < tc; ++t) {
-    diag_mul_acc(solver_.contrast_natural(),
-                 ccspan{w.data() + t * npix_, npix_},
-                 cspan{u1.data() + t * npix_, npix_});
+  rec_step_.store(u2, w, lo_);
+  const ccspan o = mlfma_->contrast();
+  for (std::size_t c = 0; c < lo_.npanels; ++c) {
+    const cplx* op = o.data() + c * lo_.panel;
+    for (std::size_t r = 0; r < lo_.nrhs; ++r) {
+      const cplx* wp = w.data() + lo_.at(c, r);
+      cplx* up = u1.data() + lo_.at(c, r);
+      for (std::size_t i = 0; i < lo_.panel; ++i) up[i] += op[i] * wp[i];
+    }
   }
-  trx_->apply_gr(u1, out, tc);
+  project(u1, out);
 }
 
 double DbimWorkspace::step_pass_all(ccspan direction) {
-  const std::size_t tc = measured_->cols();
   const std::size_t nr = measured_->rows();
-  cvec sc(nr * tc);
+  cvec sc(residual_size());
   frechet_pass_all(direction, sc);
   double denom = 0.0;
-  for (std::size_t t = 0; t < tc; ++t) {
-    const double fn = nrm2(ccspan{sc.data() + t * nr, nr});
+  for (std::size_t i = 0; i < lo_.nrhs; ++i) {
+    const double fn = nrm2(ccspan{sc.data() + i * nr, nr});
     denom += fn * fn;
   }
-  return denom;
-}
-
-void DbimPasses::scatter(ccspan natural, cspan local) const {
-  FFW_CHECK(natural.size() == local.size());
-  copy(natural, local);
-}
-
-bool DbimPasses::gather(std::span<const ccspan> in, std::span<cvec* const> out,
-                        bool /*everywhere*/) {
-  FFW_CHECK(in.size() == out.size());
-  for (std::size_t i = 0; i < in.size(); ++i)
-    out[i]->assign(in[i].begin(), in[i].end());
-  return true;
+  return illumination_sum(denom);
 }
 
 std::size_t DbimWorkspace::residual_size() const {
-  return measured_->rows() * measured_->cols();
+  return measured_->rows() * lo_.nrhs;
+}
+
+DotReducer DbimWorkspace::reducer() {
+  return DotReducer{[this](cspan v) { group_sum(v, share_.tree_group); },
+                    [this](rspan v) { group_sum(v, share_.tree_group); }};
+}
+
+bool DbimWorkspace::leader() const { return rank() == share_.window.front(); }
+
+void DbimWorkspace::scatter(ccspan natural, cspan local) const {
+  FFW_CHECK(natural.size() == trx_->grid().num_pixels() &&
+            local.size() == num_pixels());
+  for (std::size_t q = 0; q < local.size(); ++q) local[q] = natural[pixel(q)];
+}
+
+bool DbimWorkspace::gather(std::span<const ccspan> in,
+                           std::span<cvec* const> out, bool everywhere) {
+  FFW_CHECK(in.size() == out.size());
+  Comm* comm = share_.comm;
+  if (comm == nullptr) {
+    for (std::size_t k = 0; k < in.size(); ++k)
+      out[k]->assign(in[k].begin(), in[k].end());
+    return true;
+  }
+  // The pixel vectors are replicated across illumination groups, so the
+  // first group's tree ranks ship their slices (one message each, all
+  // vectors packed) to the window leader, which places them in natural
+  // order; `everywhere` then broadcasts over the window.
+  const std::size_t nv = in.size(), npix = trx_->grid().num_pixels();
+  const int lead = share_.window.front();
+  if (share_.tree_group.front() == lead) {
+    cvec pack(nv * num_pixels());
+    for (std::size_t k = 0; k < nv; ++k)
+      std::copy(in[k].begin(), in[k].end(),
+                pack.begin() + static_cast<std::ptrdiff_t>(k * num_pixels()));
+    if (!leader()) {
+      comm->send(lead, kTagGather, ccspan{pack});
+    } else {
+      for (cvec* o : out) o->assign(npix, cplx{});
+      std::size_t first = 0;  // the slices tile `order` in rank order
+      for (const int r : share_.tree_group) {
+        const cvec part =
+            r == lead ? std::move(pack) : comm->recv<cplx>(r, kTagGather);
+        const std::size_t n = part.size() / nv;
+        for (std::size_t k = 0; k < nv; ++k)
+          for (std::size_t q = 0; q < n; ++q)
+            (*out[k])[share_.order[first + q]] = part[k * n + q];
+        first += n;
+      }
+    }
+  }
+  if (!everywhere) return leader();
+  for (cvec* o : out) {
+    o->resize(npix);
+    comm->group_bcast(cspan{*o}, share_.window);
+  }
+  return true;
 }
 
 void DbimWorkspace::fill_counts(DbimHistory& h) {
   // Both engines may have contributed solves (kAuto switches mid-run);
-  // the history totals span whatever mix actually executed.
-  const ForwardStats& ms = solver_.stats();
-  h.forward_solves = ms.solves;
-  h.operator_applications = ms.operator_applications;
-  h.bicgstab_iterations = ms.bicgs_iterations;
-  h.precond_setup_seconds = ms.precond_setup_seconds;
+  // the history totals span whatever mix actually executed. Each tree
+  // rank of a group takes part in every block solve of the group, so
+  // summing one tree rank's counts over the illumination groups (the
+  // column group) gives the run's totals.
+  const ForwardStats& ms = mlfma_->stats();
+  double c[3] = {static_cast<double>(ms.solves),
+                 static_cast<double>(ms.operator_applications),
+                 static_cast<double>(ms.bicgs_iterations)};
   if (cbs_) {
     const ForwardStats& cs = cbs_->stats();
-    h.forward_solves += cs.solves;
-    h.operator_applications += cs.operator_applications;
-    h.bicgstab_iterations += cs.bicgs_iterations;
+    c[0] += static_cast<double>(cs.solves);
+    c[1] += static_cast<double>(cs.operator_applications);
+    c[2] += static_cast<double>(cs.bicgs_iterations);
   }
+  group_sum(rspan{c, 3}, share_.column_group);
+  h.forward_solves = static_cast<std::uint64_t>(c[0]);
+  h.operator_applications = static_cast<std::uint64_t>(c[1]);
+  h.bicgstab_iterations = static_cast<std::uint64_t>(c[2]);
   h.cbs_escalated = escalated_;
+  // Every window rank builds its preconditioner at each background
+  // update and the iteration waits for the slowest build: all-gather
+  // the build times over the window, sum the per-build maxima.
+  h.precond_setup_seconds = 0.0;
+  const std::vector<double>& builds = ms.precond_setups;
+  const std::size_t nb = builds.size();
+  if (nb == 0) return;
+  const std::size_t nw = share_.window.size();
+  const std::size_t me =
+      static_cast<std::size_t>(rank() - share_.window.front());
+  rvec all(nw * nb, 0.0);
+  std::copy(builds.begin(), builds.end(),
+            all.begin() + static_cast<std::ptrdiff_t>(me * nb));
+  group_sum(rspan{all}, share_.window);
+  for (std::size_t i = 0; i < nb; ++i) {
+    double slowest = 0.0;
+    for (std::size_t w = 0; w < nw; ++w)
+      slowest = std::max(slowest, all[w * nb + i]);
+    h.precond_setup_seconds += slowest;
+  }
 }
 
 namespace {
 
-/// The serial workspace with the solver-level DbimOptions applied.
-std::unique_ptr<DbimPasses> local_workspace(MlfmaEngine& engine,
-                                            const Transceivers& trx,
-                                            const CMatrix& measured,
-                                            const DbimOptions& opts,
-                                            const BicgstabOptions& fw_opts) {
-  auto ws = std::make_unique<DbimWorkspace>(engine, trx, measured, fw_opts);
+/// The whole-problem workspace with the solver-level DbimOptions applied.
+std::unique_ptr<DbimWorkspace> local_workspace(MlfmaEngine& engine,
+                                               const Transceivers& trx,
+                                               const CMatrix& measured,
+                                               const DbimOptions& opts,
+                                               const BicgstabOptions& fw_opts) {
+  auto solver = std::make_unique<ForwardSolver>(engine, fw_opts);
   if (opts.mixed_engine != nullptr) {
-    ws->solver().set_mixed_engine(opts.mixed_engine);
+    solver->set_mixed_engine(opts.mixed_engine);
   }
   if (opts.near_precondition) {
-    ws->solver().set_near_preconditioner(
+    solver->set_near_preconditioner(
         true, opts.mixed_engine != nullptr ? Precision::kMixed
                                            : Precision::kDouble);
   }
+  auto ws = std::make_unique<DbimWorkspace>(std::move(solver), trx, measured,
+                                            fw_opts);
   if (opts.recycle_depth > 0) {
     ws->set_recycling(static_cast<std::size_t>(opts.recycle_depth),
                       opts.recycle_ridge);
@@ -300,13 +430,13 @@ DbimStepper::DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
     : DbimStepper(local_workspace(engine, trx, measured, opts, fw_opts), opts,
                   fw_opts, initial_contrast) {}
 
-DbimStepper::DbimStepper(std::unique_ptr<DbimPasses> passes,
+DbimStepper::DbimStepper(std::unique_ptr<DbimWorkspace> ws,
                          const DbimOptions& opts,
                          const BicgstabOptions& fw_opts,
                          ccspan initial_contrast)
     : opts_(opts),
       fw_opts_(fw_opts),
-      ws_(std::move(passes)),
+      ws_(std::move(ws)),
       red_(ws_->reducer()),
       n_(ws_->num_pixels()) {
   out_.contrast.assign(n_, cplx{});
@@ -360,7 +490,7 @@ double DbimStepper::last_residual() const {
 bool DbimStepper::step() {
   if (done_) return false;
   const DbimOptions& opts = opts_;
-  DbimPasses& ws = *ws_;
+  DbimWorkspace& ws = *ws_;
   DbimResult& out = out_;
   cvec& grad = grad_;
   cvec& grad_prev = grad_prev_;

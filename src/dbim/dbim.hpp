@@ -29,13 +29,14 @@
 // finite differences in tests/dbim_frechet_test.cpp.) The passes apply
 // F_t / F_t^H for every transmitter t at once, as block solves.
 //
-// DbimStepper is the only nonlinear-CG loop. It drives the three passes
-// through the DbimPasses interface: DbimWorkspace runs them with every
-// pixel and illumination on this process; the partitioned workspace of
-// the vcluster 2-D-parallel driver (dbim/parallel_driver.hpp) runs them
-// on one rank of the illumination x sub-tree grid and allreduces (cost,
-// gradient, step denominator) exactly where the paper synchronises
-// (Fig. 4, "twice per iteration").
+// DbimStepper is the only nonlinear-CG loop and DbimWorkspace the only
+// pass workspace. A workspace holds a share of the pixels and
+// illuminations (DbimShare): all of them on one process, or one rank of
+// the illumination x sub-tree grid of the vcluster 2-D-parallel driver
+// (dbim/parallel_driver.hpp), where the same passes run on the rank's
+// leaf-blocked slice through a rank-local MLFMA backend and allreduce
+// (cost, gradient, step denominator) exactly where the paper
+// synchronises (Fig. 4, "twice per iteration").
 #pragma once
 
 #include <functional>
@@ -161,86 +162,97 @@ struct DbimResult {
   DbimHistory history;
 };
 
-/// The three blocked passes of one DBIM iteration over some share of the
-/// pixels and illuminations, as DbimStepper consumes them. Every vector
-/// the stepper hands in (contrast, gradient, direction) holds this
-/// workspace's pixels in its own "pass order"; scatter / gather convert
-/// from and to natural order. The passes return quantities summed over
-/// *all* illuminations and pixels of the reconstruction: a distributed
-/// implementation does its own cross-rank reductions inside them.
-class DbimPasses {
+/// The share of a reconstruction one DbimWorkspace holds, and the ranks
+/// it combines with. The default share is one process holding every
+/// pixel (natural order) and every transmitter, with no communicator
+/// (rank 0 alone in every group): every window operation of the
+/// workspace is then the identity (sums) or a copy (gather / scatter).
+/// A rank of the 2-D driver (make_partitioned_workspace) holds its tree
+/// rank's leaf-blocked slice for its illumination group's transmitters,
+/// inside an illum_groups x tree_ranks window of `comm`.
+struct DbimShare {
+  Comm* comm = nullptr;
+  /// Natural index of every pixel of the tree group in pass order, the
+  /// tree ranks' slices in rank order (the tree's cluster permutation);
+  /// empty = natural order.
+  std::span<const std::uint32_t> order;
+  /// This rank's pixels: [first, first + layout.rows()) of `order`.
+  std::size_t first = 0;
+  /// Pass-vector layout: this rank's pixels x its transmitters
+  /// (nrhs == transmitters.size()).
+  BlockLayout layout;
+  std::vector<int> transmitters;
+  /// Global ranks: the tree group (same transmitters, the other pixel
+  /// slices), the column group (same pixels, the other illumination
+  /// groups) and the whole window, whose first rank leads.
+  std::vector<int> tree_group, column_group, window;
+};
+
+/// The three blocked passes of one DBIM iteration over a share of the
+/// pixels and illuminations (DbimShare), as DbimStepper consumes them.
+/// Every pixel vector (contrast, gradient, direction) holds the share's
+/// pixels in pass order; scatter / gather convert from and to natural
+/// order. Each pass is one block solve over the share's transmitters on
+/// the MLFMA backend (or the CBS backend, see set_backend), and returns
+/// quantities summed over *all* illuminations and pixels of the
+/// reconstruction: on a partitioned rank the passes reduce (cost,
+/// gradient, step denominator) over the window exactly where the paper
+/// synchronises. Residuals are R x (share's transmitters), column-major.
+class DbimWorkspace {
  public:
-  DbimPasses() = default;
-  DbimPasses(const DbimPasses&) = delete;
-  DbimPasses& operator=(const DbimPasses&) = delete;
-  virtual ~DbimPasses() = default;
+  /// Every pixel and illumination on this process, on `engine`.
+  DbimWorkspace(MlfmaEngine& engine, const Transceivers& trx,
+                const CMatrix& measured, const BicgstabOptions& fw_opts);
+  /// `share` on `mlfma`, a backend whose pass order is the share's.
+  DbimWorkspace(std::unique_ptr<ForwardBackend> mlfma, const Transceivers& trx,
+                const CMatrix& measured, const BicgstabOptions& fw_opts,
+                DbimShare share = {});
+  DbimWorkspace(const DbimWorkspace&) = delete;
+  DbimWorkspace& operator=(const DbimWorkspace&) = delete;
 
   /// Length of the pass-order pixel vectors.
-  virtual std::size_t num_pixels() const = 0;
+  std::size_t num_pixels() const { return lo_.rows(); }
   /// Length of the residual buffer residual_pass_all fills.
-  virtual std::size_t residual_size() const = 0;
+  std::size_t residual_size() const;
   /// Norm^2 of all measurements (for the relative residual).
-  virtual double measurement_norm2() const = 0;
+  double measurement_norm2() const { return meas_norm2_; }
   /// Eisenstat-Walker hook: inner Krylov tolerance of subsequent block
   /// solves (0 = the solver's base tolerance, which is always a floor).
-  virtual void set_forcing_tolerance(double tol) = 0;
+  void set_forcing_tolerance(double tol) { forcing_tol_ = tol; }
   /// Install the current background contrast (pass order).
   /// `keep_fields` retains the previous background fields as warm
   /// starts for the next residual pass.
-  virtual void set_background(ccspan contrast, bool keep_fields) = 0;
+  void set_background(ccspan contrast, bool keep_fields = true);
   /// Residual pass: fills `residuals`, returns sum_t ||b_t||^2.
-  virtual double residual_pass_all(cspan residuals) = 0;
+  double residual_pass_all(cspan residuals);
   /// Gradient pass: grad_accum += sum_t F_t^H b_t.
-  virtual void gradient_pass_all(ccspan residuals, cspan grad_accum) = 0;
+  void gradient_pass_all(ccspan residuals, cspan grad_accum);
+  /// Frechet pass: out = F_t d for every transmitter t of the share at the
+  /// background of the latest residual_pass_all — one blocked G0 apply,
+  /// one block forward solve and one panel projection.
+  void frechet_pass_all(ccspan direction, cspan out);
   /// Step pass: returns sum_t ||F_t d||^2.
-  virtual double step_pass_all(ccspan direction) = 0;
+  double step_pass_all(ccspan direction);
 
   /// Reduces the stepper's NLCG scalars (norms, inner products of
-  /// pass-order vectors) over the ranks that share the pixels; the
-  /// identity when this workspace holds them all.
-  virtual DotReducer reducer() { return {}; }
+  /// pass-order vectors) over the tree group.
+  DotReducer reducer();
   /// True on the one rank that reports progress and checkpoints.
-  virtual bool leader() const { return true; }
+  bool leader() const;
   /// Natural-order vector -> pass order.
-  virtual void scatter(ccspan natural, cspan local) const;
+  void scatter(ccspan natural, cspan local) const;
   /// Natural-order copies of pass-order vectors (*out[i] <- in[i]).
   /// Collective; returns true where the copies were made: on every rank
   /// with `everywhere`, otherwise on the leader only.
-  virtual bool gather(std::span<const ccspan> in, std::span<cvec* const> out,
-                      bool everywhere);
+  bool gather(std::span<const ccspan> in, std::span<cvec* const> out,
+              bool everywhere);
   /// Writes the run's solve totals (forward solves, operator
-  /// applications, Krylov iterations, ...) into `h`. Collective.
-  virtual void fill_counts(DbimHistory& h) = 0;
-};
+  /// applications, Krylov iterations, preconditioner set-up) into `h`.
+  /// Collective.
+  void fill_counts(DbimHistory& h);
 
-/// Pass workspace with every pixel and illumination on this process.
-/// Each blocked pass is one block solve over the whole transmitter set,
-/// sharing every MLFMA table stream across its columns; residuals are
-/// R x T, column-major.
-class DbimWorkspace final : public DbimPasses {
- public:
-  DbimWorkspace(MlfmaEngine& engine, const Transceivers& trx,
-                const CMatrix& measured, const BicgstabOptions& fw_opts);
-
-  std::size_t num_pixels() const override { return npix_; }
-  std::size_t residual_size() const override;
-  double measurement_norm2() const override { return meas_norm2_; }
-  void set_forcing_tolerance(double tol) override { forcing_tol_ = tol; }
-  /// Pass order is natural order.
-  void set_background(ccspan contrast, bool keep_fields = true) override;
-  double residual_pass_all(cspan residuals) override;
-  void gradient_pass_all(ccspan residuals, cspan grad_accum) override;
-  double step_pass_all(ccspan direction) override;
-  void fill_counts(DbimHistory& h) override;
-
-  /// Frechet pass: out (R x T, column-major) = F_t d for every
-  /// transmitter t at the background of the latest residual_pass_all —
-  /// one blocked G0 apply, one block forward solve and one panel
-  /// projection. step_pass_all is its summed squared norm.
-  void frechet_pass_all(ccspan direction, cspan out);
-
-  ForwardSolver& solver() { return solver_; }
-  const Transceivers& transceivers() const { return *trx_; }
+  /// The MLFMA backend.
+  ForwardBackend& solver() { return *mlfma_; }
 
   /// Enables Krylov recycling of the gradient and step-length block
   /// solves (depth 0 disables). Snapshots are cleared whenever
@@ -248,9 +260,9 @@ class DbimWorkspace final : public DbimPasses {
   void set_recycling(std::size_t depth, double ridge);
 
   /// Installs the forward-backend routing policy (DbimOptions::backend
-  /// et al.). kCbs / kAuto construct the CBS engine on the solver's
-  /// grid — from the shared `tables` artifact when one is supplied;
-  /// call before the first set_background.
+  /// et al.). kCbs / kAuto construct the CBS engine on the whole grid —
+  /// from the shared `tables` artifact when one is supplied; call before
+  /// the first set_background.
   void set_backend(BackendKind policy, const CbsOptions& cbs_opts,
                    double contrast_threshold, double escalation_rate,
                    std::shared_ptr<const CbsTables> tables = nullptr);
@@ -259,32 +271,50 @@ class DbimWorkspace final : public DbimPasses {
   BackendKind active_backend() const { return active_->kind(); }
   /// True once a kAuto run has permanently switched from CBS to MLFMA.
   bool cbs_escalated() const { return escalated_; }
-  CbsEngine* cbs() { return cbs_.get(); }
 
  private:
-  /// Block solve routed through mixed-precision refinement when a mixed
-  /// engine is registered on the solver; returns convergence.
-  bool block_solve(ccspan rhs, cspan x, std::size_t nrhs, bool adjoint);
+  /// Block solve on the active backend at the forcing tolerance, with
+  /// the kAuto escalation rules; returns convergence.
+  bool block_solve(ccspan rhs, cspan x, bool adjoint);
+  /// Natural index of pass-order pixel q of this share.
+  std::size_t pixel(std::size_t q) const {
+    return pixels_.empty() ? q : pixels_[q];
+  }
+  /// Incident fields of the share's transmitters as one block vector.
+  void load_incident(cspan blk) const;
+  /// Global rank of this share (0 on one process).
+  int rank() const;
+  /// Sums `v` over `group` (the identity on one process).
+  void group_sum(cspan v, const std::vector<int>& group);
+  void group_sum(rspan v, const std::vector<int>& group);
+  /// Receiver projection of every block column: cols = G_R v, summed
+  /// over the tree group.
+  void project(ccspan v, cspan cols);
+  /// Window total of a per-illumination sum that every tree rank of a
+  /// group holds in full.
+  double illumination_sum(double v);
 
   const Transceivers* trx_;
   const CMatrix* measured_;
-  ForwardSolver solver_;
+  double base_tol_;
+  DbimShare share_;
+  BlockLayout lo_;                         // pass-vector layout
+  std::span<const std::uint32_t> pixels_;  // this share's natural indices
   // Backend routing: `active_` answers the block solves and raw G0
-  // panel products of the blocked passes. Defaults to the MLFMA solver;
+  // panel products of the blocked passes. Defaults to the MLFMA backend;
   // set_backend may point it at cbs_, and kAuto re-picks on every
   // set_background until an escalation pins it back on MLFMA for good.
+  std::unique_ptr<ForwardBackend> mlfma_;
   std::unique_ptr<CbsEngine> cbs_;
   ForwardBackend* active_ = nullptr;
   BackendKind policy_ = BackendKind::kMlfma;
   double auto_threshold_ = 0.25;
   double auto_escalation_rate_ = 0.95;
   bool escalated_ = false;
-  std::size_t npix_;
-  double meas_norm2_;
-  // Background total fields per illumination (column t), warm-started
-  // across DBIM iterations.
-  CMatrix phi_b_;
-  std::vector<bool> phi_b_valid_;
+  double meas_norm2_ = 0.0;
+  // Background total fields of the share's transmitters as one block
+  // vector, warm-started across DBIM iterations.
+  cvec phi_b_;
   double forcing_tol_ = 0.0;
   // Recycled (rhs, solution) snapshots of the gradient / step-length
   // block solves across DBIM iterations (residual passes warm-start from
@@ -299,8 +329,9 @@ class DbimWorkspace final : public DbimPasses {
 /// a time so a scheduler can interleave many reconstructions over one
 /// rank pool (service/service.hpp) with per-step accounting and
 /// cancellation between steps. dbim_reconstruct is
-/// `while (stepper.step()) {}` over a DbimWorkspace; the 2-D parallel
-/// driver runs the same loop on every rank over a partitioned workspace.
+/// `while (stepper.step()) {}` over a whole-problem DbimWorkspace; the
+/// 2-D parallel driver runs the same loop on every rank over the rank's
+/// share.
 class DbimStepper {
  public:
   /// Serial stepper over a DbimWorkspace configured from `opts`.
@@ -308,9 +339,9 @@ class DbimStepper {
               const CMatrix& measured, const DbimOptions& opts = {},
               const BicgstabOptions& fw_opts = {},
               ccspan initial_contrast = {});
-  /// Stepper over any pass workspace, already configured for `opts`.
+  /// Stepper over a workspace already configured for `opts`.
   /// `initial_contrast` and `opts.resume` are in natural order.
-  DbimStepper(std::unique_ptr<DbimPasses> passes, const DbimOptions& opts,
+  DbimStepper(std::unique_ptr<DbimWorkspace> ws, const DbimOptions& opts,
               const BicgstabOptions& fw_opts, ccspan initial_contrast = {});
 
   /// Runs one DBIM iteration (three blocked passes + CG update +
@@ -326,7 +357,7 @@ class DbimStepper {
   double last_residual() const;
 
   /// Finalises the history totals and hands out the result (contrast in
-  /// natural order, on every rank of a partitioned workspace); call
+  /// natural order, on every rank of a partitioned window); call
   /// once, after stepping is finished (or abandoned mid-run — the
   /// result then reflects the last completed iteration).
   DbimResult result();
@@ -334,7 +365,7 @@ class DbimStepper {
  private:
   DbimOptions opts_;
   BicgstabOptions fw_opts_;
-  std::unique_ptr<DbimPasses> ws_;
+  std::unique_ptr<DbimWorkspace> ws_;
   DotReducer red_;
   DbimResult out_;
   std::size_t n_;

@@ -6,11 +6,13 @@
 // illumination groups happens exactly twice per DBIM iteration — the
 // gradient combine and the step-length combine — matching Fig. 4.
 //
-// The outer loop is the serial one: every rank runs a DbimStepper over
-// a partitioned pass workspace (make_partitioned_workspace), whose
-// passes do the cross-rank cost, gradient and denominator reductions
-// and whose DotReducer reduces the stepper's NLCG scalars over the
-// tree group.
+// The outer loop and the passes are the serial ones: every rank runs a
+// DbimStepper over a DbimWorkspace holding the rank's share
+// (make_partitioned_workspace) — its leaf-blocked pixel slice and its
+// group's transmitters, solved on a rank-local PartitionedForwardSolver.
+// The same passes then reduce cost, gradient and step denominator over
+// the window, and the workspace's DotReducer reduces the stepper's NLCG
+// scalars over the tree group.
 //
 // This runs on the virtual cluster (threads as ranks, see DESIGN.md
 // Sec. 2): the algorithm, message pattern and traffic volumes are those
@@ -31,7 +33,8 @@ struct ParallelDbimConfig {
   /// Outer-loop options, honoured as in the serial driver (progress
   /// fires on global rank 0; checkpoint / resume use the natural-order
   /// DbimCheckpoint format), with these partitioned-path rules:
-  /// backend must be kMlfma and mixed_engine null (refused loudly);
+  /// backend must be kMlfma, mixed_engine null, and near_precondition
+  /// needs fp64 near-field tables (each refused loudly);
   /// table_cache, when set, shares the cached MLFMA tables for
   /// (tree.grid(), tree.leaf_pixel_side(), mlfma) instead of building a
   /// private set.
@@ -73,7 +76,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                                      const CMatrix& measured,
                                      const ParallelDbimConfig& config);
 
-/// Pass workspace of the calling rank of an illum_groups x pm.nranks()
+/// The DbimWorkspace of the calling rank of an illum_groups x pm.nranks()
 /// grid that occupies the *window* of ranks [rank_base, rank_base +
 /// illum_groups * pm.nranks()) of `comm` — the whole cluster, or one
 /// band group of a continuation ladder (dbim/continuation_parallel.hpp)
@@ -82,10 +85,12 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
 /// cannot interfere (or deadlock). Every window rank must build one
 /// with the same arguments and drive it with a DbimStepper. `pm`,
 /// `tree`, `trx` and `measured` are borrowed. MLFMA only: refuses
-/// (FFW_CHECK) a CBS/kAuto backend and a mixed engine; honours
-/// near_precondition and recycling. Receiver projections read trx's
-/// G_R and incident panel in place, at the rank's pixels.
-std::unique_ptr<DbimPasses> make_partitioned_workspace(
+/// (FFW_CHECK) a CBS/kAuto backend, a mixed engine and near_precondition
+/// on fp32 near-field tables, and more illumination groups than
+/// transmitters; honours near_precondition and recycling. Receiver
+/// projections read trx's G_R and incident panel in place, at the
+/// rank's pixels.
+std::unique_ptr<DbimWorkspace> make_partitioned_workspace(
     Comm& comm, int rank_base, int illum_groups, const PartitionedMlfma& pm,
     const QuadTree& tree, const Transceivers& trx, const CMatrix& measured,
     const DbimOptions& opts, const BicgstabOptions& fw_opts);

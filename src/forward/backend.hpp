@@ -6,9 +6,12 @@
 // contrast, or automatic selection (DbimOptions::backend).
 //
 // Every backend solves the same discrete volume integral equation
-// [I - G0 diag(O)] phi = rhs on natural-order (row-major pixel)
-// column-major multi-RHS panels, and exposes the raw G0 panel products
-// the Frechet passes need. All sizes are num_pixels * nrhs.
+// [I - G0 diag(O)] phi = rhs on multi-RHS panels in its *pass order*, and
+// exposes the raw G0 panel products the Frechet passes need. The
+// whole-grid backends (ForwardSolver, CbsEngine) take natural-order
+// (row-major pixel) column-major panels, num_pixels * nrhs; the
+// rank-local PartitionedForwardSolver takes the rank's leaf-blocked
+// slice (forward/forward.hpp).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +49,10 @@ struct ForwardStats {
   /// load-imbalance term.
   std::vector<std::uint16_t> per_solve_iterations;
   /// Accumulated wall time factoring the near-field block preconditioner
-  /// (one rebuild per set_contrast when enabled; MLFMA backend only).
+  /// (one rebuild per set_contrast when enabled; MLFMA backend only),
+  /// and the time of each rebuild.
   double precond_setup_seconds = 0.0;
+  std::vector<double> precond_setups;
 
   /// The paper reports 13.4 MLFMA multiplications per forward solution.
   double operator_per_solve() const {
@@ -62,13 +67,13 @@ class ForwardBackend {
 
   virtual BackendKind kind() const = 0;
 
-  /// Install the contrast vector O (natural order, length N).
+  /// Install the contrast vector O (pass order, one entry per pixel).
   virtual void set_contrast(ccspan contrast) = 0;
-  virtual ccspan contrast_natural() const = 0;
+  virtual ccspan contrast() const = 0;
 
-  /// Multi-RHS forward solve [I - G0 O] phi_c = rhs_c over natural-order
-  /// column-major panels to relative tolerance `tol` (0 = the backend's
-  /// configured default). `phi` carries initial guesses in and solutions
+  /// Multi-RHS forward solve [I - G0 O] phi_c = rhs_c over pass-order
+  /// panels to relative tolerance `tol` (0 = the backend's configured
+  /// default). `phi` carries initial guesses in and solutions
   /// out. Returns true when every column converged.
   virtual bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
                            double tol) = 0;
@@ -77,11 +82,11 @@ class ForwardBackend {
   virtual bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                                    double tol) = 0;
 
-  /// Y_c = G0 * X_c over natural-order column-major panels (raw kernel,
-  /// no contrast; the blocked Frechet passes need it).
+  /// Y_c = G0 * X_c over pass-order panels (raw kernel, no contrast; the
+  /// blocked Frechet passes need it).
   virtual void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) = 0;
 
-  /// Y_c = G0^H * X_c over natural-order column-major panels.
+  /// Y_c = G0^H * X_c over pass-order panels.
   virtual void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) = 0;
 
   virtual const ForwardStats& stats() const = 0;

@@ -138,7 +138,7 @@ class CbsEngine final : public ForwardBackend {
 
   BackendKind kind() const override { return BackendKind::kCbs; }
   void set_contrast(ccspan contrast) override;
-  ccspan contrast_natural() const override { return contrast_nat_; }
+  ccspan contrast() const override { return contrast_nat_; }
 
   bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
                    double tol) override;

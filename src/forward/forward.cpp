@@ -1,5 +1,7 @@
 #include "forward/forward.hpp"
 
+#include <algorithm>
+
 #include "common/timer.hpp"
 #include "linalg/kernels.hpp"
 
@@ -36,7 +38,9 @@ void ForwardSolver::refresh_preconditioner() {
   Timer t;
   near_precond_ = std::make_unique<NearFieldBlockJacobi>(
       engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
-  stats_.precond_setup_seconds += t.seconds();
+  const double seconds = t.seconds();
+  stats_.precond_setup_seconds += seconds;
+  stats_.precond_setups.push_back(seconds);
 }
 
 PrecondContext ForwardSolver::precond_ctx(std::size_t nrhs, bool herm) const {
@@ -214,6 +218,82 @@ bool ForwardSolver::solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
 bool ForwardSolver::solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                                         double tol) {
   return panel_solve_impl(rhs, psi, nrhs, tol, /*adjoint=*/true);
+}
+
+PartitionedForwardSolver::PartitionedForwardSolver(Comm& comm, int rank_base,
+                                                   const PartitionedMlfma& pm,
+                                                   const BicgstabOptions& opts,
+                                                   bool near_precondition)
+    : comm_(&comm), rank_base_(rank_base), pm_(&pm), opts_(opts),
+      near_precondition_(near_precondition) {
+  const int tree_rank = comm.rank() - rank_base;
+  FFW_CHECK(tree_rank >= 0 && tree_rank < pm.nranks());
+  for (int r = 0; r < pm.nranks(); ++r) group_.push_back(rank_base + r);
+  leaves_ = pm.leaf_end(tree_rank) - pm.leaf_begin(tree_rank);
+  contrast_.assign(pm.local_pixels(tree_rank), cplx{});
+}
+
+void PartitionedForwardSolver::set_contrast(ccspan contrast) {
+  copy(contrast, contrast_);
+  if (!near_precondition_) return;
+  const Timer t;
+  precond_ = std::make_unique<NearFieldBlockJacobi>(
+      pm_->nearfield().type(4), ccspan{contrast_}, Precision::kDouble);
+  const double seconds = t.seconds();
+  stats_.precond_setup_seconds += seconds;
+  stats_.precond_setups.push_back(seconds);
+}
+
+void PartitionedForwardSolver::apply_g0_panel(ccspan x, cspan y,
+                                              std::size_t nrhs) {
+  pm_->apply_block(*comm_, x, y, nrhs, rank_base_);
+}
+
+void PartitionedForwardSolver::apply_g0_herm_panel(ccspan x, cspan y,
+                                                   std::size_t nrhs) {
+  pm_->apply_herm_block(*comm_, x, y, nrhs, rank_base_);
+}
+
+bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
+                                     double tol, bool adjoint) {
+  const BlockLayout lo{
+      static_cast<std::size_t>(pm_->tree().pixels_per_leaf()), nrhs, leaves_};
+  const DotReducer tree_sum{
+      [this](cspan v) { comm_->group_allreduce_sum(v, group_); },
+      [this](rspan v) { comm_->group_allreduce_sum(v, group_); }};
+  BicgstabOptions o = opts_;
+  if (tol > 0.0) o.tol = std::max(tol, o.tol);
+  work_.resize(lo.size());
+  const BlockBicgstabResult res = block_bicgstab(
+      [&](ccspan in, cspan out) {
+        if (adjoint) {
+          // Y = X - conj(O) .* (G0^H X).
+          apply_g0_herm_panel(in, out, nrhs);
+          block_identity_minus_conj_diag(lo, contrast_, in, out);
+        } else {
+          // Y = X - G0 (O .* X).
+          block_diag_mul(lo, contrast_, in, work_);
+          apply_g0_panel(work_, out, nrhs);
+          block_identity_minus(lo, in, out);
+        }
+      },
+      rhs, x, lo, o, tree_sum, PrecondContext{precond_.get(), lo, adjoint});
+  stats_.solves += nrhs;
+  stats_.operator_applications +=
+      static_cast<std::uint64_t>(res.block_matvecs) * nrhs;
+  stats_.bicgs_iterations += res.total_iterations();
+  return res.converged;
+}
+
+bool PartitionedForwardSolver::solve_panel(ccspan rhs, cspan phi,
+                                           std::size_t nrhs, double tol) {
+  return solve(rhs, phi, nrhs, tol, /*adjoint=*/false);
+}
+
+bool PartitionedForwardSolver::solve_adjoint_panel(ccspan rhs, cspan psi,
+                                                   std::size_t nrhs,
+                                                   double tol) {
+  return solve(rhs, psi, nrhs, tol, /*adjoint=*/true);
 }
 
 }  // namespace ffw

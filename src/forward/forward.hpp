@@ -2,8 +2,10 @@
 // integral equation [I - G0 diag(O)] phi = phi_inc for the total field
 // (paper eq. 3), with the G0 products supplied by MLFMA.
 //
-// All public vectors are in natural (row-major) pixel order; the solver
-// converts to/from the MLFMA engine's cluster order internally.
+// Two MLFMA backends: ForwardSolver on the whole grid (every public
+// vector in natural, row-major pixel order; the solver converts to/from
+// the engine's cluster order internally), and PartitionedForwardSolver
+// on one rank's leaf slice of a PartitionedMlfma tree group.
 #pragma once
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include "forward/precond.hpp"
 #include "forward/refined.hpp"
 #include "mlfma/engine.hpp"
+#include "mlfma/partitioned.hpp"
 
 namespace ffw {
 
@@ -37,7 +40,7 @@ class ForwardSolver : public ForwardBackend {
 
   /// Set the contrast vector O (natural order, length N).
   void set_contrast(ccspan contrast) override;
-  ccspan contrast_natural() const override { return contrast_nat_; }
+  ccspan contrast() const override { return contrast_nat_; }
 
   /// Multi-RHS solve: [I - G0 O] phi_r = rhs_r for all nrhs columns in
   /// one block BiCGStab (one blocked MLFMA apply per Krylov iteration
@@ -133,6 +136,50 @@ class ForwardSolver : public ForwardBackend {
   bool use_near_ = false;
   Precision near_storage_ = Precision::kDouble;
   std::unique_ptr<NearFieldBlockJacobi> near_precond_;
+  ForwardStats stats_;
+};
+
+/// The MLFMA backend of one rank of a PartitionedMlfma tree group: the
+/// ranks [rank_base, rank_base + pm.nranks()) of `comm`, this one being
+/// tree rank comm.rank() - rank_base. Its pass order is the rank's
+/// leaf-blocked slice: contrasts are the rank's cluster-order pixels,
+/// panels the block layout {pixels_per_leaf, nrhs, local leaves}. Every
+/// apply and every solve is collective over the tree group (block
+/// BiCGStab reducing its inner products over the group). With
+/// `near_precondition`, set_contrast rebuilds the near-field block
+/// Jacobi of the rank's own leaves, which needs no communication.
+class PartitionedForwardSolver final : public ForwardBackend {
+ public:
+  PartitionedForwardSolver(Comm& comm, int rank_base,
+                           const PartitionedMlfma& pm,
+                           const BicgstabOptions& opts,
+                           bool near_precondition);
+
+  BackendKind kind() const override { return BackendKind::kMlfma; }
+  void set_contrast(ccspan contrast) override;
+  ccspan contrast() const override { return contrast_; }
+  bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
+                   double tol) override;
+  bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
+                           double tol) override;
+  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
+  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
+  const ForwardStats& stats() const override { return stats_; }
+  void clear_stats() override { stats_.clear(); }
+
+ private:
+  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol, bool adjoint);
+
+  Comm* comm_;
+  int rank_base_;
+  const PartitionedMlfma* pm_;
+  BicgstabOptions opts_;
+  bool near_precondition_;
+  std::vector<int> group_;  // global ranks of the tree group
+  std::size_t leaves_;      // leaves of this rank
+  cvec contrast_;           // the rank's cluster-order contrast slice
+  cvec work_;               // block-layout scratch of the forward operator
+  std::unique_ptr<NearFieldBlockJacobi> precond_;
   ForwardStats stats_;
 };
 

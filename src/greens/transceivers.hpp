@@ -58,6 +58,7 @@ class Transceivers {
   Transceivers(const Grid& grid, std::vector<Vec2> transmitters,
                std::vector<Vec2> receivers);
 
+  const Grid& grid() const { return *grid_; }
   int num_transmitters() const { return static_cast<int>(tx_.size()); }
   int num_receivers() const { return static_cast<int>(rx_.size()); }
   const std::vector<Vec2>& transmitters() const { return tx_; }

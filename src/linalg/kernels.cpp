@@ -61,22 +61,6 @@ void scal_impl(std::complex<T> a, std::span<std::complex<T>> x) {
   }
 }
 
-template <typename T>
-void diag_mul_impl(std::span<const std::complex<T>> d,
-                   std::span<const std::complex<T>> x,
-                   std::span<std::complex<T>> y) {
-  FFW_DCHECK(d.size() == x.size() && x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = d[i] * x[i];
-}
-
-template <typename T>
-void diag_mul_acc_impl(std::span<const std::complex<T>> d,
-                       std::span<const std::complex<T>> x,
-                       std::span<std::complex<T>> y) {
-  FFW_DCHECK(d.size() == x.size() && x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += d[i] * x[i];
-}
-
 }  // namespace
 
 cplx cdot(ccspan x, ccspan y) { return cdot_impl<double>(x, y); }
@@ -111,21 +95,9 @@ void sub(ccspan a, ccspan b, cspan out) {
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
 }
 
-void diag_mul(ccspan d, ccspan x, cspan y) { diag_mul_impl<double>(d, x, y); }
-void diag_mul(ccspan32 d, ccspan32 x, cspan32 y) {
-  diag_mul_impl<float>(d, x, y);
-}
-
-void diag_mul_acc(ccspan d, ccspan x, cspan y) {
-  diag_mul_acc_impl<double>(d, x, y);
-}
-void diag_mul_acc(ccspan32 d, ccspan32 x, cspan32 y) {
-  diag_mul_acc_impl<float>(d, x, y);
-}
-
-void diag_mul_conj(ccspan d, ccspan x, cspan y) {
+void diag_mul(ccspan d, ccspan x, cspan y) {
   FFW_DCHECK(d.size() == x.size() && x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::conj(d[i]) * x[i];
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = d[i] * x[i];
 }
 
 void narrow(ccspan x, cspan32 y) {

@@ -41,14 +41,6 @@ void sub(ccspan a, ccspan b, cspan out);
 
 /// Pointwise y_i = d_i * x_i (diagonal operator).
 void diag_mul(ccspan d, ccspan x, cspan y);
-void diag_mul(ccspan32 d, ccspan32 x, cspan32 y);
-
-/// Pointwise y_i += d_i * x_i.
-void diag_mul_acc(ccspan d, ccspan x, cspan y);
-void diag_mul_acc(ccspan32 d, ccspan32 x, cspan32 y);
-
-/// Pointwise y_i = conj(d_i) * x_i (adjoint of a diagonal operator).
-void diag_mul_conj(ccspan d, ccspan x, cspan y);
 
 /// Precision conversion y_i = (cplx32) x_i: the mixed engine's
 /// once-per-apply entry cost.

@@ -81,11 +81,10 @@ void MlfmaEngine::ensure_block_capacity(std::size_t nrhs) {
 
 void MlfmaEngine::ensure_thread_scratch() {
   const std::size_t nt = static_cast<std::size_t>(num_threads());
-  if (precision() == Precision::kMixed) {
-    if (thread_scratch32_.size() < nt) thread_scratch32_.resize(nt);
-  } else {
-    if (thread_scratch_.size() < nt) thread_scratch_.resize(nt);
-  }
+  // The fp64 scratch also holds the mixed path's translation sums.
+  if (thread_scratch_.size() < nt) thread_scratch_.resize(nt);
+  if (precision() == Precision::kMixed && thread_scratch32_.size() < nt)
+    thread_scratch32_.resize(nt);
 }
 
 void MlfmaEngine::shrink_workspace() {
@@ -217,7 +216,20 @@ void MlfmaEngine::translation_pass_t(std::size_t nrhs) {
     C* dst = g_panels<T>()[static_cast<std::size_t>(l)].data();
     parallel_for_dynamic(0, lvl.num_clusters, [&](std::size_t c) {
       C* gc = dst + c * q * nrhs;
-      std::fill(gc, gc + q * nrhs, C{});
+      // fp64-accumulation boundary on the mixed path: every translation
+      // product is fp32, the sum across the <= 27 of them runs in an fp64
+      // tile that rounds once into the fp32 panel (cf. gemm_sum_t), so
+      // the sum stays in budget whether or not the build contracts the
+      // MACs into FMAs.
+      cplx* acc;
+      if constexpr (std::is_same_v<T, float>) {
+        cvec& ws = thread_scratch_[static_cast<std::size_t>(thread_rank())];
+        if (ws.size() < q * nrhs) ws.resize(q * nrhs);
+        acc = ws.data();
+      } else {
+        acc = gc;
+      }
+      std::fill(acc, acc + q * nrhs, cplx{});
       for (std::uint32_t e = lvl.far_begin[c]; e < lvl.far_begin[c + 1]; ++e) {
         const FarEntry& fe = lvl.far[e];
         const C* sc = src + static_cast<std::size_t>(fe.src) * q * nrhs;
@@ -228,7 +240,7 @@ void MlfmaEngine::translation_pass_t(std::size_t nrhs) {
         const auto& trans = ops.trans<T>()[fe.trans_type];
         const T* tp = reinterpret_cast<const T*>(trans.data());
         for (std::size_t r = 0; r < nrhs; ++r) {
-          T* gr = reinterpret_cast<T*>(gc + r * q);
+          double* gr = reinterpret_cast<double*>(acc + r * q);
           const T* sr = reinterpret_cast<const T*>(sc + r * q);
 #ifdef _OPENMP
 #pragma omp simd
@@ -236,10 +248,19 @@ void MlfmaEngine::translation_pass_t(std::size_t nrhs) {
           for (std::size_t i = 0; i < q; ++i) {
             const T ar = tp[2 * i], ai = tp[2 * i + 1];
             const T br = sr[2 * i], bi = sr[2 * i + 1];
-            gr[2 * i] += ar * br - ai * bi;
-            gr[2 * i + 1] += ar * bi + ai * br;
+            gr[2 * i] += static_cast<double>(ar * br - ai * bi);
+            gr[2 * i + 1] += static_cast<double>(ar * bi + ai * br);
           }
         }
+      }
+      if constexpr (std::is_same_v<T, float>) {
+        const double* a = reinterpret_cast<const double*>(acc);
+        float* g = reinterpret_cast<float*>(gc);
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+        for (std::size_t i = 0; i < 2 * q * nrhs; ++i)
+          g[i] = static_cast<float>(a[i]);
       }
     });
   }

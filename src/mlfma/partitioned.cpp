@@ -140,15 +140,22 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // clusters (slot = cluster - owned_begin) with a separate ghost panel
   // for the consumed remote spectra; the incoming panel holds owned
   // clusters only. O(local share x nrhs) memory — see panel_elements().
+  // The translation sums of the incoming panel accumulate in fp64 on
+  // both paths (g_sum), and T = float rounds them once into its fp32
+  // panel (g_own) before the downward pass: the mixed path's
+  // fp64-accumulation boundary (fp32 products, fp64 sum across them), so
+  // the sum stays in budget whether or not the build contracts MACs into
+  // FMAs.
   std::vector<CV> s_own(static_cast<std::size_t>(nlev)),
-      s_gh(static_cast<std::size_t>(nlev)), g_own(static_cast<std::size_t>(nlev));
+      s_gh(static_cast<std::size_t>(nlev)), g_own;
+  std::vector<cvec> g_sum(static_cast<std::size_t>(nlev));
   for (int l = 0; l < nlev; ++l) {
     const PhaseSchedule& ls = rs.levels[static_cast<std::size_t>(l)];
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const std::size_t owned = ls.owned_end - ls.owned_begin;
     s_own[static_cast<std::size_t>(l)].assign(q * owned * nrhs, C{});
     s_gh[static_cast<std::size_t>(l)].resize(q * ls.num_ghosts * nrhs);
-    g_own[static_cast<std::size_t>(l)].assign(q * owned * nrhs, C{});
+    g_sum[static_cast<std::size_t>(l)].assign(q * owned * nrhs, cplx{});
   }
 
   auto send_level_halo = [&](int l) {
@@ -244,13 +251,13 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const LevelOperators& lops = ops_.level(l);
     for (const HaloWork& w : work) {
-      C* gc = g_own[static_cast<std::size_t>(l)].data() +
-              w.dst_slot * q * nrhs;
+      cplx* gc = g_sum[static_cast<std::size_t>(l)].data() +
+                 w.dst_slot * q * nrhs;
       const C* sc = src_panel.data() + w.src_slot * q * nrhs;
       const auto& trans = lops.trans<T>()[w.type];
       const T* tp = reinterpret_cast<const T*>(trans.data());
       for (std::size_t r = 0; r < nrhs; ++r) {
-        T* gr = reinterpret_cast<T*>(gc + r * q);
+        double* gr = reinterpret_cast<double*>(gc + r * q);
         const T* sr = reinterpret_cast<const T*>(sc + r * q);
 #ifdef _OPENMP
 #pragma omp simd
@@ -258,8 +265,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
         for (std::size_t i = 0; i < q; ++i) {
           const T ar = tp[2 * i], ai = tp[2 * i + 1];
           const T br = sr[2 * i], bi = sr[2 * i + 1];
-          gr[2 * i] += ar * br - ai * bi;
-          gr[2 * i + 1] += ar * bi + ai * br;
+          gr[2 * i] += static_cast<double>(ar * br - ai * bi);
+          gr[2 * i + 1] += static_cast<double>(ar * bi + ai * br);
         }
       }
     }
@@ -305,6 +312,11 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   auto run_downward = [&] {
     obs::SpanScope span("dist.downward", obs::kNoArg,
                         obs::Counter::kComputeNs);
+    if constexpr (std::is_same_v<T, float>) {
+      for (const cvec& g : g_sum) g_own.emplace_back(g.begin(), g.end());
+    } else {
+      g_own = std::move(g_sum);
+    }
     for (int l = nlev - 1; l >= 1; --l) {
       const LevelOperators& child_ops = ops_.level(l - 1);
       const std::size_t qp = static_cast<std::size_t>(plan_.level(l).samples);
@@ -366,68 +378,100 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
 
   // --- Overlapped schedule: run everything that depends only on owned
   // data, polling for arrived halos between chunks; then park on
-  // wait_any and service the remaining messages in arrival order.
+  // wait_any and receive the remaining messages in arrival order. Each
+  // accumulation target (the near-field output, every level's incoming
+  // panel) still takes its contributions in schedule order — own
+  // sources first, then the peers as listed — so a peer's work runs once
+  // its message and every earlier one of its phase have landed, and the
+  // result does not depend on message timing.
   struct Pending {
     int tag;
-    int level;  // -1 for the near-field message
+    std::size_t phase;  // level, or nlev for the near field
     const PeerRecv* pr;
   };
   std::vector<Pending> pending;
   for (int l = 0; l < nlev; ++l) {
     for (const PeerRecv& pr : rs.levels[static_cast<std::size_t>(l)].recvs)
-      pending.push_back({kTagLevel + l, l, &pr});
+      pending.push_back({kTagLevel + l, static_cast<std::size_t>(l), &pr});
   }
   for (const PeerRecv& pr : rs.near.recvs)
-    pending.push_back({kTagNear, -1, &pr});
+    pending.push_back({kTagNear, static_cast<std::size_t>(nlev), &pr});
+  const std::size_t nphases = static_cast<std::size_t>(nlev) + 1;
+  // Per phase: whether its own sources ran, and its next message (an
+  // index into `pending`, whose messages are grouped by phase).
+  std::vector<char> arrived(pending.size(), 0), own_done(nphases, 0);
+  std::vector<std::size_t> next(nphases, pending.size());
+  for (std::size_t i = pending.size(); i-- > 0;) next[pending[i].phase] = i;
 
-  auto service = [&](std::size_t i) {
-    const Pending pd = pending[i];
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-    if (pd.level >= 0) {
-      recv_level_payload(pd.level, *pd.pr);
-      run_trans(pd.level, pd.pr->work,
-                s_gh[static_cast<std::size_t>(pd.level)]);
-    } else {
-      recv_near_payload(*pd.pr);
-      run_near(pd.pr->work, x_gh.data());
-    }
-  };
-  auto poll = [&] {
-    for (std::size_t i = 0; i < pending.size();) {
-      if (comm.probe(rank_base + pending[i].pr->peer, pending[i].tag)) {
-        service(i);  // erases i; the next candidate slides into its place
+  auto advance = [&](std::size_t phase) {
+    if (!own_done[phase]) return;
+    for (std::size_t& i = next[phase];
+         i < pending.size() && pending[i].phase == phase && arrived[i]; ++i) {
+      if (phase < nphases - 1) {
+        const int l = static_cast<int>(phase);
+        run_trans(l, pending[i].pr->work, s_gh[phase]);
       } else {
-        ++i;
+        run_near(pending[i].pr->work, x_gh.data());
       }
     }
+  };
+  auto receive = [&](std::size_t i) {
+    const Pending& pd = pending[i];
+    if (pd.phase < nphases - 1) {
+      recv_level_payload(static_cast<int>(pd.phase), *pd.pr);
+    } else {
+      recv_near_payload(*pd.pr);
+    }
+    arrived[i] = 1;
+    advance(pd.phase);
+  };
+  auto poll = [&] {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (!arrived[i] && comm.probe(rank_base + pending[i].pr->peer,
+                                    pending[i].tag)) {
+        receive(i);
+      }
+    }
+  };
+  auto own = [&](std::size_t phase) {
+    own_done[phase] = 1;
+    advance(phase);
   };
 
   // Local work, biggest latency-hiding chunk first: the interior near
   // field is independent of the whole far-field pipeline.
   poll();
   run_near(rs.near.local, x_local);
+  own(nphases - 1);
   poll();
   for (int l = 0; l < nlev; ++l) {
     run_trans(l, rs.levels[static_cast<std::size_t>(l)].local,
               s_own[static_cast<std::size_t>(l)]);
+    own(static_cast<std::size_t>(l));
     poll();
   }
   // Arrival-order drain of whatever is still in flight. Only the park on
   // wait_any counts as halo wait; the service (recv + work) is accounted
   // by its own spans so compute done during the drain stays compute.
   std::vector<std::pair<int, int>> keys;
-  while (!pending.empty()) {
+  std::vector<std::size_t> waiting;
+  for (;;) {
     keys.clear();
-    for (const Pending& pd : pending)
-      keys.emplace_back(rank_base + pd.pr->peer, pd.tag);
+    waiting.clear();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (arrived[i]) continue;
+      keys.emplace_back(rank_base + pending[i].pr->peer, pending[i].tag);
+      waiting.push_back(i);
+    }
+    if (waiting.empty()) break;
     std::size_t hit;
     {
       obs::SpanScope wait("dist.halo_wait",
-                          static_cast<std::int64_t>(pending.size()),
+                          static_cast<std::int64_t>(waiting.size()),
                           obs::Counter::kHaloWaitNs);
       hit = comm.wait_any(keys);
     }
-    service(hit);
+    receive(waiting[hit]);
   }
   run_downward();
 }

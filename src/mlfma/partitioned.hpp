@@ -22,10 +22,13 @@
 // aggregated; it then runs everything that depends only on owned data —
 // the interior near field and every local translation — while halo
 // messages are in flight, and drains peer messages in *arrival* order
-// (Comm::wait_any), running each peer's remote work the moment its
-// message lands. The blocking-ordered schedule (fixed peer-and-level
-// drain order, no local work while waiting) is kept as the ablation
-// baseline for the Fig. 8 reproduction (bench_overlap).
+// (Comm::wait_any), running each peer's remote work as soon as its
+// message and every earlier-listed message of the same phase have
+// landed — every output then sums its terms in schedule order, so the
+// result does not depend on message timing. The blocking-ordered
+// schedule (fixed peer-and-level drain order, no local work while
+// waiting) is kept as the ablation baseline for the Fig. 8
+// reproduction (bench_overlap).
 //
 // All per-apply spectra panels are compact: owned clusters plus the
 // ghost clusters this rank actually consumes, O(local share) instead of
@@ -51,7 +54,7 @@ namespace ffw {
 
 /// Drain strategy of the distributed apply (Fig. 8 ablation axis).
 enum class ApplySchedule {
-  /// Local-first with arrival-order halo draining (the default).
+  /// Local-first with arrival-order halo receipt (the default).
   kOverlapped,
   /// Fixed peer-and-level receive order, no local work while waiting —
   /// the pre-overlap baseline, kept for the Fig. 8 ablation bench.

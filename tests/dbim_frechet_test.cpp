@@ -2,11 +2,13 @@
 // finite differences of the exact nonlinear forward map, the adjoint
 // inner-product identity, and the Born limit. This is the part where the
 // paper's eq. (6) typo would bite — the tests pin the correct
-// variational form (dbim/dbim.hpp).
+// variational form (dbim/dbim.hpp). The first two also run on every rank
+// of partitioned illumination x sub-tree windows.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
+#include "dbim/parallel_driver.hpp"
 #include "linalg/kernels.hpp"
 #include "phantom/phantom.hpp"
 
@@ -35,6 +37,22 @@ struct FrechetFixture {
     BicgstabOptions opts;
     opts.tol = 1e-11;
     return std::make_unique<DbimWorkspace>(engine, trx, measured, opts);
+  }
+
+  /// Runs check(ws, comm) on every rank of an illum_groups x tree_ranks
+  /// window, each over its own partitioned workspace (block solves to
+  /// 1e-11).
+  template <typename Check>
+  void on_window(int illum_groups, int tree_ranks, Check&& check) {
+    const PartitionedMlfma pm(tree, MlfmaParams{}, tree_ranks);
+    BicgstabOptions opts;
+    opts.tol = 1e-11;
+    VCluster vc(illum_groups * tree_ranks);
+    vc.run([&](Comm& comm) {
+      const auto ws = make_partitioned_workspace(
+          comm, 0, illum_groups, pm, tree, trx, measured, DbimOptions{}, opts);
+      check(*ws, comm);
+    });
   }
 };
 
@@ -116,6 +134,78 @@ TEST(Frechet, ReducesToBornAtZeroBackground) {
   s.trx.apply_gr(vphi, born, tc);
   EXPECT_LT(rel_l2_diff(fv, born), 1e-8);
 }
+
+// The same two checks on partitioned windows: each rank's Frechet pass
+// covers its illumination group's transmitters over its pixel slice.
+class FrechetWindow : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(FrechetWindow, MatchesCentralFiniteDifference) {
+  const auto [ig, tr] = GetParam();
+  FrechetFixture s;
+  Rng rng(41);
+  cvec v(s.grid.num_pixels());
+  rng.fill_cnormal(v);
+  const double h = 1e-4;
+
+  std::vector<double> err(static_cast<std::size_t>(ig * tr), 1.0);
+  s.on_window(ig, tr, [&](DbimWorkspace& ws, Comm& comm) {
+    const std::size_t nloc = ws.num_pixels();
+    cvec vl(nloc), o(nloc), op(nloc), om(nloc);
+    ws.scatter(v, vl);
+    ws.scatter(s.contrast, o);
+    scattered_fields(ws, o);
+    cvec fv(ws.residual_size());
+    ws.frechet_pass_all(vl, fv);
+    for (std::size_t i = 0; i < nloc; ++i) {
+      op[i] = o[i] + h * vl[i];
+      om[i] = o[i] - h * vl[i];
+    }
+    const cvec sp = scattered_fields(ws, op);
+    const cvec sm = scattered_fields(ws, om);
+    cvec fd(sp.size());
+    for (std::size_t i = 0; i < fd.size(); ++i)
+      fd[i] = (sp[i] - sm[i]) / (2.0 * h);
+    err[static_cast<std::size_t>(comm.rank())] = rel_l2_diff(fv, fd);
+  });
+  for (std::size_t r = 0; r < err.size(); ++r)
+    EXPECT_LT(err[r], 1e-5) << "rank " << r;
+}
+
+TEST_P(FrechetWindow, AdjointInnerProductIdentity) {
+  const auto [ig, tr] = GetParam();
+  FrechetFixture s;
+  Rng rng(43);
+  cvec v(s.grid.num_pixels());
+  rng.fill_cnormal(v);
+
+  std::vector<cplx> lhs(static_cast<std::size_t>(ig * tr)), rhs(lhs.size());
+  s.on_window(ig, tr, [&](DbimWorkspace& ws, Comm& comm) {
+    // One u per illumination group, shared by its tree ranks.
+    Rng urng(static_cast<std::uint64_t>(100 + comm.rank() / tr));
+    cvec u(ws.residual_size()), vl(ws.num_pixels()), o(ws.num_pixels());
+    urng.fill_cnormal(u);
+    ws.scatter(v, vl);
+    ws.scatter(s.contrast, o);
+    scattered_fields(ws, o);
+    cvec fv(ws.residual_size()), fhu(ws.num_pixels(), cplx{});
+    ws.frechet_pass_all(vl, fv);
+    ws.gradient_pass_all(u, fhu);  // sum_t F_t^H u_t over the window
+    // <u, F v> is replicated over a group's tree ranks, the F^H u slice
+    // over the illumination groups.
+    cplx sums[2] = {cdot(u, fv) / static_cast<double>(tr),
+                    cdot(fhu, vl) / static_cast<double>(ig)};
+    comm.allreduce_sum(cspan{sums, 2});
+    lhs[static_cast<std::size_t>(comm.rank())] = sums[0];
+    rhs[static_cast<std::size_t>(comm.rank())] = sums[1];
+  });
+  for (std::size_t r = 0; r < lhs.size(); ++r) {
+    EXPECT_NEAR(std::abs(lhs[r] - rhs[r]), 0.0, 1e-8 * std::abs(lhs[r]))
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, FrechetWindow,
+                         ::testing::Values(std::pair{1, 2}, std::pair{2, 2}));
 
 }  // namespace
 }  // namespace ffw

@@ -4,8 +4,12 @@
 // high contrast — the mechanism behind paper Figs. 1 and 2.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dbim/born.hpp"
 #include "dbim/dbim.hpp"
+#include "dbim/parallel_driver.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 
 namespace ffw {
@@ -142,6 +146,94 @@ TEST(Born, RecoversVeryWeakScatterer) {
   ASSERT_FALSE(born.relative_residual.empty());
   EXPECT_LT(born.relative_residual.back(),
             0.3 * born.relative_residual.front());
+}
+
+// Results must not depend on the thread count (north-star aim 3). The
+// benchmark's solver options (near-field preconditioner on MLFMA,
+// adaptive forcing, recycling) reconstruct the same bits at 1 and 4
+// threads on both serial backends, and on the 2x2 partitioned driver at
+// 1 and 2 threads per rank. 64^2 with 8 transmitters spans more than one
+// chunk of the chunk-parallel block kernels.
+struct ThreadCountScene {
+  ScenarioConfig cfg;
+  std::unique_ptr<Scenario> scene;
+
+  ThreadCountScene() {
+    cfg.nx = 64;
+    cfg.num_transmitters = 8;
+    cfg.num_receivers = 24;
+    Grid grid(cfg.nx);
+    scene = std::make_unique<Scenario>(
+        cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.8, cplx{0.02, 0.0}));
+  }
+
+  static DbimOptions options(BackendKind backend) {
+    DbimOptions o;
+    o.max_iterations = 4;
+    o.backend = backend;
+    o.near_precondition = backend == BackendKind::kMlfma;
+    o.adaptive_forcing = true;
+    o.recycle_depth = 2;
+    return o;
+  }
+
+  DbimResult serial(BackendKind backend, int threads) const {
+    set_num_threads(threads);
+    DbimResult res = dbim_reconstruct(scene->engine(), scene->transceivers(),
+                                      scene->measurements(), options(backend),
+                                      cfg.forward);
+    set_num_threads(0);
+    return res;
+  }
+
+  DbimResult parallel_2x2(int threads_per_rank) const {
+    ParallelDbimConfig pcfg;
+    pcfg.illum_groups = 2;
+    pcfg.tree_ranks = 2;
+    pcfg.dbim = options(BackendKind::kMlfma);
+    pcfg.forward = cfg.forward;
+    pcfg.mlfma = cfg.mlfma;
+    set_num_threads(threads_per_rank);
+    VCluster vc(4);
+    DbimResult res = dbim_reconstruct_parallel(
+        vc, scene->tree(), scene->transceivers(), scene->measurements(), pcfg);
+    set_num_threads(0);
+    return res;
+  }
+};
+
+void expect_identical(const DbimResult& a, const DbimResult& b) {
+  ASSERT_EQ(a.contrast.size(), b.contrast.size());
+  EXPECT_EQ(std::memcmp(a.contrast.data(), b.contrast.data(),
+                        a.contrast.size() * sizeof(cplx)),
+            0);
+  const auto& ha = a.history;
+  const auto& hb = b.history;
+  ASSERT_EQ(ha.relative_residual.size(), hb.relative_residual.size());
+  EXPECT_EQ(std::memcmp(ha.relative_residual.data(),
+                        hb.relative_residual.data(),
+                        ha.relative_residual.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(ha.forward_solves, hb.forward_solves);
+  EXPECT_EQ(ha.operator_applications, hb.operator_applications);
+  EXPECT_EQ(ha.bicgstab_iterations, hb.bicgstab_iterations);
+}
+
+TEST(DbimThreadCount, MlfmaIsBitIdenticalAt1And4Threads) {
+  const ThreadCountScene s;
+  expect_identical(s.serial(BackendKind::kMlfma, 1),
+                   s.serial(BackendKind::kMlfma, 4));
+}
+
+TEST(DbimThreadCount, CbsIsBitIdenticalAt1And4Threads) {
+  const ThreadCountScene s;
+  expect_identical(s.serial(BackendKind::kCbs, 1),
+                   s.serial(BackendKind::kCbs, 4));
+}
+
+TEST(DbimThreadCount, Parallel2x2IsBitIdenticalAt1And2ThreadsPerRank) {
+  const ThreadCountScene s;
+  expect_identical(s.parallel_2x2(1), s.parallel_2x2(2));
 }
 
 }  // namespace

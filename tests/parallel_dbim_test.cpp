@@ -345,5 +345,41 @@ TEST(ParallelDbimDeath, MixedEngineIsRefusedLoudly) {
       "mixed_engine");
 }
 
+// Every 2-D refusal dies loudly with its own message.
+void expect_refused(ParallelDbimConfig pcfg, const char* message) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SceneFixture f;
+  pcfg.illum_groups = 2;
+  pcfg.dbim.max_iterations = 1;
+  EXPECT_DEATH(
+      {
+        VCluster vc(2);
+        dbim_reconstruct_parallel(vc, f.scene->tree(),
+                                  f.scene->transceivers(),
+                                  f.scene->measurements(), pcfg);
+      },
+      message);
+}
+
+TEST(ParallelDbimDeath, CbsBackendIsRefusedLoudly) {
+  ParallelDbimConfig pcfg;
+  pcfg.dbim.backend = BackendKind::kCbs;
+  expect_refused(pcfg, "CBS/auto backend routing is a serial-driver feature");
+}
+
+TEST(ParallelDbimDeath, AutoBackendIsRefusedLoudly) {
+  ParallelDbimConfig pcfg;
+  pcfg.dbim.backend = BackendKind::kAuto;
+  expect_refused(pcfg, "CBS/auto backend routing is a serial-driver feature");
+}
+
+TEST(ParallelDbimDeath, NearPreconditionerOnFp32TablesIsRefusedLoudly) {
+  ParallelDbimConfig pcfg;
+  pcfg.mlfma.precision = Precision::kMixed;
+  pcfg.dbim.near_precondition = true;
+  expect_refused(pcfg,
+                 "near-field preconditioner needs fp64 near-field tables");
+}
+
 }  // namespace
 }  // namespace ffw
