@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 #include "service/table_cache.hpp"
 
@@ -147,15 +148,15 @@ bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
 void DbimWorkspace::load_incident(cspan blk) const {
   const ccspan panel = trx_->incident_panel();
   const std::size_t n = trx_->grid().num_pixels();
-  for (std::size_t c = 0; c < lo_.npanels; ++c) {
+  for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t len) {
     for (std::size_t i = 0; i < lo_.nrhs; ++i) {
       const cplx* col =
           panel.data() + static_cast<std::size_t>(share_.transmitters[i]) * n;
-      cplx* out = blk.data() + lo_.at(c, i);
-      for (std::size_t j = 0; j < lo_.panel; ++j)
-        out[j] = col[pixel(c * lo_.panel + j)];
+      cplx* out = blk.data() + lo_.at(c, i) + i0;
+      for (std::size_t j = 0; j < len; ++j)
+        out[j] = col[pixel(c * lo_.panel + i0 + j)];
     }
-  }
+  });
 }
 
 int DbimWorkspace::rank() const {
@@ -194,13 +195,15 @@ double DbimWorkspace::residual_pass_all(cspan residuals) {
   const std::size_t nr = measured_->rows();
   FFW_CHECK(residuals.size() == residual_size());
   // The background fields solve in place: their warm-start guesses live
-  // in phi_b_, which the block solve updates.
-  cvec rhs(lo_.size());
+  // in phi_b_, which the block solve updates. The pass vectors are block
+  // scratch (linalg/scratch.hpp).
+  ScratchFrame frame;
+  const cspan rhs = frame.vec(lo_.size());
   load_incident(rhs);
   FFW_CHECK_MSG(block_solve(rhs, phi_b_, /*adjoint=*/false),
                 "DBIM residual-pass block solve diverged");
   // phi_sca = G_R (O_b .* phi_b) for every column in one projection.
-  cvec ophi(lo_.size());
+  const cspan ophi = frame.vec(lo_.size());
   block_diag_mul(lo_, mlfma_->contrast(), phi_b_, ophi);
   project(ophi, residuals);
   double cost = 0.0;
@@ -220,8 +223,9 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
             grad_accum.size() == num_pixels());
   // Blocked adjoint Frechet: g_t = G_R^H b_t, one block adjoint solve of
   // [I - G0 O]^H for all t, then the G0^H products as one blocked apply.
-  cvec g1(lo_.size()), w2(lo_.size()), w3(lo_.size(), cplx{}),
-      w4(lo_.size());
+  ScratchFrame frame;
+  const cspan g1 = frame.vec(lo_.size()), w2 = frame.vec(lo_.size()),
+              w3 = frame.vec(lo_.size());
   gr_project_herm(trx_->gr(), pixels_, lo_, residuals, g1);
   block_diag_mul_conj(lo_, mlfma_->contrast(), g1, w2);
   // Krylov recycling: seed from the least-squares combination of the
@@ -230,17 +234,19 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
   FFW_CHECK_MSG(block_solve(w2, w3, /*adjoint=*/true),
                 "DBIM gradient-pass block solve diverged");
   rec_grad_.store(w2, w3, lo_);
+  const cspan w4 = frame.vec(lo_.size());  // taken after the solve's peak
   active_->apply_g0_herm_panel(w3, w4, lo_.nrhs);
-  for (std::size_t c = 0; c < lo_.npanels; ++c) {
-    cplx* gq = grad_accum.data() + c * lo_.panel;
+  for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t n) {
+    cplx* gq = grad_accum.data() + c * lo_.panel + i0;
     for (std::size_t r = 0; r < lo_.nrhs; ++r) {
-      const cplx* phi = phi_b_.data() + lo_.at(c, r);
-      const cplx* g1p = g1.data() + lo_.at(c, r);
-      const cplx* w4p = w4.data() + lo_.at(c, r);
-      for (std::size_t i = 0; i < lo_.panel; ++i)
+      const std::size_t o = lo_.at(c, r) + i0;
+      const cplx* phi = phi_b_.data() + o;
+      const cplx* g1p = g1.data() + o;
+      const cplx* w4p = w4.data() + o;
+      for (std::size_t i = 0; i < n; ++i)
         gq[i] += std::conj(phi[i]) * (g1p[i] + w4p[i]);
     }
-  }
+  });
   // Combine across illumination groups (paper Fig. 4, sync 1).
   group_sum(grad_accum, share_.column_group);
 }
@@ -249,7 +255,9 @@ void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
   FFW_CHECK(direction.size() == num_pixels() && out.size() == residual_size());
   // Blocked Frechet apply: u_t = d .* phi_b,t, one blocked G0 apply, one
   // block forward solve, then one panel receiver projection.
-  cvec u1(lo_.size()), u2(lo_.size()), w(lo_.size(), cplx{});
+  ScratchFrame frame;
+  const cspan u1 = frame.vec(lo_.size()), u2 = frame.vec(lo_.size()),
+              w = frame.vec(lo_.size());
   block_diag_mul(lo_, direction, phi_b_, u1);
   active_->apply_g0_panel(u1, u2, lo_.nrhs);
   rec_step_.seed(u2, w, lo_, reducer());
@@ -257,20 +265,21 @@ void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
                 "DBIM Frechet-pass block solve diverged");
   rec_step_.store(u2, w, lo_);
   const ccspan o = mlfma_->contrast();
-  for (std::size_t c = 0; c < lo_.npanels; ++c) {
-    const cplx* op = o.data() + c * lo_.panel;
+  for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t n) {
+    const cplx* op = o.data() + c * lo_.panel + i0;
     for (std::size_t r = 0; r < lo_.nrhs; ++r) {
-      const cplx* wp = w.data() + lo_.at(c, r);
-      cplx* up = u1.data() + lo_.at(c, r);
-      for (std::size_t i = 0; i < lo_.panel; ++i) up[i] += op[i] * wp[i];
+      const cplx* wp = w.data() + lo_.at(c, r) + i0;
+      cplx* up = u1.data() + lo_.at(c, r) + i0;
+      for (std::size_t i = 0; i < n; ++i) up[i] += op[i] * wp[i];
     }
-  }
+  });
   project(u1, out);
 }
 
 double DbimWorkspace::step_pass_all(ccspan direction) {
   const std::size_t nr = measured_->rows();
-  cvec sc(residual_size());
+  ScratchFrame frame;
+  const cspan sc = frame.vec(residual_size());
   frechet_pass_all(direction, sc);
   double denom = 0.0;
   for (std::size_t i = 0; i < lo_.nrhs; ++i) {
@@ -285,8 +294,14 @@ std::size_t DbimWorkspace::residual_size() const {
 }
 
 DotReducer DbimWorkspace::reducer() {
-  return DotReducer{[this](cspan v) { group_sum(v, share_.tree_group); },
-                    [this](rspan v) { group_sum(v, share_.tree_group); }};
+  return DotReducer{[this](cspan v) {
+                      FFW_TRACE_SPAN("krylov.reduce");
+                      group_sum(v, share_.tree_group);
+                    },
+                    [this](rspan v) {
+                      FFW_TRACE_SPAN("krylov.reduce");
+                      group_sum(v, share_.tree_group);
+                    }};
 }
 
 bool DbimWorkspace::leader() const { return rank() == share_.window.front(); }
@@ -479,6 +494,12 @@ DbimStepper::DbimStepper(std::unique_ptr<DbimWorkspace> ws,
   iter_ = start_iter;
   done_ = iter_ >= opts_.max_iterations;
   opts_.resume = nullptr;  // consumed above; don't keep the borrow alive
+}
+
+DbimStepper::~DbimStepper() {
+  // The passes of this run sized the thread's block scratch; hand it
+  // back so a finished reconstruction holds nothing.
+  scratch_release();
 }
 
 double DbimStepper::last_residual() const {

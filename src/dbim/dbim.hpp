@@ -343,6 +343,10 @@ class DbimStepper {
   /// `initial_contrast` and `opts.resume` are in natural order.
   DbimStepper(std::unique_ptr<DbimWorkspace> ws, const DbimOptions& opts,
               const BicgstabOptions& fw_opts, ccspan initial_contrast = {});
+  /// Releases the destroying thread's block scratch (linalg/scratch.hpp).
+  ~DbimStepper();
+  DbimStepper(const DbimStepper&) = delete;
+  DbimStepper& operator=(const DbimStepper&) = delete;
 
   /// Runs one DBIM iteration (three blocked passes + CG update +
   /// checkpoint hook). Returns true while further steps remain; false

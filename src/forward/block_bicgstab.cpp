@@ -6,43 +6,17 @@
 
 #include "common/check.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
 
 namespace {
 
-// Panel kernels of the recurrences: n complex entries as 2n interleaved
-// doubles, explicit real arithmetic, so each loop vectorises. The
-// reductions run in a fixed order for a given build.
-
-/// ||x||^2.
-inline double nrm2_panel(std::size_t n, const cplx* x) {
-  const double* xs = reinterpret_cast<const double*>(x);
-  double acc = 0.0;
-#ifdef _OPENMP
-#pragma omp simd reduction(+ : acc)
-#endif
-  for (std::size_t i = 0; i < 2 * n; ++i) acc += xs[i] * xs[i];
-  return acc;
-}
-
-/// acc += <x, y> = sum conj(x) y, as {re, im}.
-inline void dot_panel(std::size_t n, const cplx* x, const cplx* y,
-                      double* acc) {
-  const double* xs = reinterpret_cast<const double*>(x);
-  const double* ys = reinterpret_cast<const double*>(y);
-  double re = 0.0, im = 0.0;
-#ifdef _OPENMP
-#pragma omp simd reduction(+ : re, im)
-#endif
-  for (std::size_t i = 0; i < 2 * n; i += 2) {
-    re += xs[i] * ys[i] + xs[i + 1] * ys[i + 1];
-    im += xs[i] * ys[i + 1] - xs[i + 1] * ys[i];
-  }
-  acc[0] += re;
-  acc[1] += im;
-}
+// Panel kernels of the recurrences (with nrm2_panel / dot_panel from
+// linalg/block.hpp): n complex entries as 2n interleaved doubles,
+// explicit real arithmetic, so each loop vectorises. The reductions run
+// in a fixed order for a given build.
 
 /// s = r - a v; returns ||s||^2.
 inline double s_update_panel(std::size_t n, cplx a, const cplx* r,
@@ -118,9 +92,9 @@ inline void p_update_panel(std::size_t n, cplx beta, cplx w, const cplx* r,
   }
 }
 
-/// One chunk-parallel pass over the leaf panels of the listed columns.
-/// `fn(offset, jj, acc)` handles column cols[jj]'s lo.panel entries at
-/// element `offset` and adds its `width` partial sums into acc. The
+/// One chunk-parallel pass over the rows of the listed columns.
+/// `fn(offset, len, jj, acc)` handles `len` entries of column cols[jj]
+/// at element `offset` and adds its `width` partial sums into acc. The
 /// partials of each chunk are added in chunk order into
 /// out[jj * width + w], so every sum is independent of the thread count.
 class Sweeper {
@@ -133,11 +107,14 @@ class Sweeper {
     FFW_TRACE_SPAN("krylov.vector");
     const std::size_t w = cols.size() * width;
     part_.assign(chunks_.count * w, 0.0);
-    chunks_.run([&](std::size_t k, std::size_t c0, std::size_t c1) {
+    chunks_.run([&](std::size_t k, std::size_t r0, std::size_t r1) {
       double* acc = part_.data() + k * w;
-      for (std::size_t c = c0; c < c1; ++c)
-        for (std::size_t jj = 0; jj < cols.size(); ++jj)
-          fn(lo_.at(c, cols[jj]), jj, acc + jj * width);
+      for_panel_rows(lo_, r0, r1,
+                     [&](std::size_t c, std::size_t i, std::size_t len) {
+                       for (std::size_t jj = 0; jj < cols.size(); ++jj)
+                         fn(lo_.at(c, cols[jj]) + i, len, jj,
+                            acc + jj * width);
+                     });
     });
     for (std::size_t q = 0; q < w; ++q) {
       double sum = 0.0;
@@ -169,17 +146,18 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
   BlockBicgstabResult res;
   res.rhs.resize(nrhs);
 
-  cvec r(total), rhat(total), p(total), v(total, cplx{}), s(total), t(total),
-      tmp(total);
-  // Flexible right preconditioning: phat = M^{-1} p, shat = M^{-1} s are
-  // computed block-wide (frozen columns are solved too but never read —
-  // their alpha/omega updates are masked out below). Without pc the
-  // spans alias p/s and the iteration is bit-identical.
-  cvec phat_store, shat_store;
-  if (pc) {
-    phat_store.assign(total, cplx{});
-    shat_store.assign(total, cplx{});
-  }
+  // Every block vector of the recurrence comes from the thread's scratch
+  // (linalg/scratch.hpp). Flexible right preconditioning: phat = M^{-1} p,
+  // shat = M^{-1} s are computed block-wide (frozen columns are solved
+  // too but never read — their alpha/omega updates are masked out
+  // below). Without pc the spans alias p/s and the iteration is
+  // bit-identical.
+  ScratchFrame frame;
+  const cspan r = frame.vec(total), rhat = frame.vec(total),
+              p = frame.vec(total), v = frame.vec(total),
+              s = frame.vec(total), t = frame.vec(total);
+  const cspan phat_store = pc ? frame.vec(total) : cspan{};
+  const cspan shat_store = pc ? frame.vec(total) : cspan{};
   std::vector<char> active(nrhs, 1);
   std::vector<double> bnorm(nrhs), scal_d(nrhs), sums(3 * nrhs);
   cvec rho(nrhs), alpha(nrhs), omega(nrhs), beta(nrhs), scal_c(2 * nrhs);
@@ -194,9 +172,10 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
   Sweeper sweep(lo);
 
   // ||b_r|| for every column in one reduction.
-  sweep(all, 1, scal_d.data(), [&](std::size_t o, std::size_t, double* acc) {
-    acc[0] += nrm2_panel(np, b.data() + o);
-  });
+  sweep(all, 1, scal_d.data(),
+        [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
+          acc[0] += nrm2_panel(n, b.data() + o);
+        });
   reduce.sum_double_vec(rspan{scal_d});
   for (std::size_t j = 0; j < nrhs; ++j) {
     bnorm[j] = std::sqrt(scal_d[j]);
@@ -209,19 +188,23 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     }
   }
 
-  // r = b - A x (one blocked matvec covers every column); rhat = p = r.
-  a(x, tmp);
+  // r = b - A x (one blocked matvec covers every column, A x held in v
+  // until the loop's first matvec); rhat = p = r. s starts at zero: the
+  // operator and M^{-1} see its frozen columns.
+  a(x, v);
   ++res.block_matvecs;
   for (std::size_t j = 0; j < nrhs; ++j)
     if (active[j]) ++res.rhs[j].matvecs;
-  sweep(all, 1, scal_d.data(), [&](std::size_t o, std::size_t, double* acc) {
-    for (std::size_t i = o; i < o + np; ++i) {
-      r[i] = b[i] - tmp[i];
-      rhat[i] = r[i];
-      p[i] = r[i];
-    }
-    acc[0] += nrm2_panel(np, r.data() + o);
-  });
+  sweep(all, 1, scal_d.data(),
+        [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
+          for (std::size_t i = o; i < o + n; ++i) {
+            r[i] = b[i] - v[i];
+            rhat[i] = r[i];
+            p[i] = r[i];
+            s[i] = cplx{};
+          }
+          acc[0] += nrm2_panel(n, r.data() + o);
+        });
 
   // rho_r = <rhat_r, r_r> = ||r_r||^2 and ||r_r|| batched.
   for (std::size_t j = 0; j < nrhs; ++j) {
@@ -252,9 +235,10 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     ++res.block_matvecs;
 
     // alpha_r = rho_r / <rhat_r, v_r>, batched.
-    sweep(cols, 2, sums.data(), [&](std::size_t o, std::size_t, double* acc) {
-      dot_panel(np, rhat.data() + o, v.data() + o, acc);
-    });
+    sweep(cols, 2, sums.data(),
+          [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
+            dot_panel(n, rhat.data() + o, v.data() + o, acc);
+          });
     std::fill(scal_c.begin(), scal_c.begin() + nrhs, cplx{});
     for (std::size_t jj = 0; jj < cols.size(); ++jj)
       scal_c[cols[jj]] = cplx{sums[2 * jj], sums[2 * jj + 1]};
@@ -269,11 +253,11 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
 
     // s = r - alpha v, and the half-step residual norms for the early
     // exit, in one pass.
-    sweep(cols, 1, sums.data(), [&](std::size_t o, std::size_t jj,
-                                    double* acc) {
-      acc[0] += s_update_panel(np, alpha[cols[jj]], r.data() + o,
-                               v.data() + o, s.data() + o);
-    });
+    sweep(cols, 1, sums.data(),
+          [&](std::size_t o, std::size_t n, std::size_t jj, double* acc) {
+            acc[0] += s_update_panel(n, alpha[cols[jj]], r.data() + o,
+                                     v.data() + o, s.data() + o);
+          });
     std::fill(scal_d.begin(), scal_d.end(), 0.0);
     for (std::size_t jj = 0; jj < cols.size(); ++jj)
       scal_d[cols[jj]] = sums[jj];
@@ -289,9 +273,10 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
       }
     }
     if (!done.empty()) {  // x += alpha phat for the half-step exits
-      sweep(done, 0, nullptr, [&](std::size_t o, std::size_t jj, double*) {
-        axpy(alpha[done[jj]], phat.subspan(o, np), x.subspan(o, np));
-      });
+      sweep(done, 0, nullptr,
+            [&](std::size_t o, std::size_t n, std::size_t jj, double*) {
+              axpy(alpha[done[jj]], phat.subspan(o, n), x.subspan(o, n));
+            });
     }
     if (!refresh_cols()) break;
 
@@ -304,10 +289,11 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
     ++res.block_matvecs;
 
     // omega_r = <t_r, s_r> / <t_r, t_r>, both dots in one reduction.
-    sweep(cols, 3, sums.data(), [&](std::size_t o, std::size_t, double* acc) {
-      acc[0] += nrm2_panel(np, t.data() + o);
-      dot_panel(np, t.data() + o, s.data() + o, acc + 1);
-    });
+    sweep(cols, 3, sums.data(),
+          [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
+            acc[0] += nrm2_panel(n, t.data() + o);
+            dot_panel(n, t.data() + o, s.data() + o, acc + 1);
+          });
     std::fill(scal_c.begin(), scal_c.end(), cplx{});
     for (std::size_t jj = 0; jj < cols.size(); ++jj) {
       scal_c[2 * cols[jj]] = cplx{sums[3 * jj]};
@@ -323,13 +309,13 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
 
     // x += alpha phat + omega shat, r = s - omega t, with the full-step
     // residual norms and the next rho = <rhat, r> in the same pass.
-    sweep(cols, 3, sums.data(), [&](std::size_t o, std::size_t jj,
-                                    double* acc) {
-      const std::size_t j = cols[jj];
-      xr_update_panel(np, alpha[j], omega[j], phat.data() + o,
-                      shat.data() + o, s.data() + o, t.data() + o,
-                      rhat.data() + o, x.data() + o, r.data() + o, acc);
-    });
+    sweep(cols, 3, sums.data(),
+          [&](std::size_t o, std::size_t n, std::size_t jj, double* acc) {
+            const std::size_t j = cols[jj];
+            xr_update_panel(n, alpha[j], omega[j], phat.data() + o,
+                            shat.data() + o, s.data() + o, t.data() + o,
+                            rhat.data() + o, x.data() + o, r.data() + o, acc);
+          });
     std::fill(scal_d.begin(), scal_d.end(), 0.0);
     std::fill(scal_c.begin(), scal_c.begin() + nrhs, cplx{});
     for (std::size_t jj = 0; jj < cols.size(); ++jj) {
@@ -356,11 +342,12 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
       beta[j] = (rho_next / rho[j]) * (alpha[j] / omega[j]);
       rho[j] = rho_next;
     }
-    sweep(cols, 0, nullptr, [&](std::size_t o, std::size_t jj, double*) {
-      const std::size_t j = cols[jj];
-      p_update_panel(np, beta[j], omega[j], r.data() + o, v.data() + o,
-                     p.data() + o);
-    });
+    sweep(cols, 0, nullptr,
+          [&](std::size_t o, std::size_t n, std::size_t jj, double*) {
+            const std::size_t j = cols[jj];
+            p_update_panel(n, beta[j], omega[j], r.data() + o, v.data() + o,
+                           p.data() + o);
+          });
   }
 
   res.converged = true;

@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "greens/greens.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -304,11 +305,11 @@ void CbsEngine::apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
       }
     });
   } else {
-    cvec tmp(n_ * nrhs);
-    convolve(x, tmp, nrhs, tables_->g0hat, /*conjugate=*/true);
+    // y = G0^H x, then y = x - conj(O) .* y in place.
+    convolve(x, y, nrhs, tables_->g0hat, /*conjugate=*/true);
     parallel_for(0, nrhs, [&](std::size_t c) {
       for (std::size_t i = 0; i < n_; ++i) {
-        y[c * n_ + i] = x[c * n_ + i] - std::conj(o[i]) * tmp[c * n_ + i];
+        y[c * n_ + i] = x[c * n_ + i] - std::conj(o[i]) * y[c * n_ + i];
       }
     });
   }
@@ -350,11 +351,15 @@ bool CbsEngine::solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
     bnorm[c] = std::sqrt(s);
   });
 
-  // d (preconditioned search direction) and t1 (adjoint scratch) are
-  // only allocated on the paths that use them; the plain forward mode
-  // runs the whole solve out of r and w.
-  cvec r(n_ * nrhs), w(n_ * nrhs), d, t1;
-  if (adjoint) t1.resize(n_ * nrhs);
+  // The solve's panels come from the thread's scratch: the same set
+  // whichever mode the solve ends in, so a solve that switches the
+  // preconditioner on mid-run takes no new storage. The plain forward
+  // mode runs out of r and w alone; d (preconditioned search direction)
+  // and t1 (adjoint scratch) are written only on the paths that use them.
+  ScratchFrame frame;
+  const cspan r = frame.vec(n_ * nrhs), w = frame.vec(n_ * nrhs),
+              d = frame.vec(n_ * nrhs);
+  const cspan t1 = adjoint ? frame.vec(n_ * nrhs) : cspan{};
 
   auto column_residuals = [&]() {
     parallel_for(0, nrhs, [&](std::size_t c) {
@@ -408,7 +413,6 @@ bool CbsEngine::solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
   const double k0 = grid_.k0();
   bool precond = omax_ > opts_.precond_threshold * k0 * k0;
   std::size_t mode_anchor = 0;  // iteration of the last mode switch
-  if (precond) d.resize(n_ * nrhs);
 
   while (!converged && it < opts_.max_iterations) {
     ++it;
@@ -533,7 +537,6 @@ bool CbsEngine::solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
         if (!precond) {
           precond = true;
           mode_anchor = it;
-          if (d.size() != n_ * nrhs) d.resize(n_ * nrhs);
           continue;
         }
         // Stalled or diverging with the preconditioner on: hand the

@@ -150,8 +150,9 @@ class CbsEngine final : public ForwardBackend {
   void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
   void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
 
-  /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels;
-  /// the residual operator of the iteration, exposed for tests.
+  /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels
+  /// (x and y distinct); the residual operator of the iteration, exposed
+  /// for tests.
   void apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
                           bool adjoint = false);
 

@@ -4,6 +4,8 @@
 
 #include "common/timer.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
+#include "obs/obs.hpp"
 
 namespace ffw {
 
@@ -36,8 +38,14 @@ void ForwardSolver::refresh_preconditioner() {
                 "near-field block preconditioner needs the fp64 reference "
                 "engine's near-field tables");
   Timer t;
-  near_precond_ = std::make_unique<NearFieldBlockJacobi>(
-      engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
+  // Rebuilt in place: a contrast update never holds two inverse sets.
+  if (near_precond_ != nullptr && near_precond_->storage() == near_storage_) {
+    near_precond_->rebuild(engine_->nearfield().type(4), contrast_clu_);
+  } else {
+    near_precond_.reset();
+    near_precond_ = std::make_unique<NearFieldBlockJacobi>(
+        engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
+  }
   const double seconds = t.seconds();
   stats_.precond_setup_seconds += seconds;
   stats_.precond_setups.push_back(seconds);
@@ -64,8 +72,8 @@ void ForwardSolver::op_block_on(MlfmaEngine& eng, ccspan x, cspan y,
   }
   // Y = X - G0 (O .* X): the diagonal contrast is indexed per cluster
   // pixel and reused across all columns of a panel.
-  if (block_work_.size() < lo.size()) block_work_.resize(lo.size());
-  cspan work{block_work_.data(), lo.size()};
+  ScratchFrame frame;
+  const cspan work = frame.vec(lo.size());
   block_diag_mul(lo, contrast_clu_, x, work);
   eng.apply_block(work, y, lo.nrhs);
   block_identity_minus(lo, x, y);
@@ -78,9 +86,10 @@ void ForwardSolver::natural_panel_op(ccspan x, cspan y, std::size_t nrhs,
   FFW_CHECK(x.size() == n * nrhs && y.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
   const BlockLayout lo = block_layout(nrhs);
-  cvec xb(lo.size()), yb(lo.size());
+  ScratchFrame frame;
+  const cspan xb = frame.vec(lo.size()), yb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), x, xb);
-  op(ccspan{xb}, cspan{yb}, lo);
+  op(ccspan{xb}, yb, lo);
   block_unpack_natural(lo, tree.perm(), yb, y);
 }
 
@@ -121,7 +130,8 @@ BlockBicgstabResult ForwardSolver::block_solve(ccspan rhs, cspan x,
   FFW_CHECK(rhs.size() == n * nrhs && x.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
   const BlockLayout lo = block_layout(nrhs);
-  cvec b(lo.size()), xb(lo.size());
+  ScratchFrame frame;
+  const cspan b = frame.vec(lo.size()), xb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), rhs, b);
   block_pack_natural(lo, tree.perm(), ccspan{x.data(), x.size()}, xb);
   BicgstabOptions opts = opts_;
@@ -163,7 +173,8 @@ RefinedResult ForwardSolver::refined_solve(ccspan rhs, cspan x,
   FFW_CHECK(rhs.size() == n * nrhs && x.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
   const BlockLayout lo = block_layout(nrhs);
-  cvec b(lo.size()), xb(lo.size());
+  ScratchFrame frame;
+  const cspan b = frame.vec(lo.size()), xb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), rhs, b);
   block_pack_natural(lo, tree.perm(), ccspan{x.data(), x.size()}, xb);
   const std::uint64_t before = engine_->phase_times().applications +
@@ -237,8 +248,13 @@ void PartitionedForwardSolver::set_contrast(ccspan contrast) {
   copy(contrast, contrast_);
   if (!near_precondition_) return;
   const Timer t;
-  precond_ = std::make_unique<NearFieldBlockJacobi>(
-      pm_->nearfield().type(4), ccspan{contrast_}, Precision::kDouble);
+  // Rebuilt in place: a contrast update never holds two inverse sets.
+  if (precond_ != nullptr) {
+    precond_->rebuild(pm_->nearfield().type(4), contrast_);
+  } else {
+    precond_ = std::make_unique<NearFieldBlockJacobi>(
+        pm_->nearfield().type(4), ccspan{contrast_}, Precision::kDouble);
+  }
   const double seconds = t.seconds();
   stats_.precond_setup_seconds += seconds;
   stats_.precond_setups.push_back(seconds);
@@ -259,11 +275,16 @@ bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
   const BlockLayout lo{
       static_cast<std::size_t>(pm_->tree().pixels_per_leaf()), nrhs, leaves_};
   const DotReducer tree_sum{
-      [this](cspan v) { comm_->group_allreduce_sum(v, group_); },
-      [this](rspan v) { comm_->group_allreduce_sum(v, group_); }};
+      [this](cspan v) {
+        FFW_TRACE_SPAN("krylov.reduce");
+        comm_->group_allreduce_sum(v, group_);
+      },
+      [this](rspan v) {
+        FFW_TRACE_SPAN("krylov.reduce");
+        comm_->group_allreduce_sum(v, group_);
+      }};
   BicgstabOptions o = opts_;
   if (tol > 0.0) o.tol = std::max(tol, o.tol);
-  work_.resize(lo.size());
   const BlockBicgstabResult res = block_bicgstab(
       [&](ccspan in, cspan out) {
         if (adjoint) {
@@ -272,8 +293,10 @@ bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
           block_identity_minus_conj_diag(lo, contrast_, in, out);
         } else {
           // Y = X - G0 (O .* X).
-          block_diag_mul(lo, contrast_, in, work_);
-          apply_g0_panel(work_, out, nrhs);
+          ScratchFrame frame;
+          const cspan work = frame.vec(lo.size());
+          block_diag_mul(lo, contrast_, in, work);
+          apply_g0_panel(work, out, nrhs);
           block_identity_minus(lo, in, out);
         }
       },

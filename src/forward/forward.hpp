@@ -132,7 +132,6 @@ class ForwardSolver : public ForwardBackend {
 
   cvec contrast_nat_;   // natural order
   cvec contrast_clu_;   // cluster order
-  cvec block_work_;     // block-layout scratch (grown to N * nrhs)
   bool use_near_ = false;
   Precision near_storage_ = Precision::kDouble;
   std::unique_ptr<NearFieldBlockJacobi> near_precond_;
@@ -178,7 +177,6 @@ class PartitionedForwardSolver final : public ForwardBackend {
   std::vector<int> group_;  // global ranks of the tree group
   std::size_t leaves_;      // leaves of this rank
   cvec contrast_;           // the rank's cluster-order contrast slice
-  cvec work_;               // block-layout scratch of the forward operator
   std::unique_ptr<NearFieldBlockJacobi> precond_;
   ForwardStats stats_;
 };

@@ -15,6 +15,11 @@ NearFieldBlockJacobi::NearFieldBlockJacobi(const CMatrix& self_block,
                                            ccspan contrast_clu,
                                            Precision storage)
     : storage_(storage) {
+  rebuild(self_block, contrast_clu);
+}
+
+void NearFieldBlockJacobi::rebuild(const CMatrix& self_block,
+                                   ccspan contrast_clu) {
   FFW_TRACE_SPAN("precond.setup", obs::kNoArg, obs::Counter::kPrecondSetupNs);
   np_ = self_block.rows();
   FFW_CHECK_MSG(np_ > 0 && self_block.cols() == np_,

@@ -80,6 +80,11 @@ class NearFieldBlockJacobi final : public Preconditioner {
   NearFieldBlockJacobi(const CMatrix& self_block, ccspan contrast_clu,
                        Precision storage = Precision::kDouble);
 
+  /// Re-forms every inverse for a new contrast, in place: the storage of
+  /// the previous inverses is overwritten, so a contrast update never
+  /// holds two sets. Bit-identical to a fresh construction.
+  void rebuild(const CMatrix& self_block, ccspan contrast_clu);
+
   void apply(ccspan x, cspan z, const BlockLayout& lo) const override;
   void apply_herm(ccspan x, cspan z, const BlockLayout& lo) const override;
   std::size_t bytes() const override;

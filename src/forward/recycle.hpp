@@ -20,14 +20,16 @@
 // to the operator drift — typically 1-2 digits of the solve for free,
 // which BiCGStab then refines at the usual rate.
 //
-// Determinism: the Gram system is formed from per-column block dots that
-// are batched into a single reducer call, so serial and parallel runs
-// (and reruns) see bit-identical coefficients. Recycle state is *not*
+// Determinism: the Gram system is formed from per-column block dots,
+// summed over the fixed chunks of the layout (BlockChunks) in chunk
+// order and batched into a single reducer call, so serial and parallel
+// runs (and reruns, at any thread count) see bit-identical
+// coefficients. Recycle state is *not*
 // checkpointed — drivers clear it whenever background fields reset, so a
 // crash-recovered run re-derives identical iterates (see dbim/).
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "forward/bicgstab.hpp"
 #include "linalg/block.hpp"
@@ -54,8 +56,8 @@ class KrylovRecycler {
   std::size_t seed(ccspan b, cspan x, const BlockLayout& lo,
                    const DotReducer& reduce = {}) const;
 
-  /// Retains (b, x) as a snapshot pair; evicts the oldest beyond
-  /// `depth`. No-op when depth == 0.
+  /// Retains (b, x) as a snapshot pair; once `depth` are held, the
+  /// oldest pair's buffers take the new one. No-op when depth == 0.
   void store(ccspan b, ccspan x, const BlockLayout& lo);
 
   void clear() { snaps_.clear(); }
@@ -67,7 +69,7 @@ class KrylovRecycler {
     cvec b, x;
   };
   RecycleOptions opts_;
-  std::deque<Snapshot> snaps_;
+  std::vector<Snapshot> snaps_;  // oldest first
 };
 
 }  // namespace ffw

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
@@ -35,7 +36,8 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
     return res;
   }
 
-  cvec r(lo.size()), d(lo.size());
+  ScratchFrame frame;
+  const cspan r = frame.vec(lo.size()), d = frame.vec(lo.size());
   std::vector<double> bnorm(nrhs), rnorm(nrhs), partial(nrhs);
 
   auto reduced_col_norms = [&](ccspan v, std::vector<double>& out) {
@@ -49,7 +51,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
   // Worst-column fp64 relative residual; recomputes r = b - A64 x.
   auto residual = [&] {
     a_outer(x, r);
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+    block_identity_minus(lo, b, r);
     reduced_col_norms(r, rnorm);
     double worst = 0.0;
     for (std::size_t c = 0; c < nrhs; ++c)
@@ -71,17 +73,18 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
   // residual (fp32 operator error exciting a bad mode), and the fallback
   // then must not start from — or return — anything worse than the best
   // x already computed.
-  cvec x_best(x.begin(), x.end());
+  const cspan x_best = frame.vec(lo.size());
+  block_copy(lo, x, x_best);
   double worst_best = worst;
   auto remember_best = [&] {
     if (worst < worst_best) {
       worst_best = worst;
-      std::copy(x.begin(), x.end(), x_best.begin());
+      block_copy(lo, x, x_best);
     }
   };
   auto restore_best = [&] {
     if (worst > worst_best) {
-      std::copy(x_best.begin(), x_best.end(), x.begin());
+      block_copy(lo, x_best, x);
       worst = worst_best;
     }
   };
@@ -96,7 +99,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
         std::fill_n(r.data() + lo.at(p, c), lo.panel, cplx{});
     }
 
-    std::fill(d.begin(), d.end(), cplx{});
+    block_zero(lo, d);
     const BlockBicgstabResult inner =
         block_bicgstab(a_inner, r, d, lo, opts.inner, reduce, pc);
     res.inner_iterations += inner.total_iterations();

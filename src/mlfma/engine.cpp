@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 
+#include "linalg/block.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -100,10 +102,6 @@ void MlfmaEngine::shrink_workspace() {
   drop_all(g32_);
   drop_all(thread_scratch_);
   drop_all(thread_scratch32_);
-  herm_scratch_.clear();
-  herm_scratch_.shrink_to_fit();
-  x32_.clear();
-  x32_.shrink_to_fit();
   block_capacity_ = 1;
   ensure_block_capacity(1);
 }
@@ -116,8 +114,6 @@ std::size_t MlfmaEngine::bytes() const {
   for (const auto& v : g32_) s += v.size() * sizeof(cplx32);
   for (const auto& v : thread_scratch_) s += v.size() * sizeof(cplx);
   for (const auto& v : thread_scratch32_) s += v.size() * sizeof(cplx32);
-  s += herm_scratch_.size() * sizeof(cplx);
-  s += x32_.size() * sizeof(cplx32);
   return s;
 }
 
@@ -371,22 +367,25 @@ void MlfmaEngine::apply_block(ccspan x, cspan y, std::size_t nrhs) {
   FFW_CHECK(x.size() == n * nrhs && y.size() == n * nrhs);
   ensure_block_capacity(nrhs);
   ensure_thread_scratch();
-  std::fill(y.begin(), y.end(), cplx{});
+  const BlockLayout lo{static_cast<std::size_t>(tree_->pixels_per_leaf()),
+                       nrhs, tree_->num_leaves()};
+  block_zero(lo, y);
 
   if (precision() == Precision::kMixed) {
+    ScratchFrame frame;
+    const cspan32 x32 = frame.take<cplx32>(x.size());
     {
       // Narrow the input block once per apply; counted with the leaf
       // expansion since it is the pipeline's entry stage.
       PhaseTimerScope t(times_, MlfmaPhase::kExpansion);
-      if (x32_.size() < x.size()) x32_.resize(x.size());
-      narrow(x, cspan32{x32_.data(), x.size()});
+      narrow(x, x32);
     }
     if (tree_->num_levels() > 0) {
-      upward_pass_t<float>(x32_.data(), nrhs);
+      upward_pass_t<float>(x32.data(), nrhs);
       translation_pass_t<float>(nrhs);
       downward_pass_t<float>(y, nrhs);
     }
-    near_pass_t<float>(x32_.data(), y, nrhs);
+    near_pass_t<float>(x32.data(), y, nrhs);
   } else {
     if (tree_->num_levels() > 0) {
       upward_pass_t<double>(x.data(), nrhs);
@@ -403,13 +402,15 @@ void MlfmaEngine::apply_herm(ccspan x, cspan y) { apply_herm_block(x, y, 1); }
 
 void MlfmaEngine::apply_herm_block(ccspan x, cspan y, std::size_t nrhs) {
   // G0 is complex-symmetric: G0^T = G0, hence G0^H = conj(G0) and
-  // G0^H x = conj(G0 conj(x)). The conjugated copy lives in a member
-  // scratch buffer reused across calls.
-  if (herm_scratch_.size() < x.size()) herm_scratch_.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    herm_scratch_[i] = std::conj(x[i]);
-  apply_block(ccspan{herm_scratch_.data(), x.size()}, y, nrhs);
-  for (auto& v : y) v = std::conj(v);
+  // G0^H x = conj(G0 conj(x)). The conjugated copy is block scratch.
+  FFW_CHECK(nrhs >= 1 && x.size() == y.size());
+  const BlockLayout lo{static_cast<std::size_t>(tree_->pixels_per_leaf()),
+                       nrhs, tree_->num_leaves()};
+  ScratchFrame frame;
+  const cspan xc = frame.vec(x.size());
+  block_conj(lo, x, xc);
+  apply_block(xc, y, nrhs);
+  block_conj(lo, y, y);
 }
 
 }  // namespace ffw

@@ -100,8 +100,10 @@ class MlfmaEngine {
   /// boundaries; x/y stay fp64 at the API.
   Precision precision() const { return plan_.params().precision; }
 
-  /// Releases the per-level spectra panels plus all scratch buffers
-  /// (grown to the largest nrhs seen) and re-reserves them for nrhs = 1.
+  /// Releases the per-level spectra panels plus the per-thread pass
+  /// buffers (grown to the largest nrhs seen) and re-reserves them for
+  /// nrhs = 1. The conjugated and narrowed input blocks of an apply come
+  /// from the calling thread's block scratch (linalg/scratch.hpp).
   /// Call between solve stages with very different block widths to return
   /// the O(N * nrhs) workspace to the allocator.
   void shrink_workspace();
@@ -158,10 +160,6 @@ class MlfmaEngine {
   // (hoisted out of the hot per-parent loops).
   std::vector<cvec> thread_scratch_;
   std::vector<cvec32> thread_scratch32_;
-  // Conjugated-input scratch for apply_herm / apply_herm_block.
-  cvec herm_scratch_;
-  // Narrowed input block (kMixed).
-  cvec32 x32_;
 
   PhaseTimes times_;
 };

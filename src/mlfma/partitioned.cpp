@@ -4,8 +4,10 @@
 #include <array>
 #include <utility>
 
+#include "linalg/block.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
@@ -98,12 +100,11 @@ void PartitionedMlfma::apply_block(Comm& comm, ccspan x_local, cspan y_local,
   FFW_CHECK(x_local.size() == nlocal && y_local.size() == nlocal);
 
   if (plan_.params().precision == Precision::kMixed) {
-    // Narrowed per-rank input copy (thread_local is per-rank: ranks live
-    // on distinct VCluster threads). Everything downstream — panels,
-    // wire, tables — is fp32 from here.
-    static thread_local cvec32 xn;
-    xn.resize(x_local.size());
-    narrow(x_local, cspan32{xn.data(), xn.size()});
+    // Narrowed input copy, from the rank thread's block scratch.
+    // Everything downstream — panels, wire, tables — is fp32 from here.
+    ScratchFrame frame;
+    const cspan32 xn = frame.take<cplx32>(x_local.size());
+    narrow(x_local, xn);
     apply_block_impl<float>(comm, xn.data(), y_local, nrhs, rank_base, sched);
   } else {
     apply_block_impl<double>(comm, x_local.data(), y_local, nrhs, rank_base,
@@ -118,17 +119,21 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
                                         int rank_base,
                                         ApplySchedule sched) const {
   using C = std::complex<T>;
-  using CV = std::vector<C>;
   const int rank = comm.rank() - rank_base;
   const RankSchedule& rs = schedule_[static_cast<std::size_t>(rank)];
   const std::size_t np = static_cast<std::size_t>(tree_->pixels_per_leaf());
   const std::size_t lb = rs.near.owned_begin, le = rs.near.owned_end;
   const int nlev = tree_->num_levels();
 
+  // Every panel of the apply comes from the rank thread's block scratch.
+  ScratchFrame frame;
+
   // --- Post near-field halo sends first (overlap with the whole upward
   // pass, paper Fig. 8). One message per peer regardless of nrhs.
   for (const PeerSend& ps : rs.near.sends) {
-    CV buf(ps.slots.size() * np * nrhs);
+    ScratchFrame send_frame;
+    const std::span<C> buf =
+        send_frame.take<C>(ps.slots.size() * np * nrhs);
     for (std::size_t i = 0; i < ps.slots.size(); ++i) {
       std::copy_n(x_local + ps.slots[i] * np * nrhs, np * nrhs,
                   buf.data() + i * np * nrhs);
@@ -146,23 +151,33 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // fp64-accumulation boundary (fp32 products, fp64 sum across them), so
   // the sum stays in budget whether or not the build contracts MACs into
   // FMAs.
-  std::vector<CV> s_own(static_cast<std::size_t>(nlev)),
-      s_gh(static_cast<std::size_t>(nlev)), g_own;
-  std::vector<cvec> g_sum(static_cast<std::size_t>(nlev));
+  std::vector<std::span<C>> s_own(static_cast<std::size_t>(nlev)),
+      s_gh(static_cast<std::size_t>(nlev)),
+      g_own(static_cast<std::size_t>(nlev));
+  std::vector<cspan> g_sum(static_cast<std::size_t>(nlev));
   for (int l = 0; l < nlev; ++l) {
-    const PhaseSchedule& ls = rs.levels[static_cast<std::size_t>(l)];
+    const std::size_t li = static_cast<std::size_t>(l);
+    const PhaseSchedule& ls = rs.levels[li];
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const std::size_t owned = ls.owned_end - ls.owned_begin;
-    s_own[static_cast<std::size_t>(l)].assign(q * owned * nrhs, C{});
-    s_gh[static_cast<std::size_t>(l)].resize(q * ls.num_ghosts * nrhs);
-    g_sum[static_cast<std::size_t>(l)].assign(q * owned * nrhs, cplx{});
+    s_own[li] = frame.take<C>(q * owned * nrhs);
+    std::fill(s_own[li].begin(), s_own[li].end(), C{});
+    s_gh[li] = frame.take<C>(q * ls.num_ghosts * nrhs);
+    g_sum[li] = frame.vec(q * owned * nrhs);
+    std::fill(g_sum[li].begin(), g_sum[li].end(), cplx{});
+    if constexpr (std::is_same_v<T, float>) {
+      g_own[li] = frame.take<C>(q * owned * nrhs);
+    } else {
+      g_own[li] = g_sum[li];
+    }
   }
 
   auto send_level_halo = [&](int l) {
     const std::size_t q =
         static_cast<std::size_t>(plan_.level(l).samples) * nrhs;
     for (const PeerSend& ps : rs.levels[static_cast<std::size_t>(l)].sends) {
-      CV buf(ps.slots.size() * q);
+      ScratchFrame send_frame;
+      const std::span<C> buf = send_frame.take<C>(ps.slots.size() * q);
       for (std::size_t i = 0; i < ps.slots.size(); ++i) {
         std::copy_n(s_own[static_cast<std::size_t>(l)].data() + ps.slots[i] * q,
                     q, buf.data() + i * q);
@@ -204,7 +219,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
       // Ranks divide every level's cluster count, so a parent's children
       // slots are 4*(p - pb) + j in the child level's owned panel.
       FFW_DCHECK(rs.levels[static_cast<std::size_t>(l)].owned_begin == 4 * pb);
-      CV tmp(qp * nrhs);
+      ScratchFrame level_frame;
+      const std::span<C> tmp = level_frame.take<C>(qp * nrhs);
       for (std::size_t p = pb; p < pe; ++p) {
         C* sp = s_own[static_cast<std::size_t>(l) + 1].data() +
                 (p - pb) * qp * nrhs;
@@ -243,10 +259,10 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // gemm_raw_t<float, double> and gemm_sum_t<float> (the
   // fp64-accumulation boundaries).
   std::fill(y_local.begin(), y_local.end(), cplx{});
-  CV x_gh(rs.near.num_ghosts * np * nrhs);
+  const std::span<C> x_gh = frame.take<C>(rs.near.num_ghosts * np * nrhs);
 
   auto run_trans = [&](int l, const std::vector<HaloWork>& work,
-                       const CV& src_panel) {
+                       std::span<const C> src_panel) {
     obs::SpanScope span("dist.translate", l, obs::Counter::kComputeNs);
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const LevelOperators& lops = ops_.level(l);
@@ -313,9 +329,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     obs::SpanScope span("dist.downward", obs::kNoArg,
                         obs::Counter::kComputeNs);
     if constexpr (std::is_same_v<T, float>) {
-      for (const cvec& g : g_sum) g_own.emplace_back(g.begin(), g.end());
-    } else {
-      g_own = std::move(g_sum);
+      for (std::size_t l = 0; l < g_sum.size(); ++l)
+        std::copy(g_sum[l].begin(), g_sum[l].end(), g_own[l].begin());
     }
     for (int l = nlev - 1; l >= 1; --l) {
       const LevelOperators& child_ops = ops_.level(l - 1);
@@ -324,7 +339,9 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
       const T scale = static_cast<T>(qc) / static_cast<T>(qp);
       const std::size_t pb = rs.levels[static_cast<std::size_t>(l)].owned_begin,
                         pe = rs.levels[static_cast<std::size_t>(l)].owned_end;
-      CV shifted(qp * nrhs), down(qc * nrhs);
+      ScratchFrame level_frame;
+      const std::span<C> shifted = level_frame.take<C>(qp * nrhs),
+                         down = level_frame.take<C>(qc * nrhs);
       for (std::size_t p = pb; p < pe; ++p) {
         const C* gp = g_own[static_cast<std::size_t>(l)].data() +
                       (p - pb) * qp * nrhs;
@@ -485,15 +502,19 @@ void PartitionedMlfma::apply_herm_block(Comm& comm, ccspan x_local,
                                         cspan y_local, std::size_t nrhs,
                                         int rank_base,
                                         ApplySchedule sched) const {
-  // Per-rank conjugation scratch, reused across the DBIM adjoint hot
-  // loop. Ranks live on distinct VCluster threads, so thread_local is
-  // naturally per-rank and race-free even when several illumination
-  // groups share one PartitionedMlfma (2-D driver).
-  static thread_local cvec xc;
-  xc.resize(x_local.size());
-  for (std::size_t i = 0; i < xc.size(); ++i) xc[i] = std::conj(x_local[i]);
+  // The conjugated copy comes from the rank thread's block scratch, so
+  // several illumination groups may share one PartitionedMlfma (2-D
+  // driver).
+  const int rank = comm.rank() - rank_base;
+  FFW_CHECK(rank >= 0 && rank < nranks_ && nrhs >= 1);
+  const RankSchedule& rs = schedule_[static_cast<std::size_t>(rank)];
+  const BlockLayout lo{static_cast<std::size_t>(tree_->pixels_per_leaf()),
+                       nrhs, rs.near.owned_end - rs.near.owned_begin};
+  ScratchFrame frame;
+  const cspan xc = frame.vec(x_local.size());
+  block_conj(lo, x_local, xc);
   apply_block(comm, xc, y_local, nrhs, rank_base, sched);
-  for (auto& v : y_local) v = std::conj(v);
+  block_conj(lo, y_local, y_local);
 }
 
 }  // namespace ffw

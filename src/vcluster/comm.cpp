@@ -545,6 +545,40 @@ void VCluster::throw_cluster_aborted(int rank) const {
 
 int Comm::size() const { return owner_->size(); }
 
+namespace {
+
+/// Payloads below this size bypass the pool (cheap to allocate).
+constexpr std::size_t kPooledPayloadMin = 4096;
+/// Buffers one thread keeps for reuse.
+constexpr std::size_t kPayloadPoolSize = 8;
+
+std::vector<std::vector<unsigned char>>& payload_pool() {
+  thread_local std::vector<std::vector<unsigned char>> pool;
+  return pool;
+}
+
+/// A copy of [p, p + n) in the smallest pooled buffer that holds it, or
+/// in a new one.
+std::vector<unsigned char> pooled_payload(const unsigned char* p,
+                                          std::size_t n) {
+  auto& pool = payload_pool();
+  auto best = pool.end();
+  if (n >= kPooledPayloadMin) {
+    for (auto it = pool.begin(); it != pool.end(); ++it) {
+      if (it->capacity() >= n &&
+          (best == pool.end() || it->capacity() < best->capacity()))
+        best = it;
+    }
+  }
+  if (best == pool.end()) return std::vector<unsigned char>(p, p + n);
+  std::vector<unsigned char> out = std::move(*best);
+  pool.erase(best);
+  out.assign(p, p + n);
+  return out;
+}
+
+}  // namespace
+
 void Comm::send_bytes(int dst, int tag, const unsigned char* p,
                       std::size_t n) {
   FFW_CHECK(dst >= 0 && dst < size());
@@ -553,7 +587,21 @@ void Comm::send_bytes(int dst, int tag, const unsigned char* p,
   // Bridge wire volume into the per-rank obs counters (the per-tag
   // TagTraffic ledger below stays the source of truth for tests).
   obs::add(obs::Counter::kWireBytes, n);
-  owner_->deposit(rank_, dst, tag, std::vector<unsigned char>(p, p + n));
+  owner_->deposit(rank_, dst, tag, pooled_payload(p, n));
+}
+
+void Comm::recycle(std::vector<unsigned char>&& bytes) {
+  if (bytes.capacity() < kPooledPayloadMin) return;
+  auto& pool = payload_pool();
+  if (pool.size() == kPayloadPoolSize) {
+    const auto smallest = std::min_element(
+        pool.begin(), pool.end(), [](const auto& a, const auto& b) {
+          return a.capacity() < b.capacity();
+        });
+    if (smallest->capacity() >= bytes.capacity()) return;
+    pool.erase(smallest);
+  }
+  pool.push_back(std::move(bytes));
 }
 
 std::vector<unsigned char> Comm::recv_bytes(int src, int tag) {

@@ -110,20 +110,22 @@ class Comm {
   template <typename T>
   std::vector<T> recv(int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::vector<unsigned char> raw = recv_bytes(src, tag);
+    std::vector<unsigned char> raw = recv_bytes(src, tag);
     FFW_CHECK_MSG(raw.size() % sizeof(T) == 0, "message size mismatch");
     std::vector<T> out(raw.size() / sizeof(T));
     std::memcpy(out.data(), raw.data(), raw.size());
+    recycle(std::move(raw));
     return out;
   }
 
   /// Blocking receive directly into a caller buffer (size must match).
   template <typename T>
   void recv_into(int src, int tag, std::span<T> out) {
-    const std::vector<unsigned char> raw = recv_bytes(src, tag);
+    std::vector<unsigned char> raw = recv_bytes(src, tag);
     FFW_CHECK_MSG(raw.size() == out.size() * sizeof(T),
                   "recv_into size mismatch");
     std::memcpy(out.data(), raw.data(), raw.size());
+    recycle(std::move(raw));
   }
 
   /// True if a matching message is already queued (non-blocking probe;
@@ -175,6 +177,11 @@ class Comm {
 
   void send_bytes(int dst, int tag, const unsigned char* p, std::size_t n);
   std::vector<unsigned char> recv_bytes(int src, int tag);
+  // Received payload buffers go to the calling thread's pool, which
+  // send_bytes on that thread draws from: in the steady state of a halo
+  // exchange the buffers cycle between the ranks and a send allocates
+  // nothing.
+  static void recycle(std::vector<unsigned char>&& bytes);
   // Polled variants for transports without direct delivery: pump the
   // transport, check the mailbox, park in bounded wait_frames slices —
   // re-checking aborted / dead-peer / deadline between slices, so a

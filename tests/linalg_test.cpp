@@ -1,12 +1,18 @@
 // Dense/banded/diagonal linear-algebra substrate tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/rng.hpp"
+#include "dbim/dbim.hpp"
 #include "linalg/banded.hpp"
 #include "linalg/cmatrix.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/scratch.hpp"
+#include "phantom/setup.hpp"
 
 namespace ffw {
 namespace {
@@ -245,6 +251,102 @@ TEST(Matrix, HermitianTranspose) {
   for (std::size_t i = 0; i < 6; ++i)
     for (std::size_t j = 0; j < 4; ++j)
       EXPECT_EQ(ah(j, i), std::conj(a(i, j)));
+}
+
+// --- The per-thread block scratch (linalg/scratch.hpp) ------------------
+
+TEST(Scratch, NestedFramesReuseStorageLifo) {
+  scratch_release();
+  ScratchFrame outer;
+  const cspan a = outer.vec(1000);
+  const cplx* inner_first;
+  {
+    ScratchFrame inner;
+    const cspan b = inner.vec(500);
+    const std::span<float> c = inner.take<float>(3);
+    inner_first = b.data();
+    EXPECT_NE(b.data(), a.data());
+    for (const void* p : {static_cast<const void*>(a.data()),
+                          static_cast<const void*>(b.data()),
+                          static_cast<const void*>(c.data())})
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % ScratchFrame::kAlign,
+                0u);
+  }
+  const std::size_t held = scratch_bytes();
+  {
+    // The closed frame's slot comes back: no growth.
+    ScratchFrame again;
+    EXPECT_EQ(again.vec(500).data(), inner_first);
+  }
+  EXPECT_EQ(scratch_bytes(), held);
+}
+
+TEST(Scratch, RepeatedPatternReusesItsSlots) {
+  scratch_release();
+  const auto run = [](std::size_t n) {
+    ScratchFrame outer;
+    outer.vec(1 << 10);
+    ScratchFrame inner;
+    return inner.vec(n).data();
+  };
+  const cplx* first = run(1 << 16);
+  const std::size_t held = scratch_bytes();
+  EXPECT_EQ(held, ((1u << 10) + (1u << 16)) * sizeof(cplx));
+  EXPECT_EQ(run(1 << 16), first);  // same slot, nothing allocated
+  EXPECT_EQ(run(1 << 12), first);  // a smaller request fits the slot
+  EXPECT_EQ(scratch_bytes(), held);
+  scratch_release();
+  EXPECT_EQ(scratch_bytes(), 0u);
+}
+
+TEST(Scratch, ThreadsGetDisjointStorage) {
+  constexpr std::size_t n = 4096;
+  const cplx* first[2] = {nullptr, nullptr};
+  std::atomic<int> holding{0};
+  const auto body = [&](int t) {
+    ScratchFrame frame;
+    const cspan v = frame.vec(n);
+    first[t] = v.data();
+    ++holding;
+    while (holding.load() < 2) std::this_thread::yield();  // both live
+  };
+  std::thread a(body, 0), b(body, 1);
+  a.join();
+  b.join();
+  ASSERT_NE(first[0], nullptr);
+  ASSERT_NE(first[1], nullptr);
+  EXPECT_TRUE(first[0] + n <= first[1] || first[1] + n <= first[0]);
+}
+
+TEST(ScratchDeathTest, ClosingFramesOutOfOrderFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto* outer = new ScratchFrame;
+        auto* inner = new ScratchFrame;
+        delete outer;  // closes before the frame opened inside it
+        delete inner;
+      },
+      "reverse order");
+}
+
+TEST(Scratch, DestroyedStepperLeavesTheThreadNoScratch) {
+  ScenarioConfig cfg;
+  cfg.nx = 32;
+  cfg.num_transmitters = 4;
+  cfg.num_receivers = 12;
+  Grid grid(cfg.nx);
+  Scenario scene(cfg,
+                 gaussian_blob(grid, Vec2{0.2, 0.1}, 0.5, cplx{0.01, 0.0}));
+  DbimOptions opts;
+  opts.max_iterations = 2;
+  {
+    DbimStepper stepper(scene.engine(), scene.transceivers(),
+                        scene.measurements(), opts, cfg.forward);
+    stepper.step();
+    EXPECT_GT(scratch_bytes(), 0u);  // the passes drew their vectors here
+  }
+  EXPECT_EQ(scratch_bytes(), 0u);
 }
 
 }  // namespace

@@ -120,6 +120,37 @@ bool same_bits(const cvec& a, const cvec& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
+// A contrast update rebuilds the inverses in place, into the storage of
+// the previous ones: the result is the fresh construction's, bit for
+// bit, and the footprint does not change.
+TEST(NearFieldBlockJacobi, RebuildInPlaceMatchesFreshConstruction) {
+  LeafFixture f;
+  const CMatrix& self = f.engine.nearfield().type(4);
+  cvec o_prev(f.o_clu.size());
+  for (std::size_t i = 0; i < o_prev.size(); ++i)
+    o_prev[i] = cplx{0.5, -0.25} * f.o_clu[i];
+  // Identity columns per leaf: the apply returns each inverse exactly.
+  const BlockLayout lo{f.np, f.np, f.nleaf};
+  cvec eye(lo.size(), cplx{});
+  for (std::size_t c = 0; c < f.nleaf; ++c)
+    for (std::size_t r = 0; r < f.np; ++r) eye[lo.at(c, r) + r] = cplx{1.0};
+  for (const Precision storage : {Precision::kDouble, Precision::kMixed}) {
+    NearFieldBlockJacobi rebuilt(self, o_prev, storage);
+    const std::size_t bytes = rebuilt.bytes();
+    rebuilt.rebuild(self, f.o_clu);
+    EXPECT_EQ(rebuilt.bytes(), bytes);
+    const NearFieldBlockJacobi fresh(self, f.o_clu, storage);
+    EXPECT_EQ(fresh.bytes(), bytes);
+    cvec a(lo.size()), b(lo.size());
+    rebuilt.apply(eye, a, lo);
+    fresh.apply(eye, b, lo);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+    rebuilt.apply_herm(eye, a, lo);
+    fresh.apply_herm(eye, b, lo);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+  }
+}
+
 // The preconditioner and the block solver work leaf-parallel and
 // chunk-parallel; neither may let the thread count into the result.
 TEST(NearFieldBlockJacobi, ThreadCountDoesNotChangeAnyBit) {
