@@ -10,10 +10,16 @@
 // grows (the operator tables stop dominating the memory traffic). The
 // mixed engine then halves the bytes behind every one of those streams,
 // which compounds with the blocking.
+// Per width it also prints the six phase_times() phases in ms per apply
+// (each the best over the timed applies), for fp64 and mixed, so a
+// per-phase change shows without a traced run.
 // Writes bench_block_apply.json (see FFW_BENCH_JSON_DIR) with the raw
 // numbers for regression tracking.
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -27,9 +33,14 @@ using namespace ffw;
 
 namespace {
 
+constexpr std::size_t kPhases = static_cast<std::size_t>(MlfmaPhase::kCount);
+
 struct SweepResult {
   std::vector<double> total_s;    // blocked apply time per width
   std::vector<double> per_rhs_s;  // total_s / nrhs
+  // Per width, the phase_times() phases in seconds per apply (best of
+  // the timed applies, phase by phase).
+  std::vector<std::array<double, kPhases>> phase_s;
   std::uint64_t engine_bytes = 0;
 };
 
@@ -49,12 +60,18 @@ SweepResult sweep(const QuadTree& tree, Precision precision,
     // keeps total work ~comparable at every width.
     const int reps = std::max(6, static_cast<int>(64 / w));
     double total = 1e30;
+    std::array<double, kPhases> phases;
+    phases.fill(1e30);
     for (int rep = 0; rep < reps; ++rep) {
+      engine.clear_phase_times();
       Timer timer;
       engine.apply_block(ccspan{x.data(), lo.size()},
                          cspan{y.data(), lo.size()}, w);
       total = std::min(total, timer.seconds());
+      for (std::size_t p = 0; p < kPhases; ++p)
+        phases[p] = std::min(phases[p], engine.phase_times().seconds[p]);
     }
+    out.phase_s.push_back(phases);
     out.total_s.push_back(total);
     out.per_rhs_s.push_back(total / static_cast<double>(w));
   }
@@ -100,6 +117,24 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(widths[i]), a, b, c, d});
   }
   std::printf("%s\n", t.to_string().c_str());
+  for (const auto& [name, r] :
+       {std::pair{"fp64", &f64}, std::pair{"mixed", &mix}}) {
+    std::vector<std::string> head{"nrhs"};
+    for (std::size_t p = 0; p < kPhases; ++p)
+      head.push_back(phase_name(static_cast<MlfmaPhase>(p)));
+    Table pt(head);
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      std::vector<std::string> row{std::to_string(widths[i])};
+      for (std::size_t p = 0; p < kPhases; ++p) {
+        char v[32];
+        std::snprintf(v, sizeof v, "%.3f", 1e3 * r->phase_s[i][p]);
+        row.push_back(v);
+      }
+      pt.add_row(row);
+    }
+    std::printf("%s phases [ms per apply]\n%s\n", name,
+                pt.to_string().c_str());
+  }
   std::printf("engine footprint: fp64 %.1f MB, mixed %.1f MB\n\n",
               static_cast<double>(f64.engine_bytes) / 1048576.0,
               static_cast<double>(mix.engine_bytes) / 1048576.0);
@@ -121,6 +156,14 @@ int main(int argc, char** argv) {
     json.field("mixed_block_apply_s", mix.total_s[i]);
     json.field("mixed_per_rhs_s", mix.per_rhs_s[i]);
     json.field("mixed_speedup", f64.per_rhs_s[i] / mix.per_rhs_s[i]);
+    for (const auto& [prefix, r] :
+         {std::pair{"", &f64}, std::pair{"mixed_", &mix}}) {
+      json.begin_object(std::string(prefix) + "phase_ms");
+      for (std::size_t p = 0; p < kPhases; ++p)
+        json.field(phase_name(static_cast<MlfmaPhase>(p)),
+                   1e3 * r->phase_s[i][p]);
+      json.end();
+    }
     json.end();
   }
   json.end();

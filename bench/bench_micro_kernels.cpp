@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the kernels behind Table I: the
-// batched dense expansions, the band-diagonal interpolation, the
-// diagonal translations, and the 9-type near-field pass — plus the full
-// MLFMA apply and one forward solve.
+// batched dense expansions, the band-diagonal interpolation (one column,
+// and the engines' band-tile aggregation pass), the diagonal
+// translations, and the 9-type near-field pass — plus the full MLFMA
+// apply and one forward solve.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include "greens/nearfield.hpp"
 #include "linalg/gemm.hpp"
 #include "mlfma/engine.hpp"
+#include "mlfma/farfield.hpp"
 #include "parallel/parallel_for.hpp"
 #include "phantom/phantom.hpp"
 
@@ -127,6 +129,45 @@ BENCHMARK(BM_NearFieldPass)
     ->Args({128, 16, 0})
     ->Args({64, 4, 1})
     ->Args({64, 4, 0})
+    ->UseRealTime();
+
+// The engines' aggregation kernel: every level-0 -> level-1 parent of
+// the tree, four children each through the band tiles (interpolation
+// fused with the child -> parent shift), on nrhs columns, at 1 thread or
+// at all (threads = 0). GFLOP/s counts the band's nonzeros (4 flops
+// each per column) plus the shift (6 per parent row per column), not
+// the zero padding the tiles also multiply.
+static void BM_BandTilePass(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
+  const std::size_t nrhs = static_cast<std::size_t>(state.range(1));
+  const LevelOperators& level = f.engine.operators().level(0);
+  const std::size_t qc = static_cast<std::size_t>(level.samples);
+  const std::size_t qp = level.interp.rows();
+  const std::size_t nparents = f.tree.level(1).num_clusters;
+  Rng rng(6);
+  cvec children(4 * nparents * qc * nrhs), parents(nparents * qp * nrhs);
+  rng.fill_cnormal(children);
+  set_num_threads(static_cast<int>(state.range(2)));
+  for (auto _ : state) {
+    parallel_for(0, nparents, [&](std::size_t p) {
+      aggregate_parent<double>(level, nrhs,
+                               children.data() + 4 * p * qc * nrhs,
+                               parents.data() + p * qp * nrhs);
+    });
+    benchmark::DoNotOptimize(parents.data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  const double flops = 4.0 * static_cast<double>(nparents * nrhs) *
+                       static_cast<double>(qp) *
+                       (4.0 * static_cast<double>(level.interp.width()) + 6.0);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BandTilePass)
+    ->ArgNames({"nx", "nrhs", "threads"})
+    ->Args({128, 16, 1})
+    ->Args({128, 16, 0})
     ->UseRealTime();
 
 // The 1-D FFT through the shared plan cache (what fft()/ifft() do now)

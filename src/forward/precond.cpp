@@ -5,6 +5,8 @@
 
 #include "common/check.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
@@ -62,16 +64,22 @@ void NearFieldBlockJacobi::apply_leaves(const std::complex<T>* inv, ccspan x,
   FFW_CHECK(lo.panel == np_ && lo.npanels == nblocks_);
   FFW_CHECK(x.size() == lo.size() && z.size() == lo.size());
   const std::size_t nrhs = lo.nrhs;
+  // The mixed path narrows each leaf's panel into a per-thread slice.
+  ScratchFrame frame;
+  const std::size_t slots = static_cast<std::size_t>(num_threads());
+  const cspan32 narrowed = std::is_same_v<T, float>
+                               ? frame.take<cplx32>(slots * np_ * nrhs)
+                               : cspan32{};
   parallel_for(0, nblocks_, [&](std::size_t c) {
     // Leaf c's columns are one contiguous np x nrhs panel (ld = np).
     const cplx* xs = x.data() + lo.at(c, 0);
     const std::complex<T>* xb;
     if constexpr (std::is_same_v<T, float>) {
-      static thread_local cvec32 narrowed;
-      narrowed.resize(np_ * nrhs);
-      std::transform(xs, xs + np_ * nrhs, narrowed.begin(),
-                     [](cplx v) { return narrow(v); });
-      xb = narrowed.data();
+      FFW_DCHECK(static_cast<std::size_t>(thread_rank()) < slots);
+      const cspan32 xn = narrowed.subspan(
+          static_cast<std::size_t>(thread_rank()) * np_ * nrhs, np_ * nrhs);
+      narrow(ccspan{xs, np_ * nrhs}, xn);
+      xb = xn.data();
     } else {
       xb = xs;
     }
@@ -81,8 +89,9 @@ void NearFieldBlockJacobi::apply_leaves(const std::complex<T>* inv, ccspan x,
       gemm_herm_raw_t<T, double>(np_, nrhs, np_, cplx{1.0}, a, np_, xb, np_,
                                  cplx{}, zs, np_);
     } else {
-      gemm_raw_t<T, double>(np_, nrhs, np_, cplx{1.0}, a, np_, xb, np_,
-                            cplx{}, zs, np_);
+      const GemmTerm<T> term{a, xb};
+      gemm_sum_t<T>(np_, nrhs, np_, &term, 1, np_, np_, zs, np_,
+                    /*accumulate=*/false);
     }
   });
 }

@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "greens/greens.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -102,22 +103,22 @@ void gr_project(const CMatrix& g, std::span<const std::uint32_t> pixels,
     return;
   }
   // One partial Y per chunk, summed below in chunk order.
-  cvec partial(chunks.count > 1 ? chunks.count * ny : 0);
+  ScratchFrame frame;
+  const cspan partial = frame.vec(chunks.count > 1 ? chunks.count * ny : 0);
   chunks.run([&](std::size_t k) {
     cplx* yk = chunks.count > 1 ? partial.data() + k * ny : y.data();
-    cplx beta{};
+    bool accumulate = false;
     chunks.runs(lo, pixels, k,
                 [&](std::size_t p, std::size_t len, std::size_t off) {
-                  gemm_raw_t<double, double>(nr, lo.nrhs, len, cplx{1.0},
-                                             g.data() + p * nr, nr,
-                                             x.data() + off, lo.panel, beta,
-                                             yk, nr);
-                  beta = cplx{1.0};
+                  const GemmTerm<double> term{g.data() + p * nr,
+                                              x.data() + off};
+                  gemm_sum_t<double>(nr, lo.nrhs, len, &term, 1, nr,
+                                     lo.panel, yk, nr, accumulate);
+                  accumulate = true;
                 });
   });
   if (chunks.count == 1) return;
-  std::copy(partial.begin(), partial.begin() + static_cast<std::ptrdiff_t>(ny),
-            y.begin());
+  std::copy_n(partial.begin(), ny, y.begin());
   for (std::size_t k = 1; k < chunks.count; ++k) {
     const cplx* pk = partial.data() + k * ny;
     for (std::size_t i = 0; i < ny; ++i) y[i] += pk[i];

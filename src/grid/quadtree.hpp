@@ -41,6 +41,9 @@ struct NearEntry {
 };
 
 struct TreeLevel {
+  /// Longest interaction list (paper Fig. 5).
+  static constexpr std::size_t kMaxFar = 27;
+
   int side = 0;                    // clusters per domain side
   std::size_t num_clusters = 0;    // side*side
   double width = 0.0;              // cluster side length (wavelengths)

@@ -1,8 +1,10 @@
 #include "linalg/banded.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.hpp"
+#include "linalg/simd.hpp"
 
 namespace ffw {
 
@@ -41,123 +43,6 @@ void PeriodicBandMatrix::apply_adjoint(ccspan x, cspan y) const {
   }
 }
 
-namespace {
-
-// Shared batched bodies over the value scalar T and coefficient scalar W.
-// Row-outer so each row's stencil (coefficients + support columns) is
-// read once and applied to all n block columns — the interp-table
-// reuse that makes the blocked MLFMA aggregation level-3-like.
-// The stencil of row r covers columns [first[r], first[r]+width) mod
-// cols. Splitting that into the contiguous run and the wrapped tail
-// removes the wrap branch from the inner loops (which is what lets them
-// vectorize), the accumulators are explicit re/im scalars, and the
-// block-column loop is outermost so one x column streams through all
-// rows' stencils while it is cache-hot. Measured ~2x over the branchy
-// row-outer form for both scalar widths on the level-interp shapes.
-template <typename T, typename W>
-void apply_batch_impl(std::size_t rows, std::size_t cols, std::size_t width,
-                      const W* w, const std::uint32_t* first,
-                      const std::complex<T>* x, std::size_t ldx,
-                      std::complex<T>* y, std::size_t ldy, std::size_t n) {
-  for (std::size_t b = 0; b < n; ++b) {
-    const T* xb = reinterpret_cast<const T*>(x + b * ldx);
-    std::complex<T>* yb = y + b * ldy;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const W* wr = w + r * width;
-      const std::size_t c0 = first[r];
-      const std::size_t run = std::min(width, cols - c0);
-      const T* xp = xb + 2 * c0;
-      T accr{}, acci{};
-      for (std::size_t j = 0; j < run; ++j) {
-        const T wj = static_cast<T>(wr[j]);
-        accr += wj * xp[2 * j];
-        acci += wj * xp[2 * j + 1];
-      }
-      for (std::size_t j = run; j < width; ++j) {
-        const T wj = static_cast<T>(wr[j]);
-        accr += wj * xb[2 * (j - run)];
-        acci += wj * xb[2 * (j - run) + 1];
-      }
-      yb[r] = std::complex<T>{accr, acci};
-    }
-  }
-}
-
-template <typename T, typename W>
-void apply_adjoint_batch_impl(std::size_t rows, std::size_t cols,
-                              std::size_t width, const W* w,
-                              const std::uint32_t* first,
-                              const std::complex<T>* x, std::size_t ldx,
-                              std::complex<T>* y, std::size_t ldy,
-                              std::size_t n) {
-  for (std::size_t b = 0; b < n; ++b) {
-    std::complex<T>* yc = y + b * ldy;
-    std::fill(yc, yc + cols, std::complex<T>{});
-    T* yb = reinterpret_cast<T*>(yc);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const W* wr = w + r * width;
-      const std::size_t c0 = first[r];
-      const std::size_t run = std::min(width, cols - c0);
-      const std::complex<T> xr = x[b * ldx + r];
-      const T xrr = xr.real(), xri = xr.imag();
-      T* yp = yb + 2 * c0;
-      for (std::size_t j = 0; j < run; ++j) {
-        const T wj = static_cast<T>(wr[j]);
-        yp[2 * j] += wj * xrr;
-        yp[2 * j + 1] += wj * xri;
-      }
-      for (std::size_t j = run; j < width; ++j) {
-        const T wj = static_cast<T>(wr[j]);
-        yb[2 * (j - run)] += wj * xrr;
-        yb[2 * (j - run) + 1] += wj * xri;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void PeriodicBandMatrix::apply_batch(const cplx* x, std::size_t ldx, cplx* y,
-                                     std::size_t ldy, std::size_t n) const {
-  FFW_DCHECK(!w_.empty() || rows_ == 0);
-  apply_batch_impl<double, double>(rows_, cols_, width_, w_.data(),
-                                   first_.data(), x, ldx, y, ldy, n);
-}
-
-void PeriodicBandMatrix::apply_adjoint_batch(const cplx* x, std::size_t ldx,
-                                             cplx* y, std::size_t ldy,
-                                             std::size_t n) const {
-  FFW_DCHECK(!w_.empty() || rows_ == 0);
-  apply_adjoint_batch_impl<double, double>(rows_, cols_, width_, w_.data(),
-                                           first_.data(), x, ldx, y, ldy, n);
-}
-
-void PeriodicBandMatrix::apply_batch(const cplx32* x, std::size_t ldx,
-                                     cplx32* y, std::size_t ldy,
-                                     std::size_t n) const {
-  FFW_DCHECK(has_f32() || rows_ == 0);
-  apply_batch_impl<float, float>(rows_, cols_, width_, wf_.data(),
-                                 first_.data(), x, ldx, y, ldy, n);
-}
-
-void PeriodicBandMatrix::apply_adjoint_batch(const cplx32* x, std::size_t ldx,
-                                             cplx32* y, std::size_t ldy,
-                                             std::size_t n) const {
-  FFW_DCHECK(has_f32() || rows_ == 0);
-  apply_adjoint_batch_impl<float, float>(rows_, cols_, width_, wf_.data(),
-                                         first_.data(), x, ldx, y, ldy, n);
-}
-
-void PeriodicBandMatrix::build_f32(bool drop_f64) {
-  wf_.resize(w_.size());
-  for (std::size_t i = 0; i < w_.size(); ++i)
-    wf_[i] = static_cast<float>(w_[i]);
-  if (drop_f64) {
-    w_.clear();
-    w_.shrink_to_fit();
-  }
-}
-
 std::vector<std::vector<double>> PeriodicBandMatrix::to_dense() const {
   std::vector<std::vector<double>> d(rows_, std::vector<double>(cols_, 0.0));
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -169,5 +54,141 @@ std::vector<std::vector<double>> PeriodicBandMatrix::to_dense() const {
   }
   return d;
 }
+
+namespace {
+
+// One register tile: rows r0..r0+R of columns j0..j0+NC, R = one vector
+// of T. re/im accumulate the window's real coefficients times scalar
+// broadcasts of the source values; the store applies the row shift,
+// interleaves re/im into complex rows and writes the first `valid`
+// rows of the tile.
+template <typename T, std::size_t NC>
+inline void band_tile(const std::uint32_t* src, const T* coef,
+                      std::size_t len, const std::complex<T>* x,
+                      std::size_t ldx, const std::complex<T>* shift,
+                      std::complex<T>* y, std::size_t ldy, std::size_t valid,
+                      bool add) {
+  using V = simd::Vec<T>;
+  constexpr std::size_t kR = simd::kLanes<T>;
+  V re[NC] = {}, im[NC] = {};
+  const T* xt = reinterpret_cast<const T*>(x);
+  for (std::size_t t = 0; t < len; ++t) {
+    const V w = simd::load<V>(coef + t * kR);
+    const T* xs = xt + 2 * std::size_t{src[t]};
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < NC; ++j) {
+      re[j] += w * xs[2 * j * ldx];
+      im[j] += w * xs[2 * j * ldx + 1];
+    }
+  }
+  V sr{}, si{};
+  if (shift != nullptr) {
+    T sp[2 * kR] = {};
+    std::memcpy(sp, shift, valid * sizeof(std::complex<T>));
+    const V s0 = simd::load<V>(sp), s1 = simd::load<V>(sp + kR);
+    sr = simd::unzip<0>(s0, s1);
+    si = simd::unzip<1>(s0, s1);
+  }
+  for (std::size_t j = 0; j < NC; ++j) {
+    V out_re = re[j], out_im = im[j];
+    if (shift != nullptr) {
+      out_re = sr * re[j] - si * im[j];
+      out_im = sr * im[j] + si * re[j];
+    }
+    V lo = simd::zip<0>(out_re, out_im), hi = simd::zip<kR / 2>(out_re, out_im);
+    T* yj = reinterpret_cast<T*>(y + j * ldy);
+    if (valid == kR) {
+      if (add) {
+        lo += simd::load<V>(yj);
+        hi += simd::load<V>(yj + kR);
+      }
+      simd::store(yj, lo);
+      simd::store(yj + kR, hi);
+    } else {
+      T tile[2 * kR];
+      simd::store(tile, lo);
+      simd::store(tile + kR, hi);
+      for (std::size_t i = 0; i < 2 * valid; ++i)
+        yj[i] = add ? yj[i] + tile[i] : tile[i];
+    }
+  }
+}
+
+}  // namespace
+
+template <typename T>
+std::size_t BandTiles<T>::tile_rows() {
+  return simd::kLanes<T>;
+}
+
+template <typename T>
+BandTiles<T>::BandTiles(const PeriodicBandMatrix& a, bool transpose,
+                        double scale)
+    : rows_(transpose ? a.cols() : a.rows()),
+      cols_(transpose ? a.rows() : a.cols()) {
+  const std::vector<std::vector<double>> dense = a.to_dense();
+  const auto coeff = [&](std::size_t r, std::size_t c) {
+    return transpose ? dense[c][r] : dense[r][c];
+  };
+  const std::size_t kR = tile_rows();
+  std::vector<char> used(cols_);
+  begin_.push_back(0);
+  for (std::size_t r0 = 0; r0 < rows_; r0 += kR) {
+    const std::size_t r1 = std::min(rows_, r0 + kR);
+    std::fill(used.begin(), used.end(), 0);
+    for (std::size_t r = r0; r < r1; ++r)
+      for (std::size_t c = 0; c < cols_; ++c)
+        if (coeff(r, c) != 0.0) used[c] = 1;
+    // The window starts after the longest circular run of unused source
+    // rows and covers the rest.
+    std::size_t gap = 0, gap_end = 0, run = 0;
+    for (std::size_t i = 0; i < 2 * cols_; ++i) {
+      run = used[i % cols_] ? 0 : run + 1;
+      if (run > gap) {
+        gap = run;
+        gap_end = i + 1;
+      }
+    }
+    const std::size_t start = gap_end % std::max<std::size_t>(cols_, 1);
+    const std::size_t len = cols_ - std::min(gap, cols_);
+    for (std::size_t t = 0; t < len; ++t) {
+      const std::size_t c = (start + t) % cols_;
+      src_.push_back(static_cast<std::uint32_t>(c));
+      for (std::size_t r = r0; r < r0 + kR; ++r)
+        coef_.push_back(r < r1 ? static_cast<T>(scale * coeff(r, c)) : T{0});
+    }
+    begin_.push_back(static_cast<std::uint32_t>(src_.size()));
+  }
+}
+
+template <typename T>
+void BandTiles<T>::apply(const std::complex<T>* x, std::size_t ldx,
+                         const std::complex<T>* shift, std::complex<T>* y,
+                         std::size_t ldy, std::size_t n,
+                         bool accumulate) const {
+  const std::size_t kR = tile_rows();
+  for (std::size_t b = 0; b < blocks(); ++b) {
+    const std::size_t r0 = b * kR, valid = std::min(kR, rows_ - r0);
+    const std::uint32_t* src = src_.data() + begin_[b];
+    const T* coef = coef_.data() + begin_[b] * kR;
+    const std::size_t len = window(b);
+    const std::complex<T>* sh = shift != nullptr ? shift + r0 : nullptr;
+    std::size_t j0 = 0;
+    for (; j0 + 4 <= n; j0 += 4)
+      band_tile<T, 4>(src, coef, len, x + j0 * ldx, ldx, sh,
+                      y + j0 * ldy + r0, ldy, valid, accumulate);
+    if (j0 + 2 <= n) {
+      band_tile<T, 2>(src, coef, len, x + j0 * ldx, ldx, sh,
+                      y + j0 * ldy + r0, ldy, valid, accumulate);
+      j0 += 2;
+    }
+    if (j0 < n)
+      band_tile<T, 1>(src, coef, len, x + j0 * ldx, ldx, sh,
+                      y + j0 * ldy + r0, ldy, valid, accumulate);
+  }
+}
+
+template class BandTiles<double>;
+template class BandTiles<float>;
 
 }  // namespace ffw

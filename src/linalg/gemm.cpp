@@ -1,240 +1,18 @@
 #include "linalg/gemm.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <type_traits>
-#include <vector>
+
+#include "linalg/simd.hpp"
 
 namespace ffw {
 
 namespace {
-// Register-tile sizes for the micro-kernel: 4 rows x 2 columns of C held
-// in scalars while streaming a column of A. Complex FMA keeps ~8 live
-// registers, comfortably within x86-64's budget.
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 2;
-constexpr std::size_t kKc = 128;  // k blocking (A panel stays in L1/L2)
-constexpr std::size_t kMb = 256;  // row blocking of the wide-n path (the
-                                  // 4-column C tile stays in L1)
 
-// Wide-n micro-kernel: C(:, 0..3) += A * (alpha * B(:, 0..3)) as k
-// rank-1 updates. Each A column is streamed ONCE for four C columns and
-// the row loop runs on the interleaved re/im components, which the
-// vectoriser turns into plain mul/add lanes — something the scalar
-// std::complex dot-product tiles above n=1..3 cannot express. A streams
-// as TS (fp32 loads convert in-register on the mixed path) and C
-// accumulates as TD, so narrowing never happens inside the update.
-template <typename TS, typename TD>
-inline void wide_tile4(std::size_t m, std::size_t k, std::complex<TD> alpha,
-                       const std::complex<TS>* a, std::size_t lda,
-                       const std::complex<TS>* b, std::size_t ldb,
-                       std::complex<TD>* c, std::size_t ldc) {
-  const std::size_t m2 = 2 * m;
-  TD* c0 = reinterpret_cast<TD*>(c + 0 * ldc);
-  TD* c1 = reinterpret_cast<TD*>(c + 1 * ldc);
-  TD* c2 = reinterpret_cast<TD*>(c + 2 * ldc);
-  TD* c3 = reinterpret_cast<TD*>(c + 3 * ldc);
-  for (std::size_t p = 0; p < k; ++p) {
-    const TS* ap = reinterpret_cast<const TS*>(a + p * lda);
-    const std::complex<TD> b0 = alpha * std::complex<TD>(b[0 * ldb + p]);
-    const std::complex<TD> b1 = alpha * std::complex<TD>(b[1 * ldb + p]);
-    const std::complex<TD> b2 = alpha * std::complex<TD>(b[2 * ldb + p]);
-    const std::complex<TD> b3 = alpha * std::complex<TD>(b[3 * ldb + p]);
-    const TD b0r = b0.real(), b0i = b0.imag();
-    const TD b1r = b1.real(), b1i = b1.imag();
-    const TD b2r = b2.real(), b2i = b2.imag();
-    const TD b3r = b3.real(), b3i = b3.imag();
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (std::size_t i = 0; i < m2; i += 2) {
-      const TD ar = static_cast<TD>(ap[i]), ai = static_cast<TD>(ap[i + 1]);
-      c0[i] += b0r * ar - b0i * ai;
-      c0[i + 1] += b0r * ai + b0i * ar;
-      c1[i] += b1r * ar - b1i * ai;
-      c1[i + 1] += b1r * ai + b1i * ar;
-      c2[i] += b2r * ar - b2i * ai;
-      c2[i + 1] += b2r * ai + b2i * ar;
-      c3[i] += b3r * ar - b3i * ai;
-      c3[i + 1] += b3r * ai + b3i * ar;
-    }
-  }
-}
-}  // namespace
-
-template <typename TS, typename TD>
-void gemm_raw_t(std::size_t m, std::size_t n, std::size_t k,
-                std::complex<TD> alpha, const std::complex<TS>* a,
-                std::size_t lda, const std::complex<TS>* b, std::size_t ldb,
-                std::complex<TD> beta, std::complex<TD>* c, std::size_t ldc) {
-  using CD = std::complex<TD>;
-  // Scale C by beta once up front.
-  if (beta == CD{}) {
-    for (std::size_t j = 0; j < n; ++j)
-      std::fill(c + j * ldc, c + j * ldc + m, CD{});
-  } else if (beta != CD{TD(1)}) {
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i < m; ++i) c[j * ldc + i] *= beta;
-  }
-  if (alpha == CD{} || m == 0 || n == 0 || k == 0) return;
-
-  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-    const std::size_t kb = std::min(kKc, k - k0);
-    std::size_t jw = 0;
-    for (; jw + 4 <= n; jw += 4) {  // wide-n path, 4-column tiles
-      for (std::size_t i0 = 0; i0 < m; i0 += kMb) {
-        const std::size_t mb = std::min(kMb, m - i0);
-        wide_tile4(mb, kb, alpha, a + k0 * lda + i0, lda, b + jw * ldb + k0,
-                   ldb, c + jw * ldc + i0, ldc);
-      }
-    }
-    for (std::size_t j0 = jw; j0 + kNr <= n; j0 += kNr) {
-      std::size_t i0 = 0;
-      for (; i0 + kMr <= m; i0 += kMr) {
-        CD c00{}, c10{}, c20{}, c30{}, c01{}, c11{}, c21{}, c31{};
-        const std::complex<TS>* b0 = b + (j0 + 0) * ldb + k0;
-        const std::complex<TS>* b1 = b + (j0 + 1) * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const std::complex<TS>* ac = a + (k0 + p) * lda + i0;
-          const CD bp0{b0[p]}, bp1{b1[p]};
-          c00 += CD{ac[0]} * bp0;
-          c10 += CD{ac[1]} * bp0;
-          c20 += CD{ac[2]} * bp0;
-          c30 += CD{ac[3]} * bp0;
-          c01 += CD{ac[0]} * bp1;
-          c11 += CD{ac[1]} * bp1;
-          c21 += CD{ac[2]} * bp1;
-          c31 += CD{ac[3]} * bp1;
-        }
-        CD* cc0 = c + (j0 + 0) * ldc + i0;
-        CD* cc1 = c + (j0 + 1) * ldc + i0;
-        cc0[0] += alpha * c00;
-        cc0[1] += alpha * c10;
-        cc0[2] += alpha * c20;
-        cc0[3] += alpha * c30;
-        cc1[0] += alpha * c01;
-        cc1[1] += alpha * c11;
-        cc1[2] += alpha * c21;
-        cc1[3] += alpha * c31;
-      }
-      for (; i0 < m; ++i0) {  // row remainder
-        CD c0{}, c1{};
-        const std::complex<TS>* b0 = b + (j0 + 0) * ldb + k0;
-        const std::complex<TS>* b1 = b + (j0 + 1) * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const CD av{a[(k0 + p) * lda + i0]};
-          c0 += av * CD{b0[p]};
-          c1 += av * CD{b1[p]};
-        }
-        c[(j0 + 0) * ldc + i0] += alpha * c0;
-        c[(j0 + 1) * ldc + i0] += alpha * c1;
-      }
-    }
-    if (n % kNr) {  // column remainder
-      const std::size_t j = n - 1;
-      for (std::size_t i0 = 0; i0 < m; ++i0) {
-        CD acc{};
-        const std::complex<TS>* bj = b + j * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p)
-          acc += CD{a[(k0 + p) * lda + i0]} * CD{bj[p]};
-        c[j * ldc + i0] += alpha * acc;
-      }
-    }
-  }
-}
-
-template void gemm_raw_t<double, double>(
-    std::size_t, std::size_t, std::size_t, cplx, const cplx*, std::size_t,
-    const cplx*, std::size_t, cplx, cplx*, std::size_t);
-template void gemm_raw_t<float, double>(
-    std::size_t, std::size_t, std::size_t, cplx, const cplx32*, std::size_t,
-    const cplx32*, std::size_t, cplx, cplx*, std::size_t);
-
-void gemm_expand_mixed(std::size_t m, std::size_t n, std::size_t k,
-                       const cplx32* a, std::size_t lda, const cplx32* b,
-                       std::size_t ldb, cplx32* c, std::size_t ldc) {
-  // fp32 chain length before each promotion into the fp64 tile. Short
-  // enough that the fp32 rounding chain stays well under the mixed
-  // engine's error budget, long enough to amortise the widen-adds.
-  constexpr std::size_t kChunk = 4;
-  const std::size_t m2 = 2 * m;
-  static thread_local std::vector<double> acc64;
-  static thread_local std::vector<float> acc32;
-  if (acc64.size() < m2 * 4) acc64.resize(m2 * 4);
-  if (acc32.size() < m2 * 4) acc32.resize(m2 * 4);
-  std::size_t j0 = 0;
-  for (; j0 + 4 <= n; j0 += 4) {  // 4-column tiles, A streamed once each p
-    std::fill(acc64.begin(), acc64.begin() + static_cast<std::ptrdiff_t>(m2 * 4), 0.0);
-    for (std::size_t k0 = 0; k0 < k; k0 += kChunk) {
-      const std::size_t kb = std::min(kChunk, k - k0);
-      std::fill(acc32.begin(), acc32.begin() + static_cast<std::ptrdiff_t>(m2 * 4), 0.0f);
-      float* c0 = acc32.data();
-      float* c1 = acc32.data() + m2;
-      float* c2 = acc32.data() + 2 * m2;
-      float* c3 = acc32.data() + 3 * m2;
-      for (std::size_t p = 0; p < kb; ++p) {
-        const float* ap = reinterpret_cast<const float*>(a + (k0 + p) * lda);
-        const cplx32 b0 = b[(j0 + 0) * ldb + k0 + p];
-        const cplx32 b1 = b[(j0 + 1) * ldb + k0 + p];
-        const cplx32 b2 = b[(j0 + 2) * ldb + k0 + p];
-        const cplx32 b3 = b[(j0 + 3) * ldb + k0 + p];
-        const float b0r = b0.real(), b0i = b0.imag();
-        const float b1r = b1.real(), b1i = b1.imag();
-        const float b2r = b2.real(), b2i = b2.imag();
-        const float b3r = b3.real(), b3i = b3.imag();
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-        for (std::size_t i = 0; i < m2; i += 2) {
-          const float ar = ap[i], ai = ap[i + 1];
-          c0[i] += b0r * ar - b0i * ai;
-          c0[i + 1] += b0r * ai + b0i * ar;
-          c1[i] += b1r * ar - b1i * ai;
-          c1[i + 1] += b1r * ai + b1i * ar;
-          c2[i] += b2r * ar - b2i * ai;
-          c2[i + 1] += b2r * ai + b2i * ar;
-          c3[i] += b3r * ar - b3i * ai;
-          c3[i + 1] += b3r * ai + b3i * ar;
-        }
-      }
-      for (std::size_t i = 0; i < m2 * 4; ++i)
-        acc64[i] += static_cast<double>(acc32[i]);
-    }
-    for (std::size_t t = 0; t < 4; ++t) {
-      float* cc = reinterpret_cast<float*>(c + (j0 + t) * ldc);
-      const double* at = acc64.data() + t * m2;
-      for (std::size_t i = 0; i < m2; ++i) cc[i] = static_cast<float>(at[i]);
-    }
-  }
-  for (; j0 < n; ++j0) {  // column remainder: fp64-accumulated dots
-    for (std::size_t i = 0; i < m; ++i) {
-      cplx acc{};
-      for (std::size_t p = 0; p < k; ++p)
-        acc += cplx{a[p * lda + i]} * cplx{b[j0 * ldb + p]};
-      c[j0 * ldc + i] = cplx32{static_cast<float>(acc.real()),
-                               static_cast<float>(acc.imag())};
-    }
-  }
-}
-
-namespace {
-
-// SIMD vectors of the gemm_sum_t register tile, as wide as the build's
-// widest register so the tile maps onto registers one to one (a 64-byte
-// vector built for AVX2 is split into pairs and spills).
-#if defined(__AVX512F__)
-constexpr std::size_t kVecBytes = 64;
-#elif defined(__AVX__)
-constexpr std::size_t kVecBytes = 32;
-#else
-constexpr std::size_t kVecBytes = 16;
-#endif
-typedef double VecD __attribute__((vector_size(kVecBytes)));
-typedef float VecF __attribute__((vector_size(kVecBytes)));
-typedef float HalfF __attribute__((vector_size(kVecBytes / 2)));
-
-template <typename TS>
-using VecT = std::conditional_t<std::is_same_v<TS, float>, VecF, VecD>;
+using simd::HalfF;
+using simd::kVecBytes;
+using simd::VecD;
 
 // SIMD vectors per tile column: 4 columns x re/im x 2 = 16 accumulators.
 // On AVX2 and SSE2 (16 registers) two still beat one (np = 64, 16
@@ -247,26 +25,61 @@ template <typename TS>
 constexpr std::size_t kTileRows =
     kRowVecs * kVecBytes / sizeof(std::complex<TS>);
 
-template <typename V>
-inline V load_vec(const void* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+// c = v, or c += v with the sum formed in fp64; an fp32 c rounds once.
+template <typename TC>
+inline void put(std::complex<TC>& c, double re, double im, bool add) {
+  if (add) {
+    re += static_cast<double>(c.real());
+    im += static_cast<double>(c.imag());
+  }
+  c = {static_cast<TC>(re), static_cast<TC>(im)};
 }
 
-// C(i0.., j0..j0+NC) += sum_e A_e(i0.., k0..k1) * B_e(k0..k1, j0..j0+NC)
-// for one tile of kTileRows<TS> rows. Split accumulators: r += a * Re(b)
-// and i += a * Im(b) on the interleaved re/im rows of A, so the k loop
-// needs no shuffle; they combine once, re = r.re - i.im and
-// im = r.im + i.re.
-template <typename TS, std::size_t NC>
-inline void sum_tile(std::size_t i0, std::size_t j0, std::size_t k0,
-                     std::size_t k1, const GemmTerm<TS>* terms,
+// (-1, +1, -1, +1, ...): with swap_pairs, the sign pattern of complex
+// products on interleaved re/im lanes.
+inline VecD pair_sign() {
+  VecD s;
+  for (std::size_t q = 0; q < simd::kLanes<double>; ++q) s[q] = q % 2 ? 1 : -1;
+  return s;
+}
+
+// Writes vector v of a tile column (complex rows v * kPerVec ..) into
+// the column at cj: a whole-vector store when no row of it is skipped,
+// else element by element.
+template <typename TC>
+inline void put_vec(std::complex<TC>* cj, std::size_t v, std::size_t skip,
+                    VecD out, bool add) {
+  constexpr std::size_t kPerVec = kVecBytes / sizeof(cplx);
+  TC* cv = reinterpret_cast<TC*>(cj + v * kPerVec);
+  if (skip == 0) {
+    if constexpr (std::is_same_v<TC, double>) {
+      if (add) out += simd::load<VecD>(cv);
+      simd::store(cv, out);
+      return;
+    } else if (!add) {
+      simd::store(cv, __builtin_convertvector(out, HalfF));
+      return;
+    }
+  }
+  for (std::size_t q = 0; q < kPerVec; ++q) {
+    if (v * kPerVec + q >= skip)
+      put(cj[v * kPerVec + q], out[2 * q], out[2 * q + 1], add);
+  }
+}
+
+// C(i0.., j0..j0+NC) (+)= sum_e A_e(i0.., k0..k1) * B_e(k0..k1, j0..j0+NC)
+// for one tile of kTileRows<TS> rows, of which the first `skip` are not
+// written. Split accumulators: r += a * Re(b) and i += a * Im(b) on the
+// interleaved re/im rows of A, so the k loop needs no shuffle; they
+// combine once, re = r.re - i.im and im = r.im + i.re.
+template <typename TS, std::size_t NC, typename TC>
+inline void sum_tile(std::size_t i0, std::size_t skip, std::size_t j0,
+                     std::size_t k0, std::size_t k1, const GemmTerm<TS>* terms,
                      std::size_t count, std::size_t lda, std::size_t ldb,
-                     cplx* c, std::size_t ldc) {
-  using V = VecT<TS>;
+                     std::complex<TC>* c, std::size_t ldc, bool add) {
+  using V = simd::Vec<TS>;
   constexpr std::size_t kRv = kRowVecs;
-  constexpr std::size_t kLanes = kVecBytes / sizeof(TS);
+  constexpr std::size_t kLanes = simd::kLanes<TS>;
   constexpr bool kMixed = std::is_same_v<TS, float>;
   // fp64 accumulators: the running tile itself (fp64), or the fp32
   // per-term partials widened after each term (one VecF -> two VecD).
@@ -280,7 +93,7 @@ inline void sum_tile(std::size_t i0, std::size_t j0, std::size_t k0,
       V av[kRv];
 #pragma GCC unroll 4
       for (std::size_t v = 0; v < kRv; ++v)
-        av[v] = load_vec<V>(a + 2 * p * lda + v * kLanes);
+        av[v] = simd::load<V>(a + 2 * p * lda + v * kLanes);
 #pragma GCC unroll 4
       for (std::size_t j = 0; j < NC; ++j) {
         const TS br = b[j * ldb + p].real(), bi = b[j * ldb + p].imag();
@@ -317,26 +130,84 @@ inline void sum_tile(std::size_t i0, std::size_t j0, std::size_t k0,
       }
     }
   }
-  constexpr std::size_t kPerVec = kVecBytes / sizeof(cplx);
+  // re = r.re - i.im, im = r.im + i.re on whole vectors: r + swap(i) * sign.
   for (std::size_t j = 0; j < NC; ++j) {
-    cplx* cj = c + (j0 + j) * ldc + i0;
     for (std::size_t v = 0; v < kRv64; ++v) {
-      for (std::size_t q = 0; q < kPerVec; ++q)
-        cj[v * kPerVec + q] += cplx{r64[v][j][2 * q] - im64[v][j][2 * q + 1],
-                                    r64[v][j][2 * q + 1] + im64[v][j][2 * q]};
+      put_vec(c + (j0 + j) * ldc + i0, v, skip,
+              r64[v][j] + simd::swap_pairs(im64[v][j]) * pair_sign(), add);
     }
   }
 }
 
-// Rows past the last whole tile, one element at a time with the
+// C(i0.., j0..j0+NC) (+)= sum_e diag(d_e)(i0..) * B_e(i0.., j0..j0+NC) for
+// one tile of kTileRows<TS> rows, the first `skip` not written. For
+// fp64, r += Re(d) b and i += Im(d) b with Re/Im(d) duplicated over each
+// pair of lanes, so the term loop needs no shuffle of b; they combine
+// once, r + swap(i) * sign. For fp32 each term's product is formed in
+// fp32 registers and widened into fp64 accumulators (the sum across
+// terms fp64).
+template <typename TS, std::size_t NC, typename TC>
+inline void diag_tile(std::size_t i0, std::size_t skip, std::size_t j0,
+                      const DiagTerm<TS>* terms, std::size_t count,
+                      std::size_t ldb, std::complex<TC>* c, std::size_t ldc,
+                      bool add) {
+  using V = simd::Vec<TS>;
+  constexpr std::size_t kRv = kRowVecs;
+  constexpr std::size_t kLanes = simd::kLanes<TS>;
+  constexpr bool kMixed = std::is_same_v<TS, float>;
+  constexpr std::size_t kRv64 = kMixed ? 2 * kRv : kRv;
+  VecD r64[kRv64][NC] = {}, im64[kRv64][NC] = {};
+  V sign;
+  for (std::size_t q = 0; q < kLanes; ++q) sign[q] = q % 2 ? 1 : -1;
+  for (std::size_t e = 0; e < count; ++e) {
+    const TS* d = reinterpret_cast<const TS*>(terms[e].d + i0);
+    V dr[kRv], di[kRv];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kRv; ++v) {
+      const V dv = simd::load<V>(d + v * kLanes);
+      dr[v] = simd::dup<0>(dv);
+      di[v] = simd::dup<1>(dv);
+      if constexpr (kMixed) di[v] *= sign;
+    }
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < NC; ++j) {
+      const TS* b =
+          reinterpret_cast<const TS*>(terms[e].b + (j0 + j) * ldb + i0);
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kRv; ++v) {
+        const V bv = simd::load<V>(b + v * kLanes);
+        if constexpr (kMixed) {
+          const V p = dr[v] * bv + di[v] * simd::swap_pairs(bv);
+          HalfF half[2];
+          std::memcpy(half, &p, sizeof half);
+          r64[2 * v][j] += __builtin_convertvector(half[0], VecD);
+          r64[2 * v + 1][j] += __builtin_convertvector(half[1], VecD);
+        } else {
+          r64[v][j] += dr[v] * bv;
+          im64[v][j] += di[v] * bv;
+        }
+      }
+    }
+  }
+  for (std::size_t j = 0; j < NC; ++j) {
+    for (std::size_t v = 0; v < kRv64; ++v) {
+      put_vec(c + (j0 + j) * ldc + i0, v, skip,
+              kMixed ? r64[v][j]
+                     : r64[v][j] + simd::swap_pairs(im64[v][j]) * pair_sign(),
+              add);
+    }
+  }
+}
+
+// Rows of a C shorter than one tile, one element at a time with the
 // arithmetic of a tile lane.
-template <typename TS>
-void sum_rows_scalar(std::size_t i0, std::size_t m, std::size_t n,
-                     std::size_t k0, std::size_t k1, const GemmTerm<TS>* terms,
+template <typename TS, typename TC>
+void sum_rows_scalar(std::size_t m, std::size_t n, std::size_t k0,
+                     std::size_t k1, const GemmTerm<TS>* terms,
                      std::size_t count, std::size_t lda, std::size_t ldb,
-                     cplx* c, std::size_t ldc) {
+                     std::complex<TC>* c, std::size_t ldc, bool add) {
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = i0; i < m; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
       TS rr = 0, ri = 0, ir = 0, ii = 0;
       double rr64 = 0, ri64 = 0, ir64 = 0, ii64 = 0;
       for (std::size_t e = 0; e < count; ++e) {
@@ -362,50 +233,154 @@ void sum_rows_scalar(std::size_t i0, std::size_t m, std::size_t n,
         ir64 = ir;
         ii64 = ii;
       }
-      c[j * ldc + i] += cplx{rr64 - ii64, ri64 + ir64};
+      put(c[j * ldc + i], rr64 - ii64, ri64 + ir64, add);
     }
   }
 }
 
 }  // namespace
 
-template <typename TS>
+template <typename TS, typename TC>
 void gemm_sum_t(std::size_t m, std::size_t n, std::size_t k,
                 const GemmTerm<TS>* terms, std::size_t count, std::size_t lda,
-                std::size_t ldb, cplx* c, std::size_t ldc) {
-  // Up to the default leaf (k = np = 64) one tile pass holds all of k
-  // and writes C once. Larger leaves run k in blocks of 32, so the A
-  // pages a pass over the row tiles touches stay within TLB reach
-  // (np = 256, 16 columns, one AVX-512 core: 51 ms -> 33 ms).
-  const std::size_t kb = k <= 64 ? k : 32;
+                std::size_t ldb, std::complex<TC>* c, std::size_t ldc,
+                bool accumulate) {
+  // Up to k = 96 (the default leaf's np = 64, the local expansion's
+  // q0 = 74) one tile pass holds all of k and writes C once: k = 74 in
+  // blocks of 32, 32 and 10 ran at 22 GFLOP/s on one AVX-512 core, in
+  // one block at 33. Larger leaves run k in blocks of 32, so the A pages
+  // a pass over the row tiles touches stay within TLB reach (np = 256,
+  // 16 columns, one AVX-512 core: 51 ms -> 33 ms). An fp32 C is written
+  // once, whatever k.
+  const std::size_t kb = k <= 96 || std::is_same_v<TC, float> ? k : 32;
   constexpr std::size_t kRows = kTileRows<TS>;
   const std::size_t m_tiles = m - m % kRows;
+  if (k == 0) {
+    for (std::size_t j = 0; j < n && !accumulate; ++j)
+      std::fill(c + j * ldc, c + j * ldc + m, std::complex<TC>{});
+    return;
+  }
   for (std::size_t k0 = 0; k0 < k; k0 += kb) {
     const std::size_t k1 = std::min(k, k0 + kb);
+    const bool add = accumulate || k0 > 0;
+    if (m < kRows) {
+      sum_rows_scalar(m, n, k0, k1, terms, count, lda, ldb, c, ldc, add);
+      continue;
+    }
     const auto columns = [&](auto nc, std::size_t j0) {
+      constexpr std::size_t kNc = decltype(nc)::value;
       for (std::size_t i0 = 0; i0 < m_tiles; i0 += kRows)
-        sum_tile<TS, decltype(nc)::value>(i0, j0, k0, k1, terms, count, lda,
-                                          ldb, c, ldc);
+        sum_tile<TS, kNc>(i0, 0, j0, k0, k1, terms, count, lda, ldb, c, ldc,
+                          add);
+      // The row tail: one more tile ending at row m.
+      if (m_tiles < m)
+        sum_tile<TS, kNc>(m - kRows, kRows - (m - m_tiles), j0, k0, k1, terms,
+                          count, lda, ldb, c, ldc, add);
     };
     std::size_t j0 = 0;
-    for (; j0 + 4 <= n; j0 += 4)
-      columns(std::integral_constant<std::size_t, 4>{}, j0);
-    if (j0 + 2 <= n) {
-      columns(std::integral_constant<std::size_t, 2>{}, j0);
-      j0 += 2;
+    // The fp32 C of gemm_expand_mixed widens its short terms every few k:
+    // at 4 columns its fp64 accumulators would spill on every widening.
+    if constexpr (!std::is_same_v<TC, float>) {
+      for (; j0 + 4 <= n; j0 += 4)
+        columns(std::integral_constant<std::size_t, 4>{}, j0);
     }
+    for (; j0 + 2 <= n; j0 += 2)
+      columns(std::integral_constant<std::size_t, 2>{}, j0);
     if (j0 < n) columns(std::integral_constant<std::size_t, 1>{}, j0);
-    sum_rows_scalar(m_tiles, m, n, k0, k1, terms, count, lda, ldb, c, ldc);
   }
 }
 
-template void gemm_sum_t<double>(std::size_t, std::size_t, std::size_t,
-                                 const GemmTerm<double>*, std::size_t,
-                                 std::size_t, std::size_t, cplx*,
-                                 std::size_t);
-template void gemm_sum_t<float>(std::size_t, std::size_t, std::size_t,
-                                const GemmTerm<float>*, std::size_t,
-                                std::size_t, std::size_t, cplx*, std::size_t);
+template void gemm_sum_t<double, double>(std::size_t, std::size_t,
+                                         std::size_t, const GemmTerm<double>*,
+                                         std::size_t, std::size_t, std::size_t,
+                                         cplx*, std::size_t, bool);
+template void gemm_sum_t<float, double>(std::size_t, std::size_t, std::size_t,
+                                        const GemmTerm<float>*, std::size_t,
+                                        std::size_t, std::size_t, cplx*,
+                                        std::size_t, bool);
+
+namespace {
+
+// Rows of a C shorter than one tile, with the arithmetic of a tile lane.
+template <typename TS, typename TC>
+void diag_rows_scalar(std::size_t m, std::size_t n, const DiagTerm<TS>* terms,
+                      std::size_t count, std::size_t ldb,
+                      std::complex<TC>* c, std::size_t ldc, bool add) {
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      double re = 0, im = 0;
+      for (std::size_t e = 0; e < count; ++e) {
+        const std::complex<TS> d = terms[e].d[i], b = terms[e].b[j * ldb + i];
+        re += static_cast<double>(d.real() * b.real() - d.imag() * b.imag());
+        im += static_cast<double>(d.real() * b.imag() + d.imag() * b.real());
+      }
+      put(c[j * ldc + i], re, im, add);
+    }
+  }
+}
+
+}  // namespace
+
+template <typename TS, typename TC>
+void diag_sum_t(std::size_t m, std::size_t n, const DiagTerm<TS>* terms,
+                std::size_t count, std::size_t ldb, std::complex<TC>* c,
+                std::size_t ldc, bool accumulate) {
+  constexpr std::size_t kRows = kTileRows<TS>;
+  if (m < kRows) {
+    diag_rows_scalar(m, n, terms, count, ldb, c, ldc, accumulate);
+    return;
+  }
+  const std::size_t m_tiles = m - m % kRows;
+  const auto columns = [&](auto nc, std::size_t j0) {
+    constexpr std::size_t kNc = decltype(nc)::value;
+    for (std::size_t i0 = 0; i0 < m_tiles; i0 += kRows)
+      diag_tile<TS, kNc>(i0, 0, j0, terms, count, ldb, c, ldc, accumulate);
+    if (m_tiles < m)  // the row tail: one more tile ending at row m
+      diag_tile<TS, kNc>(m - kRows, kRows - (m - m_tiles), j0, terms, count,
+                         ldb, c, ldc, accumulate);
+  };
+  std::size_t j0 = 0;
+  for (; j0 + 4 <= n; j0 += 4)
+    columns(std::integral_constant<std::size_t, 4>{}, j0);
+  if (j0 + 2 <= n) {
+    columns(std::integral_constant<std::size_t, 2>{}, j0);
+    j0 += 2;
+  }
+  if (j0 < n) columns(std::integral_constant<std::size_t, 1>{}, j0);
+}
+
+template void diag_sum_t<double, double>(std::size_t, std::size_t,
+                                         const DiagTerm<double>*, std::size_t,
+                                         std::size_t, cplx*, std::size_t,
+                                         bool);
+template void diag_sum_t<float, double>(std::size_t, std::size_t,
+                                        const DiagTerm<float>*, std::size_t,
+                                        std::size_t, cplx*, std::size_t, bool);
+template void diag_sum_t<float, float>(std::size_t, std::size_t,
+                                       const DiagTerm<float>*, std::size_t,
+                                       std::size_t, cplx32*, std::size_t,
+                                       bool);
+
+void gemm_expand_mixed(std::size_t m, std::size_t n, std::size_t k,
+                       const cplx32* a, std::size_t lda, const cplx32* b,
+                       std::size_t ldb, cplx32* c, std::size_t ldc) {
+  // fp32 chain length before each promotion into the fp64 tile: short
+  // enough that the fp32 rounding chain stays well under the mixed
+  // engine's error budget. The chains split k evenly into at most
+  // kMaxChains terms (longer chains only past k = 256).
+  constexpr std::size_t kChain = 4, kMaxChains = 64;
+  std::size_t chain = 0;
+  for (std::size_t d = kChain; d >= 1 && chain == 0; --d)
+    if (k % d == 0 && k / d <= kMaxChains) chain = d;
+  for (std::size_t d = kChain + 1; chain == 0; ++d)
+    if (k % d == 0 && k / d <= kMaxChains) chain = d;
+  std::array<GemmTerm<float>, kMaxChains> terms;
+  const std::size_t count = k / chain;
+  for (std::size_t e = 0; e < count; ++e)
+    terms[e] = {a + e * chain * lda, b + e * chain};
+  gemm_sum_t<float, float>(m, n, chain, terms.data(), count, lda, ldb, c, ldc,
+                           /*accumulate=*/false);
+}
 
 namespace {
 
@@ -499,9 +474,18 @@ void gemm(cplx alpha, const CMatrix& a, const CMatrix& b, cplx beta,
           CMatrix& c) {
   FFW_CHECK(a.cols() == b.rows());
   FFW_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  gemm_raw_t<double, double>(a.rows(), b.cols(), a.cols(), alpha, a.data(),
-                             a.rows(), b.data(), b.rows(), beta, c.data(),
-                             c.rows());
+  const GemmTerm<double> term{a.data(), b.data()};
+  if (alpha == cplx{1.0} && (beta == cplx{} || beta == cplx{1.0})) {
+    gemm_sum_t<double>(a.rows(), b.cols(), a.cols(), &term, 1, a.rows(),
+                       b.rows(), c.data(), c.rows(), beta == cplx{1.0});
+    return;
+  }
+  CMatrix ab(c.rows(), c.cols());
+  gemm_sum_t<double>(a.rows(), b.cols(), a.cols(), &term, 1, a.rows(),
+                     b.rows(), ab.data(), ab.rows(), /*accumulate=*/false);
+  for (std::size_t i = 0; i < c.size(); ++i)
+    c.data()[i] = (beta == cplx{} ? cplx{} : beta * c.data()[i]) +
+                  alpha * ab.data()[i];
 }
 
 void gemm_herm_a(cplx alpha, const CMatrix& a, const CMatrix& b, cplx beta,

@@ -7,6 +7,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/scratch.hpp"
+#include "mlfma/farfield.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -36,6 +37,7 @@ void PhaseTimes::clear() {
 }
 
 namespace {
+
 class PhaseTimerScope {
  public:
   PhaseTimerScope(PhaseTimes& t, MlfmaPhase p)
@@ -81,14 +83,6 @@ void MlfmaEngine::ensure_block_capacity(std::size_t nrhs) {
   }
 }
 
-void MlfmaEngine::ensure_thread_scratch() {
-  const std::size_t nt = static_cast<std::size_t>(num_threads());
-  // The fp64 scratch also holds the mixed path's translation sums.
-  if (thread_scratch_.size() < nt) thread_scratch_.resize(nt);
-  if (precision() == Precision::kMixed && thread_scratch32_.size() < nt)
-    thread_scratch32_.resize(nt);
-}
-
 void MlfmaEngine::shrink_workspace() {
   auto drop_all = [](auto& vecs) {
     for (auto& v : vecs) {
@@ -100,8 +94,6 @@ void MlfmaEngine::shrink_workspace() {
   drop_all(g_);
   drop_all(s32_);
   drop_all(g32_);
-  drop_all(thread_scratch_);
-  drop_all(thread_scratch32_);
   block_capacity_ = 1;
   ensure_block_capacity(1);
 }
@@ -112,8 +104,6 @@ std::size_t MlfmaEngine::bytes() const {
   for (const auto& v : g_) s += v.size() * sizeof(cplx);
   for (const auto& v : s32_) s += v.size() * sizeof(cplx32);
   for (const auto& v : g32_) s += v.size() * sizeof(cplx32);
-  for (const auto& v : thread_scratch_) s += v.size() * sizeof(cplx);
-  for (const auto& v : thread_scratch32_) s += v.size() * sizeof(cplx32);
   return s;
 }
 
@@ -128,10 +118,9 @@ void MlfmaEngine::upward_pass_t(const std::complex<T>* x, std::size_t nrhs) {
   {
     PhaseTimerScope t(times_, MlfmaPhase::kExpansion);
     FFW_TRACE_SPAN("mlfma.expand");
-    // S0 = E (q0 x np) * X (np x nleaf*nrhs): one batched GEMM over a
-    // column range per thread. In the block layout consecutive leaves'
-    // np x nrhs input panels are contiguous, so a leaf range is just a
-    // wider GEMM.
+    // S0 = E (q0 x np) * X (np x nleaf*nrhs): one GEMM over a leaf range
+    // per thread. In the block layout consecutive leaves' np x nrhs input
+    // panels are contiguous, so a leaf range is just a wider GEMM.
     const std::size_t nthreads =
         std::min<std::size_t>(static_cast<std::size_t>(num_threads()), nleaf);
     const std::size_t chunk = (nleaf + nthreads - 1) / nthreads;
@@ -139,20 +128,8 @@ void MlfmaEngine::upward_pass_t(const std::complex<T>* x, std::size_t nrhs) {
       const std::size_t c0 = tid * chunk;
       const std::size_t c1 = std::min(nleaf, c0 + chunk);
       if (c0 >= c1) return;
-      if constexpr (std::is_same_v<T, float>) {
-        // fp64-accumulation boundary: the np-term quadrature sums are
-        // chunk-promoted into an fp64 tile (gemm_expand_mixed) and
-        // round once into the fp32 spectra panel, so the panel never
-        // carries an fp32-accumulated chain of length np.
-        gemm_expand_mixed(q0, (c1 - c0) * nrhs, np,
-                          ops_.expansion_data<float>(), q0,
-                          x + c0 * np * nrhs, np,
-                          s[0].data() + c0 * q0 * nrhs, q0);
-      } else {
-        gemm_raw_t<T, T>(q0, (c1 - c0) * nrhs, np, C{T(1)},
-                         ops_.expansion_data<T>(), q0, x + c0 * np * nrhs, np,
-                         C{}, s[0].data() + c0 * q0 * nrhs, q0);
-      }
+      leaf_expand<T>(ops_, np, q0, (c1 - c0) * nrhs, x + c0 * np * nrhs,
+                     s[0].data() + c0 * q0 * nrhs);
     });
   }
 
@@ -163,38 +140,11 @@ void MlfmaEngine::upward_pass_t(const std::complex<T>* x, std::size_t nrhs) {
     const std::size_t qc = static_cast<std::size_t>(ops.samples);
     const std::size_t qp =
         static_cast<std::size_t>(plan_.level(l + 1).samples);
-    const std::size_t nparents = tree_->level(l + 1).num_clusters;
     const C* src = s[static_cast<std::size_t>(l)].data();
     C* dst = s[static_cast<std::size_t>(l) + 1].data();
-    parallel_for(0, nparents, [&](std::size_t p) {
-      C* sp = dst + p * qp * nrhs;
-      std::fill(sp, sp + qp * nrhs, C{});
-      auto& ws = scratch<T>()[static_cast<std::size_t>(thread_rank())];
-      if (ws.size() < qp * nrhs) ws.resize(qp * nrhs);
-      C* tmp = ws.data();
-      for (int j = 0; j < 4; ++j) {
-        // Child Morton index = 4p + j; bit0/bit1 of j give the child's
-        // +-x/+-y position, matching the shift-table construction.
-        const C* sc = src + (4 * p + static_cast<std::size_t>(j)) * qc * nrhs;
-        ops.interp.apply_batch(sc, qc, tmp, qp, nrhs);
-        // Explicit real arithmetic (cf. translation_pass_t): same values,
-        // but the shift MAC vectorizes.
-        const auto& sh = ops.up<T>()[static_cast<std::size_t>(j)];
-        const T* shp = reinterpret_cast<const T*>(sh.data());
-        for (std::size_t r = 0; r < nrhs; ++r) {
-          T* spr = reinterpret_cast<T*>(sp + r * qp);
-          const T* tr = reinterpret_cast<const T*>(tmp + r * qp);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-          for (std::size_t q = 0; q < qp; ++q) {
-            const T ar = shp[2 * q], ai = shp[2 * q + 1];
-            const T br = tr[2 * q], bi = tr[2 * q + 1];
-            spr[2 * q] += ar * br - ai * bi;
-            spr[2 * q + 1] += ar * bi + ai * br;
-          }
-        }
-      }
+    parallel_for(0, tree_->level(l + 1).num_clusters, [&](std::size_t p) {
+      aggregate_parent<T>(ops, nrhs, src + 4 * p * qc * nrhs,
+                          dst + p * qp * nrhs);
     });
   }
 }
@@ -210,54 +160,21 @@ void MlfmaEngine::translation_pass_t(std::size_t nrhs) {
     const std::size_t q = static_cast<std::size_t>(ops.samples);
     const C* src = s_panels<T>()[static_cast<std::size_t>(l)].data();
     C* dst = g_panels<T>()[static_cast<std::size_t>(l)].data();
+    // One register-tiled sum per cluster over its interaction list. On
+    // the mixed path every product is fp32 and the sum across them fp64,
+    // rounded once into the fp32 panel: the translation's
+    // fp64-accumulation boundary.
     parallel_for_dynamic(0, lvl.num_clusters, [&](std::size_t c) {
-      C* gc = dst + c * q * nrhs;
-      // fp64-accumulation boundary on the mixed path: every translation
-      // product is fp32, the sum across the <= 27 of them runs in an fp64
-      // tile that rounds once into the fp32 panel (cf. gemm_sum_t), so
-      // the sum stays in budget whether or not the build contracts the
-      // MACs into FMAs.
-      cplx* acc;
-      if constexpr (std::is_same_v<T, float>) {
-        cvec& ws = thread_scratch_[static_cast<std::size_t>(thread_rank())];
-        if (ws.size() < q * nrhs) ws.resize(q * nrhs);
-        acc = ws.data();
-      } else {
-        acc = gc;
-      }
-      std::fill(acc, acc + q * nrhs, cplx{});
+      FFW_CHECK(lvl.far_begin[c + 1] - lvl.far_begin[c] <= TreeLevel::kMaxFar);
+      std::array<DiagTerm<T>, TreeLevel::kMaxFar> terms;
+      std::size_t count = 0;
       for (std::uint32_t e = lvl.far_begin[c]; e < lvl.far_begin[c + 1]; ++e) {
         const FarEntry& fe = lvl.far[e];
-        const C* sc = src + static_cast<std::size_t>(fe.src) * q * nrhs;
-        // One translation diagonal read amortised over all nrhs spectra.
-        // Explicit real arithmetic: identical to the complex multiply on
-        // finite values but free of its NaN-recovery branch, so the
-        // diagonal MAC vectorizes.
-        const auto& trans = ops.trans<T>()[fe.trans_type];
-        const T* tp = reinterpret_cast<const T*>(trans.data());
-        for (std::size_t r = 0; r < nrhs; ++r) {
-          double* gr = reinterpret_cast<double*>(acc + r * q);
-          const T* sr = reinterpret_cast<const T*>(sc + r * q);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-          for (std::size_t i = 0; i < q; ++i) {
-            const T ar = tp[2 * i], ai = tp[2 * i + 1];
-            const T br = sr[2 * i], bi = sr[2 * i + 1];
-            gr[2 * i] += static_cast<double>(ar * br - ai * bi);
-            gr[2 * i + 1] += static_cast<double>(ar * bi + ai * br);
-          }
-        }
+        terms[count++] = {ops.trans<T>()[fe.trans_type].data(),
+                          src + static_cast<std::size_t>(fe.src) * q * nrhs};
       }
-      if constexpr (std::is_same_v<T, float>) {
-        const double* a = reinterpret_cast<const double*>(acc);
-        float* g = reinterpret_cast<float*>(gc);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-        for (std::size_t i = 0; i < 2 * q * nrhs; ++i)
-          g[i] = static_cast<float>(a[i]);
-      }
+      diag_sum_t<T, T>(q, nrhs, terms.data(), count, q, dst + c * q * nrhs, q,
+                       /*accumulate=*/false);
     });
   }
 }
@@ -276,40 +193,18 @@ void MlfmaEngine::downward_pass_t(cspan y, std::size_t nrhs) {
       const LevelOperators& child_ops = ops_.level(l - 1);
       const std::size_t qp = static_cast<std::size_t>(plan_.level(l).samples);
       const std::size_t qc = static_cast<std::size_t>(child_ops.samples);
-      const std::size_t nparents = tree_->level(l).num_clusters;
       const C* src = g[static_cast<std::size_t>(l)].data();
       C* dst = g[static_cast<std::size_t>(l) - 1].data();
-      // Anterpolation scale: quadrature-consistent resampling down to the
-      // child rate (see DESIGN.md Sec. 5).
-      const T scale = static_cast<T>(qc) / static_cast<T>(qp);
-      parallel_for(0, nparents, [&](std::size_t p) {
-        const C* gp = src + p * qp * nrhs;
-        auto& ws = scratch<T>()[static_cast<std::size_t>(thread_rank())];
-        if (ws.size() < (qp + qc) * nrhs) ws.resize((qp + qc) * nrhs);
-        C* shifted = ws.data();
-        C* down = ws.data() + qp * nrhs;
-        for (int j = 0; j < 4; ++j) {
-          // Explicit real arithmetic (cf. translation_pass_t): vectorizes.
-          const auto& sh = child_ops.down<T>()[static_cast<std::size_t>(j)];
-          const T* shp = reinterpret_cast<const T*>(sh.data());
-          for (std::size_t r = 0; r < nrhs; ++r) {
-            T* sr = reinterpret_cast<T*>(shifted + r * qp);
-            const T* gr = reinterpret_cast<const T*>(gp + r * qp);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-            for (std::size_t q = 0; q < qp; ++q) {
-              const T ar = shp[2 * q], ai = shp[2 * q + 1];
-              const T br = gr[2 * q], bi = gr[2 * q + 1];
-              sr[2 * q] = ar * br - ai * bi;
-              sr[2 * q + 1] = ar * bi + ai * br;
-            }
-          }
-          child_ops.interp.apply_adjoint_batch(shifted, qp, down, qc, nrhs);
-          C* gc = dst + (4 * p + static_cast<std::size_t>(j)) * qc * nrhs;
-          for (std::size_t i = 0; i < qc * nrhs; ++i)
-            gc[i] += scale * down[i];
-        }
+      // One shifted parent panel per thread.
+      ScratchFrame frame;
+      const std::size_t slots = static_cast<std::size_t>(num_threads());
+      const std::span<C> shifted = frame.take<C>(slots * qp * nrhs);
+      parallel_for(0, tree_->level(l).num_clusters, [&](std::size_t p) {
+        FFW_DCHECK(static_cast<std::size_t>(thread_rank()) < slots);
+        disaggregate_parent<T>(
+            child_ops, nrhs, src + p * qp * nrhs, dst + 4 * p * qc * nrhs,
+            shifted.data() +
+                static_cast<std::size_t>(thread_rank()) * qp * nrhs);
       });
     }
   }
@@ -325,13 +220,9 @@ void MlfmaEngine::downward_pass_t(cspan y, std::size_t nrhs) {
     const std::size_t c1 = std::min(nleaf, c0 + chunk);
     if (c0 >= c1) return;
     // Y(np x cols) += R (np x q0) * G0 (q0 x cols), cols = leaves * nrhs.
-    // On the mixed path (T = float) this is the fp64-accumulation
-    // boundary: fp32 tables/panels stream through gemm_raw_t<float,
-    // double> and land in the fp64 output block.
-    gemm_raw_t<T, double>(np, (c1 - c0) * nrhs, q0, cplx{1.0},
-                          ops_.local_expansion_data<T>(), np,
-                          g[0].data() + c0 * q0 * nrhs, q0, cplx{1.0},
-                          y.data() + c0 * np * nrhs, np);
+    leaf_local_expand<T>(ops_, np, q0, (c1 - c0) * nrhs,
+                         g[0].data() + c0 * q0 * nrhs,
+                         y.data() + c0 * np * nrhs);
   });
 }
 
@@ -366,7 +257,6 @@ void MlfmaEngine::apply_block(ccspan x, cspan y, std::size_t nrhs) {
   FFW_CHECK(nrhs >= 1);
   FFW_CHECK(x.size() == n * nrhs && y.size() == n * nrhs);
   ensure_block_capacity(nrhs);
-  ensure_thread_scratch();
   const BlockLayout lo{static_cast<std::size_t>(tree_->pixels_per_leaf()),
                        nrhs, tree_->num_leaves()};
   block_zero(lo, y);

@@ -5,10 +5,12 @@
 // expansion), translation, disaggregation (with the leaf local
 // expansion) and the near-field pass — over Morton-ordered per-level
 // sample arrays. Leaf expansions are batched into single GEMMs across
-// all clusters (Sec. IV-D), aggregation/disaggregation stream each
-// parent's four children through the shared band-diagonal interpolator
-// and diagonal shift tables, and translation is a diagonal
-// multiply-accumulate per interaction-list entry.
+// all clusters (Sec. IV-D), aggregation/disaggregation run each parent's
+// four children through the band-tile interpolation/anterpolation
+// kernels fused with the diagonal shifts, and translation is a diagonal
+// multiply-accumulate per interaction-list entry. The kernels are the
+// ones PartitionedMlfma runs (mlfma/farfield.hpp); this engine spreads
+// clusters over threads.
 //
 // Phase wall-times are accumulated in `phase_times()`; they are the
 // measured inputs for the Table III / Table IV reproduction and the
@@ -100,10 +102,10 @@ class MlfmaEngine {
   /// boundaries; x/y stay fp64 at the API.
   Precision precision() const { return plan_.params().precision; }
 
-  /// Releases the per-level spectra panels plus the per-thread pass
-  /// buffers (grown to the largest nrhs seen) and re-reserves them for
-  /// nrhs = 1. The conjugated and narrowed input blocks of an apply come
-  /// from the calling thread's block scratch (linalg/scratch.hpp).
+  /// Releases the per-level spectra panels (grown to the largest nrhs
+  /// seen) and re-reserves them for nrhs = 1. The conjugated and narrowed
+  /// input blocks and the shifted parent panels of the disaggregation
+  /// come from the calling thread's block scratch (linalg/scratch.hpp).
   /// Call between solve stages with very different block widths to return
   /// the O(N * nrhs) workspace to the allocator.
   void shrink_workspace();
@@ -115,7 +117,6 @@ class MlfmaEngine {
 
  private:
   void ensure_block_capacity(std::size_t nrhs);
-  void ensure_thread_scratch();
 
   // Pass bodies are templated over the panel scalar T: T = double is the
   // reference path, T = float the mixed path (fp32 tables + panels, fp64
@@ -134,8 +135,6 @@ class MlfmaEngine {
   std::vector<std::vector<std::complex<T>>>& s_panels();
   template <typename T>
   std::vector<std::vector<std::complex<T>>>& g_panels();
-  template <typename T>
-  std::vector<std::vector<std::complex<T>>>& scratch();
 
   // Immutable shared state (tables_) with reference aliases so the pass
   // bodies keep their member-style access; per-engine mutable workspace
@@ -156,11 +155,6 @@ class MlfmaEngine {
   std::vector<cvec32> s32_, g32_;
   std::size_t block_capacity_ = 1;
 
-  // Per-thread aggregation/disaggregation scratch, reused across applies
-  // (hoisted out of the hot per-parent loops).
-  std::vector<cvec> thread_scratch_;
-  std::vector<cvec32> thread_scratch32_;
-
   PhaseTimes times_;
 };
 
@@ -172,13 +166,5 @@ template <>
 inline std::vector<cvec>& MlfmaEngine::g_panels<double>() { return g_; }
 template <>
 inline std::vector<cvec32>& MlfmaEngine::g_panels<float>() { return g32_; }
-template <>
-inline std::vector<cvec>& MlfmaEngine::scratch<double>() {
-  return thread_scratch_;
-}
-template <>
-inline std::vector<cvec32>& MlfmaEngine::scratch<float>() {
-  return thread_scratch32_;
-}
 
 }  // namespace ffw

@@ -75,18 +75,31 @@ std::vector<cvec32> round32(const std::vector<cvec>& vs) {
   return out;
 }
 
+/// interp cut into band tiles (aggregation), and its transpose with the
+/// anterpolation scale folded in (disaggregation).
+template <typename T>
+void build_band_tiles(const PeriodicBandMatrix& interp, BandTiles<T>& up,
+                      BandTiles<T>& down) {
+  if (interp.rows() == 0) return;
+  // Anterpolation scale: quadrature-consistent resampling down to this
+  // level's rate (see DESIGN.md Sec. 5).
+  const double scale =
+      static_cast<double>(interp.cols()) / static_cast<double>(interp.rows());
+  up = BandTiles<T>(interp, /*transpose=*/false, 1.0);
+  down = BandTiles<T>(interp, /*transpose=*/true, scale);
+}
+
 }  // namespace
 
-void LevelOperators::build_f32(bool drop_f64) {
+void LevelOperators::build_f32() {
   translations32 = round32(translations);
   up_shift32 = round32(up_shift);
   down_shift32 = round32(down_shift);
-  if (interp.rows() > 0) interp.build_f32(drop_f64);
-  if (drop_f64) {
-    std::vector<cvec>{}.swap(translations);
-    std::vector<cvec>{}.swap(up_shift);
-    std::vector<cvec>{}.swap(down_shift);
-  }
+  build_band_tiles(interp, interp_tiles32, anterp_tiles32);
+  std::vector<cvec>{}.swap(translations);
+  std::vector<cvec>{}.swap(up_shift);
+  std::vector<cvec>{}.swap(down_shift);
+  interp = {};
 }
 
 std::size_t LevelOperators::bytes() const {
@@ -97,7 +110,8 @@ std::size_t LevelOperators::bytes() const {
   for (const auto& t : translations32) s += t.size() * sizeof(cplx32);
   for (const auto& t : up_shift32) s += t.size() * sizeof(cplx32);
   for (const auto& t : down_shift32) s += t.size() * sizeof(cplx32);
-  s += interp.bytes();
+  s += interp.bytes() + interp_tiles.bytes() + anterp_tiles.bytes() +
+       interp_tiles32.bytes() + anterp_tiles32.bytes();
   return s;
 }
 
@@ -146,6 +160,9 @@ MlfmaOperators::MlfmaOperators(const QuadTree& tree, const MlfmaPlan& plan)
     if (l + 1 < nlev) {
       const int qp = plan.level(l + 1).samples;
       ops.interp = make_interpolation(ops.samples, qp, plan.interp_width());
+      // The mixed engine builds its fp32 tiles in build_f32 below.
+      if (precision_ != Precision::kMixed)
+        build_band_tiles(ops.interp, ops.interp_tiles, ops.anterp_tiles);
       // Child position j (bit0 -> +x, bit1 -> +y): child centre relative
       // to parent centre is (+-w/2, +-w/2) with w the *child* width.
       ops.up_shift.resize(4);
@@ -180,7 +197,7 @@ MlfmaOperators::MlfmaOperators(const QuadTree& tree, const MlfmaPlan& plan)
       local32_[i] = narrow(local_.data()[i]);
     expansion_ = CMatrix{};
     local_ = CMatrix{};
-    for (auto& l : levels_) l.build_f32(/*drop_f64=*/true);
+    for (auto& l : levels_) l.build_f32();
   }
 }
 

@@ -55,8 +55,13 @@ struct LevelOperators {
   /// Downward (local) shift diagonals = conj(up_shift), kept explicitly
   /// (Table I counts them as their own 4 types).
   std::vector<cvec> down_shift;
-  /// Interpolation: this level's rate -> parent rate (empty at top).
+  /// Interpolation: this level's rate -> parent rate (empty at top, and
+  /// released once the fp32 tiles are built under Precision::kMixed).
   PeriodicBandMatrix interp;
+  /// interp cut into band tiles (aggregation), and its transpose with
+  /// the anterpolation scale Q_l / Q_parent folded in (disaggregation),
+  /// in the engine's precision: fp64 here, fp32 in the *32 mirrors.
+  BandTiles<double> interp_tiles, anterp_tiles;
 
   /// fp32 mirrors for Precision::kMixed, rounded once from the fp64
   /// tables at setup (never recomputed in single precision — the table
@@ -65,10 +70,11 @@ struct LevelOperators {
   std::vector<cvec32> translations32;
   std::vector<cvec32> up_shift32;
   std::vector<cvec32> down_shift32;
+  BandTiles<float> interp_tiles32, anterp_tiles32;
 
-  /// Round all diagonals + the interp stencil to fp32. With `drop_f64`
-  /// the fp64 tables are released afterwards, halving the footprint.
-  void build_f32(bool drop_f64);
+  /// Rounds all diagonals to fp32, builds the fp32 band tiles and
+  /// releases the fp64 tables and interp stencil, halving the footprint.
+  void build_f32();
 
   /// Scalar-generic table access for the templated engine passes.
   template <typename T>
@@ -77,6 +83,10 @@ struct LevelOperators {
   const std::vector<std::vector<std::complex<T>>>& up() const;
   template <typename T>
   const std::vector<std::vector<std::complex<T>>>& down() const;
+  template <typename T>
+  const BandTiles<T>& interp_band() const;
+  template <typename T>
+  const BandTiles<T>& anterp_band() const;
 
   std::size_t bytes() const;
 };
@@ -104,6 +114,22 @@ inline const std::vector<cvec>& LevelOperators::down<double>() const {
 template <>
 inline const std::vector<cvec32>& LevelOperators::down<float>() const {
   return down_shift32;
+}
+template <>
+inline const BandTiles<double>& LevelOperators::interp_band<double>() const {
+  return interp_tiles;
+}
+template <>
+inline const BandTiles<float>& LevelOperators::interp_band<float>() const {
+  return interp_tiles32;
+}
+template <>
+inline const BandTiles<double>& LevelOperators::anterp_band<double>() const {
+  return anterp_tiles;
+}
+template <>
+inline const BandTiles<float>& LevelOperators::anterp_band<float>() const {
+  return anterp_tiles32;
 }
 
 class MlfmaOperators {

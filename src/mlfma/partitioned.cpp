@@ -8,6 +8,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/scratch.hpp"
+#include "mlfma/farfield.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
@@ -160,8 +161,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     const PhaseSchedule& ls = rs.levels[li];
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const std::size_t owned = ls.owned_end - ls.owned_begin;
+    // Written whole by the leaf expansion and the aggregation.
     s_own[li] = frame.take<C>(q * owned * nrhs);
-    std::fill(s_own[li].begin(), s_own[li].end(), C{});
     s_gh[li] = frame.take<C>(q * ls.num_ghosts * nrhs);
     g_sum[li] = frame.vec(q * owned * nrhs);
     std::fill(g_sum[li].begin(), g_sum[li].end(), cplx{});
@@ -195,58 +196,24 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
                                      obs::Counter::kComputeNs);
     {  // leaf multipole expansion for owned leaves
       const std::size_t q0 = static_cast<std::size_t>(plan_.level(0).samples);
-      if constexpr (std::is_same_v<T, float>) {
-        // fp64-accumulation boundary (matches MlfmaEngine): the quadrature
-        // sums are chunk-promoted into fp64 (gemm_expand_mixed) and round
-        // once into the fp32 panel.
-        gemm_expand_mixed(q0, (le - lb) * nrhs, np,
-                          ops_.expansion_data<float>(), q0, x_local, np,
-                          s_own[0].data(), q0);
-      } else {
-        gemm_raw_t<T, T>(q0, (le - lb) * nrhs, np, C{T(1)},
-                         ops_.expansion_data<T>(), q0, x_local, np, C{},
-                         s_own[0].data(), q0);
-      }
+      leaf_expand<T>(ops_, np, q0, (le - lb) * nrhs, x_local,
+                     s_own[0].data());
       send_level_halo(0);
     }
     for (int l = 0; l + 1 < nlev; ++l) {
-      const LevelOperators& lops = ops_.level(l);
-      const std::size_t qc = static_cast<std::size_t>(lops.samples);
+      const std::size_t li = static_cast<std::size_t>(l);
+      const std::size_t qc = static_cast<std::size_t>(plan_.level(l).samples);
       const std::size_t qp =
           static_cast<std::size_t>(plan_.level(l + 1).samples);
-      const auto& parent = rs.levels[static_cast<std::size_t>(l) + 1];
+      const auto& parent = rs.levels[li + 1];
       const std::size_t pb = parent.owned_begin, pe = parent.owned_end;
       // Ranks divide every level's cluster count, so a parent's children
       // slots are 4*(p - pb) + j in the child level's owned panel.
-      FFW_DCHECK(rs.levels[static_cast<std::size_t>(l)].owned_begin == 4 * pb);
-      ScratchFrame level_frame;
-      const std::span<C> tmp = level_frame.take<C>(qp * nrhs);
+      FFW_DCHECK(rs.levels[li].owned_begin == 4 * pb);
       for (std::size_t p = pb; p < pe; ++p) {
-        C* sp = s_own[static_cast<std::size_t>(l) + 1].data() +
-                (p - pb) * qp * nrhs;
-        for (int j = 0; j < 4; ++j) {
-          const C* sc =
-              s_own[static_cast<std::size_t>(l)].data() +
-              (4 * (p - pb) + static_cast<std::size_t>(j)) * qc * nrhs;
-          lops.interp.apply_batch(sc, qc, tmp.data(), qp, nrhs);
-          // Explicit real arithmetic (cf. MlfmaEngine): same values on
-          // finite inputs, but the shift MAC vectorizes.
-          const auto& sh = lops.up<T>()[static_cast<std::size_t>(j)];
-          const T* shp = reinterpret_cast<const T*>(sh.data());
-          for (std::size_t r = 0; r < nrhs; ++r) {
-            T* spr = reinterpret_cast<T*>(sp + r * qp);
-            const T* tr = reinterpret_cast<const T*>(tmp.data() + r * qp);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-            for (std::size_t q = 0; q < qp; ++q) {
-              const T ar = shp[2 * q], ai = shp[2 * q + 1];
-              const T br = tr[2 * q], bi = tr[2 * q + 1];
-              spr[2 * q] += ar * br - ai * bi;
-              spr[2 * q + 1] += ar * bi + ai * br;
-            }
-          }
-        }
+        aggregate_parent<T>(ops_.level(l), nrhs,
+                            s_own[li].data() + 4 * (p - pb) * qc * nrhs,
+                            s_own[li + 1].data() + (p - pb) * qp * nrhs);
       }
       send_level_halo(l + 1);
     }
@@ -256,8 +223,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // and, at the end, the disaggregated far field (all beta = 1 against a
   // zero fill, so phases can run in completion order). y_local stays
   // fp64 on both paths; T = float crosses into it only through
-  // gemm_raw_t<float, double> and gemm_sum_t<float> (the
-  // fp64-accumulation boundaries).
+  // gemm_sum_t<float> (the fp64-accumulation boundaries of the local
+  // expansion and the near field).
   std::fill(y_local.begin(), y_local.end(), cplx{});
   const std::span<C> x_gh = frame.take<C>(rs.near.num_ghosts * np * nrhs);
 
@@ -266,25 +233,20 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     obs::SpanScope span("dist.translate", l, obs::Counter::kComputeNs);
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const LevelOperators& lops = ops_.level(l);
-    for (const HaloWork& w : work) {
-      cplx* gc = g_sum[static_cast<std::size_t>(l)].data() +
-                 w.dst_slot * q * nrhs;
-      const C* sc = src_panel.data() + w.src_slot * q * nrhs;
-      const auto& trans = lops.trans<T>()[w.type];
-      const T* tp = reinterpret_cast<const T*>(trans.data());
-      for (std::size_t r = 0; r < nrhs; ++r) {
-        double* gr = reinterpret_cast<double*>(gc + r * q);
-        const T* sr = reinterpret_cast<const T*>(sc + r * q);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-        for (std::size_t i = 0; i < q; ++i) {
-          const T ar = tp[2 * i], ai = tp[2 * i + 1];
-          const T br = sr[2 * i], bi = sr[2 * i + 1];
-          gr[2 * i] += static_cast<double>(ar * br - ai * bi);
-          gr[2 * i + 1] += static_cast<double>(ar * bi + ai * br);
-        }
+    // The schedule lists work in destination order: one register-tiled
+    // sum per run of equal dst_slot (cf. run_near).
+    std::array<DiagTerm<T>, TreeLevel::kMaxFar> terms;
+    for (std::size_t w = 0; w < work.size();) {
+      const std::uint32_t dst = work[w].dst_slot;
+      std::size_t count = 0;
+      for (; w < work.size() && work[w].dst_slot == dst; ++w) {
+        FFW_CHECK(count < terms.size());
+        terms[count++] = {lops.trans<T>()[work[w].type].data(),
+                          src_panel.data() + work[w].src_slot * q * nrhs};
       }
+      diag_sum_t<T>(q, nrhs, terms.data(), count, q,
+                    g_sum[static_cast<std::size_t>(l)].data() + dst * q * nrhs,
+                    q);
     }
   };
   auto run_near = [&](const std::vector<HaloWork>& work,
@@ -333,46 +295,24 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
         std::copy(g_sum[l].begin(), g_sum[l].end(), g_own[l].begin());
     }
     for (int l = nlev - 1; l >= 1; --l) {
-      const LevelOperators& child_ops = ops_.level(l - 1);
+      const std::size_t li = static_cast<std::size_t>(l);
       const std::size_t qp = static_cast<std::size_t>(plan_.level(l).samples);
-      const std::size_t qc = static_cast<std::size_t>(child_ops.samples);
-      const T scale = static_cast<T>(qc) / static_cast<T>(qp);
-      const std::size_t pb = rs.levels[static_cast<std::size_t>(l)].owned_begin,
-                        pe = rs.levels[static_cast<std::size_t>(l)].owned_end;
+      const std::size_t qc =
+          static_cast<std::size_t>(plan_.level(l - 1).samples);
+      const std::size_t pb = rs.levels[li].owned_begin,
+                        pe = rs.levels[li].owned_end;
       ScratchFrame level_frame;
-      const std::span<C> shifted = level_frame.take<C>(qp * nrhs),
-                         down = level_frame.take<C>(qc * nrhs);
+      const std::span<C> shifted = level_frame.take<C>(qp * nrhs);
       for (std::size_t p = pb; p < pe; ++p) {
-        const C* gp = g_own[static_cast<std::size_t>(l)].data() +
-                      (p - pb) * qp * nrhs;
-        for (int j = 0; j < 4; ++j) {
-          const auto& sh = child_ops.down<T>()[static_cast<std::size_t>(j)];
-          const T* shp = reinterpret_cast<const T*>(sh.data());
-          for (std::size_t r = 0; r < nrhs; ++r) {
-            T* sr = reinterpret_cast<T*>(shifted.data() + r * qp);
-            const T* gr = reinterpret_cast<const T*>(gp + r * qp);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-            for (std::size_t q = 0; q < qp; ++q) {
-              const T ar = shp[2 * q], ai = shp[2 * q + 1];
-              const T br = gr[2 * q], bi = gr[2 * q + 1];
-              sr[2 * q] = ar * br - ai * bi;
-              sr[2 * q + 1] = ar * bi + ai * br;
-            }
-          }
-          child_ops.interp.apply_adjoint_batch(shifted.data(), qp, down.data(),
-                                               qc, nrhs);
-          C* gc = g_own[static_cast<std::size_t>(l) - 1].data() +
-                  (4 * (p - pb) + static_cast<std::size_t>(j)) * qc * nrhs;
-          for (std::size_t i = 0; i < qc * nrhs; ++i) gc[i] += scale * down[i];
-        }
+        disaggregate_parent<T>(ops_.level(l - 1), nrhs,
+                               g_own[li].data() + (p - pb) * qp * nrhs,
+                               g_own[li - 1].data() + 4 * (p - pb) * qc * nrhs,
+                               shifted.data());
       }
     }
     const std::size_t q0 = static_cast<std::size_t>(plan_.level(0).samples);
-    gemm_raw_t<T, double>(np, (le - lb) * nrhs, q0, cplx{1.0},
-                          ops_.local_expansion_data<T>(), np, g_own[0].data(),
-                          q0, cplx{1.0}, y_local.data(), np);
+    leaf_local_expand<T>(ops_, np, q0, (le - lb) * nrhs, g_own[0].data(),
+                         y_local.data());
   };
 
   if (sched == ApplySchedule::kBlockingOrdered) {

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "io/json.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace ffw::obs {
 
@@ -244,6 +245,11 @@ bool write_chrome_trace(const std::string& path) {
       json.end();
     }
   }
+  json.end();
+  // Run metadata: the thread cap in effect when the trace was written.
+  json.begin_object("otherData");
+  json.field("thread_cap", num_threads());
+  json.field("hardware_threads", hardware_threads());
   json.end();
   json.close();
   return true;

@@ -178,7 +178,9 @@ std::array<std::uint64_t, kNumCounters> counter_totals(int rank);
 
 /// Writes every recorded span as a chrome://tracing "traceEvents" JSON
 /// file (pid = rank, tid = per-thread registration index, complete "X"
-/// events in microseconds). Returns false if the file cannot be opened.
+/// events in microseconds), plus the run metadata "otherData":
+/// {"thread_cap": num_threads(), "hardware_threads": ...}. Returns false
+/// if the file cannot be opened.
 bool write_chrome_trace(const std::string& path);
 
 }  // namespace ffw::obs

@@ -14,7 +14,7 @@ int hardware_threads() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-void set_num_threads(int n) { g_thread_cap.store(n < 0 ? 0 : n); }
+int set_num_threads(int n) { return g_thread_cap.exchange(n < 0 ? 0 : n); }
 
 int num_threads() {
   const int cap = g_thread_cap.load();

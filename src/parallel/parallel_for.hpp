@@ -16,7 +16,9 @@ namespace ffw {
 int hardware_threads();
 
 /// Set/get the library-wide thread cap (0 = use all hardware threads).
-void set_num_threads(int n);
+/// set_num_threads returns the previous cap (0 if none was set), so a
+/// caller can restore it exactly.
+int set_num_threads(int n);
 int num_threads();
 
 /// Rank of the calling thread inside a parallel_for body, in

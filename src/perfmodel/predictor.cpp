@@ -11,11 +11,10 @@ namespace ffw {
 
 CalibratedRates calibrate(int nx, int applies) {
   CalibratedRates rates;
-  {  // Per-phase rates from real engine timings, on one thread:
-     // MachineParams::cpu_node_factor scales a single calibration core.
+  {  // Per-phase rates from real engine timings, on one thread.
     struct OneThread {
-      int prev = num_threads();
-      OneThread() { set_num_threads(1); }
+      int prev = set_num_threads(1);
+      OneThread() = default;
       OneThread(const OneThread&) = delete;
       OneThread& operator=(const OneThread&) = delete;
       ~OneThread() { set_num_threads(prev); }
@@ -121,10 +120,20 @@ ScalingModel::ScalingModel(MachineParams machine, CalibratedRates rates)
 double ScalingModel::phase_compute_time(const WorkCensus& work,
                                         MlfmaPhase phase, int p_tree,
                                         bool gpu) const {
+  // This host's kernel rates split an application's time across the
+  // phases; the modelled node's throughput sets its length, so faster
+  // host kernels change no prediction beyond that split.
+  const auto host_s = [&](std::size_t q) {
+    return work.cmacs[q] > 0.0 ? work.cmacs[q] / rates_.cmacs_per_s[q] : 0.0;
+  };
+  double apply_s = 0.0;
+  for (std::size_t q = 0; q < work.cmacs.size(); ++q) apply_s += host_s(q);
+  if (apply_s <= 0.0) return 0.0;
   const std::size_t p = static_cast<std::size_t>(phase);
-  const double node_rate = rates_.cmacs_per_s[p] * machine_.cpu_node_factor *
-                           (gpu ? machine_.gpu_phase_speedup[p] : 1.0);
-  return work.cmacs[p] / static_cast<double>(p_tree) / node_rate;
+  const double share = host_s(p) / apply_s;
+  const double node_s = share * work.total() / machine_.cpu_node_cmacs_per_s;
+  return node_s / static_cast<double>(p_tree) /
+         (gpu ? machine_.gpu_phase_speedup[p] : 1.0);
 }
 
 double ScalingModel::halo_time(const QuadTree& tree, const MlfmaPlan& plan,

@@ -4,7 +4,8 @@
 //
 // Inputs and their provenance:
 //   * CalibratedRates — *measured* on this host by running the real
-//     MLFMA engine and real small DBIM reconstructions (calibrate()).
+//     MLFMA engine and real small DBIM reconstructions (calibrate());
+//     the kernel rates give each phase's share of an application.
 //   * WorkCensus / CommCensus — analytic counts from the actual tree
 //     and interaction lists at paper scale (census.hpp); the comm census
 //     is byte-identical to the virtual cluster's measured traffic.
@@ -25,7 +26,10 @@
 namespace ffw {
 
 struct CalibratedRates {
-  /// Measured single-core throughput per phase (cmacs/s).
+  /// Measured single-core throughput per phase (cmacs/s). Only their
+  /// ratios enter the predictions: they split an application's time
+  /// across the phases (MachineParams::cpu_node_cmacs_per_s sets its
+  /// length).
   std::array<double, static_cast<std::size_t>(MlfmaPhase::kCount)>
       cmacs_per_s{};
   /// Measured MLFMA applications per forward solve (paper: 13.4).

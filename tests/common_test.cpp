@@ -1,7 +1,9 @@
 // Common substrate: RNG determinism and statistics, timers, table
-// formatting, Vec2 arithmetic.
+// formatting, Vec2 arithmetic, the library thread cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <thread>
 
@@ -9,6 +11,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace ffw {
 namespace {
@@ -125,6 +128,28 @@ TEST(Vec2, Arithmetic) {
   EXPECT_DOUBLE_EQ(dot(a, b), -5.0);
   EXPECT_DOUBLE_EQ(norm(a), 5.0);
   EXPECT_NEAR(angle_of(Vec2{0.0, 1.0}), pi / 2, 1e-14);
+}
+
+TEST(ThreadCap, SetReturnsThePreviousCap) {
+  const int saved = set_num_threads(2);
+  EXPECT_EQ(num_threads(), 2);
+  EXPECT_EQ(set_num_threads(0), 2);
+  EXPECT_EQ(num_threads(), hardware_threads());
+  EXPECT_EQ(set_num_threads(saved), 0);
+}
+
+TEST(ThreadCap, ParallelForRunsNoMoreThreadsThanTheCap) {
+  const int cap = std::min(2, hardware_threads());
+  const int saved = set_num_threads(cap);
+  std::atomic<int> widest{0};
+  parallel_for(0, 16, [&](std::size_t) {
+    const int rank = thread_rank() + 1;
+    int seen = widest.load();
+    while (rank > seen && !widest.compare_exchange_weak(seen, rank)) {
+    }
+  });
+  set_num_threads(saved);
+  EXPECT_LE(widest.load(), cap);
 }
 
 }  // namespace

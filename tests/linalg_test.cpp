@@ -12,6 +12,8 @@
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/scratch.hpp"
+#include "mlfma/operators.hpp"
+#include "mlfma/plan.hpp"
 #include "phantom/setup.hpp"
 
 namespace ffw {
@@ -224,6 +226,187 @@ TEST(Banded, AdjointIsTranspose) {
   w.apply_adjoint(y, wty);
   // <W x, y> == <x, W^T y> for real coefficients.
   EXPECT_NEAR(std::abs(cdot(wx, y) - cdot(x, wty)), 0.0, 1e-12);
+}
+
+// The band-tile kernel of the MLFMA aggregation (interpolation, then
+// the row shift) and disaggregation (the scaled transpose, gather-added
+// into the child panel) against a dense reference built from
+// PeriodicBandMatrix::to_dense(), on every column count the column
+// tiling distinguishes.
+template <typename T>
+double band_tiles_error(const PeriodicBandMatrix& w, bool transpose,
+                        double scale, bool shifted, std::size_t nrhs) {
+  const auto dense = w.to_dense();
+  const std::size_t rows = transpose ? w.cols() : w.rows();
+  const std::size_t cols = transpose ? w.rows() : w.cols();
+  Rng rng(static_cast<std::uint64_t>(100 * rows + cols + nrhs));
+  std::vector<std::complex<T>> x(cols * nrhs), shift(rows), y(rows * nrhs);
+  for (auto& v : x) v = std::complex<T>(rng.cnormal());
+  for (auto& v : shift) v = std::complex<T>(rng.cnormal());
+  for (auto& v : y) v = std::complex<T>(rng.cnormal());
+  // The reference in fp64 from the same (rounded) inputs: shifted tests
+  // overwrite Y with diag(shift) B X, the others add B X to Y.
+  cvec want(rows * nrhs);
+  double peak = 0.0;
+  for (std::size_t j = 0; j < nrhs; ++j) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      cplx acc{};
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double b = transpose ? dense[c][r] : dense[r][c];
+        acc += scale * b * cplx(x[j * cols + c]);
+      }
+      want[j * rows + r] =
+          shifted ? cplx(shift[r]) * acc : cplx(y[j * rows + r]) + acc;
+      peak = std::max(peak, std::abs(want[j * rows + r]));
+    }
+  }
+  const BandTiles<T> tiles(w, transpose, scale);
+  EXPECT_EQ(tiles.rows(), rows);
+  EXPECT_EQ(tiles.cols(), cols);
+  tiles.apply(x.data(), cols, shifted ? shift.data() : nullptr, y.data(), rows,
+              nrhs, /*accumulate=*/!shifted);
+  double err = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    err = std::max(err, std::abs(cplx(y[i]) - want[i]));
+  return err / peak;
+}
+
+struct BandShape {
+  int src, dst, width;
+};
+
+std::vector<BandShape> band_shapes() {
+  // The 128^2 level transitions at the plan's stencil width, a small
+  // band whose blocks wrap round the circle, and one so short that a
+  // block's window is every source row.
+  Grid grid(128);
+  QuadTree tree(grid);
+  const MlfmaPlan plan(tree, MlfmaParams{});
+  EXPECT_EQ(plan.level(0).samples, 74);
+  EXPECT_EQ(plan.level(1).samples, 110);
+  EXPECT_EQ(plan.level(2).samples, 182);
+  return {{74, 110, plan.interp_width()},
+          {110, 182, plan.interp_width()},
+          {12, 20, 5},
+          {6, 9, 6}};
+}
+
+const std::size_t kBandWidths[] = {1, 2, 3, 4, 5, 16, 17};
+
+TEST(BandTiles, InterpolationWithShiftMatchesDense) {
+  for (const BandShape& bs : band_shapes()) {
+    const PeriodicBandMatrix w = make_interpolation(bs.src, bs.dst, bs.width);
+    for (const std::size_t nrhs : kBandWidths) {
+      EXPECT_LE(band_tiles_error<double>(w, false, 1.0, true, nrhs), 1e-13)
+          << bs.src << "->" << bs.dst << " nrhs=" << nrhs;
+      EXPECT_LE(band_tiles_error<float>(w, false, 1.0, true, nrhs), 3e-6)
+          << bs.src << "->" << bs.dst << " nrhs=" << nrhs;
+    }
+  }
+}
+
+TEST(BandTiles, ScaledTransposeGatherAddMatchesDense) {
+  for (const BandShape& bs : band_shapes()) {
+    const PeriodicBandMatrix w = make_interpolation(bs.src, bs.dst, bs.width);
+    const double scale = static_cast<double>(bs.src) / bs.dst;
+    for (const std::size_t nrhs : kBandWidths) {
+      EXPECT_LE(band_tiles_error<double>(w, true, scale, false, nrhs), 1e-13)
+          << bs.dst << "->" << bs.src << " nrhs=" << nrhs;
+      EXPECT_LE(band_tiles_error<float>(w, true, scale, false, nrhs), 3e-6)
+          << bs.dst << "->" << bs.src << " nrhs=" << nrhs;
+    }
+  }
+}
+
+TEST(BandTiles, WindowsHoldEveryStencilOnce) {
+  // Each block's window is no longer than the circle, and the wrapped
+  // blocks of a 12 -> 20 band still cover all their stencil columns.
+  for (const BandShape& bs : band_shapes()) {
+    const PeriodicBandMatrix w = make_interpolation(bs.src, bs.dst, bs.width);
+    for (const bool transpose : {false, true}) {
+      const BandTiles<double> tiles(w, transpose, 1.0);
+      const std::size_t rows = tiles.rows(), tr = BandTiles<double>::tile_rows();
+      EXPECT_EQ(tiles.blocks(), (rows + tr - 1) / tr);
+      for (std::size_t b = 0; b < tiles.blocks(); ++b) {
+        EXPECT_GT(tiles.window(b), 0u);
+        EXPECT_LE(tiles.window(b), tiles.cols());
+      }
+    }
+  }
+}
+
+// diag_sum_t, the translation kernel: C (+)= sum_e diag(d_e) B_e against
+// a plain loop, on the 128^2 leaf-level sample count (74 rows, a row
+// tail), a C shorter than one tile, and every column tail.
+template <typename TS, typename TC>
+double diag_sum_error(std::size_t m, std::size_t n, bool accumulate) {
+  const std::size_t count = 3, ldb = m + 3;
+  Rng rng(static_cast<std::uint64_t>(31 * m + n));
+  std::vector<std::complex<TS>> d(count * m), b(count * ldb * n);
+  std::vector<std::complex<TC>> c(m * n);
+  for (auto& v : d) v = std::complex<TS>(rng.cnormal());
+  for (auto& v : b) v = std::complex<TS>(rng.cnormal());
+  for (auto& v : c) v = std::complex<TC>(rng.cnormal());
+  std::vector<DiagTerm<TS>> terms;
+  for (std::size_t e = 0; e < count; ++e)
+    terms.push_back({d.data() + e * m, b.data() + e * ldb * n});
+  cvec want(m * n);
+  double peak = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx acc = accumulate ? cplx(c[j * m + i]) : cplx{};
+      for (std::size_t e = 0; e < count; ++e)
+        acc += cplx(d[e * m + i]) * cplx(b[e * ldb * n + j * ldb + i]);
+      want[j * m + i] = acc;
+      peak = std::max(peak, std::abs(acc));
+    }
+  }
+  diag_sum_t<TS, TC>(m, n, terms.data(), count, ldb, c.data(), m, accumulate);
+  double err = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    err = std::max(err, std::abs(cplx(c[i]) - want[i]));
+  return err / peak;
+}
+
+TEST(Gemm, DiagSumMatchesNaive) {
+  for (const std::size_t m : {std::size_t{74}, std::size_t{3}}) {
+    for (const std::size_t n : kBandWidths) {
+      for (const bool acc : {false, true}) {
+        EXPECT_LE((diag_sum_error<double, double>(m, n, acc)), 1e-14)
+            << "m=" << m << " n=" << n;
+        EXPECT_LE((diag_sum_error<float, double>(m, n, acc)), 3e-7)
+            << "m=" << m << " n=" << n;
+        EXPECT_LE((diag_sum_error<float, float>(m, n, acc)), 3e-7)
+            << "m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Gemm, ExpandMixedStaysInFp32Budget) {
+  // The mixed leaf expansion (short fp32 chains summed in fp64, one
+  // rounding into the panel) against the fp64 product, at the 128^2
+  // shape (q0 = 74 rows, the row tail) and a k that is not a multiple
+  // of the chain.
+  Rng rng(17);
+  for (const std::size_t k : {std::size_t{64}, std::size_t{67}}) {
+    const std::size_t m = 74, n = 21;
+    cvec32 a(m * k), b(k * n), c(m * n);
+    for (auto& v : a) v = narrow(rng.cnormal());
+    for (auto& v : b) v = narrow(rng.cnormal());
+    gemm_expand_mixed(m, n, k, a.data(), m, b.data(), k, c.data(), m);
+    double err = 0.0, peak = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        cplx acc{};
+        for (std::size_t p = 0; p < k; ++p)
+          acc += cplx(a[p * m + i]) * cplx(b[j * k + p]);
+        err = std::max(err, std::abs(cplx(c[j * m + i]) - acc));
+        peak = std::max(peak, std::abs(acc));
+      }
+    }
+    EXPECT_LT(err / peak, 3e-6) << "k=" << k;
+  }
 }
 
 TEST(Kernels, DotNormAxpy) {

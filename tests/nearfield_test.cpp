@@ -1,6 +1,6 @@
 // The near-field leaf kernel gemm_sum_t: C += sum_e A_e * B_e over a
-// leaf's <= 9 neighbour products. It must match the per-term gemm_raw_t
-// product it replaces (fp64) or stay inside the mixed engine's error
+// leaf's <= 9 neighbour products. It must match a plain per-term triple
+// loop (fp64) or stay inside the mixed engine's error
 // budget (fp32 MACs, fp64 sum across terms), and its fixed summation
 // order must make the engine's output independent of the column
 // position and of the thread count.
@@ -59,7 +59,7 @@ void near_sum(const QuadTree& tree, const NearFieldOperators& near,
   }
 }
 
-// The same pass as one gemm_raw_t per term (the kernel it replaced).
+// The same pass as a plain triple loop per term.
 void near_per_term(const QuadTree& tree, const NearFieldOperators& near,
                    const cvec& x, cvec& y, std::size_t nrhs) {
   const std::size_t np = static_cast<std::size_t>(tree.pixels_per_leaf());
@@ -68,9 +68,16 @@ void near_per_term(const QuadTree& tree, const NearFieldOperators& near,
   for (std::size_t c = 0; c < tree.num_leaves(); ++c) {
     for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
       const cplx* a = near.type_data<double>(entries[e].near_type);
-      gemm_raw_t<double, double>(np, nrhs, np, cplx{1.0}, a, np,
-                                 x.data() + entries[e].src * np * nrhs, np,
-                                 cplx{1.0}, y.data() + c * np * nrhs, np);
+      const cplx* b = x.data() + entries[e].src * np * nrhs;
+      cplx* yc = y.data() + c * np * nrhs;
+      for (std::size_t j = 0; j < nrhs; ++j) {
+        for (std::size_t i = 0; i < np; ++i) {
+          cplx acc{};
+          for (std::size_t p = 0; p < np; ++p)
+            acc += a[p * np + i] * b[j * np + p];
+          yc[j * np + i] += acc;
+        }
+      }
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "json_check.hpp"
 #include "obs/obs.hpp"
 #include "obs/summary.hpp"
+#include "parallel/parallel_for.hpp"
 #include "vcluster/comm.hpp"
 
 namespace ffw {
@@ -212,6 +213,11 @@ TEST(Obs, ChromeTraceExportIsValidJson) {
   }
   EXPECT_NE(text.find("\"translate\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
+  // Run metadata: the thread cap in effect.
+  EXPECT_NE(text.find("\"otherData\""), std::string::npos);
+  EXPECT_NE(text.find("\"thread_cap\": " + std::to_string(num_threads())),
+            std::string::npos)
+      << text;
 }
 
 TEST(ObsSummary, CollectsMinMedianMaxAcrossRanks) {
