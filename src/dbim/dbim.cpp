@@ -53,12 +53,8 @@ DbimWorkspace::DbimWorkspace(std::unique_ptr<ForwardBackend> mlfma,
 }
 
 void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
-                                double contrast_threshold,
-                                double escalation_rate,
                                 std::shared_ptr<const CbsTables> tables) {
   policy_ = policy;
-  auto_threshold_ = contrast_threshold;
-  auto_escalation_rate_ = escalation_rate;
   escalated_ = false;
   if (policy == BackendKind::kMlfma) {
     cbs_.reset();
@@ -71,30 +67,12 @@ void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
   } else {
     cbs_ = std::make_unique<CbsEngine>(trx_->grid(), cbs_opts);
   }
-  active_ = policy == BackendKind::kCbs ? static_cast<ForwardBackend*>(cbs_.get())
-                                        : mlfma_.get();
+  active_ = cbs_.get();
 }
 
 void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
   mlfma_->set_contrast(contrast);
-  if (cbs_) {
-    cbs_->set_contrast(contrast);
-    if (policy_ == BackendKind::kCbs) {
-      active_ = cbs_.get();
-    } else if (policy_ == BackendKind::kAuto) {
-      // Contrast gate, re-evaluated for every new background: CBS while
-      // the strongest pixel stays below the threshold (in permittivity
-      // units), MLFMA otherwise. An escalation is permanent — once the
-      // series has struggled on this reconstruction, trust MLFMA.
-      double omax = 0.0;
-      for (const cplx& o : contrast) omax = std::max(omax, std::abs(o));
-      const double k0 = trx_->grid().k0();
-      const bool weak = omax / (k0 * k0) < auto_threshold_;
-      active_ = (weak && !escalated_)
-                    ? static_cast<ForwardBackend*>(cbs_.get())
-                    : mlfma_.get();
-    }
-  }
+  if (cbs_) cbs_->set_contrast(contrast);
   // Otherwise the background fields stay as warm starts for the next
   // residual pass. Without warm starts every residual pass restarts from
   // the incident fields, and the recycle snapshots reset with them: a
@@ -121,23 +99,13 @@ bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
   const double tol =
       forcing_tol_ > 0.0 ? std::max(forcing_tol_, base_tol_) : base_tol_;
   const std::size_t nrhs = lo_.nrhs;
-  if (active_ == cbs_.get() && cbs_) {
+  if (active_ == cbs_.get()) {
     const bool ok = adjoint ? cbs_->solve_adjoint_panel(rhs, x, nrhs, tol)
                             : cbs_->solve_panel(rhs, x, nrhs, tol);
-    if (ok) {
-      if (policy_ == BackendKind::kAuto &&
-          cbs_->last_info().convergence_rate > auto_escalation_rate_) {
-        // Converged, but the series is slowing down: escalate *before*
-        // the watchdog has to abort a solve mid-reconstruction.
-        escalated_ = true;
-        active_ = mlfma_.get();
-      }
-      return true;
-    }
-    if (policy_ != BackendKind::kAuto) return false;
-    // Watchdog tripped under kAuto: permanently hand the reconstruction
-    // to MLFMA and redo this panel there (the partial CBS iterate left
-    // in x is a serviceable warm start).
+    if (ok || policy_ != BackendKind::kAuto) return ok;
+    // An FFT solve missed its tolerance under kAuto: redo this panel on
+    // MLFMA (the partial iterate left in x is a serviceable warm start)
+    // and stay there for the rest of the run.
     escalated_ = true;
     active_ = mlfma_.get();
   }
@@ -357,11 +325,11 @@ bool DbimWorkspace::gather(std::span<const ccspan> in,
 }
 
 void DbimWorkspace::fill_counts(DbimHistory& h) {
-  // Both engines may have contributed solves (kAuto switches mid-run);
-  // the history totals span whatever mix actually executed. Each tree
-  // rank of a group takes part in every block solve of the group, so
-  // summing one tree rank's counts over the illumination groups (the
-  // column group) gives the run's totals.
+  // Both engines may have contributed solves (a kAuto fallback switches
+  // mid-run); the history totals span whatever mix actually executed.
+  // Each tree rank of a group takes part in every block solve of the
+  // group, so summing one tree rank's counts over the illumination
+  // groups (the column group) gives the run's totals.
   const ForwardStats& ms = mlfma_->stats();
   double c[3] = {static_cast<double>(ms.solves),
                  static_cast<double>(ms.operator_applications),
@@ -430,8 +398,7 @@ std::unique_ptr<DbimWorkspace> local_workspace(MlfmaEngine& engine,
       ctab = opts.table_cache->cbs_tables(engine.tree().grid(),
                                           opts.cbs.precision);
     }
-    ws->set_backend(opts.backend, opts.cbs, opts.auto_contrast_threshold,
-                    opts.auto_escalation_rate, std::move(ctab));
+    ws->set_backend(opts.backend, opts.cbs, std::move(ctab));
   }
   return ws;
 }

@@ -114,21 +114,12 @@ struct DbimOptions {
   double recycle_ridge = 1e-12;
   /// Forward engine routing (forward/backend.hpp). kMlfma is the
   /// classic MLFMA+BiCGStab path; kCbs runs every solve on the FFT
-  /// convergent Born series backend; kAuto starts on CBS while the
-  /// background contrast is weak (max|Delta eps| below
-  /// auto_contrast_threshold) and escalates permanently to MLFMA when
-  /// the contrast crosses the threshold, the series fails, or its
-  /// measured convergence rate degrades past auto_escalation_rate.
+  /// backend (forward/cbs.hpp); kAuto runs on the FFT backend too, and if
+  /// an FFT solve fails to converge it redoes that panel on MLFMA and
+  /// stays on MLFMA for the rest of the run.
   BackendKind backend = BackendKind::kMlfma;
-  /// kAuto contrast gate, in permittivity-contrast units
-  /// (max|O| / k0^2): CBS below, MLFMA at or above.
-  double auto_contrast_threshold = 0.25;
-  /// kAuto rate gate: a *converged* CBS solve whose trailing
-  /// geometric-mean residual reduction exceeds this triggers escalation
-  /// before the series degrades into the watchdog.
-  double auto_escalation_rate = 0.95;
-  /// CBS configuration used by kCbs / kAuto (tolerance comes from the
-  /// forward BicgstabOptions + forcing, like every other solve).
+  /// FFT-backend configuration used by kCbs / kAuto (tolerance comes
+  /// from the forward BicgstabOptions + forcing, like every other solve).
   CbsOptions cbs;
   /// Shared operator-table cache (borrowed; service/table_cache.hpp).
   /// When set, a kCbs / kAuto run obtains its CBS kernel spectrum and
@@ -152,7 +143,7 @@ struct DbimHistory {
   /// near_precondition is off.
   double precond_setup_seconds = 0.0;
   /// Backend policy the run was configured with, and whether a kAuto run
-  /// escalated from CBS to MLFMA along the way.
+  /// fell back from the FFT backend to MLFMA along the way.
   BackendKind backend = BackendKind::kMlfma;
   bool cbs_escalated = false;
 };
@@ -259,22 +250,21 @@ class DbimWorkspace {
   /// set_background drops the warm-started fields.
   void set_recycling(std::size_t depth, double ridge);
 
-  /// Installs the forward-backend routing policy (DbimOptions::backend
-  /// et al.). kCbs / kAuto construct the CBS engine on the whole grid —
-  /// from the shared `tables` artifact when one is supplied; call before
-  /// the first set_background.
+  /// Installs the forward-backend routing policy (DbimOptions::backend).
+  /// kCbs / kAuto construct the FFT engine on the whole grid — from the
+  /// shared `tables` artifact when one is supplied; call before the
+  /// first set_background.
   void set_backend(BackendKind policy, const CbsOptions& cbs_opts,
-                   double contrast_threshold, double escalation_rate,
                    std::shared_ptr<const CbsTables> tables = nullptr);
   /// Backend the next block solve will run on (kAuto resolves to the
-  /// chosen engine).
+  /// FFT engine until a fallback).
   BackendKind active_backend() const { return active_->kind(); }
-  /// True once a kAuto run has permanently switched from CBS to MLFMA.
+  /// True once a kAuto run has fallen back from the FFT backend to MLFMA.
   bool cbs_escalated() const { return escalated_; }
 
  private:
   /// Block solve on the active backend at the forcing tolerance, with
-  /// the kAuto escalation rules; returns convergence.
+  /// the kAuto fallback; returns convergence.
   bool block_solve(ccspan rhs, cspan x, bool adjoint);
   /// Natural index of pass-order pixel q of this share.
   std::size_t pixel(std::size_t q) const {
@@ -302,14 +292,12 @@ class DbimWorkspace {
   std::span<const std::uint32_t> pixels_;  // this share's natural indices
   // Backend routing: `active_` answers the block solves and raw G0
   // panel products of the blocked passes. Defaults to the MLFMA backend;
-  // set_backend may point it at cbs_, and kAuto re-picks on every
-  // set_background until an escalation pins it back on MLFMA for good.
+  // set_backend may point it at cbs_, and a kAuto fallback points it
+  // back at MLFMA for the rest of the run.
   std::unique_ptr<ForwardBackend> mlfma_;
   std::unique_ptr<CbsEngine> cbs_;
   ForwardBackend* active_ = nullptr;
   BackendKind policy_ = BackendKind::kMlfma;
-  double auto_threshold_ = 0.25;
-  double auto_escalation_rate_ = 0.95;
   bool escalated_ = false;
   double meas_norm2_ = 0.0;
   // Background total fields of the share's transmitters as one block

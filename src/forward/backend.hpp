@@ -1,9 +1,10 @@
 // Forward-solver backend interface: the contract DBIM (and any other
 // inversion driver) programs against, extracted from ForwardSolver so a
-// reconstruction can route per-job between operator engines —
-// MLFMA+BiCGStab for strong multiple scattering, the FFT-based
-// convergent Born series (forward/cbs.hpp) for weak-to-moderate
-// contrast, or automatic selection (DbimOptions::backend).
+// reconstruction can route per-job between operator engines — MLFMA
+// (the paper's engine, and the only one that partitions over ranks) or
+// the padded-FFT operator (forward/cbs.hpp) on a single node, both
+// under the same block BiCGStab — or run on the FFT operator with an
+// MLFMA fallback (DbimOptions::backend).
 //
 // Every backend solves the same discrete volume integral equation
 // [I - G0 diag(O)] phi = rhs on multi-RHS panels in its *pass order*, and
@@ -21,9 +22,10 @@
 
 namespace ffw {
 
-/// Which forward engine a reconstruction uses. kAuto picks the CBS
-/// backend below a contrast threshold and falls back to (or escalates
-/// mid-reconstruction onto) MLFMA when the series stops converging.
+/// Which forward engine a reconstruction uses. kAuto runs on the FFT
+/// backend (kCbs) and, if one of its solves fails to converge, redoes
+/// that solve on MLFMA and stays there for the rest of the run. The
+/// values are stored in checkpoints; keep them.
 enum class BackendKind : int { kMlfma = 0, kCbs = 1, kAuto = 2 };
 
 inline const char* backend_name(BackendKind k) {
@@ -38,8 +40,8 @@ inline const char* backend_name(BackendKind k) {
 /// Backend-neutral solve statistics. `operator_applications` counts
 /// per-RHS applications of the expensive structured operator — MLFMA
 /// tree traversals for the kMlfma backend, padded-FFT Green's
-/// convolutions for kCbs; `bicgs_iterations` counts inner solver
-/// iterations (BiCGStab sweeps or Born-series iterations).
+/// convolutions for kCbs; `bicgs_iterations` counts BiCGStab
+/// iterations summed over the columns of every block solve.
 struct ForwardStats {
   std::uint64_t solves = 0;
   std::uint64_t bicgs_iterations = 0;

@@ -1,47 +1,22 @@
-// Convergent Born series (CBS) forward backend: solves the volume
-// integral equation [I - G0 diag(O)] phi = rhs with FFT-applied
-// operators on a zero-padded uniform grid instead of MLFMA+Krylov.
+// FFT forward backend: solves the volume integral equation
+// [I - G0 diag(O)] phi = rhs with the Richmond-kernel product applied as
+// an exact aperiodic convolution (zero padding to P = bit_ceil(2 nx - 1)
+// and one padded FFT round trip), under the same block BiCGStab that
+// solves the MLFMA system (forward/block_bicgstab.hpp; paper Sec. VI-A).
+// Both backends therefore discretise and solve the identical system, and
+// their answers agree to ~1e-6 (tests/cbs_test.cpp).
 //
-// The plain Born series phi_{k+1} = rhs + G0 O phi_k diverges as soon
-// as the scattering is non-weak. Osnabrugge et al. (J. Comput. Phys.
-// 2016) fix this by shifting the background wavenumber into the complex
-// plane, k_eps^2 = k0^2 + i eps, and preconditioning with
-// gamma = 1 + i O / eps; the resulting series converges for contrast of
-// any magnitude provided eps >= max|O|. We run that scheme as a
-// preconditioned Richardson iteration on the *exact discrete* system:
+// The operator is applied to a panel in batches of kBatch columns, so
+// the padded spectra need P^2 * kBatch elements whatever the panel
+// width. Under Precision::kMixed the inner Krylov sweeps apply an fp32
+// pipeline (pack, transform and kernel-symbol multiply in fp32, the
+// identity and the contrast diagonal in fp64) inside the same
+// mixed-precision refinement as the MLFMA backend (forward/refined.hpp):
+// residuals and convergence are judged against the fp64 operator.
 //
-//   x_{k+1} = x_k + M r_k,   r_k = rhs - A x_k,   A = I - G0 diag(O),
-//   M r = gamma .* F^{-1}[ t/(t - i eps) .* F r ],  t = |xi|^2 - k0^2,
-//
-// where A uses the pixel-integrated Richmond kernel of the rest of the
-// code base (applied as an exact aperiodic convolution via FFT zero
-// padding), while the attenuation-shifted factor t/(t - i eps) — the
-// symbol of I + i eps G_eps — lives purely inside the preconditioner.
-// The fixed point is therefore the same discrete solution MLFMA's
-// BiCGStab converges to (enabling 1e-6-level cross-validation), and the
-// iteration matrix I - M A equals the classic CBS operator
-// gamma G_eps V + 1 - gamma up to the (spectrally small) difference
-// between the discrete and continuum G0 — the shift only sets the
-// convergence rate, never the answer. A minimal-residual line search
-// (Orthomin(1)) on top is the default and is never slower than the
-// unit step.
-//
-// The shift is insurance against strong scattering, not a free lunch:
-// its damping of the modes near the Ewald shell |xi| = k0 caps the
-// preconditioned rate near 0.4/iteration *regardless of how weak the
-// contrast is*, and M costs a second FFT round trip per iteration. At
-// weak contrast A is already a small perturbation of the identity, so
-// the engine drops the preconditioner there (M = I): plain
-// Orthomin-accelerated Born, one round trip per iteration, converging
-// in ~6 iterations at max|O|/k0^2 = 0.01 versus ~21 for the shifted
-// scheme. The shifted preconditioner switches in above
-// CbsOptions::precond_threshold — or mid-solve, automatically, if the
-// plain series stalls against the divergence watchdog.
-//
-// Cost per iteration: one padded-panel FFT round trip (plus a second
-// for the preconditioner when it is on), batched over all right-hand
-// sides. At strong contrast the rate approaches 1 and MLFMA wins —
-// DbimOptions::backend = kAuto arbitrates.
+// The names CbsEngine and BackendKind::kCbs (which checkpoints store)
+// come from the engine's first solver, a convergent Born series; why
+// BiCGStab replaced it is in DESIGN.md Sec. 14.
 #pragma once
 
 #include <memory>
@@ -53,42 +28,21 @@
 namespace ffw {
 
 struct CbsOptions {
-  /// Per-column relative residual target ||rhs - A x|| / ||rhs||.
+  /// Per-column relative residual target ||rhs - A x|| / ||rhs||, used
+  /// when a solve passes tol = 0.
   double tol = 1e-8;
+  /// Iteration cap of every block BiCGStab run of one solve (under
+  /// kMixed: the fp64 fallback, and each inner sweep up to its own cap).
   std::size_t max_iterations = 600;
-  /// eps = max(eps_floor * k0^2, eps_factor * max|O|). Convergence needs
-  /// eps >= max|O|; a little headroom is cheap insurance against the
-  /// discrete/continuum kernel mismatch.
-  double eps_factor = 1.1;
-  double eps_floor = 0.05;
-  /// Orthomin(1) step: alpha_c = <w,r>/<w,w> per column instead of the
-  /// unit CBS step. Monotone in the residual; keep on.
-  bool minimal_residual = true;
-  /// Contrast gate for the shifted-kernel preconditioner: it switches in
-  /// when max|O| > precond_threshold * k0^2. Below that the plain
-  /// Born-Orthomin iteration (M = I, half the FFT work per step) is
-  /// strictly faster; a mid-solve stall still falls back to the
-  /// preconditioned mode automatically.
-  double precond_threshold = 0.15;
-  /// Divergence watchdog: if the geometric-mean residual reduction over
-  /// the trailing `rate_window` iterations exceeds this, give up (the
-  /// caller falls back to MLFMA).
-  double divergence_rate = 0.999;
-  std::size_t rate_window = 8;
-  /// kMixed runs the FFT pipeline (pad, transform, symbol multiply) in
-  /// fp32 while x and r accumulate in fp64, with a true fp64 residual
-  /// refresh every `fp64_refresh` iterations and an fp64 verification
-  /// before declaring convergence.
+  /// kMixed runs the inner sweeps on the fp32 FFT pipeline.
   Precision precision = Precision::kDouble;
-  std::size_t fp64_refresh = 8;
 };
 
 /// Read-only, shareable CBS table artifact: the contrast-independent
 /// state of the backend — the padded-FFT plans and the Richmond-kernel
-/// spectrum g0hat (plus their fp32 mirrors under kMixed). Everything
-/// contrast-dependent (gamma, the shift symbol mhat, scratch) stays in
-/// the engine, so any number of concurrent CbsEngines can share one
-/// artifact; OperatorTableCache amortises the build across jobs.
+/// spectrum g0hat (plus their fp32 mirrors under kMixed). The contrast
+/// stays in the engine, so any number of concurrent CbsEngines can share
+/// one artifact; OperatorTableCache amortises the build across jobs.
 struct CbsTables {
   /// Precision selects whether the fp32 pipeline state (plan32/g0hat32)
   /// is built; fp64 engines can use either flavour.
@@ -112,26 +66,23 @@ struct CbsTables {
 /// Diagnostics of the most recent panel solve.
 struct CbsSolveInfo {
   bool converged = false;
+  /// Block BiCGStab iterations, summed over every run of the solve
+  /// (refinement sweeps and fallback under kMixed).
   std::size_t iterations = 0;
   /// Max over columns of the final relative residual (fp64).
   double final_residual = 0.0;
-  /// Geometric-mean per-iteration residual reduction over the trailing
-  /// rate_window iterations (over the whole run when shorter; 0 when the
-  /// initial guess already met the tolerance). The kAuto escalation
-  /// policy watches this.
-  double convergence_rate = 0.0;
-  /// Whether the shifted-kernel preconditioner was active by the end of
-  /// the solve (contrast above the gate, or the plain series stalled).
-  bool preconditioned = false;
 };
 
 class CbsEngine final : public ForwardBackend {
  public:
+  /// Columns per padded-FFT batch of one operator apply.
+  static constexpr std::size_t kBatch = 4;
+
   /// Convenience constructor: builds a private CbsTables artifact.
   explicit CbsEngine(const Grid& grid, const CbsOptions& opts = {});
   /// Shares a prebuilt artifact (see CbsTables); construction then costs
-  /// only the contrast-dependent per-engine state. kMixed options
-  /// require an artifact built with Precision::kMixed.
+  /// nothing but the options. kMixed options require an artifact built
+  /// with Precision::kMixed.
   explicit CbsEngine(std::shared_ptr<const CbsTables> tables,
                      const CbsOptions& opts = {});
   ~CbsEngine() override;
@@ -150,9 +101,8 @@ class CbsEngine final : public ForwardBackend {
   void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
   void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
 
-  /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels
-  /// (x and y distinct); the residual operator of the iteration, exposed
-  /// for tests.
+  /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels,
+  /// in fp64: the operator the solves run on, exposed for tests.
   void apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
                           bool adjoint = false);
 
@@ -161,51 +111,31 @@ class CbsEngine final : public ForwardBackend {
 
   const Grid& grid() const { return grid_; }
   const CbsOptions& options() const { return opts_; }
-  CbsOptions& options() { return opts_; }
   const CbsSolveInfo& last_info() const { return info_; }
-  /// Attenuation shift of the current contrast (set_contrast updates it).
-  double epsilon() const { return eps_; }
   /// Padded transform side length P = bit_ceil(2 nx - 1).
   std::size_t padded() const { return pad_n_; }
 
  private:
-  struct Fp32Pipeline;  // fp32 shift symbol + scratch (kMixed only)
+  /// Padded convolution of every column of x with the kernel spectrum
+  /// (conjugated when `adjoint`: the even kernel's spectrum satisfies
+  /// FFT(conj k) = conj FFT(k), so that is the Hermitian transpose), in
+  /// storage precision T. `system` folds the contrast in: the pack
+  /// multiplies by O (forward) and the crop writes y = x - G0 (O x), or
+  /// y = x - conj(O) .* (G0^H x) (adjoint); otherwise y = G0 x or G0^H x.
+  /// y may alias x.
+  template <typename T>
+  void convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
+                bool system);
+  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol, bool adjoint);
 
-  /// y_panel = crop(IFFT(symbol .* FFT(pad(premul .* x_panel)))) for all
-  /// columns; conjugate applies conj(symbol) (the Hermitian-transposed
-  /// kernel — valid because the even kernel's spectrum satisfies
-  /// FFT(conj k) = conj FFT(k)). The optional per-pixel premul diagonal
-  /// (null = identity) is folded into the zero-padding pack, saving a
-  /// separate panel-sized multiply pass.
-  void convolve(ccspan x, cspan y, std::size_t nrhs, const cvec& symbol,
-                bool conjugate, const cplx* premul = nullptr);
-  void convolve32(ccspan x, cspan y, std::size_t nrhs, const cvec32& symbol,
-                  bool conjugate, const cplx* premul = nullptr);
-  /// Dispatches to the fp32 pipeline under kMixed, fp64 otherwise.
-  void convolve_fast(ccspan x, cspan y, std::size_t nrhs, bool green,
-                     bool conjugate, const cplx* premul = nullptr);
-  /// r = rhs - A x in fp64 (the truth the iteration is judged against).
-  void true_residual(ccspan rhs, ccspan x, cspan r, std::size_t nrhs,
-                     bool adjoint);
-  void build_shift_symbol();
-  bool solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
-                  bool adjoint);
-
-  // Immutable shared tables (kernel spectrum + FFT plans); everything
-  // below them is per-engine, contrast-dependent state.
+  // Immutable shared tables (kernel spectrum + FFT plans); the contrast
+  // is the only per-engine state of the operator.
   std::shared_ptr<const CbsTables> tables_;
   Grid grid_;
   CbsOptions opts_;
   std::size_t n_ = 0;      // pixels
   std::size_t pad_n_ = 0;  // padded side P (power of two)
-  double eps_ = 0.0;
-  double omax_ = 0.0;  // max|O| of the current contrast
-
-  cvec contrast_nat_;  // O, natural order
-  cvec gamma_;         // 1 + i O / eps
-  cvec mhat_;          // t / (t - i eps), P x P (depends on eps)
-  cvec pad_;           // padded panel scratch, P*P*nrhs (grown on demand)
-  std::unique_ptr<Fp32Pipeline> fp32_;  // null unless kMixed
+  cvec contrast_nat_;      // O, natural order
 
   ForwardStats stats_;
   CbsSolveInfo info_;

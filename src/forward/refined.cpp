@@ -29,6 +29,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
     const BlockBicgstabResult direct =
         block_bicgstab(a_inner, b, x, lo, dopts, reduce, pc);
     res.inner_iterations = direct.total_iterations();
+    res.block_iterations = direct.iterations;
     res.relres = 0.0;
     for (const BicgstabResult& col : direct.rhs)
       res.relres = std::max(res.relres, col.relres);
@@ -103,6 +104,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
     const BlockBicgstabResult inner =
         block_bicgstab(a_inner, r, d, lo, opts.inner, reduce, pc);
     res.inner_iterations += inner.total_iterations();
+    res.block_iterations += inner.iterations;
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += d[i];
     ++res.refinements;
     obs::add(obs::Counter::kRefinementRounds, 1);
@@ -129,6 +131,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
   const BlockBicgstabResult fb =
       block_bicgstab(a_outer, b, x, lo, fo, reduce, pc);
   res.fallback_iterations = fb.total_iterations();
+  res.block_iterations += fb.iterations;
   worst = residual();
   restore_best();  // a capped fallback must not end worse than it began
   res.relres = worst;

@@ -50,6 +50,7 @@ struct RefinedResult {
   int refinements = 0;                    // outer correction rounds run
   std::uint64_t inner_iterations = 0;     // summed inner BiCGStab iterations
   std::uint64_t fallback_iterations = 0;  // fp64 iterations if fell back
+  int block_iterations = 0;               // block iterations of every run
   double relres = 0.0;                    // worst column fp64 relres
   bool converged = false;
   bool fell_back = false;                 // pure-fp64 fallback engaged

@@ -47,8 +47,8 @@ enum class Counter : int {
   kPrecondSetupNs,          // near-field block preconditioner factor time
   kPrecondApplyNs,          // preconditioner triangular-solve time
   kRecycleHits,             // Krylov-recycled initial guesses applied
-  kCbsIterations,           // convergent Born series iterations (forward/cbs)
-  kFftNs,                   // time in padded-FFT convolutions (CBS backend)
+  kCbsIterations,           // FFT-backend block BiCGStab iterations
+  kFftNs,                   // time in padded-FFT convolutions (FFT backend)
   kFftPlanHits,             // fp64 1-D FFT plan-cache hits (fft/fft2)
   kFftPlanMisses,           // fp64 1-D FFT plan-cache misses (plans built)
   kTableCacheHits,          // OperatorTableCache hits (service/table_cache)

@@ -151,9 +151,10 @@ TEST(Born, RecoversVeryWeakScatterer) {
 // Results must not depend on the thread count (north-star aim 3). The
 // benchmark's solver options (near-field preconditioner on MLFMA,
 // adaptive forcing, recycling) reconstruct the same bits at 1 and 4
-// threads on both serial backends, and on the 2x2 partitioned driver at
-// 1 and 2 threads per rank. 64^2 with 8 transmitters spans more than one
-// chunk of the chunk-parallel block kernels.
+// threads on both serial backends (the FFT backend in fp64 and mixed
+// precision), and on the 2x2 partitioned driver at 1 and 2 threads per
+// rank. 64^2 with 8 transmitters spans more than one chunk of the
+// chunk-parallel block kernels.
 struct ThreadCountScene {
   ScenarioConfig cfg;
   std::unique_ptr<Scenario> scene;
@@ -167,20 +168,24 @@ struct ThreadCountScene {
         cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.8, cplx{0.02, 0.0}));
   }
 
-  static DbimOptions options(BackendKind backend) {
+  static DbimOptions options(BackendKind backend,
+                             Precision cbs_precision = Precision::kDouble) {
     DbimOptions o;
     o.max_iterations = 4;
     o.backend = backend;
+    o.cbs.precision = cbs_precision;
     o.near_precondition = backend == BackendKind::kMlfma;
     o.adaptive_forcing = true;
     o.recycle_depth = 2;
     return o;
   }
 
-  DbimResult serial(BackendKind backend, int threads) const {
+  DbimResult serial(BackendKind backend, int threads,
+                    Precision cbs_precision = Precision::kDouble) const {
     set_num_threads(threads);
     DbimResult res = dbim_reconstruct(scene->engine(), scene->transceivers(),
-                                      scene->measurements(), options(backend),
+                                      scene->measurements(),
+                                      options(backend, cbs_precision),
                                       cfg.forward);
     set_num_threads(0);
     return res;
@@ -229,6 +234,13 @@ TEST(DbimThreadCount, CbsIsBitIdenticalAt1And4Threads) {
   const ThreadCountScene s;
   expect_identical(s.serial(BackendKind::kCbs, 1),
                    s.serial(BackendKind::kCbs, 4));
+}
+
+// The FFT backend's fp32 inner sweeps under mixed-precision refinement.
+TEST(DbimThreadCount, MixedCbsIsBitIdenticalAt1And4Threads) {
+  const ThreadCountScene s;
+  expect_identical(s.serial(BackendKind::kCbs, 1, Precision::kMixed),
+                   s.serial(BackendKind::kCbs, 4, Precision::kMixed));
 }
 
 TEST(DbimThreadCount, Parallel2x2IsBitIdenticalAt1And2ThreadsPerRank) {
