@@ -189,30 +189,26 @@ double DbimWorkspace::residual_pass_all(cspan residuals) {
 void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
   FFW_CHECK(residuals.size() == residual_size() &&
             grad_accum.size() == num_pixels());
-  // Blocked adjoint Frechet: g_t = G_R^H b_t, one block adjoint solve of
-  // [I - G0 O]^H for all t, then the G0^H products as one blocked apply.
+  // Blocked adjoint Frechet on the transposed system (dbim.hpp):
+  // F_t^H b_t = conj(phi_b,t .* y_t) with [I - G0 O] y_t = conj(G_R^H b_t),
+  // one block forward solve for all t and no bare G0 apply.
   ScratchFrame frame;
-  const cspan g1 = frame.vec(lo_.size()), w2 = frame.vec(lo_.size()),
-              w3 = frame.vec(lo_.size());
-  gr_project_herm(trx_->gr(), pixels_, lo_, residuals, g1);
-  block_diag_mul_conj(lo_, mlfma_->contrast(), g1, w2);
+  const cspan g = frame.vec(lo_.size()), y = frame.vec(lo_.size());
+  gr_project_herm(trx_->gr(), pixels_, lo_, residuals, g);
+  block_conj(lo_, g, g);
   // Krylov recycling: seed from the least-squares combination of the
   // retained (rhs, solution) pairs, one batched tree-group reduction.
-  rec_grad_.seed(w2, w3, lo_, reducer());
-  FFW_CHECK_MSG(block_solve(w2, w3, /*adjoint=*/true),
+  rec_grad_.seed(g, y, lo_, reducer());
+  FFW_CHECK_MSG(block_solve(g, y, /*adjoint=*/false),
                 "DBIM gradient-pass block solve diverged");
-  rec_grad_.store(w2, w3, lo_);
-  const cspan w4 = frame.vec(lo_.size());  // taken after the solve's peak
-  active_->apply_g0_herm_panel(w3, w4, lo_.nrhs);
+  rec_grad_.store(g, y, lo_);
   for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t n) {
     cplx* gq = grad_accum.data() + c * lo_.panel + i0;
     for (std::size_t r = 0; r < lo_.nrhs; ++r) {
       const std::size_t o = lo_.at(c, r) + i0;
       const cplx* phi = phi_b_.data() + o;
-      const cplx* g1p = g1.data() + o;
-      const cplx* w4p = w4.data() + o;
-      for (std::size_t i = 0; i < n; ++i)
-        gq[i] += std::conj(phi[i]) * (g1p[i] + w4p[i]);
+      const cplx* yp = y.data() + o;
+      for (std::size_t i = 0; i < n; ++i) gq[i] += std::conj(phi[i] * yp[i]);
     }
   });
   // Combine across illumination groups (paper Fig. 4, sync 1).
@@ -221,27 +217,19 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
 
 void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
   FFW_CHECK(direction.size() == num_pixels() && out.size() == residual_size());
-  // Blocked Frechet apply: u_t = d .* phi_b,t, one blocked G0 apply, one
-  // block forward solve, then one panel receiver projection.
+  // Blocked Frechet apply on the transposed system (dbim.hpp):
+  // F_t d = G_R conj(z_t) with [I - G0 O]^H z_t = conj(d .* phi_b,t), one
+  // block adjoint solve for all t, then one panel receiver projection.
   ScratchFrame frame;
-  const cspan u1 = frame.vec(lo_.size()), u2 = frame.vec(lo_.size()),
-              w = frame.vec(lo_.size());
-  block_diag_mul(lo_, direction, phi_b_, u1);
-  active_->apply_g0_panel(u1, u2, lo_.nrhs);
-  rec_step_.seed(u2, w, lo_, reducer());
-  FFW_CHECK_MSG(block_solve(u2, w, /*adjoint=*/false),
+  const cspan u = frame.vec(lo_.size()), z = frame.vec(lo_.size());
+  block_diag_mul(lo_, direction, phi_b_, u);
+  block_conj(lo_, u, u);
+  rec_step_.seed(u, z, lo_, reducer());
+  FFW_CHECK_MSG(block_solve(u, z, /*adjoint=*/true),
                 "DBIM Frechet-pass block solve diverged");
-  rec_step_.store(u2, w, lo_);
-  const ccspan o = mlfma_->contrast();
-  for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t n) {
-    const cplx* op = o.data() + c * lo_.panel + i0;
-    for (std::size_t r = 0; r < lo_.nrhs; ++r) {
-      const cplx* wp = w.data() + lo_.at(c, r) + i0;
-      cplx* up = u1.data() + lo_.at(c, r) + i0;
-      for (std::size_t i = 0; i < n; ++i) up[i] += op[i] * wp[i];
-    }
-  });
-  project(u1, out);
+  rec_step_.store(u, z, lo_);
+  block_conj(lo_, z, z);
+  project(z, out);
 }
 
 double DbimWorkspace::step_pass_all(ccspan direction) {
@@ -506,16 +494,12 @@ bool DbimStepper::step() {
   // Pass 1+2: residuals and gradient, each as one blocked solve over
   // the illumination set (shared-operator multi-RHS structure). The
   // gradient pass combines across illumination groups (paper Fig. 4,
-  // sync 1).
-  std::fill(grad.begin(), grad.end(), cplx{});
+  // sync 1). An iteration that meets the residual tolerance stops after
+  // its residual pass: its gradient would go unused.
   double cost;
   {
     FFW_TRACE_SPAN("dbim.residual_pass", iter);
     cost = ws.residual_pass_all(residuals_);
-  }
-  {
-    FFW_TRACE_SPAN("dbim.gradient_pass", iter);
-    ws.gradient_pass_all(residuals_, grad);
   }
   const double relres = std::sqrt(cost / ws.measurement_norm2());
   out.history.relative_residual.push_back(relres);
@@ -523,6 +507,11 @@ bool DbimStepper::step() {
   if (opts.residual_tol > 0.0 && relres < opts.residual_tol) {
     done_ = true;
     return false;
+  }
+  std::fill(grad.begin(), grad.end(), cplx{});
+  {
+    FFW_TRACE_SPAN("dbim.gradient_pass", iter);
+    ws.gradient_pass_all(residuals_, grad);
   }
 
   // Tikhonov term: grad(lambda ||O||^2) = lambda * O (Wirtinger

@@ -2,32 +2,38 @@
 // (Fig. 4, Sec. VI-B).
 //
 // Minimises Phi(O) = sum_t || phi_t^sca(O) - phi_t^mea ||^2 with
-// nonlinear conjugate-gradient steps. Each iteration costs three forward
-// solutions per transmitter:
+// nonlinear conjugate-gradient steps. Each iteration costs three block
+// solves over the transmitters, one per pass, and no bare G0 apply:
 //   1. residual pass     — solve (E1) for phi_b,t, evaluate (E2);
-//   2. gradient pass     — adjoint Frechet solve (E3/E4), summed over t;
-//   3. step-length pass  — F_t d solves (E3/E5) for the quadratic fit
+//   2. gradient pass     — F_t^H solve (E3/E4), summed over t;
+//   3. step-length pass  — F_t d solve (E3/E5) for the quadratic fit
 //      alpha* = -Re<grad, d> / sum_t ||F_t d||^2  (paper eq. 5 when
 //      d = -grad).
+// The iteration that meets DbimOptions::residual_tol runs the residual
+// pass only, so a run that stops there at iteration k costs
+// T (3k - 2) forward solutions.
 //
 // The Frechet operator F_t (paper Sec. VI-C) behind passes 2 and 3: at
 // background contrast O_b with background field
 // phi_b,t = [I - G0 O_b]^{-1} phi_inc,t, the derivative of the
 // scattered field at the receivers w.r.t. the contrast is
 //
-//   F_t v  = G_R ( v .* phi_b,t  +  O_b .* w ),
-//   w      = [I - G0 O_b]^{-1} G0 (v .* phi_b,t),
+//   F_t v = G_R ( u + O_b .* [I - G0 O_b]^{-1} G0 u ),  u = v .* phi_b,t,
+//         = G_R [I - O_b G0]^{-1} u.
 //
-// i.e. one *forward* solve per application; the Hermitian transpose is
+// (Eq. (6) in the paper drops the G0 factor inside the braces — a typo;
+// the form above follows from the variational derivation and is
+// validated against finite differences in tests/dbim_frechet_test.cpp.)
+// G0 is complex-symmetric (reciprocity, G0^T = G0) and O_b diagonal, so
+// [I - O_b G0] = [I - G0 O_b]^T, and with A^{-T} x = conj(A^{-H} conj(x)):
 //
-//   F_t^H u = conj(phi_b,t) .* ( g + G0^H [I - G0 O_b]^{-H} (conj(O_b) .* g) ),
-//   g       = G_R^H u,
+//   F_t v   = G_R conj( [I - G0 O_b]^{-H} conj(v .* phi_b,t) ),
+//   F_t^H u = conj( phi_b,t .* [I - G0 O_b]^{-1} conj(G_R^H u) ),
 //
-// one *adjoint* forward solve per application. (Note: eq. (6) in the
-// paper drops the G0 factor inside the braces — a typo; the form above
-// follows from the variational derivation and is validated against
-// finite differences in tests/dbim_frechet_test.cpp.) The passes apply
-// F_t / F_t^H for every transmitter t at once, as block solves.
+// i.e. F_t takes one *adjoint* solve and F_t^H one *forward* solve of the
+// system the residual pass already solves, with its preconditioner and
+// recycler, and neither needs a G0 product outside the solve. The passes
+// apply F_t / F_t^H for every transmitter t at once, as block solves.
 //
 // DbimStepper is the only nonlinear-CG loop and DbimWorkspace the only
 // pass workspace. A workspace holds a share of the pixels and
@@ -84,8 +90,8 @@ struct DbimOptions {
   /// alive for the duration of the call.
   const DbimCheckpoint* resume = nullptr;
   /// Optional Precision::kMixed engine on the same tree (borrowed, not
-  /// owned): when set, every block solve of the inversion — forward,
-  /// adjoint-Frechet and step-length — runs mixed-precision iterative
+  /// owned): when set, every block solve of the inversion — residual,
+  /// gradient and step-length — runs mixed-precision iterative
   /// refinement (forward/refined.hpp) with the fp32 engine doing the
   /// Krylov sweeps and the fp64 engine only the outer residuals.
   MlfmaEngine* mixed_engine = nullptr;
@@ -216,11 +222,12 @@ class DbimWorkspace {
   void set_background(ccspan contrast, bool keep_fields = true);
   /// Residual pass: fills `residuals`, returns sum_t ||b_t||^2.
   double residual_pass_all(cspan residuals);
-  /// Gradient pass: grad_accum += sum_t F_t^H b_t.
+  /// Gradient pass: grad_accum += sum_t F_t^H b_t — one block forward
+  /// solve on conj(G_R^H b_t).
   void gradient_pass_all(ccspan residuals, cspan grad_accum);
   /// Frechet pass: out = F_t d for every transmitter t of the share at the
-  /// background of the latest residual_pass_all — one blocked G0 apply,
-  /// one block forward solve and one panel projection.
+  /// background of the latest residual_pass_all — one block adjoint solve
+  /// on conj(d .* phi_b,t) and one panel projection.
   void frechet_pass_all(ccspan direction, cspan out);
   /// Step pass: returns sum_t ||F_t d||^2.
   double step_pass_all(ccspan direction);
@@ -290,10 +297,10 @@ class DbimWorkspace {
   DbimShare share_;
   BlockLayout lo_;                         // pass-vector layout
   std::span<const std::uint32_t> pixels_;  // this share's natural indices
-  // Backend routing: `active_` answers the block solves and raw G0
-  // panel products of the blocked passes. Defaults to the MLFMA backend;
-  // set_backend may point it at cbs_, and a kAuto fallback points it
-  // back at MLFMA for the rest of the run.
+  // Backend routing: `active_` answers the block solves of the blocked
+  // passes. Defaults to the MLFMA backend; set_backend may point it at
+  // cbs_, and a kAuto fallback points it back at MLFMA for the rest of
+  // the run.
   std::unique_ptr<ForwardBackend> mlfma_;
   std::unique_ptr<CbsEngine> cbs_;
   ForwardBackend* active_ = nullptr;

@@ -7,8 +7,9 @@
 // MLFMA fallback (DbimOptions::backend).
 //
 // Every backend solves the same discrete volume integral equation
-// [I - G0 diag(O)] phi = rhs on multi-RHS panels in its *pass order*, and
-// exposes the raw G0 panel products the Frechet passes need. The
+// [I - G0 diag(O)] phi = rhs and its Hermitian transpose on multi-RHS
+// panels in its *pass order*: the DBIM passes need nothing else (the
+// Frechet passes run on the transposed system, dbim/dbim.hpp). The
 // whole-grid backends (ForwardSolver, CbsEngine) take natural-order
 // (row-major pixel) column-major panels, num_pixels * nrhs; the
 // rank-local PartitionedForwardSolver takes the rank's leaf-blocked
@@ -83,13 +84,6 @@ class ForwardBackend {
   /// Multi-RHS Hermitian-transposed solve [I - G0 O]^H psi_c = rhs_c.
   virtual bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                                    double tol) = 0;
-
-  /// Y_c = G0 * X_c over pass-order panels (raw kernel, no contrast; the
-  /// blocked Frechet passes need it).
-  virtual void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) = 0;
-
-  /// Y_c = G0^H * X_c over pass-order panels.
-  virtual void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) = 0;
 
   virtual const ForwardStats& stats() const = 0;
   virtual void clear_stats() = 0;

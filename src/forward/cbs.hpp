@@ -96,10 +96,10 @@ class CbsEngine final : public ForwardBackend {
   bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                            double tol) override;
 
-  /// Exact (aperiodic) Richmond-kernel products via padded FFT — match
-  /// dense_g0_apply / MLFMA to rounding.
-  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
-  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
+  /// Exact (aperiodic) Richmond-kernel products G0 x and G0^H x via
+  /// padded FFT — match dense_g0_apply / MLFMA to rounding.
+  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs);
+  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs);
 
   /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels,
   /// in fp64: the operator the solves run on, exposed for tests.

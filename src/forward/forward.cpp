@@ -79,9 +79,7 @@ void ForwardSolver::op_block_on(MlfmaEngine& eng, ccspan x, cspan y,
   block_identity_minus(lo, x, y);
 }
 
-template <typename Op>
-void ForwardSolver::natural_panel_op(ccspan x, cspan y, std::size_t nrhs,
-                                     Op&& op) {
+void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs) {
   const std::size_t n = contrast_nat_.size();
   FFW_CHECK(x.size() == n * nrhs && y.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
@@ -89,29 +87,8 @@ void ForwardSolver::natural_panel_op(ccspan x, cspan y, std::size_t nrhs,
   ScratchFrame frame;
   const cspan xb = frame.vec(lo.size()), yb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), x, xb);
-  op(ccspan{xb}, yb, lo);
+  op_block_on(*engine_, xb, yb, lo, /*adjoint=*/false);
   block_unpack_natural(lo, tree.perm(), yb, y);
-}
-
-void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs) {
-  natural_panel_op(x, y, nrhs,
-                   [this](ccspan xb, cspan yb, const BlockLayout& lo) {
-                     op_block_on(*engine_, xb, yb, lo, /*adjoint=*/false);
-                   });
-}
-
-void ForwardSolver::apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) {
-  natural_panel_op(x, y, nrhs,
-                   [this](ccspan xb, cspan yb, const BlockLayout& lo) {
-                     engine_->apply_block(xb, yb, lo.nrhs);
-                   });
-}
-
-void ForwardSolver::apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) {
-  natural_panel_op(x, y, nrhs,
-                   [this](ccspan xb, cspan yb, const BlockLayout& lo) {
-                     engine_->apply_herm_block(xb, yb, lo.nrhs);
-                   });
 }
 
 void ForwardSolver::set_mixed_engine(MlfmaEngine* mixed) {
@@ -260,16 +237,6 @@ void PartitionedForwardSolver::set_contrast(ccspan contrast) {
   stats_.precond_setups.push_back(seconds);
 }
 
-void PartitionedForwardSolver::apply_g0_panel(ccspan x, cspan y,
-                                              std::size_t nrhs) {
-  pm_->apply_block(*comm_, x, y, nrhs, rank_base_);
-}
-
-void PartitionedForwardSolver::apply_g0_herm_panel(ccspan x, cspan y,
-                                                   std::size_t nrhs) {
-  pm_->apply_herm_block(*comm_, x, y, nrhs, rank_base_);
-}
-
 bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
                                      double tol, bool adjoint) {
   const BlockLayout lo{
@@ -289,14 +256,14 @@ bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
       [&](ccspan in, cspan out) {
         if (adjoint) {
           // Y = X - conj(O) .* (G0^H X).
-          apply_g0_herm_panel(in, out, nrhs);
+          pm_->apply_herm_block(*comm_, in, out, nrhs, rank_base_);
           block_identity_minus_conj_diag(lo, contrast_, in, out);
         } else {
           // Y = X - G0 (O .* X).
           ScratchFrame frame;
           const cspan work = frame.vec(lo.size());
           block_diag_mul(lo, contrast_, in, work);
-          apply_g0_panel(work, out, nrhs);
+          pm_->apply_block(*comm_, work, out, nrhs, rank_base_);
           block_identity_minus(lo, in, out);
         }
       },

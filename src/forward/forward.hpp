@@ -70,7 +70,7 @@ class ForwardSolver : public ForwardBackend {
                                     const RefinedOptions& opts = {});
 
   /// Mixed-precision refinement of the Hermitian-transposed system
-  /// [I - G0 O]^H psi = rhs (the adjoint Frechet solves of DBIM run at
+  /// [I - G0 O]^H psi = rhs (the step-length solves of DBIM run at
   /// mixed speed too — G0 is complex-symmetric, so the mixed engine's
   /// conjugated apply serves as the inner adjoint operator).
   RefinedResult solve_adjoint_block_refined(ccspan rhs, cspan psi,
@@ -93,8 +93,6 @@ class ForwardSolver : public ForwardBackend {
                    double tol) override;
   bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                            double tol) override;
-  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
-  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
 
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
@@ -110,9 +108,6 @@ class ForwardSolver : public ForwardBackend {
   void op_block_on(MlfmaEngine& eng, ccspan x, cspan y, const BlockLayout& lo,
                    bool adjoint);
   BlockLayout block_layout(std::size_t nrhs) const;
-  /// Y = op(X) on natural-order panels through the block layout.
-  template <typename Op>
-  void natural_panel_op(ccspan x, cspan y, std::size_t nrhs, Op&& op);
   // `tol` overrides the configured tolerance for this call (0 keeps it).
   BlockBicgstabResult block_solve(ccspan rhs, cspan x, std::size_t nrhs,
                                   double tol, bool adjoint);
@@ -161,8 +156,6 @@ class PartitionedForwardSolver final : public ForwardBackend {
                    double tol) override;
   bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                            double tol) override;
-  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) override;
-  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) override;
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
 

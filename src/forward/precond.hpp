@@ -38,7 +38,7 @@ class Preconditioner {
   virtual void apply(ccspan x, cspan z, const BlockLayout& lo) const = 0;
 
   /// z = M^{-H} x — the right preconditioner of the Hermitian-transposed
-  /// (adjoint Frechet) system.
+  /// system (the DBIM step-length solves).
   virtual void apply_herm(ccspan x, cspan z, const BlockLayout& lo) const = 0;
 
   /// Factor storage (memory census).

@@ -6,10 +6,10 @@ namespace ffw {
 
 namespace {
 
-/// y[i] = (ConjD ? conj(d[i]) : d[i]) * x[i], or, with SubFromX,
-/// y[i] = x[i] - conj(d[i]) * y[i]; n entries, on the interleaved re/im
-/// components so the loop vectorises.
-template <bool ConjD, bool SubFromX>
+/// y[i] = d[i] * x[i], or, with AdjointClose, y[i] = x[i] - conj(d[i]) *
+/// y[i]; n entries, on the interleaved re/im components so the loop
+/// vectorises.
+template <bool AdjointClose>
 inline void diag_panel(std::size_t n, const cplx* d, const cplx* x, cplx* y) {
   const double* ds = reinterpret_cast<const double*>(d);
   const double* xs = reinterpret_cast<const double*>(x);
@@ -18,25 +18,25 @@ inline void diag_panel(std::size_t n, const cplx* d, const cplx* x, cplx* y) {
 #pragma omp simd
 #endif
   for (std::size_t i = 0; i < 2 * n; i += 2) {
-    const double dr = ds[i], di = ConjD ? -ds[i + 1] : ds[i + 1];
-    const double vr = SubFromX ? ys[i] : xs[i];
-    const double vi = SubFromX ? ys[i + 1] : xs[i + 1];
+    const double dr = ds[i], di = AdjointClose ? -ds[i + 1] : ds[i + 1];
+    const double vr = AdjointClose ? ys[i] : xs[i];
+    const double vi = AdjointClose ? ys[i + 1] : xs[i + 1];
     const double pr = dr * vr - di * vi, pi = dr * vi + di * vr;
-    ys[i] = SubFromX ? xs[i] - pr : pr;
-    ys[i + 1] = SubFromX ? xs[i + 1] - pi : pi;
+    ys[i] = AdjointClose ? xs[i] - pr : pr;
+    ys[i + 1] = AdjointClose ? xs[i + 1] - pi : pi;
   }
 }
 
 /// Applies diag_panel to every column of the block (chunk-parallel).
-template <bool ConjD, bool SubFromX>
+template <bool AdjointClose>
 void diag_block(const BlockLayout& lo, ccspan d, ccspan x, cspan y) {
   FFW_CHECK(d.size() == lo.rows() && x.size() == lo.size() &&
             y.size() == lo.size());
   for_panel_parts(lo, [&](std::size_t c, std::size_t i, std::size_t n) {
     const cplx* dp = d.data() + c * lo.panel + i;
     for (std::size_t r = 0; r < lo.nrhs; ++r)
-      diag_panel<ConjD, SubFromX>(n, dp, x.data() + lo.at(c, r) + i,
-                                  y.data() + lo.at(c, r) + i);
+      diag_panel<AdjointClose>(n, dp, x.data() + lo.at(c, r) + i,
+                               y.data() + lo.at(c, r) + i);
   });
 }
 
@@ -110,11 +110,7 @@ void block_conj(const BlockLayout& lo, ccspan x, cspan y) {
 }
 
 void block_diag_mul(const BlockLayout& lo, ccspan d, ccspan x, cspan y) {
-  diag_block<false, false>(lo, d, x, y);
-}
-
-void block_diag_mul_conj(const BlockLayout& lo, ccspan d, ccspan x, cspan y) {
-  diag_block<true, false>(lo, d, x, y);
+  diag_block<false>(lo, d, x, y);
 }
 
 void block_identity_minus(const BlockLayout& lo, ccspan x, cspan y) {
@@ -126,7 +122,7 @@ void block_identity_minus(const BlockLayout& lo, ccspan x, cspan y) {
 
 void block_identity_minus_conj_diag(const BlockLayout& lo, ccspan d,
                                     ccspan x, cspan y) {
-  diag_block<true, true>(lo, d, x, y);
+  diag_block<true>(lo, d, x, y);
 }
 
 void block_pack_natural(const BlockLayout& lo,

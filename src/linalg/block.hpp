@@ -177,9 +177,6 @@ void block_col_set(const BlockLayout& lo, cspan x, std::size_t r, ccspan in);
 /// length lo.rows() in the same (panel-contiguous) row order.
 void block_diag_mul(const BlockLayout& lo, ccspan d, ccspan x, cspan y);
 
-/// y_{r} = conj(d) .* x_{r} for every column.
-void block_diag_mul_conj(const BlockLayout& lo, ccspan d, ccspan x, cspan y);
-
 /// y = x - y over the whole block (chunk-parallel): the closing step of
 /// an [I - G0 O] apply once y holds G0 O x.
 void block_identity_minus(const BlockLayout& lo, ccspan x, cspan y);

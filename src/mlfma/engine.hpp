@@ -69,7 +69,7 @@ class MlfmaEngine {
   void apply(ccspan x, cspan y);
 
   /// y = G0^H * x. G0 is complex-symmetric (reciprocity), so
-  /// G0^H x = conj(G0 conj(x)); used by the adjoint Frechet operator.
+  /// G0^H x = conj(G0 conj(x)); used by the adjoint solves.
   void apply_herm(ccspan x, cspan y);
 
   /// Multi-RHS apply: Y_r = G0 * X_r for all nrhs columns at once. X and

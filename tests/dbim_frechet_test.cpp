@@ -1,9 +1,12 @@
 // Frechet operator validation on the blocked DBIM passes: directional
 // finite differences of the exact nonlinear forward map, the adjoint
-// inner-product identity, and the Born limit. This is the part where the
-// paper's eq. (6) typo would bite — the tests pin the correct
-// variational form (dbim/dbim.hpp). The first two also run on every rank
-// of partitioned illumination x sub-tree windows.
+// inner-product identity, and the Born limit, on the MLFMA and the FFT
+// backend. This is the part where the paper's eq. (6) typo would bite —
+// the tests pin the correct variational form (dbim/dbim.hpp). The first
+// two also run on every rank of partitioned illumination x sub-tree
+// windows. Both passes run on the transposed system, which rests on the
+// complex symmetry of G0 (x^T G0 y = y^T G0 x); the G0Symmetry tests
+// check it on every engine.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -32,11 +35,13 @@ struct FrechetFixture {
     contrast = contrast_from_permittivity(grid, de);
   }
 
-  /// Workspace whose every block solve runs to 1e-11.
-  std::unique_ptr<DbimWorkspace> workspace() {
+  /// Workspace on `backend` whose every block solve runs to 1e-11.
+  std::unique_ptr<DbimWorkspace> workspace(BackendKind backend) {
     BicgstabOptions opts;
     opts.tol = 1e-11;
-    return std::make_unique<DbimWorkspace>(engine, trx, measured, opts);
+    auto ws = std::make_unique<DbimWorkspace>(engine, trx, measured, opts);
+    if (backend != BackendKind::kMlfma) ws->set_backend(backend, CbsOptions{});
+    return ws;
   }
 
   /// Runs check(ws, comm) on every rank of an illum_groups x tree_ranks
@@ -65,14 +70,16 @@ cvec scattered_fields(DbimWorkspace& ws, ccspan contrast) {
   return out;
 }
 
-TEST(Frechet, MatchesCentralFiniteDifference) {
+class Frechet : public ::testing::TestWithParam<BackendKind> {};
+
+TEST_P(Frechet, MatchesCentralFiniteDifference) {
   FrechetFixture s;
   const std::size_t n = s.grid.num_pixels();
   Rng rng(41);
   cvec v(n);
   rng.fill_cnormal(v);
 
-  const auto ws = s.workspace();
+  const auto ws = s.workspace(GetParam());
   scattered_fields(*ws, s.contrast);
   cvec fv(ws->residual_size());
   ws->frechet_pass_all(v, fv);
@@ -93,10 +100,10 @@ TEST(Frechet, MatchesCentralFiniteDifference) {
   EXPECT_LT(rel_l2_diff(fv, fd), 1e-5);
 }
 
-TEST(Frechet, AdjointInnerProductIdentity) {
+TEST_P(Frechet, AdjointInnerProductIdentity) {
   FrechetFixture s;
   const std::size_t n = s.grid.num_pixels();
-  const auto ws = s.workspace();
+  const auto ws = s.workspace(GetParam());
   Rng rng(43);
   cvec v(n), u(ws->residual_size());
   rng.fill_cnormal(v);
@@ -113,7 +120,7 @@ TEST(Frechet, AdjointInnerProductIdentity) {
 
 // At zero background the Frechet operator reduces to the Born operator
 // G_R diag(phi_inc,t) for every transmitter.
-TEST(Frechet, ReducesToBornAtZeroBackground) {
+TEST_P(Frechet, ReducesToBornAtZeroBackground) {
   FrechetFixture s;
   const std::size_t n = s.grid.num_pixels();
   const std::size_t tc = static_cast<std::size_t>(s.trx.num_transmitters());
@@ -121,7 +128,7 @@ TEST(Frechet, ReducesToBornAtZeroBackground) {
   cvec v(n);
   rng.fill_cnormal(v);
 
-  const auto ws = s.workspace();
+  const auto ws = s.workspace(GetParam());
   scattered_fields(*ws, cvec(n, cplx{}));  // free space: phi_b == phi_inc
   cvec fv(ws->residual_size());
   ws->frechet_pass_all(v, fv);
@@ -134,6 +141,13 @@ TEST(Frechet, ReducesToBornAtZeroBackground) {
   s.trx.apply_gr(vphi, born, tc);
   EXPECT_LT(rel_l2_diff(fv, born), 1e-8);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, Frechet,
+                         ::testing::Values(BackendKind::kMlfma,
+                                           BackendKind::kCbs),
+                         [](const auto& info) {
+                           return std::string(backend_name(info.param));
+                         });
 
 // The same two checks on partitioned windows: each rank's Frechet pass
 // covers its illumination group's transmitters over its pixel slice.
@@ -206,6 +220,77 @@ TEST_P(FrechetWindow, AdjointInnerProductIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, FrechetWindow,
                          ::testing::Values(std::pair{1, 2}, std::pair{2, 2}));
+
+/// x^T y, unconjugated.
+cplx dotu(ccspan x, ccspan y) {
+  cplx s{};
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
+  return s;
+}
+
+/// |x^T G0 y - y^T G0 x| / |x^T G0 y| from the two bilinear forms.
+double symmetry_defect(cplx xgy, cplx ygx) {
+  return std::abs(xgy - ygx) / std::abs(xgy);
+}
+
+/// The symmetry defect of `apply` (y = G0 x over whole vectors of
+/// length n) for random x and y.
+template <typename Apply>
+double g0_symmetry_defect(std::size_t n, Apply&& apply) {
+  Rng rng(47);
+  cvec x(n), y(n), gx(n), gy(n);
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(y);
+  apply(ccspan{x}, cspan{gx});
+  apply(ccspan{y}, cspan{gy});
+  return symmetry_defect(dotu(x, gy), dotu(y, gx));
+}
+
+TEST(G0Symmetry, SerialMlfma) {
+  FrechetFixture s;
+  const auto apply = [&](ccspan x, cspan y) { s.engine.apply(x, y); };
+  EXPECT_LT(g0_symmetry_defect(s.grid.num_pixels(), apply), 1e-12);
+}
+
+TEST(G0Symmetry, MixedPrecisionMlfma) {
+  FrechetFixture s;
+  MlfmaParams params;
+  params.precision = Precision::kMixed;
+  MlfmaEngine mixed(s.tree, params);
+  const auto apply = [&](ccspan x, cspan y) { mixed.apply(x, y); };
+  EXPECT_LT(g0_symmetry_defect(s.grid.num_pixels(), apply), 2e-5);
+}
+
+TEST(G0Symmetry, PaddedFft) {
+  FrechetFixture s;
+  CbsEngine cbs(s.grid);
+  const auto apply = [&](ccspan x, cspan y) { cbs.apply_g0_panel(x, y, 1); };
+  EXPECT_LT(g0_symmetry_defect(s.grid.num_pixels(), apply), 1e-12);
+}
+
+// The partitioned engine on a 1 x 2 window: each tree rank holds its
+// slice of x and y, and the bilinear forms sum over the slices.
+TEST(G0Symmetry, PartitionedMlfma) {
+  FrechetFixture s;
+  const PartitionedMlfma pm(s.tree, MlfmaParams{}, 2);
+  std::vector<double> defect(2, 1.0);
+  VCluster vc(2);
+  vc.run([&](Comm& comm) {
+    const std::size_t n = pm.local_pixels(comm.rank());
+    Rng rng(static_cast<std::uint64_t>(47 + comm.rank()));
+    cvec x(n), y(n), gx(n), gy(n);
+    rng.fill_cnormal(x);
+    rng.fill_cnormal(y);
+    pm.apply(comm, x, gx);
+    pm.apply(comm, y, gy);
+    cplx forms[2] = {dotu(x, gy), dotu(y, gx)};
+    comm.allreduce_sum(cspan{forms, 2});
+    defect[static_cast<std::size_t>(comm.rank())] =
+        symmetry_defect(forms[0], forms[1]);
+  });
+  for (std::size_t r = 0; r < defect.size(); ++r)
+    EXPECT_LT(defect[r], 1e-12) << "rank " << r;
+}
 
 }  // namespace
 }  // namespace ffw

@@ -90,6 +90,30 @@ TEST(Dbim, EarlyStopOnResidualTol) {
   EXPECT_LT(res.history.relative_residual.back(), 0.2);
 }
 
+// Every MLFMA application of a run belongs to one of its block solves
+// (the Frechet passes make no bare G0 apply), and the iteration that
+// meets residual_tol stops after its residual pass: a run that stops at
+// iteration k costs T (3k - 2) forward solves.
+TEST(Dbim, CountsEveryOperatorApplicationAndSkipsTheConvergedGradient) {
+  ScenarioConfig cfg = small_config();
+  cfg.num_transmitters = 4;
+  Grid grid(cfg.nx);
+  Scenario scene(cfg,
+                 gaussian_blob(grid, Vec2{0.0, 0.0}, 0.6, cplx{0.004, 0.0}));
+  DbimOptions opts;
+  opts.max_iterations = 30;
+  opts.residual_tol = 0.2;
+  scene.engine().clear_phase_times();
+  const DbimResult res = dbim_reconstruct(
+      scene.engine(), scene.transceivers(), scene.measurements(), opts);
+  const std::size_t k = res.history.relative_residual.size();
+  ASSERT_GE(k, 2u);
+  ASSERT_LT(k, 30u);
+  EXPECT_EQ(res.history.forward_solves, 4 * (3 * k - 2));
+  EXPECT_EQ(res.history.operator_applications,
+            scene.engine().phase_times().applications);
+}
+
 TEST(Dbim, WarmStartFromTruthConvergesImmediately) {
   ScenarioConfig cfg = small_config();
   cfg.num_transmitters = 4;
