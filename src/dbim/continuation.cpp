@@ -1,9 +1,9 @@
 #include "dbim/continuation.hpp"
 
 #include <cmath>
-#include <memory>
+#include <limits>
+#include <utility>
 
-#include "common/timer.hpp"
 #include "phantom/resample.hpp"
 
 namespace ffw {
@@ -94,23 +94,12 @@ StageStop continuation_stop_reason(const std::vector<double>& residuals,
   return StageStop::kDegenerate;
 }
 
-DbimResult continuation_run_band(DbimStepper& stepper,
-                                 const FrequencyBand& band) {
-  // The plateau test runs after each completed step (the update
-  // included), so every driver cuts the band at the identical state.
-  std::vector<double> residuals;
-  while (!stepper.done()) {
-    stepper.step();
-    residuals.push_back(stepper.last_residual());
-    if (continuation_plateau(residuals, band.plateau_window,
-                             band.plateau_rtol)) {
-      break;
-    }
-  }
-  return stepper.result();
-}
-
 namespace {
+
+double k2_of(int nx) {
+  const Grid grid(nx);
+  return grid.k0() * grid.k0();
+}
 
 /// Fingerprint array guarding stage checkpoints against a resume under
 /// a different ladder (which would silently change the trajectory).
@@ -126,18 +115,6 @@ cvec ladder_fingerprint(const FrequencyLadder& ladder, int final_nx) {
 }
 
 }  // namespace
-
-void continuation_checkpoint_save(const std::string& path,
-                                  const FrequencyLadder& ladder, int final_nx,
-                                  int completed_stages, int prev_nx,
-                                  ccspan contrast) {
-  Checkpoint ck;
-  ck.put("ladder", ladder_fingerprint(ladder, final_nx));
-  ck.put_scalar("stage", static_cast<double>(completed_stages));
-  ck.put_scalar("prev_nx", static_cast<double>(prev_nx));
-  ck.put("contrast", contrast);
-  FFW_CHECK_MSG(ck.save(path), "continuation: stage checkpoint save failed");
-}
 
 bool continuation_checkpoint_load(const std::string& path,
                                   const FrequencyLadder& ladder, int final_nx,
@@ -160,13 +137,126 @@ bool continuation_checkpoint_load(const std::string& path,
   return true;
 }
 
-ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
-                                            ccspan true_permittivity,
-                                            const FrequencyLadder& ladder,
-                                            const ContinuationOptions& options) {
+LadderStepper::LadderStepper(FrequencyLadder ladder, int final_nx,
+                             DbimOptions base, LadderBandFactory factory,
+                             std::string checkpoint_path)
+    : ladder_(std::move(ladder)),
+      final_nx_(final_nx),
+      base_(std::move(base)),
+      factory_(std::move(factory)),
+      checkpoint_path_(std::move(checkpoint_path)),
+      last_residual_(std::numeric_limits<double>::quiet_NaN()) {}
+
+void LadderStepper::seed(int first, cvec contrast, int nx) {
+  FFW_CHECK(!run_ && first >= 0 &&
+            first <= static_cast<int>(ladder_.bands.size()));
+  band_ = first;
+  last_.contrast = std::move(contrast);
+  last_nx_ = nx;
+}
+
+int LadderStepper::iterations() const {
+  int n = run_ ? run_->stepper->iteration() : 0;
+  for (const StageReport& rep : stages_) n += rep.iterations;
+  return n;
+}
+
+bool LadderStepper::step() {
+  if (done()) return false;
+  const FrequencyBand& band = ladder_.bands[static_cast<std::size_t>(band_)];
+  const int nx = ladder_.band_nx(static_cast<std::size_t>(band_), final_nx_);
+  if (!run_) {
+    band_timer_.reset();
+    DbimOptions opts = base_;
+    opts.max_iterations = band.max_iterations;
+    opts.residual_tol = band.residual_tol;
+    const cvec warm = last_.contrast.empty()
+                          ? cvec{}
+                          : continuation_warm_start(last_.contrast, last_nx_,
+                                                    nx, k2_of(last_nx_),
+                                                    k2_of(nx));
+    run_ = factory_(band_, opts, warm);
+    setup_seconds_ = band_timer_.seconds();
+  }
+  DbimStepper& stepper = *run_->stepper;
+  if (!stepper.done()) {
+    stepper.step();
+    last_residual_ = stepper.last_residual();
+  }
+  // The plateau test runs after each completed step (the update
+  // included), so every ladder cuts the band at the identical state.
+  if (!stepper.done() &&
+      !continuation_plateau(stepper.history().relative_residual,
+                            band.plateau_window, band.plateau_rtol)) {
+    return true;
+  }
+
+  // Hand-off: report the band, release its runtime, keep its raw result.
+  DbimResult res = stepper.result();
+  StageReport rep;
+  rep.band = band_;
+  rep.nx = nx;
+  rep.k0 = Grid(nx).k0();
+  rep.iterations = stepper.iteration();
+  rep.stop = continuation_stop_reason(res.history.relative_residual, band);
+  if (!run_->true_contrast.empty())
+    rep.rmse = image_rmse(res.contrast, run_->true_contrast);
+  rep.history = res.history;
+  rep.setup_seconds = setup_seconds_;
+  run_.reset();
+  last_ = std::move(res);
+  last_nx_ = nx;
+  if (!checkpoint_path_.empty()) {
+    Checkpoint ck;  // read back by continuation_checkpoint_load
+    ck.put("ladder", ladder_fingerprint(ladder_, final_nx_));
+    ck.put_scalar("stage", static_cast<double>(band_ + 1));
+    ck.put_scalar("prev_nx", static_cast<double>(nx));
+    ck.put("contrast", last_.contrast);
+    FFW_CHECK_MSG(ck.save(checkpoint_path_),
+                  "continuation: stage checkpoint save failed");
+  }
+  rep.seconds = band_timer_.seconds();
+  stages_.push_back(std::move(rep));
+  ++band_;
+  return !done();
+}
+
+cvec LadderStepper::permittivity() const {
+  const double k2 = k2_of(last_nx_);
+  cvec eps(last_.contrast.size());
+  for (std::size_t i = 0; i < eps.size(); ++i) eps[i] = last_.contrast[i] / k2;
+  for (int cur = last_nx_; cur < final_nx_; cur *= 2) eps = upsample2(eps, cur);
+  return eps;
+}
+
+DbimResult LadderStepper::result() {
+  if (!run_) return std::move(last_);
+  DbimResult partial = run_->stepper->result();
+  run_.reset();
+  return partial;
+}
+
+std::pair<ScenarioConfig, cvec> continuation_band(
+    const ScenarioConfig& config, ccspan true_permittivity,
+    const FrequencyLadder& ladder, int s, bool per_stage_noise_seeds) {
+  const FrequencyBand& band = ladder.bands[static_cast<std::size_t>(s)];
+  ScenarioConfig band_config = config;
+  band_config.nx = config.nx >> band.halvings;
+  if (per_stage_noise_seeds)
+    band_config.noise_seed = mix_seed(config.noise_seed,
+                                      static_cast<std::uint64_t>(s));
+  cvec eps(true_permittivity.begin(), true_permittivity.end());
+  for (int cur = config.nx; cur > band_config.nx; cur /= 2)
+    eps = downsample2(eps, cur);
+  return {band_config, std::move(eps)};
+}
+
+LadderStepper continuation_ladder(const ScenarioConfig& config,
+                                  ccspan true_permittivity,
+                                  const FrequencyLadder& ladder,
+                                  const ContinuationOptions& options) {
   ladder.validate(config.nx);
-  const Grid final_grid(config.nx);
-  FFW_CHECK(true_permittivity.size() == final_grid.num_pixels());
+  FFW_CHECK(true_permittivity.size() == Grid(config.nx).num_pixels());
   // Per-scene pointers cannot mean anything across a multi-grid ladder
   // — the driver wires per-band engines and checkpoints itself.
   FFW_CHECK_MSG(options.dbim.mixed_engine == nullptr,
@@ -176,94 +266,64 @@ ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
                 "continuation: per-band DBIM resume/checkpoint hooks are "
                 "owned by the ladder (use checkpoint_path)");
 
-  ContinuationResult out;
-  const int nbands = static_cast<int>(ladder.bands.size());
-  cvec contrast_prev;  // raw result of the last completed band
-  int prev_nx = 0;
-  double k2_prev = 0.0;
-  int first = 0;
-  if (options.resume_from_checkpoint && !options.checkpoint_path.empty() &&
-      continuation_checkpoint_load(options.checkpoint_path, ladder, config.nx,
-                                   &first, &prev_nx, &contrast_prev)) {
-    k2_prev = Grid(prev_nx).k0() * Grid(prev_nx).k0();
-  }
-  out.first_stage = first;
-
-  for (int s = first; s < nbands; ++s) {
-    const FrequencyBand& band = ladder.bands[s];
-    const int nx = config.nx >> band.halvings;
-
-    // Object at this band's frequency: box-filtered truth.
-    cvec eps_stage(true_permittivity.begin(), true_permittivity.end());
-    for (int h = 0, cur = config.nx; h < band.halvings; ++h, cur /= 2)
-      eps_stage = downsample2(eps_stage, cur);
-
-    ScenarioConfig stage_config = config;
-    stage_config.nx = nx;
-    if (options.per_stage_noise_seeds)
-      stage_config.noise_seed = mix_seed(config.noise_seed,
-                                         static_cast<std::uint64_t>(s));
-
-    Timer stage_timer;
-    Scenario scene(stage_config, eps_stage);
-    const double setup_seconds = stage_timer.seconds();
-    const Grid& grid = scene.grid();
-    const double k2 = grid.k0() * grid.k0();
-
-    cvec guess;
-    if (!contrast_prev.empty())
-      guess = continuation_warm_start(contrast_prev, prev_nx, nx, k2_prev, k2);
-
-    DbimOptions opts = options.dbim;
-    opts.max_iterations = band.max_iterations;
-    opts.residual_tol = band.residual_tol;
-    if (config.table_cache != nullptr) opts.table_cache = config.table_cache;
+  struct SerialBand {
+    SerialBand(const ScenarioConfig& c, cvec eps) : scene(c, std::move(eps)) {}
+    Scenario scene;
     std::unique_ptr<MlfmaEngine> mixed;
-    if (options.mixed_precision) {
-      MlfmaParams mp = stage_config.mlfma;
-      mp.precision = Precision::kMixed;
-      mixed = config.table_cache != nullptr
-                  ? std::make_unique<MlfmaEngine>(config.table_cache->
-                        mlfma_tables(grid, stage_config.leaf_pixel_side, mp))
-                  : std::make_unique<MlfmaEngine>(scene.tree(), mp);
-      opts.mixed_engine = mixed.get();
-    }
+  };
+  LadderBandFactory factory =
+      [config, true_permittivity, ladder,
+       mixed_precision = options.mixed_precision,
+       seeds = options.per_stage_noise_seeds](
+          int s, const DbimOptions& opts, ccspan warm_start) {
+        auto [band_config, eps] =
+            continuation_band(config, true_permittivity, ladder, s, seeds);
+        auto rt = std::make_shared<SerialBand>(band_config, std::move(eps));
+        Scenario& scene = rt->scene;
+        DbimOptions band_opts = opts;
+        if (mixed_precision) {
+          MlfmaParams mp = band_config.mlfma;
+          mp.precision = Precision::kMixed;
+          rt->mixed = config.table_cache != nullptr
+                          ? std::make_unique<MlfmaEngine>(
+                                config.table_cache->mlfma_tables(
+                                    scene.grid(), band_config.leaf_pixel_side,
+                                    mp))
+                          : std::make_unique<MlfmaEngine>(scene.tree(), mp);
+          band_opts.mixed_engine = rt->mixed.get();
+        }
+        LadderBand out;
+        out.stepper = std::make_unique<DbimStepper>(
+            scene.engine(), scene.transceivers(), scene.measurements(),
+            band_opts, config.forward, warm_start);
+        out.true_contrast = scene.true_contrast();
+        out.resources = std::move(rt);
+        return out;
+      };
+  DbimOptions base = options.dbim;
+  if (config.table_cache != nullptr) base.table_cache = config.table_cache;
+  return LadderStepper(ladder, config.nx, std::move(base), std::move(factory),
+                       options.checkpoint_path);
+}
 
-    DbimStepper stepper(scene.engine(), scene.transceivers(),
-                        scene.measurements(), opts, config.forward, guess);
-    DbimResult res = continuation_run_band(stepper, band);
-
-    StageReport rep;
-    rep.band = s;
-    rep.nx = nx;
-    rep.k0 = grid.k0();
-    rep.iterations = stepper.iteration();
-    rep.stop = continuation_stop_reason(res.history.relative_residual, band);
-    rep.rmse = image_rmse(res.contrast, scene.true_contrast());
-    rep.history = std::move(res.history);
-    rep.setup_seconds = setup_seconds;
-    rep.seconds = stage_timer.seconds();
-    out.stages.push_back(std::move(rep));
-
-    contrast_prev = std::move(res.contrast);
-    prev_nx = nx;
-    k2_prev = k2;
-    if (!options.checkpoint_path.empty()) {
-      continuation_checkpoint_save(options.checkpoint_path, ladder, config.nx,
-                                   s + 1, prev_nx, contrast_prev);
-    }
-    if (options.stop_after_stage == s) {
-      out.completed = false;
-      break;
-    }
+ContinuationResult continuation_reconstruct(const ScenarioConfig& config,
+                                            ccspan true_permittivity,
+                                            const FrequencyLadder& ladder,
+                                            const ContinuationOptions& options) {
+  LadderStepper stepper =
+      continuation_ladder(config, true_permittivity, ladder, options);
+  ContinuationResult out;
+  int prev_nx = 0;
+  cvec contrast_prev;  // stays empty (a cold start) unless resumed
+  if (options.resume_from_checkpoint && !options.checkpoint_path.empty()) {
+    continuation_checkpoint_load(options.checkpoint_path, ladder, config.nx,
+                                 &out.first_stage, &prev_nx, &contrast_prev);
   }
-
-  cvec eps(contrast_prev.size());
-  for (std::size_t i = 0; i < eps.size(); ++i)
-    eps[i] = contrast_prev[i] / k2_prev;
-  for (int cur = prev_nx; cur < config.nx; cur *= 2)
-    eps = upsample2(eps, cur);
-  out.permittivity = std::move(eps);
+  stepper.seed(out.first_stage, std::move(contrast_prev), prev_nx);
+  while (stepper.step()) {
+  }
+  out.stages = stepper.stages();
+  out.permittivity = stepper.permittivity();
   return out;
 }
 

@@ -19,14 +19,21 @@
 // *plateau* (no meaningful progress over a trailing window; the natural
 // criterion for "this band has given all it can at its resolution"), or
 // an iteration cap (with the other two off, a band is a plain
-// fixed-iteration stage) — and the stage index is checkpointed so a crash mid-ladder resumes bit-identically
-// (tests/multifrequency_test.cpp). The band dimension is also a
-// parallel axis: dbim/continuation_parallel.hpp runs the same ladder
-// over band groups of a VCluster.
+// fixed-iteration stage). LadderStepper is the one band loop, shared by
+// the serial driver below, the band-parallel driver
+// (dbim/continuation_parallel.hpp) and service jobs
+// (service/service.hpp). The stage index is checkpointed so a crash
+// mid-ladder resumes bit-identically (tests/multifrequency_test.cpp).
 #pragma once
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
+#include "common/timer.hpp"
 #include "dbim/dbim.hpp"
 #include "phantom/setup.hpp"
 
@@ -86,6 +93,8 @@ struct StageReport {
   int band = 0;
   int nx = 0;
   double k0 = 0.0;
+  /// CG updates (DbimStepper::iteration()): one less than the residual
+  /// count when residual_tol stopped the band.
   int iterations = 0;
   StageStop stop = StageStop::kIterations;
   /// Image RMSE vs the (box-filtered) truth on this band's grid.
@@ -96,9 +105,9 @@ struct StageReport {
 };
 
 struct ContinuationOptions {
-  /// Base DBIM options threaded into every band. The driver overrides
-  /// only the per-band stopping fields (max_iterations, residual_tol),
-  /// the table cache and the incident panel; everything else — backend
+  /// Base DBIM options threaded into every band. The ladder overrides
+  /// only the per-band stopping fields (max_iterations, residual_tol)
+  /// and the table cache; everything else — backend
   /// routing (kAuto/CBS), adaptive forcing, regularization, recycling —
   /// applies inside every band exactly as configured. Per-scene
   /// pointers (mixed_engine, resume, checkpoint callback) must be
@@ -120,22 +129,15 @@ struct ContinuationOptions {
   /// unfinished band — bit-identical to the uninterrupted run.
   std::string checkpoint_path;
   bool resume_from_checkpoint = false;
-  /// Test hook: abandon the ladder after this band completes (and after
-  /// its checkpoint is saved), simulating a crash mid-ladder. -1 = off.
-  int stop_after_stage = -1;
 };
 
 struct ContinuationResult {
-  /// Reconstructed delta_eps on the final grid. When stop_after_stage
-  /// cut the ladder short this is the last completed band's image
-  /// upsampled — a valid (coarse) reconstruction, flagged by
-  /// `completed` = false.
+  /// Reconstructed delta_eps on the final grid.
   cvec permittivity;
   /// Reports for the bands this call actually ran (a resumed call
   /// reports only the bands it resumed; `first_stage` says where).
   std::vector<StageReport> stages;
   int first_stage = 0;
-  bool completed = true;
 };
 
 /// True when `residuals` shows less than `rtol` relative improvement
@@ -147,39 +149,95 @@ bool continuation_plateau(const std::vector<double>& residuals, int window,
 /// result. Equal resolution: the raw contrast verbatim — bit-exact, no
 /// (divide by k2, multiply by k2) round trip. Coarser to finer:
 /// delta_eps = contrast / k2_prev, bilinear upsample, scale by k2_next.
-/// Shared by the serial continuation driver, the band-parallel driver
-/// and the service's band jobs, so every path derives identical warm
-/// starts.
+/// LadderStepper derives every warm start through it.
 cvec continuation_warm_start(ccspan contrast_prev, int prev_nx, int nx,
                              double k2_prev, double k2_next);
 
 /// Classifies why a band's DBIM loop ended, from its residual history
-/// and stopping parameters — a pure function of the history, so the
-/// serial and band-parallel drivers always agree.
+/// and stopping parameters — a pure function of the history.
 StageStop continuation_stop_reason(const std::vector<double>& residuals,
                                    const FrequencyBand& band);
 
-/// Runs one band's DBIM: steps `stepper` (built with the band's
-/// max_iterations and residual_tol) until it is done or the band's
-/// residual plateaus, and returns its result. The one band loop of the
-/// serial driver, the band-parallel driver (single- and multi-rank band
-/// groups alike) and hence every ladder path.
-DbimResult continuation_run_band(DbimStepper& stepper,
-                                 const FrequencyBand& band);
-
-/// Stage-level checkpoint round trip (shared by the serial and
-/// band-parallel drivers): atomically records that `completed_stages`
-/// bands are done with raw result `contrast` on a prev_nx grid, guarded
-/// by a ladder fingerprint. Load returns false when the file is absent
-/// or malformed and aborts when it belongs to a different ladder.
-void continuation_checkpoint_save(const std::string& path,
-                                  const FrequencyLadder& ladder, int final_nx,
-                                  int completed_stages, int prev_nx,
-                                  ccspan contrast);
+/// Reads the stage checkpoint a LadderStepper saves atomically after
+/// every band: `completed_stages` bands are done with raw result
+/// `contrast` on a prev_nx grid, guarded by a ladder fingerprint.
+/// Returns false when the file is absent or malformed and aborts when it
+/// belongs to a different ladder.
 bool continuation_checkpoint_load(const std::string& path,
                                   const FrequencyLadder& ladder, int final_nx,
                                   int* completed_stages, int* prev_nx,
                                   cvec* contrast);
+
+/// Band `s` of a ladder as a scenario: `config` on the band's grid (with
+/// per-band seeds, its own noise seed) and the box-filtered truth.
+std::pair<ScenarioConfig, cvec> continuation_band(
+    const ScenarioConfig& config, ccspan true_permittivity,
+    const FrequencyLadder& ladder, int s, bool per_stage_noise_seeds);
+
+/// A band's runtime: its stepper and what the stepper borrows (released
+/// after it).
+struct LadderBand {
+  std::shared_ptr<void> resources;
+  std::unique_ptr<DbimStepper> stepper;
+  ccspan true_contrast;  // for StageReport::rmse (empty: 0); outlives it
+};
+/// Builds band `band` under `opts` (the base options with the band's
+/// stop rule) from `warm_start` (on the band's grid; empty = cold).
+using LadderBandFactory = std::function<LadderBand(
+    int band, const DbimOptions& opts, ccspan warm_start)>;
+
+/// The one band loop of every ladder. step() runs one DBIM iteration of
+/// the current band, building the band first if needed; the step that
+/// ends a band (its stepper is done or its residual plateaus) reports
+/// it, saves the stage checkpoint when a path is given (give it to one
+/// rank per window) and keeps its raw contrast to warm-start the next.
+/// step() returns false once the last band has ended.
+class LadderStepper {
+ public:
+  LadderStepper(FrequencyLadder ladder, int final_nx, DbimOptions base,
+                LadderBandFactory factory, std::string checkpoint_path = {});
+  /// Goes on at band `first` from the raw contrast of the band before
+  /// it, on an nx grid (first == 0: an initial guess). Between bands.
+  void seed(int first, cvec contrast, int nx);
+  bool step();
+  bool done() const { return band_ == static_cast<int>(ladder_.bands.size()); }
+  /// Band running or next to run; the last band once done.
+  int band() const {
+    return std::min(band_, static_cast<int>(ladder_.bands.size()) - 1);
+  }
+  int iterations() const;  // CG updates over every band run
+  double last_residual() const { return last_residual_; }  // NaN at first
+  const std::vector<StageReport>& stages() const { return stages_; }
+  /// Raw contrast of the last ended band (or the seed), on its grid.
+  const cvec& contrast() const { return last_.contrast; }
+  /// contrast() as delta-eps on the final grid: / k2, then upsampled.
+  cvec permittivity() const;
+  /// The running band's partial result (abandoning it), else the last
+  /// ended band's. Call once.
+  DbimResult result();
+
+ private:
+  FrequencyLadder ladder_;
+  int final_nx_;
+  DbimOptions base_;
+  LadderBandFactory factory_;
+  std::string checkpoint_path_;
+  int band_ = 0;
+  std::optional<LadderBand> run_;  // the current band, while it runs
+  Timer band_timer_;
+  double setup_seconds_ = 0.0;
+  DbimResult last_;  // the last ended band's raw result, or the seed
+  int last_nx_ = 0;
+  double last_residual_;
+  std::vector<StageReport> stages_;
+};
+
+/// The serial driver's LadderStepper: each band a Scenario and a
+/// DbimStepper on this process. `true_permittivity` must outlive it.
+LadderStepper continuation_ladder(const ScenarioConfig& config,
+                                  ccspan true_permittivity,
+                                  const FrequencyLadder& ladder,
+                                  const ContinuationOptions& options = {});
 
 /// Runs the ladder coarse-to-fine on this process. `config` describes
 /// the final-band scenario (its nx, geometry, tolerances, cache);

@@ -5,50 +5,51 @@
 
 #include "common/timer.hpp"
 #include "dbim/parallel_driver.hpp"
-#include "phantom/phantom.hpp"
-#include "phantom/resample.hpp"
-#include "service/table_cache.hpp"
 
 namespace ffw {
 
 namespace {
 
-double k2_of(int nx) {
-  const Grid grid(nx);
-  return grid.k0() * grid.k0();
-}
+/// Leader-to-rank-0 stage report, packed as doubles: the report's
+/// scalars and counts (exact below 2^53), then its residual history.
+constexpr std::size_t kReportHeader = 14;
 
-/// Leader-to-rank-0 stage report, packed as doubles: [rmse,
-/// setup_seconds, seconds, nres, residuals...]. Band identity travels
-/// in the tag; everything derivable from (residuals, band) — the stop
-/// reason, the iteration count — is recomputed at the receiver through
-/// the same pure functions the serial driver uses.
-std::vector<double> pack_report(double rmse, double setup_seconds,
-                                double seconds,
-                                const std::vector<double>& residuals) {
-  std::vector<double> pack{rmse, setup_seconds, seconds,
-                           static_cast<double>(residuals.size())};
-  pack.insert(pack.end(), residuals.begin(), residuals.end());
+std::vector<double> pack_report(const StageReport& r) {
+  const DbimHistory& h = r.history;
+  std::vector<double> pack{
+      static_cast<double>(r.band), static_cast<double>(r.nx), r.k0,
+      static_cast<double>(r.iterations),
+      static_cast<double>(static_cast<int>(r.stop)), r.rmse, r.seconds,
+      r.setup_seconds, static_cast<double>(h.forward_solves),
+      static_cast<double>(h.operator_applications),
+      static_cast<double>(h.bicgstab_iterations), h.precond_setup_seconds,
+      static_cast<double>(static_cast<int>(h.backend)),
+      h.cbs_escalated ? 1.0 : 0.0};
+  pack.insert(pack.end(), h.relative_residual.begin(),
+              h.relative_residual.end());
   return pack;
 }
 
-StageReport unpack_report(int band, int nx,
-                          const std::vector<double>& pack,
-                          const FrequencyBand& spec) {
-  FFW_CHECK(pack.size() >= 4);
-  StageReport rep;
-  rep.band = band;
-  rep.nx = nx;
-  rep.k0 = Grid(nx).k0();
-  rep.rmse = pack[0];
-  rep.setup_seconds = pack[1];
-  rep.seconds = pack[2];
-  const std::size_t nres = static_cast<std::size_t>(pack[3]);
-  FFW_CHECK(pack.size() == 4 + nres);
-  rep.history.relative_residual.assign(pack.begin() + 4, pack.end());
-  rep.iterations = static_cast<int>(nres);
-  rep.stop = continuation_stop_reason(rep.history.relative_residual, spec);
-  return rep;
+StageReport unpack_report(const std::vector<double>& p) {
+  FFW_CHECK(p.size() >= kReportHeader);
+  StageReport r;
+  r.band = static_cast<int>(p[0]);
+  r.nx = static_cast<int>(p[1]);
+  r.k0 = p[2];
+  r.iterations = static_cast<int>(p[3]);
+  r.stop = static_cast<StageStop>(static_cast<int>(p[4]));
+  r.rmse = p[5];
+  r.seconds = p[6];
+  r.setup_seconds = p[7];
+  DbimHistory& h = r.history;
+  h.forward_solves = static_cast<std::uint64_t>(p[8]);
+  h.operator_applications = static_cast<std::uint64_t>(p[9]);
+  h.bicgstab_iterations = static_cast<std::uint64_t>(p[10]);
+  h.precond_setup_seconds = p[11];
+  h.backend = static_cast<BackendKind>(static_cast<int>(p[12]));
+  h.cbs_escalated = p[13] != 0.0;
+  h.relative_residual.assign(p.begin() + kReportHeader, p.end());
+  return r;
 }
 
 }  // namespace
@@ -63,8 +64,6 @@ ContinuationResult continuation_reconstruct_parallel(
   FFW_CHECK_MSG(!copt.mixed_precision,
                 "band-parallel continuation runs the fp64 partitioned "
                 "engine only");
-  FFW_CHECK_MSG(copt.stop_after_stage < 0,
-                "stop_after_stage is a serial-driver test hook");
   FFW_CHECK_MSG(copt.dbim.mixed_engine == nullptr &&
                     copt.dbim.resume == nullptr && !copt.dbim.checkpoint,
                 "band-parallel continuation: per-scene DBIM pointers are "
@@ -92,18 +91,8 @@ ContinuationResult continuation_reconstruct_parallel(
   ContinuationResult out_result;  // assembled on global rank 0
   out_result.first_stage = resume_stage;
 
-  // Every band already checkpointed: nothing to run, finish the final
-  // image from the saved state (same arithmetic as the serial driver).
-  if (resume_stage >= nbands) {
-    cvec eps(resume_contrast.size());
-    const double k2 = k2_of(resume_nx);
-    for (std::size_t i = 0; i < eps.size(); ++i)
-      eps[i] = resume_contrast[i] / k2;
-    for (int cur = resume_nx; cur < config.nx; cur *= 2)
-      eps = upsample2(eps, cur);
-    out_result.permittivity = std::move(eps);
-    return out_result;
-  }
+  DbimOptions base = copt.dbim;
+  if (config.table_cache != nullptr) base.table_cache = config.table_cache;
 
   const auto rank_program = [&](Comm& comm) {
     const int me = comm.rank();
@@ -111,211 +100,127 @@ ContinuationResult continuation_reconstruct_parallel(
     const BandGroup grp = part.groups[static_cast<std::size_t>(g)];
     const int leader = grp.base;
     const std::vector<int> wranks = part.ranks(g);
+    const auto leader_of_band = [&part](int b) {
+      return part.groups[static_cast<std::size_t>(part.owner_of_band(b))].base;
+    };
 
-    // Stage reports this rank produced as a leader (rank 0 keeps its
-    // own out of the message stream — no self-sends).
-    std::vector<std::pair<int, std::vector<double>>> local_reports;
-    cvec local_final;  // final-band image when this rank is its leader
-
-    // Result of the last band THIS group ran (the stepper hands it to
-    // every window rank): same-group warm starts need no message at
-    // all.
-    cvec last_contrast;
-    int last_band = -1;
+    // One LadderStepper walks this group's bands. It warm-starts a band
+    // from the previous one when this group ran it (or it is the resumed
+    // band); otherwise the previous leader's message re-seeds it. A
+    // single-rank group builds the serial band verbatim, so a ladder over
+    // 1-rank groups is bit-identical to the serial one (and skips the
+    // partitioned engine's far-field-level requirement on very coarse
+    // rungs). The window leader saves the stage checkpoint in the step
+    // that ends a band, BEFORE the warm-start send below: the next band
+    // cannot complete — and overwrite the file — until its warm start
+    // arrives, so stage checkpoints stay ordered across concurrently
+    // running groups.
+    std::shared_ptr<Scenario> scene;  // replaced only once its band ended
+    const LadderBandFactory factory = [&](int, const DbimOptions& opts,
+                                          ccspan warm_start) {
+      LadderBand out;
+      out.true_contrast = scene->true_contrast();
+      if (wranks.size() == 1) {
+        out.stepper = std::make_unique<DbimStepper>(
+            scene->engine(), scene->transceivers(), scene->measurements(),
+            opts, config.forward, warm_start);
+        return out;
+      }
+      auto pm = std::make_shared<PartitionedMlfma>(scene->engine().tables(),
+                                                   grp.tree_ranks);
+      out.stepper = std::make_unique<DbimStepper>(
+          make_partitioned_workspace(comm, grp.base, grp.illum_groups, *pm,
+                                     scene->tree(), scene->transceivers(),
+                                     scene->measurements(), opts,
+                                     config.forward),
+          opts, config.forward, warm_start);
+      out.resources = std::move(pm);
+      return out;
+    };
+    LadderStepper stepper(ladder, config.nx, base, factory,
+                          me == leader ? copt.checkpoint_path : std::string{});
+    stepper.seed(resume_stage, resume_contrast, resume_nx);
+    std::vector<StageReport> own_reports;  // global rank 0's, band order
 
     for (int s = resume_stage; s < nbands; ++s) {
       if (part.owner_of_band(s) != g) continue;
-      const FrequencyBand& band = ladder.bands[s];
-      const int nx = config.nx >> band.halvings;
-      const Grid grid(nx);
-      const double k2 = grid.k0() * grid.k0();
       Timer stage_timer;
 
       // ---- Band setup: independent of every earlier band, so it
       // overlaps other groups' reconstructions (the pipeline fill the
-      // perfmodel's schedule simulation accounts for).
-      cvec eps_stage(true_permittivity.begin(), true_permittivity.end());
-      for (int h = 0, cur = config.nx; h < band.halvings; ++h, cur /= 2)
-        eps_stage = downsample2(eps_stage, cur);
-      const cvec true_contrast = contrast_from_permittivity(grid, eps_stage);
-
-      const double radius = config.ring_radius_factor * grid.domain();
-      std::vector<Vec2> tx =
-          ring_positions(config.num_transmitters, radius,
-                         config.tx_angle_begin, config.tx_angle_end);
-      std::vector<Vec2> rx =
-          ring_positions(config.num_receivers, radius, config.rx_angle_begin,
-                         config.rx_angle_end);
-
-      std::shared_ptr<const OperatorTables> tables;
-      std::shared_ptr<const TransceiverTables> trx_tables;
-      std::unique_ptr<QuadTree> tree_owned;
-      std::unique_ptr<Transceivers> trx_owned;
-      const QuadTree* tree = nullptr;
-      const Transceivers* trx = nullptr;
-      if (config.table_cache != nullptr) {
-        tables = config.table_cache->mlfma_tables(
-            grid, config.leaf_pixel_side, config.mlfma);
-        tree = &tables->tree();
-        trx_tables = config.table_cache->transceiver_tables(grid, tx, rx);
-        trx = &trx_tables->trx;
-      } else {
-        tree_owned = std::make_unique<QuadTree>(grid, config.leaf_pixel_side);
-        tree = tree_owned.get();
-        trx_owned = std::make_unique<Transceivers>(grid, std::move(tx),
-                                                   std::move(rx));
-        trx = trx_owned.get();
-      }
-      // Measurements: the window leader runs the exact serial synthesis
-      // path (one engine, one sequential noise stream per band — same
-      // calls the Scenario constructor makes, so serial and parallel
-      // ladders see bit-identical data), then broadcasts over the
-      // window.
-      const std::uint64_t seed =
-          copt.per_stage_noise_seeds
-              ? mix_seed(config.noise_seed, static_cast<std::uint64_t>(s))
-              : config.noise_seed;
+      // perfmodel's schedule simulation accounts for). The window leader
+      // builds the serial driver's Scenario — the same synthesis calls,
+      // so serial and parallel ladders see bit-identical data — and the
+      // other window ranks build it over the broadcast measurements.
+      auto [band_config, eps] = continuation_band(
+          config, true_permittivity, ladder, s, copt.per_stage_noise_seeds);
       CMatrix measured(static_cast<std::size_t>(config.num_receivers),
                        static_cast<std::size_t>(config.num_transmitters));
       if (me == leader) {
-        MlfmaEngine engine = tables != nullptr
-                                 ? MlfmaEngine(tables)
-                                 : MlfmaEngine(*tree, config.mlfma);
-        ForwardSolver solver(engine, config.forward);
-        measured = synthesize_measurements(solver, *trx, true_contrast,
-                                           config.measurement_noise, seed);
+        scene = std::make_shared<Scenario>(band_config, std::move(eps));
+        measured = scene->measurements();
       }
       comm.group_bcast(cspan{measured.data(), measured.size()}, wranks);
+      if (me != leader) {
+        scene = std::make_shared<Scenario>(band_config, std::move(eps),
+                                           std::move(measured));
+      }
       const double setup_seconds = stage_timer.seconds();
 
-      // ---- Warm start: the only inter-band dependency.
-      cvec guess;
-      if (s == resume_stage && resume_stage > 0) {
-        guess = continuation_warm_start(resume_contrast, resume_nx, nx,
-                                        k2_of(resume_nx), k2);
-      } else if (s > 0) {
-        const int prev_nx = config.nx >> ladder.bands[s - 1].halvings;
-        if (part.owner_of_band(s - 1) == g) {
-          FFW_CHECK(last_band == s - 1);
-          guess = continuation_warm_start(last_contrast, prev_nx, nx,
-                                          k2_of(prev_nx), k2);
-        } else {
-          if (me == leader) {
-            const int prev_leader =
-                part.groups[static_cast<std::size_t>(
-                                part.owner_of_band(s - 1))].base;
-            const cvec prev =
-                comm.recv<cplx>(prev_leader, kTagFreqWarm - s);
-            guess = continuation_warm_start(prev, prev_nx, nx,
-                                            k2_of(prev_nx), k2);
-          }
-          guess.resize(grid.num_pixels());
-          comm.group_bcast(cspan{guess}, wranks);
-        }
+      // ---- The previous band's raw result, when another group ran it:
+      // the only inter-band dependency.
+      if (stepper.band() != s) {
+        const int prev_nx =
+            ladder.band_nx(static_cast<std::size_t>(s - 1), config.nx);
+        cvec prev;
+        if (me == leader)
+          prev = comm.recv<cplx>(leader_of_band(s - 1), kTagFreqWarm - s);
+        prev.resize(Grid(prev_nx).num_pixels());
+        comm.group_bcast(cspan{prev}, wranks);
+        stepper.seed(s, std::move(prev), prev_nx);
+      }
+      while (stepper.band() == s && stepper.step()) {
       }
 
-      // ---- The band's DBIM over this group's window: the serial band
-      // loop over a stepper. A single-rank group runs the serial stage
-      // verbatim — same engine, workspace and stepper as
-      // continuation_reconstruct — so a band-parallel ladder over 1-rank
-      // groups is bit-identical to the serial ladder (this also
-      // sidesteps the partitioned engine's far-field-level requirement
-      // on very coarse rungs). A multi-rank group runs the same stepper
-      // over its illum_groups x tree_ranks window.
-      DbimOptions opts = copt.dbim;
-      opts.max_iterations = band.max_iterations;
-      opts.residual_tol = band.residual_tol;
-      if (config.table_cache != nullptr) opts.table_cache = config.table_cache;
-      std::unique_ptr<MlfmaEngine> engine;
-      std::unique_ptr<PartitionedMlfma> pm;
-      std::unique_ptr<DbimStepper> stepper;
-      if (wranks.size() == 1) {
-        engine = tables != nullptr
-                     ? std::make_unique<MlfmaEngine>(tables)
-                     : std::make_unique<MlfmaEngine>(*tree, config.mlfma);
-        stepper = std::make_unique<DbimStepper>(*engine, *trx, measured, opts,
-                                                config.forward, guess);
+      // ---- Hand-offs (leader only): the warm start to the next band's
+      // group; the stage report and the final image to global rank 0,
+      // which keeps its own (no self-sends).
+      if (me != leader) continue;
+      const bool final_band = s == nbands - 1;
+      if (!final_band && part.owner_of_band(s + 1) != g) {
+        comm.send(leader_of_band(s + 1), kTagFreqWarm - (s + 1),
+                  ccspan{stepper.contrast()});
+      }
+      StageReport rep = stepper.stages().back();
+      rep.setup_seconds = setup_seconds;
+      rep.seconds = stage_timer.seconds();
+      if (me == 0) {
+        own_reports.push_back(std::move(rep));
       } else {
-        pm = tables != nullptr
-                 ? std::make_unique<PartitionedMlfma>(tables, grp.tree_ranks)
-                 : std::make_unique<PartitionedMlfma>(*tree, config.mlfma,
-                                                      grp.tree_ranks);
-        stepper = std::make_unique<DbimStepper>(
-            make_partitioned_workspace(comm, grp.base, grp.illum_groups, *pm,
-                                       *tree, *trx, measured, opts,
-                                       config.forward),
-            opts, config.forward, guess);
-      }
-      DbimResult res = continuation_run_band(*stepper, band);
-
-      // ---- Hand-offs (leader only). Checkpoint BEFORE the warm-start
-      // send: the next band cannot complete — and overwrite the file —
-      // until its warm start arrives, so stage checkpoints are strictly
-      // ordered even across concurrently-running groups.
-      if (me == leader) {
-        if (!copt.checkpoint_path.empty()) {
-          continuation_checkpoint_save(copt.checkpoint_path, ladder,
-                                       config.nx, s + 1, nx, res.contrast);
-        }
-        if (s + 1 < nbands && part.owner_of_band(s + 1) != g) {
-          const int next_leader =
-              part.groups[static_cast<std::size_t>(
-                              part.owner_of_band(s + 1))].base;
-          comm.send(next_leader, kTagFreqWarm - (s + 1), ccspan{res.contrast});
-        }
-        const double rmse = image_rmse(res.contrast, true_contrast);
-        std::vector<double> pack =
-            pack_report(rmse, setup_seconds, stage_timer.seconds(),
-                        res.history.relative_residual);
-        if (me == 0) {
-          local_reports.emplace_back(s, std::move(pack));
-        } else {
-          comm.send(0, kTagFreqReport - s, std::span<const double>(pack));
-        }
-        if (s == nbands - 1) {
-          cvec eps(res.contrast.size());
-          for (std::size_t i = 0; i < eps.size(); ++i)
-            eps[i] = res.contrast[i] / k2;
-          for (int cur = nx; cur < config.nx; cur *= 2)
-            eps = upsample2(eps, cur);
-          if (me == 0) {
-            local_final = std::move(eps);
-          } else {
-            comm.send(0, kTagFreqFinal, ccspan{eps});
-          }
+        comm.send(0, kTagFreqReport - s,
+                  std::span<const double>(pack_report(rep)));
+        if (final_band) {
+          comm.send(0, kTagFreqFinal, ccspan{stepper.permittivity()});
         }
       }
-
-      last_contrast = std::move(res.contrast);
-      last_band = s;
     }
 
-    // ---- Global rank 0 assembles the result in band order.
+    // ---- Global rank 0 collects the other leaders' reports and the
+    // final image (its own stepper's when it led the last band, or when
+    // every band was checkpointed already).
     if (me == 0) {
-      std::size_t local_at = 0;
+      auto own = own_reports.begin();
       for (int s = resume_stage; s < nbands; ++s) {
-        const int owner_leader =
-            part.groups[static_cast<std::size_t>(part.owner_of_band(s))].base;
-        std::vector<double> pack;
-        if (owner_leader == 0) {
-          FFW_CHECK(local_at < local_reports.size() &&
-                    local_reports[local_at].first == s);
-          pack = std::move(local_reports[local_at++].second);
-        } else {
-          pack = comm.recv<double>(owner_leader, kTagFreqReport - s);
-        }
-        out_result.stages.push_back(unpack_report(
-            s, config.nx >> ladder.bands[static_cast<std::size_t>(s)].halvings,
-            pack, ladder.bands[static_cast<std::size_t>(s)]));
+        out_result.stages.push_back(
+            leader_of_band(s) == 0
+                ? std::move(*own++)
+                : unpack_report(comm.recv<double>(leader_of_band(s),
+                                                  kTagFreqReport - s)));
       }
-      const int last_leader =
-          part.groups[static_cast<std::size_t>(
-                          part.owner_of_band(nbands - 1))].base;
-      if (last_leader == 0) {
-        out_result.permittivity = std::move(local_final);
-      } else {
-        out_result.permittivity = comm.recv<cplx>(last_leader, kTagFreqFinal);
-      }
+      out_result.permittivity =
+          resume_stage == nbands || leader_of_band(nbands - 1) == 0
+              ? stepper.permittivity()
+              : comm.recv<cplx>(leader_of_band(nbands - 1), kTagFreqFinal);
       FFW_CHECK(out_result.permittivity.size() == final_grid.num_pixels());
     }
   };

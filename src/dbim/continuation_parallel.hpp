@@ -4,25 +4,24 @@
 // parallel axis next to the paper's illuminations x sub-trees.
 //
 // Execution model: bands are assigned to groups round-robin. Within a
-// group, each band runs the serial band loop (continuation_run_band) —
-// a DbimStepper over each rank's share of the group's illum_groups x
-// tree_ranks window (make_partitioned_workspace), or over the
-// whole-problem workspace for a 1-rank group. The parts of a band that
-// do NOT depend on earlier bands — operator-table builds, transceiver
-// setup, measurement synthesis (independent experiments per frequency,
-// cf. Gaggioli-Bruno arXiv:2202.09421) — start immediately and overlap
-// other groups' reconstructions; only the DBIM itself waits for the
-// previous band's warm start, which travels leader-to-leader as a
-// point-to-point message. All traffic is group collectives and
-// point-to-point sends in a reserved tag namespace; the cluster-global
-// barrier/allreduce are never used, so concurrent windows cannot
-// interfere.
+// group, each band is a LadderStepper (dbim/continuation.hpp) over that
+// band alone, seeded with the previous band's raw contrast; its
+// DbimStepper runs over the group's illum_groups x tree_ranks window
+// (make_partitioned_workspace), or over the serial driver's workspace
+// for a 1-rank group. The parts of a band that do NOT depend on earlier
+// bands — operator tables, transceivers, measurement synthesis
+// (independent experiments per frequency, cf. Gaggioli-Bruno
+// arXiv:2202.09421) — start immediately and overlap other groups'
+// reconstructions; only the DBIM waits for the previous band's raw
+// contrast, which travels leader-to-leader as a point-to-point message.
+// All traffic is group collectives and point-to-point sends in a
+// reserved tag namespace; the cluster-global barrier/allreduce are never
+// used, so concurrent windows cannot interfere.
 //
-// Determinism: measurement synthesis and the warm-start arithmetic are
-// the exact code paths of the serial driver, so the serial and
-// band-parallel ladders agree to reduction-order rounding
-// (tests/multifrequency_test.cpp asserts image RMSE <= 1e-10 at
-// p in {2, 4}).
+// Determinism: the band scenario, the stepper and the stage report are
+// the serial driver's, so the ladders agree to reduction-order rounding
+// (tests/multifrequency_test.cpp asserts image RMSE <= 1e-10 and equal
+// stage reports at p in {2, 4}).
 #pragma once
 
 #include "dbim/continuation.hpp"
@@ -41,9 +40,9 @@ inline constexpr int kTagFreqReport = -8100;
 inline constexpr int kTagFreqFinal = -8200;
 
 struct BandParallelOptions {
-  /// Ladder-level options (per-stage seeds, checkpoint/resume,
-  /// stop_after_stage is unsupported here). mixed_precision must be
-  /// false: multi-rank bands run the fp64 partitioned engine.
+  /// Ladder-level options (per-stage seeds, checkpoint/resume).
+  /// mixed_precision must be false: multi-rank bands run the fp64
+  /// partitioned engine.
   ContinuationOptions continuation;
   /// Band groups: 0 = auto (largest divisor of the pool <= band count).
   int freq_groups = 0;

@@ -354,6 +354,8 @@ class DbimStepper {
   int iteration() const { return iter_; }
   /// Latest relative residual (NaN before the first step).
   double last_residual() const;
+  /// History so far (result() fills in the solve counts).
+  const DbimHistory& history() const { return out_.history; }
 
   /// Finalises the history totals and hands out the result (contrast in
   /// natural order, on every rank of a partitioned window); call

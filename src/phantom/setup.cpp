@@ -39,7 +39,16 @@ CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
 }
 
 Scenario::Scenario(const ScenarioConfig& config, cvec true_permittivity)
-    : config_(config), grid_(config.nx) {
+    : Scenario(config, std::move(true_permittivity), CMatrix{}) {
+  ForwardSolver solver(*engine_, config.forward);
+  measured_ = synthesize_measurements(solver, *trx_, true_contrast_,
+                                      config.measurement_noise,
+                                      config.noise_seed);
+}
+
+Scenario::Scenario(const ScenarioConfig& config, cvec true_permittivity,
+                   CMatrix measured)
+    : config_(config), grid_(config.nx), measured_(std::move(measured)) {
   FFW_CHECK(true_permittivity.size() == grid_.num_pixels());
   const double radius = config.ring_radius_factor * grid_.domain();
   std::vector<Vec2> tx = ring_positions(config.num_transmitters, radius,
@@ -64,11 +73,6 @@ Scenario::Scenario(const ScenarioConfig& config, cvec true_permittivity)
     trx_ = trx_owned_.get();
   }
   true_contrast_ = contrast_from_permittivity(grid_, true_permittivity);
-
-  ForwardSolver solver(*engine_, config.forward);
-  measured_ = synthesize_measurements(solver, *trx_, true_contrast_,
-                                      config.measurement_noise,
-                                      config.noise_seed);
 }
 
 }  // namespace ffw

@@ -44,6 +44,9 @@ struct ScenarioConfig {
 class Scenario {
  public:
   Scenario(const ScenarioConfig& config, cvec true_permittivity);
+  /// The same scene over measurements synthesised elsewhere (no solves).
+  Scenario(const ScenarioConfig& config, cvec true_permittivity,
+           CMatrix measured);
 
   const Grid& grid() const { return grid_; }
   const QuadTree& tree() const { return engine_->tree(); }

@@ -1,13 +1,40 @@
 #include "service/service.hpp"
 
-#include <limits>
+#include <exception>
 #include <utility>
 
 #include "common/timer.hpp"
-#include "dbim/continuation.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
+
+namespace {
+
+/// A job's bands as a ladder on the last band's grid; aborts unless each
+/// grid is a power-of-two step below it and FrequencyLadder::validate.
+FrequencyLadder ladder_of(const std::vector<JobBand>& bands) {
+  const int final_nx = bands.back().nx;
+  FrequencyLadder ladder;
+  for (const JobBand& b : bands) {
+    int halvings = 0;
+    while (b.nx > 0 && (b.nx << halvings) < final_nx) ++halvings;
+    FFW_CHECK_MSG(b.nx > 0 && (b.nx << halvings) == final_nx,
+                  "ladder job: band grids must be set and run coarse to "
+                  "fine in power-of-two steps");
+    ladder.bands.push_back(b);  // the stop rule
+    ladder.bands.back().halvings = halvings;
+  }
+  ladder.validate(final_nx);
+  return ladder;
+}
+
+/// One band's runtime: the engine and transceivers, from the cache.
+struct ServiceBand {
+  std::shared_ptr<const TransceiverTables> trx_tables;
+  std::unique_ptr<MlfmaEngine> engine;
+};
+
+}  // namespace
 
 ReconstructionService::ReconstructionService(OperatorTableCache& cache,
                                              const ServiceOptions& opts)
@@ -16,19 +43,22 @@ ReconstructionService::ReconstructionService(OperatorTableCache& cache,
 }
 
 int ReconstructionService::submit(JobSpec spec) {
-  for (std::size_t b = 0; b < spec.bands.size(); ++b) {
-    FFW_CHECK_MSG(spec.bands[b].nx > 0, "ladder job: band nx must be set");
-    if (b > 0) {
-      FFW_CHECK_MSG(spec.bands[b].nx >= spec.bands[b - 1].nx,
-                    "ladder job: bands must run coarse to fine");
-    }
+  if (spec.bands.empty()) {
+    JobBand band;
+    band.nx = spec.nx;
+    band.transmitters = std::move(spec.transmitters);
+    band.receivers = std::move(spec.receivers);
+    band.measured = std::move(spec.measured);
+    band.max_iterations = spec.dbim.max_iterations;
+    band.residual_tol = spec.dbim.residual_tol;
+    spec.bands.push_back(std::move(band));
   }
+  ladder_of(spec.bands);  // refuse a malformed ladder here, not mid-run
   std::lock_guard<std::mutex> lock(mu_);
   const int id = static_cast<int>(jobs_.size());
   auto job = std::make_unique<Job>();
   job->id = id;
   job->spec = std::move(spec);
-  job->last_residual = std::numeric_limits<double>::quiet_NaN();
   jobs_.push_back(std::move(job));
   queue_.push_back(id);
   cv_.notify_all();
@@ -141,64 +171,37 @@ bool ReconstructionService::all_terminal_locked() const {
   return true;
 }
 
-void ReconstructionService::build_runtime(Job& job) {
-  FFW_TRACE_SPAN("service.build", static_cast<std::int64_t>(job.id));
-  // Ladder jobs draw geometry + data from the active band; the runtime
-  // is rebuilt per band through the same cache, so rungs shared across
-  // tenants are paid once.
-  const JobBand* band =
-      job.spec.bands.empty()
-          ? nullptr
-          : &job.spec.bands[static_cast<std::size_t>(job.band)];
-  const Grid grid(band != nullptr ? band->nx : job.spec.nx);
-  job.tables =
-      cache_.mlfma_tables(grid, job.spec.leaf_pixel_side, job.spec.mlfma);
-  job.engine = std::make_unique<MlfmaEngine>(job.tables);
-  job.trx_tables = cache_.transceiver_tables(
-      grid, band != nullptr ? band->transmitters : job.spec.transmitters,
-      band != nullptr ? band->receivers : job.spec.receivers);
+std::unique_ptr<LadderStepper> ReconstructionService::make_ladder(Job& job) {
+  // The tenant's hooks pass through as given (the worker steps
+  // unlocked, so a hook may call cancel()). Each band's runtime comes
+  // through the shared cache: rungs shared across tenants are paid once.
   DbimOptions opts = job.spec.dbim;
-  if (band != nullptr && band->max_iterations > 0)
-    opts.max_iterations = band->max_iterations;
   opts.table_cache = &cache_;
   Job* jp = &job;
-  // Observer wrappers record per-job progress under the service lock,
-  // then invoke the tenant's callback *unlocked* (so a callback may call
-  // cancel() without deadlocking). Observers never feed back into the
-  // DBIM math, so the trajectory matches an unobserved run exactly.
-  auto user_progress = job.spec.dbim.progress;
-  opts.progress = [this, jp, user_progress](int iter, double relres) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      jp->last_residual = relres;
-    }
-    if (user_progress) user_progress(iter, relres);
+  LadderBandFactory factory = [this, jp](int b, const DbimOptions& band_opts,
+                                         ccspan warm_start) {
+    FFW_TRACE_SPAN("service.build", static_cast<std::int64_t>(jp->id));
+    const JobSpec& spec = jp->spec;
+    const JobBand& band = spec.bands[static_cast<std::size_t>(b)];
+    const Grid grid(band.nx);
+    auto rt = std::make_shared<ServiceBand>();
+    rt->engine = std::make_unique<MlfmaEngine>(
+        cache_.mlfma_tables(grid, spec.leaf_pixel_side, spec.mlfma));
+    rt->trx_tables =
+        cache_.transceiver_tables(grid, band.transmitters, band.receivers);
+    LadderBand out;
+    out.stepper = std::make_unique<DbimStepper>(
+        *rt->engine, rt->trx_tables->trx, band.measured, band_opts,
+        spec.forward, warm_start);
+    out.resources = std::move(rt);
+    return out;
   };
-  auto user_checkpoint = job.spec.dbim.checkpoint;
-  opts.checkpoint = [this, jp, user_checkpoint](const DbimCheckpoint& c) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      jp->last_checkpoint = c;
-      jp->has_checkpoint = true;
-    }
-    if (user_checkpoint) user_checkpoint(c);
-  };
-  const CMatrix& measured =
-      band != nullptr ? band->measured : job.spec.measured;
-  const ccspan initial = band != nullptr && job.band > 0
-                             ? ccspan{job.warm_start}
-                             : ccspan{job.spec.initial_contrast};
-  job.stepper = std::make_unique<DbimStepper>(*job.engine,
-                                              job.trx_tables->trx, measured,
-                                              opts, job.spec.forward, initial);
-}
-
-void ReconstructionService::release_runtime_locked(Job& job) {
-  // Order matters: the stepper references the engine and transceivers.
-  job.stepper.reset();
-  job.engine.reset();
-  job.tables.reset();      // cache may still hold the artifact
-  job.trx_tables.reset();
+  auto ladder = std::make_unique<LadderStepper>(
+      ladder_of(job.spec.bands), job.spec.bands.back().nx, std::move(opts),
+      std::move(factory));
+  if (!job.spec.initial_contrast.empty())
+    ladder->seed(0, job.spec.initial_contrast, job.spec.bands.front().nx);
+  return ladder;
 }
 
 void ReconstructionService::worker_loop(Comm& comm) {
@@ -225,35 +228,25 @@ void ReconstructionService::worker_loop(Comm& comm) {
 
     Timer timer;
     bool more = true;
-    bool failed = false;
-    std::string error;
+    std::optional<std::string> error;  // set: the job failed
+    std::exception_ptr pool_failure;
     try {
       if (inject) {
         throw RankFailure(comm.rank(),
                           "injected rank failure (service fault test)");
       }
-      if (!job->stepper && !job->cancel_requested) build_runtime(*job);
       if (!job->cancel_requested) {
+        if (!job->ladder) job->ladder = make_ladder(*job);
         FFW_TRACE_SPAN("service.step", static_cast<std::int64_t>(job->id));
-        more = job->stepper->step();
+        more = job->ladder->step();
       }
     } catch (const CommFailure&) {
       // Pool-level failure: fail this job and release its slot *before*
-      // rethrowing, so the surviving workers can drain to completion
-      // instead of waiting forever on a busy ghost.
-      lock.lock();
-      const double dt = timer.seconds();
-      job->busy = false;
-      job->compute_seconds += dt;
-      ++job->steps;
-      job->state = JobState::kFailed;
-      job->error = "pool rank failure during step";
-      release_runtime_locked(*job);
-      cv_.notify_all();
-      lock.unlock();
-      throw;  // poisons the pool; run() recovers and re-enters
+      // rethrowing (below), so the surviving workers can drain to
+      // completion instead of waiting forever on a busy ghost.
+      error = "pool rank failure during step";
+      pool_failure = std::current_exception();
     } catch (const std::exception& e) {
-      failed = true;
       error = e.what();
     }
     const double dt = timer.seconds();
@@ -262,51 +255,32 @@ void ReconstructionService::worker_loop(Comm& comm) {
     job->busy = false;
     job->compute_seconds += dt;
     ++job->steps;
-    if (failed) {
+    if (error) {
       // Job-level crash isolation: only this job fails; its runtime is
       // dropped and every other job proceeds untouched.
       job->state = JobState::kFailed;
-      job->error = error;
-      release_runtime_locked(*job);
-    } else if (job->cancel_requested) {
-      job->state = JobState::kCancelled;
-      if (job->stepper) {
-        job->iterations = job->iterations_base + job->stepper->iteration();
-        job->result = job->stepper->result();  // partial image kept
+      job->error = *error;
+    } else if (job->ladder) {
+      // A ladder hands off to its next band inside the tick that ends
+      // the band; the job stays kRunning and keeps its fair-share
+      // position.
+      job->iterations = job->ladder->iterations();
+      job->last_residual = job->ladder->last_residual();
+      job->band = job->ladder->band();
+      if (job->cancel_requested || !more) {
+        job->state = job->cancel_requested ? JobState::kCancelled
+                                           : JobState::kCompleted;
+        job->result = job->ladder->result();  // a cancelled job's is partial
       }
-      release_runtime_locked(*job);
     } else {
-      job->iterations = job->iterations_base + job->stepper->iteration();
-      job->last_residual = job->stepper->last_residual();
-      if (!more) {
-        const int nbands = static_cast<int>(job->spec.bands.size());
-        if (job->band + 1 < nbands) {
-          // Ladder hand-off: warm-start the next band from this band's
-          // image (same arithmetic as the standalone continuation
-          // driver — verbatim for equal-nx rungs) and rebuild the
-          // runtime lazily on the next tick. The job stays kRunning and
-          // keeps its fair-share position.
-          const DbimResult res = job->stepper->result();
-          const int prev_nx =
-              job->spec.bands[static_cast<std::size_t>(job->band)].nx;
-          const int next_nx =
-              job->spec.bands[static_cast<std::size_t>(job->band + 1)].nx;
-          const Grid gp(prev_nx), gn(next_nx);
-          job->warm_start = continuation_warm_start(
-              res.contrast, prev_nx, next_nx, gp.k0() * gp.k0(),
-              gn.k0() * gn.k0());
-          job->iterations_base = job->iterations;
-          job->has_checkpoint = false;
-          ++job->band;
-          release_runtime_locked(*job);
-        } else {
-          job->state = JobState::kCompleted;
-          job->result = job->stepper->result();
-          release_runtime_locked(*job);
-        }
-      }
+      job->state = JobState::kCancelled;  // before its first step
     }
+    // A terminal job drops its runtime; the tables stay alive in the
+    // cache for the next tenant.
+    if (job->state != JobState::kRunning) job->ladder.reset();
     cv_.notify_all();
+    // Poisons the pool; run() recovers and re-enters.
+    if (pool_failure) std::rethrow_exception(pool_failure);
   }
 }
 

@@ -8,10 +8,11 @@
 // expensive one, and every tenant makes proportional progress. Jobs are
 // admitted from the priority queue (higher priority first, FIFO within
 // a priority) whenever fewer than ServiceOptions::max_active_jobs are
-// running; each admitted job lazily builds its runtime — MLFMA engine,
-// transceivers, incident panel — through the shared cache, which is
-// where the multi-tenant speedup comes from (bench_service measures
-// it).
+// running. Every job is a frequency ladder — a single-frequency job is
+// a one-band one — stepped by a LadderStepper (dbim/continuation.hpp),
+// which lazily builds each band's runtime — MLFMA engine, transceivers,
+// incident panel — through the shared cache, which is where the
+// multi-tenant speedup comes from (bench_service measures it).
 //
 // Crash isolation, two layers:
 //  * Job-level: any std::exception escaping a job's step (including a
@@ -33,28 +34,29 @@
 #pragma once
 
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "dbim/continuation.hpp"
 #include "dbim/dbim.hpp"
 #include "service/table_cache.hpp"
 #include "vcluster/comm.hpp"
 
 namespace ffw {
 
-/// One rung of a multi-frequency job: its own grid side, geometry and
-/// measured panel (independent experiments per operating frequency).
-/// nx must be non-decreasing across a spec's bands (coarse to fine,
-/// power-of-two steps); a band's max_iterations overrides the job-level
-/// DbimOptions budget when positive.
-struct JobBand {
+/// One rung of a multi-frequency job: FrequencyBand's stop rule
+/// (halvings follows from nx) plus the band's own grid side, geometry
+/// and measured panel (independent experiments per operating
+/// frequency). Grid sides run coarse to fine in power-of-two steps, each
+/// a multiple of 8 and at least 16; submit() refuses any other ladder.
+struct JobBand : FrequencyBand {
   int nx = 0;
   std::vector<Vec2> transmitters;
   std::vector<Vec2> receivers;
   CMatrix measured;  // R x T, column t = transmitter t
-  int max_iterations = 0;
 };
 
 /// One tenant's reconstruction request. The measured panel and geometry
@@ -74,15 +76,16 @@ struct JobSpec {
   cvec initial_contrast;
   /// Admission priority: higher admits first; FIFO within a priority.
   int priority = 0;
-  /// Non-empty: the job is a frequency-continuation ladder. Bands run
-  /// coarse to fine inside the ordinary fair-share schedule (one
-  /// stepper iteration per tick, so a ladder never monopolises the
-  /// pool); each band warm-starts from the previous band's image (the
-  /// same hand-off arithmetic as dbim/continuation.hpp), the base
-  /// nx/transmitters/receivers/measured fields are ignored, and the
-  /// job's result is the final band's. Every band's operator tables go
-  /// through the shared cache, so concurrent tenants on the same ladder
-  /// share them rung by rung.
+  /// The job's frequency ladder, run by a LadderStepper
+  /// (dbim/continuation.hpp) inside the fair-share schedule (one DBIM
+  /// iteration per tick, so a ladder never monopolises the pool). Each
+  /// band stops on its own rule and warm-starts from the previous band's
+  /// image; the job's result is the final band's. Every band's operator
+  /// tables go through the shared cache, so concurrent tenants on the
+  /// same ladder share them rung by rung. Empty: submit() makes the job
+  /// a one-band ladder of the base nx/transmitters/receivers/measured
+  /// fields, stopped by dbim.max_iterations and dbim.residual_tol (which
+  /// a ladder's bands replace).
   std::vector<JobBand> bands;
 };
 
@@ -158,22 +161,14 @@ class ReconstructionService {
     bool cancel_requested = false;
     std::uint64_t steps = 0;
     int iterations = 0;
-    double last_residual = 0.0;
+    double last_residual = std::numeric_limits<double>::quiet_NaN();
     double compute_seconds = 0.0;
     std::string error;
-    // Multi-frequency ladder position: active band, iterations spent in
-    // completed bands, and the warm-start image handed down the ladder.
-    int band = 0;
-    int iterations_base = 0;
-    cvec warm_start;
-    DbimCheckpoint last_checkpoint;  // in-memory resume state
-    bool has_checkpoint = false;
-    // Runtime (released when the job reaches a terminal state; tables
-    // stay alive in the cache for the next tenant).
-    std::shared_ptr<const OperatorTables> tables;
-    std::shared_ptr<const TransceiverTables> trx_tables;
-    std::unique_ptr<MlfmaEngine> engine;
-    std::unique_ptr<DbimStepper> stepper;
+    int band = 0;  // the ladder's band, copied out after every tick
+    // Runtime, built on the job's first tick (released when the job
+    // reaches a terminal state; tables stay alive in the cache for the
+    // next tenant).
+    std::unique_ptr<LadderStepper> ladder;
     std::optional<DbimResult> result;
   };
 
@@ -181,8 +176,7 @@ class ReconstructionService {
   void admit_locked();
   Job* pick_least_time_locked();
   bool all_terminal_locked() const;
-  void build_runtime(Job& job);
-  void release_runtime_locked(Job& job);
+  std::unique_ptr<LadderStepper> make_ladder(Job& job);
 
   OperatorTableCache& cache_;
   ServiceOptions opts_;

@@ -227,7 +227,6 @@ TEST(Continuation, LadderBeatsSingleFrequencyAtHighContrast) {
   const FrequencyLadder ladder = FrequencyLadder::geometric(2, 8);
   const ContinuationResult mf = continuation_reconstruct(cfg, truth, ladder);
   ASSERT_EQ(mf.stages.size(), 2u);
-  EXPECT_TRUE(mf.completed);
 
   Scenario scene(cfg, truth);
   DbimOptions opts;
@@ -256,22 +255,25 @@ TEST(Continuation, ResumeMidLadderIsBitIdentical) {
   ladder.bands.push_back({0, 4});
 
   const ContinuationResult ref = continuation_reconstruct(cfg, truth, ladder);
-  ASSERT_TRUE(ref.completed);
+  ASSERT_EQ(ref.stages.size(), 2u);
 
+  // Crash mid-ladder: drop the stepper once band 0 has ended (and saved
+  // its stage checkpoint).
   ContinuationOptions crash;
   crash.checkpoint_path = path;
-  crash.stop_after_stage = 0;
-  const ContinuationResult partial =
-      continuation_reconstruct(cfg, truth, ladder, crash);
-  EXPECT_FALSE(partial.completed);
-  ASSERT_EQ(partial.stages.size(), 1u);
+  {
+    LadderStepper partial = continuation_ladder(cfg, truth, ladder, crash);
+    while (partial.band() == 0 && partial.step()) {
+    }
+    EXPECT_FALSE(partial.done());
+    ASSERT_EQ(partial.stages().size(), 1u);
+  }
 
   ContinuationOptions resume;
   resume.checkpoint_path = path;
   resume.resume_from_checkpoint = true;
   const ContinuationResult resumed =
       continuation_reconstruct(cfg, truth, ladder, resume);
-  EXPECT_TRUE(resumed.completed);
   EXPECT_EQ(resumed.first_stage, 1);
   ASSERT_EQ(resumed.stages.size(), 1u);
   EXPECT_EQ(resumed.stages[0].band, 1);
@@ -327,15 +329,19 @@ TEST_P(BandParallel, MatchesSerialLadder) {
   const cvec truth =
       gaussian_blob(grid, Vec2{0.25, 0.1}, 0.5, cplx{0.015, 0.0});
 
-  // Four bands (two coarse rungs, two fine) so p in {2, 4} maps to
+  // Five bands (two coarse rungs, three fine) so p in {1, 2, 4} maps to
   // single-rank band groups: the parallel arithmetic is then the serial
   // arithmetic, band-by-band, and must agree to reduction-order
-  // rounding.
+  // rounding. p = 1 runs every band in one group, so each band follows
+  // its predecessor without a message. The last band stops on
+  // residual_tol after a CG update, so its iteration count (updates) is
+  // one less than its residual count.
   FrequencyLadder ladder;
   ladder.bands.push_back({1, 3});
   ladder.bands.push_back({1, 2});
   ladder.bands.push_back({0, 3});
   ladder.bands.push_back({0, 2});
+  ladder.bands.push_back({0, 8, 0.027});
 
   const ContinuationResult serial = continuation_reconstruct(cfg, truth,
                                                              ladder);
@@ -344,18 +350,23 @@ TEST_P(BandParallel, MatchesSerialLadder) {
   const ContinuationResult par =
       continuation_reconstruct_parallel(vc, cfg, truth, ladder);
 
+  ASSERT_EQ(serial.stages.back().stop, StageStop::kResidualTol);
+  EXPECT_GT(serial.stages.back().iterations, 0);
   ASSERT_EQ(par.stages.size(), serial.stages.size());
   for (std::size_t s = 0; s < serial.stages.size(); ++s) {
     EXPECT_EQ(par.stages[s].nx, serial.stages[s].nx);
     EXPECT_EQ(par.stages[s].iterations, serial.stages[s].iterations)
         << "band " << s;
     EXPECT_EQ(par.stages[s].stop, serial.stages[s].stop);
+    EXPECT_EQ(par.stages[s].history.forward_solves,
+              serial.stages[s].history.forward_solves)
+        << "band " << s;
   }
   ASSERT_EQ(par.permittivity.size(), serial.permittivity.size());
   EXPECT_LE(image_rmse(par.permittivity, serial.permittivity), 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Pools, BandParallel, ::testing::Values(2, 4));
+INSTANTIATE_TEST_SUITE_P(Pools, BandParallel, ::testing::Values(2, 4, 1));
 
 TEST(BandParallel, TwoDimensionalWindowsReconstruct) {
   // 2 band groups x (1 illum x 2 tree ranks): exercises the windowed
@@ -404,8 +415,11 @@ TEST(BandParallel, ResumeSkipsCompletedBands) {
   // Serial run writes the stage-0 checkpoint, then "crashes".
   ContinuationOptions crash;
   crash.checkpoint_path = path;
-  crash.stop_after_stage = 0;
-  continuation_reconstruct(cfg, truth, ladder, crash);
+  {
+    LadderStepper partial = continuation_ladder(cfg, truth, ladder, crash);
+    while (partial.band() == 0 && partial.step()) {
+    }
+  }
 
   // The band-parallel driver resumes the same file: band 0 is skipped,
   // band 1 runs, and the result matches the uninterrupted serial run.

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dbim/continuation.hpp"
 #include "dbim/dbim.hpp"
 #include "phantom/phantom.hpp"
@@ -362,6 +363,146 @@ TEST(Service, LadderJobMatchesManualContinuation) {
       r0.contrast, 16, 32, coarse.k0() * coarse.k0(), fine.k0() * fine.k0());
   const DbimResult gold = serial_reference(cache, ref1);
   expect_bit_identical(gold, service.result(id));
+}
+
+/// A service ladder band reproducing `s`'s geometry and data.
+JobBand band_of(const Scenario& s, int iterations) {
+  const ScenarioConfig& cfg = s.config();
+  JobBand b;
+  b.nx = s.grid().nx();
+  const double radius = cfg.ring_radius_factor * s.grid().domain();
+  b.transmitters = ring_positions(cfg.num_transmitters, radius);
+  b.receivers = ring_positions(cfg.num_receivers, radius);
+  b.measured = s.measurements();
+  b.max_iterations = iterations;
+  return b;
+}
+
+TEST(Service, LadderJobStopsOnPlateauAndResidualLikeContinuation) {
+  // Band 0 ends on a plateau, band 1 on residual_tol. The service job
+  // is built from the Scenarios continuation_reconstruct builds (same
+  // box-filtered truth, same per-band noise seed), so the two ladders
+  // must agree bit for bit: image and every band's residual history.
+  OperatorTableCache cache;
+  ScenarioConfig cfg;
+  cfg.nx = 32;
+  cfg.num_transmitters = 6;
+  cfg.num_receivers = 20;
+  cfg.measurement_noise = 0.03;
+  cfg.table_cache = &cache;
+  const cvec truth =
+      gaussian_blob(Grid(cfg.nx), Vec2{0.1, -0.2}, 0.5, cplx{0.015, 0.0});
+  FrequencyLadder ladder;
+  ladder.bands.push_back({1, 20, 0.0, 1, 0.5});
+  ladder.bands.push_back({0, 20, 0.03});
+  const ContinuationResult ref = continuation_reconstruct(cfg, truth, ladder);
+  ASSERT_EQ(ref.stages.size(), 2u);
+  ASSERT_EQ(ref.stages[0].stop, StageStop::kPlateau);
+  ASSERT_EQ(ref.stages[1].stop, StageStop::kResidualTol);
+
+  JobSpec spec;
+  spec.name = "plateau-ladder";
+  spec.nx = cfg.nx;
+  spec.forward = cfg.forward;
+  for (std::size_t b = 0; b < ladder.bands.size(); ++b) {
+    const FrequencyBand& fb = ladder.bands[b];
+    ScenarioConfig bc = cfg;
+    bc.nx = cfg.nx >> fb.halvings;
+    bc.noise_seed = mix_seed(cfg.noise_seed, b);
+    const Scenario scene(bc, fb.halvings == 0 ? truth
+                                              : downsample2(truth, cfg.nx));
+    JobBand jb = band_of(scene, fb.max_iterations);
+    jb.residual_tol = fb.residual_tol;
+    jb.plateau_window = fb.plateau_window;
+    jb.plateau_rtol = fb.plateau_rtol;
+    spec.bands.push_back(std::move(jb));
+  }
+  std::vector<std::vector<double>> histories;  // per band, from progress
+  spec.dbim.progress = [&histories](int iter, double relres) {
+    if (iter == 0) histories.emplace_back();
+    histories.back().push_back(relres);
+  };
+
+  ReconstructionService service(cache);
+  const int id = service.submit(std::move(spec));
+  VCluster vc(1);
+  service.run(vc);
+  const JobStatus st = service.status(id);
+  ASSERT_EQ(st.state, JobState::kCompleted);
+  EXPECT_EQ(st.band, 1);
+  EXPECT_EQ(st.iterations, ref.stages[0].iterations + ref.stages[1].iterations);
+
+  ASSERT_EQ(histories.size(), 2u);
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(histories[b], ref.stages[b].history.relative_residual)
+        << "band " << b;
+  }
+  const DbimResult& res = service.result(id);
+  EXPECT_EQ(res.history.relative_residual,
+            ref.stages[1].history.relative_residual);
+  const Grid fine(cfg.nx);
+  const double k2 = fine.k0() * fine.k0();
+  cvec eps(res.contrast.size());
+  for (std::size_t i = 0; i < eps.size(); ++i) eps[i] = res.contrast[i] / k2;
+  ASSERT_EQ(eps.size(), ref.permittivity.size());
+  EXPECT_EQ(std::memcmp(eps.data(), ref.permittivity.data(),
+                        eps.size() * sizeof(cplx)),
+            0);
+}
+
+TEST(Service, LadderJobPassesTheTenantCheckpointHook) {
+  // The tenant's checkpoint hook reaches every band's stepper as is:
+  // once per completed iteration, with that band's grid-sized state.
+  OperatorTableCache cache;
+  ScenarioConfig cfg;
+  cfg.nx = 32;
+  cfg.num_transmitters = 6;
+  cfg.num_receivers = 20;
+  cfg.table_cache = &cache;
+  const cvec truth =
+      gaussian_blob(Grid(cfg.nx), Vec2{0.2, 0.1}, 0.5, cplx{0.01, 0.0});
+  ScenarioConfig c16 = cfg;
+  c16.nx = 16;
+  const Scenario s16(c16, downsample2(truth, cfg.nx));
+  const Scenario s32(cfg, truth);
+
+  JobSpec spec;
+  spec.name = "hooked-ladder";
+  spec.nx = cfg.nx;
+  spec.forward = cfg.forward;
+  spec.bands.push_back(band_of(s16, 3));
+  spec.bands.push_back(band_of(s32, 2));
+  std::mutex mu;
+  std::vector<std::pair<int, std::size_t>> calls;  // iteration, pixels
+  spec.dbim.checkpoint = [&mu, &calls](const DbimCheckpoint& c) {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(c.residual_history.size(),
+              static_cast<std::size_t>(c.iteration));
+    EXPECT_EQ(c.direction.size(), c.contrast.size());
+    calls.emplace_back(c.iteration, c.contrast.size());
+  };
+
+  ReconstructionService service(cache);
+  const int id = service.submit(std::move(spec));
+  VCluster vc(2);
+  service.run(vc);
+  ASSERT_EQ(service.status(id).state, JobState::kCompleted);
+  const std::vector<std::pair<int, std::size_t>> expected{
+      {1, 256}, {2, 256}, {3, 256}, {1, 1024}, {2, 1024}};
+  EXPECT_EQ(calls, expected);
+}
+
+TEST(ServiceDeathTest, LadderBandsMustStepByPowersOfTwo) {
+  // A 16 -> 24 ladder would warm-start band 1 on a 32^2 grid and abort
+  // the whole service mid-run; submit() refuses it instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  OperatorTableCache cache;
+  ReconstructionService service(cache);
+  JobSpec spec;
+  spec.bands.resize(2);
+  spec.bands[0].nx = 16;
+  spec.bands[1].nx = 24;
+  EXPECT_DEATH(service.submit(spec), "power-of-two");
 }
 
 TEST(Service, InjectedRankFailureRecoversPool) {
