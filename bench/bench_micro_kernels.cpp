@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the kernels behind Table I: the
 // batched dense expansions, the band-diagonal interpolation (one column,
 // and the engines' band-tile aggregation pass), the diagonal
-// translations, and the 9-type near-field pass — plus the full MLFMA
-// apply and one forward solve.
+// translations, the 9-type near-field pass and the near-field
+// preconditioner's setup — plus the full MLFMA apply and one forward
+// solve.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -11,6 +12,7 @@
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
 #include "forward/forward.hpp"
+#include "forward/precond.hpp"
 #include "greens/nearfield.hpp"
 #include "linalg/gemm.hpp"
 #include "mlfma/engine.hpp"
@@ -129,6 +131,41 @@ BENCHMARK(BM_NearFieldPass)
     ->Args({128, 16, 0})
     ->Args({64, 4, 1})
     ->Args({64, 4, 0})
+    ->UseRealTime();
+
+// The near-field preconditioner's setup: every leaf's M_c = I - A_self
+// diag(O_c) formed and inverted in place (blocked Gauss-Jordan on the
+// gemm_sum_t tile), at 1 thread or at all (threads = 0). GFLOP/s counts
+// np^3 complex MACs per leaf (8 flops each), comparable with
+// BM_NearFieldPass above.
+static void BM_PrecondRebuild(benchmark::State& state) {
+  Fixture f(static_cast<int>(state.range(0)));
+  const CMatrix& self = f.engine.nearfield().type(4);
+  const std::size_t np = self.rows();
+  const std::size_t leaves = f.tree.num_leaves();
+  cvec o(leaves * np);
+  Rng rng(8);
+  rng.fill_cnormal(o);
+  for (cplx& v : o) v *= 0.05;
+  set_num_threads(static_cast<int>(state.range(1)));
+  NearFieldBlockJacobi p(self, o);
+  for (auto _ : state) {
+    p.rebuild(self, o);
+    benchmark::DoNotOptimize(p.inverse(0).data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  const double n = static_cast<double>(np);
+  state.counters["leaves/s"] = benchmark::Counter(
+      static_cast<double>(leaves), benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      8.0 * n * n * n * static_cast<double>(leaves) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PrecondRebuild)
+    ->ArgNames({"nx", "threads"})
+    ->Args({128, 1})
+    ->Args({128, 0})
     ->UseRealTime();
 
 // The engines' aggregation kernel: every level-0 -> level-1 parent of

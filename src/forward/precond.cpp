@@ -30,30 +30,56 @@ void NearFieldBlockJacobi::rebuild(const CMatrix& self_block,
                 "contrast slice must cover whole leaf panels");
   nblocks_ = contrast_clu.size() / np_;
   const std::size_t nn = np_ * np_;
-  if (storage_ == Precision::kMixed) {
+  const bool mixed = storage_ == Precision::kMixed;
+  if (mixed) {
     inv32_.resize(nblocks_ * nn);
   } else {
     inv64_.resize(nblocks_ * nn);
   }
 
-  // Leaves are independent: each builds, factors and inverts its own
-  // block, so the result does not depend on the thread count.
+  // Per-thread scratch: the inversion's pivot rows and pivots, and under
+  // kMixed the fp64 leaf the inverse is formed in before it is narrowed.
+  ScratchFrame frame;
+  const std::size_t slots = static_cast<std::size_t>(num_threads());
+  const std::size_t slot = (mixed ? nn : 0) + kInvertBlock * np_;
+  const cspan work = frame.vec(slots * slot);
+  const std::span<std::size_t> pivots = frame.take<std::size_t>(slots * np_);
+  // Leaves are independent: each forms and inverts its own block, so the
+  // result does not depend on the thread count.
   parallel_for(0, nblocks_, [&](std::size_t c) {
-    // M_c = I - A_self * diag(O_c): column j is e_j - O_c[j] * A_self[:,j].
     const cplx* o = contrast_clu.data() + c * np_;
-    CMatrix m(np_, np_);
+    // A zero-contrast leaf has M_c = I, whose inverse is I.
+    if (std::all_of(o, o + np_, [](cplx v) { return v == cplx{}; })) {
+      const auto identity = [&](auto* inv) {
+        std::fill_n(inv, nn, std::remove_pointer_t<decltype(inv)>{});
+        for (std::size_t i = 0; i < np_; ++i) inv[i * np_ + i] = 1;
+      };
+      if (mixed) {
+        identity(inv32_.data() + c * nn);
+      } else {
+        identity(inv64_.data() + c * nn);
+      }
+      return;
+    }
+    const std::size_t t = static_cast<std::size_t>(thread_rank());
+    FFW_DCHECK(t < slots);
+    cplx* ws = work.data() + t * slot;
+    cplx* m = mixed ? ws : inv64_.data() + c * nn;
+    // M_c = I - A_self * diag(O_c): column j is e_j - O_c[j] * A_self[:,j],
+    // in real arithmetic.
     for (std::size_t j = 0; j < np_; ++j) {
-      const cplx oj = o[j];
-      for (std::size_t i = 0; i < np_; ++i)
-        m(i, j) = (i == j ? cplx{1.0} : cplx{}) - self_block(i, j) * oj;
+      const double orr = o[j].real(), oi = o[j].imag();
+      const cplx* aj = self_block.data() + j * np_;
+      cplx* mj = m + j * np_;
+      for (std::size_t i = 0; i < np_; ++i) {
+        const double ar = aj[i].real(), ai = aj[i].imag();
+        mj[i] = {-(ar * orr - ai * oi), -(ar * oi + ai * orr)};
+      }
+      mj[j] += 1.0;
     }
-    const CMatrix inv = LuFactors(std::move(m)).inverse();  // fp64, always
-    if (storage_ == Precision::kMixed) {
-      std::transform(inv.data(), inv.data() + nn, inv32_.data() + c * nn,
-                     [](cplx v) { return narrow(v); });
-    } else {
-      std::copy(inv.data(), inv.data() + nn, inv64_.data() + c * nn);
-    }
+    invert_in_place(m, np_, cspan{ws + (mixed ? nn : 0), kInvertBlock * np_},
+                    pivots.subspan(t * np_, np_));  // fp64, always
+    if (mixed) narrow(ccspan{m, nn}, cspan32{inv32_.data() + c * nn, nn});
   });
 }
 
@@ -114,6 +140,11 @@ void NearFieldBlockJacobi::apply_herm(ccspan x, cspan z,
   } else {
     apply_leaves(inv64_.data(), x, z, lo, /*herm=*/true);
   }
+}
+
+ccspan NearFieldBlockJacobi::inverse(std::size_t c) const {
+  FFW_CHECK(storage_ == Precision::kDouble && c < nblocks_);
+  return {inv64_.data() + c * np_ * np_, np_ * np_};
 }
 
 std::size_t NearFieldBlockJacobi::bytes() const {

@@ -68,10 +68,14 @@ struct PrecondContext {
 /// Block-Jacobi over the leaf self blocks: M = diag_c(I - A_self O_c)
 /// with A_self the shared np x np near-field self matrix
 /// (NearFieldOperators::type(4)) and O_c the contrast diagonal of leaf
-/// panel c. M_c^{-1} is formed explicitly (linalg/lu, fp64) and applied
-/// as a GEMM (M^{-H} as an A^H B product). Under Precision::kMixed the
-/// inverses are rounded once to fp32 — half the streamed bytes — and the
-/// products accumulate in fp64.
+/// panel c. M_c^{-1} is formed explicitly in fp64, in place in the
+/// preconditioner's storage, by invert_in_place (linalg/lu: blocked
+/// Gauss-Jordan on the GEMM register tile); a leaf whose contrast is
+/// exactly zero gets I without a factorisation. It is applied as a GEMM
+/// (M^{-H} as an A^H B product). Under Precision::kMixed each inverse is
+/// formed in a per-thread fp64 scratch slot and rounded once to fp32 —
+/// half the streamed bytes — and the products accumulate in fp64. A
+/// rebuild allocates nothing once its scratch has been sized.
 class NearFieldBlockJacobi final : public Preconditioner {
  public:
   /// `contrast_clu` is the cluster-ordered contrast covering the leaves
@@ -88,6 +92,9 @@ class NearFieldBlockJacobi final : public Preconditioner {
   void apply(ccspan x, cspan z, const BlockLayout& lo) const override;
   void apply_herm(ccspan x, cspan z, const BlockLayout& lo) const override;
   std::size_t bytes() const override;
+
+  /// M_c^{-1} of leaf c, np x np column-major (fp64 storage only).
+  ccspan inverse(std::size_t c) const;
 
   Precision storage() const { return storage_; }
   std::size_t num_blocks() const { return nblocks_; }

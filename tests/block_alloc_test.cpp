@@ -4,17 +4,21 @@
 // every later step draws its O(N * nrhs) vectors from storage it already
 // holds. This binary replaces the global allocation functions and counts,
 // per thread, every allocation of at least half a block vector of the
-// share being stepped.
+// share being stepped; and, on every thread at once, all allocations of
+// any size while a near-field preconditioner rebuilds.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 
 #include "dbim/dbim.hpp"
 #include "dbim/parallel_driver.hpp"
+#include "forward/precond.hpp"
 #include "linalg/scratch.hpp"
+#include "mlfma/engine.hpp"
 #include "phantom/setup.hpp"
 
 namespace {
@@ -24,8 +28,13 @@ namespace {
 thread_local std::size_t t_threshold = 0;
 thread_local std::size_t t_large = 0;
 thread_local std::size_t t_largest = 0;
+// Every allocation on any thread, counted while g_count_all is set.
+std::atomic<bool> g_count_all{false};
+std::atomic<std::size_t> g_all{0};
 
 void note(std::size_t bytes) {
+  if (g_count_all.load(std::memory_order_relaxed))
+    g_all.fetch_add(1, std::memory_order_relaxed);
   if (t_threshold == 0 || bytes < t_threshold) return;
   ++t_large;
   if (bytes > t_largest) t_largest = bytes;
@@ -177,6 +186,33 @@ TEST(BlockAlloc, PartitionedRanksSteadyStateAllocateNoBlockTemporaries) {
   });
   EXPECT_EQ(large[0], 0u);
   EXPECT_EQ(large[1], 0u);
+}
+
+// A rebuild forms and inverts every leaf in the preconditioner's own
+// storage and per-thread scratch: once the first build has sized the
+// scratch, a rebuild allocates nothing on any thread.
+TEST(BlockAlloc, PreconditionerRebuildAllocatesNothing) {
+  Grid grid(64);
+  QuadTree tree(grid);
+  MlfmaEngine engine(tree);
+  const CMatrix& self = engine.nearfield().type(4);
+  cvec o_clu(grid.num_pixels());
+  tree.to_cluster_order(
+      contrast_from_permittivity(
+          grid, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.8, cplx{0.02, 0.01})),
+      o_clu);
+  cvec o_next(o_clu.size());
+  for (std::size_t i = 0; i < o_clu.size(); ++i)
+    o_next[i] = cplx{1.5, 0.5} * o_clu[i];
+  for (const Precision storage : {Precision::kDouble, Precision::kMixed}) {
+    NearFieldBlockJacobi p(self, o_clu, storage);
+    g_all = 0;
+    g_count_all = true;
+    p.rebuild(self, o_next);
+    g_count_all = false;
+    EXPECT_EQ(g_all.load(), 0u)
+        << (storage == Precision::kMixed ? "fp32" : "fp64");
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Dense/banded/diagonal linear-algebra substrate tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
@@ -146,11 +149,50 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{13, 9, 61}, std::tuple{37, 5, 65},
                       std::tuple{3, 11, 129}));
 
+// A^{-1} through invert_in_place, with its scratch.
+CMatrix inverted(CMatrix a) {
+  cvec panel(kInvertBlock * a.rows());
+  std::vector<std::size_t> pivots(a.rows());
+  invert_in_place(a.data(), a.rows(), panel, pivots);
+  return a;
+}
+
+// max_i sum_j |(A B - I)_ij|.
+double identity_error_inf(const CMatrix& a, const CMatrix& b) {
+  CMatrix prod(a.rows(), b.cols());
+  gemm(cplx{1.0}, a, b, cplx{}, prod);
+  double err = 0.0;
+  for (std::size_t i = 0; i < prod.rows(); ++i) {
+    double row = 0.0;
+    for (std::size_t j = 0; j < prod.cols(); ++j)
+      row += std::abs(prod(i, j) - (i == j ? 1.0 : 0.0));
+    err = std::max(err, row);
+  }
+  return err;
+}
+
+// Largest entry difference between inv and A^{-1} formed column by
+// column with LuFactors::solve.
+double lu_column_diff(const CMatrix& a, const CMatrix& inv) {
+  const std::size_t n = a.rows();
+  const LuFactors lu(a);
+  double diff = 0.0;
+  cvec e(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::fill(e.begin(), e.end(), cplx{});
+    e[j] = 1.0;
+    const cvec x = lu.solve(e);
+    for (std::size_t i = 0; i < n; ++i)
+      diff = std::max(diff, std::abs(x[i] - inv(i, j)));
+  }
+  return diff;
+}
+
 TEST(Lu, InverseTimesMatrixIsIdentity) {
   Rng rng(4);
   const std::size_t n = 37;
   const CMatrix a = random_matrix(n, n, rng);
-  const CMatrix inv = LuFactors(a).inverse();
+  const CMatrix inv = inverted(a);
   CMatrix prod(n, n);
   gemm(cplx{1.0}, inv, a, cplx{}, prod);
   double err = 0.0;
@@ -158,6 +200,52 @@ TEST(Lu, InverseTimesMatrixIsIdentity) {
     for (std::size_t i = 0; i < n; ++i)
       err = std::max(err, std::abs(prod(i, j) - (i == j ? 1.0 : 0.0)));
   EXPECT_LT(err, 1e-12);
+}
+
+class InvertSizes : public ::testing::TestWithParam<int> {};
+
+// Sizes around the pivot-block edge: inside one block, exactly one,
+// one past it, and several blocks with and without a short last one.
+TEST_P(InvertSizes, MatchesLuSolvesOnWellConditionedMatrices) {
+  const std::size_t n = static_cast<std::size_t>(GetParam());
+  Rng rng(40 + n);
+  CMatrix a = random_matrix(n, n, rng);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(n));
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) a(i, j) *= scale;
+    a(j, j) += 3.0;
+  }
+  const CMatrix inv = inverted(a);
+  EXPECT_LE(identity_error_inf(a, inv), 1e-12);
+  EXPECT_LE(lu_column_diff(a, inv), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockEdges, InvertSizes,
+                         ::testing::Values(1, 7, 8, 9, 63, 64, 65, 130));
+
+TEST(Lu, InvertPivotsPastZeroDiagonal) {
+  // A cyclic shift plus off-diagonal noise: every diagonal entry is
+  // exactly zero, so without row pivoting the first step divides by 0.
+  const std::size_t n = 70;
+  Rng rng(41);
+  CMatrix a(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (i != j) a(i, j) = 0.1 / std::sqrt(double(n)) * rng.cnormal();
+    a((j + 1) % n, j) += 1.0;
+  }
+  const CMatrix inv = inverted(a);
+  EXPECT_LE(identity_error_inf(a, inv), 1e-12);
+  EXPECT_LE(lu_column_diff(a, inv), 1e-12);
+}
+
+TEST(LuDeathTest, InvertAbortsOnAnExactlySingularMatrix) {
+  // Column 11 is zero: it stays exactly zero through the first block's
+  // update, and its pivot search in the second block finds nothing.
+  Rng rng(42);
+  CMatrix a = random_matrix(16, 16, rng);
+  for (std::size_t i = 0; i < 16; ++i) a(i, 11) = 0.0;
+  EXPECT_DEATH(inverted(a), "singular");
 }
 
 TEST(Lu, SolveRandomSystem) {

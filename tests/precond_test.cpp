@@ -4,6 +4,7 @@
 // parallel rerun, crash-recovery) and observability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -149,6 +150,58 @@ TEST(NearFieldBlockJacobi, RebuildInPlaceMatchesFreshConstruction) {
     fresh.apply_herm(eye, b, lo);
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
   }
+}
+
+/// The np x np identity, column-major.
+cvec identity_panel(std::size_t np) {
+  cvec eye(np * np, cplx{});
+  for (std::size_t i = 0; i < np; ++i) eye[i * np + i] = 1.0;
+  return eye;
+}
+
+bool is_identity(ccspan inv, std::size_t np) {
+  const cvec eye = identity_panel(np);
+  return inv.size() == eye.size() &&
+         std::memcmp(inv.data(), eye.data(), eye.size() * sizeof(cplx)) == 0;
+}
+
+// At zero contrast M_c = I: every leaf stores exactly I, with no
+// factorisation to round it (the first build of every DBIM run).
+TEST(NearFieldBlockJacobi, ZeroContrastStoresTheIdentity) {
+  LeafFixture f;
+  const NearFieldBlockJacobi p(f.engine.nearfield().type(4),
+                               cvec(f.o_clu.size(), cplx{}));
+  ASSERT_EQ(p.num_blocks(), f.nleaf);
+  for (std::size_t c = 0; c < f.nleaf; ++c)
+    EXPECT_TRUE(is_identity(p.inverse(c), f.np)) << "leaf " << c;
+}
+
+// One zero leaf in a contrast whose other leaves are not: that leaf gets
+// exactly I, and the apply passes its panel through value for value.
+TEST(NearFieldBlockJacobi, ZeroLeafAmongNonzeroLeavesIsTheIdentity) {
+  LeafFixture f;
+  const std::size_t zero_leaf = 3;
+  cvec o = f.o_clu;
+  std::fill_n(o.begin() + zero_leaf * f.np, f.np, cplx{});
+  for (std::size_t c = 0; c < f.nleaf; ++c) {
+    if (c == zero_leaf) continue;
+    ASSERT_TRUE(std::any_of(o.begin() + c * f.np, o.begin() + (c + 1) * f.np,
+                            [](cplx v) { return v != cplx{}; }))
+        << "leaf " << c;
+  }
+  const NearFieldBlockJacobi p(f.engine.nearfield().type(4), o);
+  EXPECT_TRUE(is_identity(p.inverse(zero_leaf), f.np));
+  EXPECT_FALSE(is_identity(p.inverse(zero_leaf + 1), f.np));
+
+  const BlockLayout lo{f.np, 3, f.nleaf};
+  Rng rng(78);
+  cvec x(lo.size()), z(lo.size());
+  rng.fill_cnormal(x);
+  p.apply(x, z, lo);
+  for (std::size_t r = 0; r < lo.nrhs; ++r)
+    for (std::size_t i = 0; i < f.np; ++i)
+      EXPECT_EQ(z[lo.at(zero_leaf, r) + i], x[lo.at(zero_leaf, r) + i])
+          << "rhs " << r << " row " << i;
 }
 
 // The preconditioner and the block solver work leaf-parallel and
