@@ -6,8 +6,6 @@
 // solve.
 #include <benchmark/benchmark.h>
 
-#include <array>
-
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
@@ -93,37 +91,42 @@ static void BM_TranslationDiag(benchmark::State& state) {
 }
 BENCHMARK(BM_TranslationDiag);
 
-// The engine's near pass: one gemm_sum_t per leaf over its neighbour
-// products, on nrhs columns, at 1 thread or at all (threads = 0).
+// The engines' near pass: NearFieldOperators::apply_box on the whole
+// grid (leaf-row transforms, row-operators and row products), on nrhs
+// columns, at 1 thread or at all (threads = 0). GFLOP/s counts the MACs
+// the routine performs (8 flops each: both transforms, the
+// row-operators as 9 np^2 per frequency, the products); direct-eq GFLOP/s
+// counts the direct nine-type sum's MACs per second instead (one np^2
+// product per near-list entry), the rate the per-leaf sum had to reach
+// for the same time.
 static void BM_NearFieldPass(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
   const std::size_t nrhs = static_cast<std::size_t>(state.range(1));
   const NearFieldOperators& near = f.engine.nearfield();
   const std::size_t np = static_cast<std::size_t>(f.tree.pixels_per_leaf());
-  const auto& begin = f.tree.near_begin();
-  const auto& entries = f.tree.near();
+  const LeafBox box = leaf_box(0, f.tree.num_leaves());
   Rng rng(5);
   cvec x(f.grid.num_pixels() * nrhs), y(x.size(), cplx{});
   rng.fill_cnormal(x);
   set_num_threads(static_cast<int>(state.range(2)));
   for (auto _ : state) {
-    parallel_for_dynamic(0, f.tree.num_leaves(), [&](std::size_t c) {
-      std::array<GemmTerm<double>, NearFieldOperators::kNumTypes> terms;
-      std::size_t count = 0;
-      for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e)
-        terms[count++] = {near.type_data<double>(entries[e].near_type),
-                          x.data() + entries[e].src * np * nrhs};
-      gemm_sum_t<double>(np, nrhs, np, terms.data(), count, np, np,
-                         y.data() + c * np * nrhs, np);
-    });
+    near.apply_box<double>(box, x.data(), y.data(), nrhs);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   set_num_threads(0);
-  const double flops = 8.0 * static_cast<double>(entries.size() * np * np *
-                                                 nrhs);
+  const double w = static_cast<double>(box.width),
+               h = static_cast<double>(box.height), m = w + 1,
+               n2 = static_cast<double>(np * np),
+               len = static_cast<double>(np * nrhs);
+  const double macs = 2 * h * w * m * len + 9 * m * n2 +
+                      m * (3 * h - 2) * n2 * static_cast<double>(nrhs);
+  const double direct = static_cast<double>(f.tree.near().size()) * n2 *
+                        static_cast<double>(nrhs);
   state.counters["GFLOP/s"] = benchmark::Counter(
-      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+      8.0 * macs * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["direct-eq GFLOP/s"] = benchmark::Counter(
+      8.0 * direct * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_NearFieldPass)
     ->ArgNames({"nx", "nrhs", "threads"})
@@ -131,6 +134,8 @@ BENCHMARK(BM_NearFieldPass)
     ->Args({128, 16, 0})
     ->Args({64, 4, 1})
     ->Args({64, 4, 0})
+    ->Args({32, 4, 1})
+    ->Args({32, 4, 0})
     ->UseRealTime();
 
 // The near-field preconditioner's setup: every leaf's M_c = I - A_self

@@ -1,5 +1,6 @@
 #include "forward/bicgstab.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -31,9 +32,14 @@ BicgstabResult bicgstab(const LinearOp& a, ccspan b, cspan x,
   }
 
   cvec r(n), rhat(n), p(n), v(n, cplx{}), s(n), t(n), tmp(n);
-  a(x, tmp);
-  ++res.matvecs;
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - tmp[i];
+  // A x0 is exactly zero for x0 = 0, so that start makes no apply.
+  if (std::any_of(x.begin(), x.end(), [](cplx e) { return e != cplx{}; })) {
+    a(x, tmp);
+    ++res.matvecs;
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - tmp[i];
+  } else {
+    copy(b, r);
+  }
   copy(r, rhat);
   copy(r, p);
 

@@ -27,7 +27,8 @@ struct BicgstabOptions {
 
 struct BicgstabResult {
   int iterations = 0;   // BiCGS iterations
-  int matvecs = 0;      // operator applications (2 per iteration + setup)
+  int matvecs = 0;      // operator applications (2 per iteration, + 1
+                        // setup apply unless x0 = 0)
   double relres = 0.0;  // final relative residual norm
   bool converged = false;
 };

@@ -73,6 +73,18 @@ inline void xr_update_panel(std::size_t n, cplx a, cplx w, const cplx* ph,
   acc[2] += di;
 }
 
+/// Number of nonzero re/im components of n complex entries: exact, so
+/// a count of zero means the entries are exactly zero.
+inline double nonzeros_panel(std::size_t n, const cplx* x) {
+  const double* xs = reinterpret_cast<const double*>(x);
+  double acc = 0.0;
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : acc)
+#endif
+  for (std::size_t i = 0; i < 2 * n; ++i) acc += xs[i] != 0.0 ? 1.0 : 0.0;
+  return acc;
+}
+
 /// p = r + beta (p - w v).
 inline void p_update_panel(std::size_t n, cplx beta, cplx w, const cplx* r,
                            const cplx* v, cplx* p) {
@@ -171,34 +183,42 @@ BlockBicgstabResult block_bicgstab(const BlockLinearOp& a, ccspan b, cspan x,
   };
   Sweeper sweep(lo);
 
-  // ||b_r|| for every column in one reduction.
-  sweep(all, 1, scal_d.data(),
+  // ||b_r||^2 and the nonzero count of x0_r for every column in one
+  // reduction, so the ranks of a distributed solve agree on a zero start.
+  sweep(all, 2, sums.data(),
         [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
           acc[0] += nrm2_panel(n, b.data() + o);
+          acc[1] += nonzeros_panel(n, x.data() + o);
         });
-  reduce.sum_double_vec(rspan{scal_d});
+  reduce.sum_double_vec(rspan{sums.data(), 2 * nrhs});
+  bool zero_start = true;
   for (std::size_t j = 0; j < nrhs; ++j) {
-    bnorm[j] = std::sqrt(scal_d[j]);
+    bnorm[j] = std::sqrt(sums[2 * j]);
     if (bnorm[j] == 0.0) {
       for (std::size_t c = 0; c < lo.npanels; ++c)
         std::fill_n(x.begin() + static_cast<std::ptrdiff_t>(lo.at(c, j)), np,
                     cplx{});
       res.rhs[j].converged = true;
       active[j] = 0;
+    } else if (sums[2 * j + 1] != 0.0) {
+      zero_start = false;
     }
   }
 
   // r = b - A x (one blocked matvec covers every column, A x held in v
-  // until the loop's first matvec); rhat = p = r. s starts at zero: the
-  // operator and M^{-1} see its frozen columns.
-  a(x, v);
-  ++res.block_matvecs;
-  for (std::size_t j = 0; j < nrhs; ++j)
-    if (active[j]) ++res.rhs[j].matvecs;
+  // until the loop's first matvec); rhat = p = r. A x is exactly zero
+  // when every active x0 is, so that start makes no apply: r = b. s
+  // starts at zero: the operator and M^{-1} see its frozen columns.
+  if (!zero_start) {
+    a(x, v);
+    ++res.block_matvecs;
+    for (std::size_t j = 0; j < nrhs; ++j)
+      if (active[j]) ++res.rhs[j].matvecs;
+  }
   sweep(all, 1, scal_d.data(),
         [&](std::size_t o, std::size_t n, std::size_t, double* acc) {
           for (std::size_t i = o; i < o + n; ++i) {
-            r[i] = b[i] - v[i];
+            r[i] = zero_start ? b[i] : b[i] - v[i];
             rhat[i] = r[i];
             p[i] = r[i];
             s[i] = cplx{};

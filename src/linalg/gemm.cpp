@@ -298,6 +298,10 @@ template void gemm_sum_t<float, double>(std::size_t, std::size_t, std::size_t,
                                         const GemmTerm<float>*, std::size_t,
                                         std::size_t, std::size_t, cplx*,
                                         std::size_t, bool);
+template void gemm_sum_t<float, float>(std::size_t, std::size_t, std::size_t,
+                                       const GemmTerm<float>*, std::size_t,
+                                       std::size_t, std::size_t, cplx32*,
+                                       std::size_t, bool);
 
 namespace {
 

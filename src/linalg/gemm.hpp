@@ -1,9 +1,11 @@
 // Register-tiled complex GEMM. The paper implements the MLFMA multipole
 // and local expansions as dense matrix-matrix multiplications for data
 // reuse (Sec. IV-D); gemm_sum_t is the one kernel that realises every
-// dense product of the solver on the CPU: the near-field leaf sums, the
-// leaf expansions, the preconditioner apply and the receiver projection;
-// diag_sum_t runs the MLFMA translations on the same register tile.
+// dense product of the solver on the CPU: the near field's row
+// transforms and row-operator products, a partitioned rank's ghost leaf
+// sums, the leaf expansions, the preconditioner apply and the receiver
+// projection; diag_sum_t runs the MLFMA translations on the same
+// register tile.
 //
 // It is templated over a *storage* scalar TS (what A and B stream from
 // memory) and a *destination* scalar TC (what C holds). All products of
@@ -12,7 +14,9 @@
 //   TS = float, TC = double — the mixed pipeline's fp64-accumulation
 //                       boundaries (fp32 MACs, fp64 sum, DESIGN.md
 //                       Sec. 10);
-//   TS = TC = float       — the mixed leaf expansion (gemm_expand_mixed).
+//   TS = TC = float       — the mixed leaf expansion (gemm_expand_mixed)
+//                       and the mixed near field's forward row
+//                       transform (NearFieldOperators::apply_box).
 #pragma once
 
 #include "linalg/cmatrix.hpp"
@@ -35,8 +39,9 @@ struct GemmTerm {
 };
 
 /// C(m x n) += sum_{e < count} A_e(m x k) * B_e(k x n), or C = that sum
-/// when `accumulate` is false: one call per near-field destination leaf
-/// over its <= 9 neighbour terms, or a one-term list for a plain product.
+/// when `accumulate` is false: one call per near-field row-operator
+/// product over its <= 3 rows (or per ghost-fed leaf over its neighbour
+/// terms), or a one-term list for a plain product.
 /// A_e has leading dimension lda, B_e ldb. A register tile of rows x 4
 /// columns (column tails at width 2 and 1) accumulates over every term
 /// and every k before C is written once (for k > 96 and an fp64 C, once
@@ -60,6 +65,9 @@ extern template void gemm_sum_t<double, double>(
 extern template void gemm_sum_t<float, double>(
     std::size_t, std::size_t, std::size_t, const GemmTerm<float>*,
     std::size_t, std::size_t, std::size_t, cplx*, std::size_t, bool);
+extern template void gemm_sum_t<float, float>(
+    std::size_t, std::size_t, std::size_t, const GemmTerm<float>*,
+    std::size_t, std::size_t, std::size_t, cplx32*, std::size_t, bool);
 
 /// One (d_e, B_e) pair of a diag_sum_t list.
 template <typename TS>

@@ -231,23 +231,7 @@ void MlfmaEngine::near_pass_t(const std::complex<T>* x, cspan y,
                               std::size_t nrhs) {
   PhaseTimerScope t(times_, MlfmaPhase::kNearField);
   FFW_TRACE_SPAN("mlfma.nearfield");
-  const std::size_t np = static_cast<std::size_t>(tree_->pixels_per_leaf());
-  const auto& begin = tree_->near_begin();
-  const auto& entries = tree_->near();
-  // One register-tiled sum per leaf over its <= 9 neighbour products;
-  // for T = float every MAC is fp32 and the sum across them fp64.
-  parallel_for_dynamic(0, tree_->num_leaves(), [&](std::size_t c) {
-    FFW_CHECK(begin[c + 1] - begin[c] <= NearFieldOperators::kNumTypes);
-    std::array<GemmTerm<T>, NearFieldOperators::kNumTypes> terms;
-    std::size_t count = 0;
-    for (std::uint32_t e = begin[c]; e < begin[c + 1]; ++e) {
-      const NearEntry& ne = entries[e];
-      terms[count++] = {near_.type_data<T>(ne.near_type),
-                        x + static_cast<std::size_t>(ne.src) * np * nrhs};
-    }
-    gemm_sum_t<T>(np, nrhs, np, terms.data(), count, np, np,
-                  y.data() + c * np * nrhs, np);
-  });
+  near_.apply_box<T>(leaf_box(0, tree_->num_leaves()), x, y.data(), nrhs);
 }
 
 void MlfmaEngine::apply(ccspan x, cspan y) { apply_block(x, y, 1); }

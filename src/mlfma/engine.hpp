@@ -10,7 +10,10 @@
 // kernels fused with the diagonal shifts, and translation is a diagonal
 // multiply-accumulate per interaction-list entry. The kernels are the
 // ones PartitionedMlfma runs (mlfma/farfield.hpp); this engine spreads
-// clusters over threads.
+// clusters over threads. The near-field pass is
+// NearFieldOperators::apply_box on the whole leaf grid (the leaf-row
+// Fourier form of the nine-type sum), the routine PartitionedMlfma runs
+// on each rank's rectangle.
 //
 // Phase wall-times are accumulated in `phase_times()`; they are the
 // measured inputs for the Table III / Table IV reproduction and the
@@ -36,7 +39,7 @@ enum class MlfmaPhase {
   kTranslation,        // diagonal far-field translations
   kDisaggregation,     // shift + anterpolate down the tree
   kLocalExpansion,     // leaf local expansion (dense GEMM)
-  kNearField,          // 9-type dense near-field pass
+  kNearField,          // near-field pass (row-Fourier form of the 9 types)
   kCount
 };
 
@@ -76,8 +79,9 @@ class MlfmaEngine {
   /// Y are block vectors of size N * nrhs in the leaf-interleaved block
   /// layout (linalg/block.hpp with panel = pixels_per_leaf): every
   /// operator table — translation diagonals, interpolation stencils,
-  /// shift vectors, near-field blocks — is streamed from memory once per
-  /// apply and reused across all columns, and the leaf expansions become
+  /// shift vectors, near-field row-operators — is streamed from memory
+  /// once per apply (the row-operators once per 8-column chunk) and
+  /// reused across all columns, and the leaf expansions become
   /// (q0 x np) x (np x nleaf*nrhs) GEMMs.
   void apply_block(ccspan x, cspan y, std::size_t nrhs);
 
@@ -97,9 +101,10 @@ class MlfmaEngine {
   void clear_phase_times() { times_.clear(); }
 
   /// Arithmetic policy (from MlfmaParams::precision). Under kMixed the
-  /// operator tables, spectra panels and near-field blocks are fp32 with
-  /// fp64 accumulation at the leaf local-expansion / near-field GEMM
-  /// boundaries; x/y stay fp64 at the API.
+  /// operator tables, spectra panels, near-field row-operators and
+  /// forward row transforms are fp32 with fp64 accumulation at the leaf
+  /// local-expansion / near-field product boundaries (the near field's
+  /// inverse row transform is fp64); x/y stay fp64 at the API.
   Precision precision() const { return plan_.params().precision; }
 
   /// Releases the per-level spectra panels (grown to the largest nrhs

@@ -234,7 +234,7 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     const std::size_t q = static_cast<std::size_t>(plan_.level(l).samples);
     const LevelOperators& lops = ops_.level(l);
     // The schedule lists work in destination order: one register-tiled
-    // sum per run of equal dst_slot (cf. run_near).
+    // sum per run of equal dst_slot (cf. run_near_ghosts).
     std::array<DiagTerm<T>, TreeLevel::kMaxFar> terms;
     for (std::size_t w = 0; w < work.size();) {
       const std::uint32_t dst = work[w].dst_slot;
@@ -249,11 +249,16 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
                     q);
     }
   };
-  auto run_near = [&](const std::vector<HaloWork>& work,
-                      const C* src_panel) {
+  // The own-source near field: the rank's leaves are 16/p whole
+  // top-level sub-trees, a rectangle, run as one row-Fourier box.
+  auto run_near_own = [&] {
     obs::SpanScope span("dist.near", obs::kNoArg, obs::Counter::kComputeNs);
-    // The schedule lists work in destination order: one register-tiled
-    // sum per run of equal dst_slot.
+    near_.apply_box<T>(leaf_box(lb, le), x_local, y_local.data(), nrhs);
+  };
+  // A peer's ghost terms, in destination order: one register-tiled sum
+  // per run of equal dst_slot.
+  auto run_near_ghosts = [&](const std::vector<HaloWork>& work) {
+    obs::SpanScope span("dist.near", obs::kNoArg, obs::Counter::kComputeNs);
     std::array<GemmTerm<T>, NearFieldOperators::kNumTypes> terms;
     for (std::size_t w = 0; w < work.size();) {
       const std::uint32_t dst = work[w].dst_slot;
@@ -261,7 +266,7 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
       for (; w < work.size() && work[w].dst_slot == dst; ++w) {
         FFW_CHECK(count < terms.size());
         terms[count++] = {near_.type_data<T>(work[w].type),
-                          src_panel + work[w].src_slot * np * nrhs};
+                          x_gh.data() + work[w].src_slot * np * nrhs};
       }
       gemm_sum_t<T>(np, nrhs, np, terms.data(), count, np, np,
                     y_local.data() + dst * np * nrhs, np);
@@ -328,8 +333,8 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
     }
     run_downward();
     for (const PeerRecv& pr : rs.near.recvs) recv_near_payload(pr);
-    run_near(rs.near.local, x_local);
-    for (const PeerRecv& pr : rs.near.recvs) run_near(pr.work, x_gh.data());
+    run_near_own();
+    for (const PeerRecv& pr : rs.near.recvs) run_near_ghosts(pr.work);
     return;
   }
 
@@ -368,7 +373,7 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
         const int l = static_cast<int>(phase);
         run_trans(l, pending[i].pr->work, s_gh[phase]);
       } else {
-        run_near(pending[i].pr->work, x_gh.data());
+        run_near_ghosts(pending[i].pr->work);
       }
     }
   };
@@ -398,7 +403,7 @@ void PartitionedMlfma::apply_block_impl(Comm& comm,
   // Local work, biggest latency-hiding chunk first: the interior near
   // field is independent of the whole far-field pipeline.
   poll();
-  run_near(rs.near.local, x_local);
+  run_near_own();
   own(nphases - 1);
   poll();
   for (int l = 0; l < nlev; ++l) {

@@ -13,7 +13,11 @@
 //     one aggregated buffer per peer (Sec. IV-B: "small communication
 //     buffers are aggregated into larger ones");
 //   * the near-field phase needs ghost leaf values of boundary
-//     neighbours — likewise one buffer per peer.
+//     neighbours — likewise one buffer per peer. A rank's leaves are
+//     16/p whole top-level sub-trees, a rectangle of the leaf grid, so
+//     its own-source near field is one NearFieldOperators::apply_box
+//     (the serial engine's routine); the ghost terms stay per-leaf
+//     direct sums over the nine types, one peer at a time.
 //
 // Communication/computation overlap (paper Fig. 8) is realised by a
 // dependency-split schedule computed once at construction

@@ -15,7 +15,9 @@
 //
 //   * `local` entries depend only on owned data and can run while halo
 //     messages are still in flight — they are the latency-hiding work of
-//     the overlapped schedule;
+//     the overlapped schedule (the near phase's `local` list records the
+//     own-source split; the apply runs that part as one box of the
+//     leaf-row Fourier form, NearFieldOperators::apply_box);
 //   * `recvs` groups the remaining entries by the single peer message
 //     that unlocks them, so the apply can drain messages in *arrival*
 //     order and run each group the moment its message lands.

@@ -1,13 +1,15 @@
 // Block BiCGStab: lockstep recurrences over nrhs columns must reproduce
 // the single-vector reference solver exactly — same iterates, same
 // iteration/matvec counts, same convergence decisions — including when
-// columns converge at different iterations.
+// columns converge at different iterations. A start from x0 = 0 makes no
+// setup apply (A x0 = 0 exactly), on one rank or on a reducing group.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "forward/block_bicgstab.hpp"
 #include "forward/forward.hpp"
 #include "linalg/kernels.hpp"
+#include "vcluster/comm.hpp"
 
 namespace ffw {
 namespace {
@@ -176,6 +178,129 @@ TEST(BlockBicgstab, ForwardSolverBlockMatchesPerColumnSolve) {
       den += std::norm(phi[i]);
     }
     EXPECT_LT(std::sqrt(num), 1e-10 * std::sqrt(den)) << "col=" << c;
+  }
+}
+
+bool all_zero(ccspan v) {
+  for (const cplx& e : v)
+    if (e != cplx{}) return false;
+  return true;
+}
+
+TEST(BlockBicgstab, ZeroStartMakesNoSetupApply) {
+  // Every operator call is a Krylov direction: two per iteration (one
+  // fewer on a half-step exit), none on an all-zero block.
+  const std::size_t n = 48, nrhs = 4;
+  const DenseOp op(n, 5, 0.05);
+  const BlockLayout lo{n, nrhs, 1};
+  Rng rng(6);
+  cvec b(lo.size()), x(lo.size(), cplx{});
+  rng.fill_cnormal(b);
+  BicgstabOptions opts;
+  opts.tol = 1e-10;
+  opts.max_iterations = 200;
+
+  int calls = 0;
+  bool zero_input = false;
+  const BlockBicgstabResult blk = block_bicgstab(
+      [&](ccspan in, cspan out) {
+        ++calls;
+        zero_input = zero_input || all_zero(in);
+        op.apply_block(in, out, nrhs);
+      },
+      b, x, lo, opts);
+  ASSERT_TRUE(blk.converged);
+  EXPECT_FALSE(zero_input);
+  EXPECT_EQ(calls, blk.block_matvecs);
+  EXPECT_TRUE(calls == 2 * blk.iterations || calls == 2 * blk.iterations - 1)
+      << calls << " calls in " << blk.iterations << " iterations";
+}
+
+TEST(BlockBicgstab, OneNonzeroColumnKeepsTheSetupApply) {
+  const std::size_t n = 40, nrhs = 3;
+  const DenseOp op(n, 9, 0.08);
+  const BlockLayout lo{n, nrhs, 1};
+  Rng rng(12);
+  cvec b(lo.size()), x(lo.size(), cplx{});
+  rng.fill_cnormal(b);
+  cvec guess(n);
+  rng.fill_cnormal(guess);
+  std::copy(guess.begin(), guess.end(),
+            x.begin() + static_cast<std::ptrdiff_t>(n));
+  BicgstabOptions opts;
+  opts.tol = 1e-10;
+  opts.max_iterations = 200;
+
+  int calls = 0;
+  cvec first_in;
+  const BlockBicgstabResult blk = block_bicgstab(
+      [&](ccspan in, cspan out) {
+        if (calls++ == 0) first_in.assign(in.begin(), in.end());
+        op.apply_block(in, out, nrhs);
+      },
+      b, x, lo, opts);
+  ASSERT_TRUE(blk.converged);
+  // The first call is r = b - A x0 on the guess itself.
+  ASSERT_EQ(first_in.size(), lo.size());
+  EXPECT_TRUE(all_zero(ccspan{first_in.data(), n}));
+  EXPECT_TRUE(std::equal(guess.begin(), guess.end(), first_in.begin() + n));
+  EXPECT_EQ(calls, blk.block_matvecs);
+  EXPECT_TRUE(calls == 2 * blk.iterations + 1 ||
+              calls == 2 * blk.iterations)
+      << calls << " calls in " << blk.iterations << " iterations";
+  // Each column still solves its own system.
+  cvec ax(lo.size());
+  op.apply_block(x, ax, nrhs);
+  EXPECT_LT(rel_l2_diff(ax, b), 1e-9);
+}
+
+TEST(BlockBicgstab, ReducingGroupAppliesWhenAnyRankHasANonzeroGuess) {
+  // Two ranks of one solve: rank 1's slice of x0 is nonzero, rank 0's is
+  // zero. The zero-start test reduces over the group, so both ranks make
+  // the setup apply and stay in lockstep.
+  const int p = 2;
+  const std::size_t nb = 24, nrhs = 2;
+  std::vector<DenseOp> ops;
+  for (int r = 0; r < p; ++r)
+    ops.emplace_back(nb, 70 + static_cast<std::uint64_t>(r), 0.05);
+  const BlockLayout lo{nb, nrhs, 1};
+  Rng rng(71);
+  std::vector<cvec> b(p, cvec(lo.size())), x(p, cvec(lo.size(), cplx{}));
+  for (int r = 0; r < p; ++r) rng.fill_cnormal(b[static_cast<std::size_t>(r)]);
+  x[1][3] = cplx{0.5, -0.25};
+  BicgstabOptions opts;
+  opts.tol = 1e-10;
+  opts.max_iterations = 200;
+
+  std::vector<int> calls(p, 0), iterations(p, -1), block_matvecs(p, -1);
+  std::vector<char> setup_on_zero(p, 0);
+  VCluster vc(p);
+  const std::vector<int> all = {0, 1};
+  vc.run([&](Comm& comm) {
+    const std::size_t r = static_cast<std::size_t>(comm.rank());
+    DotReducer red{[&](cspan v) { comm.group_allreduce_sum(v, all); },
+                   [&](rspan v) { comm.group_allreduce_sum(v, all); }};
+    const BlockBicgstabResult res = block_bicgstab(
+        [&](ccspan in, cspan out) {
+          if (calls[r]++ == 0) setup_on_zero[r] = all_zero(in);
+          ops[r].apply_block(in, out, nrhs);
+        },
+        b[r], x[r], lo, opts, red);
+    EXPECT_TRUE(res.converged);
+    iterations[r] = res.iterations;
+    block_matvecs[r] = res.block_matvecs;
+  });
+  EXPECT_EQ(iterations[0], iterations[1]);
+  EXPECT_EQ(calls[0], calls[1]);
+  // Rank 0's first call is the setup apply on its zero slice.
+  EXPECT_TRUE(setup_on_zero[0]);
+  EXPECT_FALSE(setup_on_zero[1]);
+  for (int r = 0; r < p; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r);
+    EXPECT_EQ(calls[i], block_matvecs[i]);
+    EXPECT_TRUE(calls[i] == 2 * iterations[i] + 1 ||
+                calls[i] == 2 * iterations[i])
+        << "rank " << r;
   }
 }
 

@@ -31,10 +31,21 @@ TEST(Bicgstab, SolvesSmallDenseSystem) {
       [&](ccspan in, cspan out) { matvec(a, in, out); }, b, x, opts);
   EXPECT_TRUE(res.converged);
   EXPECT_LT(rel_l2_diff(x, x_true), 1e-8);
-  // One setup matvec plus two per full iteration; early exit at the
-  // s-norm check skips the second matvec of the last iteration.
-  EXPECT_TRUE(res.matvecs == 2 * res.iterations + 1 ||
-              res.matvecs == 2 * res.iterations);
+  // Two matvecs per full iteration and no setup matvec from x0 = 0
+  // (A x0 = 0 exactly); early exit at the s-norm check skips the second
+  // matvec of the last iteration.
+  EXPECT_TRUE(res.matvecs == 2 * res.iterations ||
+              res.matvecs == 2 * res.iterations - 1);
+
+  // A nonzero guess costs the setup matvec r = b - A x0.
+  cvec x1(n);
+  rng.fill_cnormal(x1);
+  const auto res1 = bicgstab(
+      [&](ccspan in, cspan out) { matvec(a, in, out); }, b, x1, opts);
+  EXPECT_TRUE(res1.converged);
+  EXPECT_LT(rel_l2_diff(x1, x_true), 1e-8);
+  EXPECT_TRUE(res1.matvecs == 2 * res1.iterations + 1 ||
+              res1.matvecs == 2 * res1.iterations);
 }
 
 TEST(Bicgstab, ImmediateConvergenceOnExactGuess) {
