@@ -2,13 +2,16 @@
 // batched dense expansions, the band-diagonal interpolation (one column,
 // and the engines' band-tile aggregation pass), the diagonal
 // translations, the 9-type near-field pass and the near-field
-// preconditioner's setup — plus the full MLFMA apply and one forward
-// solve.
+// preconditioner's setup, the FFT backend's padded-FFT operator apply —
+// plus the full MLFMA apply and one forward solve.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
+#include "forward/cbs.hpp"
 #include "forward/forward.hpp"
 #include "forward/precond.hpp"
 #include "greens/nearfield.hpp"
@@ -257,6 +260,49 @@ static void BM_Fft2PanelRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft2PanelRoundTrip)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// One padded-FFT operator apply of the FFT backend, y = [I - G0 O] x
+// over a 16-column panel (pack, transform-order forward, symbol,
+// inverse, crop per column), at 1 thread or at all (threads = 0).
+// "time/col" is the time per column; GFLOP/s is an equivalent rate that
+// counts two full P x P transforms per column (2 * 5 P^2 log2 P^2 flops)
+// whatever the pruning saves, so that later kernels compare.
+static void BM_CbsApply(benchmark::State& state) {
+  const Grid grid(static_cast<int>(state.range(0)));
+  const std::size_t nrhs = static_cast<std::size_t>(state.range(1));
+  CbsEngine cbs(grid);
+  cbs.set_contrast(contrast_from_permittivity(
+      grid, gaussian_blob(grid, Vec2{0.0, 0.0}, 2.0, cplx{0.05, 0.0})));
+  const std::size_t n = grid.num_pixels();
+  Rng rng(10);
+  cvec x(n * nrhs), y(n * nrhs);
+  rng.fill_cnormal(x);
+  set_num_threads(static_cast<int>(state.range(2)));
+  for (auto _ : state) {
+    cbs.apply_system_panel(x, y, nrhs);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  const double p2 = static_cast<double>(cbs.padded() * cbs.padded());
+  const double cols = static_cast<double>(nrhs);
+  state.counters["time/col"] = benchmark::Counter(
+      cols, benchmark::Counter::kIsIterationInvariantRate |
+                benchmark::Counter::kInvert);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      cols * 2.0 * 5.0 * p2 * std::log2(p2) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CbsApply)
+    ->ArgNames({"nx", "nrhs", "threads"})
+    ->Args({64, 16, 1})
+    ->Args({64, 16, 0})
+    ->Args({128, 16, 1})
+    ->Args({128, 16, 0})
+    ->Args({256, 16, 1})
+    ->Args({256, 16, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_ForwardSolve(benchmark::State& state) {
   Fixture& f = fixture128();

@@ -1,4 +1,5 @@
-// Complex FFT: iterative radix-2 Cooley-Tukey for power-of-two sizes and
+// Complex FFT: radix-4 Cooley-Tukey for power-of-two sizes (the planned
+// kernels of fft/fft2.hpp plus the bit-reversal permutation) and
 // Bluestein's chirp-z algorithm for arbitrary sizes.
 //
 // The MLFMA field samples live on uniform angular grids whose sizes are

@@ -6,9 +6,12 @@
 #include <list>
 #include <mutex>
 #include <numbers>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.hpp"
+#include "linalg/simd.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -33,220 +36,217 @@ std::complex<T> unit_phase(double ang) {
   return {static_cast<T>(std::cos(ang)), static_cast<T>(std::sin(ang))};
 }
 
-// Hand-vectorized butterflies via GCC/Clang vector extensions. The
-// interleaved re/im layout defeats the autovectorizer's cost model (it
-// settles for 16-byte vectors plus scalar shuffles); spelling out the
-// full-width lanes and the re/im swizzle roughly doubles the butterfly
-// throughput. 64-byte lanes on AVX-512 hardware, 32-byte under AVX,
-// 16-byte otherwise (wider vectors than the build's registers change the
-// ABI of these helpers and are split into pairs). Scalar tails keep
-// every width correct; the
-// aligned(sizeof(T)) attribute makes each access legal at
-// complex-element alignment. The only runtime shuffle is the in-lane
-// re/im swap -- twiddles come pre-expanded from the plan tables.
-#if defined(__GNUC__) || defined(__clang__)
-#define FFW_FFT_SIMD 1
-#if defined(__AVX512F__)
-#define FFW_FFT_VEC_BYTES 64
-#elif defined(__AVX__)
-#define FFW_FFT_VEC_BYTES 32
-#else
-#define FFW_FFT_VEC_BYTES 16
-#endif
+// ---- Butterflies ----
+//
+// Complex values are interleaved (re, im) in a vector: simd::Vec<T>, as
+// wide as the build's registers, or Cx<T>, one complex value (line tails
+// and rows shorter than two vectors). A twiddle w comes pre-expanded as
+// a = (Re w, Re w) and b = (-Im w, Im w) per complex lane, so v * w is
+// two lane-wise products and one in-lane re/im swap, and v * conj(w)
+// flips the sign of the second product: one table serves the forward
+// (w = e^{-2 pi i j / L}) and the inverse (conj w).
 
+typedef double Cx64 __attribute__((vector_size(16)));
+typedef float Cx32 __attribute__((vector_size(8)));
 template <typename T>
-struct Simd;
+using Cx = std::conditional_t<std::is_same_v<T, float>, Cx32, Cx64>;
 
-template <>
-struct Simd<double> {
-  typedef double V __attribute__((vector_size(FFW_FFT_VEC_BYTES), aligned(8)));
-  typedef long long M __attribute__((vector_size(FFW_FFT_VEC_BYTES)));
-  static constexpr std::size_t kScalars = FFW_FFT_VEC_BYTES / sizeof(double);
-  static V load(const double* p) { return *reinterpret_cast<const V*>(p); }
-  static void store(double* p, V v) { *reinterpret_cast<V*>(p) = v; }
-  // [re0, im0, re1, im1, ...] -> [im0, re0, im1, re1, ...]
-  static V swap_pairs(V v) {
-#if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-#elif defined(__clang__) && FFW_FFT_VEC_BYTES == 32
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
-#elif defined(__clang__)
-    return __builtin_shufflevector(v, v, 1, 0);
-#elif FFW_FFT_VEC_BYTES == 64
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
-#elif FFW_FFT_VEC_BYTES == 32
-    return __builtin_shuffle(v, M{1, 0, 3, 2});
-#else
-    return __builtin_shuffle(v, M{1, 0});
-#endif
-  }
-  static V broadcast(double a) { return a - V{}; }
-  static V alt(double a) {
-    V v{};
-    for (std::size_t i = 0; i < kScalars; i += 2) {
-      v[i] = -a;
-      v[i + 1] = a;
-    }
-    return v;
-  }
+template <typename V>
+using Scalar = std::remove_cvref_t<decltype(std::declval<V>()[0])>;
+
+/// Complex values per vector.
+template <typename V>
+constexpr std::size_t kCplx = sizeof(V) / (2 * sizeof(Scalar<V>));
+
+template <typename V>
+inline V splat(Scalar<V> s) {
+  return V{} + s;
+}
+
+/// (-1, 1, -1, 1, ...).
+template <typename V>
+inline V alt() {
+  return simd::zip<0>(splat<V>(-1), splat<V>(1));
+}
+
+template <typename V>
+struct Tw {
+  V a, b;
 };
 
-template <>
-struct Simd<float> {
-  typedef float V __attribute__((vector_size(FFW_FFT_VEC_BYTES), aligned(4)));
-  typedef int M __attribute__((vector_size(FFW_FFT_VEC_BYTES)));
-  static constexpr std::size_t kScalars = FFW_FFT_VEC_BYTES / sizeof(float);
-  static V load(const float* p) { return *reinterpret_cast<const V*>(p); }
-  static void store(float* p, V v) { *reinterpret_cast<V*>(p) = v; }
-  static V swap_pairs(V v) {
-#if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10,
-                                   13, 12, 15, 14);
-#elif defined(__clang__) && FFW_FFT_VEC_BYTES == 32
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-#elif defined(__clang__)
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
-#elif FFW_FFT_VEC_BYTES == 64
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12,
-                                  15, 14});
-#elif FFW_FFT_VEC_BYTES == 32
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
-#else
-    return __builtin_shuffle(v, M{1, 0, 3, 2});
-#endif
-  }
-  static V broadcast(float a) { return a - V{}; }
-  static V alt(float a) {
-    V v{};
-    for (std::size_t i = 0; i < kScalars; i += 2) {
-      v[i] = -a;
-      v[i + 1] = a;
-    }
-    return v;
-  }
-};
-#endif  // FFW_FFT_SIMD
-
-/// (a, b) <- (a + w b, a - w b) over len2 interleaved scalars with one
-/// constant twiddle w = wr + i wi: the column-pass butterfly, where a
-/// and b are contiguous blocks of `width` complex values.
-template <typename T>
-inline void line_butterfly(T* a, T* b, T wr, T wi, std::size_t len2) {
-  std::size_t c = 0;
-#if FFW_FFT_SIMD
-  using S = Simd<T>;
-  const typename S::V vwr = S::broadcast(wr);
-  const typename S::V vwi = S::alt(wi);
-  for (; c + S::kScalars <= len2; c += S::kScalars) {
-    const typename S::V vb = S::load(b + c);
-    const typename S::V v = vb * vwr + S::swap_pairs(vb) * vwi;
-    const typename S::V vu = S::load(a + c);
-    S::store(a + c, vu + v);
-    S::store(b + c, vu - v);
-  }
-#endif
-  for (; c < len2; c += 2) {
-    const T br = b[c], bi = b[c + 1];
-    const T vr = br * wr - bi * wi;
-    const T vi = br * wi + bi * wr;
-    const T ur = a[c], ui = a[c + 1];
-    a[c] = ur + vr;
-    a[c + 1] = ui + vi;
-    b[c] = ur - vr;
-    b[c + 1] = ui - vi;
+/// v * w, or v * conj(w) for Conj.
+template <bool Conj, typename V>
+inline V twiddle(V v, const Tw<V>& w) {
+  const V s = simd::swap_pairs(v);
+  if constexpr (Conj) {
+    return v * w.a - s * w.b;
+  } else {
+    return v * w.a + s * w.b;
   }
 }
 
-/// Two fused radix-2 stages (one radix-4 step) across four lines of
-/// `len2` interleaved scalars: stage 1 pairs (a,b) and (c,d) with the
-/// shared twiddle w1, stage 2 pairs the results across (a,c) with w2a
-/// and (b,d) with w2b. One sweep over the four lines instead of two —
-/// the line traffic, not the arithmetic, bounds the column pass.
-template <typename T>
-inline void line_butterfly4(T* a, T* b, T* c, T* d, std::complex<T> w1,
-                            std::complex<T> w2a, std::complex<T> w2b,
-                            std::size_t len2) {
-  std::size_t k = 0;
-#if FFW_FFT_SIMD
-  using S = Simd<T>;
-  const typename S::V w1r = S::broadcast(w1.real()), w1i = S::alt(w1.imag());
-  const typename S::V w2ar = S::broadcast(w2a.real()),
-                      w2ai = S::alt(w2a.imag());
-  const typename S::V w2br = S::broadcast(w2b.real()),
-                      w2bi = S::alt(w2b.imag());
-  for (; k + S::kScalars <= len2; k += S::kScalars) {
-    const typename S::V vb = S::load(b + k);
-    const typename S::V vd = S::load(d + k);
-    const typename S::V tb = vb * w1r + S::swap_pairs(vb) * w1i;
-    const typename S::V td = vd * w1r + S::swap_pairs(vd) * w1i;
-    const typename S::V va = S::load(a + k);
-    const typename S::V vc = S::load(c + k);
-    const typename S::V ua = va + tb, ub = va - tb;
-    const typename S::V uc = vc + td, ud = vc - td;
-    const typename S::V p = uc * w2ar + S::swap_pairs(uc) * w2ai;
-    const typename S::V q = ud * w2br + S::swap_pairs(ud) * w2bi;
-    S::store(a + k, ua + p);
-    S::store(c + k, ua - p);
-    S::store(b + k, ub + q);
-    S::store(d + k, ub - q);
-  }
-#endif
-  for (; k < len2; k += 2) {
-    const T br = b[k], bi = b[k + 1], dr = d[k], di = d[k + 1];
-    const T tbr = br * w1.real() - bi * w1.imag();
-    const T tbi = br * w1.imag() + bi * w1.real();
-    const T tdr = dr * w1.real() - di * w1.imag();
-    const T tdi = dr * w1.imag() + di * w1.real();
-    const T ar = a[k], ai = a[k + 1], cr = c[k], ci = c[k + 1];
-    const T uar = ar + tbr, uai = ai + tbi, ubr = ar - tbr, ubi = ai - tbi;
-    const T ucr = cr + tdr, uci = ci + tdi, udr = cr - tdr, udi = ci - tdi;
-    const T pr = ucr * w2a.real() - uci * w2a.imag();
-    const T pi = ucr * w2a.imag() + uci * w2a.real();
-    const T qr = udr * w2b.real() - udi * w2b.imag();
-    const T qi = udr * w2b.imag() + udi * w2b.real();
-    a[k] = uar + pr;
-    a[k + 1] = uai + pi;
-    c[k] = uar - pr;
-    c[k + 1] = uai - pi;
-    b[k] = ubr + qr;
-    b[k + 1] = ubi + qi;
-    d[k] = ubr - qr;
-    d[k + 1] = ubi - qi;
+/// v * (-i), or v * i for Conj.
+template <bool Conj, typename V>
+inline V rot(V v) {
+  return simd::swap_pairs(v) * (Conj ? alt<V>() : -alt<V>());
+}
+
+/// Twiddles j, j + 1, ... of a pre-expanded table, one per lane.
+template <typename V, typename T>
+inline Tw<V> tw_load(const T* a, const T* b, std::size_t j) {
+  return {simd::load<V>(a + 2 * j), simd::load<V>(b + 2 * j)};
+}
+
+/// Twiddle j of a pre-expanded table in every lane.
+template <typename V, typename T>
+inline Tw<V> tw_splat(const T* a, const T* b, std::size_t j) {
+  return {splat<V>(a[2 * j]), splat<V>(b[2 * j + 1]) * alt<V>()};
+}
+
+/// The three twiddles w^j, w^2j, w^3j of a radix-4 stage table (see
+/// Fft1Plan::r4_table) with quarter length q.
+template <typename V, bool Splat, typename T>
+inline void r4_twiddles(const T* t, std::size_t q, std::size_t j, Tw<V>* w) {
+  for (std::size_t m = 0; m < 3; ++m) {
+    const T* a = t + 4 * m * q;
+    w[m] = Splat ? tw_splat<V>(a, a + 2 * q, j) : tw_load<V>(a, a + 2 * q, j);
   }
 }
 
-/// One radix-2 stage block for the 1-D transform: butterflies across
-/// `half` consecutive complex elements with per-element twiddles, fed
-/// from the plan's pre-expanded tables (twa[2j] = twa[2j+1] = Re w_j,
-/// twb[2j] = -Im w_j, twb[2j+1] = +Im w_j) so the vector body is pure
-/// element-wise loads and FMAs plus one in-lane re/im swap.
-template <typename T>
-inline void radix2_stage(T* lo, T* hi, const T* twa, const T* twb,
-                         std::size_t half) {
-  std::size_t j = 0;
-#if FFW_FFT_SIMD
-  using S = Simd<T>;
-  constexpr std::size_t kC = S::kScalars / 2;  // complex values per lane
-  for (; j + kC <= half; j += kC) {
-    const typename S::V wa = S::load(twa + 2 * j);
-    const typename S::V wb = S::load(twb + 2 * j);
-    const typename S::V vb = S::load(hi + 2 * j);
-    const typename S::V v = vb * wa + S::swap_pairs(vb) * wb;
-    const typename S::V vu = S::load(lo + 2 * j);
-    S::store(lo + 2 * j, vu + v);
-    S::store(hi + 2 * j, vu - v);
+/// Radix-4 decimation-in-frequency butterfly (two radix-2 stages) on
+/// the values at quarter-block offsets 0, q, 2q, 3q, with w = (w^j,
+/// w^2j, w^3j). HalfZero: x2 and x3 are zero and are not read.
+template <bool HalfZero, typename V>
+inline void r4_dif(V& x0, V& x1, V& x2, V& x3, const Tw<V>* w) {
+  V t0 = x0, t1 = x0, t2 = x1, t3 = rot<false>(x1);
+  if constexpr (!HalfZero) {
+    t0 = x0 + x2;
+    t1 = x0 - x2;
+    t2 = x1 + x3;
+    t3 = rot<false>(x1 - x3);
   }
-#endif
-  for (; j < half; ++j) {
-    const T wr = twa[2 * j], wi = twb[2 * j + 1];
-    const T br = hi[2 * j], bi = hi[2 * j + 1];
-    const T vr = br * wr - bi * wi;
-    const T vi = br * wi + bi * wr;
-    const T ur = lo[2 * j], ui = lo[2 * j + 1];
-    lo[2 * j] = ur + vr;
-    lo[2 * j + 1] = ui + vi;
-    hi[2 * j] = ur - vr;
-    hi[2 * j + 1] = ui - vi;
+  x0 = t0 + t2;
+  x1 = twiddle<false>(t0 - t2, w[1]);
+  x2 = twiddle<false>(t1 + t3, w[0]);
+  x3 = twiddle<false>(t1 - t3, w[2]);
+}
+
+/// Radix-4 decimation-in-time butterfly, with the conjugate twiddles.
+template <typename V>
+inline void r4_dit(V& x0, V& x1, V& x2, V& x3, const Tw<V>* w) {
+  const V b1 = twiddle<true>(x1, w[1]);
+  const V b2 = twiddle<true>(x2, w[0]);
+  const V b3 = twiddle<true>(x3, w[2]);
+  const V a0 = x0 + b1, a1 = x0 - b1;
+  const V s = b2 + b3, e = rot<true>(b2 - b3);
+  x0 = a0 + s;
+  x1 = a1 + e;
+  x2 = a0 - s;
+  x3 = a1 - e;
+}
+
+/// Radix-4 butterfly on the vectors at p0..p3: DIF (pruned: p2 and p3
+/// are zero and not read) or DIT (pruned: only p0 and p1 are written).
+template <bool Dif, bool Pruned, typename V, typename T>
+inline void r4_at(T* p0, T* p1, T* p2, T* p3, const Tw<V>* w) {
+  V x0 = simd::load<V>(p0), x1 = simd::load<V>(p1), x2{}, x3{};
+  if constexpr (!(Dif && Pruned)) {
+    x2 = simd::load<V>(p2);
+    x3 = simd::load<V>(p3);
+  }
+  if constexpr (Dif) {
+    r4_dif<Pruned>(x0, x1, x2, x3, w);
+  } else {
+    r4_dit(x0, x1, x2, x3, w);
+  }
+  simd::store(p0, x0);
+  simd::store(p1, x1);
+  if constexpr (Dif || !Pruned) {
+    simd::store(p2, x2);
+    simd::store(p3, x3);
+  }
+}
+
+/// Radix-2 butterfly on the vectors at p0, p1: DIF (a, b) <- (a + b,
+/// (a - b) w), pruned (b zero, not read): (a, a w); DIT (a, b) <- (a +
+/// conj(w) b, a - conj(w) b), pruned: only a is written.
+template <bool Dif, bool Pruned, typename V, typename T>
+inline void r2_at(T* p0, T* p1, const Tw<V>& w) {
+  const V a = simd::load<V>(p0);
+  if constexpr (Dif && Pruned) {
+    simd::store(p1, twiddle<false>(a, w));
+  } else if constexpr (Dif) {
+    const V b = simd::load<V>(p1);
+    simd::store(p0, a + b);
+    simd::store(p1, twiddle<false>(a - b, w));
+  } else {
+    const V b = twiddle<true>(simd::load<V>(p1), w);
+    simd::store(p0, a + b);
+    if constexpr (!Pruned) simd::store(p1, a - b);
+  }
+}
+
+// In-register stages: a radix-2 stage whose butterfly distance D is
+// shorter than the vector pairs complex lane k with lane k ^ D. The
+// lower lane gets a + b and the upper a - b (one lane swap and one
+// multiply-add by a +-1 pattern); DIF then multiplies the upper lanes by
+// their twiddles, DIT multiplies before. Stage D's twiddle vectors are
+// the plan's lane table (D >= 2; D = 1 has only w = 1).
+
+template <std::size_t D, typename V, std::size_t... S>
+inline V lane_partner(V v, std::index_sequence<S...>) {
+  return __builtin_shufflevector(v, v, (S ^ (2 * D))...);
+}
+
+template <std::size_t D, typename V, std::size_t... S>
+inline V lane_sign(std::index_sequence<S...>) {
+  constexpr std::size_t kN = sizeof...(S);
+  return __builtin_shufflevector(splat<V>(1), splat<V>(-1),
+                                 (((S / 2) & D) ? kN + S : S)...);
+}
+
+/// Offset of stage D's twiddle vectors in the lane table.
+template <typename V>
+constexpr std::size_t lane_table_at(std::size_t d) {
+  return 4 * kCplx<V> * (static_cast<std::size_t>(std::countr_zero(d)) - 1);
+}
+
+template <std::size_t D, bool Dit, typename V, typename T>
+inline V lane_stage(V v, const T* tab) {
+  using Lanes = std::make_index_sequence<2 * kCplx<V>>;
+  if constexpr (Dit && D > 1) {
+    const T* t = tab + lane_table_at<V>(D);
+    v = twiddle<true>(v, tw_load<V>(t, t + 2 * kCplx<V>, 0));
+  }
+  v = v * lane_sign<D, V>(Lanes{}) + lane_partner<D>(v, Lanes{});
+  if constexpr (!Dit && D > 1) {
+    const T* t = tab + lane_table_at<V>(D);
+    v = twiddle<false>(v, tw_load<V>(t, t + 2 * kCplx<V>, 0));
+  }
+  return v;
+}
+
+/// Stages D, D/2, ..., 1 in the direction's order (DIF from the longest
+/// distance down, DIT from 1 up).
+template <std::size_t D, bool Dit, typename V, typename T>
+inline V lane_stages(V v, const T* tab) {
+  if constexpr (D == 0) {
+    return v;
+  } else if constexpr (Dit) {
+    return lane_stage<D, Dit>(lane_stages<D / 2, Dit>(v, tab), tab);
+  } else {
+    return lane_stages<D / 2, Dit>(lane_stage<D, Dit>(v, tab), tab);
+  }
+}
+
+/// Calls f(std::true_type) or f(std::false_type): hoists a per-call flag
+/// into a template argument of the butterfly loops.
+template <typename F>
+inline void with_flag(bool flag, F&& f) {
+  if (flag) {
+    f(std::true_type{});
+  } else {
+    f(std::false_type{});
   }
 }
 
@@ -264,33 +264,36 @@ Fft1Plan<T>::Fft1Plan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
       j ^= bit;
       bitrev_[i] = static_cast<std::uint32_t>(j);
     }
-    // Stage-concatenated twiddles: len = 2, 4, ..., n contributes len/2
-    // entries w_j = e^{sign 2 pi i j / len}; n - 1 entries in total.
-    tw_fwd_.reserve(n_ - 1);
-    tw_inv_.reserve(n_ - 1);
-    for (std::size_t len = 2; len <= n_; len <<= 1) {
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const double ang = 2.0 * std::numbers::pi * static_cast<double>(j) /
-                           static_cast<double>(len);
-        tw_fwd_.push_back(unit_phase<T>(-ang));
-        tw_inv_.push_back(unit_phase<T>(ang));
-      }
-    }
-    // Pre-expanded copies for the vectorized butterfly (see
-    // radix2_stage): each complex twiddle becomes a duplicated-real pair
-    // and a sign-alternated imaginary pair.
-    auto expand = [](const std::vector<std::complex<T>>& tw,
-                     std::vector<T>& a, std::vector<T>& b) {
-      a.resize(2 * tw.size());
-      b.resize(2 * tw.size());
-      for (std::size_t j = 0; j < tw.size(); ++j) {
-        a[2 * j] = a[2 * j + 1] = tw[j].real();
-        b[2 * j] = -tw[j].imag();
-        b[2 * j + 1] = tw[j].imag();
+    // Appends twiddles e^{-2 pi i k_m / len} for k_0, k_1, ... as a
+    // (Re, Re) array then a (-Im, Im) array.
+    auto expand = [&](std::size_t count, std::size_t len, auto k_of) {
+      const std::size_t at = tw_.size();
+      tw_.resize(at + 4 * count);
+      for (std::size_t m = 0; m < count; ++m) {
+        const std::complex<T> w = unit_phase<T>(
+            -2.0 * std::numbers::pi * static_cast<double>(k_of(m)) /
+            static_cast<double>(len));
+        tw_[at + 2 * m] = tw_[at + 2 * m + 1] = w.real();
+        tw_[at + 2 * count + 2 * m] = -w.imag();
+        tw_[at + 2 * count + 2 * m + 1] = w.imag();
       }
     };
-    expand(tw_fwd_, twa_fwd_, twb_fwd_);
-    expand(tw_inv_, twa_inv_, twb_inv_);
+    r4_off_.assign(static_cast<std::size_t>(std::countr_zero(n_)) + 1, 0);
+    for (std::size_t len = 4; len <= n_; len <<= 1) {
+      r4_off_[static_cast<std::size_t>(std::countr_zero(len))] = tw_.size();
+      for (std::size_t m = 1; m <= 3; ++m) {
+        expand(len / 4, len, [m](std::size_t j) { return m * j; });
+      }
+    }
+    r2_off_ = tw_.size();
+    expand(n_ / 2, n_, [](std::size_t j) { return j; });
+    // Lane twiddles of the in-register stages D = 2, 4, ... < C: lane k
+    // of stage D carries e^{-2 pi i (k mod D) / 2D} when k & D, else 1.
+    lane_off_ = tw_.size();
+    constexpr std::size_t kC = kCplx<simd::Vec<T>>;
+    for (std::size_t d = 2; d < kC; d <<= 1) {
+      expand(kC, 2 * d, [d](std::size_t k) { return (k & d) ? k % d : 0; });
+    }
     return;
   }
   // Bluestein: DFT of length n as a circular convolution of length
@@ -319,102 +322,309 @@ Fft1Plan<T>::Fft1Plan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
 }
 
 template <typename T>
-void Fft1Plan<T>::pow2_transform(std::span<std::complex<T>> x,
-                                 bool fwd) const {
+const T* Fft1Plan<T>::r4_table(std::size_t len) const {
+  return tw_.data() + r4_off_[static_cast<std::size_t>(std::countr_zero(len))];
+}
+
+// A contiguous row of n complex values: the stages of butterfly distance
+// >= C (complex lanes per vector) load their twiddles lane by lane; the
+// log2 C shorter ones run in-register on each vector. The radix-2 stage
+// (when the count of vector stages is odd) sits at the length-n end.
+template <typename T>
+template <typename V>
+void Fft1Plan<T>::dif_row(std::complex<T>* xc, bool half_zero) const {
+  constexpr std::size_t kC = kCplx<V>;
+  T* x = reinterpret_cast<T*>(xc);
   const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
+  std::size_t len = n;
+  if (std::countr_zero(n / kC) & 1) {
+    const std::size_t h = n / 2;
+    const T* a = tw_.data() + r2_off_;
+    with_flag(half_zero, [&](auto hz) {
+      for (std::size_t j = 0; j < h; j += kC) {
+        r2_at<true, hz()>(x + 2 * j, x + 2 * (j + h), tw_load<V>(a, a + n, j));
+      }
+    });
+    len = h;
+    half_zero = false;
+  }
+  for (; len >= 4 * kC; len /= 4, half_zero = false) {
+    const std::size_t q = len / 4;
+    const T* t = r4_table(len);
+    with_flag(half_zero, [&](auto hz) {
+      for (std::size_t b = 0; b < n; b += len) {
+        for (std::size_t j = 0; j < q; j += kC) {
+          Tw<V> w[3];
+          r4_twiddles<V, false>(t, q, j, w);
+          T* p = x + 2 * (b + j);
+          r4_at<true, hz()>(p, p + 2 * q, p + 4 * q, p + 6 * q, w);
+        }
+      }
+    });
+  }
+  if constexpr (kC > 1) {
+    const T* tab = tw_.data() + lane_off_;
+    for (std::size_t i = 0; i < 2 * n; i += 2 * kC) {
+      simd::store(x + i,
+                  lane_stages<kC / 2, false>(simd::load<V>(x + i), tab));
+    }
+  }
+}
+
+template <typename T>
+template <typename V>
+void Fft1Plan<T>::dit_row(std::complex<T>* xc, bool half_out) const {
+  constexpr std::size_t kC = kCplx<V>;
+  T* x = reinterpret_cast<T*>(xc);
+  const std::size_t n = n_;
+  if constexpr (kC > 1) {
+    const T* tab = tw_.data() + lane_off_;
+    for (std::size_t i = 0; i < 2 * n; i += 2 * kC) {
+      simd::store(x + i, lane_stages<kC / 2, true>(simd::load<V>(x + i), tab));
+    }
+  }
+  const bool odd = std::countr_zero(n / kC) & 1;
+  for (std::size_t len = 4 * kC; len <= (odd ? n / 2 : n); len *= 4) {
+    const std::size_t q = len / 4;
+    const T* t = r4_table(len);
+    with_flag(half_out && len == n, [&](auto ho) {
+      for (std::size_t b = 0; b < n; b += len) {
+        for (std::size_t j = 0; j < q; j += kC) {
+          Tw<V> w[3];
+          r4_twiddles<V, false>(t, q, j, w);
+          T* p = x + 2 * (b + j);
+          r4_at<false, ho()>(p, p + 2 * q, p + 4 * q, p + 6 * q, w);
+        }
+      }
+    });
+  }
+  if (odd) {
+    const std::size_t h = n / 2;
+    const T* a = tw_.data() + r2_off_;
+    with_flag(half_out, [&](auto ho) {
+      for (std::size_t j = 0; j < h; j += kC) {
+        r2_at<false, ho()>(x + 2 * j, x + 2 * (j + h), tw_load<V>(a, a + n, j));
+      }
+    });
+  }
+}
+
+// Strided lines: every stage runs across the lines' scalars [c0, c1)
+// with one twiddle per butterfly broadcast to all lanes, so all stages
+// are vector stages. The line traffic, not the arithmetic, bounds these
+// passes, so where it can a sweep applies two radix-4 stages (len, then
+// len/4 for DIF) to 16 lines held in registers. It can when those lines
+// do not all fall in the same L1 sets: lines a multiple of
+// kL1WayBytes apart do, and 16 of them overflow the ways (a padded row
+// pitch, Fft2Plan::pitch(), spreads them). In DIF order the sweeps are:
+// the radix-2 stage of length n (odd log2 n), then radix-4 pairs or
+// single stages down to length 4. DIT runs the same sweeps in reverse
+// order with the mirrored butterflies.
+template <typename T>
+template <typename V>
+void Fft1Plan<T>::lines(T* d, std::size_t pitch, std::size_t c0,
+                        std::size_t c1, bool dif, bool half) const {
+  constexpr std::size_t kL = 2 * kCplx<V>;
+  constexpr std::size_t kL1WayBytes = 4096;  // 64 sets x 64-byte lines
+  const std::size_t n = n_;
+  auto line = [d, pitch](std::size_t k) { return d + k * pitch; };
+  struct Sweep {
+    std::size_t radix, len;
+  };
+  Sweep sweeps[64];
+  std::size_t count = 0;
+  std::size_t len = n;
+  if (std::countr_zero(n) & 1) {
+    sweeps[count++] = {2, n};
+    len = n / 2;
+  }
+  while (len >= 4) {
+    if (len >= 16 && (len / 16 * pitch * sizeof(T)) % kL1WayBytes != 0) {
+      sweeps[count++] = {16, len};
+      len /= 16;
+    } else {
+      sweeps[count++] = {4, len};
+      len /= 4;
+    }
+  }
+
+  auto run = [&](const Sweep& sw, auto dif_c, auto pruned_c) {
+    constexpr bool kDif = dif_c(), kPruned = pruned_c();
+    const std::size_t cb = c0, ce = c1;
+    if (sw.radix == 2) {
+      const std::size_t h = n / 2;
+      const T* a = tw_.data() + r2_off_;
+      for (std::size_t j = 0; j < h; ++j) {
+        const Tw<V> w = tw_splat<V>(a, a + n, j);
+        T* l0 = line(j);
+        T* l1 = line(j + h);
+        for (std::size_t c = cb; c < ce; c += kL) {
+          r2_at<kDif, kPruned>(l0 + c, l1 + c, w);
+        }
+      }
+      return;
+    }
+    const std::size_t q = sw.len / 4;
+    const T* t = r4_table(sw.len);
+    if (sw.radix == 4) {
+      for (std::size_t b = 0; b < n; b += sw.len) {
+        for (std::size_t j = 0; j < q; ++j) {
+          Tw<V> w[3];
+          r4_twiddles<V, true>(t, q, j, w);
+          T* l0 = line(b + j);
+          T* l1 = line(b + j + q);
+          T* l2 = line(b + j + 2 * q);
+          T* l3 = line(b + j + 3 * q);
+          for (std::size_t c = cb; c < ce; c += kL) {
+            r4_at<kDif, kPruned>(l0 + c, l1 + c, l2 + c, l3 + c, w);
+          }
+        }
+      }
+      return;
+    }
+    // Lines b + j + m s + k q (m, k < 4): stage len runs over k for each
+    // m (twiddle index j + m s), stage len/4 over m for each k (index j).
+    const std::size_t s = q / 4;
+    const T* t4 = r4_table(q);
+    const std::size_t ms = s * pitch, kq = q * pitch;
+    for (std::size_t b = 0; b < n; b += sw.len) {
+      for (std::size_t j = 0; j < s; ++j) {
+        Tw<V> w[5][3];
+        for (std::size_t m = 0; m < 4; ++m) {
+          r4_twiddles<V, true>(t, q, j + m * s, w[m]);
+        }
+        r4_twiddles<V, true>(t4, s, j, w[4]);
+        T* l0 = line(b + j);
+        for (std::size_t c = cb; c < ce; c += kL) {
+          T* p = l0 + c;
+          // Fully unrolled, so that x lives in registers.
+          V x[16]{};
+#pragma GCC unroll 16
+          for (std::size_t i = 0; i < 16; ++i) {
+            if (!(kDif && kPruned && i % 4 >= 2)) {
+              x[i] = simd::load<V>(p + i / 4 * ms + i % 4 * kq);
+            }
+          }
+          if constexpr (kDif) {
+#pragma GCC unroll 4
+            for (std::size_t m = 0; m < 4; ++m) {
+              r4_dif<kPruned>(x[4 * m], x[4 * m + 1], x[4 * m + 2],
+                              x[4 * m + 3], w[m]);
+            }
+#pragma GCC unroll 4
+            for (std::size_t k = 0; k < 4; ++k) {
+              r4_dif<false>(x[k], x[4 + k], x[8 + k], x[12 + k], w[4]);
+            }
+          } else {
+#pragma GCC unroll 4
+            for (std::size_t k = 0; k < 4; ++k) {
+              r4_dit(x[k], x[4 + k], x[8 + k], x[12 + k], w[4]);
+            }
+#pragma GCC unroll 4
+            for (std::size_t m = 0; m < 4; ++m) {
+              r4_dit(x[4 * m], x[4 * m + 1], x[4 * m + 2], x[4 * m + 3],
+                     w[m]);
+            }
+          }
+#pragma GCC unroll 16
+          for (std::size_t i = 0; i < 16; ++i) {
+            if (!(!kDif && kPruned && i % 4 >= 2)) {
+              simd::store(p + i / 4 * ms + i % 4 * kq, x[i]);
+            }
+          }
+        }
+      }
+    }
+  };
+  // DIF prunes its first sweep, DIT its last: both are sweeps[0].
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t at = dif ? i : count - 1 - i;
+    with_flag(dif, [&](auto dif_c) {
+      with_flag(half && at == 0, [&](auto pruned_c) {
+        run(sweeps[at], dif_c, pruned_c);
+      });
+    });
+  }
+}
+
+template <typename T>
+void Fft1Plan<T>::dif(std::complex<T>* x, bool half_zero) const {
+  FFW_DCHECK(pow2_);
+  if (n_ <= 1) return;
+  using V = simd::Vec<T>;
+  if (n_ >= 2 * kCplx<V>) {
+    dif_row<V>(x, half_zero);
+  } else {
+    dif_row<Cx<T>>(x, half_zero);
+  }
+}
+
+template <typename T>
+void Fft1Plan<T>::dit(std::complex<T>* x, bool half_out) const {
+  FFW_DCHECK(pow2_);
+  if (n_ <= 1) return;
+  using V = simd::Vec<T>;
+  if (n_ >= 2 * kCplx<V>) {
+    dit_row<V>(x, half_out);
+  } else {
+    dit_row<Cx<T>>(x, half_out);
+  }
+}
+
+template <typename T>
+void Fft1Plan<T>::dif_lines(std::complex<T>* data, std::size_t pitch,
+                            std::size_t width, bool half_zero) const {
+  across(data, pitch, width, /*dif=*/true, half_zero);
+}
+
+template <typename T>
+void Fft1Plan<T>::dit_lines(std::complex<T>* data, std::size_t pitch,
+                            std::size_t width, bool half_out) const {
+  across(data, pitch, width, /*dif=*/false, half_out);
+}
+
+template <typename T>
+void Fft1Plan<T>::across(std::complex<T>* data, std::size_t pitch,
+                         std::size_t width, bool dif, bool half) const {
+  FFW_DCHECK(pow2_);
+  if (n_ <= 1) return;
+  // Full vectors across the width, then the tail one complex value at a
+  // time: each column of the lines is an independent transform.
+  constexpr std::size_t kL = simd::kLanes<T>;
+  T* d = reinterpret_cast<T*>(data);
+  const std::size_t ws = 2 * width, wv = ws / kL * kL;
+  if (wv > 0) lines<simd::Vec<T>>(d, 2 * pitch, 0, wv, dif, half);
+  if (wv < ws) lines<Cx<T>>(d, 2 * pitch, wv, ws, dif, half);
+}
+
+template <typename T>
+void Fft1Plan<T>::permute(std::complex<T>* data, std::size_t pitch,
+                          std::size_t width) const {
+  for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  // Butterflies in explicit real arithmetic: std::complex operator*
-  // otherwise lowers to the __muldc3 runtime call (NaN-recovery
-  // semantics) — an order-of-magnitude tax in the innermost loop.
-  T* d = reinterpret_cast<T*>(x.data());
-  const T* twa = (fwd ? twa_fwd_ : twa_inv_).data();
-  const T* twb = (fwd ? twb_fwd_ : twb_inv_).data();
-  if (n >= 2) {
-    // len == 2 stage: the lone twiddle is +1, pure add/sub.
-    for (std::size_t i = 0; i < 2 * n; i += 4) {
-      const T ar = d[i], ai = d[i + 1], br = d[i + 2], bi = d[i + 3];
-      d[i] = ar + br;
-      d[i + 1] = ai + bi;
-      d[i + 2] = ar - br;
-      d[i + 3] = ai - bi;
+    if (i < j) {
+      std::swap_ranges(data + i * pitch, data + i * pitch + width,
+                       data + j * pitch);
     }
-    twa += 2;
-    twb += 2;
-  }
-  for (std::size_t len = 4; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    for (std::size_t i = 0; i < n; i += len) {
-      T* lo = d + 2 * i;
-      radix2_stage(lo, lo + 2 * half, twa, twb, half);
-    }
-    twa += 2 * half;
-    twb += 2 * half;
   }
 }
 
 template <typename T>
 void Fft1Plan<T>::transform_lines(std::complex<T>* data, std::size_t pitch,
                                   std::size_t width, bool fwd) const {
-  FFW_DCHECK(pow2_ || n_ <= 1);
-  if (n_ > 1) {
-    for (std::size_t i = 1; i < n_; ++i) {
-      const std::size_t j = bitrev_[i];
-      if (i < j) {
-        std::swap_ranges(data + i * pitch, data + i * pitch + width,
-                         data + j * pitch);
-      }
-    }
-    // Stage twiddles are concatenated in tw_*: stage `len` starts at
-    // offset len/2 - 1.
-    const std::complex<T>* twbase = (fwd ? tw_fwd_ : tw_inv_).data();
-    std::size_t len = 2;
-    // Paired stages: each sweep applies two radix-2 stages (len and
-    // 2 len) to four lines at once, halving the pass count over the
-    // panel.
-    for (; 2 * len <= n_; len <<= 2) {
-      const std::size_t h = len >> 1;
-      const std::complex<T>* tw1 = twbase + h - 1;
-      const std::complex<T>* tw2 = twbase + len - 1;
-      for (std::size_t i = 0; i < n_; i += 2 * len) {
-        for (std::size_t j = 0; j < h; ++j) {
-          T* a = reinterpret_cast<T*>(data + (i + j) * pitch);
-          T* b = reinterpret_cast<T*>(data + (i + j + h) * pitch);
-          T* c = reinterpret_cast<T*>(data + (i + j + len) * pitch);
-          T* d = reinterpret_cast<T*>(data + (i + j + len + h) * pitch);
-          line_butterfly4(a, b, c, d, tw1[j], tw2[j], tw2[j + h], 2 * width);
-        }
-      }
-    }
-    // Odd log2(n): one unpaired final stage.
-    if (len <= n_) {
-      const std::size_t half = len >> 1;
-      const std::complex<T>* tw = twbase + half - 1;
-      for (std::size_t i = 0; i < n_; i += len) {
-        for (std::size_t j = 0; j < half; ++j) {
-          T* a = reinterpret_cast<T*>(data + (i + j) * pitch);
-          T* b = reinterpret_cast<T*>(data + (i + j + half) * pitch);
-          if (j == 0) {  // identity twiddle
-            for (std::size_t c = 0; c < 2 * width; ++c) {
-              const T u = a[c], v = b[c];
-              a[c] = u + v;
-              b[c] = u - v;
-            }
-          } else {
-            line_butterfly(a, b, tw[j].real(), tw[j].imag(), 2 * width);
-          }
-        }
-      }
-    }
+  FFW_DCHECK(pow2_);
+  if (n_ <= 1) return;
+  if (fwd) {
+    dif_lines(data, pitch, width);
+    permute(data, pitch, width);
+    return;
   }
-  if (!fwd) {
-    const T inv = static_cast<T>(1.0 / static_cast<double>(n_));
-    for (std::size_t r = 0; r < n_; ++r) {
-      T* p = reinterpret_cast<T*>(data + r * pitch);
-      for (std::size_t c = 0; c < 2 * width; ++c) p[c] *= inv;
-    }
+  permute(data, pitch, width);
+  dit_lines(data, pitch, width);
+  const T inv = static_cast<T>(1.0 / static_cast<double>(n_));
+  for (std::size_t r = 0; r < n_; ++r) {
+    T* p = reinterpret_cast<T*>(data + r * pitch);
+    for (std::size_t c = 0; c < 2 * width; ++c) p[c] *= inv;
   }
 }
 
@@ -438,7 +648,8 @@ void Fft1Plan<T>::forward(std::span<std::complex<T>> x) const {
   FFW_DCHECK(x.size() == n_);
   if (n_ <= 1) return;
   if (pow2_) {
-    pow2_transform(x, /*fwd=*/true);
+    dif(x.data());
+    permute(x.data(), 1, 1);
   } else {
     bluestein_transform(x, /*fwd=*/true);
   }
@@ -449,7 +660,8 @@ void Fft1Plan<T>::inverse(std::span<std::complex<T>> x) const {
   FFW_DCHECK(x.size() == n_);
   if (n_ <= 1) return;
   if (pow2_) {
-    pow2_transform(x, /*fwd=*/false);
+    permute(x.data(), 1, 1);
+    dit(x.data());
   } else {
     bluestein_transform(x, /*fwd=*/false);
   }
@@ -459,17 +671,22 @@ void Fft1Plan<T>::inverse(std::span<std::complex<T>> x) const {
 
 template <typename T>
 Fft2Plan<T>::Fft2Plan(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {
+    : rows_(rows), cols_(cols), pitch_(cols), row_plan_(cols), col_plan_(rows) {
   FFW_CHECK_MSG(rows >= 1 && cols >= 1, "Fft2Plan needs positive extents");
+  // Two cache lines of padding per row: lines a power-of-two row count
+  // apart then fall in different L1 sets, which lets the column pass
+  // hold 16 of them per sweep (Fft1Plan::dif_lines).
+  if (row_plan_.radix2() && col_plan_.radix2() && rows_ >= 16) {
+    pitch_ += 128 / sizeof(std::complex<T>);
+  }
 }
 
 template <typename T>
 void Fft2Plan<T>::row_pass(std::complex<T>* base, std::size_t count,
-                           std::size_t nrows, bool fwd) const {
+                           bool fwd) const {
   // Every (panel, row) line is contiguous.
-  parallel_for(0, count * nrows, [&](std::size_t i) {
-    const std::size_t p = i / nrows, r = i % nrows;
-    std::span<std::complex<T>> row{base + p * size() + r * cols_, cols_};
+  parallel_for(0, count * rows_, [&](std::size_t i) {
+    std::span<std::complex<T>> row{base + i * cols_, cols_};
     if (fwd) {
       row_plan_.forward(row);
     } else {
@@ -479,32 +696,8 @@ void Fft2Plan<T>::row_pass(std::complex<T>* base, std::size_t count,
 }
 
 template <typename T>
-void Fft2Plan<T>::panel_rows(std::complex<T>* panel, std::size_t nrows,
-                             bool fwd) const {
-  for (std::size_t r = 0; r < nrows; ++r) {
-    std::span<std::complex<T>> row{panel + r * cols_, cols_};
-    if (fwd) {
-      row_plan_.forward(row);
-    } else {
-      row_plan_.inverse(row);
-    }
-  }
-}
-
-template <typename T>
 void Fft2Plan<T>::col_pass(std::complex<T>* base, std::size_t count,
                            bool fwd) const {
-  if (col_plan_.radix2() || rows_ == 1) {
-    // Column butterflies run along full contiguous rows: stride-1 inner
-    // loops, no gather/scatter, and — critically — no cache-set
-    // aliasing. (Narrow column windows at the panels' power-of-two row
-    // pitch land every line in the same few L1 sets and thrash; whole
-    // rows stream.) Panels parallelise across the batch.
-    parallel_for(0, count, [&](std::size_t p) {
-      col_plan_.transform_lines(base + p * size(), cols_, cols_, fwd);
-    });
-    return;
-  }
   // Bluestein row counts: gather each (panel, column) into a contiguous
   // scratch line, transform, scatter back.
   parallel_for(0, count * cols_, [&](std::size_t i) {
@@ -524,56 +717,81 @@ void Fft2Plan<T>::col_pass(std::complex<T>* base, std::size_t count,
 }
 
 template <typename T>
-void Fft2Plan<T>::forward_top(std::span<std::complex<T>> panels,
-                              std::size_t count,
-                              std::size_t nonzero_rows) const {
-  FFW_CHECK(panels.size() == count * size());
-  FFW_CHECK(nonzero_rows <= rows_);
-  if (col_plan_.radix2() || rows_ == 1) {
-    // Finish each panel (rows, then columns) before touching the next:
-    // a multi-panel batch otherwise evicts panel 0 from L2 between its
-    // row and column passes and the column pass re-streams from L3.
-    parallel_for(0, count, [&](std::size_t p) {
-      std::complex<T>* panel = panels.data() + p * size();
-      panel_rows(panel, nonzero_rows, /*fwd=*/true);
-      col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/true);
-    });
-    return;
-  }
-  row_pass(panels.data(), count, nonzero_rows, /*fwd=*/true);
-  col_pass(panels.data(), count, /*fwd=*/true);
-}
-
-template <typename T>
-void Fft2Plan<T>::inverse_top(std::span<std::complex<T>> panels,
-                              std::size_t count,
-                              std::size_t needed_rows) const {
-  FFW_CHECK(panels.size() == count * size());
-  FFW_CHECK(needed_rows <= rows_);
-  // Row and column transforms commute; columns first so the row pass
-  // can stop at the rows the caller will read.
-  if (col_plan_.radix2() || rows_ == 1) {
-    parallel_for(0, count, [&](std::size_t p) {
-      std::complex<T>* panel = panels.data() + p * size();
-      col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/false);
-      panel_rows(panel, needed_rows, /*fwd=*/false);
-    });
-    return;
-  }
-  col_pass(panels.data(), count, /*fwd=*/false);
-  row_pass(panels.data(), count, needed_rows, /*fwd=*/false);
-}
-
-template <typename T>
 void Fft2Plan<T>::forward(std::span<std::complex<T>> panels,
                           std::size_t count) const {
-  forward_top(panels, count, rows_);
+  FFW_CHECK(panels.size() == count * size());
+  if (!col_plan_.radix2()) {
+    row_pass(panels.data(), count, /*fwd=*/true);
+    col_pass(panels.data(), count, /*fwd=*/true);
+    return;
+  }
+  // Finish each panel (rows, then columns) before touching the next: a
+  // multi-panel batch otherwise evicts panel 0 from L2 between its row
+  // and column passes. The column butterflies run along whole rows:
+  // stride-1, and no cache-set aliasing at the power-of-two row pitch.
+  parallel_for(0, count, [&](std::size_t p) {
+    std::complex<T>* panel = panels.data() + p * size();
+    for (std::size_t r = 0; r < rows_; ++r) {
+      row_plan_.forward(std::span<std::complex<T>>{panel + r * cols_, cols_});
+    }
+    col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/true);
+  });
 }
 
 template <typename T>
 void Fft2Plan<T>::inverse(std::span<std::complex<T>> panels,
                           std::size_t count) const {
-  inverse_top(panels, count, rows_);
+  FFW_CHECK(panels.size() == count * size());
+  if (!col_plan_.radix2()) {
+    col_pass(panels.data(), count, /*fwd=*/false);
+    row_pass(panels.data(), count, /*fwd=*/false);
+    return;
+  }
+  parallel_for(0, count, [&](std::size_t p) {
+    std::complex<T>* panel = panels.data() + p * size();
+    col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/false);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      row_plan_.inverse(std::span<std::complex<T>>{panel + r * cols_, cols_});
+    }
+  });
+}
+
+template <typename T>
+void Fft2Plan<T>::forward_dif(std::complex<T>* panel, std::size_t nonzero_rows,
+                              std::size_t nonzero_cols) const {
+  FFW_CHECK_MSG(row_plan_.radix2() && col_plan_.radix2(),
+                "transform-order 2-D FFT needs power-of-two sides");
+  const std::size_t r = std::min(nonzero_rows, rows_);
+  const std::size_t c = std::min(nonzero_cols, cols_);
+  const bool prune_rows = rows_ >= 2 && 2 * r <= rows_;
+  const bool prune_cols = cols_ >= 2 && 2 * c <= cols_;
+  // What the first stages read: rows [0, rows_read), and columns
+  // [0, cols_read) of each row. Zero-fill the part beyond the counts.
+  const std::size_t rows_read = prune_rows ? rows_ / 2 : rows_;
+  const std::size_t cols_read = prune_cols ? cols_ / 2 : cols_;
+  for (std::size_t i = 0; i < r; ++i) {
+    std::complex<T>* row = panel + i * pitch_;
+    std::fill(row + c, row + cols_read, std::complex<T>{});
+    row_plan_.dif(row, prune_cols);
+  }
+  for (std::size_t i = r; i < rows_read; ++i) {
+    std::fill_n(panel + i * pitch_, cols_, std::complex<T>{});
+  }
+  col_plan_.dif_lines(panel, pitch_, cols_, prune_rows);
+}
+
+template <typename T>
+void Fft2Plan<T>::inverse_dit(std::complex<T>* panel, std::size_t needed_rows,
+                              std::size_t needed_cols) const {
+  FFW_CHECK_MSG(row_plan_.radix2() && col_plan_.radix2(),
+                "transform-order 2-D FFT needs power-of-two sides");
+  const std::size_t r = std::min(needed_rows, rows_);
+  const std::size_t c = std::min(needed_cols, cols_);
+  // Columns first, so that the row transforms can stop at row r.
+  col_plan_.dit_lines(panel, pitch_, cols_, rows_ >= 2 && 2 * r <= rows_);
+  for (std::size_t i = 0; i < r; ++i) {
+    row_plan_.dit(panel + i * pitch_, cols_ >= 2 && 2 * c <= cols_);
+  }
 }
 
 template class Fft1Plan<double>;

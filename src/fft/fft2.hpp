@@ -1,4 +1,4 @@
-// Planned FFT execution: per-length 1-D plans (radix-2 twiddle tables
+// Planned FFT execution: per-length 1-D plans (radix-4 twiddle tables
 // for powers of two, Bluestein chirp + spectral tables otherwise) and a
 // row-column 2-D plan with batched execution over multi-RHS panels.
 //
@@ -7,8 +7,19 @@
 // hot paths (the CBS backend's padded Green's-function convolutions,
 // the MLFMA spectral verification transforms) run table-driven. Plans
 // are immutable after construction and safe to execute from many
-// threads concurrently; the 2-D batch entry points parallelise over
-// (panel, row) and (panel, column) with the library thread pool.
+// threads concurrently; the natural-order 2-D batch entry points
+// parallelise over panels (or rows and columns) with the library thread
+// pool, and the transform-order pair runs on the calling thread.
+//
+// One butterfly family serves every power-of-two transform: a
+// decimation-in-frequency forward (natural in, bit-reversed out) and a
+// decimation-in-time inverse (bit-reversed in, natural out), radix-4,
+// written with the GCC vector types of linalg/simd.hpp so every ISA
+// builds it. The natural-order forward()/inverse() add the bit-reversal
+// permutation and the 1/N scale. A convolution uses the transform-order
+// pair directly and needs neither: it multiplies two bit-reversed
+// spectra, folds the 1/N into one of them, and prunes the stages that
+// would only read or write its zero padding.
 //
 // Scalar type T is the real storage type: double for the reference
 // pipeline, float for the fp32 spectra of Precision::kMixed backends.
@@ -26,8 +37,8 @@ template <typename T>
 class Fft1Plan {
  public:
   /// Plans an in-place transform of length n >= 1. Powers of two get
-  /// stage-concatenated twiddle tables and a bit-reversal index table;
-  /// other lengths get Bluestein chirp tables plus the spectra of the
+  /// per-stage twiddle tables and a bit-reversal index table; other
+  /// lengths get Bluestein chirp tables plus the spectra of the
   /// chirp-convolution kernels for both directions, precomputed through
   /// an inner power-of-two plan of length m = bit_ceil(2n - 1).
   explicit Fft1Plan(std::size_t n);
@@ -41,44 +52,82 @@ class Fft1Plan {
   /// In-place inverse DFT with 1/N normalisation.
   void inverse(std::span<std::complex<T>> x) const;
 
-  /// Power-of-two length (radix-2 table path)?
+  /// Power-of-two length (the table path, not Bluestein)?
   bool radix2() const { return pow2_; }
 
-  /// Vectorised strided transform (radix-2 lengths only): element k of
-  /// the length-size() DFT is the contiguous block of `width` complex
-  /// values at data + k * pitch, and the butterflies run stride-1
-  /// across the block. This is the cache-friendly column pass of the
-  /// 2-D plan: no per-column gather/scatter, and the inner loops
-  /// auto-vectorise. Inverse applies the 1/N normalisation.
+  // Transform-order kernels (power-of-two lengths only). dif() is the
+  // decimation-in-frequency forward DFT: natural order in, bit-reversed
+  // order out, no scaling. dit() is the decimation-in-time inverse:
+  // bit-reversed in, natural out, no 1/N. So dit(dif(x)) = N x, and a
+  // pointwise product of two dif() spectra is a circular convolution
+  // without ever forming natural-order spectra. Both run radix-4 stages
+  // (one radix-2 stage at the length-N end when log2 N is odd), and the
+  // stages shorter than a SIMD vector run in-register.
+  //
+  // `half_zero`: x[N/2, N) is zero and is never read (the first stage
+  // is pruned). `half_out`: only x[0, N/2) of the result is written (the
+  // last stage is pruned); the upper half holds stale values.
+  void dif(std::complex<T>* x, bool half_zero = false) const;
+  void dit(std::complex<T>* x, bool half_out = false) const;
+
+  /// The same transforms across `size()` strided lines: element k of
+  /// the transform is the contiguous block of `width` complex values at
+  /// data + k * pitch, and the butterflies run stride-1 across the block
+  /// (the column pass of a 2-D plan: no gather/scatter). `half_zero`
+  /// and `half_out` prune the first / last stage as above, by line.
+  void dif_lines(std::complex<T>* data, std::size_t pitch, std::size_t width,
+                 bool half_zero = false) const;
+  void dit_lines(std::complex<T>* data, std::size_t pitch, std::size_t width,
+                 bool half_out = false) const;
+
+  /// Natural-order transform across strided lines (dif_lines or
+  /// dit_lines plus the bit-reversal permutation of the lines); the
+  /// inverse applies the 1/N normalisation.
   void transform_lines(std::complex<T>* data, std::size_t pitch,
                        std::size_t width, bool fwd) const;
 
  private:
-  void pow2_transform(std::span<std::complex<T>> x, bool fwd) const;
+  template <typename V>
+  void dif_row(std::complex<T>* x, bool half_zero) const;
+  template <typename V>
+  void dit_row(std::complex<T>* x, bool half_out) const;
+  /// dif_lines (dif) or dit_lines; `half` is their pruning flag.
+  void across(std::complex<T>* data, std::size_t pitch, std::size_t width,
+              bool dif, bool half) const;
+  /// The same over scalars [c0, c1) of every line (pitch in scalars).
+  template <typename V>
+  void lines(T* data, std::size_t pitch, std::size_t c0, std::size_t c1,
+             bool dif, bool half) const;
+  void permute(std::complex<T>* data, std::size_t pitch,
+               std::size_t width) const;
   void bluestein_transform(std::span<std::complex<T>> x, bool fwd) const;
+  /// Radix-4 stage table of length L (a power of two, 4 <= L <= n): six
+  /// arrays of 2 * L/4 scalars, w^j, w^2j and w^3j (j < L/4, w =
+  /// e^{-2 pi i / L}), each as a (Re, Re) array then a (-Im, Im) array.
+  const T* r4_table(std::size_t len) const;
 
   std::size_t n_ = 0;
   bool pow2_ = false;
-  // Power-of-two tables.
+  // Power-of-two tables. All twiddles are stored once, for the forward
+  // sign; the inverse multiplies by their conjugates.
   std::vector<std::uint32_t> bitrev_;
-  std::vector<std::complex<T>> tw_fwd_, tw_inv_;  // stages len=2,4,...,n
-  // The same twiddles pre-expanded for the vectorized butterfly:
-  // twa[2j] = twa[2j+1] = Re w_j and twb[2j] = -Im w_j, twb[2j+1] =
-  // +Im w_j, so v = b .* twa + swap_re_im(b) .* twb is the complex
-  // product b * w with plain element-wise lane arithmetic — no runtime
-  // twiddle shuffles.
-  std::vector<T> twa_fwd_, twb_fwd_, twa_inv_, twb_inv_;
+  std::vector<T> tw_;
+  std::vector<std::size_t> r4_off_;  // by log2 L
+  std::size_t r2_off_ = 0;     // radix-2 stage of length n: w^j, j < n/2
+  std::size_t lane_off_ = 0;   // in-register stages: per-lane twiddles
   // Bluestein tables (empty for power-of-two lengths).
   std::unique_ptr<Fft1Plan<T>> inner_;            // pow2 plan, length m
   std::vector<std::complex<T>> chirp_fwd_, chirp_inv_;  // e^{∓ i pi k^2 / n}
   std::vector<std::complex<T>> bhat_fwd_, bhat_inv_;    // FFT_m of b = conj(chirp)
 };
 
-/// Row-column 2-D transform over row-major rows x cols panels, with
-/// batched execution: `count` panels stored contiguously are transformed
-/// in one call, sharing the two 1-D plans and parallelising across the
-/// batch. The column pass gathers each column into a per-thread
-/// contiguous scratch line, transforms it, and scatters it back.
+/// Row-column 2-D transform over row-major rows x cols panels. The
+/// natural-order forward()/inverse() take `count` contiguous panels in
+/// one call, sharing the two 1-D plans and parallelising across the
+/// batch (Bluestein column lengths gather each column into a per-thread
+/// line). The transform-order pair forward_dif()/inverse_dit() works on
+/// one panel on the calling thread: the padded-convolution backend runs
+/// one column per thread through pack, forward, symbol, inverse, crop.
 template <typename T>
 class Fft2Plan {
  public:
@@ -96,30 +145,37 @@ class Fft2Plan {
   /// In-place inverse DFT with 1/(rows*cols) normalisation.
   void inverse(std::span<std::complex<T>> panels, std::size_t count = 1) const;
 
-  /// Pruned forward transform for zero-padded panels: rows at index >=
-  /// nonzero_rows are promised identically zero, so their (zero -> zero)
-  /// row FFTs are skipped. The result equals forward() on the full
-  /// panel. The padded-convolution backends embed an nx-row field in a
-  /// 2nx-row panel, halving the row-pass work.
-  void forward_top(std::span<std::complex<T>> panels, std::size_t count,
-                   std::size_t nonzero_rows) const;
+  /// Row pitch (elements) of the panels of the transform-order pair:
+  /// cols() plus a two-cache-line pad for power-of-two sides of 16 rows
+  /// or more, so that the column pass can sweep 16 lines at once without
+  /// L1 set conflicts; cols() otherwise. Element (i, j) of such a panel
+  /// is at i * pitch() + j; the pad columns are never read or written.
+  std::size_t pitch() const { return pitch_; }
 
-  /// Pruned inverse: only the first needed_rows rows of each output
-  /// panel are computed (the caller crops there); rows beyond hold
-  /// unspecified values afterwards. Column pass still covers the full
-  /// panel, rows get the 1/(rows*cols) normalisation.
-  void inverse_top(std::span<std::complex<T>> panels, std::size_t count,
-                   std::size_t needed_rows) const;
+  /// Transform-order forward of one rows() x pitch() panel (power-of-two
+  /// sides only): natural order in, bit-reversed order out on both
+  /// axes, no scaling.
+  /// The input is taken as zero at rows >= nonzero_rows and columns >=
+  /// nonzero_cols, and nothing there is read. When a count is at most
+  /// half its side, that axis's first stage is pruned.
+  void forward_dif(std::complex<T>* panel, std::size_t nonzero_rows,
+                   std::size_t nonzero_cols) const;
+
+  /// Transform-order inverse of one rows() x pitch() panel
+  /// (power-of-two sides only):
+  /// bit-reversed order in, natural order out, no 1/(rows*cols) — so
+  /// inverse_dit(forward_dif(x)) = rows * cols * x. Only the output
+  /// block rows < needed_rows, columns < needed_cols is computed; the
+  /// rest of the panel holds unspecified values afterwards. When a count
+  /// is at most half its side, that axis's last stage is pruned.
+  void inverse_dit(std::complex<T>* panel, std::size_t needed_rows,
+                   std::size_t needed_cols) const;
 
  private:
-  void row_pass(std::complex<T>* base, std::size_t count, std::size_t nrows,
-                bool fwd) const;
+  void row_pass(std::complex<T>* base, std::size_t count, bool fwd) const;
   void col_pass(std::complex<T>* base, std::size_t count, bool fwd) const;
-  /// Row transforms of one panel's first nrows rows, serially (the
-  /// per-panel cache-blocked path).
-  void panel_rows(std::complex<T>* panel, std::size_t nrows, bool fwd) const;
 
-  std::size_t rows_, cols_;
+  std::size_t rows_, cols_, pitch_;
   Fft1Plan<T> row_plan_;  // length cols: applied to each row
   Fft1Plan<T> col_plan_;  // length rows: applied to each column
 };

@@ -31,7 +31,10 @@ CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
   const double k0 = grid.k0();
   const double sf = source_factor(grid);
   const cplx self = self_term(grid);
-  g0hat.assign(p * p, cplx{});
+  // The kernel is built in a panel at the plan's row pitch, transformed,
+  // and stored dense (P x P).
+  const std::size_t ld = plan->pitch();
+  cvec kernel(p * ld, cplx{});
   // Embed the Richmond kernel k(dx, dy) wrapped: negative offsets land
   // at the top of the padded grid, exactly the layout circular
   // convolution needs to reproduce the aperiodic product on the crop.
@@ -41,16 +44,26 @@ CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
     const std::size_t row =
         static_cast<std::size_t>((dy + static_cast<std::ptrdiff_t>(p)) %
                                  static_cast<std::ptrdiff_t>(p)) *
-        p;
+        ld;
     for (std::ptrdiff_t dx = -m; dx <= m; ++dx) {
       const std::size_t col = static_cast<std::size_t>(
           (dx + static_cast<std::ptrdiff_t>(p)) % static_cast<std::ptrdiff_t>(p));
       const double r = h * std::hypot(static_cast<double>(dx),
                                       static_cast<double>(dy));
-      g0hat[row + col] = (dx == 0 && dy == 0) ? self : sf * g0_point(k0, r);
+      kernel[row + col] = (dx == 0 && dy == 0) ? self : sf * g0_point(k0, r);
     }
   });
-  plan->forward(g0hat);
+  // Transform order with the inverse's 1/P^2 folded in (a power of two,
+  // so the scale is exact): convolve multiplies spectra as they leave
+  // forward_dif and feeds the product straight to inverse_dit.
+  plan->forward_dif(kernel.data(), p, p);
+  const double scale = 1.0 / static_cast<double>(p * p);
+  g0hat.resize(p * p);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      g0hat[i * p + j] = kernel[i * ld + j] * scale;
+    }
+  }
   if (precision == Precision::kMixed) {
     plan32 = std::make_unique<Fft2Plan<float>>(p, p);
     g0hat32.resize(g0hat.size());
@@ -104,26 +117,30 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
   }
   const std::size_t nx = static_cast<std::size_t>(grid_.nx());
   const std::size_t p = pad_n_;
-  const std::size_t pp = p * p;
+  const std::size_t ld = plan->pitch();  // panel row pitch, >= P
+  const std::size_t panel = p * ld;
   FFW_DCHECK(x.size() == n_ * nrhs && y.size() == n_ * nrhs);
   const cplx* o = contrast_nat_.data();
   // Explicit real arithmetic below keeps __muldc3 out of the loops.
   const T sign = adjoint ? T(-1) : T(1);  // conj(symbol) for the adjoint
-  // Scratch spans are 64-byte aligned, as the butterflies' full-width
-  // vector loads want.
+  // One padded panel per thread; a column runs pack -> forward ->
+  // symbol -> inverse -> crop on its thread, so its bits depend neither
+  // on the thread count nor on its position in the panel.
+  const std::size_t slots =
+      std::min(nrhs, static_cast<std::size_t>(num_threads()));
   ScratchFrame frame;
-  const std::span<C> pad = frame.take<C>(pp * std::min(nrhs, kBatch));
-  for (std::size_t c0 = 0; c0 < nrhs; c0 += kBatch) {
-    const std::size_t nb = std::min(kBatch, nrhs - c0);
-    const std::span<C> batch = pad.first(pp * nb);
-    parallel_for(0, nb * p, [&](std::size_t i) {
-      const std::size_t b = i / p, row = i % p;
-      C* dst = batch.data() + b * pp + row * p;
-      if (row >= nx) {
-        std::fill(dst, dst + p, C{});
-        return;
-      }
-      const cplx* src = x.data() + (c0 + b) * n_ + row * nx;
+  const std::span<C> pads = frame.take<C>(panel * slots);
+  FFW_TRACE_SPAN("cbs.convolve", static_cast<std::int64_t>(nrhs),
+                 obs::Counter::kFftNs);
+  parallel_for(0, nrhs, [&](std::size_t col) {
+    FFW_DCHECK(static_cast<std::size_t>(thread_rank()) < slots);
+    C* pad = pads.data() + static_cast<std::size_t>(thread_rank()) * panel;
+    const cplx* xs = x.data() + col * n_;
+    cplx* ys = y.data() + col * n_;
+    // Pack the nx x nx block; forward_dif takes the rest as zero.
+    for (std::size_t row = 0; row < nx; ++row) {
+      const cplx* src = xs + row * nx;
+      C* dst = pad + row * ld;
       if (system && !adjoint) {
         const cplx* orow = o + row * nx;
         for (std::size_t j = 0; j < nx; ++j) {
@@ -135,55 +152,43 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
       } else {
         for (std::size_t j = 0; j < nx; ++j) dst[j] = to_scalar<T>(src[j]);
       }
-      std::fill(dst + nx, dst + p, C{});
-    });
-    {
-      FFW_TRACE_SPAN("cbs.fft", static_cast<std::int64_t>(nb),
-                     obs::Counter::kFftNs);
-      // Rows >= nx of each padded panel are zero: prune them.
-      plan->forward_top(batch, nb, nx);
     }
-    parallel_for(0, nb * p, [&](std::size_t i) {
-      const std::size_t b = i / p, row = i % p;
-      C* line = batch.data() + b * pp + row * p;
+    plan->forward_dif(pad, nx, nx);
+    // Both spectra are in transform order and the symbol carries the
+    // 1/P^2 of the inverse.
+    for (std::size_t row = 0; row < p; ++row) {
+      C* f = pad + row * ld;
       const C* s = symbol->data() + row * p;
       for (std::size_t j = 0; j < p; ++j) {
-        const T ar = line[j].real(), ai = line[j].imag();
+        const T ar = f[j].real(), ai = f[j].imag();
         const T br = s[j].real(), bi = sign * s[j].imag();
-        line[j] = {ar * br - ai * bi, ar * bi + ai * br};
+        f[j] = {ar * br - ai * bi, ar * bi + ai * br};
       }
-    });
-    {
-      FFW_TRACE_SPAN("cbs.fft", static_cast<std::int64_t>(nb),
-                     obs::Counter::kFftNs);
-      // Only the nx-row crop below is read: prune the inverse row pass.
-      plan->inverse_top(batch, nb, nx);
     }
-    parallel_for(0, nb * nx, [&](std::size_t i) {
-      const std::size_t b = i / nx, row = i % nx;
-      const C* g = batch.data() + b * pp + row * p;
-      const std::size_t at = (c0 + b) * n_ + row * nx;
-      const cplx* xs = x.data() + at;
-      cplx* dst = y.data() + at;
+    plan->inverse_dit(pad, nx, nx);
+    for (std::size_t row = 0; row < nx; ++row) {
+      const C* g = pad + row * ld;
+      const cplx* xr = xs + row * nx;
+      cplx* dst = ys + row * nx;
       if (!system) {
         for (std::size_t j = 0; j < nx; ++j) {
           dst[j] = {g[j].real(), g[j].imag()};
         }
       } else if (!adjoint) {
         for (std::size_t j = 0; j < nx; ++j) {
-          dst[j] = {xs[j].real() - g[j].real(), xs[j].imag() - g[j].imag()};
+          dst[j] = {xr[j].real() - g[j].real(), xr[j].imag() - g[j].imag()};
         }
       } else {
         const cplx* orow = o + row * nx;
         for (std::size_t j = 0; j < nx; ++j) {
           const double gr = g[j].real(), gi = g[j].imag();
           const double br = orow[j].real(), bi = orow[j].imag();
-          dst[j] = {xs[j].real() - (br * gr + bi * gi),
-                    xs[j].imag() - (br * gi - bi * gr)};
+          dst[j] = {xr[j].real() - (br * gr + bi * gi),
+                    xr[j].imag() - (br * gi - bi * gr)};
         }
       }
-    });
-  }
+    }
+  });
 }
 
 void CbsEngine::apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) {

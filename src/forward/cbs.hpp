@@ -6,11 +6,15 @@
 // Both backends therefore discretise and solve the identical system, and
 // their answers agree to ~1e-6 (tests/cbs_test.cpp).
 //
-// The operator is applied to a panel in batches of kBatch columns, so
-// the padded spectra need P^2 * kBatch elements whatever the panel
-// width. Under Precision::kMixed the inner Krylov sweeps apply an fp32
-// pipeline (pack, transform and kernel-symbol multiply in fp32, the
-// identity and the contrast diagonal in fp64) inside the same
+// The operator runs one column per thread: pack the column (times O for
+// the system) into a padded panel, forward transform, multiply by the
+// kernel symbol, inverse transform, crop. The transforms never leave
+// transform order (Fft2Plan::forward_dif / inverse_dit: bit-reversed
+// spectra, no permutation, no 1/P^2 sweep, the zero half pruned), and
+// the scratch is one P x Fft2Plan::pitch() panel per thread. Under
+// Precision::kMixed the inner Krylov sweeps apply an fp32 pipeline
+// (pack, transform and kernel-symbol multiply in fp32, the identity and
+// the contrast diagonal in fp64) inside the same
 // mixed-precision refinement as the MLFMA backend (forward/refined.hpp):
 // residuals and convergence are judged against the fp64 operator.
 //
@@ -54,9 +58,13 @@ struct CbsTables {
   Grid grid;
   Precision precision;
   std::size_t pad_n = 0;  // padded side P = bit_ceil(2 nx - 1)
-  cvec g0hat;             // FFT of the wrapped Richmond kernel, P x P
+  /// Symbol of the wrapped Richmond kernel, P x P in transform order:
+  /// Fft2Plan::forward_dif's output (bit-reversed on both axes) times
+  /// 1/P^2, so that a product with a forward_dif spectrum goes straight
+  /// into inverse_dit. No natural-order copy is kept.
+  cvec g0hat;
   std::unique_ptr<Fft2Plan<double>> plan;
-  cvec32 g0hat32;                           // kMixed only
+  cvec32 g0hat32;                           // kMixed only, same order
   std::unique_ptr<Fft2Plan<float>> plan32;  // kMixed only
   double build_seconds = 0.0;
 
@@ -75,9 +83,6 @@ struct CbsSolveInfo {
 
 class CbsEngine final : public ForwardBackend {
  public:
-  /// Columns per padded-FFT batch of one operator apply.
-  static constexpr std::size_t kBatch = 4;
-
   /// Convenience constructor: builds a private CbsTables artifact.
   explicit CbsEngine(const Grid& grid, const CbsOptions& opts = {});
   /// Shares a prebuilt artifact (see CbsTables); construction then costs

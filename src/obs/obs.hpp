@@ -48,7 +48,7 @@ enum class Counter : int {
   kPrecondApplyNs,          // preconditioner triangular-solve time
   kRecycleHits,             // Krylov-recycled initial guesses applied
   kCbsIterations,           // FFT-backend block BiCGStab iterations
-  kFftNs,                   // time in padded-FFT convolutions (FFT backend)
+  kFftNs,                   // time in padded-FFT operator applies, pack to crop
   kFftPlanHits,             // fp64 1-D FFT plan-cache hits (fft/fft2)
   kFftPlanMisses,           // fp64 1-D FFT plan-cache misses (plans built)
   kTableCacheHits,          // OperatorTableCache hits (service/table_cache)

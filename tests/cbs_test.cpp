@@ -5,7 +5,9 @@
 // kAuto routing that stays on the FFT backend unless a solve fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
@@ -14,6 +16,7 @@
 #include "greens/greens.hpp"
 #include "greens/transceivers.hpp"
 #include "linalg/kernels.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/phantom.hpp"
 #include "phantom/setup.hpp"
 #include "special/bessel.hpp"
@@ -86,6 +89,54 @@ TEST(CbsSystemApply, MatchesDenseOperator) {
     want[i] = x[i] - std::conj(contrast[i]) * std::conj(gh[i]);
   }
   EXPECT_LT(rel_l2_diff(y, want), 1e-11);
+}
+
+// Every column runs its own pack -> transforms -> crop on one thread,
+// so its bits may depend neither on the thread count nor on where the
+// column sits in the panel (the DBIM thread-count checks rely on this).
+// nx = 24 pads to P = 64 > 2 nx, where [nx, P/2) must be zero-filled.
+TEST(CbsSystemApply, BitsDoNotDependOnThreadsOrColumnPosition) {
+  Grid grid(24);
+  CbsEngine cbs(grid);
+  cbs.set_contrast(blob_contrast(grid, 0.08));
+  const std::size_t n = grid.num_pixels();
+  Rng rng(74);
+  cvec x(16 * n), other(13 * n);
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(other);
+  enum class Op { kSystem, kAdjoint, kG0 };
+  auto apply = [&](Op op, ccspan in, std::size_t nrhs) {
+    cvec out(in.size());
+    if (op == Op::kG0) {
+      cbs.apply_g0_panel(in, out, nrhs);
+    } else {
+      cbs.apply_system_panel(in, out, nrhs, op == Op::kAdjoint);
+    }
+    return out;
+  };
+  auto same = [&](const cplx* a, const cplx* b) {
+    return std::memcmp(a, b, n * sizeof(cplx)) == 0;
+  };
+  const int prev = set_num_threads(1);
+  for (const Op op : {Op::kSystem, Op::kAdjoint, Op::kG0}) {
+    set_num_threads(1);
+    const cvec y1 = apply(op, x, 16);
+    set_num_threads(4);
+    const cvec y4 = apply(op, x, 16);
+    EXPECT_EQ(std::memcmp(y1.data(), y4.data(), y1.size() * sizeof(cplx)), 0)
+        << "1 vs 4 threads, op " << static_cast<int>(op);
+    for (std::size_t j = 0; j < 16; ++j) {
+      const ccspan col{x.data() + j * n, n};
+      const cvec alone = apply(op, col, 1);
+      std::copy(col.begin(), col.end(), other.begin() + 12 * n);
+      const cvec at12 = apply(op, other, 13);
+      EXPECT_TRUE(same(alone.data(), y4.data() + j * n))
+          << "column " << j << " alone, op " << static_cast<int>(op);
+      EXPECT_TRUE(same(at12.data() + 12 * n, y4.data() + j * n))
+          << "column " << j << " at 12 of 13, op " << static_cast<int>(op);
+    }
+  }
+  set_num_threads(prev);
 }
 
 TEST(CbsSolve, ZeroContrastReturnsRhs) {

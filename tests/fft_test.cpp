@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
@@ -215,6 +218,158 @@ TEST(Fft2, FloatPlanMatchesDoubleReference) {
     den += std::norm(want[i]);
   }
   EXPECT_LT(std::sqrt(num / den), 1e-5);
+}
+
+// Transform-order pair (the padded-convolution kernels): forward_dif is
+// the natural forward with both axes bit-reversed, a pruned forward reads
+// nothing beyond its row/column counts, and inverse_dit undoes it up to
+// the factor P^2 on the rows and columns it keeps. Every power-of-two
+// side from 2 to 1024 (both log2 parities, so both the radix-2 end stage
+// and pure radix-4), in fp64 and fp32.
+
+std::size_t bit_reverse(std::size_t i, std::size_t n) {
+  std::size_t r = 0;
+  for (std::size_t bit = 1; bit < n; bit <<= 1) {
+    r = (r << 1) | ((i & bit) ? 1 : 0);
+  }
+  return r;
+}
+
+/// The p x p panel x at row pitch ld (>= p) in precision T, with `fill`
+/// in the pad columns.
+template <typename T>
+std::vector<std::complex<T>> pitched(const cvec& x, std::size_t p,
+                                     std::size_t ld,
+                                     std::complex<T> fill = {}) {
+  std::vector<std::complex<T>> out(p * ld, fill);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      out[i * ld + j] = {static_cast<T>(x[i * p + j].real()),
+                         static_cast<T>(x[i * p + j].imag())};
+    }
+  }
+  return out;
+}
+
+/// ||got - want|| / ||want|| over the rows < r, columns < c; got has row
+/// pitch ld, want is dense p x p.
+template <typename T>
+double block_rel_diff(const std::vector<std::complex<T>>& got, std::size_t ld,
+                      const cvec& want, std::size_t p, std::size_t r,
+                      std::size_t c) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      const std::complex<T> g = got[i * ld + j];
+      num += std::norm(cplx{g.real(), g.imag()} - want[i * p + j]);
+      den += std::norm(want[i * p + j]);
+    }
+  }
+  return std::sqrt(num / den);
+}
+
+template <typename T>
+class TransformOrder : public ::testing::Test {
+ protected:
+  // fp64 to rounding; fp32 at the bound of FloatPlanMatchesDoubleReference.
+  static double tol() { return std::is_same_v<T, float> ? 1e-5 : 1e-13; }
+  static constexpr T kNan = std::numeric_limits<T>::quiet_NaN();
+};
+using Precisions = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(TransformOrder, Precisions);
+
+TYPED_TEST(TransformOrder, ForwardIsBitReversedNaturalForward) {
+  using T = TypeParam;
+  for (std::size_t p = 2; p <= 1024; p *= 2) {
+    Rng rng(p);
+    cvec x(p * p);
+    rng.fill_cnormal(x);
+    // Natural-order reference in fp64: the O(N^2) tensor DFT on small
+    // sides, the natural-order plan on large ones.
+    cvec nat = p <= 32 ? dft2_reference(x, p, p) : x;
+    if (p > 32) Fft2Plan<double>(p, p).forward(nat);
+    cvec want(p * p);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        want[i * p + j] = nat[bit_reverse(i, p) * p + bit_reverse(j, p)];
+      }
+    }
+    const Fft2Plan<T> plan(p, p);
+    const std::size_t ld = plan.pitch();
+    // NaN pad columns: a read of them would poison the result.
+    std::vector<std::complex<T>> got =
+        pitched<T>(x, p, ld, {this->kNan, this->kNan});
+    plan.forward_dif(got.data(), p, p);
+    EXPECT_LT(block_rel_diff(got, ld, want, p, p, p),
+              p <= 32 ? std::max(this->tol(), 1e-12) : this->tol())
+        << "P=" << p;
+  }
+}
+
+TYPED_TEST(TransformOrder, PrunedForwardMatchesUnprunedAndReadsNoPadding) {
+  using T = TypeParam;
+  for (std::size_t p = 2; p <= 1024; p *= 2) {
+    const Fft2Plan<T> plan(p, p);
+    const std::size_t ld = plan.pitch();
+    // Row and column counts at half the side, and below it (a padded
+    // grid whose side is not a power of two leaves [n, P/2) to zero).
+    const std::size_t half = p / 2;
+    const std::size_t below = std::max<std::size_t>(1, half - half / 4 - 1);
+    for (const auto& [r, c] : {std::pair{half, half}, std::pair{below, half},
+                               std::pair{half, below}, std::pair{below, below}}) {
+      Rng rng(p * 7 + r * 3 + c);
+      cvec x(p * p, cplx{});
+      for (std::size_t i = 0; i < r; ++i) {
+        rng.fill_cnormal(cspan{x.data() + i * p, c});
+      }
+      std::vector<std::complex<T>> full = pitched<T>(x, p, ld);
+      plan.forward_dif(full.data(), p, p);
+      // NaN outside the r x c block: the pruned forward must read none
+      // of it.
+      std::vector<std::complex<T>> pruned =
+          pitched<T>(x, p, ld, {this->kNan, this->kNan});
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          if (i >= r || j >= c) pruned[i * ld + j] = {this->kNan, this->kNan};
+        }
+      }
+      plan.forward_dif(pruned.data(), r, c);
+      cvec want(p * p);
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          want[i * p + j] = {full[i * ld + j].real(), full[i * ld + j].imag()};
+        }
+      }
+      EXPECT_LT(block_rel_diff(pruned, ld, want, p, p, p), this->tol())
+          << "P=" << p << " r=" << r << " c=" << c;
+    }
+  }
+}
+
+TYPED_TEST(TransformOrder, InverseOfForwardIsP2TimesInputOnKeptBlock) {
+  using T = TypeParam;
+  for (std::size_t p = 2; p <= 1024; p *= 2) {
+    const Fft2Plan<T> plan(p, p);
+    const std::size_t ld = plan.pitch();
+    const std::size_t half = p / 2;
+    const std::size_t below = std::max<std::size_t>(1, half - half / 4 - 1);
+    for (const auto& [r, c] : {std::pair{p, p}, std::pair{half, half},
+                               std::pair{below, half}, std::pair{half, below}}) {
+      Rng rng(p * 11 + r * 5 + c);
+      cvec x(p * p, cplx{});
+      for (std::size_t i = 0; i < r; ++i) {
+        rng.fill_cnormal(cspan{x.data() + i * p, c});
+      }
+      std::vector<std::complex<T>> y =
+          pitched<T>(x, p, ld, {this->kNan, this->kNan});
+      plan.forward_dif(y.data(), r, c);
+      plan.inverse_dit(y.data(), r, c);
+      const double p2 = static_cast<double>(p * p);
+      for (cplx& v : x) v *= p2;
+      EXPECT_LT(block_rel_diff(y, ld, x, p, r, c), this->tol())
+          << "P=" << p << " r=" << r << " c=" << c;
+    }
+  }
 }
 
 // Satellite regression: fft()/ifft() now route through a memoized
