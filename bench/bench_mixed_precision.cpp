@@ -10,8 +10,8 @@
 //      same number of messages;
 //   3. DBIM reconstruction at 64x64 — an unpreconditioned fixed-
 //      tolerance fp64 baseline against the Krylov-acceleration stack
-//      (near-field block preconditioner + Eisenstat-Walker forcing +
-//      recycling) in fp64 and in mixed-precision iterative refinement
+//      (near-field block preconditioner + Eisenstat-Walker forcing) in
+//      fp64 and in mixed-precision iterative refinement
 //      (forward/refined.hpp). Asserts the stack's >= 2x cut in total
 //      BiCGStab iterations and that mixed is strictly faster than fp64
 //      at equal (<= +0.001%) reconstruction RMSE.
@@ -227,8 +227,8 @@ int main(int argc, char** argv) {
 
   // --- 3. DBIM reconstruction: unpreconditioned fixed-tolerance fp64
   // baseline vs the full Krylov-acceleration stack (near-field block
-  // preconditioner + Eisenstat-Walker forcing + recycling) in fp64 and
-  // in mixed precision. Two acceptance gates live here:
+  // preconditioner + Eisenstat-Walker forcing) in fp64 and in mixed
+  // precision. Two acceptance gates live here:
   //   * the accelerated fp64 run must spend <= half the baseline's total
   //     BiCGStab iterations at the same base tolerance;
   //   * the mixed accelerated run must be strictly faster than the fp64
@@ -268,7 +268,6 @@ int main(int argc, char** argv) {
   DbimOptions accel_opts = plain_opts;
   accel_opts.near_precondition = true;
   accel_opts.adaptive_forcing = true;
-  accel_opts.recycle_depth = 2;
   DbimOptions mixed_opts = accel_opts;
   mixed_opts.mixed_engine = &mixed_engine;
 
@@ -352,6 +351,6 @@ int main(int argc, char** argv) {
               "expansion boundaries and in the refined Krylov outer loop, "
               "the reconstruction is indistinguishable from pure fp64 — "
               "and the acceleration stack (self-block preconditioner, "
-              "adaptive forcing, recycling) halves the Krylov work on top.");
+              "adaptive forcing) halves the Krylov work on top.");
   return 0;
 }

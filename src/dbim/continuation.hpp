@@ -107,10 +107,10 @@ struct StageReport {
 struct ContinuationOptions {
   /// Base DBIM options threaded into every band. The ladder overrides
   /// only the per-band stopping fields (max_iterations, residual_tol)
-  /// and the table cache; everything else — backend
-  /// routing (kAuto/CBS), adaptive forcing, regularization, recycling —
-  /// applies inside every band exactly as configured. Per-scene
-  /// pointers (mixed_engine, resume, checkpoint callback) must be
+  /// and the table cache; everything else — backend routing
+  /// (kAuto/CBS), adaptive forcing, regularization — applies inside
+  /// every band exactly as configured. Per-scene pointers
+  /// (mixed_engine, resume, checkpoint callback) must be
   /// unset: they cannot mean anything across a multi-grid ladder. Use
   /// `mixed_precision` below for mixed-precision bands.
   DbimOptions dbim;

@@ -75,20 +75,10 @@ void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
   if (cbs_) cbs_->set_contrast(contrast);
   // Otherwise the background fields stay as warm starts for the next
   // residual pass. Without warm starts every residual pass restarts from
-  // the incident fields, and the recycle snapshots reset with them: a
-  // run that restarts its fields (e.g. crash recovery) re-derives its
-  // Krylov seeds from scratch, so each iterate is a pure function of the
-  // checkpointed outer-loop state.
-  if (!keep_fields) {
-    load_incident(phi_b_);
-    rec_grad_.clear();
-    rec_step_.clear();
-  }
-}
-
-void DbimWorkspace::set_recycling(std::size_t depth, double ridge) {
-  rec_grad_ = KrylovRecycler(RecycleOptions{depth, ridge});
-  rec_step_ = KrylovRecycler(RecycleOptions{depth, ridge});
+  // the incident fields: a run that restarts its fields (e.g. crash
+  // recovery) re-derives its Krylov starts from scratch, so each iterate
+  // is a pure function of the checkpointed outer-loop state.
+  if (!keep_fields) load_incident(phi_b_);
 }
 
 bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
@@ -196,12 +186,11 @@ void DbimWorkspace::gradient_pass_all(ccspan residuals, cspan grad_accum) {
   const cspan g = frame.vec(lo_.size()), y = frame.vec(lo_.size());
   gr_project_herm(trx_->gr(), pixels_, lo_, residuals, g);
   block_conj(lo_, g, g);
-  // Krylov recycling: seed from the least-squares combination of the
-  // retained (rhs, solution) pairs, one batched tree-group reduction.
-  rec_grad_.seed(g, y, lo_, reducer());
+  // Start from zero: the scratch frame hands y out uninitialised, and a
+  // zero start costs no setup apply (DESIGN.md Sec. 13).
+  block_zero(lo_, y);
   FFW_CHECK_MSG(block_solve(g, y, /*adjoint=*/false),
                 "DBIM gradient-pass block solve diverged");
-  rec_grad_.store(g, y, lo_);
   for_panel_parts(lo_, [&](std::size_t c, std::size_t i0, std::size_t n) {
     cplx* gq = grad_accum.data() + c * lo_.panel + i0;
     for (std::size_t r = 0; r < lo_.nrhs; ++r) {
@@ -224,10 +213,9 @@ void DbimWorkspace::frechet_pass_all(ccspan direction, cspan out) {
   const cspan u = frame.vec(lo_.size()), z = frame.vec(lo_.size());
   block_diag_mul(lo_, direction, phi_b_, u);
   block_conj(lo_, u, u);
-  rec_step_.seed(u, z, lo_, reducer());
+  block_zero(lo_, z);
   FFW_CHECK_MSG(block_solve(u, z, /*adjoint=*/true),
                 "DBIM Frechet-pass block solve diverged");
-  rec_step_.store(u, z, lo_);
   block_conj(lo_, z, z);
   project(z, out);
 }
@@ -374,10 +362,6 @@ std::unique_ptr<DbimWorkspace> local_workspace(MlfmaEngine& engine,
   }
   auto ws = std::make_unique<DbimWorkspace>(std::move(solver), trx, measured,
                                             fw_opts);
-  if (opts.recycle_depth > 0) {
-    ws->set_recycling(static_cast<std::size_t>(opts.recycle_depth),
-                      opts.recycle_ridge);
-  }
   if (opts.backend != BackendKind::kMlfma) {
     // Shared cache (when wired) hands every sharing job the same CBS
     // kernel spectrum and FFT plans; otherwise build privately.

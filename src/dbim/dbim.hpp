@@ -31,9 +31,9 @@
 //   F_t^H u = conj( phi_b,t .* [I - G0 O_b]^{-1} conj(G_R^H u) ),
 //
 // i.e. F_t takes one *adjoint* solve and F_t^H one *forward* solve of the
-// system the residual pass already solves, with its preconditioner and
-// recycler, and neither needs a G0 product outside the solve. The passes
-// apply F_t / F_t^H for every transmitter t at once, as block solves.
+// system the residual pass already solves, with its preconditioner, and
+// neither needs a G0 product outside the solve. The passes apply F_t /
+// F_t^H for every transmitter t at once, as block solves.
 //
 // DbimStepper is the only nonlinear-CG loop and DbimWorkspace the only
 // pass workspace. A workspace holds a share of the pixels and
@@ -52,7 +52,6 @@
 
 #include "forward/cbs.hpp"
 #include "forward/forward.hpp"
-#include "forward/recycle.hpp"
 #include "greens/transceivers.hpp"
 #include "io/checkpoint.hpp"
 #include "linalg/cmatrix.hpp"
@@ -110,12 +109,9 @@ struct DbimOptions {
   bool adaptive_forcing = false;
   double forcing_c = 0.1;
   double forcing_cap = 1e-2;
-  /// Krylov recycling depth: retain this many (rhs, solution) block
-  /// snapshots of the gradient and step-length solves and seed each new
-  /// solve from their least-squares combination (forward/recycle.hpp).
-  /// 0 disables. Recycle state is never checkpointed; drivers clear it
-  /// whenever the background fields reset, which keeps crash-recovered
-  /// runs on the fault-free trajectory.
+  /// Retired: no effect, read by nothing; deleted with the next change
+  /// to the benchmark, which still sets them. Gradient and Frechet
+  /// solves start from zero (DESIGN.md Sec. 13).
   int recycle_depth = 0;
   double recycle_ridge = 1e-12;
   /// Forward engine routing (forward/backend.hpp). kMlfma is the
@@ -141,7 +137,7 @@ struct DbimHistory {
   std::uint64_t operator_applications = 0;
   /// Total BiCGStab iterations spent across every Krylov solve of the
   /// reconstruction — the cost metric the iteration-reduction layer
-  /// (preconditioning + forcing + recycling) targets.
+  /// (preconditioning + forcing) targets.
   std::uint64_t bicgstab_iterations = 0;
   /// Wall time spent building (factoring and inverting) the near-field
   /// block preconditioner, summed over iterations; on the partitioned
@@ -252,11 +248,6 @@ class DbimWorkspace {
   /// The MLFMA backend.
   ForwardBackend& solver() { return *mlfma_; }
 
-  /// Enables Krylov recycling of the gradient and step-length block
-  /// solves (depth 0 disables). Snapshots are cleared whenever
-  /// set_background drops the warm-started fields.
-  void set_recycling(std::size_t depth, double ridge);
-
   /// Installs the forward-backend routing policy (DbimOptions::backend).
   /// kCbs / kAuto construct the FFT engine on the whole grid — from the
   /// shared `tables` artifact when one is supplied; call before the
@@ -308,14 +299,11 @@ class DbimWorkspace {
   bool escalated_ = false;
   double meas_norm2_ = 0.0;
   // Background total fields of the share's transmitters as one block
-  // vector, warm-started across DBIM iterations.
+  // vector: the residual pass's warm start across DBIM iterations, the
+  // only warm start in the solver (gradient and Frechet solves start
+  // from zero).
   cvec phi_b_;
   double forcing_tol_ = 0.0;
-  // Recycled (rhs, solution) snapshots of the gradient / step-length
-  // block solves across DBIM iterations (residual passes warm-start from
-  // phi_b_ instead). Disabled at depth 0.
-  KrylovRecycler rec_grad_{RecycleOptions{0, 1e-12}};
-  KrylovRecycler rec_step_{RecycleOptions{0, 1e-12}};
 };
 
 /// Resumable single-iteration DBIM driver — the one nonlinear-CG outer

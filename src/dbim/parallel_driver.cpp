@@ -49,15 +49,10 @@ std::unique_ptr<DbimWorkspace> make_partitioned_workspace(
     share.column_group.push_back(rank_base + g * tr + tree_rank);
   for (int r = 0; r < window; ++r) share.window.push_back(rank_base + r);
 
-  auto ws = std::make_unique<DbimWorkspace>(
+  return std::make_unique<DbimWorkspace>(
       std::make_unique<PartitionedForwardSolver>(comm, tree_base, pm, fw_opts,
                                                  opts.near_precondition),
       trx, measured, fw_opts, std::move(share));
-  if (opts.recycle_depth > 0) {
-    ws->set_recycling(static_cast<std::size_t>(opts.recycle_depth),
-                      opts.recycle_ridge);
-  }
-  return ws;
 }
 
 DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,

@@ -87,7 +87,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
 /// `tree`, `trx` and `measured` are borrowed. MLFMA only: refuses
 /// (FFW_CHECK) a CBS/kAuto backend, a mixed engine and near_precondition
 /// on fp32 near-field tables, and more illumination groups than
-/// transmitters; honours near_precondition and recycling. Receiver
+/// transmitters; honours near_precondition. Receiver
 /// projections read trx's G_R and incident panel in place, at the
 /// rank's pixels.
 std::unique_ptr<DbimWorkspace> make_partitioned_workspace(

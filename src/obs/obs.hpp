@@ -46,7 +46,8 @@ enum class Counter : int {
   kBicgstabTotalIters,      // per-column BiCGStab iterations (all RHS)
   kPrecondSetupNs,          // near-field block preconditioner factor time
   kPrecondApplyNs,          // preconditioner triangular-solve time
-  kRecycleHits,             // Krylov-recycled initial guesses applied
+  kRecycleHits,             // retired: never incremented; deleted with the
+                            // next change to the benchmark, which reads it
   kCbsIterations,           // FFT-backend block BiCGStab iterations
   kFftNs,                   // time in padded-FFT operator applies, pack to crop
   kFftPlanHits,             // fp64 1-D FFT plan-cache hits (fft/fft2)

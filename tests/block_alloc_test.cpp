@@ -1,11 +1,11 @@
 // The steady state of a DBIM reconstruction allocates no block
-// temporaries: once the first steps have sized the per-thread scratch
-// (linalg/scratch.hpp), the recycling snapshots and the engines' panels,
-// every later step draws its O(N * nrhs) vectors from storage it already
-// holds. This binary replaces the global allocation functions and counts,
-// per thread, every allocation of at least half a block vector of the
-// share being stepped; and, on every thread at once, all allocations of
-// any size while a near-field preconditioner rebuilds.
+// temporaries: once the first step has sized the per-thread scratch
+// (linalg/scratch.hpp) and the engines' panels, every later step draws
+// its O(N * nrhs) vectors from storage it already holds. This binary
+// replaces the global allocation functions and counts, per thread, every
+// allocation of at least half a block vector of the share being stepped;
+// and, on every thread at once, all allocations of any size while a
+// near-field preconditioner rebuilds.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -120,31 +120,28 @@ struct AllocScene {
         cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.8, cplx{0.02, 0.0}));
   }
 
-  /// The benchmark's solver options: near-field preconditioner on MLFMA,
-  /// adaptive forcing, recycle depth 2.
+  /// The benchmark's solver options: near-field preconditioner on MLFMA
+  /// and adaptive forcing.
   static DbimOptions options(BackendKind backend) {
     DbimOptions o;
     o.max_iterations = 5;
     o.backend = backend;
     o.near_precondition = backend == BackendKind::kMlfma;
     o.adaptive_forcing = true;
-    o.recycle_depth = 2;
     return o;
   }
 };
 
-/// Steps 0 and 1 size the buffers (the recyclers fill to depth 2 on
-/// step 1); steps 2-4 must allocate no block temporaries, and the
-/// thread's block scratch must not grow.
+/// Step 0 sizes the buffers; steps 1-4 must allocate no block
+/// temporaries, and the thread's block scratch must not grow.
 std::size_t steady_state_allocations(DbimStepper& stepper, std::size_t pixels,
                                      std::size_t nrhs) {
   EXPECT_TRUE(stepper.step());
-  EXPECT_TRUE(stepper.step());
-  EXPECT_EQ(stepper.iteration(), 2);
+  EXPECT_EQ(stepper.iteration(), 1);
   const std::size_t held = scratch_bytes();
   EXPECT_GT(held, 0u);
   const std::size_t large = large_allocations(pixels, nrhs, [&] {
-    for (int i = 0; i < 3; ++i) stepper.step();
+    for (int i = 0; i < 4; ++i) stepper.step();
   });
   EXPECT_EQ(scratch_bytes(), held);
   return large;

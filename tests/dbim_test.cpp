@@ -4,11 +4,14 @@
 // high contrast — the mechanism behind paper Figs. 1 and 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "dbim/born.hpp"
 #include "dbim/dbim.hpp"
 #include "dbim/parallel_driver.hpp"
+#include "linalg/scratch.hpp"
 #include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 
@@ -174,7 +177,7 @@ TEST(Born, RecoversVeryWeakScatterer) {
 
 // Results must not depend on the thread count (north-star aim 3). The
 // benchmark's solver options (near-field preconditioner on MLFMA,
-// adaptive forcing, recycling) reconstruct the same bits at 1 and 4
+// adaptive forcing) reconstruct the same bits at 1 and 4
 // threads on both serial backends (the FFT backend in fp64 and mixed
 // precision), and on the 2x2 partitioned driver at 1 and 2 threads per
 // rank. 64^2 with 8 transmitters spans more than one chunk of the
@@ -200,7 +203,6 @@ struct ThreadCountScene {
     o.cbs.precision = cbs_precision;
     o.near_precondition = backend == BackendKind::kMlfma;
     o.adaptive_forcing = true;
-    o.recycle_depth = 2;
     return o;
   }
 
@@ -270,6 +272,103 @@ TEST(DbimThreadCount, MixedCbsIsBitIdenticalAt1And4Threads) {
 TEST(DbimThreadCount, Parallel2x2IsBitIdenticalAt1And2ThreadsPerRank) {
   const ThreadCountScene s;
   expect_identical(s.parallel_2x2(1), s.parallel_2x2(2));
+}
+
+// The gradient and Frechet solves start from an explicit zero: their
+// start vectors come from the per-thread block scratch, which hands out
+// spans uninitialised (linalg/scratch.hpp). Filling every slot of the
+// stepping thread's scratch with NaN must change no bit of a
+// reconstruction. Poisoning before each step and again before each
+// gradient pass (from the progress hook) covers the gradient pass; the
+// Frechet pass follows the gradient pass within a step, so its start
+// slot always holds gradient-pass data there, and a direct pass on a
+// workspace covers it.
+void poison_scratch(std::size_t n) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  ScratchFrame frame;
+  // More slots than a step holds at once, each at least as large as any
+  // span of the step: every slot of the thread ends up poisoned.
+  for (int i = 0; i < 32; ++i) {
+    const cspan v = frame.vec(n);
+    std::fill(v.begin(), v.end(), cplx{kNan, kNan});
+  }
+}
+
+struct NanScratchScene {
+  ScenarioConfig cfg = small_config();
+  std::unique_ptr<Scenario> scene;
+  std::size_t poison_size;
+
+  NanScratchScene() {
+    Grid grid(cfg.nx);
+    scene = std::make_unique<Scenario>(
+        cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.5, cplx{0.02, 0.0}));
+    // Four block vectors: more than any span of a step, the FFT
+    // backend's per-thread padded panels included.
+    poison_size = 4 * grid.num_pixels() *
+                  static_cast<std::size_t>(cfg.num_transmitters);
+  }
+
+  /// The benchmark's solver options.
+  static DbimOptions options(BackendKind backend) {
+    DbimOptions o;
+    o.max_iterations = 4;
+    o.backend = backend;
+    o.near_precondition = backend == BackendKind::kMlfma;
+    o.adaptive_forcing = true;
+    return o;
+  }
+
+  DbimResult steps(BackendKind backend, bool poison) const {
+    DbimOptions o = options(backend);
+    if (poison) o.progress = [&](int, double) { poison_scratch(poison_size); };
+    DbimStepper stepper(scene->engine(), scene->transceivers(),
+                        scene->measurements(), o, cfg.forward);
+    do {
+      if (poison) poison_scratch(poison_size);
+    } while (stepper.step());
+    return stepper.result();
+  }
+
+  /// One residual pass at a weak background, then the gradient and
+  /// Frechet passes, each on freshly poisoned scratch when `poison`.
+  cvec passes(BackendKind backend, bool poison) const {
+    DbimWorkspace ws(scene->engine(), scene->transceivers(),
+                     scene->measurements(), cfg.forward);
+    if (backend != BackendKind::kMlfma) ws.set_backend(backend, CbsOptions{});
+    const std::size_t n = ws.num_pixels();
+    ws.set_background(cvec(n, cplx{0.005, 0.001}));
+    cvec residuals(ws.residual_size());
+    ws.residual_pass_all(residuals);
+    cvec grad(n), out(ws.residual_size());
+    if (poison) poison_scratch(poison_size);
+    ws.gradient_pass_all(residuals, grad);
+    if (poison) poison_scratch(poison_size);
+    ws.frechet_pass_all(grad, out);
+    grad.insert(grad.end(), out.begin(), out.end());
+    return grad;
+  }
+};
+
+void expect_same_bits(const cvec& a, const cvec& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+}
+
+TEST(DbimKrylovStart, MlfmaIgnoresNanScratch) {
+  const NanScratchScene s;
+  expect_identical(s.steps(BackendKind::kMlfma, false),
+                   s.steps(BackendKind::kMlfma, true));
+  expect_same_bits(s.passes(BackendKind::kMlfma, false),
+                   s.passes(BackendKind::kMlfma, true));
+}
+
+TEST(DbimKrylovStart, CbsIgnoresNanScratch) {
+  const NanScratchScene s;
+  expect_identical(s.steps(BackendKind::kCbs, false),
+                   s.steps(BackendKind::kCbs, true));
+  expect_same_bits(s.passes(BackendKind::kCbs, false),
+                   s.passes(BackendKind::kCbs, true));
 }
 
 }  // namespace

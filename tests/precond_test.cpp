@@ -1,7 +1,8 @@
-// Iteration-reduction layer (ISSUE 6): near-field block-Jacobi
-// preconditioning, Eisenstat-Walker forcing, Krylov recycling, and the
-// refined-solver stall fallback — correctness, determinism (serial,
-// parallel rerun, crash-recovery) and observability.
+// Iteration-reduction layer: near-field block-Jacobi preconditioning,
+// Eisenstat-Walker forcing and the refined-solver stall fallback —
+// correctness, determinism (serial, parallel rerun, crash-recovery) and
+// observability — and the retired recycling options, which change
+// nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +16,7 @@
 #include "forward/block_bicgstab.hpp"
 #include "forward/forward.hpp"
 #include "forward/precond.hpp"
-#include "forward/recycle.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
@@ -393,70 +392,6 @@ TEST(Refined, LooseToleranceSolvesDirectlyOnInnerOperator) {
   EXPECT_TRUE(outer_called);
 }
 
-TEST(KrylovRecycler, SeedsFromRetainedSolvesDeterministically) {
-  Rng rng(74);
-  const std::size_t n = 32, nrhs = 2;
-  const BlockLayout lo{8, nrhs, 4};
-  CMatrix a(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) a(i, j) = 0.05 * rng.cnormal();
-    a(j, j) += 2.0;
-  }
-  const LuFactors lu(a);
-
-  KrylovRecycler rec(RecycleOptions{2, 1e-12});
-  EXPECT_EQ(rec.size(), 0u);
-
-  // Solve and retain two block systems with slowly drifting rhs.
-  cvec b0(lo.size()), x0(lo.size());
-  rng.fill_cnormal(b0);
-  cvec col(n);
-  for (std::size_t r = 0; r < nrhs; ++r) {
-    block_col_get(lo, b0, r, col);
-    block_col_set(lo, x0, r, lu.solve(col));
-  }
-  rec.store(b0, x0, lo);
-  EXPECT_EQ(rec.size(), 1u);
-
-  // New rhs close to the retained one: the seed must capture most of it.
-  cvec b1(lo.size()), noise(lo.size()), x_seed(lo.size());
-  rng.fill_cnormal(noise);
-  for (std::size_t i = 0; i < lo.size(); ++i)
-    b1[i] = 1.01 * b0[i] + 0.001 * noise[i];
-  EXPECT_EQ(rec.seed(b1, x_seed, lo), nrhs);
-
-  // Residual of the seeded guess: ||b1 - A x_seed|| << ||b1||.
-  cvec ax(n);
-  for (std::size_t r = 0; r < nrhs; ++r) {
-    block_col_get(lo, x_seed, r, col);
-    matvec(a, col, ax);
-    block_col_get(lo, b1, r, col);
-    double rn2 = 0.0, bn2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      rn2 += std::norm(col[i] - ax[i]);
-      bn2 += std::norm(col[i]);
-    }
-    EXPECT_LT(std::sqrt(rn2 / bn2), 0.05) << "column " << r;
-  }
-
-  // Rerunning the seed is bit-identical.
-  cvec x_seed2(lo.size(), cplx{1.0});
-  EXPECT_EQ(rec.seed(b1, x_seed2, lo), nrhs);
-  EXPECT_EQ(std::memcmp(x_seed.data(), x_seed2.data(),
-                        x_seed.size() * sizeof(cplx)),
-            0);
-
-  // Depth eviction and unseedable (zero-history) columns.
-  rec.store(b1, x_seed, lo);
-  rec.store(b0, x0, lo);
-  rec.store(b1, x_seed, lo);
-  EXPECT_EQ(rec.size(), 2u);
-  rec.clear();
-  cvec xz(lo.size(), cplx{1.0});
-  EXPECT_EQ(rec.seed(b1, xz, lo), 0u);
-  for (const cplx& v : xz) EXPECT_EQ(v, cplx{});  // zeroed, not stale
-}
-
 struct AccelScene {
   ScenarioConfig cfg;
   std::unique_ptr<Scenario> scene;
@@ -475,15 +410,14 @@ struct AccelScene {
     o.max_iterations = iters;
     o.near_precondition = true;
     o.adaptive_forcing = true;
-    o.recycle_depth = 2;
     return o;
   }
 };
 
-// The full acceleration stack (preconditioner + forcing + recycling)
-// must cut Krylov iterations without degrading the reconstruction, and
-// a rerun must be bit-identical (all recycling/forcing state is a pure
-// function of the deterministic outer loop).
+// The full acceleration stack (preconditioner + forcing) must cut Krylov
+// iterations without degrading the reconstruction, and a rerun must be
+// bit-identical (the forcing state is a pure function of the
+// deterministic outer loop).
 TEST(DbimAccel, SerialAccelerationCutsIterationsAndIsDeterministic) {
   AccelScene f;
   DbimOptions base;
@@ -529,8 +463,39 @@ TEST(DbimAccel, ObsCountersTrackThePipeline) {
   EXPECT_GT(at(obs::Counter::kBicgstabTotalIters), 0u);
   EXPECT_GT(at(obs::Counter::kPrecondSetupNs), 0u);
   EXPECT_GT(at(obs::Counter::kPrecondApplyNs), 0u);
-  // Gradient/step recyclers have snapshots from iteration 2 onward.
-  EXPECT_GT(at(obs::Counter::kRecycleHits), 0u);
+  // Retired with solution recycling: nothing increments it.
+  EXPECT_EQ(at(obs::Counter::kRecycleHits), 0u);
+}
+
+// recycle_depth and recycle_ridge are retired: gradient and Frechet
+// solves start from zero whatever they hold, so depth 0 and depth 2 run
+// the same solves to the same bits on both serial backends.
+TEST(DbimAccel, RecycleDepthHasNoEffect) {
+  AccelScene f;
+  for (const BackendKind backend : {BackendKind::kMlfma, BackendKind::kCbs}) {
+    DbimOptions o = f.accel_options(4);
+    o.backend = backend;
+    o.near_precondition = backend == BackendKind::kMlfma;
+    const auto run = [&](int depth) {
+      o.recycle_depth = depth;
+      o.recycle_ridge = depth > 0 ? 1e-3 : 1e-12;
+      return dbim_reconstruct(f.scene->engine(), f.scene->transceivers(),
+                              f.scene->measurements(), o, f.cfg.forward);
+    };
+    const DbimResult d0 = run(0), d2 = run(2);
+    const char* name = backend == BackendKind::kMlfma ? "mlfma" : "cbs";
+    ASSERT_EQ(d0.contrast.size(), d2.contrast.size()) << name;
+    EXPECT_EQ(std::memcmp(d0.contrast.data(), d2.contrast.data(),
+                          d0.contrast.size() * sizeof(cplx)),
+              0)
+        << name;
+    EXPECT_EQ(d0.history.forward_solves, d2.history.forward_solves) << name;
+    EXPECT_EQ(d0.history.operator_applications,
+              d2.history.operator_applications)
+        << name;
+    EXPECT_EQ(d0.history.bicgstab_iterations, d2.history.bicgstab_iterations)
+        << name;
+  }
 }
 
 class AccelDecompositions
@@ -538,7 +503,7 @@ class AccelDecompositions
 
 // With every acceleration knob on, the parallel driver still reproduces
 // the serial driver for any decomposition: identical per-column forcing
-// and recycling math, just distributed.
+// math, just distributed.
 TEST_P(AccelDecompositions, MatchesSerialDriver) {
   const auto [ig, tr] = GetParam();
   AccelScene f;
@@ -576,9 +541,9 @@ class AccelCrashRecovery
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 // Crash recovery with the acceleration stack on: the forcing tolerance
-// is re-derived from the checkpointed residual history and the recycle
-// state resets with the background fields, so a crash-recovered run must
-// match the fault-free accelerated run to rounding.
+// is re-derived from the checkpointed residual history, so a
+// crash-recovered run must match the fault-free accelerated run to
+// rounding.
 TEST_P(AccelCrashRecovery, SurvivesInjectedCrashesBitIdentically) {
   const auto [ig, tr] = GetParam();
   const int p = ig * tr;
