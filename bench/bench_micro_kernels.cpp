@@ -245,25 +245,11 @@ static void BM_FftPlanPerCall(benchmark::State& state) {
 }
 BENCHMARK(BM_FftPlanPerCall)->Arg(128)->Arg(96)->Arg(254);
 
-// The CBS hot loop's unit of work: one batched 2-D round trip over a
-// padded multi-RHS panel (256 = padded side for a 128x128 grid).
-static void BM_Fft2PanelRoundTrip(benchmark::State& state) {
-  const std::size_t p = 256, nrhs = static_cast<std::size_t>(state.range(0));
-  Fft2Plan<double> plan(p, p);
-  Rng rng(9);
-  cvec panels(p * p * nrhs);
-  rng.fill_cnormal(panels);
-  for (auto _ : state) {
-    plan.forward(panels, nrhs);
-    plan.inverse(panels, nrhs);
-    benchmark::DoNotOptimize(panels.data());
-  }
-}
-BENCHMARK(BM_Fft2PanelRoundTrip)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
 // One padded-FFT operator apply of the FFT backend, y = [I - G0 O] x
-// over a 16-column panel (pack, transform-order forward, symbol,
-// inverse, crop per column), at 1 thread or at all (threads = 0).
+// over a 16-column panel (one Fft2Plan::convolve per column: pack and
+// row forwards, the column sweeps with the symbol product, row inverses
+// and crop), at 1 thread or at all (threads = 0). nx = 100 pads to the
+// same P = 256 as nx = 128 and times the zero-fill of [nx, P/2).
 // "time/col" is the time per column; GFLOP/s is an equivalent rate that
 // counts two full P x P transforms per column (2 * 5 P^2 log2 P^2 flops)
 // whatever the pruning saves, so that later kernels compare.
@@ -297,6 +283,8 @@ BENCHMARK(BM_CbsApply)
     ->ArgNames({"nx", "nrhs", "threads"})
     ->Args({64, 16, 1})
     ->Args({64, 16, 0})
+    ->Args({100, 16, 1})
+    ->Args({100, 16, 0})
     ->Args({128, 16, 1})
     ->Args({128, 16, 0})
     ->Args({256, 16, 1})

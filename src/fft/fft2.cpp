@@ -13,7 +13,6 @@
 #include "common/check.hpp"
 #include "linalg/simd.hpp"
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace ffw {
 
@@ -113,57 +112,97 @@ inline void r4_twiddles(const T* t, std::size_t q, std::size_t j, Tw<V>* w) {
   }
 }
 
-/// Radix-4 decimation-in-frequency butterfly (two radix-2 stages) on
-/// the values at quarter-block offsets 0, q, 2q, 3q, with w = (w^j,
-/// w^2j, w^3j). HalfZero: x2 and x3 are zero and are not read.
-template <bool HalfZero, typename V>
-inline void r4_dif(V& x0, V& x1, V& x2, V& x3, const Tw<V>* w) {
-  V t0 = x0, t1 = x0, t2 = x1, t3 = rot<false>(x1);
-  if constexpr (!HalfZero) {
-    t0 = x0 + x2;
-    t1 = x0 - x2;
-    t2 = x1 + x3;
-    t3 = rot<false>(x1 - x3);
-  }
-  x0 = t0 + t2;
-  x1 = twiddle<false>(t0 - t2, w[1]);
-  x2 = twiddle<false>(t1 + t3, w[0]);
-  x3 = twiddle<false>(t1 - t3, w[2]);
-}
-
-/// Radix-4 decimation-in-time butterfly, with the conjugate twiddles.
-template <typename V>
-inline void r4_dit(V& x0, V& x1, V& x2, V& x3, const Tw<V>* w) {
-  const V b1 = twiddle<true>(x1, w[1]);
-  const V b2 = twiddle<true>(x2, w[0]);
-  const V b3 = twiddle<true>(x3, w[2]);
-  const V a0 = x0 + b1, a1 = x0 - b1;
-  const V s = b2 + b3, e = rot<true>(b2 - b3);
-  x0 = a0 + s;
-  x1 = a1 + e;
-  x2 = a0 - s;
-  x3 = a1 - e;
-}
-
-/// Radix-4 butterfly on the vectors at p0..p3: DIF (pruned: p2 and p3
-/// are zero and not read) or DIT (pruned: only p0 and p1 are written).
-template <bool Dif, bool Pruned, typename V, typename T>
-inline void r4_at(T* p0, T* p1, T* p2, T* p3, const Tw<V>* w) {
-  V x0 = simd::load<V>(p0), x1 = simd::load<V>(p1), x2{}, x3{};
-  if constexpr (!(Dif && Pruned)) {
-    x2 = simd::load<V>(p2);
-    x3 = simd::load<V>(p3);
-  }
+/// One radix-4 butterfly (two radix-2 stages) on x[0..3], the values at
+/// quarter-block offsets 0, q, 2q, 3q, with w = (w^j, w^2j, w^3j):
+/// decimation-in-frequency for Dif, else decimation-in-time with the
+/// conjugate twiddles. HalfZero (DIF only): x[2] and x[3] are zero and
+/// are not read. Unit: j = 0, so every twiddle is 1 and w is not read.
+template <bool Dif, bool HalfZero, bool Unit, typename V>
+inline void r4(V* x, const Tw<V>* w) {
   if constexpr (Dif) {
-    r4_dif<Pruned>(x0, x1, x2, x3, w);
+    V t0 = x[0], t1 = x[0], t2 = x[1], t3 = rot<false>(x[1]);
+    if constexpr (!HalfZero) {
+      t0 = x[0] + x[2];
+      t1 = x[0] - x[2];
+      t2 = x[1] + x[3];
+      t3 = rot<false>(x[1] - x[3]);
+    }
+    x[0] = t0 + t2;
+    x[1] = t0 - t2;
+    x[2] = t1 + t3;
+    x[3] = t1 - t3;
+    if constexpr (!Unit) {
+      x[1] = twiddle<false>(x[1], w[1]);
+      x[2] = twiddle<false>(x[2], w[0]);
+      x[3] = twiddle<false>(x[3], w[2]);
+    }
   } else {
-    r4_dit(x0, x1, x2, x3, w);
+    if constexpr (!Unit) {
+      x[1] = twiddle<true>(x[1], w[1]);
+      x[2] = twiddle<true>(x[2], w[0]);
+      x[3] = twiddle<true>(x[3], w[2]);
+    }
+    const V a0 = x[0] + x[1], a1 = x[0] - x[1];
+    const V s = x[2] + x[3], e = rot<true>(x[2] - x[3]);
+    x[0] = a0 + s;
+    x[1] = a1 + e;
+    x[2] = a0 - s;
+    x[3] = a1 - e;
   }
-  simd::store(p0, x0);
-  simd::store(p1, x1);
-  if constexpr (Dif || !Pruned) {
-    simd::store(p2, x2);
-    simd::store(p3, x3);
+}
+
+/// Two radix-4 stages on 16 vectors: x[4 m + k] is quarter k of the
+/// long stage's butterfly m (twiddles w[m]) and quarter m of the short
+/// stage's butterfly k (twiddles w[4]). DIF runs the long stage first,
+/// DIT the short one with the mirrored butterflies. HalfZero: DIF's
+/// x[k >= 2] are zero. J0: the twiddle index is 0, so w[0] and w[4]
+/// are 1 and not read.
+template <bool Dif, bool HalfZero, bool J0, typename V>
+inline void r16(V (&x)[16], const Tw<V> (&w)[5][3]) {
+  auto long_stage = [&] {
+    r4<Dif, HalfZero, J0>(x, w[0]);
+#pragma GCC unroll 3
+    for (std::size_t m = 1; m < 4; ++m) {
+      r4<Dif, HalfZero, false>(x + 4 * m, w[m]);
+    }
+  };
+  auto short_stage = [&] {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < 4; ++k) {
+      V y[4] = {x[k], x[4 + k], x[8 + k], x[12 + k]};
+      r4<Dif, false, J0>(y, w[4]);
+      x[k] = y[0];
+      x[4 + k] = y[1];
+      x[8 + k] = y[2];
+      x[12 + k] = y[3];
+    }
+  };
+  if constexpr (Dif) {
+    long_stage();
+    short_stage();
+  } else {
+    short_stage();
+    long_stage();
+  }
+}
+
+/// Loads the R vectors x[4 m + k] (R = 16) or x[k] (R = 4) at p + m * ms
+/// + k * kq, skipping k >= 2 when Skip; store() writes them back.
+template <std::size_t R, bool Skip, typename V, typename T>
+inline void load(V* x, const T* p, std::size_t ms, std::size_t kq) {
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < R; ++i) {
+    if (!(Skip && i % 4 >= 2)) {
+      x[i] = simd::load<V>(p + i / 4 * ms + i % 4 * kq);
+    }
+  }
+}
+
+template <std::size_t R, bool Skip, typename V, typename T>
+inline void store(T* p, std::size_t ms, std::size_t kq, const V* x) {
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < R; ++i) {
+    if (!(Skip && i % 4 >= 2)) simd::store(p + i / 4 * ms + i % 4 * kq, x[i]);
   }
 }
 
@@ -250,6 +289,48 @@ inline void with_flag(bool flag, F&& f) {
   }
 }
 
+/// One pass over a contiguous row of n values: the radix-4 stage len
+/// and, when Pair, the stage len/4 after it (in DIF order: the vector
+/// x[4 m + k] is at b + j + m len/16 + k len/4), then (Lanes) the
+/// in-register stages of each vector, which DIT runs first. The
+/// twiddles come per lane from the stage tables t (len) and t4 (len/4);
+/// Pruned prunes stage len as for Fft1Plan::dif()/dit().
+template <typename V, bool Dif, bool Pruned, bool Pair, bool Lanes, typename T>
+void row_pass(T* x, std::size_t n, std::size_t len, const T* t, const T* t4,
+              const T* lane_tab) {
+  constexpr std::size_t kC = kCplx<V>;
+  constexpr std::size_t kR = Pair ? 16 : 4;
+  const std::size_t q = len / 4, s = Pair ? q / 4 : 0;
+  for (std::size_t b = 0; b < n; b += len) {
+    for (std::size_t j = 0; j < (Pair ? s : q); j += kC) {
+      Tw<V> w[5][3];
+      if constexpr (Pair) {
+        for (std::size_t m = 0; m < 4; ++m) {
+          r4_twiddles<V, false>(t, q, j + m * s, w[m]);
+        }
+        r4_twiddles<V, false>(t4, s, j, w[4]);
+      } else {
+        r4_twiddles<V, false>(t, q, j, w[0]);
+      }
+      T* p = x + 2 * (b + j);
+      V v[kR]{};
+      load<kR, Dif && Pruned>(v, p, 2 * s, 2 * q);
+      if constexpr (Lanes && !Dif) {
+        for (V& y : v) y = lane_stages<kC / 2, true>(y, lane_tab);
+      }
+      if constexpr (Pair) {
+        r16<Dif, Pruned, false>(v, w);
+      } else {
+        r4<Dif, Pruned, false>(v, w[0]);
+      }
+      if constexpr (Lanes && Dif) {
+        for (V& y : v) y = lane_stages<kC / 2, false>(y, lane_tab);
+      }
+      store<kR, !Dif && Pruned>(p, 2 * s, 2 * q, v);
+    }
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -330,82 +411,71 @@ const T* Fft1Plan<T>::r4_table(std::size_t len) const {
 // >= C (complex lanes per vector) load their twiddles lane by lane; the
 // log2 C shorter ones run in-register on each vector. The radix-2 stage
 // (when the count of vector stages is odd) sits at the length-n end.
+// The radix-4 stages run two per pass while the shorter one is still a
+// vector stage (from the length-n end), and the in-register stages join
+// the pass of the shortest radix-4 stage: a row of 256 fp64 values
+// takes two passes.
 template <typename T>
 template <typename V>
-void Fft1Plan<T>::dif_row(std::complex<T>* xc, bool half_zero) const {
+void Fft1Plan<T>::row(std::complex<T>* xc, bool dif, bool half) const {
   constexpr std::size_t kC = kCplx<V>;
   T* x = reinterpret_cast<T*>(xc);
   const std::size_t n = n_;
-  std::size_t len = n;
-  if (std::countr_zero(n / kC) & 1) {
+  const bool r2 = std::countr_zero(n / kC) & 1;
+  struct Group {
+    std::size_t len;
+    bool pair;
+  };
+  Group groups[32];
+  std::size_t count = 0;
+  for (std::size_t len = r2 ? n / 2 : n; len >= 4 * kC;
+       len /= groups[count - 1].pair ? 16 : 4) {
+    groups[count++] = {len, len >= 16 * kC};
+  }
+  const T* lane_tab = tw_.data() + lane_off_;
+  auto group = [&](std::size_t g, auto dif_c) {
+    const Group& gr = groups[g];
+    const T* t = r4_table(gr.len);
+    const T* t4 = gr.pair ? r4_table(gr.len / 4) : nullptr;
+    with_flag(half && !r2 && g == 0, [&](auto pruned) {
+      with_flag(gr.pair, [&](auto pair) {
+        with_flag(g + 1 == count, [&](auto lanes) {
+          row_pass<V, dif_c(), pruned(), pair(), lanes()>(x, n, gr.len, t, t4,
+                                                          lane_tab);
+        });
+      });
+    });
+  };
+  auto radix2 = [&](auto dif_c) {
+    if (!r2) return;
     const std::size_t h = n / 2;
     const T* a = tw_.data() + r2_off_;
-    with_flag(half_zero, [&](auto hz) {
+    with_flag(half, [&](auto pruned) {
       for (std::size_t j = 0; j < h; j += kC) {
-        r2_at<true, hz()>(x + 2 * j, x + 2 * (j + h), tw_load<V>(a, a + n, j));
+        r2_at<dif_c(), pruned()>(x + 2 * j, x + 2 * (j + h),
+                                 tw_load<V>(a, a + n, j));
       }
     });
-    len = h;
-    half_zero = false;
-  }
-  for (; len >= 4 * kC; len /= 4, half_zero = false) {
-    const std::size_t q = len / 4;
-    const T* t = r4_table(len);
-    with_flag(half_zero, [&](auto hz) {
-      for (std::size_t b = 0; b < n; b += len) {
-        for (std::size_t j = 0; j < q; j += kC) {
-          Tw<V> w[3];
-          r4_twiddles<V, false>(t, q, j, w);
-          T* p = x + 2 * (b + j);
-          r4_at<true, hz()>(p, p + 2 * q, p + 4 * q, p + 6 * q, w);
-        }
+  };
+  // Rows too short for a radix-4 vector stage run the in-register ones
+  // in a pass of their own.
+  auto lanes = [&](auto dif_c) {
+    if constexpr (kC > 1) {
+      if (count > 0) return;
+      for (std::size_t i = 0; i < 2 * n; i += 2 * kC) {
+        simd::store(x + i, lane_stages<kC / 2, !dif_c()>(simd::load<V>(x + i),
+                                                          lane_tab));
       }
-    });
-  }
-  if constexpr (kC > 1) {
-    const T* tab = tw_.data() + lane_off_;
-    for (std::size_t i = 0; i < 2 * n; i += 2 * kC) {
-      simd::store(x + i,
-                  lane_stages<kC / 2, false>(simd::load<V>(x + i), tab));
     }
-  }
-}
-
-template <typename T>
-template <typename V>
-void Fft1Plan<T>::dit_row(std::complex<T>* xc, bool half_out) const {
-  constexpr std::size_t kC = kCplx<V>;
-  T* x = reinterpret_cast<T*>(xc);
-  const std::size_t n = n_;
-  if constexpr (kC > 1) {
-    const T* tab = tw_.data() + lane_off_;
-    for (std::size_t i = 0; i < 2 * n; i += 2 * kC) {
-      simd::store(x + i, lane_stages<kC / 2, true>(simd::load<V>(x + i), tab));
-    }
-  }
-  const bool odd = std::countr_zero(n / kC) & 1;
-  for (std::size_t len = 4 * kC; len <= (odd ? n / 2 : n); len *= 4) {
-    const std::size_t q = len / 4;
-    const T* t = r4_table(len);
-    with_flag(half_out && len == n, [&](auto ho) {
-      for (std::size_t b = 0; b < n; b += len) {
-        for (std::size_t j = 0; j < q; j += kC) {
-          Tw<V> w[3];
-          r4_twiddles<V, false>(t, q, j, w);
-          T* p = x + 2 * (b + j);
-          r4_at<false, ho()>(p, p + 2 * q, p + 4 * q, p + 6 * q, w);
-        }
-      }
-    });
-  }
-  if (odd) {
-    const std::size_t h = n / 2;
-    const T* a = tw_.data() + r2_off_;
-    with_flag(half_out, [&](auto ho) {
-      for (std::size_t j = 0; j < h; j += kC) {
-        r2_at<false, ho()>(x + 2 * j, x + 2 * (j + h), tw_load<V>(a, a + n, j));
-      }
-    });
+  };
+  if (dif) {
+    radix2(std::true_type{});
+    for (std::size_t g = 0; g < count; ++g) group(g, std::true_type{});
+    lanes(std::true_type{});
+  } else {
+    lanes(std::false_type{});
+    for (std::size_t g = count; g-- > 0;) group(g, std::false_type{});
+    radix2(std::false_type{});
   }
 }
 
@@ -419,11 +489,15 @@ void Fft1Plan<T>::dit_row(std::complex<T>* xc, bool half_out) const {
 // pitch, Fft2Plan::pitch(), spreads them). In DIF order the sweeps are:
 // the radix-2 stage of length n (odd log2 n), then radix-4 pairs or
 // single stages down to length 4. DIT runs the same sweeps in reverse
-// order with the mirrored butterflies.
+// order with the mirrored butterflies. A convolution runs the DIF
+// sweeps, the DIT ones, and between them, in place of the innermost
+// sweep of each, one pass that holds a block of 16 (or 4, or 2) lines
+// through the DIF butterflies, the symbol product and the DIT ones.
 template <typename T>
 template <typename V>
-void Fft1Plan<T>::lines(T* d, std::size_t pitch, std::size_t c0,
-                        std::size_t c1, bool dif, bool half) const {
+void Fft1Plan<T>::sweeps(T* d, std::size_t pitch, std::size_t c0,
+                         std::size_t c1, bool half, const T* symbol,
+                         std::size_t spitch, bool conj) const {
   constexpr std::size_t kL = 2 * kCplx<V>;
   constexpr std::size_t kL1WayBytes = 4096;  // 64 sets x 64-byte lines
   const std::size_t n = n_;
@@ -450,7 +524,6 @@ void Fft1Plan<T>::lines(T* d, std::size_t pitch, std::size_t c0,
 
   auto run = [&](const Sweep& sw, auto dif_c, auto pruned_c) {
     constexpr bool kDif = dif_c(), kPruned = pruned_c();
-    const std::size_t cb = c0, ce = c1;
     if (sw.radix == 2) {
       const std::size_t h = n / 2;
       const T* a = tw_.data() + r2_off_;
@@ -458,173 +531,164 @@ void Fft1Plan<T>::lines(T* d, std::size_t pitch, std::size_t c0,
         const Tw<V> w = tw_splat<V>(a, a + n, j);
         T* l0 = line(j);
         T* l1 = line(j + h);
-        for (std::size_t c = cb; c < ce; c += kL) {
+        for (std::size_t c = c0; c < c1; c += kL) {
           r2_at<kDif, kPruned>(l0 + c, l1 + c, w);
         }
       }
       return;
     }
+    // Lines b + j + m s + k q (m, k < 4; radix 4: m = 0).
     const std::size_t q = sw.len / 4;
     const T* t = r4_table(sw.len);
-    if (sw.radix == 4) {
+    auto sweep = [&](auto radix_c, std::size_t s, const T* t4) {
+      constexpr std::size_t kR = radix_c();
+      const std::size_t ms = s * pitch, kq = q * pitch;
       for (std::size_t b = 0; b < n; b += sw.len) {
-        for (std::size_t j = 0; j < q; ++j) {
-          Tw<V> w[3];
-          r4_twiddles<V, true>(t, q, j, w);
-          T* l0 = line(b + j);
-          T* l1 = line(b + j + q);
-          T* l2 = line(b + j + 2 * q);
-          T* l3 = line(b + j + 3 * q);
-          for (std::size_t c = cb; c < ce; c += kL) {
-            r4_at<kDif, kPruned>(l0 + c, l1 + c, l2 + c, l3 + c, w);
+        for (std::size_t j = 0; j < (kR == 16 ? s : q); ++j) {
+          Tw<V> w[5][3];
+          if constexpr (kR == 16) {
+            for (std::size_t m = 0; m < 4; ++m) {
+              r4_twiddles<V, true>(t, q, j + m * s, w[m]);
+            }
+            r4_twiddles<V, true>(t4, s, j, w[4]);
+          } else {
+            r4_twiddles<V, true>(t, q, j, w[0]);
           }
+          T* l0 = line(b + j);
+          for (std::size_t c = c0; c < c1; c += kL) {
+            // Fully unrolled, so that x lives in registers.
+            V x[kR]{};
+            load<kR, kDif && kPruned>(x, l0 + c, ms, kq);
+            if constexpr (kR == 16) {
+              r16<kDif, kPruned, false>(x, w);
+            } else {
+              r4<kDif, kPruned, false>(x, w[0]);
+            }
+            store<kR, !kDif && kPruned>(l0 + c, ms, kq, x);
+          }
+        }
+      }
+    };
+    if (sw.radix == 4) {
+      sweep(std::integral_constant<std::size_t, 4>{}, 0, nullptr);
+    } else {
+      sweep(std::integral_constant<std::size_t, 16>{}, q / 4, r4_table(q));
+    }
+  };
+
+  // The innermost sweep of a radix-4 or radix-16 convolution: its length
+  // is its radix, so its butterflies have j = 0 and its short stage unit
+  // twiddles. x[4 m + k] is line b + m ms + k kq.
+  auto fused = [&](auto radix_c, auto conj_c, auto pruned_c) {
+    constexpr std::size_t kR = radix_c();
+    constexpr bool kPruned = pruned_c();
+    const std::size_t ms = kR == 16 ? 1 : 0, kq = kR == 16 ? 4 : 1;
+    Tw<V> w[5][3];
+    for (std::size_t m = 1; kR == 16 && m < 4; ++m) {
+      r4_twiddles<V, true>(r4_table(16), 4, m, w[m]);
+    }
+    for (std::size_t b = 0; b < n; b += kR) {
+      for (std::size_t c = c0; c < c1; c += kL) {
+        V x[kR]{};
+        load<kR, kPruned>(x, line(b) + c, ms * pitch, kq * pitch);
+        if constexpr (kR == 16) {
+          r16<true, kPruned, true>(x, w);
+        } else {
+          r4<true, kPruned, true>(x, w[0]);
+        }
+#pragma GCC unroll 16
+        for (std::size_t i = 0; i < kR; ++i) {
+          const T* sym = symbol + (b + i / 4 * ms + i % 4 * kq) * spitch + c;
+          x[i] = simd::cmul<conj_c()>(simd::load<V>(sym), x[i]);
+        }
+        if constexpr (kR == 16) {
+          r16<false, false, true>(x, w);
+        } else {
+          r4<false, false, true>(x, w[0]);
+        }
+        store<kR, kPruned>(line(b) + c, ms * pitch, kq * pitch, x);
+      }
+    }
+  };
+
+  // Both directions prune sweeps[0]: DIF its input, DIT its output. A
+  // side of 1 or 2 (no radix-4 sweep) runs the product on its own.
+  const bool fuse = symbol && count > 0 && sweeps[count - 1].radix != 2;
+  const std::size_t dif_count = fuse ? count - 1 : count;
+  for (std::size_t i = 0; i < dif_count; ++i) {
+    with_flag(half && i == 0, [&](auto pruned_c) {
+      run(sweeps[i], std::true_type{}, pruned_c);
+    });
+  }
+  if (!symbol) return;
+  with_flag(conj, [&](auto conj_c) {
+    if (!fuse) {
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t c = c0; c < c1; c += kL) {
+          const V s = simd::load<V>(symbol + k * spitch + c);
+          simd::store(line(k) + c,
+                      simd::cmul<conj_c()>(s, simd::load<V>(line(k) + c)));
         }
       }
       return;
     }
-    // Lines b + j + m s + k q (m, k < 4): stage len runs over k for each
-    // m (twiddle index j + m s), stage len/4 over m for each k (index j).
-    const std::size_t s = q / 4;
-    const T* t4 = r4_table(q);
-    const std::size_t ms = s * pitch, kq = q * pitch;
-    for (std::size_t b = 0; b < n; b += sw.len) {
-      for (std::size_t j = 0; j < s; ++j) {
-        Tw<V> w[5][3];
-        for (std::size_t m = 0; m < 4; ++m) {
-          r4_twiddles<V, true>(t, q, j + m * s, w[m]);
-        }
-        r4_twiddles<V, true>(t4, s, j, w[4]);
-        T* l0 = line(b + j);
-        for (std::size_t c = cb; c < ce; c += kL) {
-          T* p = l0 + c;
-          // Fully unrolled, so that x lives in registers.
-          V x[16]{};
-#pragma GCC unroll 16
-          for (std::size_t i = 0; i < 16; ++i) {
-            if (!(kDif && kPruned && i % 4 >= 2)) {
-              x[i] = simd::load<V>(p + i / 4 * ms + i % 4 * kq);
-            }
-          }
-          if constexpr (kDif) {
-#pragma GCC unroll 4
-            for (std::size_t m = 0; m < 4; ++m) {
-              r4_dif<kPruned>(x[4 * m], x[4 * m + 1], x[4 * m + 2],
-                              x[4 * m + 3], w[m]);
-            }
-#pragma GCC unroll 4
-            for (std::size_t k = 0; k < 4; ++k) {
-              r4_dif<false>(x[k], x[4 + k], x[8 + k], x[12 + k], w[4]);
-            }
-          } else {
-#pragma GCC unroll 4
-            for (std::size_t k = 0; k < 4; ++k) {
-              r4_dit(x[k], x[4 + k], x[8 + k], x[12 + k], w[4]);
-            }
-#pragma GCC unroll 4
-            for (std::size_t m = 0; m < 4; ++m) {
-              r4_dit(x[4 * m], x[4 * m + 1], x[4 * m + 2], x[4 * m + 3],
-                     w[m]);
-            }
-          }
-#pragma GCC unroll 16
-          for (std::size_t i = 0; i < 16; ++i) {
-            if (!(!kDif && kPruned && i % 4 >= 2)) {
-              simd::store(p + i / 4 * ms + i % 4 * kq, x[i]);
-            }
-          }
-        }
+    with_flag(half && dif_count == 0, [&](auto pruned_c) {
+      if (sweeps[dif_count].radix == 4) {
+        fused(std::integral_constant<std::size_t, 4>{}, conj_c, pruned_c);
+      } else {
+        fused(std::integral_constant<std::size_t, 16>{}, conj_c, pruned_c);
       }
-    }
-  };
-  // DIF prunes its first sweep, DIT its last: both are sweeps[0].
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t at = dif ? i : count - 1 - i;
-    with_flag(dif, [&](auto dif_c) {
-      with_flag(half && at == 0, [&](auto pruned_c) {
-        run(sweeps[at], dif_c, pruned_c);
-      });
+    });
+  });
+  for (std::size_t i = dif_count; i-- > 0;) {
+    with_flag(half && i == 0, [&](auto pruned_c) {
+      run(sweeps[i], std::false_type{}, pruned_c);
     });
   }
 }
 
 template <typename T>
 void Fft1Plan<T>::dif(std::complex<T>* x, bool half_zero) const {
-  FFW_DCHECK(pow2_);
-  if (n_ <= 1) return;
-  using V = simd::Vec<T>;
-  if (n_ >= 2 * kCplx<V>) {
-    dif_row<V>(x, half_zero);
-  } else {
-    dif_row<Cx<T>>(x, half_zero);
-  }
+  row(x, /*dif=*/true, half_zero);
 }
 
 template <typename T>
 void Fft1Plan<T>::dit(std::complex<T>* x, bool half_out) const {
+  row(x, /*dif=*/false, half_out);
+}
+
+template <typename T>
+void Fft1Plan<T>::row(std::complex<T>* x, bool dif, bool half) const {
   FFW_DCHECK(pow2_);
   if (n_ <= 1) return;
   using V = simd::Vec<T>;
   if (n_ >= 2 * kCplx<V>) {
-    dit_row<V>(x, half_out);
+    row<V>(x, dif, half);
   } else {
-    dit_row<Cx<T>>(x, half_out);
+    row<Cx<T>>(x, dif, half);
   }
 }
 
 template <typename T>
-void Fft1Plan<T>::dif_lines(std::complex<T>* data, std::size_t pitch,
-                            std::size_t width, bool half_zero) const {
-  across(data, pitch, width, /*dif=*/true, half_zero);
-}
-
-template <typename T>
-void Fft1Plan<T>::dit_lines(std::complex<T>* data, std::size_t pitch,
-                            std::size_t width, bool half_out) const {
-  across(data, pitch, width, /*dif=*/false, half_out);
-}
-
-template <typename T>
-void Fft1Plan<T>::across(std::complex<T>* data, std::size_t pitch,
-                         std::size_t width, bool dif, bool half) const {
+void Fft1Plan<T>::lines(std::complex<T>* data, std::size_t pitch,
+                        std::size_t width, bool half,
+                        const std::complex<T>* symbol, bool conj) const {
   FFW_DCHECK(pow2_);
-  if (n_ <= 1) return;
   // Full vectors across the width, then the tail one complex value at a
   // time: each column of the lines is an independent transform.
   constexpr std::size_t kL = simd::kLanes<T>;
   T* d = reinterpret_cast<T*>(data);
+  const T* s = reinterpret_cast<const T*>(symbol);
   const std::size_t ws = 2 * width, wv = ws / kL * kL;
-  if (wv > 0) lines<simd::Vec<T>>(d, 2 * pitch, 0, wv, dif, half);
-  if (wv < ws) lines<Cx<T>>(d, 2 * pitch, wv, ws, dif, half);
+  if (wv > 0) sweeps<simd::Vec<T>>(d, 2 * pitch, 0, wv, half, s, ws, conj);
+  if (wv < ws) sweeps<Cx<T>>(d, 2 * pitch, wv, ws, half, s, ws, conj);
 }
 
 template <typename T>
-void Fft1Plan<T>::permute(std::complex<T>* data, std::size_t pitch,
-                          std::size_t width) const {
+void Fft1Plan<T>::permute(std::complex<T>* x) const {
   for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
-    if (i < j) {
-      std::swap_ranges(data + i * pitch, data + i * pitch + width,
-                       data + j * pitch);
-    }
-  }
-}
-
-template <typename T>
-void Fft1Plan<T>::transform_lines(std::complex<T>* data, std::size_t pitch,
-                                  std::size_t width, bool fwd) const {
-  FFW_DCHECK(pow2_);
-  if (n_ <= 1) return;
-  if (fwd) {
-    dif_lines(data, pitch, width);
-    permute(data, pitch, width);
-    return;
-  }
-  permute(data, pitch, width);
-  dit_lines(data, pitch, width);
-  const T inv = static_cast<T>(1.0 / static_cast<double>(n_));
-  for (std::size_t r = 0; r < n_; ++r) {
-    T* p = reinterpret_cast<T*>(data + r * pitch);
-    for (std::size_t c = 0; c < 2 * width; ++c) p[c] *= inv;
+    if (i < j) std::swap(x[i], x[j]);
   }
 }
 
@@ -649,7 +713,7 @@ void Fft1Plan<T>::forward(std::span<std::complex<T>> x) const {
   if (n_ <= 1) return;
   if (pow2_) {
     dif(x.data());
-    permute(x.data(), 1, 1);
+    permute(x.data());
   } else {
     bluestein_transform(x, /*fwd=*/true);
   }
@@ -660,7 +724,7 @@ void Fft1Plan<T>::inverse(std::span<std::complex<T>> x) const {
   FFW_DCHECK(x.size() == n_);
   if (n_ <= 1) return;
   if (pow2_) {
-    permute(x.data(), 1, 1);
+    permute(x.data());
     dit(x.data());
   } else {
     bluestein_transform(x, /*fwd=*/false);
@@ -672,126 +736,39 @@ void Fft1Plan<T>::inverse(std::span<std::complex<T>> x) const {
 template <typename T>
 Fft2Plan<T>::Fft2Plan(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), pitch_(cols), row_plan_(cols), col_plan_(rows) {
-  FFW_CHECK_MSG(rows >= 1 && cols >= 1, "Fft2Plan needs positive extents");
+  FFW_CHECK_MSG(is_pow2(rows) && is_pow2(cols),
+                "Fft2Plan needs power-of-two sides");
   // Two cache lines of padding per row: lines a power-of-two row count
   // apart then fall in different L1 sets, which lets the column pass
-  // hold 16 of them per sweep (Fft1Plan::dif_lines).
-  if (row_plan_.radix2() && col_plan_.radix2() && rows_ >= 16) {
-    pitch_ += 128 / sizeof(std::complex<T>);
+  // hold 16 of them per sweep (Fft1Plan::sweeps).
+  if (rows_ >= 16) pitch_ += 128 / sizeof(std::complex<T>);
+}
+
+template <typename T>
+void Fft2Plan<T>::row_dif(std::complex<T>* row, std::size_t c) const {
+  const bool pruned = half(c, cols_);
+  std::fill(row + std::min(c, cols_), row + (pruned ? cols_ / 2 : cols_),
+            std::complex<T>{});
+  row_plan_.dif(row, pruned);
+}
+
+template <typename T>
+void Fft2Plan<T>::zero_rows(std::complex<T>* panel, std::size_t r) const {
+  const std::size_t read = half(r, rows_) ? rows_ / 2 : rows_;
+  for (std::size_t i = r; i < read; ++i) {
+    std::fill_n(panel + i * pitch_, cols_, std::complex<T>{});
   }
-}
-
-template <typename T>
-void Fft2Plan<T>::row_pass(std::complex<T>* base, std::size_t count,
-                           bool fwd) const {
-  // Every (panel, row) line is contiguous.
-  parallel_for(0, count * rows_, [&](std::size_t i) {
-    std::span<std::complex<T>> row{base + i * cols_, cols_};
-    if (fwd) {
-      row_plan_.forward(row);
-    } else {
-      row_plan_.inverse(row);  // contributes the 1/cols factor
-    }
-  });
-}
-
-template <typename T>
-void Fft2Plan<T>::col_pass(std::complex<T>* base, std::size_t count,
-                           bool fwd) const {
-  // Bluestein row counts: gather each (panel, column) into a contiguous
-  // scratch line, transform, scatter back.
-  parallel_for(0, count * cols_, [&](std::size_t i) {
-    thread_local std::vector<std::complex<T>> line;
-    line.resize(rows_);
-    const std::size_t p = i / cols_;
-    const std::size_t c = i % cols_;
-    std::complex<T>* panel = base + p * size();
-    for (std::size_t r = 0; r < rows_; ++r) line[r] = panel[r * cols_ + c];
-    if (fwd) {
-      col_plan_.forward(std::span<std::complex<T>>{line});
-    } else {
-      col_plan_.inverse(std::span<std::complex<T>>{line});  // 1/rows factor
-    }
-    for (std::size_t r = 0; r < rows_; ++r) panel[r * cols_ + c] = line[r];
-  });
-}
-
-template <typename T>
-void Fft2Plan<T>::forward(std::span<std::complex<T>> panels,
-                          std::size_t count) const {
-  FFW_CHECK(panels.size() == count * size());
-  if (!col_plan_.radix2()) {
-    row_pass(panels.data(), count, /*fwd=*/true);
-    col_pass(panels.data(), count, /*fwd=*/true);
-    return;
-  }
-  // Finish each panel (rows, then columns) before touching the next: a
-  // multi-panel batch otherwise evicts panel 0 from L2 between its row
-  // and column passes. The column butterflies run along whole rows:
-  // stride-1, and no cache-set aliasing at the power-of-two row pitch.
-  parallel_for(0, count, [&](std::size_t p) {
-    std::complex<T>* panel = panels.data() + p * size();
-    for (std::size_t r = 0; r < rows_; ++r) {
-      row_plan_.forward(std::span<std::complex<T>>{panel + r * cols_, cols_});
-    }
-    col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/true);
-  });
-}
-
-template <typename T>
-void Fft2Plan<T>::inverse(std::span<std::complex<T>> panels,
-                          std::size_t count) const {
-  FFW_CHECK(panels.size() == count * size());
-  if (!col_plan_.radix2()) {
-    col_pass(panels.data(), count, /*fwd=*/false);
-    row_pass(panels.data(), count, /*fwd=*/false);
-    return;
-  }
-  parallel_for(0, count, [&](std::size_t p) {
-    std::complex<T>* panel = panels.data() + p * size();
-    col_plan_.transform_lines(panel, cols_, cols_, /*fwd=*/false);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      row_plan_.inverse(std::span<std::complex<T>>{panel + r * cols_, cols_});
-    }
-  });
 }
 
 template <typename T>
 void Fft2Plan<T>::forward_dif(std::complex<T>* panel, std::size_t nonzero_rows,
                               std::size_t nonzero_cols) const {
-  FFW_CHECK_MSG(row_plan_.radix2() && col_plan_.radix2(),
-                "transform-order 2-D FFT needs power-of-two sides");
   const std::size_t r = std::min(nonzero_rows, rows_);
-  const std::size_t c = std::min(nonzero_cols, cols_);
-  const bool prune_rows = rows_ >= 2 && 2 * r <= rows_;
-  const bool prune_cols = cols_ >= 2 && 2 * c <= cols_;
-  // What the first stages read: rows [0, rows_read), and columns
-  // [0, cols_read) of each row. Zero-fill the part beyond the counts.
-  const std::size_t rows_read = prune_rows ? rows_ / 2 : rows_;
-  const std::size_t cols_read = prune_cols ? cols_ / 2 : cols_;
   for (std::size_t i = 0; i < r; ++i) {
-    std::complex<T>* row = panel + i * pitch_;
-    std::fill(row + c, row + cols_read, std::complex<T>{});
-    row_plan_.dif(row, prune_cols);
+    row_dif(panel + i * pitch_, nonzero_cols);
   }
-  for (std::size_t i = r; i < rows_read; ++i) {
-    std::fill_n(panel + i * pitch_, cols_, std::complex<T>{});
-  }
-  col_plan_.dif_lines(panel, pitch_, cols_, prune_rows);
-}
-
-template <typename T>
-void Fft2Plan<T>::inverse_dit(std::complex<T>* panel, std::size_t needed_rows,
-                              std::size_t needed_cols) const {
-  FFW_CHECK_MSG(row_plan_.radix2() && col_plan_.radix2(),
-                "transform-order 2-D FFT needs power-of-two sides");
-  const std::size_t r = std::min(needed_rows, rows_);
-  const std::size_t c = std::min(needed_cols, cols_);
-  // Columns first, so that the row transforms can stop at row r.
-  col_plan_.dit_lines(panel, pitch_, cols_, rows_ >= 2 && 2 * r <= rows_);
-  for (std::size_t i = 0; i < r; ++i) {
-    row_plan_.dit(panel + i * pitch_, cols_ >= 2 && 2 * c <= cols_);
-  }
+  zero_rows(panel, r);
+  col_plan_.lines(panel, pitch_, cols_, half(r, rows_));
 }
 
 template class Fft1Plan<double>;

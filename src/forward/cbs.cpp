@@ -12,10 +12,38 @@
 #include "forward/refined.hpp"
 #include "greens/greens.hpp"
 #include "linalg/scratch.hpp"
+#include "linalg/simd.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace ffw {
+
+namespace {
+
+/// Calls f(V{}, i) at the scalar offsets i of n interleaved complex
+/// doubles: whole vectors V = simd::Vec<double>, then one complex value
+/// at a time (V a 16-byte vector).
+template <typename F>
+inline void for_each_vector(std::size_t n, F&& f) {
+  typedef double Cx __attribute__((vector_size(16)));
+  constexpr std::size_t kC = simd::kLanes<double> / 2;
+  std::size_t j = 0;
+  for (; j + kC <= n; j += kC) f(simd::Vec<double>{}, 2 * j);
+  for (; j < n; ++j) f(Cx{}, 2 * j);
+}
+
+/// v with its lanes converted to storage precision T (v for double).
+template <typename T, typename V>
+inline auto lanes_as(V v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return v;
+  } else {
+    typedef float F __attribute__((vector_size(sizeof(V) / 2)));
+    return __builtin_convertvector(v, F);
+  }
+}
+
+}  // namespace
 
 CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
   Timer timer;
@@ -54,8 +82,8 @@ CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
     }
   });
   // Transform order with the inverse's 1/P^2 folded in (a power of two,
-  // so the scale is exact): convolve multiplies spectra as they leave
-  // forward_dif and feeds the product straight to inverse_dit.
+  // so the scale is exact): Fft2Plan::convolve multiplies it into the
+  // spectra between its forward and inverse sweeps.
   plan->forward_dif(kernel.data(), p, p);
   const double scale = 1.0 / static_cast<double>(p * p);
   g0hat.resize(p * p);
@@ -116,16 +144,12 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
     symbol = &tables_->g0hat;
   }
   const std::size_t nx = static_cast<std::size_t>(grid_.nx());
-  const std::size_t p = pad_n_;
-  const std::size_t ld = plan->pitch();  // panel row pitch, >= P
-  const std::size_t panel = p * ld;
+  const std::size_t panel = pad_n_ * plan->pitch();  // row pitch >= P
   FFW_DCHECK(x.size() == n_ * nrhs && y.size() == n_ * nrhs);
   const cplx* o = contrast_nat_.data();
-  // Explicit real arithmetic below keeps __muldc3 out of the loops.
-  const T sign = adjoint ? T(-1) : T(1);  // conj(symbol) for the adjoint
-  // One padded panel per thread; a column runs pack -> forward ->
-  // symbol -> inverse -> crop on its thread, so its bits depend neither
-  // on the thread count nor on its position in the panel.
+  // One padded panel per thread; a column runs its whole convolution on
+  // its thread, so its bits depend neither on the thread count nor on
+  // its position in the panel.
   const std::size_t slots =
       std::min(nrhs, static_cast<std::size_t>(num_threads()));
   ScratchFrame frame;
@@ -137,57 +161,42 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
     C* pad = pads.data() + static_cast<std::size_t>(thread_rank()) * panel;
     const cplx* xs = x.data() + col * n_;
     cplx* ys = y.data() + col * n_;
-    // Pack the nx x nx block; forward_dif takes the rest as zero.
-    for (std::size_t row = 0; row < nx; ++row) {
-      const cplx* src = xs + row * nx;
-      C* dst = pad + row * ld;
-      if (system && !adjoint) {
-        const cplx* orow = o + row * nx;
-        for (std::size_t j = 0; j < nx; ++j) {
-          const double ar = src[j].real(), ai = src[j].imag();
-          const double br = orow[j].real(), bi = orow[j].imag();
-          dst[j] = {static_cast<T>(ar * br - ai * bi),
-                    static_cast<T>(ar * bi + ai * br)};
+    auto pack = [&](std::size_t row, C* dst) {
+      const double* src = reinterpret_cast<const double*>(xs + row * nx);
+      const double* orow = reinterpret_cast<const double*>(o + row * nx);
+      T* d = reinterpret_cast<T*>(dst);
+      for_each_vector(nx, [&](auto v, std::size_t i) {
+        using V = decltype(v);
+        V a = simd::load<V>(src + i);
+        if (system && !adjoint) {
+          a = simd::cmul<false>(a, simd::load<V>(orow + i));
         }
-      } else {
-        for (std::size_t j = 0; j < nx; ++j) dst[j] = to_scalar<T>(src[j]);
-      }
-    }
-    plan->forward_dif(pad, nx, nx);
-    // Both spectra are in transform order and the symbol carries the
-    // 1/P^2 of the inverse.
-    for (std::size_t row = 0; row < p; ++row) {
-      C* f = pad + row * ld;
-      const C* s = symbol->data() + row * p;
-      for (std::size_t j = 0; j < p; ++j) {
-        const T ar = f[j].real(), ai = f[j].imag();
-        const T br = s[j].real(), bi = sign * s[j].imag();
-        f[j] = {ar * br - ai * bi, ar * bi + ai * br};
-      }
-    }
-    plan->inverse_dit(pad, nx, nx);
-    for (std::size_t row = 0; row < nx; ++row) {
-      const C* g = pad + row * ld;
-      const cplx* xr = xs + row * nx;
-      cplx* dst = ys + row * nx;
-      if (!system) {
-        for (std::size_t j = 0; j < nx; ++j) {
-          dst[j] = {g[j].real(), g[j].imag()};
+        simd::store(d + i, lanes_as<T>(a));
+      });
+    };
+    // Every row is packed before the first is cropped, so y may alias x.
+    auto crop = [&](std::size_t row, const C* g) {
+      const double* xr = reinterpret_cast<const double*>(xs + row * nx);
+      const double* orow = reinterpret_cast<const double*>(o + row * nx);
+      const T* gs = reinterpret_cast<const T*>(g);
+      double* dst = reinterpret_cast<double*>(ys + row * nx);
+      for_each_vector(nx, [&](auto v, std::size_t i) {
+        using V = decltype(v);
+        using F = decltype(lanes_as<T>(V{}));
+        const V gv = __builtin_convertvector(simd::load<F>(gs + i), V);
+        if (!system) {
+          simd::store(dst + i, gv);
+        } else if (!adjoint) {
+          simd::store(dst + i, simd::load<V>(xr + i) - gv);
+        } else {
+          const V og = simd::cmul<true>(simd::load<V>(orow + i), gv);
+          simd::store(dst + i, simd::load<V>(xr + i) - og);
         }
-      } else if (!adjoint) {
-        for (std::size_t j = 0; j < nx; ++j) {
-          dst[j] = {xr[j].real() - g[j].real(), xr[j].imag() - g[j].imag()};
-        }
-      } else {
-        const cplx* orow = o + row * nx;
-        for (std::size_t j = 0; j < nx; ++j) {
-          const double gr = g[j].real(), gi = g[j].imag();
-          const double br = orow[j].real(), bi = orow[j].imag();
-          dst[j] = {xr[j].real() - (br * gr + bi * gi),
-                    xr[j].imag() - (br * gi - bi * gr)};
-        }
-      }
-    }
+      });
+    };
+    // The symbol carries the 1/P^2 of the inverse; the adjoint takes its
+    // conjugate.
+    plan->convolve(pad, nx, nx, symbol->data(), adjoint, pack, crop);
   });
 }
 

@@ -6,10 +6,12 @@
 // Both backends therefore discretise and solve the identical system, and
 // their answers agree to ~1e-6 (tests/cbs_test.cpp).
 //
-// The operator runs one column per thread: pack the column (times O for
-// the system) into a padded panel, forward transform, multiply by the
-// kernel symbol, inverse transform, crop. The transforms never leave
-// transform order (Fft2Plan::forward_dif / inverse_dit: bit-reversed
+// The operator runs one column per thread through Fft2Plan::convolve,
+// in five passes over a padded panel: each row is packed (times O for
+// the system) and row-transformed while in L1; the column sweeps run
+// with the kernel-symbol product inside their innermost butterflies;
+// each needed row is inverse-transformed and cropped straight into the
+// output. The transforms never leave transform order (bit-reversed
 // spectra, no permutation, no 1/P^2 sweep, the zero half pruned), and
 // the scratch is one P x Fft2Plan::pitch() panel per thread. Under
 // Precision::kMixed the inner Krylov sweeps apply an fp32 pipeline
@@ -60,8 +62,8 @@ struct CbsTables {
   std::size_t pad_n = 0;  // padded side P = bit_ceil(2 nx - 1)
   /// Symbol of the wrapped Richmond kernel, P x P in transform order:
   /// Fft2Plan::forward_dif's output (bit-reversed on both axes) times
-  /// 1/P^2, so that a product with a forward_dif spectrum goes straight
-  /// into inverse_dit. No natural-order copy is kept.
+  /// 1/P^2, the symbol Fft2Plan::convolve takes. No natural-order copy
+  /// is kept.
   cvec g0hat;
   std::unique_ptr<Fft2Plan<double>> plan;
   cvec32 g0hat32;                           // kMixed only, same order

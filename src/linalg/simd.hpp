@@ -97,4 +97,13 @@ inline V unzip(V a, V b) {
                             std::make_index_sequence<detail::kVecLanes<V>>{});
 }
 
+/// a * b per interleaved complex lane (conj(a) * b for ConjA), as two
+/// products and one multiply-add with the re/im swap of b.
+template <bool ConjA, typename V>
+inline V cmul(V a, V b) {
+  const V ib = swap_pairs(b) * zip<0>(V{} - 1, V{} + 1);  // i * b
+  const V re = dup<0>(a) * b, im = dup<1>(a) * ib;
+  return ConjA ? re - im : re + im;
+}
+
 }  // namespace ffw::simd

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
@@ -89,6 +91,49 @@ TEST(CbsSystemApply, MatchesDenseOperator) {
     want[i] = x[i] - std::conj(contrast[i]) * std::conj(gh[i]);
   }
   EXPECT_LT(rel_l2_diff(y, want), 1e-11);
+}
+
+// nx = 100 pads to P = 256, so Fft2Plan::convolve zero-fills rows and
+// columns [100, 128) inside its row loop (nx = 24 above pads to P = 64
+// and covers [24, 32)). The dense reference costs O(N) per pixel, so it
+// checks a sample: the first and last image rows and a stride through
+// the rest.
+TEST(CbsSystemApply, MatchesDenseOperatorWithZeroFilledPadding) {
+  Grid grid(100);
+  const cvec contrast = blob_contrast(grid, 0.08);
+  CbsEngine cbs(grid);
+  ASSERT_EQ(cbs.padded(), 256u);
+  cbs.set_contrast(contrast);
+  const std::size_t n = grid.num_pixels();
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    rows.push_back(i);
+    rows.push_back(static_cast<std::uint32_t>(n) - 1 - i);
+  }
+  for (std::size_t i = 100; i + 100 < n; i += 97) {
+    rows.push_back(static_cast<std::uint32_t>(i));
+  }
+  Rng rng(75);
+  cvec x(n), y(n), t(n);
+  rng.fill_cnormal(x);
+  cvec got(rows.size()), want(rows.size());
+  cbs.apply_system_panel(x, y, 1);
+  for (std::size_t i = 0; i < n; ++i) t[i] = contrast[i] * x[i];
+  const cvec g = dense_g0_apply_rows(grid, t, rows);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    got[k] = y[rows[k]];
+    want[k] = x[rows[k]] - g[k];
+  }
+  EXPECT_LT(rel_l2_diff(got, want), 1e-11);
+
+  cbs.apply_system_panel(x, y, 1, /*adjoint=*/true);
+  for (std::size_t i = 0; i < n; ++i) t[i] = std::conj(x[i]);
+  const cvec gh = dense_g0_apply_rows(grid, t, rows);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    got[k] = y[rows[k]];
+    want[k] = x[rows[k]] - std::conj(contrast[rows[k]]) * std::conj(gh[k]);
+  }
+  EXPECT_LT(rel_l2_diff(got, want), 1e-11);
 }
 
 // Every column runs its own pack -> transforms -> crop on one thread,

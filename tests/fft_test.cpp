@@ -113,119 +113,34 @@ TEST(SpectralResample, DownsampleBandLimited) {
   }
 }
 
-// 2-D oracle: the row-column transform must equal the tensor product of
-// 1-D reference DFTs — transform every row with dft_reference, then
-// every column of the result.
-cvec dft2_reference(const cvec& x, std::size_t rows, std::size_t cols) {
+// Transform-order 2-D plan (the padded-convolution kernels), against
+// references built from the 1-D fft()/ifft() checked above: forward_dif
+// is the natural forward with both axes bit-reversed, a pruned forward
+// reads nothing beyond its row/column counts, and convolve is the
+// circular convolution with the kernel whose spectrum it is given, on
+// the rows and columns it keeps. Every power-of-two side from 2 to 1024
+// (both log2 parities), in fp64 and fp32, so every column schedule runs:
+// the radix-2 (P = 2), radix-4 (P = 4, 8, 64, 128) and radix-16 (P = 16,
+// 32, 256, 512, 1024) innermost sweeps of the convolution, and at
+// P = 1024 the radix-4 sweeps that replace a 16-line pair whose lines
+// would share L1 sets.
+
+/// Natural-order 2-D DFT (or inverse DFT, with its 1/(p^2)) of a dense
+/// p x p panel: the 1-D transform of every row, then of every column.
+cvec fft2_reference(const cvec& x, std::size_t p, bool inverse = false) {
   cvec out(x.begin(), x.end());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const cvec row = dft_reference(
-        cvec(out.begin() + static_cast<std::ptrdiff_t>(r * cols),
-             out.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols)));
-    std::copy(row.begin(), row.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(r * cols));
+  cvec line(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    cspan row{out.data() + r * p, p};
+    inverse ? ifft(row) : fft(row);
   }
-  for (std::size_t c = 0; c < cols; ++c) {
-    cvec col(rows);
-    for (std::size_t r = 0; r < rows; ++r) col[r] = out[r * cols + c];
-    col = dft_reference(col);
-    for (std::size_t r = 0; r < rows; ++r) out[r * cols + c] = col[r];
+  for (std::size_t c = 0; c < p; ++c) {
+    for (std::size_t r = 0; r < p; ++r) line[r] = out[r * p + c];
+    inverse ? ifft(line) : fft(line);
+    for (std::size_t r = 0; r < p; ++r) out[r * p + c] = line[r];
   }
   return out;
 }
-
-class Fft2Sizes
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(Fft2Sizes, MatchesTensorProductReference) {
-  const auto [rows, cols] = GetParam();
-  Rng rng(rows * 131 + cols);
-  cvec x(rows * cols);
-  rng.fill_cnormal(x);
-  const cvec want = dft2_reference(x, rows, cols);
-  Fft2Plan<double> plan(rows, cols);
-  cvec got(x.begin(), x.end());
-  plan.forward(got);
-  EXPECT_LT(rel_l2_diff(got, want), 1e-11) << rows << "x" << cols;
-  plan.inverse(got);
-  EXPECT_LT(rel_l2_diff(got, x), 1e-12) << rows << "x" << cols;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, Fft2Sizes,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
-                      std::pair<std::size_t, std::size_t>{4, 4},
-                      std::pair<std::size_t, std::size_t>{8, 8},
-                      std::pair<std::size_t, std::size_t>{16, 16},
-                      // Rectangular and non-power-of-two (Bluestein rows
-                      // and/or columns).
-                      std::pair<std::size_t, std::size_t>{8, 12},
-                      std::pair<std::size_t, std::size_t>{12, 8},
-                      std::pair<std::size_t, std::size_t>{7, 7},
-                      std::pair<std::size_t, std::size_t>{15, 27},
-                      std::pair<std::size_t, std::size_t>{30, 10}));
-
-TEST(Fft2, ParsevalOnPaddedPanel) {
-  const std::size_t rows = 32, cols = 32;
-  Rng rng(91);
-  cvec x(rows * cols);
-  rng.fill_cnormal(x);
-  const double tx = nrm2(x);
-  Fft2Plan<double> plan(rows, cols);
-  plan.forward(x);
-  EXPECT_NEAR(nrm2(x), tx * std::sqrt(static_cast<double>(rows * cols)),
-              1e-9 * tx);
-}
-
-TEST(Fft2, BatchedPanelsMatchIndividualTransforms) {
-  const std::size_t rows = 16, cols = 16, count = 5;
-  Rng rng(92);
-  cvec batch(rows * cols * count);
-  rng.fill_cnormal(batch);
-  Fft2Plan<double> plan(rows, cols);
-  cvec singles(batch.begin(), batch.end());
-  for (std::size_t p = 0; p < count; ++p) {
-    plan.forward(
-        std::span{singles.data() + p * plan.size(), plan.size()});
-  }
-  plan.forward(batch, count);
-  EXPECT_LT(rel_l2_diff(batch, singles), 1e-13);
-  plan.inverse(batch, count);
-  for (std::size_t p = 0; p < count; ++p) {
-    plan.inverse(std::span{singles.data() + p * plan.size(), plan.size()});
-  }
-  EXPECT_LT(rel_l2_diff(batch, singles), 1e-13);
-}
-
-// The fp32 plan instantiation used by Precision::kMixed backends: same
-// math, float-level accuracy.
-TEST(Fft2, FloatPlanMatchesDoubleReference) {
-  const std::size_t rows = 16, cols = 24;
-  Rng rng(93);
-  cvec x(rows * cols);
-  rng.fill_cnormal(x);
-  const cvec want = dft2_reference(x, rows, cols);
-  std::vector<std::complex<float>> xf(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xf[i] = std::complex<float>(static_cast<float>(x[i].real()),
-                                static_cast<float>(x[i].imag()));
-  }
-  Fft2Plan<float> plan(rows, cols);
-  plan.forward(std::span{xf});
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    num += std::norm(cplx{xf[i].real(), xf[i].imag()} - want[i]);
-    den += std::norm(want[i]);
-  }
-  EXPECT_LT(std::sqrt(num / den), 1e-5);
-}
-
-// Transform-order pair (the padded-convolution kernels): forward_dif is
-// the natural forward with both axes bit-reversed, a pruned forward reads
-// nothing beyond its row/column counts, and inverse_dit undoes it up to
-// the factor P^2 on the rows and columns it keeps. Every power-of-two
-// side from 2 to 1024 (both log2 parities, so both the radix-2 end stage
-// and pure radix-4), in fp64 and fp32.
 
 std::size_t bit_reverse(std::size_t i, std::size_t n) {
   std::size_t r = 0;
@@ -233,6 +148,21 @@ std::size_t bit_reverse(std::size_t i, std::size_t n) {
     r = (r << 1) | ((i & bit) ? 1 : 0);
   }
   return r;
+}
+
+/// A dense p x p natural-order spectrum in transform order (bit-reversed
+/// on both axes), times `scale`, in precision T.
+template <typename T>
+std::vector<std::complex<T>> transform_order(const cvec& nat, std::size_t p,
+                                             double scale = 1.0) {
+  std::vector<std::complex<T>> out(p * p);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      const cplx v = nat[bit_reverse(i, p) * p + bit_reverse(j, p)] * scale;
+      out[i * p + j] = {static_cast<T>(v.real()), static_cast<T>(v.imag())};
+    }
+  }
+  return out;
 }
 
 /// The p x p panel x at row pitch ld (>= p) in precision T, with `fill`
@@ -268,12 +198,57 @@ double block_rel_diff(const std::vector<std::complex<T>>& got, std::size_t ld,
   return std::sqrt(num / den);
 }
 
+/// The kept blocks r x c of a side-p panel: the full panel (optional),
+/// half the side, and below it on either axis or both (a padded grid
+/// whose side is not a power of two leaves [n, P/2) to zero).
+std::vector<std::pair<std::size_t, std::size_t>> kept_blocks(std::size_t p,
+                                                             bool full) {
+  const std::size_t half = p / 2;
+  const std::size_t below = std::max<std::size_t>(1, half - half / 4 - 1);
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  if (full) out.emplace_back(p, p);
+  out.insert(out.end(), {{half, half}, {below, half}, {half, below},
+                         {below, below}});
+  return out;
+}
+
+/// x zero outside its r x c block, random inside.
+cvec block_input(std::size_t p, std::size_t r, std::size_t c, Rng& rng) {
+  cvec x(p * p, cplx{});
+  for (std::size_t i = 0; i < r; ++i) {
+    rng.fill_cnormal(cspan{x.data() + i * p, c});
+  }
+  return x;
+}
+
 template <typename T>
 class TransformOrder : public ::testing::Test {
  protected:
-  // fp64 to rounding; fp32 at the bound of FloatPlanMatchesDoubleReference.
   static double tol() { return std::is_same_v<T, float> ? 1e-5 : 1e-13; }
   static constexpr T kNan = std::numeric_limits<T>::quiet_NaN();
+
+  /// Plan::convolve of the r x c block of x with `symbol` in a panel
+  /// that is NaN everywhere pack() does not write: a read of anything
+  /// outside the block would poison the result.
+  static std::vector<std::complex<T>> convolve(
+      const Fft2Plan<T>& plan, const cvec& x, std::size_t r, std::size_t c,
+      const std::vector<std::complex<T>>& symbol, bool conj) {
+    const std::size_t p = plan.rows(), ld = plan.pitch();
+    std::vector<std::complex<T>> panel(p * ld, {kNan, kNan});
+    std::vector<std::complex<T>> out(p * ld, {kNan, kNan});
+    plan.convolve(
+        panel.data(), r, c, symbol.data(), conj,
+        [&](std::size_t i, std::complex<T>* row) {
+          for (std::size_t j = 0; j < c; ++j) {
+            row[j] = {static_cast<T>(x[i * p + j].real()),
+                      static_cast<T>(x[i * p + j].imag())};
+          }
+        },
+        [&](std::size_t i, const std::complex<T>* row) {
+          std::copy(row, row + c, out.begin() + i * ld);
+        });
+    return out;
+  }
 };
 using Precisions = ::testing::Types<double, float>;
 TYPED_TEST_SUITE(TransformOrder, Precisions);
@@ -284,15 +259,11 @@ TYPED_TEST(TransformOrder, ForwardIsBitReversedNaturalForward) {
     Rng rng(p);
     cvec x(p * p);
     rng.fill_cnormal(x);
-    // Natural-order reference in fp64: the O(N^2) tensor DFT on small
-    // sides, the natural-order plan on large ones.
-    cvec nat = p <= 32 ? dft2_reference(x, p, p) : x;
-    if (p > 32) Fft2Plan<double>(p, p).forward(nat);
+    const cvec nat = fft2_reference(x, p);
+    const std::vector<std::complex<T>> order = transform_order<T>(nat, p);
     cvec want(p * p);
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        want[i * p + j] = nat[bit_reverse(i, p) * p + bit_reverse(j, p)];
-      }
+    for (std::size_t i = 0; i < p * p; ++i) {
+      want[i] = {order[i].real(), order[i].imag()};
     }
     const Fft2Plan<T> plan(p, p);
     const std::size_t ld = plan.pitch();
@@ -300,8 +271,7 @@ TYPED_TEST(TransformOrder, ForwardIsBitReversedNaturalForward) {
     std::vector<std::complex<T>> got =
         pitched<T>(x, p, ld, {this->kNan, this->kNan});
     plan.forward_dif(got.data(), p, p);
-    EXPECT_LT(block_rel_diff(got, ld, want, p, p, p),
-              p <= 32 ? std::max(this->tol(), 1e-12) : this->tol())
+    EXPECT_LT(block_rel_diff(got, ld, want, p, p, p), this->tol())
         << "P=" << p;
   }
 }
@@ -311,17 +281,9 @@ TYPED_TEST(TransformOrder, PrunedForwardMatchesUnprunedAndReadsNoPadding) {
   for (std::size_t p = 2; p <= 1024; p *= 2) {
     const Fft2Plan<T> plan(p, p);
     const std::size_t ld = plan.pitch();
-    // Row and column counts at half the side, and below it (a padded
-    // grid whose side is not a power of two leaves [n, P/2) to zero).
-    const std::size_t half = p / 2;
-    const std::size_t below = std::max<std::size_t>(1, half - half / 4 - 1);
-    for (const auto& [r, c] : {std::pair{half, half}, std::pair{below, half},
-                               std::pair{half, below}, std::pair{below, below}}) {
+    for (const auto& [r, c] : kept_blocks(p, /*full=*/false)) {
       Rng rng(p * 7 + r * 3 + c);
-      cvec x(p * p, cplx{});
-      for (std::size_t i = 0; i < r; ++i) {
-        rng.fill_cnormal(cspan{x.data() + i * p, c});
-      }
+      const cvec x = block_input(p, r, c, rng);
       std::vector<std::complex<T>> full = pitched<T>(x, p, ld);
       plan.forward_dif(full.data(), p, p);
       // NaN outside the r x c block: the pruned forward must read none
@@ -346,28 +308,67 @@ TYPED_TEST(TransformOrder, PrunedForwardMatchesUnprunedAndReadsNoPadding) {
   }
 }
 
-TYPED_TEST(TransformOrder, InverseOfForwardIsP2TimesInputOnKeptBlock) {
+// A unit symbol makes the convolution P^2 times the identity on the
+// kept block.
+TYPED_TEST(TransformOrder, ConvolveWithUnitSymbolIsP2TimesInputOnKeptBlock) {
   using T = TypeParam;
   for (std::size_t p = 2; p <= 1024; p *= 2) {
     const Fft2Plan<T> plan(p, p);
-    const std::size_t ld = plan.pitch();
-    const std::size_t half = p / 2;
-    const std::size_t below = std::max<std::size_t>(1, half - half / 4 - 1);
-    for (const auto& [r, c] : {std::pair{p, p}, std::pair{half, half},
-                               std::pair{below, half}, std::pair{half, below}}) {
+    const std::vector<std::complex<T>> unit(p * p, std::complex<T>{1, 0});
+    for (const auto& [r, c] : kept_blocks(p, /*full=*/true)) {
       Rng rng(p * 11 + r * 5 + c);
-      cvec x(p * p, cplx{});
-      for (std::size_t i = 0; i < r; ++i) {
-        rng.fill_cnormal(cspan{x.data() + i * p, c});
-      }
-      std::vector<std::complex<T>> y =
-          pitched<T>(x, p, ld, {this->kNan, this->kNan});
-      plan.forward_dif(y.data(), r, c);
-      plan.inverse_dit(y.data(), r, c);
+      cvec x = block_input(p, r, c, rng);
+      const std::vector<std::complex<T>> y =
+          this->convolve(plan, x, r, c, unit, /*conj=*/false);
       const double p2 = static_cast<double>(p * p);
       for (cplx& v : x) v *= p2;
-      EXPECT_LT(block_rel_diff(y, ld, x, p, r, c), this->tol())
+      EXPECT_LT(block_rel_diff(y, plan.pitch(), x, p, r, c), this->tol())
           << "P=" << p << " r=" << r << " c=" << c;
+    }
+  }
+}
+
+// The product with a random kernel's spectrum, and with its conjugate
+// (the adjoint operator), against ifft2(fft2(k) .* fft2(x)).
+TYPED_TEST(TransformOrder, ConvolveMatchesCircularConvolution) {
+  using T = TypeParam;
+  for (std::size_t p = 2; p <= 1024; p *= 2) {
+    const Fft2Plan<T> plan(p, p);
+    Rng rng(p * 13);
+    cvec k(p * p);
+    rng.fill_cnormal(k);
+    const cvec khat = fft2_reference(k, p);
+    // The plan's inverse leaves out the 1/P^2; the symbol carries it.
+    const double scale = 1.0 / static_cast<double>(p * p);
+    const std::vector<std::complex<T>> symbol =
+        transform_order<T>(khat, p, scale);
+    std::vector<std::complex<T>> conj_symbol(symbol.size());
+    for (std::size_t i = 0; i < symbol.size(); ++i) {
+      conj_symbol[i] = std::conj(symbol[i]);
+    }
+    for (const auto& [r, c] : kept_blocks(p, /*full=*/true)) {
+      const cvec x = block_input(p, r, c, rng);
+      const cvec xhat = fft2_reference(x, p);
+      for (const bool conj : {false, true}) {
+        cvec prod(p * p);
+        for (std::size_t i = 0; i < p * p; ++i) {
+          prod[i] = (conj ? std::conj(khat[i]) : khat[i]) * xhat[i];
+        }
+        const cvec want = fft2_reference(prod, p, /*inverse=*/true);
+        const std::vector<std::complex<T>> got =
+            this->convolve(plan, x, r, c, symbol, conj);
+        EXPECT_LT(block_rel_diff(got, plan.pitch(), want, p, r, c),
+                  this->tol())
+            << "P=" << p << " r=" << r << " c=" << c << " conj=" << conj;
+        // The conjugated symbol given directly is the same product.
+        if (conj) {
+          const std::vector<std::complex<T>> direct =
+              this->convolve(plan, x, r, c, conj_symbol, false);
+          EXPECT_LT(block_rel_diff(direct, plan.pitch(), want, p, r, c),
+                    this->tol())
+              << "P=" << p << " r=" << r << " c=" << c;
+        }
+      }
     }
   }
 }
