@@ -257,47 +257,25 @@ LadderStepper continuation_ladder(const ScenarioConfig& config,
                                   const ContinuationOptions& options) {
   ladder.validate(config.nx);
   FFW_CHECK(true_permittivity.size() == Grid(config.nx).num_pixels());
-  // Per-scene pointers cannot mean anything across a multi-grid ladder
-  // — the driver wires per-band engines and checkpoints itself.
-  FFW_CHECK_MSG(options.dbim.mixed_engine == nullptr,
-                "continuation: set ContinuationOptions::mixed_precision "
-                "instead of DbimOptions::mixed_engine");
+  // Per-scene hooks cannot mean anything across a multi-grid ladder —
+  // the driver checkpoints itself.
   FFW_CHECK_MSG(options.dbim.resume == nullptr && !options.dbim.checkpoint,
                 "continuation: per-band DBIM resume/checkpoint hooks are "
                 "owned by the ladder (use checkpoint_path)");
 
-  struct SerialBand {
-    SerialBand(const ScenarioConfig& c, cvec eps) : scene(c, std::move(eps)) {}
-    Scenario scene;
-    std::unique_ptr<MlfmaEngine> mixed;
-  };
   LadderBandFactory factory =
       [config, true_permittivity, ladder,
-       mixed_precision = options.mixed_precision,
        seeds = options.per_stage_noise_seeds](
           int s, const DbimOptions& opts, ccspan warm_start) {
         auto [band_config, eps] =
             continuation_band(config, true_permittivity, ladder, s, seeds);
-        auto rt = std::make_shared<SerialBand>(band_config, std::move(eps));
-        Scenario& scene = rt->scene;
-        DbimOptions band_opts = opts;
-        if (mixed_precision) {
-          MlfmaParams mp = band_config.mlfma;
-          mp.precision = Precision::kMixed;
-          rt->mixed = config.table_cache != nullptr
-                          ? std::make_unique<MlfmaEngine>(
-                                config.table_cache->mlfma_tables(
-                                    scene.grid(), band_config.leaf_pixel_side,
-                                    mp))
-                          : std::make_unique<MlfmaEngine>(scene.tree(), mp);
-          band_opts.mixed_engine = rt->mixed.get();
-        }
+        auto scene = std::make_shared<Scenario>(band_config, std::move(eps));
         LadderBand out;
         out.stepper = std::make_unique<DbimStepper>(
-            scene.engine(), scene.transceivers(), scene.measurements(),
-            band_opts, config.forward, warm_start);
-        out.true_contrast = scene.true_contrast();
-        out.resources = std::move(rt);
+            scene->engine(), scene->transceivers(), scene->measurements(),
+            opts, config.forward, warm_start);
+        out.true_contrast = scene->true_contrast();
+        out.resources = std::move(scene);
         return out;
       };
   DbimOptions base = options.dbim;

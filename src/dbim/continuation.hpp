@@ -108,15 +108,11 @@ struct ContinuationOptions {
   /// Base DBIM options threaded into every band. The ladder overrides
   /// only the per-band stopping fields (max_iterations, residual_tol)
   /// and the table cache; everything else — backend routing
-  /// (kAuto/CBS), adaptive forcing, regularization — applies inside
-  /// every band exactly as configured. Per-scene pointers
-  /// (mixed_engine, resume, checkpoint callback) must be
-  /// unset: they cannot mean anything across a multi-grid ladder. Use
-  /// `mixed_precision` below for mixed-precision bands.
+  /// (kAuto/CBS), precision, adaptive forcing, regularization —
+  /// applies inside every band exactly as configured. Per-scene hooks
+  /// (resume, checkpoint callback) must be unset: they cannot mean
+  /// anything across a multi-grid ladder.
   DbimOptions dbim;
-  /// Build a Precision::kMixed engine per band and run every band's
-  /// Krylov solves through mixed-precision iterative refinement.
-  bool mixed_precision = false;
   /// Derive each band's measurement-noise seed from
   /// ScenarioConfig::noise_seed and the band index (mix_seed), so the
   /// per-band experiments carry independent noise realizations. False

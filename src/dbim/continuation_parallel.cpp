@@ -61,12 +61,8 @@ ContinuationResult continuation_reconstruct_parallel(
   const Grid final_grid(config.nx);
   FFW_CHECK(true_permittivity.size() == final_grid.num_pixels());
   const ContinuationOptions& copt = options.continuation;
-  FFW_CHECK_MSG(!copt.mixed_precision,
-                "band-parallel continuation runs the fp64 partitioned "
-                "engine only");
-  FFW_CHECK_MSG(copt.dbim.mixed_engine == nullptr &&
-                    copt.dbim.resume == nullptr && !copt.dbim.checkpoint,
-                "band-parallel continuation: per-scene DBIM pointers are "
+  FFW_CHECK_MSG(copt.dbim.resume == nullptr && !copt.dbim.checkpoint,
+                "band-parallel continuation: per-scene DBIM hooks are "
                 "owned by the ladder");
 
   const int nbands = static_cast<int>(ladder.bands.size());

@@ -41,8 +41,9 @@ inline constexpr int kTagFreqFinal = -8200;
 
 struct BandParallelOptions {
   /// Ladder-level options (per-stage seeds, checkpoint/resume).
-  /// mixed_precision must be false: multi-rank bands run the fp64
-  /// partitioned engine.
+  /// Single-rank band groups run the serial workspace and honour
+  /// continuation.dbim.precision; multi-rank groups refuse kMixed
+  /// (make_partitioned_workspace).
   ContinuationOptions continuation;
   /// Band groups: 0 = auto (largest divisor of the pool <= band count).
   int freq_groups = 0;

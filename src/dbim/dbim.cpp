@@ -351,25 +351,31 @@ std::unique_ptr<DbimWorkspace> local_workspace(MlfmaEngine& engine,
                                                const CMatrix& measured,
                                                const DbimOptions& opts,
                                                const BicgstabOptions& fw_opts) {
-  auto solver = std::make_unique<ForwardSolver>(engine, fw_opts);
-  if (opts.mixed_engine != nullptr) {
-    solver->set_mixed_engine(opts.mixed_engine);
+  FFW_CHECK_MSG(engine.precision() == Precision::kDouble,
+                "DBIM: the engine must carry fp64 tables; ask for fp32 "
+                "sweeps with DbimOptions::precision = kMixed");
+  // A shared cache (when wired) hands every sharing job the same fp32
+  // MLFMA tables, CBS kernel spectrum and FFT plans; otherwise build
+  // privately.
+  OperatorTableCache* cache = opts.table_cache;
+  std::shared_ptr<const OperatorTables> tables32;
+  if (opts.precision == Precision::kMixed) {
+    MlfmaParams params = engine.plan().params();
+    params.precision = Precision::kMixed;
+    const QuadTree& tree = engine.tree();
+    tables32 = cache != nullptr
+                   ? cache->mlfma_tables(tree.grid(), tree.leaf_pixel_side(),
+                                         params)
+                   : std::make_shared<const OperatorTables>(tree, params);
   }
-  if (opts.near_precondition) {
-    solver->set_near_preconditioner(
-        true, opts.mixed_engine != nullptr ? Precision::kMixed
-                                           : Precision::kDouble);
-  }
+  auto solver =
+      std::make_unique<ForwardSolver>(engine, fw_opts, std::move(tables32));
+  solver->set_near_preconditioner(opts.near_precondition);
   auto ws = std::make_unique<DbimWorkspace>(std::move(solver), trx, measured,
                                             fw_opts);
   if (opts.backend != BackendKind::kMlfma) {
-    // Shared cache (when wired) hands every sharing job the same CBS
-    // kernel spectrum and FFT plans; otherwise build privately.
     std::shared_ptr<const CbsTables> ctab;
-    if (opts.table_cache != nullptr) {
-      ctab = opts.table_cache->cbs_tables(engine.tree().grid(),
-                                          opts.cbs.precision);
-    }
+    if (cache != nullptr) ctab = cache->cbs_tables(engine.tree().grid());
     ws->set_backend(opts.backend, opts.cbs, std::move(ctab));
   }
   return ws;
@@ -402,14 +408,12 @@ DbimStepper::DbimStepper(std::unique_ptr<DbimWorkspace> ws,
   int start_iter = 0;
   if (opts.resume) {
     const DbimCheckpoint& resume = *opts.resume;
-    // Refuse to resume across a precision-policy change: the checkpoint
-    // records whether the run used a mixed-precision engine, and picking
-    // up its trajectory under a different policy silently alters the
-    // convergence history the checkpoint's residuals describe.
-    FFW_CHECK_MSG(
-        resume.mixed_precision == (opts.mixed_engine != nullptr),
-        "DBIM resume: checkpoint precision policy (mixed vs fp64) does not "
-        "match DbimOptions::mixed_engine");
+    // Refuse to resume across a precision-policy change: picking up the
+    // checkpoint's trajectory under a different policy silently alters
+    // the convergence history its residuals describe.
+    FFW_CHECK_MSG(resume.precision == opts.precision,
+                  "DBIM resume: checkpoint precision policy (mixed vs fp64) "
+                  "does not match DbimOptions::precision");
     // Same contract for the forward-backend policy: a checkpoint from a
     // CBS or kAuto run resumed under a different routing would hand the
     // remaining solves to a different engine than the residual history
@@ -559,7 +563,7 @@ bool DbimStepper::step() {
                          &state.direction};
     if (ws.gather(in, dst, /*everywhere=*/false)) {
       state.iteration = iter_;
-      state.mixed_precision = opts.mixed_engine != nullptr;
+      state.precision = opts.precision;
       state.backend = opts.backend;
       state.residual_history.assign(out.history.relative_residual.begin(),
                                     out.history.relative_residual.end());

@@ -88,15 +88,18 @@ struct DbimOptions {
   /// initial-contrast argument). Borrowed pointer; caller keeps it
   /// alive for the duration of the call.
   const DbimCheckpoint* resume = nullptr;
-  /// Optional Precision::kMixed engine on the same tree (borrowed, not
-  /// owned): when set, every block solve of the inversion — residual,
-  /// gradient and step-length — runs mixed-precision iterative
-  /// refinement (forward/refined.hpp) with the fp32 engine doing the
-  /// Krylov sweeps and the fp64 engine only the outer residuals.
-  MlfmaEngine* mixed_engine = nullptr;
+  /// Precision policy of the MLFMA solves, the one precision setting of
+  /// a reconstruction (DESIGN.md Sec. 10). kMixed runs every block solve
+  /// — residual, gradient and step-length — as mixed-precision
+  /// iterative refinement (forward/refined.hpp): Krylov sweeps on the
+  /// fp32 MLFMA tables of the engine's tree (from table_cache when one
+  /// is wired, else built for the run), outer residuals on the fp64
+  /// engine. The engine a driver is handed always carries fp64 tables.
+  /// The FFT backend always runs fp32 sweeps under fp64 refinement.
+  /// Multi-rank partitioned windows run kDouble only.
+  Precision precision = Precision::kDouble;
   /// Near-field block-Jacobi right preconditioning of every Krylov solve
-  /// (forward/precond.hpp). Factor storage follows the precision policy:
-  /// fp32 under a mixed engine, fp64 otherwise.
+  /// (forward/precond.hpp). Factor storage follows `precision`.
   bool near_precondition = false;
   /// Eisenstat-Walker adaptive forcing: the inner Krylov tolerance of
   /// DBIM iteration k is clamp(forcing_c * relres_{k-1}, base_tol,
@@ -125,7 +128,8 @@ struct DbimOptions {
   CbsOptions cbs;
   /// Shared operator-table cache (borrowed; service/table_cache.hpp).
   /// When set, a kCbs / kAuto run obtains its CBS kernel spectrum and
-  /// FFT plans from the cache instead of building privately.
+  /// FFT plans, and a kMixed run its fp32 MLFMA tables, from the cache
+  /// instead of building privately.
   OperatorTableCache* table_cache = nullptr;
 };
 

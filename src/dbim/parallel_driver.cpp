@@ -9,19 +9,13 @@ std::unique_ptr<DbimWorkspace> make_partitioned_workspace(
     const QuadTree& tree, const Transceivers& trx, const CMatrix& measured,
     const DbimOptions& opts, const BicgstabOptions& fw_opts) {
   // Serial-driver features the partitioned ranks do not run yet.
-  const char* unsupported =
-      opts.backend != BackendKind::kMlfma
-          ? "parallel DBIM runs on the partitioned MLFMA engine only; "
-            "CBS/auto backend routing is a serial-driver feature"
-      : opts.mixed_engine != nullptr
-          ? "parallel DBIM runs the fp64 partitioned engine only; "
-            "DbimOptions::mixed_engine is a serial-driver feature"
-      : opts.near_precondition &&
-              pm.nearfield().precision() != Precision::kDouble
-          ? "parallel DBIM near-field preconditioner needs fp64 near-field "
-            "tables"
-          : nullptr;
-  FFW_CHECK_MSG(unsupported == nullptr, unsupported);
+  FFW_CHECK_MSG(opts.backend == BackendKind::kMlfma,
+                "parallel DBIM runs on the partitioned MLFMA engine only; "
+                "CBS/auto backend routing is a serial-driver feature");
+  FFW_CHECK_MSG(opts.precision == Precision::kDouble &&
+                    pm.nearfield().precision() == Precision::kDouble,
+                "parallel DBIM runs fp64 partitioned tables only; "
+                "DbimOptions::precision = kMixed is a serial-driver feature");
   const int tr = pm.nranks();
   const int window = illum_groups * tr;
   const int wrank = comm.rank() - rank_base;

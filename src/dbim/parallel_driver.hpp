@@ -33,8 +33,8 @@ struct ParallelDbimConfig {
   /// Outer-loop options, honoured as in the serial driver (progress
   /// fires on global rank 0; checkpoint / resume use the natural-order
   /// DbimCheckpoint format), with these partitioned-path rules:
-  /// backend must be kMlfma, mixed_engine null, and near_precondition
-  /// needs fp64 near-field tables (each refused loudly);
+  /// backend must be kMlfma, and precision kDouble on fp64 `mlfma`
+  /// tables (each refused loudly);
   /// table_cache, when set, shares the cached MLFMA tables for
   /// (tree.grid(), tree.leaf_pixel_side(), mlfma) instead of building a
   /// private set.
@@ -85,8 +85,8 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
 /// cannot interfere (or deadlock). Every window rank must build one
 /// with the same arguments and drive it with a DbimStepper. `pm`,
 /// `tree`, `trx` and `measured` are borrowed. MLFMA only: refuses
-/// (FFW_CHECK) a CBS/kAuto backend, a mixed engine and near_precondition
-/// on fp32 near-field tables, and more illumination groups than
+/// (FFW_CHECK) a CBS/kAuto backend, DbimOptions::precision = kMixed or
+/// fp32 tables in `pm` (one check), and more illumination groups than
 /// transmitters; honours near_precondition. Receiver
 /// projections read trx's G_R and incident panel in place, at the
 /// rank's pixels.

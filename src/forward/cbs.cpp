@@ -45,7 +45,7 @@ inline auto lanes_as(V v) {
 
 }  // namespace
 
-CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
+CbsTables::CbsTables(const Grid& g) : grid(g) {
   Timer timer;
   FFW_TRACE_SPAN("cbs.kernel_fft", static_cast<std::int64_t>(grid.nx()));
   const std::size_t nx = static_cast<std::size_t>(grid.nx());
@@ -92,12 +92,10 @@ CbsTables::CbsTables(const Grid& g, Precision prec) : grid(g), precision(prec) {
       g0hat[i * p + j] = kernel[i * ld + j] * scale;
     }
   }
-  if (precision == Precision::kMixed) {
-    plan32 = std::make_unique<Fft2Plan<float>>(p, p);
-    g0hat32.resize(g0hat.size());
-    for (std::size_t i = 0; i < g0hat.size(); ++i) {
-      g0hat32[i] = narrow(g0hat[i]);
-    }
+  plan32 = std::make_unique<Fft2Plan<float>>(p, p);
+  g0hat32.resize(g0hat.size());
+  for (std::size_t i = 0; i < g0hat.size(); ++i) {
+    g0hat32[i] = narrow(g0hat[i]);
   }
   build_seconds = timer.seconds();
 }
@@ -109,7 +107,7 @@ std::size_t CbsTables::bytes() const {
 }
 
 CbsEngine::CbsEngine(const Grid& grid, const CbsOptions& opts)
-    : CbsEngine(std::make_shared<const CbsTables>(grid, opts.precision), opts) {}
+    : CbsEngine(std::make_shared<const CbsTables>(grid), opts) {}
 
 CbsEngine::CbsEngine(std::shared_ptr<const CbsTables> tables,
                      const CbsOptions& opts)
@@ -117,11 +115,7 @@ CbsEngine::CbsEngine(std::shared_ptr<const CbsTables> tables,
       grid_(tables_->grid),
       opts_(opts),
       n_(grid_.num_pixels()),
-      pad_n_(tables_->pad_n) {
-  FFW_CHECK_MSG(opts_.precision == Precision::kDouble ||
-                    tables_->plan32 != nullptr,
-                "kMixed CbsEngine requires CbsTables built with kMixed");
-}
+      pad_n_(tables_->pad_n) {}
 
 CbsEngine::~CbsEngine() = default;
 
@@ -131,8 +125,7 @@ void CbsEngine::set_contrast(ccspan contrast) {
 }
 
 template <typename T>
-void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
-                         bool system) {
+void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint) {
   using C = std::complex<T>;
   const Fft2Plan<T>* plan;
   const std::vector<C>* symbol;
@@ -168,9 +161,7 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
       for_each_vector(nx, [&](auto v, std::size_t i) {
         using V = decltype(v);
         V a = simd::load<V>(src + i);
-        if (system && !adjoint) {
-          a = simd::cmul<false>(a, simd::load<V>(orow + i));
-        }
+        if (!adjoint) a = simd::cmul<false>(a, simd::load<V>(orow + i));
         simd::store(d + i, lanes_as<T>(a));
       });
     };
@@ -184,9 +175,7 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
         using V = decltype(v);
         using F = decltype(lanes_as<T>(V{}));
         const V gv = __builtin_convertvector(simd::load<F>(gs + i), V);
-        if (!system) {
-          simd::store(dst + i, gv);
-        } else if (!adjoint) {
+        if (!adjoint) {
           simd::store(dst + i, simd::load<V>(xr + i) - gv);
         } else {
           const V og = simd::cmul<true>(simd::load<V>(orow + i), gv);
@@ -200,19 +189,11 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
   });
 }
 
-void CbsEngine::apply_g0_panel(ccspan x, cspan y, std::size_t nrhs) {
-  convolve<double>(x, y, nrhs, /*adjoint=*/false, /*system=*/false);
-}
-
-void CbsEngine::apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs) {
-  convolve<double>(x, y, nrhs, /*adjoint=*/true, /*system=*/false);
-}
-
 void CbsEngine::apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
                                    bool adjoint) {
   FFW_CHECK_MSG(contrast_nat_.size() == n_, "set_contrast before apply");
   FFW_CHECK(x.size() == n_ * nrhs && y.size() == n_ * nrhs);
-  convolve<double>(x, y, nrhs, adjoint, /*system=*/true);
+  convolve<double>(x, y, nrhs, adjoint);
 }
 
 bool CbsEngine::solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
@@ -234,36 +215,26 @@ bool CbsEngine::solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
   std::uint64_t applies = 0;
   const BlockLinearOp a64 = [&](ccspan in, cspan out) {
     ++applies;
-    convolve<double>(in, out, nrhs, adjoint, /*system=*/true);
+    convolve<double>(in, out, nrhs, adjoint);
   };
   const BlockLinearOp a32 = [&](ccspan in, cspan out) {
     ++applies;
-    convolve<float>(in, out, nrhs, adjoint, /*system=*/true);
+    convolve<float>(in, out, nrhs, adjoint);
   };
-  const BicgstabOptions bo{tol > 0.0 ? tol : opts_.tol,
-                           static_cast<int>(opts_.max_iterations)};
-  if (opts_.precision == Precision::kMixed) {
-    // The defaults ForwardSolver refines with (the inner tolerance never
-    // tighter than the outer one), capped at max_iterations.
-    RefinedOptions ro;
-    ro.tol = bo.tol;
-    ro.inner.tol = std::max(ro.inner.tol, bo.tol);
-    ro.inner.max_iterations =
-        std::min(ro.inner.max_iterations, bo.max_iterations);
-    ro.fallback_max_iterations = bo.max_iterations;
-    const RefinedResult res = refined_block_bicgstab(a64, a32, rhs, x, lo, ro);
-    info_ = {res.converged, static_cast<std::size_t>(res.block_iterations),
-             res.relres};
-    stats_.bicgs_iterations += res.inner_iterations + res.fallback_iterations;
-  } else {
-    const BlockBicgstabResult res = block_bicgstab(a64, rhs, x, lo, bo);
-    info_ = {res.converged, static_cast<std::size_t>(res.iterations), 0.0};
-    for (const BicgstabResult& col : res.rhs) {
-      info_.final_residual = std::max(info_.final_residual, col.relres);
-      stats_.per_solve_iterations.push_back(
-          static_cast<std::uint16_t>(col.iterations));
-    }
-    stats_.bicgs_iterations += res.total_iterations();
+  // The defaults ForwardSolver refines with (the inner tolerance never
+  // tighter than the outer one), capped at max_iterations.
+  const int cap = static_cast<int>(opts_.max_iterations);
+  RefinedOptions ro;
+  ro.tol = tol > 0.0 ? tol : opts_.tol;
+  ro.inner.tol = std::max(ro.inner.tol, ro.tol);
+  ro.inner.max_iterations = std::min(ro.inner.max_iterations, cap);
+  ro.fallback_max_iterations = cap;
+  const RefinedResult res = refined_block_bicgstab(a64, a32, rhs, x, lo, ro);
+  info_ = {res.converged, static_cast<std::size_t>(res.block_iterations),
+           res.relres};
+  stats_.bicgs_iterations += res.inner_iterations + res.fallback_iterations;
+  for (const int it : res.column_iterations) {
+    stats_.per_solve_iterations.push_back(static_cast<std::uint16_t>(it));
   }
   obs::add(obs::Counter::kCbsIterations, info_.iterations);
   stats_.solves += nrhs;

@@ -7,18 +7,19 @@
 // their answers agree to ~1e-6 (tests/cbs_test.cpp).
 //
 // The operator runs one column per thread through Fft2Plan::convolve,
-// in five passes over a padded panel: each row is packed (times O for
-// the system) and row-transformed while in L1; the column sweeps run
+// in five passes over a padded panel: each row is packed (times O in
+// the forward operator) and row-transformed while in L1; the column sweeps run
 // with the kernel-symbol product inside their innermost butterflies;
 // each needed row is inverse-transformed and cropped straight into the
 // output. The transforms never leave transform order (bit-reversed
 // spectra, no permutation, no 1/P^2 sweep, the zero half pruned), and
-// the scratch is one P x Fft2Plan::pitch() panel per thread. Under
-// Precision::kMixed the inner Krylov sweeps apply an fp32 pipeline
-// (pack, transform and kernel-symbol multiply in fp32, the identity and
-// the contrast diagonal in fp64) inside the same
-// mixed-precision refinement as the MLFMA backend (forward/refined.hpp):
-// residuals and convergence are judged against the fp64 operator.
+// the scratch is one P x Fft2Plan::pitch() panel per thread. Every
+// solve runs mixed-precision iterative refinement (forward/refined.hpp):
+// the Krylov sweeps apply an fp32 pipeline (pack, transform and
+// kernel-symbol multiply in fp32, the identity and the contrast diagonal
+// in fp64), while residuals, convergence and the stall fallback use the
+// fp64 operator. The backend has no precision option (DESIGN.md
+// Sec. 14).
 //
 // The names CbsEngine and BackendKind::kCbs (which checkpoints store)
 // come from the engine's first solver, a convergent Born series; why
@@ -37,28 +38,23 @@ struct CbsOptions {
   /// Per-column relative residual target ||rhs - A x|| / ||rhs||, used
   /// when a solve passes tol = 0.
   double tol = 1e-8;
-  /// Iteration cap of every block BiCGStab run of one solve (under
-  /// kMixed: the fp64 fallback, and each inner sweep up to its own cap).
+  /// Iteration cap of every block BiCGStab run of one solve: the fp64
+  /// fallback, and each fp32 sweep up to its own cap.
   std::size_t max_iterations = 600;
-  /// kMixed runs the inner sweeps on the fp32 FFT pipeline.
-  Precision precision = Precision::kDouble;
 };
 
 /// Read-only, shareable CBS table artifact: the contrast-independent
 /// state of the backend — the padded-FFT plans and the Richmond-kernel
-/// spectrum g0hat (plus their fp32 mirrors under kMixed). The contrast
-/// stays in the engine, so any number of concurrent CbsEngines can share
-/// one artifact; OperatorTableCache amortises the build across jobs.
+/// spectrum g0hat, with their fp32 mirrors. The contrast stays in the
+/// engine, so any number of concurrent CbsEngines can share one
+/// artifact; OperatorTableCache amortises the build across jobs.
 struct CbsTables {
-  /// Precision selects whether the fp32 pipeline state (plan32/g0hat32)
-  /// is built; fp64 engines can use either flavour.
-  explicit CbsTables(const Grid& grid, Precision precision = Precision::kDouble);
+  explicit CbsTables(const Grid& grid);
   ~CbsTables();
   CbsTables(const CbsTables&) = delete;
   CbsTables& operator=(const CbsTables&) = delete;
 
   Grid grid;
-  Precision precision;
   std::size_t pad_n = 0;  // padded side P = bit_ceil(2 nx - 1)
   /// Symbol of the wrapped Richmond kernel, P x P in transform order:
   /// Fft2Plan::forward_dif's output (bit-reversed on both axes) times
@@ -66,8 +62,8 @@ struct CbsTables {
   /// is kept.
   cvec g0hat;
   std::unique_ptr<Fft2Plan<double>> plan;
-  cvec32 g0hat32;                           // kMixed only, same order
-  std::unique_ptr<Fft2Plan<float>> plan32;  // kMixed only
+  cvec32 g0hat32;  // fp32 mirror, same order
+  std::unique_ptr<Fft2Plan<float>> plan32;
   double build_seconds = 0.0;
 
   std::size_t bytes() const;
@@ -77,7 +73,7 @@ struct CbsTables {
 struct CbsSolveInfo {
   bool converged = false;
   /// Block BiCGStab iterations, summed over every run of the solve
-  /// (refinement sweeps and fallback under kMixed).
+  /// (refinement sweeps and fallback).
   std::size_t iterations = 0;
   /// Max over columns of the final relative residual (fp64).
   double final_residual = 0.0;
@@ -88,8 +84,7 @@ class CbsEngine final : public ForwardBackend {
   /// Convenience constructor: builds a private CbsTables artifact.
   explicit CbsEngine(const Grid& grid, const CbsOptions& opts = {});
   /// Shares a prebuilt artifact (see CbsTables); construction then costs
-  /// nothing but the options. kMixed options require an artifact built
-  /// with Precision::kMixed.
+  /// nothing but the options.
   explicit CbsEngine(std::shared_ptr<const CbsTables> tables,
                      const CbsOptions& opts = {});
   ~CbsEngine() override;
@@ -103,13 +98,10 @@ class CbsEngine final : public ForwardBackend {
   bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
                            double tol) override;
 
-  /// Exact (aperiodic) Richmond-kernel products G0 x and G0^H x via
-  /// padded FFT — match dense_g0_apply / MLFMA to rounding.
-  void apply_g0_panel(ccspan x, cspan y, std::size_t nrhs);
-  void apply_g0_herm_panel(ccspan x, cspan y, std::size_t nrhs);
-
   /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels,
-  /// in fp64: the operator the solves run on, exposed for tests.
+  /// in fp64, with the Richmond-kernel product an exact (aperiodic)
+  /// padded-FFT convolution: the operator the solves judge convergence
+  /// on, exposed for tests.
   void apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
                           bool adjoint = false);
 
@@ -123,16 +115,14 @@ class CbsEngine final : public ForwardBackend {
   std::size_t padded() const { return pad_n_; }
 
  private:
-  /// Padded convolution of every column of x with the kernel spectrum
-  /// (conjugated when `adjoint`: the even kernel's spectrum satisfies
-  /// FFT(conj k) = conj FFT(k), so that is the Hermitian transpose), in
-  /// storage precision T. `system` folds the contrast in: the pack
-  /// multiplies by O (forward) and the crop writes y = x - G0 (O x), or
-  /// y = x - conj(O) .* (G0^H x) (adjoint); otherwise y = G0 x or G0^H x.
-  /// y may alias x.
+  /// y = x - G0 (O x), or y = x - conj(O) .* (G0^H x) when `adjoint`,
+  /// for every column of x: the pack multiplies by O (forward), the
+  /// padded convolution with the kernel spectrum (conjugated for the
+  /// adjoint: the even kernel's spectrum satisfies FFT(conj k) =
+  /// conj FFT(k), so that is the Hermitian transpose) runs in storage
+  /// precision T, and the crop subtracts. y may alias x.
   template <typename T>
-  void convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint,
-                bool system);
+  void convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint);
   bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol, bool adjoint);
 
   // Immutable shared tables (kernel spectrum + FFT plans); the contrast

@@ -9,8 +9,22 @@
 
 namespace ffw {
 
-ForwardSolver::ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts)
+ForwardSolver::ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts,
+                             std::shared_ptr<const OperatorTables> tables32)
     : engine_(&engine), opts_(opts) {
+  FFW_CHECK_MSG(engine.precision() == Precision::kDouble,
+                "ForwardSolver: the primary engine is the fp64 reference; "
+                "pass fp32 tables as tables32");
+  if (tables32 != nullptr) {
+    FFW_CHECK_MSG(tables32->precision() == Precision::kMixed &&
+                      tables32->tree().grid().num_pixels() ==
+                          engine.tree().grid().num_pixels() &&
+                      tables32->tree().pixels_per_leaf() ==
+                          engine.tree().pixels_per_leaf(),
+                  "ForwardSolver: tables32 must be kMixed tables of the "
+                  "engine's tree");
+    mixed_ = std::make_unique<MlfmaEngine>(std::move(tables32));
+  }
   const std::size_t n = engine.tree().grid().num_pixels();
   contrast_nat_.assign(n, cplx{});
   contrast_clu_.assign(n, cplx{});
@@ -23,9 +37,8 @@ void ForwardSolver::set_contrast(ccspan contrast) {
   refresh_preconditioner();
 }
 
-void ForwardSolver::set_near_preconditioner(bool enable, Precision storage) {
+void ForwardSolver::set_near_preconditioner(bool enable) {
   use_near_ = enable;
-  near_storage_ = storage;
   refresh_preconditioner();
 }
 
@@ -34,17 +47,13 @@ void ForwardSolver::refresh_preconditioner() {
     near_precond_.reset();
     return;
   }
-  FFW_CHECK_MSG(engine_->nearfield().precision() == Precision::kDouble,
-                "near-field block preconditioner needs the fp64 reference "
-                "engine's near-field tables");
   Timer t;
   // Rebuilt in place: a contrast update never holds two inverse sets.
-  if (near_precond_ != nullptr && near_precond_->storage() == near_storage_) {
+  if (near_precond_ != nullptr) {
     near_precond_->rebuild(engine_->nearfield().type(4), contrast_clu_);
   } else {
-    near_precond_.reset();
     near_precond_ = std::make_unique<NearFieldBlockJacobi>(
-        engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
+        engine_->nearfield().type(4), ccspan{contrast_clu_}, precision());
   }
   const double seconds = t.seconds();
   stats_.precond_setup_seconds += seconds;
@@ -89,15 +98,6 @@ void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs) {
   block_pack_natural(lo, tree.perm(), x, xb);
   op_block_on(*engine_, xb, yb, lo, /*adjoint=*/false);
   block_unpack_natural(lo, tree.perm(), yb, y);
-}
-
-void ForwardSolver::set_mixed_engine(MlfmaEngine* mixed) {
-  if (mixed != nullptr) {
-    FFW_CHECK_MSG(mixed->tree().grid().num_pixels() ==
-                      engine_->tree().grid().num_pixels(),
-                  "mixed engine must cover the same grid");
-  }
-  mixed_ = mixed;
 }
 
 BlockBicgstabResult ForwardSolver::block_solve(ccspan rhs, cspan x,
@@ -145,7 +145,7 @@ RefinedResult ForwardSolver::refined_solve(ccspan rhs, cspan x,
                                            const RefinedOptions& opts,
                                            bool adjoint) {
   FFW_CHECK_MSG(mixed_ != nullptr,
-                "refined block solves need set_mixed_engine first");
+                "refined block solves need the solver's fp32 tables");
   const std::size_t n = contrast_nat_.size();
   FFW_CHECK(rhs.size() == n * nrhs && x.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
@@ -168,6 +168,9 @@ RefinedResult ForwardSolver::refined_solve(ccspan rhs, cspan x,
   stats_.bicgs_iterations += res.inner_iterations + res.fallback_iterations;
   stats_.operator_applications += engine_->phase_times().applications +
                                   mixed_->phase_times().applications - before;
+  for (const int it : res.column_iterations) {
+    stats_.per_solve_iterations.push_back(static_cast<std::uint16_t>(it));
+  }
   block_unpack_natural(lo, tree.perm(), xb, x);
   return res;
 }

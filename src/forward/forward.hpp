@@ -21,19 +21,27 @@ namespace ffw {
 
 class ForwardSolver : public ForwardBackend {
  public:
-  /// The engine is shared (not owned): the DBIM driver reuses one engine
-  /// across illuminations and across the three solves per iteration.
-  ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts = {});
+  /// The fp64 engine is shared (not owned): the DBIM driver reuses one
+  /// engine across illuminations and across the three solves per
+  /// iteration. With `tables32` (Precision::kMixed tables of the same
+  /// tree, e.g. from OperatorTableCache) the solver owns an fp32 engine
+  /// on them and every solve runs mixed-precision iterative refinement
+  /// (precision() == kMixed); without, every solve runs in fp64.
+  explicit ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts = {},
+                         std::shared_ptr<const OperatorTables> tables32 = {});
+
+  /// kMixed when the solver owns an fp32 inner engine.
+  Precision precision() const {
+    return mixed_ != nullptr ? Precision::kMixed : Precision::kDouble;
+  }
 
   /// Near-field block-Jacobi right preconditioning (forward/precond.hpp):
   /// the per-leaf self blocks I - A_self diag(O_c) are inverted on
   /// every set_contrast and applied inside every solve — forward,
-  /// adjoint, and the mixed-precision refined solves. `storage` =
-  /// Precision::kMixed keeps the inverses in fp32 (pairs with a mixed
-  /// inner engine; final accuracy is unaffected — the preconditioner
-  /// only steers the Krylov space).
-  void set_near_preconditioner(bool enable,
-                               Precision storage = Precision::kDouble);
+  /// adjoint, and the mixed-precision refined solves. The inverses are
+  /// stored in precision(): fp32 under kMixed (final accuracy is
+  /// unaffected — the preconditioner only steers the Krylov space).
+  void set_near_preconditioner(bool enable);
   const NearFieldBlockJacobi* near_preconditioner() const {
     return near_precond_.get();
   }
@@ -53,15 +61,10 @@ class ForwardSolver : public ForwardBackend {
   BlockBicgstabResult solve_adjoint_block(ccspan rhs, cspan psi,
                                           std::size_t nrhs);
 
-  /// Registers a Precision::kMixed engine on the *same tree* as the fp32
-  /// accelerator for solve_block_refined (not owned; pass nullptr to
-  /// detach). The primary engine stays the fp64 reference.
-  void set_mixed_engine(MlfmaEngine* mixed);
-  MlfmaEngine* mixed_engine() const { return mixed_; }
-
   /// Mixed-precision iterative refinement solve of [I - G0 O] phi = rhs
-  /// over all columns: inner block-BiCGStab sweeps run on the registered
-  /// mixed engine, outer residuals/masking in fp64 on the primary
+  /// over all columns (needs precision() == kMixed): inner
+  /// block-BiCGStab sweeps run on the fp32 engine, outer
+  /// residuals/masking in fp64 on the primary
   /// engine, automatic pure-fp64 fallback on stall (forward/refined.hpp).
   /// Reaches fp64-level tolerances (default 1e-8) at mixed-engine speed.
   /// The near-field block preconditioner (if enabled) right-preconditions
@@ -83,9 +86,8 @@ class ForwardSolver : public ForwardBackend {
 
   // --- ForwardBackend interface (forward/backend.hpp) --------------------
   // The panel entry points route to the refined mixed-precision block
-  // solves when a mixed engine is registered, and to the plain block
-  // BiCGStab otherwise — the same dispatch the DBIM workspace used to
-  // hand-roll. `tol` overrides the configured tolerance for this call
+  // solves under kMixed, and to the plain block BiCGStab otherwise.
+  // `tol` overrides the configured tolerance for this call
   // only (0 keeps it), which is how Eisenstat-Walker forcing flows
   // through the backend-neutral API.
   BackendKind kind() const override { return BackendKind::kMlfma; }
@@ -122,13 +124,12 @@ class ForwardSolver : public ForwardBackend {
   void refresh_preconditioner();
 
   MlfmaEngine* engine_;
-  MlfmaEngine* mixed_ = nullptr;  // optional fp32 accelerator (not owned)
+  std::unique_ptr<MlfmaEngine> mixed_;  // fp32 inner engine under kMixed
   BicgstabOptions opts_;
 
   cvec contrast_nat_;   // natural order
   cvec contrast_clu_;   // cluster order
   bool use_near_ = false;
-  Precision near_storage_ = Precision::kDouble;
   std::unique_ptr<NearFieldBlockJacobi> near_precond_;
   ForwardStats stats_;
 };

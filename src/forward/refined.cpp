@@ -18,6 +18,11 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
   FFW_CHECK(b.size() == lo.size() && x.size() == lo.size());
   const std::size_t nrhs = lo.nrhs;
   RefinedResult res;
+  res.column_iterations.assign(nrhs, 0);
+  auto count_columns = [&](const BlockBicgstabResult& run) {
+    for (std::size_t c = 0; c < nrhs; ++c)
+      res.column_iterations[c] += run.rhs[c].iterations;
+  };
 
   // Loose-tolerance regime: the caller's tol is far above the fp32
   // operator error, so solve directly on the inner operator (fp64
@@ -30,6 +35,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
         block_bicgstab(a_inner, b, x, lo, dopts, reduce, pc);
     res.inner_iterations = direct.total_iterations();
     res.block_iterations = direct.iterations;
+    count_columns(direct);
     res.relres = 0.0;
     for (const BicgstabResult& col : direct.rhs)
       res.relres = std::max(res.relres, col.relres);
@@ -105,6 +111,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
         block_bicgstab(a_inner, r, d, lo, opts.inner, reduce, pc);
     res.inner_iterations += inner.total_iterations();
     res.block_iterations += inner.iterations;
+    count_columns(inner);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += d[i];
     ++res.refinements;
     obs::add(obs::Counter::kRefinementRounds, 1);
@@ -132,6 +139,7 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
       block_bicgstab(a_outer, b, x, lo, fo, reduce, pc);
   res.fallback_iterations = fb.total_iterations();
   res.block_iterations += fb.iterations;
+  count_columns(fb);
   worst = residual();
   restore_best();  // a capped fallback must not end worse than it began
   res.relres = worst;

@@ -112,7 +112,7 @@ bool Checkpoint::load(const std::string& path) {
 bool DbimCheckpoint::save(const std::string& path) const {
   Checkpoint ck;
   ck.put_scalar("iteration", iteration);
-  ck.put_scalar("mixed_precision", mixed_precision ? 1.0 : 0.0);
+  ck.put_scalar("mixed_precision", precision == Precision::kMixed ? 1.0 : 0.0);
   ck.put_scalar("backend", static_cast<double>(static_cast<int>(backend)));
   ck.put("contrast", contrast);
   ck.put("gradient_prev", gradient_prev);
@@ -135,8 +135,10 @@ bool DbimCheckpoint::load(const std::string& path) {
   iteration = static_cast<int>(ck.get_scalar("iteration"));
   // Legacy files (written before the precision policy was recorded)
   // lack this entry; they predate mixed-precision support, so fp64.
-  mixed_precision =
-      ck.contains("mixed_precision") && ck.get_scalar("mixed_precision") != 0.0;
+  precision = ck.contains("mixed_precision") &&
+                      ck.get_scalar("mixed_precision") != 0.0
+                  ? Precision::kMixed
+                  : Precision::kDouble;
   // Legacy files predate the CBS backend: everything was MLFMA.
   backend = ck.contains("backend")
                 ? static_cast<BackendKind>(

@@ -47,10 +47,10 @@ class Checkpoint {
 /// so the policy is recorded and validated on resume.
 struct DbimCheckpoint {
   int iteration = 0;
-  /// True if the run used a mixed-precision engine (DbimOptions::
-  /// mixed_engine != nullptr). Files written before this field existed
-  /// load as false (they predate mixed-precision support).
-  bool mixed_precision = false;
+  /// The run's DbimOptions::precision, stored under the file key
+  /// "mixed_precision" (1 = kMixed). Files written before the key
+  /// existed load as kDouble (they predate mixed-precision support).
+  Precision precision = Precision::kDouble;
   /// Forward-backend policy the run was produced under (DbimOptions::
   /// backend). Resuming under a different policy changes which engine
   /// answers each solve and hence the convergence trajectory, so it is

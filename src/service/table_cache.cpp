@@ -162,14 +162,13 @@ std::shared_ptr<const OperatorTables> OperatorTableCache::mlfma_tables(
 }
 
 std::shared_ptr<const CbsTables> OperatorTableCache::cbs_tables(
-    const Grid& grid, Precision precision) {
+    const Grid& grid) {
   TableKey key;
   key.kind = TableKey::Kind::kCbs;
   key.nx = grid.nx();
   key.pixel_h = grid.h();
-  key.precision = precision;
   auto ptr = acquire(key, [&]() -> Built {
-    auto tables = std::make_shared<const CbsTables>(grid, precision);
+    auto tables = std::make_shared<const CbsTables>(grid);
     return {tables, tables->bytes(), tables->build_seconds};
   });
   return std::static_pointer_cast<const CbsTables>(ptr);

@@ -100,9 +100,8 @@ class OperatorTableCache {
   std::shared_ptr<const OperatorTables> mlfma_tables(
       const Grid& grid, int leaf_pixel_side, const MlfmaParams& params = {});
 
-  /// CBS kernel spectrum + FFT plans for (grid, precision).
-  std::shared_ptr<const CbsTables> cbs_tables(
-      const Grid& grid, Precision precision = Precision::kDouble);
+  /// CBS kernel spectrum + FFT plans (fp64 and fp32) for `grid`.
+  std::shared_ptr<const CbsTables> cbs_tables(const Grid& grid);
 
   /// Transceiver operators (G_R + incident panel) for (grid, tx, rx).
   std::shared_ptr<const TransceiverTables> transceiver_tables(

@@ -1,7 +1,8 @@
 // FFT backend: exactness of the padded-FFT Richmond kernel products,
 // physics validation against the analytic Mie cylinder,
 // cross-validation against the MLFMA+BiCGStab path on the same discrete
-// system (up to strong contrast), mixed-precision accuracy, and the
+// system (up to strong contrast), the fp64 accuracy of its fp32-swept
+// solves, and the
 // kAuto routing that stays on the FFT backend unless a solve fails.
 #include <gtest/gtest.h>
 
@@ -43,21 +44,38 @@ cvec blob_contrast(const Grid& grid, double eps) {
   return contrast_from_permittivity(grid, de);
 }
 
+/// The scalar contrast the G0 checks run the system operator at.
+constexpr double kScalarContrast = 1.0;
+
+/// G0 x (G0^H x when `adjoint`) for every column of x, read off the
+/// system operator of an engine whose contrast is kScalarContrast
+/// everywhere: y = x - c G0 x, so G0 x = (x - y) / c (c is real, so the
+/// adjoint's conj(c) is c).
+cvec g0_via_system(CbsEngine& cbs, ccspan x, std::size_t nrhs,
+                   bool adjoint = false) {
+  cvec y(x.size());
+  cbs.apply_system_panel(x, y, nrhs, adjoint);
+  for (std::size_t i = 0; i < y.size(); ++i)
+    y[i] = (x[i] - y[i]) / kScalarContrast;
+  return y;
+}
+
 TEST(CbsG0Apply, MatchesDenseReference) {
   Grid grid(24);
   CbsEngine cbs(grid);
   const std::size_t n = grid.num_pixels();
+  cbs.set_contrast(cvec(n, cplx{kScalarContrast, 0.0}));
   Rng rng(71);
-  cvec x(2 * n), y(2 * n);
+  cvec x(2 * n);
   rng.fill_cnormal(x);
-  cbs.apply_g0_panel(x, y, 2);
+  cvec y = g0_via_system(cbs, x, 2);
   for (std::size_t c = 0; c < 2; ++c) {
     const cvec want = dense_g0_apply(grid, ccspan{x.data() + c * n, n});
     EXPECT_LT(rel_l2_diff(cspan{y.data() + c * n, n}, want), 1e-11);
   }
   // Hermitian product: G0 is complex-symmetric, so G0^H v = conj(G0
   // conj v).
-  cbs.apply_g0_herm_panel(x, y, 2);
+  y = g0_via_system(cbs, x, 2, /*adjoint=*/true);
   for (std::size_t c = 0; c < 2; ++c) {
     cvec xc(n);
     for (std::size_t i = 0; i < n; ++i) xc[i] = std::conj(x[c * n + i]);
@@ -142,9 +160,10 @@ TEST(CbsSystemApply, MatchesDenseOperatorWithZeroFilledPadding) {
 // nx = 24 pads to P = 64 > 2 nx, where [nx, P/2) must be zero-filled.
 TEST(CbsSystemApply, BitsDoNotDependOnThreadsOrColumnPosition) {
   Grid grid(24);
-  CbsEngine cbs(grid);
+  CbsEngine cbs(grid), g0(grid);
   cbs.set_contrast(blob_contrast(grid, 0.08));
   const std::size_t n = grid.num_pixels();
+  g0.set_contrast(cvec(n, cplx{kScalarContrast, 0.0}));
   Rng rng(74);
   cvec x(16 * n), other(13 * n);
   rng.fill_cnormal(x);
@@ -153,7 +172,7 @@ TEST(CbsSystemApply, BitsDoNotDependOnThreadsOrColumnPosition) {
   auto apply = [&](Op op, ccspan in, std::size_t nrhs) {
     cvec out(in.size());
     if (op == Op::kG0) {
-      cbs.apply_g0_panel(in, out, nrhs);
+      out = g0_via_system(g0, in, nrhs);
     } else {
       cbs.apply_system_panel(in, out, nrhs, op == Op::kAdjoint);
     }
@@ -348,20 +367,21 @@ TEST(CbsSolve, ConvergesAndMatchesMlfmaAtStrongContrast) {
   EXPECT_LT(rel_l2_diff(ac, am), 1e-6);
 }
 
+// Every FFT solve runs fp32 sweeps under fp64 refinement; the reference
+// is plain fp64 block BiCGStab on the engine's fp64 operator.
 TEST(CbsSolve, MixedPrecisionReachesFp64Tolerance) {
   Grid grid(32);
   const cvec contrast = blob_contrast(grid, 0.06);
-  CbsOptions mo;
-  mo.precision = Precision::kMixed;
-  CbsEngine mixed(grid, mo);
-  CbsEngine ref(grid);
+  CbsEngine mixed(grid);
   mixed.set_contrast(contrast);
-  ref.set_contrast(contrast);
   const cvec rhs = plane_wave(grid);
   const std::size_t n = grid.num_pixels();
   cvec xm(n, cplx{}), xr(n, cplx{});
   ASSERT_TRUE(mixed.solve_panel(rhs, xm, 1, 1e-8));
-  ASSERT_TRUE(ref.solve_panel(rhs, xr, 1, 1e-8));
+  const BlockBicgstabResult ref = block_bicgstab(
+      [&](ccspan in, cspan out) { mixed.apply_system_panel(in, out, 1); },
+      rhs, xr, BlockLayout{n, 1, 1}, BicgstabOptions{1e-8, 600});
+  ASSERT_TRUE(ref.converged);
   // The mixed pipeline verifies convergence against the fp64 operator,
   // so its answer matches the all-fp64 solve at the solve tolerance.
   EXPECT_LT(rel_l2_diff(xm, xr), 1e-6);
@@ -375,22 +395,42 @@ TEST(CbsSolve, MixedPrecisionReachesFp64Tolerance) {
   EXPECT_LT(std::sqrt(num / den), 2e-8);
 }
 
-TEST(CbsStats, CountsSolvesAndOperatorApplications) {
-  Grid grid(24);
-  CbsEngine cbs(grid);
-  cbs.set_contrast(blob_contrast(grid, 0.05));
+/// Solves two random right-hand sides to 1e-8 on `backend` and checks
+/// its counters: one per-solve sample per column, summing to the
+/// Krylov total (refined solves count inner and fallback iterations).
+void expect_two_solves_counted(ForwardBackend& backend, const Grid& grid) {
+  backend.set_contrast(blob_contrast(grid, 0.05));
   const std::size_t n = grid.num_pixels();
   Rng rng(75);
   cvec rhs(2 * n), x(2 * n, cplx{});
   rng.fill_cnormal(rhs);
-  ASSERT_TRUE(cbs.solve_panel(rhs, x, 2, 1e-8));
-  const ForwardStats& st = cbs.stats();
+  ASSERT_TRUE(backend.solve_panel(rhs, x, 2, 1e-8));
+  const ForwardStats& st = backend.stats();
   EXPECT_EQ(st.solves, 2u);
   EXPECT_GT(st.bicgs_iterations, 0u);
   EXPECT_GT(st.operator_applications, 2u);
   EXPECT_DOUBLE_EQ(st.operator_per_solve(),
                    static_cast<double>(st.operator_applications) / 2.0);
-  EXPECT_EQ(st.per_solve_iterations.size(), 2u);
+  ASSERT_EQ(st.per_solve_iterations.size(), 2u);
+  EXPECT_EQ(st.per_solve_iterations[0] + st.per_solve_iterations[1],
+            st.bicgs_iterations);
+}
+
+TEST(CbsStats, CountsSolvesAndOperatorApplications) {
+  Grid grid(24);
+  CbsEngine cbs(grid);
+  expect_two_solves_counted(cbs, grid);
+
+  // The MLFMA backend's refined (kMixed) solves count the same way.
+  Grid g32(32);
+  QuadTree tree(g32);
+  MlfmaEngine engine(tree);
+  MlfmaParams p32;
+  p32.precision = Precision::kMixed;
+  ForwardSolver mixed(engine, BicgstabOptions{},
+                      std::make_shared<const OperatorTables>(tree, p32));
+  ASSERT_EQ(mixed.precision(), Precision::kMixed);
+  expect_two_solves_counted(mixed, g32);
 }
 
 ScenarioConfig dbim_config() {
@@ -445,9 +485,11 @@ TEST(CbsDbim, AutoBackendMatchesMlfmaReconstruction) {
   EXPECT_LT(rel_l2_diff(autob.contrast, mlfma.contrast), 1e-3);
 }
 
-// kAuto's one rule: an FFT solve that misses its tolerance (capped at
-// one iteration here) is redone on MLFMA, and the run stays there and
-// still finishes the reconstruction.
+// kAuto's one rule: an FFT solve that misses its tolerance is redone on
+// MLFMA, and the run stays there and still finishes the reconstruction.
+// The cap of zero iterations per Krylov run stops every fp32 sweep and
+// the fp64 fallback where they start (a cap of one no longer fails: up
+// to ten one-iteration refinement rounds converge at this contrast).
 TEST(CbsDbim, AutoFallsBackToMlfmaWhenAnFftSolveFails) {
   ScenarioConfig cfg = dbim_config();
   Grid grid(cfg.nx);
@@ -456,7 +498,7 @@ TEST(CbsDbim, AutoFallsBackToMlfmaWhenAnFftSolveFails) {
   DbimOptions opts;
   opts.max_iterations = 4;
   opts.backend = BackendKind::kAuto;
-  opts.cbs.max_iterations = 1;
+  opts.cbs.max_iterations = 0;
   const DbimResult res = dbim_reconstruct(
       scene.engine(), scene.transceivers(), scene.measurements(), opts);
   EXPECT_TRUE(res.history.cbs_escalated);

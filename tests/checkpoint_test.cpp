@@ -237,7 +237,7 @@ TEST(DbimCheckpointState, RoundTrip) {
 TEST(DbimCheckpointState, PrecisionPolicyRoundTrips) {
   DbimCheckpoint out;
   out.iteration = 3;
-  out.mixed_precision = true;
+  out.precision = Precision::kMixed;
   out.contrast.resize(8);
   out.gradient_prev.resize(8);
   out.direction.resize(8);
@@ -245,15 +245,20 @@ TEST(DbimCheckpointState, PrecisionPolicyRoundTrips) {
   const std::string path = "/tmp/ffw_ckpt_dbim_mixed.bin";
   ASSERT_TRUE(out.save(path));
   DbimCheckpoint in;
-  in.mixed_precision = false;
+  in.precision = Precision::kDouble;
   ASSERT_TRUE(in.load(path));
-  EXPECT_TRUE(in.mixed_precision);
+  EXPECT_EQ(in.precision, Precision::kMixed);
+  // Stored under the file key "mixed_precision", so files written before
+  // the field was a Precision load unchanged.
+  Checkpoint raw;
+  ASSERT_TRUE(raw.load(path));
+  EXPECT_EQ(raw.get_scalar("mixed_precision"), 1.0);
 
-  out.mixed_precision = false;
+  out.precision = Precision::kDouble;
   ASSERT_TRUE(out.save(path));
-  in.mixed_precision = true;
+  in.precision = Precision::kMixed;
   ASSERT_TRUE(in.load(path));
-  EXPECT_FALSE(in.mixed_precision);
+  EXPECT_EQ(in.precision, Precision::kDouble);
   std::remove(path.c_str());
 }
 
@@ -290,10 +295,10 @@ TEST(DbimCheckpointState, LegacyFileWithoutPolicyLoadsAsFp64) {
   const std::string path = "/tmp/ffw_ckpt_dbim_legacy.bin";
   ASSERT_TRUE(legacy.save(path));
   DbimCheckpoint in;
-  in.mixed_precision = true;  // stale state must be overwritten
+  in.precision = Precision::kMixed;  // stale state must be overwritten
   in.backend = BackendKind::kCbs;
   ASSERT_TRUE(in.load(path));
-  EXPECT_FALSE(in.mixed_precision);
+  EXPECT_EQ(in.precision, Precision::kDouble);
   // Pre-multi-backend files ran everything on MLFMA.
   EXPECT_EQ(in.backend, BackendKind::kMlfma);
   EXPECT_EQ(in.iteration, 2);

@@ -261,11 +261,19 @@ TEST(G0Symmetry, MixedPrecisionMlfma) {
   EXPECT_LT(g0_symmetry_defect(s.grid.num_pixels(), apply), 2e-5);
 }
 
+// The FFT backend's G0 is read off its system operator at a scalar
+// contrast c: y = x - c G0 x, so G0 x = (x - y) / c.
 TEST(G0Symmetry, PaddedFft) {
   FrechetFixture s;
+  const std::size_t n = s.grid.num_pixels();
+  const cplx c{1.0, 0.0};
   CbsEngine cbs(s.grid);
-  const auto apply = [&](ccspan x, cspan y) { cbs.apply_g0_panel(x, y, 1); };
-  EXPECT_LT(g0_symmetry_defect(s.grid.num_pixels(), apply), 1e-12);
+  cbs.set_contrast(cvec(n, c));
+  const auto apply = [&](ccspan x, cspan y) {
+    cbs.apply_system_panel(x, y, 1);
+    for (std::size_t i = 0; i < n; ++i) y[i] = (x[i] - y[i]) / c;
+  };
+  EXPECT_LT(g0_symmetry_defect(n, apply), 1e-12);
 }
 
 // The partitioned engine on a 1 x 2 window: each tree rank holds its

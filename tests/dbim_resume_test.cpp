@@ -77,22 +77,19 @@ TEST(DbimResume, MixedModeResumeKeepsPrecisionPolicy) {
   Grid grid(cfg.nx);
   Scenario scene(cfg,
                  gaussian_blob(grid, Vec2{0.2, -0.1}, 0.5, cplx{0.01, 0.0}));
-  MlfmaParams mixed_params;
-  mixed_params.precision = Precision::kMixed;
-  MlfmaEngine mixed(scene.tree(), mixed_params);
 
   const int total_iters = 6, split = 3;
 
-  // First half under the mixed engine, checkpointing every iteration.
+  // First half under mixed precision, checkpointing every iteration.
   DbimCheckpoint saved;
   DbimOptions first;
   first.max_iterations = split;
-  first.mixed_engine = &mixed;
+  first.precision = Precision::kMixed;
   first.checkpoint = [&saved](const DbimCheckpoint& s) { saved = s; };
   dbim_reconstruct(scene.engine(), scene.transceivers(),
                    scene.measurements(), first);
   ASSERT_EQ(saved.iteration, split);
-  EXPECT_TRUE(saved.mixed_precision);
+  EXPECT_EQ(saved.precision, Precision::kMixed);
 
   // The policy survives the file round trip.
   const std::string path = "/tmp/ffw_dbim_resume_mixed.bin";
@@ -100,12 +97,12 @@ TEST(DbimResume, MixedModeResumeKeepsPrecisionPolicy) {
   DbimCheckpoint restored;
   ASSERT_TRUE(restored.load(path));
   std::remove(path.c_str());
-  EXPECT_TRUE(restored.mixed_precision);
+  EXPECT_EQ(restored.precision, Precision::kMixed);
 
   // Resuming under the same policy continues and converges further.
   DbimOptions second;
   second.max_iterations = total_iters;
-  second.mixed_engine = &mixed;
+  second.precision = Precision::kMixed;
   second.resume = &restored;
   const DbimResult resumed = dbim_reconstruct(
       scene.engine(), scene.transceivers(), scene.measurements(), second);
@@ -128,7 +125,7 @@ TEST(DbimResumeDeath, PrecisionPolicyMismatchFailsLoudly) {
   // A checkpoint recorded under the mixed policy...
   DbimCheckpoint state;
   state.iteration = 2;
-  state.mixed_precision = true;
+  state.precision = Precision::kMixed;
   state.contrast.assign(grid.num_pixels(), cplx{});
   state.gradient_prev.assign(grid.num_pixels(), cplx{});
   state.direction.assign(grid.num_pixels(), cplx{});
@@ -137,20 +134,28 @@ TEST(DbimResumeDeath, PrecisionPolicyMismatchFailsLoudly) {
   // ...must not silently resume with the pure-fp64 engine.
   DbimOptions opts;
   opts.max_iterations = 4;
-  opts.resume = &state;  // mixed_engine left null: policy mismatch
+  opts.resume = &state;  // precision left kDouble: policy mismatch
   EXPECT_DEATH(dbim_reconstruct(scene.engine(), scene.transceivers(),
                                 scene.measurements(), opts),
                "precision policy");
 
   // The reverse direction (fp64 checkpoint, mixed resume) dies too.
-  MlfmaParams mixed_params;
-  mixed_params.precision = Precision::kMixed;
-  MlfmaEngine mixed(scene.tree(), mixed_params);
-  state.mixed_precision = false;
-  opts.mixed_engine = &mixed;
+  state.precision = Precision::kDouble;
+  opts.precision = Precision::kMixed;
   EXPECT_DEATH(dbim_reconstruct(scene.engine(), scene.transceivers(),
                                 scene.measurements(), opts),
                "precision policy");
+
+  // Mixed precision is asked for through DbimOptions::precision only: an
+  // engine on fp32 tables is refused.
+  MlfmaParams mixed_params;
+  mixed_params.precision = Precision::kMixed;
+  MlfmaEngine mixed(scene.tree(), mixed_params);
+  DbimOptions plain;
+  plain.max_iterations = 1;
+  EXPECT_DEATH(dbim_reconstruct(mixed, scene.transceivers(),
+                                scene.measurements(), plain),
+               "DbimOptions::precision");
 }
 
 TEST(DbimResumeDeath, BackendPolicyMismatchFailsLoudly) {

@@ -178,9 +178,9 @@ TEST(Born, RecoversVeryWeakScatterer) {
 // Results must not depend on the thread count (north-star aim 3). The
 // benchmark's solver options (near-field preconditioner on MLFMA,
 // adaptive forcing) reconstruct the same bits at 1 and 4
-// threads on both serial backends (the FFT backend in fp64 and mixed
-// precision), and on the 2x2 partitioned driver at 1 and 2 threads per
-// rank. 64^2 with 8 transmitters spans more than one chunk of the
+// threads on both serial backends (the FFT backend's solves run fp32
+// sweeps under fp64 refinement), and on the 2x2 partitioned driver at 1
+// and 2 threads per rank. 64^2 with 8 transmitters spans more than one chunk of the
 // chunk-parallel block kernels.
 struct ThreadCountScene {
   ScenarioConfig cfg;
@@ -195,23 +195,19 @@ struct ThreadCountScene {
         cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.8, cplx{0.02, 0.0}));
   }
 
-  static DbimOptions options(BackendKind backend,
-                             Precision cbs_precision = Precision::kDouble) {
+  static DbimOptions options(BackendKind backend) {
     DbimOptions o;
     o.max_iterations = 4;
     o.backend = backend;
-    o.cbs.precision = cbs_precision;
     o.near_precondition = backend == BackendKind::kMlfma;
     o.adaptive_forcing = true;
     return o;
   }
 
-  DbimResult serial(BackendKind backend, int threads,
-                    Precision cbs_precision = Precision::kDouble) const {
+  DbimResult serial(BackendKind backend, int threads) const {
     set_num_threads(threads);
     DbimResult res = dbim_reconstruct(scene->engine(), scene->transceivers(),
-                                      scene->measurements(),
-                                      options(backend, cbs_precision),
+                                      scene->measurements(), options(backend),
                                       cfg.forward);
     set_num_threads(0);
     return res;
@@ -260,13 +256,6 @@ TEST(DbimThreadCount, CbsIsBitIdenticalAt1And4Threads) {
   const ThreadCountScene s;
   expect_identical(s.serial(BackendKind::kCbs, 1),
                    s.serial(BackendKind::kCbs, 4));
-}
-
-// The FFT backend's fp32 inner sweeps under mixed-precision refinement.
-TEST(DbimThreadCount, MixedCbsIsBitIdenticalAt1And4Threads) {
-  const ThreadCountScene s;
-  expect_identical(s.serial(BackendKind::kCbs, 1, Precision::kMixed),
-                   s.serial(BackendKind::kCbs, 4, Precision::kMixed));
 }
 
 TEST(DbimThreadCount, Parallel2x2IsBitIdenticalAt1And2ThreadsPerRank) {

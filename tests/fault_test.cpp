@@ -1,15 +1,11 @@
 // Fault-injection, failure-propagation and deadlock-diagnostic tests
-// for the virtual cluster (DESIGN.md Sec. 12), plus the ThreadPool
-// exception-surfacing regression. `ctest -L fault` runs this file; the
-// tsan/asan presets include the label.
+// for the virtual cluster (DESIGN.md Sec. 12). `ctest -L fault` runs
+// this file; the tsan/asan presets include the label.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <numeric>
-#include <stdexcept>
 
-#include "parallel/thread_pool.hpp"
 #include "vcluster/comm.hpp"
 
 namespace ffw {
@@ -374,50 +370,6 @@ TEST(RecoveryTest, FrameOverheadAccountedSeparately) {
   // Payload ledger: 5 x 100 bytes; framing (seq + CRC) kept out of it.
   EXPECT_EQ(vc.traffic().total_bytes(), 500u);
   EXPECT_EQ(vc.frame_overhead_bytes(), 5u * VCluster::kFrameBytes);
-}
-
-// ---- ThreadPool exception surfacing -------------------------------------
-
-TEST(ThreadPoolErrors, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran, i] {
-      ++ran;
-      if (i == 5) throw std::runtime_error("table build failed");
-    });
-  }
-  bool threw = false;
-  try {
-    pool.wait_idle();
-  } catch (const std::runtime_error& e) {
-    threw = true;
-    EXPECT_STREQ(e.what(), "table build failed");
-  }
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(ran.load(), 16);  // one failure does not cancel the rest
-  pool.wait_idle();           // consumed: no rethrow on a clean pool
-}
-
-TEST(ThreadPoolErrors, DestructorRethrowsUnconsumedException) {
-  bool threw = false;
-  try {
-    ThreadPool pool(2);
-    auto fut = pool.submit([] { throw std::runtime_error("dtor path"); });
-    fut.wait();  // task finished, exception captured, future discarded
-  } catch (const std::runtime_error& e) {
-    threw = true;
-    EXPECT_STREQ(e.what(), "dtor path");
-  }
-  EXPECT_TRUE(threw);
-}
-
-TEST(ThreadPoolErrors, KeptFutureStillObservesException) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { throw std::runtime_error("via future"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  // The central capture still holds it for wait_idle-style callers.
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
 }
 
 }  // namespace

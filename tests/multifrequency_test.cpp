@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dbim/continuation.hpp"
@@ -67,7 +68,7 @@ TEST(MultiFrequencyOptionsBug, MixedPrecisionRunsInsideTheLadder) {
       gaussian_blob(grid, Vec2{-0.2, 0.2}, 0.5, cplx{0.01, 0.0});
 
   ContinuationOptions opts;
-  opts.mixed_precision = true;
+  opts.dbim.precision = Precision::kMixed;
   const std::uint64_t rr0 = counter(obs::Counter::kRefinementRounds);
   const ContinuationResult mf = continuation_reconstruct(
       cfg, truth, FrequencyLadder{{{1, 2}, {0, 2}}}, opts);
@@ -315,10 +316,16 @@ TEST(FreqPartition, AutoShapesAndOwnership) {
   EXPECT_EQ(r.groups[0].tree_ranks, 2);
 }
 
-class BandParallel : public ::testing::TestWithParam<int> {};
+/// A pool size and the ladder's DbimOptions::precision.
+struct BandPool {
+  int ranks;
+  Precision precision;
+};
+
+class BandParallel : public ::testing::TestWithParam<BandPool> {};
 
 TEST_P(BandParallel, MatchesSerialLadder) {
-  const int p = GetParam();
+  const int p = GetParam().ranks;
   ScenarioConfig cfg;
   cfg.nx = 32;
   cfg.num_transmitters = 6;
@@ -335,20 +342,23 @@ TEST_P(BandParallel, MatchesSerialLadder) {
   // rounding. p = 1 runs every band in one group, so each band follows
   // its predecessor without a message. The last band stops on
   // residual_tol after a CG update, so its iteration count (updates) is
-  // one less than its residual count.
+  // one less than its residual count. Single-rank groups run the serial
+  // workspace, so a kMixed ladder refines its solves there too.
   FrequencyLadder ladder;
   ladder.bands.push_back({1, 3});
   ladder.bands.push_back({1, 2});
   ladder.bands.push_back({0, 3});
   ladder.bands.push_back({0, 2});
   ladder.bands.push_back({0, 8, 0.027});
+  BandParallelOptions opts;
+  opts.continuation.dbim.precision = GetParam().precision;
 
-  const ContinuationResult serial = continuation_reconstruct(cfg, truth,
-                                                             ladder);
+  const ContinuationResult serial =
+      continuation_reconstruct(cfg, truth, ladder, opts.continuation);
 
   VCluster vc(p);
   const ContinuationResult par =
-      continuation_reconstruct_parallel(vc, cfg, truth, ladder);
+      continuation_reconstruct_parallel(vc, cfg, truth, ladder, opts);
 
   ASSERT_EQ(serial.stages.back().stop, StageStop::kResidualTol);
   EXPECT_GT(serial.stages.back().iterations, 0);
@@ -366,7 +376,16 @@ TEST_P(BandParallel, MatchesSerialLadder) {
   EXPECT_LE(image_rmse(par.permittivity, serial.permittivity), 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Pools, BandParallel, ::testing::Values(2, 4, 1));
+INSTANTIATE_TEST_SUITE_P(
+    Pools, BandParallel,
+    ::testing::Values(BandPool{2, Precision::kDouble},
+                      BandPool{4, Precision::kDouble},
+                      BandPool{1, Precision::kDouble},
+                      BandPool{4, Precision::kMixed}),
+    [](const ::testing::TestParamInfo<BandPool>& info) {
+      return "p" + std::to_string(info.param.ranks) +
+             (info.param.precision == Precision::kMixed ? "_mixed" : "");
+    });
 
 TEST(BandParallel, TwoDimensionalWindowsReconstruct) {
   // 2 band groups x (1 illum x 2 tree ranks): exercises the windowed

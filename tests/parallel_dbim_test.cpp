@@ -325,26 +325,6 @@ TEST(ParallelDbim, ResumeFromDbimOptionsMatchesStraightRun) {
   EXPECT_LE(image_rmse(resumed.contrast, ref.contrast), 1e-10);
 }
 
-TEST(ParallelDbimDeath, MixedEngineIsRefusedLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SceneFixture f;
-  MlfmaParams mixed_params;
-  mixed_params.precision = Precision::kMixed;
-  MlfmaEngine mixed(f.scene->tree(), mixed_params);
-  ParallelDbimConfig pcfg;
-  pcfg.illum_groups = 2;
-  pcfg.dbim.max_iterations = 1;
-  pcfg.dbim.mixed_engine = &mixed;
-  EXPECT_DEATH(
-      {
-        VCluster vc(2);
-        dbim_reconstruct_parallel(vc, f.scene->tree(),
-                                  f.scene->transceivers(),
-                                  f.scene->measurements(), pcfg);
-      },
-      "mixed_engine");
-}
-
 // Every 2-D refusal dies loudly with its own message.
 void expect_refused(ParallelDbimConfig pcfg, const char* message) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -373,12 +353,19 @@ TEST(ParallelDbimDeath, AutoBackendIsRefusedLoudly) {
   expect_refused(pcfg, "CBS/auto backend routing is a serial-driver feature");
 }
 
-TEST(ParallelDbimDeath, NearPreconditionerOnFp32TablesIsRefusedLoudly) {
+// A multi-rank window runs fp64 partitioned tables only: asking for
+// mixed precision, or handing it fp32 tables, dies with one message.
+TEST(ParallelDbimDeath, MixedPrecisionIsRefusedLoudly) {
+  ParallelDbimConfig pcfg;
+  pcfg.dbim.precision = Precision::kMixed;
+  expect_refused(pcfg, "DbimOptions::precision = kMixed is a serial-driver");
+}
+
+TEST(ParallelDbimDeath, Fp32TablesAreRefusedLoudly) {
   ParallelDbimConfig pcfg;
   pcfg.mlfma.precision = Precision::kMixed;
   pcfg.dbim.near_precondition = true;
-  expect_refused(pcfg,
-                 "near-field preconditioner needs fp64 near-field tables");
+  expect_refused(pcfg, "DbimOptions::precision = kMixed is a serial-driver");
 }
 
 }  // namespace

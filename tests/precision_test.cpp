@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "forward/forward.hpp"
@@ -32,6 +33,14 @@ MlfmaEngine make_engine(const QuadTree& tree, Precision p) {
   MlfmaParams params;
   params.precision = p;
   return MlfmaEngine(tree, params);
+}
+
+/// Precision::kMixed tables of `tree`: the fp32 inner operator of a
+/// refining ForwardSolver.
+std::shared_ptr<const OperatorTables> fp32_tables(const QuadTree& tree) {
+  MlfmaParams params;
+  params.precision = Precision::kMixed;
+  return std::make_shared<const OperatorTables>(tree, params);
 }
 
 double rel_l2(ccspan got, ccspan want) {
@@ -183,15 +192,13 @@ TEST(MixedRefinement, ReachesFp64ToleranceInFewRounds) {
   Grid grid(64);
   QuadTree tree(grid);
   MlfmaEngine f64 = make_engine(tree, Precision::kDouble);
-  MlfmaEngine mix = make_engine(tree, Precision::kMixed);
 
   BicgstabOptions fw;
   fw.tol = 1e-8;
   fw.max_iterations = 400;
-  ForwardSolver solver(f64, fw);
+  ForwardSolver solver(f64, fw, fp32_tables(tree));
   solver.set_contrast(smooth_contrast(grid, 0.05));
-  solver.set_mixed_engine(&mix);
-  ASSERT_EQ(solver.mixed_engine(), &mix);
+  ASSERT_EQ(solver.precision(), Precision::kMixed);
 
   const std::size_t n = grid.num_pixels(), nrhs = 4;
   Rng rng(91);
@@ -228,14 +235,12 @@ TEST(MixedRefinement, AdjointSolveReachesFp64Tolerance) {
   Grid grid(64);
   QuadTree tree(grid);
   MlfmaEngine f64 = make_engine(tree, Precision::kDouble);
-  MlfmaEngine mix = make_engine(tree, Precision::kMixed);
 
   BicgstabOptions fw;
   fw.tol = 1e-8;
   fw.max_iterations = 400;
-  ForwardSolver solver(f64, fw);
+  ForwardSolver solver(f64, fw, fp32_tables(tree));
   solver.set_contrast(smooth_contrast(grid, 0.05));
-  solver.set_mixed_engine(&mix);
 
   const std::size_t n = grid.num_pixels(), nrhs = 3;
   Rng rng(92);

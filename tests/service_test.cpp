@@ -110,13 +110,22 @@ TEST(Service, CompletedJobsMatchSerialReference) {
     ids.push_back(service.submit(make_job("tenant" + std::to_string(j),
                                           scene)));
   }
+  // Two tenants ask for mixed precision on the same grid: both refine
+  // their solves on one cached build of the fp32 tables.
+  JobSpec mixed_spec = make_job("mixed", scene);
+  mixed_spec.dbim.precision = Precision::kMixed;
+  const std::size_t misses_before = cache.stats().misses;
+  std::vector<int> mixed_ids;
+  for (int j = 0; j < 2; ++j) mixed_ids.push_back(service.submit(mixed_spec));
   VCluster vc(2);
   service.run(vc);
 
   const ServiceStats ss = service.stats();
-  EXPECT_EQ(ss.submitted, 3u);
-  EXPECT_EQ(ss.completed, 3u);
+  EXPECT_EQ(ss.submitted, 5u);
+  EXPECT_EQ(ss.completed, 5u);
   EXPECT_EQ(ss.failed, 0u);
+  // The fp32 MLFMA tables are the only artifact the run built.
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
   const DbimResult gold = serial_reference(cache, make_job("ref", scene));
   for (const int id : ids) {
     const JobStatus st = service.status(id);
@@ -124,6 +133,12 @@ TEST(Service, CompletedJobsMatchSerialReference) {
     EXPECT_EQ(st.iterations, 3);
     expect_bit_identical(gold, service.result(id));
   }
+  const DbimResult mixed_gold = serial_reference(cache, mixed_spec);
+  for (const int id : mixed_ids) {
+    EXPECT_EQ(service.status(id).state, JobState::kCompleted);
+    expect_bit_identical(mixed_gold, service.result(id));
+  }
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
   // Three tenants, one configuration: the MLFMA tables and transceiver
   // panel were built once and amortised (the scenario's warm-up built
   // them; every service job hit).
