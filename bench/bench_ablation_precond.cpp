@@ -38,9 +38,9 @@ SolveCost cost_for(MlfmaEngine& engine, ccspan contrast, Mode mode) {
                    ring_positions(4, grid.domain()));
   const ccspan inc = trx.incident_field(0);
   cvec phi(grid.num_pixels(), cplx{});
-  const BlockBicgstabResult r = fs.solve_block(inc, phi, 1);
+  const bool converged = fs.solve(inc, phi, 1, 0.0, /*adjoint=*/false);
   SolveCost out;
-  out.iterations = r.converged ? r.rhs[0].iterations : -1;
+  out.iterations = converged ? fs.stats().per_solve_iterations.back() : -1;
   out.setup_seconds = fs.stats().precond_setup_seconds;
   return out;
 }

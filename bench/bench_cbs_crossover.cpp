@@ -115,16 +115,22 @@ int main() {
       for (const cplx& v : contrast) omax = std::max(omax, std::abs(v));
       const double strength = omax / (grid.k0() * grid.k0());
 
+      // Krylov iterations of the slowest column of the last solve.
+      auto slowest = [](const ForwardBackend& b) {
+        const auto& it = b.stats().per_solve_iterations;
+        return static_cast<std::size_t>(
+            *std::max_element(it.end() - kNrhs, it.end()));
+      };
       std::size_t cbs_iters = 0, mlfma_iters = 0;
       const SolveTiming c = time_solve(rhs, [&](cspan x) {
-        const bool ok = cbs.solve_panel(rhs, x, kNrhs, kTol);
-        cbs_iters = cbs.last_info().iterations;
+        const bool ok = cbs.solve(rhs, x, kNrhs, kTol, /*adjoint=*/false);
+        cbs_iters = slowest(cbs);
         return ok;
       });
       const SolveTiming m = time_solve(rhs, [&](cspan x) {
-        const BlockBicgstabResult res = fs.solve_block(rhs, x, kNrhs);
-        mlfma_iters = static_cast<std::size_t>(res.iterations);
-        return res.converged;
+        const bool ok = fs.solve(rhs, x, kNrhs, kTol, /*adjoint=*/false);
+        mlfma_iters = slowest(fs);
+        return ok;
       });
       all_converged = all_converged && c.converged;
       const bool both = c.converged && m.converged;

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "fft/fft.hpp"
 #include "fft/fft2.hpp"
 #include "forward/cbs.hpp"
 #include "forward/forward.hpp"
@@ -215,23 +214,9 @@ BENCHMARK(BM_BandTilePass)
     ->Args({128, 16, 0})
     ->UseRealTime();
 
-// The 1-D FFT through the shared plan cache (what fft()/ifft() do now)
-// against a fresh plan per call (what they used to do: twiddle tables or
-// the Bluestein chirp recomputed every time). Arg 96 exercises the
-// Bluestein path, where the setup dwarfs the transform itself.
-static void BM_FftPlanCached(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  cvec x(n);
-  rng.fill_cnormal(x);
-  (void)fft_plan(n);  // warm the cache: steady-state hit cost
-  for (auto _ : state) {
-    fft_plan(n)->forward(x);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_FftPlanCached)->Arg(128)->Arg(96)->Arg(254);
-
+// The 1-D FFT with a fresh plan per call, which is what fft()/ifft()
+// do: twiddle tables or the Bluestein chirp are built every time. Arg 96
+// exercises the Bluestein path, where the setup dwarfs the transform.
 static void BM_FftPlanPerCall(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
@@ -265,7 +250,7 @@ static void BM_CbsApply(benchmark::State& state) {
   rng.fill_cnormal(x);
   set_num_threads(static_cast<int>(state.range(2)));
   for (auto _ : state) {
-    cbs.apply_system_panel(x, y, nrhs);
+    cbs.apply_system(x, y, nrhs);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -304,8 +289,7 @@ static void BM_ForwardSolve(benchmark::State& state) {
   rng.fill_cnormal(rhs);
   for (auto _ : state) {
     std::fill(phi.begin(), phi.end(), cplx{});
-    const BlockBicgstabResult res = fs.solve_block(rhs, phi, 1);
-    benchmark::DoNotOptimize(res.iterations);
+    benchmark::DoNotOptimize(fs.solve(rhs, phi, 1, 0.0, /*adjoint=*/false));
   }
 }
 BENCHMARK(BM_ForwardSolve)->Unit(benchmark::kMillisecond);

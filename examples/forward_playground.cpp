@@ -10,6 +10,7 @@
 
 #include "forward/forward.hpp"
 #include "io/image.hpp"
+#include "linalg/kernels.hpp"
 #include "phantom/phantom.hpp"
 
 using namespace ffw;
@@ -36,14 +37,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  cvec field(n, cplx{});
-  const BlockBicgstabResult block = solver.solve_block(incident, field, 1);
-  const BicgstabResult& result = block.rhs[0];
+  cvec field(n, cplx{}), residual(n);
+  const bool converged =
+      solver.solve(incident, field, 1, 0.0, /*adjoint=*/false);
+  solver.apply_system(field, residual, 1);
+  const ForwardStats& stats = solver.stats();
   std::printf("cylinder: radius %.1f lambda, permittivity contrast %.3f\n",
               radius, contrast);
-  std::printf("BiCGStab: %d iterations, relative residual %.2e, %d MLFMA "
-              "products\n", result.iterations, result.relres,
-              result.matvecs);
+  std::printf("BiCGStab: %s, %d iterations, relative residual %.2e, %llu "
+              "MLFMA products\n", converged ? "converged" : "not converged",
+              static_cast<int>(stats.per_solve_iterations.back()),
+              rel_l2_diff(residual, incident),
+              static_cast<unsigned long long>(stats.operator_applications));
 
   write_pgm_magnitude("forward_field.pgm", grid, field);
   std::printf("wrote forward_field.pgm (total-field magnitude)\n");

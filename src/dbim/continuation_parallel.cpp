@@ -129,7 +129,7 @@ ContinuationResult continuation_reconstruct_parallel(
                                      scene->tree(), scene->transceivers(),
                                      scene->measurements(), opts,
                                      config.forward),
-          opts, config.forward, warm_start);
+          opts, warm_start);
       out.resources = std::move(pm);
       return out;
     };

@@ -52,7 +52,8 @@ DbimWorkspace::DbimWorkspace(std::unique_ptr<ForwardBackend> mlfma,
   load_incident(phi_b_);
 }
 
-void DbimWorkspace::set_backend(BackendKind policy, const CbsOptions& cbs_opts,
+void DbimWorkspace::set_backend(BackendKind policy,
+                                const BicgstabOptions& cbs_opts,
                                 std::shared_ptr<const CbsTables> tables) {
   policy_ = policy;
   escalated_ = false;
@@ -82,16 +83,12 @@ void DbimWorkspace::set_background(ccspan contrast, bool keep_fields) {
 }
 
 bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
-  // Eisenstat-Walker forcing: a positive forcing tolerance (always >=
-  // the solver's base tolerance, the driver clamps) loosens the target
-  // of every Krylov solve of this DBIM iteration. The ForwardBackend
-  // panel API threads the per-call tolerance through either engine.
-  const double tol =
-      forcing_tol_ > 0.0 ? std::max(forcing_tol_, base_tol_) : base_tol_;
+  // Eisenstat-Walker forcing loosens the target of every Krylov solve of
+  // this DBIM iteration, never below the solver's base tolerance.
+  const double tol = std::max(forcing_tol_, base_tol_);
   const std::size_t nrhs = lo_.nrhs;
   if (active_ == cbs_.get()) {
-    const bool ok = adjoint ? cbs_->solve_adjoint_panel(rhs, x, nrhs, tol)
-                            : cbs_->solve_panel(rhs, x, nrhs, tol);
+    const bool ok = cbs_->solve(rhs, x, nrhs, tol, adjoint);
     if (ok || policy_ != BackendKind::kAuto) return ok;
     // An FFT solve missed its tolerance under kAuto: redo this panel on
     // MLFMA (the partial iterate left in x is a serviceable warm start)
@@ -99,8 +96,7 @@ bool DbimWorkspace::block_solve(ccspan rhs, cspan x, bool adjoint) {
     escalated_ = true;
     active_ = mlfma_.get();
   }
-  return adjoint ? mlfma_->solve_adjoint_panel(rhs, x, nrhs, tol)
-                 : mlfma_->solve_panel(rhs, x, nrhs, tol);
+  return mlfma_->solve(rhs, x, nrhs, tol, adjoint);
 }
 
 void DbimWorkspace::load_incident(cspan blk) const {
@@ -388,14 +384,11 @@ DbimStepper::DbimStepper(MlfmaEngine& engine, const Transceivers& trx,
                          const BicgstabOptions& fw_opts,
                          ccspan initial_contrast)
     : DbimStepper(local_workspace(engine, trx, measured, opts, fw_opts), opts,
-                  fw_opts, initial_contrast) {}
+                  initial_contrast) {}
 
 DbimStepper::DbimStepper(std::unique_ptr<DbimWorkspace> ws,
-                         const DbimOptions& opts,
-                         const BicgstabOptions& fw_opts,
-                         ccspan initial_contrast)
+                         const DbimOptions& opts, ccspan initial_contrast)
     : opts_(opts),
-      fw_opts_(fw_opts),
       ws_(std::move(ws)),
       red_(ws_->reducer()),
       n_(ws_->num_pixels()) {
@@ -465,17 +458,14 @@ bool DbimStepper::step() {
   FFW_TRACE_SPAN("dbim.iteration", iter);
   if (opts.adaptive_forcing) {
     // Lagged Eisenstat-Walker forcing: every solve of this iteration
-    // targets c * (last outer residual), clamped to [base_tol, cap].
-    // On resume the lagged residual comes from the checkpointed
-    // history, so the recovered tolerances are bit-identical.
+    // targets c * (last outer residual), capped at forcing_cap (the
+    // workspace floors it at the base tolerance). On resume the lagged
+    // residual comes from the checkpointed history, so the recovered
+    // tolerances are bit-identical.
     const auto& hist = out.history.relative_residual;
-    const double base = fw_opts_.tol;
-    double ftol = std::max(base, opts.forcing_cap);
-    if (!hist.empty()) {
-      ftol = std::clamp(opts.forcing_c * hist.back(), base,
-                        std::max(base, opts.forcing_cap));
-    }
-    ws.set_forcing_tolerance(ftol);
+    ws.set_forcing_tolerance(
+        hist.empty() ? opts.forcing_cap
+                     : std::min(opts.forcing_c * hist.back(), opts.forcing_cap));
   }
   ws.set_background(out.contrast, opts.warm_start_fields);
 

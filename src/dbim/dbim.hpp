@@ -123,9 +123,10 @@ struct DbimOptions {
   /// an FFT solve fails to converge it redoes that panel on MLFMA and
   /// stays on MLFMA for the rest of the run.
   BackendKind backend = BackendKind::kMlfma;
-  /// FFT-backend configuration used by kCbs / kAuto (tolerance comes
-  /// from the forward BicgstabOptions + forcing, like every other solve).
-  CbsOptions cbs;
+  /// FFT-backend Krylov options used by kCbs / kAuto: its iteration cap
+  /// (tolerance comes from the forward BicgstabOptions + forcing, like
+  /// every other solve).
+  BicgstabOptions cbs = kCbsDefaults;
   /// Shared operator-table cache (borrowed; service/table_cache.hpp).
   /// When set, a kCbs / kAuto run obtains its CBS kernel spectrum and
   /// FFT plans, and a kMixed run its fp32 MLFMA tables, from the cache
@@ -214,7 +215,8 @@ class DbimWorkspace {
   /// Norm^2 of all measurements (for the relative residual).
   double measurement_norm2() const { return meas_norm2_; }
   /// Eisenstat-Walker hook: inner Krylov tolerance of subsequent block
-  /// solves (0 = the solver's base tolerance, which is always a floor).
+  /// solves. The solver's base tolerance is its floor (0 = the base):
+  /// the one place a forward tolerance is floored.
   void set_forcing_tolerance(double tol) { forcing_tol_ = tol; }
   /// Install the current background contrast (pass order).
   /// `keep_fields` retains the previous background fields as warm
@@ -256,7 +258,7 @@ class DbimWorkspace {
   /// kCbs / kAuto construct the FFT engine on the whole grid — from the
   /// shared `tables` artifact when one is supplied; call before the
   /// first set_background.
-  void set_backend(BackendKind policy, const CbsOptions& cbs_opts,
+  void set_backend(BackendKind policy, const BicgstabOptions& cbs_opts,
                    std::shared_ptr<const CbsTables> tables = nullptr);
   /// Backend the next block solve will run on (kAuto resolves to the
   /// FFT engine until a fallback).
@@ -329,7 +331,7 @@ class DbimStepper {
   /// Stepper over a workspace already configured for `opts`.
   /// `initial_contrast` and `opts.resume` are in natural order.
   DbimStepper(std::unique_ptr<DbimWorkspace> ws, const DbimOptions& opts,
-              const BicgstabOptions& fw_opts, ccspan initial_contrast = {});
+              ccspan initial_contrast = {});
   /// Releases the destroying thread's block scratch (linalg/scratch.hpp).
   ~DbimStepper();
   DbimStepper(const DbimStepper&) = delete;
@@ -357,7 +359,6 @@ class DbimStepper {
 
  private:
   DbimOptions opts_;
-  BicgstabOptions fw_opts_;
   std::unique_ptr<DbimWorkspace> ws_;
   DotReducer red_;
   DbimResult out_;

@@ -88,7 +88,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
     DbimStepper stepper(make_partitioned_workspace(comm, 0, ig, pm, tree, trx,
                                                    measured, opts,
                                                    config.forward),
-                        opts, config.forward);
+                        opts);
     while (stepper.step()) {
     }
     DbimResult res = stepper.result();

@@ -9,12 +9,12 @@ namespace ffw {
 
 void fft(cspan x) {
   if (x.size() <= 1) return;
-  fft_plan(x.size())->forward(x);
+  Fft1Plan<double>(x.size()).forward(x);
 }
 
 void ifft(cspan x) {
   if (x.size() <= 1) return;
-  fft_plan(x.size())->inverse(x);
+  Fft1Plan<double>(x.size()).inverse(x);
 }
 
 cvec fft_copy(ccspan x) {

@@ -8,10 +8,9 @@
 // interpolation operators, exact trigonometric resampling references in
 // tests, and phantom/image utilities.
 //
-// These free functions execute through the shared per-length plan cache
-// (fft/fft2.hpp): twiddle factors and Bluestein chirp tables are built
-// once per length instead of on every call. Planned 1-D/2-D transforms
-// for hot paths (the CBS forward backend) live in fft/fft2.hpp.
+// These free functions build an Fft1Plan (fft/fft2.hpp) on every call;
+// no production path calls them. Planned 1-D/2-D transforms for hot
+// paths (the CBS forward backend) live in fft/fft2.hpp.
 #pragma once
 
 #include "common/types.hpp"

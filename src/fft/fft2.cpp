@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <list>
-#include <mutex>
 #include <numbers>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
 #include "linalg/simd.hpp"
-#include "obs/obs.hpp"
 
 namespace ffw {
 
@@ -775,98 +771,5 @@ template class Fft1Plan<double>;
 template class Fft1Plan<float>;
 template class Fft2Plan<double>;
 template class Fft2Plan<float>;
-
-namespace {
-
-/// LRU-bounded per-length plan cache. The shared_ptr hand-out keeps an
-/// evicted plan alive until its last in-flight execution finishes.
-class PlanCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 64;
-
-  std::shared_ptr<const Fft1Plan<double>> get(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      auto it = index_.find(n);
-      if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++hits_;
-        obs::add(obs::Counter::kFftPlanHits, 1);
-        return it->second->second;
-      }
-    }
-    // Build outside the lock: planning a large Bluestein length must not
-    // block concurrent transforms of other lengths.
-    auto plan = std::make_shared<const Fft1Plan<double>>(n);
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = index_.find(n);
-    if (it != index_.end()) {  // raced with another builder: reuse theirs
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++hits_;
-      obs::add(obs::Counter::kFftPlanHits, 1);
-      return it->second->second;
-    }
-    ++misses_;
-    obs::add(obs::Counter::kFftPlanMisses, 1);
-    lru_.emplace_front(n, std::move(plan));
-    index_[n] = lru_.begin();
-    shrink_locked();
-    return lru_.front().second;
-  }
-
-  FftPlanCacheStats stats() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return {hits_, misses_, lru_.size(), capacity_};
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lk(mu_);
-    lru_.clear();
-    index_.clear();
-    hits_ = misses_ = 0;
-  }
-
-  std::size_t set_capacity(std::size_t entries) {
-    std::lock_guard<std::mutex> lk(mu_);
-    const std::size_t prev = capacity_;
-    capacity_ = std::max<std::size_t>(1, entries);
-    shrink_locked();
-    return prev;
-  }
-
- private:
-  void shrink_locked() {
-    while (lru_.size() > capacity_) {
-      index_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-  }
-
-  using Entry = std::pair<std::size_t, std::shared_ptr<const Fft1Plan<double>>>;
-  std::mutex mu_;
-  std::list<Entry> lru_;
-  std::unordered_map<std::size_t, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0, misses_ = 0;
-  std::size_t capacity_ = kDefaultCapacity;
-};
-
-PlanCache& plan_cache() {
-  static PlanCache* cache = new PlanCache;  // leaked: outlives rank threads
-  return *cache;
-}
-
-}  // namespace
-
-std::shared_ptr<const Fft1Plan<double>> fft_plan(std::size_t n) {
-  return plan_cache().get(n);
-}
-
-FftPlanCacheStats fft_plan_cache_stats() { return plan_cache().stats(); }
-
-void fft_plan_cache_clear() { plan_cache().clear(); }
-
-std::size_t fft_plan_cache_set_capacity(std::size_t entries) {
-  return plan_cache().set_capacity(entries);
-}
 
 }  // namespace ffw

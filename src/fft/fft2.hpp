@@ -188,25 +188,4 @@ class Fft2Plan {
   Fft1Plan<T> col_plan_;  // length rows: applied to each column
 };
 
-/// Shared per-length fp64 1-D plan cache behind fft()/ifft()/fft_copy():
-/// thread-safe, LRU-bounded. Hits return a shared_ptr so an eviction
-/// never invalidates a plan another thread is still executing.
-std::shared_ptr<const Fft1Plan<double>> fft_plan(std::size_t n);
-
-struct FftPlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-  std::size_t capacity = 0;
-};
-FftPlanCacheStats fft_plan_cache_stats();
-void fft_plan_cache_clear();
-
-/// Reconfigures the plan cache's LRU capacity (entries; clamped to >= 1)
-/// and returns the previous capacity. Shrinking evicts least-recently
-/// used plans immediately — in-flight executions keep their shared_ptr.
-/// Hits and misses are also exported as the obs counters
-/// `fft_plan_hits` / `fft_plan_misses`.
-std::size_t fft_plan_cache_set_capacity(std::size_t entries);
-
 }  // namespace ffw

@@ -9,7 +9,6 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "forward/refined.hpp"
 #include "greens/greens.hpp"
 #include "linalg/scratch.hpp"
 #include "linalg/simd.hpp"
@@ -106,11 +105,11 @@ std::size_t CbsTables::bytes() const {
   return g0hat.size() * sizeof(cplx) + g0hat32.size() * sizeof(cplx32);
 }
 
-CbsEngine::CbsEngine(const Grid& grid, const CbsOptions& opts)
+CbsEngine::CbsEngine(const Grid& grid, const BicgstabOptions& opts)
     : CbsEngine(std::make_shared<const CbsTables>(grid), opts) {}
 
 CbsEngine::CbsEngine(std::shared_ptr<const CbsTables> tables,
-                     const CbsOptions& opts)
+                     const BicgstabOptions& opts)
     : tables_(std::move(tables)),
       grid_(tables_->grid),
       opts_(opts),
@@ -189,21 +188,11 @@ void CbsEngine::convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint) {
   });
 }
 
-void CbsEngine::apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
-                                   bool adjoint) {
+void CbsEngine::apply_system(ccspan x, cspan y, std::size_t nrhs,
+                             bool adjoint) {
   FFW_CHECK_MSG(contrast_nat_.size() == n_, "set_contrast before apply");
   FFW_CHECK(x.size() == n_ * nrhs && y.size() == n_ * nrhs);
   convolve<double>(x, y, nrhs, adjoint);
-}
-
-bool CbsEngine::solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
-                            double tol) {
-  return solve(rhs, phi, nrhs, tol, /*adjoint=*/false);
-}
-
-bool CbsEngine::solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
-                                    double tol) {
-  return solve(rhs, psi, nrhs, tol, /*adjoint=*/true);
 }
 
 bool CbsEngine::solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
@@ -211,35 +200,14 @@ bool CbsEngine::solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
   FFW_CHECK_MSG(contrast_nat_.size() == n_, "set_contrast before solve");
   FFW_CHECK(rhs.size() == n_ * nrhs && x.size() == n_ * nrhs);
   FFW_TRACE_SPAN("cbs.solve", static_cast<std::int64_t>(nrhs));
-  const BlockLayout lo{n_, nrhs, 1};
-  std::uint64_t applies = 0;
-  const BlockLinearOp a64 = [&](ccspan in, cspan out) {
-    ++applies;
-    convolve<double>(in, out, nrhs, adjoint);
-  };
-  const BlockLinearOp a32 = [&](ccspan in, cspan out) {
-    ++applies;
-    convolve<float>(in, out, nrhs, adjoint);
-  };
-  // The defaults ForwardSolver refines with (the inner tolerance never
-  // tighter than the outer one), capped at max_iterations.
-  const int cap = static_cast<int>(opts_.max_iterations);
-  RefinedOptions ro;
-  ro.tol = tol > 0.0 ? tol : opts_.tol;
-  ro.inner.tol = std::max(ro.inner.tol, ro.tol);
-  ro.inner.max_iterations = std::min(ro.inner.max_iterations, cap);
-  ro.fallback_max_iterations = cap;
-  const RefinedResult res = refined_block_bicgstab(a64, a32, rhs, x, lo, ro);
-  info_ = {res.converged, static_cast<std::size_t>(res.block_iterations),
-           res.relres};
-  stats_.bicgs_iterations += res.inner_iterations + res.fallback_iterations;
-  for (const int it : res.column_iterations) {
-    stats_.per_solve_iterations.push_back(static_cast<std::uint16_t>(it));
-  }
-  obs::add(obs::Counter::kCbsIterations, info_.iterations);
-  stats_.solves += nrhs;
-  stats_.operator_applications += applies * nrhs;
-  return info_.converged;
+  const ForwardSystem sys{
+      [&](ccspan in, cspan out) { convolve<double>(in, out, nrhs, adjoint); },
+      [&](ccspan in, cspan out) { convolve<float>(in, out, nrhs, adjoint); },
+      BlockLayout{n_, nrhs, 1}};
+  const ForwardSolveResult res = forward_solve(sys, rhs, x, tol, opts_, stats_);
+  obs::add(obs::Counter::kCbsIterations,
+           static_cast<std::uint64_t>(res.block_iterations));
+  return res.converged;
 }
 
 }  // namespace ffw

@@ -1,8 +1,9 @@
 // FFT forward backend: solves the volume integral equation
 // [I - G0 diag(O)] phi = rhs with the Richmond-kernel product applied as
 // an exact aperiodic convolution (zero padding to P = bit_ceil(2 nx - 1)
-// and one padded FFT round trip), under the same block BiCGStab that
-// solves the MLFMA system (forward/block_bicgstab.hpp; paper Sec. VI-A).
+// and one padded FFT round trip), through the same Krylov routine that
+// solves the MLFMA system (forward_solve, forward/backend.hpp; paper
+// Sec. VI-A).
 // Both backends therefore discretise and solve the identical system, and
 // their answers agree to ~1e-6 (tests/cbs_test.cpp).
 //
@@ -14,8 +15,9 @@
 // output. The transforms never leave transform order (bit-reversed
 // spectra, no permutation, no 1/P^2 sweep, the zero half pruned), and
 // the scratch is one P x Fft2Plan::pitch() panel per thread. Every
-// solve runs mixed-precision iterative refinement (forward/refined.hpp):
-// the Krylov sweeps apply an fp32 pipeline (pack, transform and
+// solve hands forward_solve both pipelines, so it runs mixed-precision
+// iterative refinement (forward/refined.hpp): the Krylov sweeps apply
+// an fp32 pipeline (pack, transform and
 // kernel-symbol multiply in fp32, the identity and the contrast diagonal
 // in fp64), while residuals, convergence and the stall fallback use the
 // fp64 operator. The backend has no precision option (DESIGN.md
@@ -34,14 +36,11 @@
 
 namespace ffw {
 
-struct CbsOptions {
-  /// Per-column relative residual target ||rhs - A x|| / ||rhs||, used
-  /// when a solve passes tol = 0.
-  double tol = 1e-8;
-  /// Iteration cap of every block BiCGStab run of one solve: the fp64
-  /// fallback, and each fp32 sweep up to its own cap.
-  std::size_t max_iterations = 600;
-};
+/// The FFT backend's Krylov options (DbimOptions::cbs): the relative
+/// residual target of a solve that passes tol = 0, and the iteration cap
+/// of every Krylov run of one solve (each fp32 sweep up to its own cap
+/// of 200, and the fp64 fallback).
+inline constexpr BicgstabOptions kCbsDefaults{1e-8, 600};
 
 /// Read-only, shareable CBS table artifact: the contrast-independent
 /// state of the backend — the padded-FFT plans and the Richmond-kernel
@@ -69,48 +68,35 @@ struct CbsTables {
   std::size_t bytes() const;
 };
 
-/// Diagnostics of the most recent panel solve.
-struct CbsSolveInfo {
-  bool converged = false;
-  /// Block BiCGStab iterations, summed over every run of the solve
-  /// (refinement sweeps and fallback).
-  std::size_t iterations = 0;
-  /// Max over columns of the final relative residual (fp64).
-  double final_residual = 0.0;
-};
-
 class CbsEngine final : public ForwardBackend {
  public:
   /// Convenience constructor: builds a private CbsTables artifact.
-  explicit CbsEngine(const Grid& grid, const CbsOptions& opts = {});
+  explicit CbsEngine(const Grid& grid,
+                     const BicgstabOptions& opts = kCbsDefaults);
   /// Shares a prebuilt artifact (see CbsTables); construction then costs
   /// nothing but the options.
   explicit CbsEngine(std::shared_ptr<const CbsTables> tables,
-                     const CbsOptions& opts = {});
+                     const BicgstabOptions& opts = kCbsDefaults);
   ~CbsEngine() override;
 
   BackendKind kind() const override { return BackendKind::kCbs; }
   void set_contrast(ccspan contrast) override;
   ccspan contrast() const override { return contrast_nat_; }
 
-  bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
-                   double tol) override;
-  bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
-                           double tol) override;
+  /// Every solve runs fp32 sweeps under fp64 refinement.
+  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
+             bool adjoint) override;
 
   /// y = [I - G0 O] x (forward) or [I - G0 O]^H x (adjoint) over panels,
   /// in fp64, with the Richmond-kernel product an exact (aperiodic)
   /// padded-FFT convolution: the operator the solves judge convergence
   /// on, exposed for tests.
-  void apply_system_panel(ccspan x, cspan y, std::size_t nrhs,
-                          bool adjoint = false);
+  void apply_system(ccspan x, cspan y, std::size_t nrhs, bool adjoint = false);
 
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
 
   const Grid& grid() const { return grid_; }
-  const CbsOptions& options() const { return opts_; }
-  const CbsSolveInfo& last_info() const { return info_; }
   /// Padded transform side length P = bit_ceil(2 nx - 1).
   std::size_t padded() const { return pad_n_; }
 
@@ -123,19 +109,17 @@ class CbsEngine final : public ForwardBackend {
   /// precision T, and the crop subtracts. y may alias x.
   template <typename T>
   void convolve(ccspan x, cspan y, std::size_t nrhs, bool adjoint);
-  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol, bool adjoint);
 
   // Immutable shared tables (kernel spectrum + FFT plans); the contrast
   // is the only per-engine state of the operator.
   std::shared_ptr<const CbsTables> tables_;
   Grid grid_;
-  CbsOptions opts_;
+  BicgstabOptions opts_;
   std::size_t n_ = 0;      // pixels
   std::size_t pad_n_ = 0;  // padded side P (power of two)
   cvec contrast_nat_;      // O, natural order
 
   ForwardStats stats_;
-  CbsSolveInfo info_;
 };
 
 }  // namespace ffw

@@ -1,13 +1,39 @@
 #include "forward/forward.hpp"
 
-#include <algorithm>
-
 #include "common/timer.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/scratch.hpp"
 #include "obs/obs.hpp"
 
 namespace ffw {
+
+namespace {
+
+/// [I - G0 O] (adjoint: [I - G0 O]^H) over the leaf-blocked layout `lo`
+/// with the cluster-order contrast `o`; `g0(in, out, herm)` applies G0
+/// (G0^H when herm) to a block vector. The MLFMA backends' one system
+/// apply.
+template <typename G0>
+BlockLinearOp system_apply(const BlockLayout& lo, ccspan o, bool adjoint,
+                           G0 g0) {
+  return [lo, o, adjoint, g0](ccspan x, cspan y) {
+    if (adjoint) {
+      // Y = X - conj(O) .* (G0^H X).
+      g0(x, y, true);
+      block_identity_minus_conj_diag(lo, o, x, y);
+      return;
+    }
+    // Y = X - G0 (O .* X): the diagonal contrast is indexed per cluster
+    // pixel and reused across all columns of a panel.
+    ScratchFrame frame;
+    const cspan work = frame.vec(lo.size());
+    block_diag_mul(lo, o, x, work);
+    g0(work, y, false);
+    block_identity_minus(lo, x, y);
+  };
+}
+
+}  // namespace
 
 ForwardSolver::ForwardSolver(MlfmaEngine& engine, const BicgstabOptions& opts,
                              std::shared_ptr<const OperatorTables> tables32)
@@ -60,35 +86,26 @@ void ForwardSolver::refresh_preconditioner() {
   stats_.precond_setups.push_back(seconds);
 }
 
-PrecondContext ForwardSolver::precond_ctx(std::size_t nrhs, bool herm) const {
-  if (near_precond_ == nullptr) return {};
-  return PrecondContext{near_precond_.get(), block_layout(nrhs), herm};
-}
-
 BlockLayout ForwardSolver::block_layout(std::size_t nrhs) const {
   const QuadTree& tree = engine_->tree();
   return BlockLayout{static_cast<std::size_t>(tree.pixels_per_leaf()), nrhs,
                      tree.num_leaves()};
 }
 
-void ForwardSolver::op_block_on(MlfmaEngine& eng, ccspan x, cspan y,
-                                const BlockLayout& lo, bool adjoint) {
-  if (adjoint) {
-    // Y = X - conj(O) .* (G0^H X).
-    eng.apply_herm_block(x, y, lo.nrhs);
-    block_identity_minus_conj_diag(lo, contrast_clu_, x, y);
-    return;
-  }
-  // Y = X - G0 (O .* X): the diagonal contrast is indexed per cluster
-  // pixel and reused across all columns of a panel.
-  ScratchFrame frame;
-  const cspan work = frame.vec(lo.size());
-  block_diag_mul(lo, contrast_clu_, x, work);
-  eng.apply_block(work, y, lo.nrhs);
-  block_identity_minus(lo, x, y);
+BlockLinearOp ForwardSolver::system_op(MlfmaEngine& eng, const BlockLayout& lo,
+                                       bool adjoint) const {
+  return system_apply(lo, contrast_clu_, adjoint,
+                      [&eng, nrhs = lo.nrhs](ccspan in, cspan out, bool herm) {
+                        if (herm) {
+                          eng.apply_herm_block(in, out, nrhs);
+                        } else {
+                          eng.apply_block(in, out, nrhs);
+                        }
+                      });
 }
 
-void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs) {
+void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs,
+                                 bool adjoint) {
   const std::size_t n = contrast_nat_.size();
   FFW_CHECK(x.size() == n * nrhs && y.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
@@ -96,13 +113,12 @@ void ForwardSolver::apply_system(ccspan x, cspan y, std::size_t nrhs) {
   ScratchFrame frame;
   const cspan xb = frame.vec(lo.size()), yb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), x, xb);
-  op_block_on(*engine_, xb, yb, lo, /*adjoint=*/false);
+  system_op(*engine_, lo, adjoint)(xb, yb);
   block_unpack_natural(lo, tree.perm(), yb, y);
 }
 
-BlockBicgstabResult ForwardSolver::block_solve(ccspan rhs, cspan x,
-                                               std::size_t nrhs, double tol,
-                                               bool adjoint) {
+bool ForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
+                          bool adjoint) {
   const std::size_t n = contrast_nat_.size();
   FFW_CHECK(rhs.size() == n * nrhs && x.size() == n * nrhs);
   const QuadTree& tree = engine_->tree();
@@ -110,105 +126,13 @@ BlockBicgstabResult ForwardSolver::block_solve(ccspan rhs, cspan x,
   ScratchFrame frame;
   const cspan b = frame.vec(lo.size()), xb = frame.vec(lo.size());
   block_pack_natural(lo, tree.perm(), rhs, b);
-  block_pack_natural(lo, tree.perm(), ccspan{x.data(), x.size()}, xb);
-  BicgstabOptions opts = opts_;
-  if (tol > 0.0) opts.tol = tol;
-  const std::uint64_t before = engine_->phase_times().applications;
-  const BlockBicgstabResult res = block_bicgstab(
-      [this, &lo, adjoint](ccspan in, cspan out) {
-        op_block_on(*engine_, in, out, lo, adjoint);
-      },
-      b, xb, lo, opts, {}, precond_ctx(nrhs, adjoint));
-  stats_.solves += res.rhs.size();
-  stats_.bicgs_iterations += res.total_iterations();
-  stats_.operator_applications += engine_->phase_times().applications - before;
-  for (const auto& r : res.rhs) {
-    stats_.per_solve_iterations.push_back(
-        static_cast<std::uint16_t>(r.iterations));
-  }
+  block_pack_natural(lo, tree.perm(), x, xb);
+  ForwardSystem sys{system_op(*engine_, lo, adjoint), {}, lo, {},
+                    PrecondContext{near_precond_.get(), lo, adjoint}};
+  if (mixed_ != nullptr) sys.a32 = system_op(*mixed_, lo, adjoint);
+  const bool converged = forward_solve(sys, b, xb, tol, opts_, stats_).converged;
   block_unpack_natural(lo, tree.perm(), xb, x);
-  return res;
-}
-
-BlockBicgstabResult ForwardSolver::solve_block(ccspan rhs, cspan phi,
-                                               std::size_t nrhs) {
-  return block_solve(rhs, phi, nrhs, 0.0, /*adjoint=*/false);
-}
-
-BlockBicgstabResult ForwardSolver::solve_adjoint_block(ccspan rhs, cspan psi,
-                                                       std::size_t nrhs) {
-  return block_solve(rhs, psi, nrhs, 0.0, /*adjoint=*/true);
-}
-
-RefinedResult ForwardSolver::refined_solve(ccspan rhs, cspan x,
-                                           std::size_t nrhs,
-                                           const RefinedOptions& opts,
-                                           bool adjoint) {
-  FFW_CHECK_MSG(mixed_ != nullptr,
-                "refined block solves need the solver's fp32 tables");
-  const std::size_t n = contrast_nat_.size();
-  FFW_CHECK(rhs.size() == n * nrhs && x.size() == n * nrhs);
-  const QuadTree& tree = engine_->tree();
-  const BlockLayout lo = block_layout(nrhs);
-  ScratchFrame frame;
-  const cspan b = frame.vec(lo.size()), xb = frame.vec(lo.size());
-  block_pack_natural(lo, tree.perm(), rhs, b);
-  block_pack_natural(lo, tree.perm(), ccspan{x.data(), x.size()}, xb);
-  const std::uint64_t before = engine_->phase_times().applications +
-                               mixed_->phase_times().applications;
-  const RefinedResult res = refined_block_bicgstab(
-      [this, &lo, adjoint](ccspan in, cspan out) {
-        op_block_on(*engine_, in, out, lo, adjoint);
-      },
-      [this, &lo, adjoint](ccspan in, cspan out) {
-        op_block_on(*mixed_, in, out, lo, adjoint);
-      },
-      b, xb, lo, opts, {}, precond_ctx(nrhs, adjoint));
-  stats_.solves += nrhs;
-  stats_.bicgs_iterations += res.inner_iterations + res.fallback_iterations;
-  stats_.operator_applications += engine_->phase_times().applications +
-                                  mixed_->phase_times().applications - before;
-  for (const int it : res.column_iterations) {
-    stats_.per_solve_iterations.push_back(static_cast<std::uint16_t>(it));
-  }
-  block_unpack_natural(lo, tree.perm(), xb, x);
-  return res;
-}
-
-RefinedResult ForwardSolver::solve_block_refined(ccspan rhs, cspan phi,
-                                                 std::size_t nrhs,
-                                                 const RefinedOptions& opts) {
-  return refined_solve(rhs, phi, nrhs, opts, /*adjoint=*/false);
-}
-
-RefinedResult ForwardSolver::solve_adjoint_block_refined(
-    ccspan rhs, cspan psi, std::size_t nrhs, const RefinedOptions& opts) {
-  return refined_solve(rhs, psi, nrhs, opts, /*adjoint=*/true);
-}
-
-bool ForwardSolver::panel_solve_impl(ccspan rhs, cspan x, std::size_t nrhs,
-                                     double tol, bool adjoint) {
-  const double base = opts_.tol;
-  const double target = tol > 0.0 ? std::max(tol, base) : base;
-  if (mixed_ != nullptr) {
-    RefinedOptions ro;
-    ro.tol = target;
-    // A loose outer target makes ultra-tight inner sweeps pointless:
-    // keep the inner tolerance at least as loose as the outer one.
-    ro.inner.tol = std::max(ro.inner.tol, target);
-    return refined_solve(rhs, x, nrhs, ro, adjoint).converged;
-  }
-  return block_solve(rhs, x, nrhs, target, adjoint).converged;
-}
-
-bool ForwardSolver::solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
-                                double tol) {
-  return panel_solve_impl(rhs, phi, nrhs, tol, /*adjoint=*/false);
-}
-
-bool ForwardSolver::solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
-                                        double tol) {
-  return panel_solve_impl(rhs, psi, nrhs, tol, /*adjoint=*/true);
+  return converged;
 }
 
 PartitionedForwardSolver::PartitionedForwardSolver(Comm& comm, int rank_base,
@@ -244,6 +168,7 @@ bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
                                      double tol, bool adjoint) {
   const BlockLayout lo{
       static_cast<std::size_t>(pm_->tree().pixels_per_leaf()), nrhs, leaves_};
+  FFW_CHECK(rhs.size() == lo.size() && x.size() == lo.size());
   const DotReducer tree_sum{
       [this](cspan v) {
         FFW_TRACE_SPAN("krylov.reduce");
@@ -253,40 +178,17 @@ bool PartitionedForwardSolver::solve(ccspan rhs, cspan x, std::size_t nrhs,
         FFW_TRACE_SPAN("krylov.reduce");
         comm_->group_allreduce_sum(v, group_);
       }};
-  BicgstabOptions o = opts_;
-  if (tol > 0.0) o.tol = std::max(tol, o.tol);
-  const BlockBicgstabResult res = block_bicgstab(
-      [&](ccspan in, cspan out) {
-        if (adjoint) {
-          // Y = X - conj(O) .* (G0^H X).
+  const BlockLinearOp op = system_apply(
+      lo, contrast_, adjoint, [this, nrhs](ccspan in, cspan out, bool herm) {
+        if (herm) {
           pm_->apply_herm_block(*comm_, in, out, nrhs, rank_base_);
-          block_identity_minus_conj_diag(lo, contrast_, in, out);
         } else {
-          // Y = X - G0 (O .* X).
-          ScratchFrame frame;
-          const cspan work = frame.vec(lo.size());
-          block_diag_mul(lo, contrast_, in, work);
-          pm_->apply_block(*comm_, work, out, nrhs, rank_base_);
-          block_identity_minus(lo, in, out);
+          pm_->apply_block(*comm_, in, out, nrhs, rank_base_);
         }
-      },
-      rhs, x, lo, o, tree_sum, PrecondContext{precond_.get(), lo, adjoint});
-  stats_.solves += nrhs;
-  stats_.operator_applications +=
-      static_cast<std::uint64_t>(res.block_matvecs) * nrhs;
-  stats_.bicgs_iterations += res.total_iterations();
-  return res.converged;
-}
-
-bool PartitionedForwardSolver::solve_panel(ccspan rhs, cspan phi,
-                                           std::size_t nrhs, double tol) {
-  return solve(rhs, phi, nrhs, tol, /*adjoint=*/false);
-}
-
-bool PartitionedForwardSolver::solve_adjoint_panel(ccspan rhs, cspan psi,
-                                                   std::size_t nrhs,
-                                                   double tol) {
-  return solve(rhs, psi, nrhs, tol, /*adjoint=*/true);
+      });
+  const ForwardSystem sys{op, {}, lo, tree_sum,
+                          PrecondContext{precond_.get(), lo, adjoint}};
+  return forward_solve(sys, rhs, x, tol, opts_, stats_).converged;
 }
 
 }  // namespace ffw

@@ -5,15 +5,15 @@
 // Two MLFMA backends: ForwardSolver on the whole grid (every public
 // vector in natural, row-major pixel order; the solver converts to/from
 // the engine's cluster order internally), and PartitionedForwardSolver
-// on one rank's leaf slice of a PartitionedMlfma tree group.
+// on one rank's leaf slice of a PartitionedMlfma tree group. Both build
+// [I - G0 O] with one system apply and solve through forward_solve
+// (forward/backend.hpp).
 #pragma once
 
 #include <memory>
 
 #include "forward/backend.hpp"
-#include "forward/block_bicgstab.hpp"
 #include "forward/precond.hpp"
-#include "forward/refined.hpp"
 #include "mlfma/engine.hpp"
 #include "mlfma/partitioned.hpp"
 
@@ -50,77 +50,34 @@ class ForwardSolver : public ForwardBackend {
   void set_contrast(ccspan contrast) override;
   ccspan contrast() const override { return contrast_nat_; }
 
-  /// Multi-RHS solve: [I - G0 O] phi_r = rhs_r for all nrhs columns in
-  /// one block BiCGStab (one blocked MLFMA apply per Krylov iteration
-  /// for the whole transmitter set). `rhs` and `phi` are column-major
-  /// natural-order panels (N rows, nrhs columns, column stride N); `phi`
-  /// carries initial guesses in and solutions out.
-  BlockBicgstabResult solve_block(ccspan rhs, cspan phi, std::size_t nrhs);
-
-  /// Multi-RHS adjoint solve: [I - G0 O]^H psi_r = rhs_r.
-  BlockBicgstabResult solve_adjoint_block(ccspan rhs, cspan psi,
-                                          std::size_t nrhs);
-
-  /// Mixed-precision iterative refinement solve of [I - G0 O] phi = rhs
-  /// over all columns (needs precision() == kMixed): inner
-  /// block-BiCGStab sweeps run on the fp32 engine, outer
-  /// residuals/masking in fp64 on the primary
-  /// engine, automatic pure-fp64 fallback on stall (forward/refined.hpp).
-  /// Reaches fp64-level tolerances (default 1e-8) at mixed-engine speed.
-  /// The near-field block preconditioner (if enabled) right-preconditions
-  /// the inner sweeps and the fallback.
-  RefinedResult solve_block_refined(ccspan rhs, cspan phi, std::size_t nrhs,
-                                    const RefinedOptions& opts = {});
-
-  /// Mixed-precision refinement of the Hermitian-transposed system
-  /// [I - G0 O]^H psi = rhs (the step-length solves of DBIM run at
-  /// mixed speed too — G0 is complex-symmetric, so the mixed engine's
-  /// conjugated apply serves as the inner adjoint operator).
-  RefinedResult solve_adjoint_block_refined(ccspan rhs, cspan psi,
-                                            std::size_t nrhs,
-                                            const RefinedOptions& opts = {});
-
-  /// Y_r = [I - G0 O] X_r over natural-order column-major panels,
-  /// without solving (for residual checks / tests).
-  void apply_system(ccspan x, cspan y, std::size_t nrhs);
+  /// Y_r = [I - G0 O] X_r, or [I - G0 O]^H X_r when `adjoint`, over
+  /// natural-order column-major panels on the fp64 engine, without
+  /// solving (residual checks, tests).
+  void apply_system(ccspan x, cspan y, std::size_t nrhs, bool adjoint = false);
 
   // --- ForwardBackend interface (forward/backend.hpp) --------------------
-  // The panel entry points route to the refined mixed-precision block
-  // solves under kMixed, and to the plain block BiCGStab otherwise.
-  // `tol` overrides the configured tolerance for this call
-  // only (0 keeps it), which is how Eisenstat-Walker forcing flows
-  // through the backend-neutral API.
   BackendKind kind() const override { return BackendKind::kMlfma; }
-  bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
-                   double tol) override;
-  bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
-                           double tol) override;
+  /// One block BiCGStab over all nrhs columns (one blocked MLFMA apply
+  /// per Krylov apply for the whole transmitter set) on natural-order
+  /// column-major panels (N rows, nrhs columns, column stride N). Under
+  /// kMixed the Krylov sweeps run on the fp32 engine under fp64
+  /// refinement (forward/refined.hpp). The near-field block
+  /// preconditioner, when enabled, right-preconditions every sweep.
+  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
+             bool adjoint) override;
 
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
 
   MlfmaEngine& engine() { return *engine_; }
   const QuadTree& tree() const { return engine_->tree(); }
-  const BicgstabOptions& options() const { return opts_; }
 
  private:
-  // Unpreconditioned blocked [I - G0 O] (or its adjoint) over the
-  // leaf-interleaved block layout on an explicit engine (the refined
-  // solve runs it against both the fp64 and the mixed engine).
-  void op_block_on(MlfmaEngine& eng, ccspan x, cspan y, const BlockLayout& lo,
-                   bool adjoint);
+  // Blocked [I - G0 O] (or its adjoint) over the leaf-interleaved block
+  // layout on `eng`: the fp64 engine, or the fp32 one under kMixed.
+  BlockLinearOp system_op(MlfmaEngine& eng, const BlockLayout& lo,
+                          bool adjoint) const;
   BlockLayout block_layout(std::size_t nrhs) const;
-  // `tol` overrides the configured tolerance for this call (0 keeps it).
-  BlockBicgstabResult block_solve(ccspan rhs, cspan x, std::size_t nrhs,
-                                  double tol, bool adjoint);
-  RefinedResult refined_solve(ccspan rhs, cspan x, std::size_t nrhs,
-                              const RefinedOptions& opts, bool adjoint);
-  bool panel_solve_impl(ccspan rhs, cspan x, std::size_t nrhs, double tol,
-                        bool adjoint);
-  /// Handle for the Krylov solvers: the active near-field block
-  /// preconditioner over `nrhs` columns, or empty (identity) when
-  /// disabled.
-  PrecondContext precond_ctx(std::size_t nrhs, bool herm) const;
   void refresh_preconditioner();
 
   MlfmaEngine* engine_;
@@ -153,16 +110,12 @@ class PartitionedForwardSolver final : public ForwardBackend {
   BackendKind kind() const override { return BackendKind::kMlfma; }
   void set_contrast(ccspan contrast) override;
   ccspan contrast() const override { return contrast_; }
-  bool solve_panel(ccspan rhs, cspan phi, std::size_t nrhs,
-                   double tol) override;
-  bool solve_adjoint_panel(ccspan rhs, cspan psi, std::size_t nrhs,
-                           double tol) override;
+  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol,
+             bool adjoint) override;
   const ForwardStats& stats() const override { return stats_; }
   void clear_stats() override { stats_.clear(); }
 
  private:
-  bool solve(ccspan rhs, cspan x, std::size_t nrhs, double tol, bool adjoint);
-
   Comm* comm_;
   int rank_base_;
   const PartitionedMlfma* pm_;

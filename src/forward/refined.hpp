@@ -16,6 +16,11 @@
 // where the fp32 operator error excites a badly-conditioned mode), the
 // solve falls back to pure fp64 block BiCGStab from the current iterate
 // — correctness never depends on the accelerator.
+//
+// Production solves reach it only through forward_solve
+// (forward/backend.hpp), the one place that builds RefinedOptions from a
+// backend's BicgstabOptions: a ForwardSolver built with fp32 tables and
+// every CbsEngine solve.
 #pragma once
 
 #include "forward/block_bicgstab.hpp"

@@ -50,8 +50,9 @@ enum class Counter : int {
                             // next change to the benchmark, which reads it
   kCbsIterations,           // FFT-backend block BiCGStab iterations
   kFftNs,                   // time in padded-FFT operator applies, pack to crop
-  kFftPlanHits,             // fp64 1-D FFT plan-cache hits (fft/fft2)
-  kFftPlanMisses,           // fp64 1-D FFT plan-cache misses (plans built)
+  kFftPlanHits,             // retired with the 1-D FFT plan cache: never
+  kFftPlanMisses,           // incremented; deleted with the next change to
+                            // the benchmark, which reads them
   kTableCacheHits,          // OperatorTableCache hits (service/table_cache)
   kTableCacheMisses,        // OperatorTableCache misses (artifacts built)
   kTableCacheEvictions,     // OperatorTableCache LRU evictions

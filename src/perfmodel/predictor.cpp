@@ -105,8 +105,9 @@ CalibratedRates calibrate(int nx, int applies) {
       Transceivers trx(grid, ring_positions(1, d), ring_positions(4, d));
       const ccspan inc = trx.incident_field(0);
       cvec phi(grid.num_pixels(), cplx{});
-      const BlockBicgstabResult r = fs.solve_block(inc, phi, 1);
-      iters.push_back(std::max(1.0, static_cast<double>(r.rhs[0].iterations)));
+      fs.solve(inc, phi, 1, 0.0, /*adjoint=*/false);
+      iters.push_back(std::max(
+          1.0, static_cast<double>(fs.stats().per_solve_iterations.back())));
     }
     rates.bicgs_domain_exponent =
         std::log(iters.back() / iters.front()) / std::log(128.0 / 32.0);

@@ -16,7 +16,7 @@ CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
   for (std::size_t t = 0; t < t_count; ++t) {
     const ccspan inc = trx.incident_field(static_cast<int>(t));
     copy(inc, phi);  // incident field as the initial guess
-    FFW_CHECK_MSG(solver.solve_block(inc, phi, 1).converged,
+    FFW_CHECK_MSG(solver.solve(inc, phi, 1, 0.0, /*adjoint=*/false),
                   "measurement synthesis forward solve failed");
     diag_mul(contrast, phi, cspan{ophi.data() + t * n, n});
   }

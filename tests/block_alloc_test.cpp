@@ -176,7 +176,7 @@ TEST(BlockAlloc, PartitionedRanksSteadyStateAllocateNoBlockTemporaries) {
                                    s.scene->transceivers(),
                                    s.scene->measurements(), opts,
                                    s.cfg.forward),
-        opts, s.cfg.forward);
+        opts);
     const std::size_t local = pm.local_pixels(comm.rank());
     large[static_cast<std::size_t>(comm.rank())] =
         steady_state_allocations(stepper, local, 8);

@@ -2,8 +2,8 @@
 // physics validation against the analytic Mie cylinder,
 // cross-validation against the MLFMA+BiCGStab path on the same discrete
 // system (up to strong contrast), the fp64 accuracy of its fp32-swept
-// solves, and the
-// kAuto routing that stays on the FFT backend unless a solve fails.
+// solves, the solve statistics every backend records, and the kAuto
+// routing that stays on the FFT backend unless a solve fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "phantom/phantom.hpp"
 #include "phantom/setup.hpp"
 #include "special/bessel.hpp"
+#include "vcluster/comm.hpp"
 
 namespace ffw {
 namespace {
@@ -54,7 +55,7 @@ constexpr double kScalarContrast = 1.0;
 cvec g0_via_system(CbsEngine& cbs, ccspan x, std::size_t nrhs,
                    bool adjoint = false) {
   cvec y(x.size());
-  cbs.apply_system_panel(x, y, nrhs, adjoint);
+  cbs.apply_system(x, y, nrhs, adjoint);
   for (std::size_t i = 0; i < y.size(); ++i)
     y[i] = (x[i] - y[i]) / kScalarContrast;
   return y;
@@ -94,14 +95,14 @@ TEST(CbsSystemApply, MatchesDenseOperator) {
   Rng rng(72);
   cvec x(n), y(n), t(n);
   rng.fill_cnormal(x);
-  cbs.apply_system_panel(x, y, 1);
+  cbs.apply_system(x, y, 1);
   for (std::size_t i = 0; i < n; ++i) t[i] = contrast[i] * x[i];
   const cvec g = dense_g0_apply(grid, t);
   cvec want(n);
   for (std::size_t i = 0; i < n; ++i) want[i] = x[i] - g[i];
   EXPECT_LT(rel_l2_diff(y, want), 1e-11);
 
-  cbs.apply_system_panel(x, y, 1, /*adjoint=*/true);
+  cbs.apply_system(x, y, 1, /*adjoint=*/true);
   cvec xc(n);
   for (std::size_t i = 0; i < n; ++i) xc[i] = std::conj(x[i]);
   cvec gh = dense_g0_apply(grid, xc);
@@ -135,7 +136,7 @@ TEST(CbsSystemApply, MatchesDenseOperatorWithZeroFilledPadding) {
   cvec x(n), y(n), t(n);
   rng.fill_cnormal(x);
   cvec got(rows.size()), want(rows.size());
-  cbs.apply_system_panel(x, y, 1);
+  cbs.apply_system(x, y, 1);
   for (std::size_t i = 0; i < n; ++i) t[i] = contrast[i] * x[i];
   const cvec g = dense_g0_apply_rows(grid, t, rows);
   for (std::size_t k = 0; k < rows.size(); ++k) {
@@ -144,7 +145,7 @@ TEST(CbsSystemApply, MatchesDenseOperatorWithZeroFilledPadding) {
   }
   EXPECT_LT(rel_l2_diff(got, want), 1e-11);
 
-  cbs.apply_system_panel(x, y, 1, /*adjoint=*/true);
+  cbs.apply_system(x, y, 1, /*adjoint=*/true);
   for (std::size_t i = 0; i < n; ++i) t[i] = std::conj(x[i]);
   const cvec gh = dense_g0_apply_rows(grid, t, rows);
   for (std::size_t k = 0; k < rows.size(); ++k) {
@@ -174,7 +175,7 @@ TEST(CbsSystemApply, BitsDoNotDependOnThreadsOrColumnPosition) {
     if (op == Op::kG0) {
       out = g0_via_system(g0, in, nrhs);
     } else {
-      cbs.apply_system_panel(in, out, nrhs, op == Op::kAdjoint);
+      cbs.apply_system(in, out, nrhs, op == Op::kAdjoint);
     }
     return out;
   };
@@ -210,7 +211,7 @@ TEST(CbsSolve, ZeroContrastReturnsRhs) {
   Rng rng(73);
   cvec rhs(grid.num_pixels()), x(grid.num_pixels(), cplx{});
   rng.fill_cnormal(rhs);
-  ASSERT_TRUE(cbs.solve_panel(rhs, x, 1, 1e-10));
+  ASSERT_TRUE(cbs.solve(rhs, x, 1, 1e-10, /*adjoint=*/false));
   EXPECT_LT(rel_l2_diff(x, rhs), 1e-8);
 }
 
@@ -220,11 +221,11 @@ TEST(CbsSolve, WarmStartConvergesWithoutIterating) {
   cbs.set_contrast(blob_contrast(grid, 0.05));
   const cvec rhs = plane_wave(grid);
   cvec x(grid.num_pixels(), cplx{});
-  ASSERT_TRUE(cbs.solve_panel(rhs, x, 1, 1e-8));
-  EXPECT_GT(cbs.last_info().iterations, 0u);
+  ASSERT_TRUE(cbs.solve(rhs, x, 1, 1e-8, /*adjoint=*/false));
+  EXPECT_GT(cbs.stats().per_solve_iterations.back(), 0u);
   cvec x2 = x;
-  ASSERT_TRUE(cbs.solve_panel(rhs, x2, 1, 1e-8));
-  EXPECT_EQ(cbs.last_info().iterations, 0u);
+  ASSERT_TRUE(cbs.solve(rhs, x2, 1, 1e-8, /*adjoint=*/false));
+  EXPECT_EQ(cbs.stats().per_solve_iterations.back(), 0u);
   EXPECT_LT(rel_l2_diff(x2, x), 1e-11);
 }
 
@@ -240,7 +241,7 @@ TEST(CbsSolve, InteriorFieldMatchesMieSeries) {
   cbs.set_contrast(contrast_from_permittivity(grid, de));
   const cvec inc = plane_wave(grid);
   cvec phi(grid.num_pixels(), cplx{});
-  ASSERT_TRUE(cbs.solve_panel(inc, phi, 1, 1e-8));
+  ASSERT_TRUE(cbs.solve(inc, phi, 1, 1e-8, /*adjoint=*/false));
 
   const double k0 = grid.k0();
   const double k1 = k0 * std::sqrt(1.0 + deps);
@@ -322,13 +323,13 @@ TEST(CbsSolve, CrossValidatesAgainstMlfma) {
     cvec rhs(n * nrhs);
     rng.fill_cnormal(rhs);
     cvec xm(n * nrhs, cplx{}), xc(n * nrhs, cplx{});
-    ASSERT_TRUE(fs.solve_panel(rhs, xm, nrhs, 1e-10));
-    ASSERT_TRUE(cbs.solve_panel(rhs, xc, nrhs, 1e-10));
+    ASSERT_TRUE(fs.solve(rhs, xm, nrhs, 1e-10, /*adjoint=*/false));
+    ASSERT_TRUE(cbs.solve(rhs, xc, nrhs, 1e-10, /*adjoint=*/false));
     EXPECT_LT(rel_l2_diff(xc, xm), 1e-6) << "eps=" << eps;
 
     cvec am(n * nrhs, cplx{}), ac(n * nrhs, cplx{});
-    ASSERT_TRUE(fs.solve_adjoint_panel(rhs, am, nrhs, 1e-10));
-    ASSERT_TRUE(cbs.solve_adjoint_panel(rhs, ac, nrhs, 1e-10));
+    ASSERT_TRUE(fs.solve(rhs, am, nrhs, 1e-10, /*adjoint=*/true));
+    ASSERT_TRUE(cbs.solve(rhs, ac, nrhs, 1e-10, /*adjoint=*/true));
     EXPECT_LT(rel_l2_diff(ac, am), 1e-6) << "adjoint eps=" << eps;
   }
 }
@@ -356,14 +357,21 @@ TEST(CbsSolve, ConvergesAndMatchesMlfmaAtStrongContrast) {
                          ring_positions(4, grid.domain()));
   const ccspan rhs = trx.incident_panel();
   cvec xm(n * nrhs, cplx{}), xc(n * nrhs, cplx{});
-  ASSERT_TRUE(fs.solve_panel(rhs, xm, nrhs, 1e-9));
-  ASSERT_TRUE(cbs.solve_panel(rhs, xc, nrhs, 1e-9));
-  EXPECT_LE(cbs.last_info().final_residual, 1e-9);
+  ASSERT_TRUE(fs.solve(rhs, xm, nrhs, 1e-9, /*adjoint=*/false));
+  ASSERT_TRUE(cbs.solve(rhs, xc, nrhs, 1e-9, /*adjoint=*/false));
+  // The worst fp64 column residual of the FFT solution is at tolerance.
+  cvec r(n * nrhs);
+  cbs.apply_system(xc, r, nrhs);
+  for (std::size_t c = 0; c < nrhs; ++c) {
+    EXPECT_LE(rel_l2_diff(ccspan{r}.subspan(c * n, n), rhs.subspan(c * n, n)),
+              1e-9)
+        << "column " << c;
+  }
   EXPECT_LT(rel_l2_diff(xc, xm), 1e-6);
 
   cvec am(n * nrhs, cplx{}), ac(n * nrhs, cplx{});
-  ASSERT_TRUE(fs.solve_adjoint_panel(rhs, am, nrhs, 1e-9));
-  ASSERT_TRUE(cbs.solve_adjoint_panel(rhs, ac, nrhs, 1e-9));
+  ASSERT_TRUE(fs.solve(rhs, am, nrhs, 1e-9, /*adjoint=*/true));
+  ASSERT_TRUE(cbs.solve(rhs, ac, nrhs, 1e-9, /*adjoint=*/true));
   EXPECT_LT(rel_l2_diff(ac, am), 1e-6);
 }
 
@@ -377,16 +385,16 @@ TEST(CbsSolve, MixedPrecisionReachesFp64Tolerance) {
   const cvec rhs = plane_wave(grid);
   const std::size_t n = grid.num_pixels();
   cvec xm(n, cplx{}), xr(n, cplx{});
-  ASSERT_TRUE(mixed.solve_panel(rhs, xm, 1, 1e-8));
+  ASSERT_TRUE(mixed.solve(rhs, xm, 1, 1e-8, /*adjoint=*/false));
   const BlockBicgstabResult ref = block_bicgstab(
-      [&](ccspan in, cspan out) { mixed.apply_system_panel(in, out, 1); },
+      [&](ccspan in, cspan out) { mixed.apply_system(in, out, 1); },
       rhs, xr, BlockLayout{n, 1, 1}, BicgstabOptions{1e-8, 600});
   ASSERT_TRUE(ref.converged);
   // The mixed pipeline verifies convergence against the fp64 operator,
   // so its answer matches the all-fp64 solve at the solve tolerance.
   EXPECT_LT(rel_l2_diff(xm, xr), 1e-6);
   cvec r(n);
-  mixed.apply_system_panel(xm, r, 1);
+  mixed.apply_system(xm, r, 1);
   double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     num += std::norm(rhs[i] - r[i]);
@@ -395,16 +403,17 @@ TEST(CbsSolve, MixedPrecisionReachesFp64Tolerance) {
   EXPECT_LT(std::sqrt(num / den), 2e-8);
 }
 
-/// Solves two random right-hand sides to 1e-8 on `backend` and checks
-/// its counters: one per-solve sample per column, summing to the
-/// Krylov total (refined solves count inner and fallback iterations).
-void expect_two_solves_counted(ForwardBackend& backend, const Grid& grid) {
-  backend.set_contrast(blob_contrast(grid, 0.05));
-  const std::size_t n = grid.num_pixels();
+/// Solves two random right-hand sides to 1e-8 on `backend` at
+/// `contrast` (in its pass order) and checks its counters: one per-solve
+/// sample per column, summing to the Krylov total (refined solves count
+/// inner and fallback iterations).
+void expect_two_solves_counted(ForwardBackend& backend, ccspan contrast) {
+  backend.set_contrast(contrast);
+  const std::size_t n = contrast.size();
   Rng rng(75);
   cvec rhs(2 * n), x(2 * n, cplx{});
   rng.fill_cnormal(rhs);
-  ASSERT_TRUE(backend.solve_panel(rhs, x, 2, 1e-8));
+  ASSERT_TRUE(backend.solve(rhs, x, 2, 1e-8, /*adjoint=*/false));
   const ForwardStats& st = backend.stats();
   EXPECT_EQ(st.solves, 2u);
   EXPECT_GT(st.bicgs_iterations, 0u);
@@ -416,21 +425,38 @@ void expect_two_solves_counted(ForwardBackend& backend, const Grid& grid) {
             st.bicgs_iterations);
 }
 
-TEST(CbsStats, CountsSolvesAndOperatorApplications) {
+TEST(ForwardStats, EveryBackendCountsSolvesAndOperatorApplications) {
   Grid grid(24);
   CbsEngine cbs(grid);
-  expect_two_solves_counted(cbs, grid);
+  expect_two_solves_counted(cbs, blob_contrast(grid, 0.05));
 
-  // The MLFMA backend's refined (kMixed) solves count the same way.
+  // The MLFMA backend counts the same way, in fp64 and refined (kMixed).
   Grid g32(32);
+  const cvec contrast = blob_contrast(g32, 0.05);
   QuadTree tree(g32);
   MlfmaEngine engine(tree);
+  ForwardSolver fp64(engine);
+  expect_two_solves_counted(fp64, contrast);
   MlfmaParams p32;
   p32.precision = Precision::kMixed;
   ForwardSolver mixed(engine, BicgstabOptions{},
                       std::make_shared<const OperatorTables>(tree, p32));
   ASSERT_EQ(mixed.precision(), Precision::kMixed);
-  expect_two_solves_counted(mixed, g32);
+  expect_two_solves_counted(mixed, contrast);
+
+  // So does every rank of a partitioned tree group, on its own slice.
+  const PartitionedMlfma pm(tree, MlfmaParams{}, 2);
+  cvec clu(contrast.size());
+  tree.to_cluster_order(contrast, clu);
+  const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
+  VCluster vc(2);
+  vc.run([&](Comm& comm) {
+    PartitionedForwardSolver part(comm, 0, pm, BicgstabOptions{},
+                                  /*near_precondition=*/false);
+    expect_two_solves_counted(
+        part, ccspan{clu}.subspan(pm.leaf_begin(comm.rank()) * npl,
+                                  pm.local_pixels(comm.rank())));
+  });
 }
 
 ScenarioConfig dbim_config() {
@@ -520,7 +546,7 @@ TEST(CbsDbim, AutoStaysOnFftAtStrongContrast) {
                       scene.measurements(), BicgstabOptions{});
   DbimWorkspace autob(scene.engine(), scene.transceivers(),
                       scene.measurements(), BicgstabOptions{});
-  autob.set_backend(BackendKind::kAuto, CbsOptions{});
+  autob.set_backend(BackendKind::kAuto, kCbsDefaults);
   EXPECT_EQ(autob.active_backend(), BackendKind::kCbs);
   mlfma.set_background(strong, false);
   autob.set_background(strong, false);

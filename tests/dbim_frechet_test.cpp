@@ -40,7 +40,7 @@ struct FrechetFixture {
     BicgstabOptions opts;
     opts.tol = 1e-11;
     auto ws = std::make_unique<DbimWorkspace>(engine, trx, measured, opts);
-    if (backend != BackendKind::kMlfma) ws->set_backend(backend, CbsOptions{});
+    if (backend != BackendKind::kMlfma) ws->set_backend(backend, kCbsDefaults);
     return ws;
   }
 
@@ -270,7 +270,7 @@ TEST(G0Symmetry, PaddedFft) {
   CbsEngine cbs(s.grid);
   cbs.set_contrast(cvec(n, c));
   const auto apply = [&](ccspan x, cspan y) {
-    cbs.apply_system_panel(x, y, 1);
+    cbs.apply_system(x, y, 1);
     for (std::size_t i = 0; i < n; ++i) y[i] = (x[i] - y[i]) / c;
   };
   EXPECT_LT(g0_symmetry_defect(n, apply), 1e-12);

@@ -324,7 +324,7 @@ struct NanScratchScene {
   cvec passes(BackendKind backend, bool poison) const {
     DbimWorkspace ws(scene->engine(), scene->transceivers(),
                      scene->measurements(), cfg.forward);
-    if (backend != BackendKind::kMlfma) ws.set_backend(backend, CbsOptions{});
+    if (backend != BackendKind::kMlfma) ws.set_backend(backend, kCbsDefaults);
     const std::size_t n = ws.num_pixels();
     ws.set_background(cvec(n, cplx{0.005, 0.001}));
     cvec residuals(ws.residual_size());

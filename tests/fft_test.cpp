@@ -373,41 +373,5 @@ TYPED_TEST(TransformOrder, ConvolveMatchesCircularConvolution) {
   }
 }
 
-// Satellite regression: fft()/ifft() now route through a memoized
-// per-length plan cache — repeated transforms of one length must be one
-// miss and the rest hits, and the cache stays bounded.
-TEST(FftPlanCache, RepeatLengthsHitTheCache) {
-  fft_plan_cache_clear();
-  Rng rng(94);
-  cvec x(96);  // non-pow2: the expensive Bluestein setup is what caching saves
-  rng.fill_cnormal(x);
-  for (int rep = 0; rep < 8; ++rep) {
-    cvec y(x.begin(), x.end());
-    fft(y);
-    ifft(y);
-    EXPECT_LT(rel_l2_diff(y, x), 1e-11);
-  }
-  const FftPlanCacheStats st = fft_plan_cache_stats();
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.hits, 15u);
-  EXPECT_EQ(st.entries, 1u);
-}
-
-TEST(FftPlanCache, EvictionKeepsCacheBounded) {
-  fft_plan_cache_clear();
-  // Touch far more distinct lengths than the LRU capacity holds.
-  for (std::size_t n = 1; n <= 200; ++n) (void)fft_plan(n);
-  const FftPlanCacheStats st = fft_plan_cache_stats();
-  EXPECT_EQ(st.misses, 200u);
-  EXPECT_LE(st.entries, 64u);
-  // Evicted plans rebuild correctly (and a held shared_ptr stays valid).
-  const auto plan = fft_plan(1);
-  ASSERT_TRUE(plan);
-  EXPECT_EQ(plan->size(), 1u);
-  cvec x{cplx{2.5, -1.0}};
-  plan->forward(x);
-  EXPECT_NEAR(std::abs(x[0] - cplx{2.5, -1.0}), 0.0, 1e-15);
-}
-
 }  // namespace
 }  // namespace ffw

@@ -101,7 +101,7 @@ TEST(ForwardMie, InteriorFieldMatchesAnalyticSeries) {
     }
   }
   cvec phi(n, cplx{});
-  ASSERT_TRUE(fs.solve_block(inc, phi, 1).converged);
+  ASSERT_TRUE(fs.solve(inc, phi, 1, 0.0, /*adjoint=*/false));
 
   // Compare inside the cylinder, away from the staircased boundary.
   const int terms = static_cast<int>(grid.k0() * radius) + 12;

@@ -1,6 +1,7 @@
-// Forward scattering solver: block BiCGStab + MLFMA (one column) against
-// the dense LU reference, adjoint solves, and solver statistics; plus the
-// single-vector reference BiCGStab on small dense systems.
+// Forward scattering solver: ForwardSolver::solve (block BiCGStab +
+// MLFMA, one column) against the dense LU reference, adjoint solves, and
+// solver statistics; plus the single-vector reference BiCGStab on small
+// dense systems.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -90,7 +91,7 @@ TEST_P(ForwardVsDense, MatchesLuReference) {
   cvec rhs(grid.num_pixels());
   rng.fill_cnormal(rhs);
   cvec phi(grid.num_pixels(), cplx{});
-  ASSERT_TRUE(fs.solve_block(rhs, phi, 1).converged);
+  ASSERT_TRUE(fs.solve(rhs, phi, 1, 0.0, /*adjoint=*/false));
 
   DenseForwardSolver dense(grid, contrast);
   const cvec ref = dense.solve(rhs);
@@ -119,7 +120,7 @@ TEST(Forward, AdjointSolveMatchesDense) {
   cvec rhs(grid.num_pixels());
   rng.fill_cnormal(rhs);
   cvec psi(grid.num_pixels(), cplx{});
-  ASSERT_TRUE(fs.solve_adjoint_block(rhs, psi, 1).converged);
+  ASSERT_TRUE(fs.solve(rhs, psi, 1, 0.0, /*adjoint=*/true));
 
   DenseForwardSolver dense(grid, contrast);
   const cvec ref = dense.solve_herm(rhs);
@@ -138,7 +139,7 @@ TEST(Forward, SolutionSatisfiesSystem) {
                    ring_positions(8, grid.domain()));
   const ccspan inc = trx.incident_field(0);
   cvec phi(grid.num_pixels(), cplx{});
-  ASSERT_TRUE(fs.solve_block(inc, phi, 1).converged);
+  ASSERT_TRUE(fs.solve(inc, phi, 1, 0.0, /*adjoint=*/false));
 
   cvec resid(grid.num_pixels());
   fs.apply_system(phi, resid, 1);
@@ -155,7 +156,7 @@ TEST(Forward, StatsTrackSolvesAndMlfma) {
   Rng rng(35);
   cvec rhs(grid.num_pixels()), phi(grid.num_pixels(), cplx{});
   rng.fill_cnormal(rhs);
-  fs.solve_block(rhs, phi, 1);
+  fs.solve(rhs, phi, 1, 0.0, /*adjoint=*/false);
   EXPECT_EQ(fs.stats().solves, 1u);
   EXPECT_GT(fs.stats().operator_applications, 0u);
   EXPECT_GT(fs.stats().operator_per_solve(), 1.0);
@@ -174,8 +175,7 @@ TEST(Forward, FreeSpaceIsIdentity) {
   Rng rng(36);
   cvec rhs(grid.num_pixels()), phi(grid.num_pixels(), cplx{});
   rng.fill_cnormal(rhs);
-  const auto res = fs.solve_block(rhs, phi, 1);
-  EXPECT_TRUE(res.converged);
+  EXPECT_TRUE(fs.solve(rhs, phi, 1, 0.0, /*adjoint=*/false));
   EXPECT_LT(rel_l2_diff(phi, rhs), 1e-12);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -15,6 +16,7 @@
 #include "linalg/kernels.hpp"
 #include "mlfma/engine.hpp"
 #include "mlfma/partitioned.hpp"
+#include "obs/obs.hpp"
 
 namespace ffw {
 namespace {
@@ -188,6 +190,18 @@ cvec smooth_contrast(const Grid& grid, double amplitude) {
   return o;
 }
 
+/// Refinement rounds counted on this thread while `run` executes.
+template <typename F>
+std::uint64_t refinement_rounds(F&& run) {
+  const std::size_t k = static_cast<std::size_t>(obs::Counter::kRefinementRounds);
+  obs::set_enabled(true);
+  const std::uint64_t before = obs::counter_totals(0)[k];
+  run();
+  const std::uint64_t rounds = obs::counter_totals(0)[k] - before;
+  obs::set_enabled(false);
+  return rounds;
+}
+
 TEST(MixedRefinement, ReachesFp64ToleranceInFewRounds) {
   Grid grid(64);
   QuadTree tree(grid);
@@ -205,15 +219,18 @@ TEST(MixedRefinement, ReachesFp64ToleranceInFewRounds) {
   cvec b(n * nrhs), x(n * nrhs, cplx{});
   rng.fill_cnormal(b);
 
-  RefinedOptions opts;
-  opts.tol = 1e-8;
-  const RefinedResult res = solver.solve_block_refined(b, x, nrhs, opts);
-  EXPECT_TRUE(res.converged);
-  EXPECT_FALSE(res.fell_back);
-  EXPECT_LE(res.relres, 1e-8);
+  // A converged refined solve has its worst fp64 relres <= tol = 1e-8.
+  const std::uint64_t applies0 = f64.phase_times().applications;
+  bool converged = false;
+  const std::uint64_t rounds = refinement_rounds(
+      [&] { converged = solver.solve(b, x, nrhs, 1e-8, /*adjoint=*/false); });
+  EXPECT_TRUE(converged);
   // Each round gains ~max(inner tol 1e-4, fp32 error 3e-6): 1e-8 from
   // O(1) takes 2-3 rounds; more means refinement is not contracting.
-  EXPECT_LE(res.refinements, 4);
+  EXPECT_LE(rounds, 4u);
+  // No fp64 fallback: the fp64 engine ran only the residual of the
+  // start and of each round.
+  EXPECT_EQ(f64.phase_times().applications - applies0, (1 + rounds) * nrhs);
 
   // The fp64 residual of the returned solution really is at tolerance.
   cvec ax(n * nrhs);
@@ -225,9 +242,10 @@ TEST(MixedRefinement, ReachesFp64ToleranceInFewRounds) {
   }
 
   // Matches the pure-fp64 block solve to the shared tolerance.
+  ForwardSolver fp64(f64, fw);
+  fp64.set_contrast(smooth_contrast(grid, 0.05));
   cvec x64(n * nrhs, cplx{});
-  const BlockBicgstabResult ref = solver.solve_block(b, x64, nrhs);
-  ASSERT_TRUE(ref.converged);
+  ASSERT_TRUE(fp64.solve(b, x64, nrhs, 0.0, /*adjoint=*/false));
   EXPECT_LT(rel_l2(x, x64), 1e-6);
 }
 
@@ -247,16 +265,13 @@ TEST(MixedRefinement, AdjointSolveReachesFp64Tolerance) {
   cvec b(n * nrhs), x(n * nrhs, cplx{});
   rng.fill_cnormal(b);
 
-  RefinedOptions opts;
-  opts.tol = 1e-8;
-  const RefinedResult res =
-      solver.solve_adjoint_block_refined(b, x, nrhs, opts);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LE(res.relres, 1e-8);
+  // Converged: the worst fp64 relres is <= tol = 1e-8.
+  EXPECT_TRUE(solver.solve(b, x, nrhs, 1e-8, /*adjoint=*/true));
 
+  ForwardSolver fp64(f64, fw);
+  fp64.set_contrast(smooth_contrast(grid, 0.05));
   cvec x64(n * nrhs, cplx{});
-  const BlockBicgstabResult ref = solver.solve_adjoint_block(b, x64, nrhs);
-  ASSERT_TRUE(ref.converged);
+  ASSERT_TRUE(fp64.solve(b, x64, nrhs, 0.0, /*adjoint=*/true));
   EXPECT_LT(rel_l2(x, x64), 1e-6);
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -15,6 +16,7 @@
 #include "dbim/parallel_driver.hpp"
 #include "forward/block_bicgstab.hpp"
 #include "forward/forward.hpp"
+#include "forward/refined.hpp"
 #include "forward/precond.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/obs.hpp"
@@ -308,32 +310,36 @@ TEST(PrecondForward, MatchesUnpreconditionedSolvesOnCylinder) {
   cvec rhs(n);
   rng.fill_cnormal(rhs);
 
+  // One solve per call: per_solve_iterations.back() is its iteration
+  // count, and bicgs_iterations sums every column of every solve.
   cvec phi_a(n, cplx{}), phi_b(n, cplx{});
-  const auto ra = plain.solve_block(rhs, phi_a, 1);
-  const auto rb = pre.solve_block(rhs, phi_b, 1);
-  ASSERT_TRUE(ra.converged && rb.converged);
+  ASSERT_TRUE(plain.solve(rhs, phi_a, 1, 0.0, /*adjoint=*/false));
+  ASSERT_TRUE(pre.solve(rhs, phi_b, 1, 0.0, /*adjoint=*/false));
   EXPECT_LT(rel_l2_diff(phi_b, phi_a), 1e-10);
-  EXPECT_LT(rb.rhs[0].iterations, ra.rhs[0].iterations)
+  EXPECT_LT(pre.stats().per_solve_iterations.back(),
+            plain.stats().per_solve_iterations.back())
       << "preconditioner saved nothing";
 
   cvec psi_a(n, cplx{}), psi_b(n, cplx{});
-  ASSERT_TRUE(plain.solve_adjoint_block(rhs, psi_a, 1).converged);
-  ASSERT_TRUE(pre.solve_adjoint_block(rhs, psi_b, 1).converged);
+  ASSERT_TRUE(plain.solve(rhs, psi_a, 1, 0.0, /*adjoint=*/true));
+  ASSERT_TRUE(pre.solve(rhs, psi_b, 1, 0.0, /*adjoint=*/true));
   EXPECT_LT(rel_l2_diff(psi_b, psi_a), 1e-10);
 
   const std::size_t nrhs = 3;
   cvec brhs(n * nrhs), xa(n * nrhs, cplx{}), xb(n * nrhs, cplx{});
   rng.fill_cnormal(brhs);
-  const auto ba = plain.solve_block(brhs, xa, nrhs);
-  const auto bb = pre.solve_block(brhs, xb, nrhs);
-  ASSERT_TRUE(ba.converged && bb.converged);
+  const std::uint64_t ia = plain.stats().bicgs_iterations;
+  const std::uint64_t ib = pre.stats().bicgs_iterations;
+  ASSERT_TRUE(plain.solve(brhs, xa, nrhs, 0.0, /*adjoint=*/false));
+  ASSERT_TRUE(pre.solve(brhs, xb, nrhs, 0.0, /*adjoint=*/false));
   EXPECT_LT(rel_l2_diff(xb, xa), 1e-10);
-  EXPECT_LT(bb.total_iterations(), ba.total_iterations());
+  EXPECT_LT(pre.stats().bicgs_iterations - ib,
+            plain.stats().bicgs_iterations - ia);
 
   std::fill(xa.begin(), xa.end(), cplx{});
   std::fill(xb.begin(), xb.end(), cplx{});
-  ASSERT_TRUE(plain.solve_adjoint_block(brhs, xa, nrhs).converged);
-  ASSERT_TRUE(pre.solve_adjoint_block(brhs, xb, nrhs).converged);
+  ASSERT_TRUE(plain.solve(brhs, xa, nrhs, 0.0, /*adjoint=*/true));
+  ASSERT_TRUE(pre.solve(brhs, xb, nrhs, 0.0, /*adjoint=*/true));
   EXPECT_LT(rel_l2_diff(xb, xa), 1e-10);
 }
 

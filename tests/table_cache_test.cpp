@@ -1,17 +1,13 @@
 // OperatorTableCache: single-flight builds under concurrency (the tsan
 // preset's `service` label race-checks this file), LRU eviction under a
-// byte budget with in-use artifacts staying valid, key separation, and
-// the fp64 1-D FFT plan cache's configurable capacity + obs counters.
+// byte budget with in-use artifacts staying valid, and key separation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "fft/fft.hpp"
-#include "fft/fft2.hpp"
 #include "greens/greens.hpp"
-#include "obs/obs.hpp"
 #include "service/table_cache.hpp"
 
 namespace ffw {
@@ -142,45 +138,6 @@ TEST(TableCache, ClearDropsResidency) {
   EXPECT_FALSE(a->g0hat.empty());  // hand-out survives
   const auto b = cache.cbs_tables(grid);
   EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-// Satellite: the fp64 1-D FFT plan cache gets a configurable capacity
-// and obs counters (fft_plan_hits / fft_plan_misses).
-TEST(FftPlanCache, CapacityIsConfigurableAndCounted) {
-  obs::set_enabled(true);
-  const auto totals0 = obs::counter_totals(0);
-  fft_plan_cache_clear();
-  const std::size_t prev = fft_plan_cache_set_capacity(2);
-  const auto before = fft_plan_cache_stats();
-  EXPECT_EQ(before.capacity, 2u);
-
-  const auto p64 = fft_plan(64);
-  const auto p128 = fft_plan(128);
-  const auto p64b = fft_plan(64);  // hit
-  EXPECT_EQ(p64.get(), p64b.get());
-  const auto p256 = fft_plan(256);  // evicts LRU (128)
-  auto s = fft_plan_cache_stats();
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.misses, before.misses + 3);
-  EXPECT_EQ(s.hits, before.hits + 1);
-  // Evicted plans stay valid through their shared_ptr.
-  cvec x(128, cplx{1.0, 0.0});
-  p128->forward(x);
-
-  // The same traffic is visible on the obs counters.
-  const auto totals = obs::counter_totals(0);
-  EXPECT_GE(totals[static_cast<std::size_t>(obs::Counter::kFftPlanMisses)] -
-                totals0[static_cast<std::size_t>(obs::Counter::kFftPlanMisses)],
-            3u);
-  EXPECT_GE(totals[static_cast<std::size_t>(obs::Counter::kFftPlanHits)] -
-                totals0[static_cast<std::size_t>(obs::Counter::kFftPlanHits)],
-            1u);
-  obs::set_enabled(false);
-
-  // Shrinking to 1 evicts immediately.
-  fft_plan_cache_set_capacity(1);
-  EXPECT_EQ(fft_plan_cache_stats().entries, 1u);
-  fft_plan_cache_set_capacity(prev);
 }
 
 }  // namespace
