@@ -2,12 +2,13 @@
 // for powers of two, Bluestein chirp + spectral tables otherwise) and a
 // power-of-two 2-D plan for zero-padded convolutions.
 //
-// The legacy free functions in fft/fft.hpp recomputed twiddle factors
-// and the Bluestein chirp on every call; plans hoist that setup so the
-// hot paths (the CBS backend's padded Green's-function convolutions,
-// the MLFMA spectral verification transforms) run table-driven. Plans
-// are immutable after construction and safe to execute from many
-// threads concurrently; every entry point runs on the calling thread.
+// Plans hoist the twiddle and Bluestein chirp setup out of the
+// transforms, so the hot path (the CBS backend's padded Green's-function
+// convolutions, whose plans CbsTables holds) runs table-driven. The
+// free functions of fft/fft.hpp, which no production path calls, build
+// one plan per call. Plans are immutable after construction and safe to
+// execute from many threads concurrently; every entry point runs on the
+// calling thread.
 //
 // One butterfly family serves every power-of-two transform: a
 // decimation-in-frequency forward (natural in, bit-reversed out) and a

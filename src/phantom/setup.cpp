@@ -1,6 +1,7 @@
 #include "phantom/setup.hpp"
 
 #include "linalg/kernels.hpp"
+#include "linalg/scratch.hpp"
 
 namespace ffw {
 
@@ -11,14 +12,19 @@ CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
   const std::size_t t_count = static_cast<std::size_t>(trx.num_transmitters());
   const int r_count = trx.num_receivers();
   solver.set_contrast(contrast);
-  // O .* phi_t for every transmitter, then one panel projection.
-  cvec ophi(n * t_count), phi(n);
+  // One block solve over every transmitter, started from the incident
+  // panel; then O .* phi_t in place and one panel projection.
+  const ccspan inc = trx.incident_panel();
+  cvec ophi(inc.begin(), inc.end());
+  FFW_CHECK_MSG(solver.solve(inc, ophi, t_count, 0.0, /*adjoint=*/false),
+                "measurement synthesis forward solve failed");
+  // A scene build keeps none of the solve's T-column workspace: the
+  // engine's spectra panels and the thread's block scratch go back.
+  solver.engine().shrink_workspace();
+  scratch_release();
   for (std::size_t t = 0; t < t_count; ++t) {
-    const ccspan inc = trx.incident_field(static_cast<int>(t));
-    copy(inc, phi);  // incident field as the initial guess
-    FFW_CHECK_MSG(solver.solve(inc, phi, 1, 0.0, /*adjoint=*/false),
-                  "measurement synthesis forward solve failed");
-    diag_mul(contrast, phi, cspan{ophi.data() + t * n, n});
+    const cspan phi{ophi.data() + t * n, n};
+    diag_mul(contrast, phi, phi);
   }
   CMatrix measured(static_cast<std::size_t>(r_count), t_count);
   trx.apply_gr(ophi, cspan{measured.data(), measured.size()}, t_count);

@@ -80,7 +80,8 @@ class Scenario {
 };
 
 /// Synthesise phi^mea for every transmitter: solve the forward problem
-/// on `contrast` and evaluate G_R (O .* phi) at the receivers.
+/// on `contrast` for all transmitters in one block solve (started from
+/// the incident fields) and evaluate G_R (O .* phi) at the receivers.
 CMatrix synthesize_measurements(ForwardSolver& solver, const Transceivers& trx,
                                 ccspan contrast, double noise_std = 0.0,
                                 std::uint64_t noise_seed = 42);

@@ -1,6 +1,9 @@
 // Scenario assembly and measurement synthesis.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "linalg/kernels.hpp"
 #include "phantom/setup.hpp"
 
@@ -53,6 +56,41 @@ TEST(Scenario, MeasurementScalesLinearlyInTheBornRegime) {
     n2 += nrm2(s2.measurements().col(t));
   }
   EXPECT_NEAR(n2 / n1, 2.0, 0.01);
+}
+
+// The measurements come from one block solve over every transmitter:
+// each column must match a one-column solve of the same solver, from the
+// same incident start, in its data and its iteration count.
+TEST(Scenario, PanelSynthesisMatchesPerTransmitterSolves) {
+  ScenarioConfig cfg;
+  cfg.nx = 32;
+  cfg.num_transmitters = 6;
+  cfg.num_receivers = 12;
+  Grid grid(cfg.nx);
+  Scenario scene(
+      cfg, gaussian_blob(grid, Vec2{0.3, -0.2}, 0.6, cplx{0.05, 0.0}));
+  const Transceivers& trx = scene.transceivers();
+  const ccspan contrast = scene.true_contrast();
+  ForwardSolver solver(scene.engine(), cfg.forward);
+  const CMatrix panel = synthesize_measurements(solver, trx, contrast);
+  const std::vector<std::uint16_t> panel_iters =
+      solver.stats().per_solve_iterations;
+  ASSERT_EQ(panel_iters.size(), 6u);
+
+  const std::size_t n = grid.num_pixels();
+  cvec phi(n), ophi(n), col(static_cast<std::size_t>(cfg.num_receivers));
+  for (int t = 0; t < cfg.num_transmitters; ++t) {
+    const ccspan inc = trx.incident_field(t);
+    copy(inc, phi);
+    ASSERT_TRUE(solver.solve(inc, phi, 1, 0.0, /*adjoint=*/false));
+    EXPECT_EQ(solver.stats().per_solve_iterations.back(),
+              panel_iters[static_cast<std::size_t>(t)])
+        << "transmitter " << t;
+    diag_mul(contrast, phi, ophi);
+    trx.apply_gr(ophi, col);
+    EXPECT_LE(rel_l2_diff(panel.col(static_cast<std::size_t>(t)), col), 1e-10)
+        << "transmitter " << t;
+  }
 }
 
 TEST(Scenario, NoiseScalesWithRequestedLevel) {
