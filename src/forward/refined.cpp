@@ -33,7 +33,6 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
     dopts.max_iterations = opts.fallback_max_iterations;
     const BlockBicgstabResult direct =
         block_bicgstab(a_inner, b, x, lo, dopts, reduce, pc);
-    res.inner_iterations = direct.total_iterations();
     res.block_iterations = direct.iterations;
     count_columns(direct);
     res.relres = 0.0;
@@ -109,7 +108,6 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
     block_zero(lo, d);
     const BlockBicgstabResult inner =
         block_bicgstab(a_inner, r, d, lo, opts.inner, reduce, pc);
-    res.inner_iterations += inner.total_iterations();
     res.block_iterations += inner.iterations;
     count_columns(inner);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += d[i];
@@ -137,7 +135,6 @@ RefinedResult refined_block_bicgstab(const BlockLinearOp& a_outer,
   fo.max_iterations = opts.fallback_max_iterations;
   const BlockBicgstabResult fb =
       block_bicgstab(a_outer, b, x, lo, fo, reduce, pc);
-  res.fallback_iterations = fb.total_iterations();
   res.block_iterations += fb.iterations;
   count_columns(fb);
   worst = residual();
